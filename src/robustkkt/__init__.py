@@ -28,12 +28,12 @@ from .funcdsl import (
 )
 from .robustfeas import (
     ProblemSpec,
+    Psi,
     UncertainConstraint,
     active_uncertainty,
     is_feasible,
     phi,
     phi_i,
-    psi,
     raster,
 )
 from .setcalc import (

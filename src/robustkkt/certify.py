@@ -9,6 +9,7 @@ constraint terms come from the sup-rule hulls, the ball term is scaled by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,12 +32,13 @@ from .setcalc import (
     PolyCone,
     Polytope,
     PolytopeSet,
+    _monotone_chain,
     dual_ball,
     normal_cone,
     point_in_cone_residual,
     zero_in_sum,
 )
-from .subdiff import constraint_set, limiting_subdiff, objective_set, scalarized_subdiff
+from .subdiff import constraint_set, direct_subdiff, limiting_subdiff, objective_set
 
 COMPLEMENTARITY_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
@@ -562,8 +564,8 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     tight1 = f_branch >= psi_val - max(comp_tol, 1e-9)
     tight2 = phi_val >= psi_val - max(comp_tol, 1e-9)
 
-    sc = scalarized_subdiff(ystar, spec.objectives, x_eta, mode, spec.kink_tol)
-    fset = sc.direct.set
+    fset = direct_subdiff(ystar, spec.objectives, x_eta, mode,
+                          spec.kink_tol).set
     acts = compute_active_sets(spec, x_eta) if spec.constraints else None
     idx = list(acts.index_set) if acts else []
     con_polys = {}
@@ -749,9 +751,10 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
 
     For every sample x and every y* on the dual-cone grid whose scalarized
     premise holds, a witness direction w is sought: first the candidate
-    w = x - xbar, then a max-margin LP per convex component of the
+    w = x - xbar, then the max-margin w per convex component of the
     scalarized subdifferential (the definition lets w depend on the
-    subgradient choice).  INCONCLUSIVE never asserts failure; failures
+    subgradient choice), found by planar geometry in dimension 2 and by
+    an LP otherwise.  INCONCLUSIVE never asserts failure; failures
     come only from an explicit witness tuple, checked exactly.
     """
     if ptype not in ("I", "II"):
@@ -821,13 +824,13 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
 
     def scal_set(myi: int) -> tuple[PolytopeSet, np.ndarray]:
         if myi not in scal_cache:
-            s = scalarized_subdiff(ys[myi], spec.objectives, xbar, mode,
-                                   spec.kink_tol).direct.set
+            s = direct_subdiff(ys[myi], spec.objectives, xbar, mode,
+                               spec.kink_tol).set
             scal_cache[myi] = (s, s.all_vertices())
         return scal_cache[myi]
 
     # normalized witness margins, cached per (y index, premise-row mask):
-    # the witness LP is positively homogeneous in ||x - xbar||, so one
+    # the margin problem is positively homogeneous in ||x - xbar||, so one
     # normalized solve serves every sample sharing the rows
     margin_cache: dict[tuple[int, tuple[bool, ...]], float | None] = {}
 
@@ -838,13 +841,13 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
             best: float | None = math.inf
             sset, _ = scal_set(myi)
             for comp in sset.components:
-                delta = _component_witness_margin(
+                found = _component_witness_margin(
                     comp, 1.0, float(ytheta_all[myi]), rows_here, con_base,
                     N, pball, l2_exact_dirs=(spec.norm == "l2"))
-                if delta is None:
+                if found is None:
                     best = None
                     break
-                best = min(best, delta)
+                best = min(best, found[0])
             margin_cache[key] = best
         return margin_cache[key]
 
@@ -860,7 +863,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
             yv = ys[myi]
             _, U = scal_set(int(myi))
             if cand_g_ok[sidx] and cone_ok[sidx]:
-                top = float(np.max(U @ D[:, sidx]))
+                top = float((U @ D[:, sidx]).max())
                 if top + nrm * float(ytheta_all[myi]) <= -1e-12:
                     continue
             margin = normalized_margin(int(myi), mask)
@@ -884,15 +887,20 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
 
 def _component_witness_margin(comp: Polytope, nrm, ytheta, rows_here,
                               con_base, N: PolyCone, pball: Polytope,
-                              l2_exact_dirs: bool = False) -> float | None:
-    """Max margin delta with <u, w> + nrm*ytheta <= -delta for the component.
+                              l2_exact_dirs: bool = False
+                              ) -> tuple[float, np.ndarray] | None:
+    """Max margin delta >= 0 with <u, w> + nrm*ytheta <= -delta for every
+    vertex u of the component, and the maximising w; None if no w has a
+    nonnegative margin.
 
-    With l2_exact_dirs the inscribed ball gains the exact unit directions
-    opposite the component's vertices (still on the sphere, so still an
-    inner approximation); this removes the polygon deficit along the
-    directions that matter near premise boundaries.
+    w ranges over nrm times the primal ball, cut by <a, w> <= 0 for the
+    vertices a of the premise-holding constraint rows and by the normal
+    cone's generators (= 0 for lineality generators).  With l2_exact_dirs
+    the inscribed ball gains the exact unit directions opposite the
+    component's vertices (still on the sphere, so still an inner
+    approximation); this removes the polygon deficit along the directions
+    that matter near premise boundaries.
     """
-    d = comp.dim
     ball_verts = pball.vertices
     if l2_exact_dirs:
         extra = []
@@ -902,41 +910,117 @@ def _component_witness_margin(comp: Polytope, nrm, ytheta, rows_here,
                 extra.append(-u / nu)
         if extra:
             ball_verts = np.vstack([ball_verts, np.array(extra)])
+    cuts = [vert for t in rows_here for vert in con_base[t][1]
+            if np.any(vert != 0.0)]
+    cuts.extend(N.generators[~N.lineality])
+    cuts = np.array(cuts).reshape(-1, comp.dim)
+    lines = N.generators[N.lineality]
+    if comp.dim == 2:
+        # a lineality generator cuts both ways
+        found = _planar_witness_margin(comp.vertices, nrm * ytheta,
+                                       nrm * ball_verts,
+                                       np.vstack([cuts, lines, -lines]))
+        if found is not NotImplemented:
+            return found
+    return _lp_witness_margin(comp.vertices, nrm * ytheta, nrm * ball_verts,
+                              cuts, lines)
+
+
+def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
+                       cuts: np.ndarray, lines: np.ndarray
+                       ) -> tuple[float, np.ndarray] | None:
+    """_component_witness_margin as one HiGHS LP; <a, w> = 0 for the rows
+    a of lines."""
+    d = U.shape[1]
     lp = LPBuilder()
     w_ids = lp.add_vars(d, free=True)
     delta = lp.add_var()
-    lam = lp.add_vars(ball_verts.shape[0])
-    # w = nrm * sum lam_b * ball_vertex, sum lam <= 1
+    lam = lp.add_vars(ball.shape[0])
+    # w = sum lam_b * ball_vertex, sum lam <= 1
     for a in range(d):
         row = {w_ids[a]: 1.0}
         for t, vid in enumerate(lam):
-            row[vid] = -nrm * ball_verts[t, a]
+            row[vid] = -ball[t, a]
         lp.add_eq(row, 0)
     lp.add_ub({vid: 1.0 for vid in lam}, 1)
-    for vert in comp.vertices:
+    for vert in U:
         row = {delta: 1.0}
         for a in range(d):
             if vert[a] != 0.0:
                 row[w_ids[a]] = vert[a]
-        lp.add_ub(row, -nrm * ytheta)
-    for t in rows_here:
-        _, verts = con_base[t]
-        for vert in verts:
-            row = {w_ids[a]: vert[a] for a in range(d) if vert[a] != 0.0}
-            if row:
-                lp.add_ub(row, 0)
-    for k in range(N.generators.shape[0]):
-        g = N.generators[k]
-        row = {w_ids[a]: g[a] for a in range(d) if g[a] != 0.0}
-        if N.lineality[k]:
-            lp.add_eq(row, 0)
-        else:
+        lp.add_ub(row, -offset)
+    for cut in cuts:
+        row = {w_ids[a]: cut[a] for a in range(d) if cut[a] != 0.0}
+        if row:
             lp.add_ub(row, 0)
+    for g in lines:
+        lp.add_eq({w_ids[a]: g[a] for a in range(d) if g[a] != 0.0}, 0)
     lp.set_objective({delta: -1.0})  # maximize delta
     res = lp.solve(engine="float")
     if not res.feasible:
         return None
-    return -res.objective
+    return -res.objective, res.values[np.asarray(w_ids)]
+
+
+_CUT_TOL = 1e-12
+
+
+def _planar_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
+                           cuts: np.ndarray):
+    """_lp_witness_margin in the plane, without an LP.
+
+    The w-set is the polygon conv(ball) cut by the half-planes
+    <a, w> <= 0, all through the origin, so it is the ball clipped to a
+    wedge.  The objective min_u -<u, w> is concave and positively
+    homogeneous, linear on the wedges between tie lines <u_i - u_j, w> = 0.
+    On every angular sector between consecutive ball vertices, cut lines
+    and tie lines both the ball's boundary and the objective are linear,
+    so the optimum is the origin or the boundary point of one of those
+    rays.  Returns NotImplemented when the ball does not hold the origin
+    in its interior.
+    """
+    polygon = _planar_ball(np.ascontiguousarray(ball, dtype=float).tobytes())
+    if polygon is None:
+        return NotImplemented
+    H, normals, heights = polygon
+    ties = (U[:, None, :] - U[None, :, :])[np.triu_indices(U.shape[0], 1)]
+    lines = np.vstack([cuts, ties])
+    perp = np.column_stack([-lines[:, 1], lines[:, 0]])
+    rays = np.vstack([H, perp, -perp])
+    rays = rays[np.any(rays != 0.0, axis=1)]
+    if cuts.shape[0]:
+        slack = cuts @ rays.T
+        scale = np.outer(np.linalg.norm(cuts, axis=1),
+                         np.linalg.norm(rays, axis=1))
+        rays = rays[np.all(slack <= _CUT_TOL * scale, axis=0)]
+    # the ray along r leaves the ball at r / gauge(r)
+    gauge = np.max((rays @ normals.T) / heights, axis=1)
+    W = np.vstack([np.zeros((1, 2)), rays / gauge[:, None]])
+    vals = -np.max(W @ U.T, axis=1) - offset
+    k = int(np.argmax(vals))
+    if vals[k] < 0.0:
+        return None
+    return float(vals[k]), W[k]
+
+
+@functools.lru_cache(maxsize=1024)
+def _planar_ball(points: bytes):
+    """(vertices, outward edge normals, edge heights) of the convex hull of
+    the float64 pairs packed in points, vertices counterclockwise; None
+    unless the origin is interior.  Cached, read-only: a sweep meets each
+    ball once per premise mask."""
+    P = list(map(tuple, np.frombuffer(points).reshape(-1, 2).tolist()))
+    H = np.array([P[k] for k in _monotone_chain(P, range(len(P)))])
+    if H.shape[0] < 3:
+        return None
+    edges = np.roll(H, -1, axis=0) - H
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    heights = np.einsum("ij,ij->i", normals, H)
+    if np.any(heights <= 0.0):
+        return None
+    for arr in (H, normals, heights):
+        arr.flags.writeable = False
+    return H, normals, heights
 
 
 def _witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,

@@ -41,6 +41,13 @@ from .verify import DualTriple, classify_point, converse_duality_check, \
 
 REPORT_VERSION = 1
 
+# Upper bounds on the sizes a command allocates or loops over: command-line
+# options (``--res`` makes N x N rasters, ``--grid`` N x N samples, ...)
+# and problem-file options.  Larger values are refused as data errors.
+OPTION_LIMITS = {"res": 1001, "grid": 101, "y_res": 48, "samples": 100_000,
+                 "grid_n": 401}
+PROBLEM_LIMITS = {"vgrid": 100_001, "ball_facets": 4096}
+
 
 class LoadError(Exception):
     def __init__(self, message: str, line: int | None = None):
@@ -88,10 +95,6 @@ def _strip_comment(line: str) -> str:
             break
         out.append(ch)
     return "".join(out).rstrip()
-
-
-def _parse_point(text: str) -> np.ndarray:
-    return parse_vector(text)
 
 
 def _parse_polytope_set(text: str, lineno: int) -> PolytopeSet:
@@ -243,13 +246,18 @@ def load_problem(path) -> ProblemSpec:
         if name not in declared:
             raise LoadError(f"fixture references undeclared function {name!r}",
                             lineno)
-        fixtures.append(FixtureSet(name, _parse_point(m.group("pt")),
+        fixtures.append(FixtureSet(name, parse_vector(m.group("pt")),
                                    _parse_polytope_set(m.group("sets"), lineno)))
 
     def opt(key, cast, default):
         if key in opts:
             return cast(opts[key][1])
         return default
+
+    for key, bound in PROBLEM_LIMITS.items():
+        if key in opts and opt(key, int, None) > bound:
+            raise LoadError(f"option {key} exceeds its limit {bound}",
+                            opts[key][0])
 
     try:
         return ProblemSpec(
@@ -486,7 +494,16 @@ def run_command(argv) -> int:
     return code
 
 
+def _check_option_limits(args) -> None:
+    for name, bound in OPTION_LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > bound:
+            flag = "--" + name.replace("_", "-")
+            raise LoadError(f"{flag} {value} exceeds its limit {bound}")
+
+
 def _dispatch(args) -> tuple[int, str, dict, dict]:
+    _check_option_limits(args)
     spec = load_problem(args.problem)
     mode = args.mode or "limiting"
     use_fx = bool(args.fixtures)

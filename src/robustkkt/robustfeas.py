@@ -303,9 +303,6 @@ class ActiveSets:
     scenarios: tuple[tuple[float, ...], ...]  # V_i(x) representatives
     index_set: tuple[int, ...]       # I(x) = argmax envelope, 1-based
 
-    def __post_init__(self):
-        pass
-
 
 def compute_active_sets(spec: ProblemSpec, x, tol: float = 1e-6) -> ActiveSets:
     phis = [phi_i(spec, i, x) for i in range(1, spec.n_constraints + 1)]
@@ -432,11 +429,3 @@ class Psi:
         if not self.spec.constraints:
             return first
         return np.fmax(first, env)
-
-
-def psi(spec: ProblemSpec, ystar, xbar) -> Psi:
-    return psi_evaluator(spec, ystar, xbar)
-
-
-def psi_evaluator(spec: ProblemSpec, ystar, xbar) -> Psi:
-    return Psi(spec, ystar, xbar)

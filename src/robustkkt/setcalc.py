@@ -95,9 +95,22 @@ def _membership_residual(p: np.ndarray, V: np.ndarray) -> float:
 
 
 def _extreme_points(V: np.ndarray) -> np.ndarray:
-    """Drop vertices that are convex combinations of the others."""
+    """Drop vertices that are convex combinations of the others.
+
+    Row by row, a point goes when its infinity-norm distance to the hull of
+    the other points still kept is at most VERTEX_TOL.  Planar inputs take
+    the exact monotone-chain path; other dimensions solve one exact
+    membership LP per point.
+    """
     if V.shape[0] <= 2:
         return V
+    if V.shape[1] == 2:
+        return V[_planar_keep_mask(V)]
+    return _lp_extreme_points(V)
+
+
+def _lp_extreme_points(V: np.ndarray) -> np.ndarray:
+    """_extreme_points by one exact membership LP per point."""
     keep = np.ones(V.shape[0], dtype=bool)
     for i in range(V.shape[0]):
         others = V[keep & (np.arange(V.shape[0]) != i)]
@@ -106,6 +119,111 @@ def _extreme_points(V: np.ndarray) -> np.ndarray:
         if _membership_residual(V[i], others) <= VERTEX_TOL:
             keep[i] = False
     return V[keep]
+
+
+# Exact planar geometry.  Binary floats are dyadic rationals, so scaling the
+# rows by one common power of two turns them into Python integers without
+# loss, and every orientation test and distance below is exact.
+
+def _integer_plane(V: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+    """Rows of the (n, 2) array V as integer pairs over a common scale."""
+    ratios = [t.as_integer_ratio() for t in V.ravel().tolist()]
+    scale = max(q for _, q in ratios)
+    ints = [p * (scale // q) for p, q in ratios]
+    return list(zip(ints[0::2], ints[1::2])), scale
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _monotone_chain(P, idx) -> list[int]:
+    """Strict hull vertices of the points P[idx], counterclockwise.
+
+    Andrew's monotone chain (A. M. Andrew, IPL 9(5), 1979); collinear and
+    repeated points are left out.
+    """
+    order = sorted(idx, key=P.__getitem__)
+    if len(order) <= 1:
+        return order
+    lower: list[int] = []
+    upper: list[int] = []
+    for chain, seq in ((lower, order), (upper, reversed(order))):
+        for k in seq:
+            while len(chain) >= 2 and _cross(P[chain[-2]], P[chain[-1]],
+                                             P[k]) <= 0:
+                chain.pop()
+            chain.append(k)
+    return lower[:-1] + upper[:-1]
+
+
+def _segment_distance(p, a, b) -> tuple[int, int]:
+    """Infinity-norm distance from p to the segment ab as (num, den)."""
+    ux, uy = a[0] - p[0], a[1] - p[1]
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    # max(|ux + t ex|, |uy + t ey|) is convex and piecewise linear in t, so
+    # its minimum over [0, 1] sits at an end, where a term vanishes, or
+    # where the two terms tie
+    cands = [(0, 1), (1, 1)]
+    for num, den in ((-ux, ex), (-uy, ey), (uy - ux, ex - ey),
+                     (-ux - uy, ex + ey)):
+        if den < 0:
+            num, den = -num, -den
+        if 0 < num < den:
+            cands.append((num, den))
+    best = None
+    for num, den in cands:
+        g = max(abs(ux * den + num * ex), abs(uy * den + num * ey))
+        if best is None or g * best[1] < best[0] * den:
+            best = (g, den)
+    return best
+
+
+def _hull_distance(p, H) -> tuple[int, int]:
+    """Infinity-norm distance from p to the polygon with vertices H
+    (counterclockwise, as returned by _monotone_chain), as (num, den)."""
+    if len(H) == 1:
+        return max(abs(p[0] - H[0][0]), abs(p[1] - H[0][1])), 1
+    if len(H) == 2:
+        return _segment_distance(p, H[0], H[1])
+    best = None
+    for a, b in zip(H, H[1:] + H[:1]):
+        # the nearest point lies on an edge whose outer side holds p
+        if _cross(a, b, p) > 0:
+            continue
+        num, den = _segment_distance(p, a, b)
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den)
+    return (0, 1) if best is None else best  # no edge faces p: inside
+
+
+def _planar_keep_mask(V: np.ndarray) -> np.ndarray:
+    """The rows _extreme_points keeps of an (n, 2) array, decided exactly.
+
+    A point that is not a strict vertex of the hull of the points still
+    kept lies in the hull of the others, at distance 0, and goes.  For a
+    strict vertex the exact distance to the hull of the others decides.
+    """
+    P, scale = _integer_plane(V)
+    n = len(P)
+    keep = [True] * n
+    verts = set(_monotone_chain(P, range(n)))
+    for i in range(n):
+        if i not in verts:
+            keep[i] = False
+            continue
+        others = [j for j in range(n) if keep[j] and j != i]
+        if not others:
+            continue
+        num, den = _hull_distance(
+            P[i], [P[j] for j in _monotone_chain(P, others)])
+        # int / int is correctly rounded, like the float of the exact LP
+        # optimum it replaces
+        if num / (den * scale) <= VERTEX_TOL:
+            keep[i] = False
+            verts = set(_monotone_chain(
+                P, [j for j in range(n) if keep[j]]))
+    return np.array(keep)
 
 
 class PolytopeSet:

@@ -327,15 +327,10 @@ class ScalarizedResult:
     combination: SubdiffResult   # Minkowski sum of y_j-scaled per-objective sets
 
 
-def scalarized_subdiff(ystar, fs, x, mode: str = "limiting",
-                       kink_tol: float = DEFAULT_KINK_TOL) -> ScalarizedResult:
-    """Both scalarization strategies for <y*, f> at x.
-
-    The direct strategy differentiates one assembled expression, merging
-    shared atoms, and is the tighter set; the combination strategy scales
-    each per-objective set by its weight pointwise and Minkowski-sums,
-    matching the certificate arithmetic of the worked problems.
-    """
+def direct_subdiff(ystar, fs, x, mode: str = "limiting",
+                   kink_tol: float = DEFAULT_KINK_TOL) -> SubdiffResult:
+    """Subdifferential of <y*, f> at x, with sum_j y_j f_j differentiated
+    as one assembled expression (shared atoms merge)."""
     from fractions import Fraction
 
     from .funcdsl import add, const, mul
@@ -344,17 +339,26 @@ def scalarized_subdiff(ystar, fs, x, mode: str = "limiting",
     if ystar.shape[0] != len(fs):
         raise ValueError("weight/objective count mismatch")
     xs = np.asarray(x, dtype=float).reshape(-1)
-
     tree = add(*(mul(const(Fraction(float(y))), f)
                  for y, f in zip(ystar, fs)))
-    direct = limiting_subdiff(tree, xs, None, mode, kink_tol)
+    return limiting_subdiff(tree, xs, None, mode, kink_tol)
 
+
+def scalarized_subdiff(ystar, fs, x, mode: str = "limiting",
+                       kink_tol: float = DEFAULT_KINK_TOL) -> ScalarizedResult:
+    """Both scalarization strategies for <y*, f> at x.
+
+    The direct strategy (direct_subdiff) is the tighter set; the
+    combination strategy scales each per-objective set by its weight
+    pointwise and Minkowski-sums, matching the certificate arithmetic of
+    the worked problems.
+    """
+    direct = direct_subdiff(ystar, fs, x, mode, kink_tol)
+    xs = np.asarray(x, dtype=float).reshape(-1)
     combo = PolytopeSet.singleton(np.zeros(xs.shape[0]))
     rules: list[str] = ["combination"]
-    exact_parts = True
-    for y, f in zip(ystar, fs):
+    for y, f in zip(np.asarray(ystar, dtype=float).reshape(-1), fs):
         part = limiting_subdiff(f, xs, None, mode, kink_tol)
-        exact_parts = exact_parts and part.is_exact
         combo = minkowski_sum(combo, scale(part.set, float(y)))
         rules.extend(part.rules)
     if mode == "hull":

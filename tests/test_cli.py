@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from robustkkt import cli
 from robustkkt.cli import (
     LoadError,
     load_problem,
     parse_scalar,
+    resolve_problem_path,
     run_command,
 )
 
@@ -203,3 +205,72 @@ class TestCommands:
         _, doc = run_json(capsys, ["feasible", "--problem", "example_3_2",
                                    "--at", "0,0"])
         assert "timings_sec" not in doc
+
+
+class Reached(Exception):
+    """Raised by a stub in place of the command's allocating call."""
+
+
+def _reach(*args, **kwargs):
+    raise Reached
+
+
+LIMITED = [
+    ("res", "raster", ["raster", "--problem", "example_3_2",
+                       "--region", "-5,1,-5,5", "--res"]),
+    ("res", "classify_point", ["efficiency", "--problem", "example_3_2",
+                               "--at", "0,0", "--kind", "weak-quasi",
+                               "--region", "-5,1,-5,5", "--res"]),
+    ("grid", "pseudoconvex_test", ["pseudoconvex", "--problem", "example_2_2",
+                                   "--at", "0,0", "--type", "I",
+                                   "--region", "-2,2,-2,2", "--grid"]),
+    ("y_res", "pseudoconvex_test", ["pseudoconvex", "--problem",
+                                    "example_2_2", "--at", "0,0", "--type",
+                                    "I", "--region", "-2,2,-2,2", "--y-res"]),
+    ("samples", "generate_feasible_samples", [
+        "duality", "weak", "--problem", "example_3_5", "--at", "0,0",
+        "--region", "-3,3,-4,1", "--samples"]),
+    ("grid_n", "fuzzy_kkt_demo", ["fuzzy", "--problem", "example_3_2",
+                                  "--at", "0,0", "--ystar", "0.3535,0,0.3535",
+                                  "--eta", "0.1", "--grid-n"]),
+]
+
+
+class TestSizeLimits:
+    def test_limits_admit_documented_values(self):
+        used = {"res": 401, "grid": 21, "y_res": 24, "samples": 1000,
+                "grid_n": 81}
+        for name, value in used.items():
+            assert value <= cli.OPTION_LIMITS[name]
+        assert 1001 <= cli.PROBLEM_LIMITS["vgrid"]
+        assert 64 <= cli.PROBLEM_LIMITS["ball_facets"]
+
+    @pytest.mark.parametrize("name,target,argv", LIMITED,
+                             ids=[f"{n}-{a[0]}" for n, _, a in LIMITED])
+    def test_option_over_limit(self, capsys, monkeypatch, name, target,
+                               argv):
+        # the stub stands in for the allocation: a value at the limit
+        # reaches it, one above is refused first
+        monkeypatch.setattr(cli, target, _reach)
+        bound = cli.OPTION_LIMITS[name]
+        with pytest.raises(Reached):
+            run_command(argv + [str(bound)])
+        capsys.readouterr()
+        code, doc = run_json(capsys, argv + [str(bound + 1)])
+        assert code == 3
+        assert "--" + name.replace("_", "-") in doc["error"]
+        assert "limit" in doc["error"]
+
+    @pytest.mark.parametrize("key", ["vgrid", "ball_facets"])
+    def test_problem_option_over_limit(self, capsys, tmp_path, key):
+        base = resolve_problem_path("example_3_2").read_text()
+        bound = cli.PROBLEM_LIMITS[key]
+        path = tmp_path / "big.problem"
+        path.write_text(base + f"{key} = {bound}\n")
+        assert getattr(load_problem(path), key) == bound
+        path.write_text(base + f"{key} = {bound + 1}\n")
+        with pytest.raises(LoadError, match=f"{key} exceeds its limit"):
+            load_problem(path)
+        code, doc = run_json(capsys, ["feasible", "--problem", str(path),
+                                      "--at", "0,0"])
+        assert code == 3 and key in doc["error"]

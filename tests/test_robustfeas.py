@@ -5,6 +5,7 @@ from robustkkt.funcdsl import parse_expr
 from robustkkt.robustfeas import (
     ProblemError,
     ProblemSpec,
+    Psi,
     UncertainConstraint,
     active_uncertainty,
     compute_active_sets,
@@ -12,7 +13,6 @@ from robustkkt.robustfeas import (
     is_feasible,
     phi,
     phi_i,
-    psi_evaluator,
     raster,
 )
 from robustkkt.setcalc import ConeSpec, OmegaSpec
@@ -152,22 +152,22 @@ class TestRaster:
 class TestPsi:
     def test_value_at_xbar(self, spec32, origin):
         y = np.array([0.2, 0.3, 0.1])
-        m = psi_evaluator(spec32, y, origin)
+        m = Psi(spec32, y, origin)
         # phi(xbar) = 0, <y, theta> = 0.3 >= 0
         assert m(origin) == pytest.approx(float(np.dot(y, spec32.theta)))
 
     def test_zero_weights(self, spec32, origin):
-        m = psi_evaluator(spec32, np.zeros(3), origin)
+        m = Psi(spec32, np.zeros(3), origin)
         x = np.array([-1.0, 0.5])
         assert m(x) == pytest.approx(max(0.0, phi(spec32, x)), abs=1e-9)
 
     def test_requires_dual_cone_weight(self, spec35, origin):
         with pytest.raises(ProblemError):
-            psi_evaluator(spec35, [1.0, 0.0, 0.0], origin)  # y1 > 0 not in K+
+            Psi(spec35, [1.0, 0.0, 0.0], origin)  # y1 > 0 not in K+
 
     def test_grid_matches_scalar(self, spec32, origin):
         y = np.array([0.25, 0.1, 0.25])
-        m = psi_evaluator(spec32, y, origin)
+        m = Psi(spec32, y, origin)
         rng = np.random.default_rng(15)
         X = rng.uniform(-2, 1, size=(2, 40))
         grid = m.on_grid(X)
