@@ -9,7 +9,6 @@ constraint terms come from the sup-rule hulls, the ball term is scaled by
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -692,12 +691,7 @@ def ystar_grid(spec: ProblemSpec, resolution: int = 24) -> np.ndarray:
     single-objective unit vectors off the grid; those edges are exercised
     through explicit witnesses instead.
     """
-    dual = spec.cone.dual()
-    if dual.is_orthant:
-        gens = np.eye(spec.n_objectives) * np.asarray(
-            dual.pattern, dtype=float)[:, None]
-    else:
-        gens = dual.as_cone().generators
+    gens = _dual_generators(spec)
     m = gens.shape[0]
     if m == 1:
         return gens / np.sum(np.abs(gens[0]))
@@ -708,6 +702,20 @@ def ystar_grid(spec: ProblemSpec, resolution: int = 24) -> np.ndarray:
         if l1 > 1e-12:
             out.append(y / l1)
     return np.array(out)
+
+
+def ystar_grid_size(spec: ProblemSpec, resolution: int = 24) -> int:
+    """The number of points ystar_grid visits, without building them."""
+    m = _dual_generators(spec).shape[0]
+    return 1 if m == 1 else resolution ** (m - 1)
+
+
+def _dual_generators(spec: ProblemSpec) -> np.ndarray:
+    dual = spec.cone.dual()
+    if dual.is_orthant:
+        return np.eye(spec.n_objectives) * np.asarray(
+            dual.pattern, dtype=float)[:, None]
+    return dual.as_cone().generators
 
 
 def _simplex_grid(m: int, resolution: int):
@@ -833,6 +841,18 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     # the margin problem is positively homogeneous in ||x - xbar||, so one
     # normalized solve serves every sample sharing the rows
     margin_cache: dict[tuple[int, tuple[bool, ...]], float | None] = {}
+    # the witness ball's polygon depends on the component, not on the
+    # mask, so one hull serves every mask of a (y index, component)
+    polygon_cache: dict[tuple[int, int], tuple] = {}
+    l2_dirs = spec.norm == "l2"
+
+    def ball_polygon(myi: int, k: int, comp: Polytope):
+        if comp.dim != 2:
+            return None
+        if (myi, k) not in polygon_cache:
+            polygon_cache[myi, k] = _planar_ball(
+                _witness_ball(comp, pball, l2_dirs))
+        return polygon_cache[myi, k]
 
     def normalized_margin(myi: int, mask: tuple[bool, ...]) -> float | None:
         key = (myi, mask)
@@ -840,10 +860,10 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
             rows_here = [t for t in range(T) if mask[t]]
             best: float | None = math.inf
             sset, _ = scal_set(myi)
-            for comp in sset.components:
+            for k, comp in enumerate(sset.components):
                 found = _component_witness_margin(
                     comp, 1.0, float(ytheta_all[myi]), rows_here, con_base,
-                    N, pball, l2_exact_dirs=(spec.norm == "l2"))
+                    N, pball, l2_dirs, ball_polygon(myi, k, comp))
                 if found is None:
                     best = None
                     break
@@ -887,21 +907,39 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
 
 def _component_witness_margin(comp: Polytope, nrm, ytheta, rows_here,
                               con_base, N: PolyCone, pball: Polytope,
-                              l2_exact_dirs: bool = False
+                              l2_exact_dirs: bool = False, polygon=None
                               ) -> tuple[float, np.ndarray] | None:
     """Max margin delta >= 0 with <u, w> + nrm*ytheta <= -delta for every
     vertex u of the component, and the maximising w; None if no w has a
     nonnegative margin.
 
-    w ranges over nrm times the primal ball, cut by <a, w> <= 0 for the
-    vertices a of the premise-holding constraint rows and by the normal
-    cone's generators (= 0 for lineality generators).  With l2_exact_dirs
-    the inscribed ball gains the exact unit directions opposite the
-    component's vertices (still on the sphere, so still an inner
-    approximation); this removes the polygon deficit along the directions
-    that matter near premise boundaries.
+    w ranges over nrm times the witness ball (_witness_ball), cut by
+    <a, w> <= 0 for the vertices a of the premise-holding constraint rows
+    and by the normal cone's generators (= 0 for lineality generators).
+    In the plane polygon, if given, is _planar_ball of the witness ball.
     """
-    ball_verts = pball.vertices
+    cuts, lines = _witness_cuts(comp.dim, rows_here, con_base, N)
+    if comp.dim != 2:
+        ball = _witness_ball(comp, pball, l2_exact_dirs)
+        return _lp_witness_margin(comp.vertices, nrm * ytheta, nrm * ball,
+                                  cuts, lines)
+    if polygon is None:
+        polygon = _planar_ball(_witness_ball(comp, pball, l2_exact_dirs))
+    # a lineality generator cuts both ways
+    return _planar_witness_margin(comp.vertices, nrm * ytheta, nrm, polygon,
+                                  np.vstack([cuts, lines, -lines]))
+
+
+def _witness_ball(comp: Polytope, pball: Polytope,
+                  l2_exact_dirs: bool) -> np.ndarray:
+    """Vertices of the unit ball the witness w ranges over.
+
+    With l2_exact_dirs the inscribed ball gains the exact unit directions
+    opposite the component's vertices (still on the sphere, so still an
+    inner approximation); this removes the polygon deficit along the
+    directions that matter near premise boundaries.
+    """
+    ball = pball.vertices
     if l2_exact_dirs:
         extra = []
         for u in comp.vertices:
@@ -909,21 +947,18 @@ def _component_witness_margin(comp: Polytope, nrm, ytheta, rows_here,
             if nu > 1e-15:
                 extra.append(-u / nu)
         if extra:
-            ball_verts = np.vstack([ball_verts, np.array(extra)])
+            ball = np.vstack([ball, np.array(extra)])
+    return ball
+
+
+def _witness_cuts(d: int, rows_here, con_base, N: PolyCone
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(cuts, lines): w must meet <a, w> <= 0 for the rows a of cuts and
+    <g, w> = 0 for the rows g of lines."""
     cuts = [vert for t in rows_here for vert in con_base[t][1]
             if np.any(vert != 0.0)]
     cuts.extend(N.generators[~N.lineality])
-    cuts = np.array(cuts).reshape(-1, comp.dim)
-    lines = N.generators[N.lineality]
-    if comp.dim == 2:
-        # a lineality generator cuts both ways
-        found = _planar_witness_margin(comp.vertices, nrm * ytheta,
-                                       nrm * ball_verts,
-                                       np.vstack([cuts, lines, -lines]))
-        if found is not NotImplemented:
-            return found
-    return _lp_witness_margin(comp.vertices, nrm * ytheta, nrm * ball_verts,
-                              cuts, lines)
+    return np.array(cuts).reshape(-1, d), N.generators[N.lineality]
 
 
 def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
@@ -965,23 +1000,19 @@ def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
 _CUT_TOL = 1e-12
 
 
-def _planar_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
-                           cuts: np.ndarray):
-    """_lp_witness_margin in the plane, without an LP.
+def _planar_witness_margin(U: np.ndarray, offset: float, nrm: float,
+                           polygon, cuts: np.ndarray):
+    """_lp_witness_margin in the plane, without an LP, over nrm times the
+    ball whose _planar_ball is polygon.
 
-    The w-set is the polygon conv(ball) cut by the half-planes
-    <a, w> <= 0, all through the origin, so it is the ball clipped to a
-    wedge.  The objective min_u -<u, w> is concave and positively
-    homogeneous, linear on the wedges between tie lines <u_i - u_j, w> = 0.
-    On every angular sector between consecutive ball vertices, cut lines
-    and tie lines both the ball's boundary and the objective are linear,
-    so the optimum is the origin or the boundary point of one of those
-    rays.  Returns NotImplemented when the ball does not hold the origin
-    in its interior.
+    The w-set is that polygon cut by the half-planes <a, w> <= 0, all
+    through the origin, so it is the ball clipped to a wedge.  The
+    objective min_u -<u, w> is concave and positively homogeneous, linear
+    on the wedges between tie lines <u_i - u_j, w> = 0.  On every angular
+    sector between consecutive ball vertices, cut lines and tie lines both
+    the ball's boundary and the objective are linear, so the optimum is
+    the origin or the boundary point of one of those rays.
     """
-    polygon = _planar_ball(np.ascontiguousarray(ball, dtype=float).tobytes())
-    if polygon is None:
-        return NotImplemented
     H, normals, heights = polygon
     ties = (U[:, None, :] - U[None, :, :])[np.triu_indices(U.shape[0], 1)]
     lines = np.vstack([cuts, ties])
@@ -995,7 +1026,7 @@ def _planar_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
         rays = rays[np.all(slack <= _CUT_TOL * scale, axis=0)]
     # the ray along r leaves the ball at r / gauge(r)
     gauge = np.max((rays @ normals.T) / heights, axis=1)
-    W = np.vstack([np.zeros((1, 2)), rays / gauge[:, None]])
+    W = np.vstack([np.zeros((1, 2)), nrm * rays / gauge[:, None]])
     vals = -np.max(W @ U.T, axis=1) - offset
     k = int(np.argmax(vals))
     if vals[k] < 0.0:
@@ -1003,24 +1034,16 @@ def _planar_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
     return float(vals[k]), W[k]
 
 
-@functools.lru_cache(maxsize=1024)
-def _planar_ball(points: bytes):
+def _planar_ball(ball: np.ndarray):
     """(vertices, outward edge normals, edge heights) of the convex hull of
-    the float64 pairs packed in points, vertices counterclockwise; None
-    unless the origin is interior.  Cached, read-only: a sweep meets each
-    ball once per premise mask."""
-    P = list(map(tuple, np.frombuffer(points).reshape(-1, 2).tolist()))
+    the (n, 2) rows of ball, vertices counterclockwise.  The ball holds the
+    origin in its interior, as every primal_ball does, so every height is
+    positive."""
+    P = list(map(tuple, ball.tolist()))
     H = np.array([P[k] for k in _monotone_chain(P, range(len(P)))])
-    if H.shape[0] < 3:
-        return None
     edges = np.roll(H, -1, axis=0) - H
     normals = np.column_stack([edges[:, 1], -edges[:, 0]])
-    heights = np.einsum("ij,ij->i", normals, H)
-    if np.any(heights <= 0.0):
-        return None
-    for arr in (H, normals, heights):
-        arr.flags.writeable = False
-    return H, normals, heights
+    return H, normals, np.einsum("ij,ij->i", normals, H)
 
 
 def _witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,

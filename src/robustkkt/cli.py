@@ -23,7 +23,7 @@ import numpy as np
 
 from . import certify, verify
 from .certify import KKTCertificate, check_cq, check_kkt, fuzzy_kkt_demo, \
-    pseudoconvex_test, search_kkt
+    pseudoconvex_test, search_kkt, ystar_grid_size
 from .funcdsl import ExprError, contains_uncertainty, parse_expr
 from .robustfeas import (
     ProblemError,
@@ -47,6 +47,10 @@ REPORT_VERSION = 1
 OPTION_LIMITS = {"res": 1001, "grid": 101, "y_res": 48, "samples": 100_000,
                  "grid_n": 401}
 PROBLEM_LIMITS = {"vgrid": 100_001, "ball_facets": 4096}
+# A pseudoconvex grid sweep holds a y*-grid points x --grid^2 premise
+# matrix; the y*-grid has --y-res^(m-1) points for m dual-cone generators.
+# 2^23 cells is 64 MiB per float64 array.
+PREMISE_CELLS_LIMIT = 2 ** 23
 
 
 class LoadError(Exception):
@@ -613,6 +617,13 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
                 "u": [[parse_scalar(str(t)) for t in row]
                       for row in doc["u"]],
             }
+        else:
+            cells = ystar_grid_size(spec, args.y_res) * args.grid ** 2
+            if cells > PREMISE_CELLS_LIMIT:
+                raise LoadError(
+                    f"--y-res {args.y_res} and --grid {args.grid} make "
+                    f"{cells} premise cells, over the limit "
+                    f"{PREMISE_CELLS_LIMIT}")
         region = parse_vector(args.region) if args.region else None
         rep = pseudoconvex_test(spec, x, args.ptype, region=region,
                                 grid=args.grid, y_resolution=args.y_res,

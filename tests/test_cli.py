@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from robustkkt import cli
+from robustkkt.certify import ystar_grid, ystar_grid_size
 from robustkkt.cli import (
     LoadError,
     load_problem,
@@ -244,6 +246,8 @@ class TestSizeLimits:
             assert value <= cli.OPTION_LIMITS[name]
         assert 1001 <= cli.PROBLEM_LIMITS["vgrid"]
         assert 64 <= cli.PROBLEM_LIMITS["ball_facets"]
+        # the bundled three-objective sweep: a 24^2-point y*-grid, 21^2 samples
+        assert 24 ** 2 * 21 ** 2 <= cli.PREMISE_CELLS_LIMIT
 
     @pytest.mark.parametrize("name,target,argv", LIMITED,
                              ids=[f"{n}-{a[0]}" for n, _, a in LIMITED])
@@ -274,3 +278,20 @@ class TestSizeLimits:
         code, doc = run_json(capsys, ["feasible", "--problem", str(path),
                                       "--at", "0,0"])
         assert code == 3 and key in doc["error"]
+
+    def test_premise_matrix_over_limit(self, capsys, monkeypatch, spec22):
+        # example_2_2 has three objectives, so its y*-grid has y_res^2 points
+        y_res = cli.OPTION_LIMITS["y_res"]
+        assert ystar_grid_size(spec22, 5) == len(ystar_grid(spec22, 5)) == 25
+        grid = math.isqrt(cli.PREMISE_CELLS_LIMIT // y_res ** 2)
+        assert grid + 1 <= cli.OPTION_LIMITS["grid"]
+        monkeypatch.setattr(cli, "pseudoconvex_test", _reach)
+        argv = ["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+                "--type", "I", "--region", "-2,2,-2,2", "--y-res", str(y_res),
+                "--grid"]
+        with pytest.raises(Reached):
+            run_command(argv + [str(grid)])
+        capsys.readouterr()
+        code, doc = run_json(capsys, argv + [str(grid + 1)])
+        assert code == 3
+        assert "premise cells" in doc["error"] and "limit" in doc["error"]

@@ -127,7 +127,7 @@ def _random_margin_case(rng, norm):
 
 class TestPlanarMargin:
     @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
-    def test_matches_highs(self, monkeypatch, norm):
+    def test_matches_highs(self, norm):
         rng = np.random.default_rng({"l1": 11, "l2": 12, "linf": 13}[norm])
         agreed = 0
         for _ in range(150):
@@ -135,10 +135,10 @@ class TestPlanarMargin:
                 _random_margin_case(rng, norm)
             args = (comp, nrm, ytheta, rows, con_base, N, pball, norm == "l2")
             planar = certify._component_witness_margin(*args)
-            with monkeypatch.context() as m:
-                m.setattr(certify, "_planar_witness_margin",
-                          lambda *a: NotImplemented)
-                highs = certify._component_witness_margin(*args)
+            ball = certify._witness_ball(comp, pball, norm == "l2")
+            cuts, lines = certify._witness_cuts(2, rows, con_base, N)
+            highs = certify._lp_witness_margin(comp.vertices, nrm * ytheta,
+                                               nrm * ball, cuts, lines)
             if planar is None or highs is None:
                 # a margin of 0 sits on the LP's feasibility boundary
                 other = planar if highs is None else highs
