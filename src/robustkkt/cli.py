@@ -31,7 +31,6 @@ from .robustfeas import (
     UncertainConstraint,
     FixtureSet,
     compute_active_sets,
-    is_feasible,
     raster,
 )
 from .setcalc import ConeSpec, OmegaSpec, Polytope, PolytopeSet, SetCalcError
@@ -516,7 +515,8 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
     if args.command == "feasible":
         x = parse_vector(args.at)
         acts = compute_active_sets(spec, x) if spec.constraints else None
-        ok = is_feasible(spec, x, args.tol)
+        tol = spec.feas_tol if args.tol is None else args.tol
+        ok = spec.omega.contains(x) and (acts is None or acts.phi <= tol)
         details = {"point": x, "feasible": ok}
         if acts:
             details["phi"] = acts.phi

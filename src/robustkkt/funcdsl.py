@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -56,6 +57,20 @@ class Expr:
 
     def __str__(self) -> str:
         return format_expr(self)
+
+    @cached_property
+    def has_v(self) -> bool:
+        """Whether the scenario symbol v occurs in this tree."""
+        return any(n.kind == "uvar" for n in _nodes(self))
+
+    @cached_property
+    def scalar_fn(self):
+        """This tree compiled to ``f(x, v) -> float`` (see ``_compile``).
+
+        x is a list of Python floats; v is ignored when the tree has no v.
+        Built on first use and kept on this node only.
+        """
+        return _compile(self)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +220,19 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+# Deepest nesting of parentheses, function arguments and sign prefixes the
+# parser accepts; each level costs several Python frames here and in the
+# recursive tree walkers.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, dim: int):
         self.text = text
         self.dim = dim
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -233,13 +255,22 @@ class _Parser:
             raise ParseError(f"trailing input {t.text!r}", t.pos)
         return e
 
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                self.peek().pos)
+
     def expr(self) -> Expr:
+        self.nest()
         start = self.peek().pos
         e = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take().text
             rhs = self.term()
             e = add(e, rhs if op == "+" else negate(rhs), span=(start, self._end()))
+        self.depth -= 1
         return e
 
     def term(self) -> Expr:
@@ -259,7 +290,9 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text in "+-":
             self.take()
+            self.nest()
             inner = self.unary()
+            self.depth -= 1
             return inner if t.text == "+" else negate(inner)
         return self.power()
 
@@ -396,10 +429,17 @@ def _paren_factor(c: Expr, tight: bool = False) -> str:
 # Structure queries
 # ---------------------------------------------------------------------------
 
+def _nodes(e: Expr):
+    """Every node of the tree, without recursion."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
 def contains_uncertainty(e: Expr) -> bool:
-    if e.kind == "uvar":
-        return True
-    return any(contains_uncertainty(c) for c in e.children)
+    return e.has_v
 
 
 def contains_coord(e: Expr) -> bool:
@@ -442,52 +482,118 @@ def is_affine(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 def _check_scenario(e: Expr, v) -> None:
-    has_v = contains_uncertainty(e)
-    if has_v and v is None:
+    if e.has_v and v is None:
         raise ScenarioMismatchError("expression uses v but no scenario value given")
-    if not has_v and v is not None:
+    if not e.has_v and v is not None:
         raise ScenarioMismatchError("scenario value given for a v-free expression")
+
+
+def _floats(x) -> list[float]:
+    """A point as the list of Python floats that ``Expr.scalar_fn`` takes."""
+    return np.asarray(x, dtype=float).reshape(-1).tolist()
 
 
 def eval_expr(e: Expr, x, v: float | None = None) -> float:
     """Evaluate at a point, raising DomainError on 1/0 or sqrt(negative)."""
     _check_scenario(e, v)
-    xs = np.asarray(x, dtype=float).reshape(-1)
-    return float(_eval_scalar(e, xs, v))
+    return e.scalar_fn(_floats(x), v)
 
 
-def _eval_scalar(e: Expr, xs: np.ndarray, v) -> float:
-    k = e.kind
-    if k == "const":
-        return float(e.value)
-    if k == "coord":
-        return float(xs[e.index - 1])
-    if k == "uvar":
-        return float(v)
-    if k == "sum":
-        return sum(_eval_scalar(c, xs, v) for c in e.children)
-    if k == "prod":
-        out = 1.0
-        for c in e.children:
-            out *= _eval_scalar(c, xs, v)
-        return out
-    if k == "pow":
-        return _eval_scalar(e.children[0], xs, v) ** e.exponent
-    if k == "recip":
-        d = _eval_scalar(e.children[0], xs, v)
-        if d == 0.0:
-            raise DomainError(f"division by zero in 1/({e.children[0]})")
-        return 1.0 / d
-    if k == "sqrt":
-        a = _eval_scalar(e.children[0], xs, v)
-        if a < 0.0:
-            raise DomainError(f"sqrt of negative value in sqrt({e.children[0]})")
-        return a ** 0.5
-    if k == "abs":
-        return abs(_eval_scalar(e.children[0], xs, v))
-    if k == "max":
-        return max(_eval_scalar(c, xs, v) for c in e.children)
-    raise ValueError(f"unknown node kind {k}")
+def scenario_fn(e: Expr, x):
+    """``v -> eval_expr(e, x, v)`` for a scenario scan at one point x.
+
+    x is converted and the scenario use of e checked once, not per call.
+    """
+    _check_scenario(e, 0.0)
+    return partial(e.scalar_fn, _floats(x))
+
+
+def _recip(d: float, message: str) -> float:
+    if d == 0.0:
+        raise DomainError(message)
+    return 1.0 / d
+
+
+def _sqrt(a: float, message: str) -> float:
+    if a < 0.0:
+        raise DomainError(message)
+    return a ** 0.5
+
+
+def _compile(e: Expr):
+    """Straight-line Python code for the tree: one assignment per node.
+
+    Children are assigned before their parent, left to right, so the code
+    performs the float operations of a recursive walk in the same order and
+    raises the same errors: sums and maxima call the builtins on a tuple, a
+    product is ``1.0 * a * b``, a power ``a ** n``, a square root
+    ``a ** 0.5``.  Constants, exponents and error messages reach the code as
+    closure values, never as source text.  Neither this function nor the
+    code it writes nests per tree level, so any tree the parser accepts
+    compiles.
+    """
+    values = {"_sum": sum, "_max": max, "_abs": abs, "_recip": _recip,
+              "_sqrt": _sqrt}
+    lines: list[str] = []
+
+    def bind(value) -> str:
+        name = f"c{len(values)}"
+        values[name] = value
+        return name
+
+    def operand(node: Expr, args: list[str]) -> str:
+        k = node.kind
+        if k == "const":
+            return bind(float(node.value))
+        if k == "uvar":
+            return "v"
+        if k == "coord":
+            rhs = f"x[{node.index - 1}]"
+        elif k == "sum":
+            rhs = f"_sum(({', '.join(args)},))"
+        elif k == "prod":
+            rhs = "1.0 * " + " * ".join(args)
+        elif k == "pow":
+            rhs = f"{args[0]} ** {bind(node.exponent)}"
+        elif k == "recip":
+            msg = bind(f"division by zero in 1/({node.children[0]})")
+            rhs = f"_recip({args[0]}, {msg})"
+        elif k == "sqrt":
+            msg = bind(f"sqrt of negative value in sqrt({node.children[0]})")
+            rhs = f"_sqrt({args[0]}, {msg})"
+        elif k == "abs":
+            rhs = f"_abs({args[0]})"
+        elif k == "max":
+            rhs = f"_max(({', '.join(args)},))"
+        else:
+            raise ValueError(f"unknown node kind {k}")
+        lines.append(f"        t{len(lines)} = {rhs}")
+        return f"t{len(lines) - 1}"
+
+    # Post-order without recursion: a node is visited again, marked ready,
+    # once its children's operands are on the operand stack.
+    todo: list[tuple[Expr, bool]] = [(e, False)]
+    operands: list[str] = []
+    while todo:
+        node, ready = todo.pop()
+        if not ready:
+            todo.append((node, True))
+            todo.extend((c, False) for c in reversed(node.children))
+            continue
+        first = len(operands) - len(node.children)
+        args = operands[first:]
+        del operands[first:]
+        operands.append(operand(node, args))
+
+    head = ["    def f(x, v):"]
+    if e.has_v:
+        head.append("        v = _float(v)")
+        values["_float"] = float
+    src = "\n".join([f"def make({', '.join(values)}):", *head, *lines,
+                     f"        return {operands[0]}", "    return f"])
+    namespace: dict = {}
+    exec(compile(src, "<robustkkt expression>", "exec"), {}, namespace)
+    return namespace["make"](**values)
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
@@ -547,40 +653,39 @@ def smooth_gradient(e: Expr, x, v: float | None = None,
                     kink_tol: float = 1e-9) -> np.ndarray:
     """Gradient with respect to x; errors when any nonsmooth atom is active."""
     _check_scenario(e, v)
-    xs = np.asarray(x, dtype=float).reshape(-1)
-    _, g = _grad(e, xs, v, kink_tol, x_only=False)
+    _, g = _grad(e, _floats(x), v, kink_tol, x_only=False)
     return g
 
 
 def gradient_x(e: Expr, xs: np.ndarray, v, kink_tol: float,
                x_only: bool = True) -> np.ndarray:
     """Internal variant: with x_only, kinks in x-free subtrees do not error."""
-    _, g = _grad(e, xs, v, kink_tol, x_only)
+    _, g = _grad(e, _floats(xs), v, kink_tol, x_only)
     return g
 
 
-def _grad(e: Expr, xs: np.ndarray, v, tol: float, x_only: bool):
-    d = xs.shape[0]
+def _grad(e: Expr, xl: list[float], v, tol: float, x_only: bool):
+    d = len(xl)
     k = e.kind
     if k == "const":
         return float(e.value), np.zeros(d)
     if k == "coord":
         g = np.zeros(d)
         g[e.index - 1] = 1.0
-        return float(xs[e.index - 1]), g
+        return xl[e.index - 1], g
     if k == "uvar":
         return float(v), np.zeros(d)
     if k == "sum":
         val, g = 0.0, np.zeros(d)
         for c in e.children:
-            cv, cg = _grad(c, xs, v, tol, x_only)
+            cv, cg = _grad(c, xl, v, tol, x_only)
             val += cv
             g += cg
         return val, g
     if k == "prod":
         vals, grads = [], []
         for c in e.children:
-            cv, cg = _grad(c, xs, v, tol, x_only)
+            cv, cg = _grad(c, xl, v, tol, x_only)
             vals.append(cv)
             grads.append(cg)
         total = 1.0
@@ -595,38 +700,38 @@ def _grad(e: Expr, xs: np.ndarray, v, tol: float, x_only: bool):
             g += rest * grads[j]
         return total, g
     if k == "pow":
-        cv, cg = _grad(e.children[0], xs, v, tol, x_only)
+        cv, cg = _grad(e.children[0], xl, v, tol, x_only)
         n = e.exponent
         return cv ** n, n * cv ** (n - 1) * cg
     if k == "recip":
-        cv, cg = _grad(e.children[0], xs, v, tol, x_only)
+        cv, cg = _grad(e.children[0], xl, v, tol, x_only)
         if cv == 0.0:
             raise DomainError(f"division by zero in 1/({e.children[0]})")
         return 1.0 / cv, -cg / (cv * cv)
     if k == "sqrt":
-        cv, cg = _grad(e.children[0], xs, v, tol, x_only)
+        cv, cg = _grad(e.children[0], xl, v, tol, x_only)
         if cv <= 0.0:
             raise DomainError(f"sqrt argument not positive in sqrt({e.children[0]})")
         r = cv ** 0.5
         return r, cg / (2.0 * r)
     if k == "abs":
         arg = e.children[0]
-        cv = _eval_scalar(arg, xs, v)
+        cv = arg.scalar_fn(xl, v)
         if abs(cv) <= tol:
             if not x_only or contains_coord(arg):
                 raise NonsmoothPointError(f"abs({arg}) active")
             return abs(cv), np.zeros(d)
-        _, cg = _grad(arg, xs, v, tol, x_only)
+        _, cg = _grad(arg, xl, v, tol, x_only)
         return abs(cv), np.copysign(1.0, cv) * cg
     if k == "max":
-        vals = [_eval_scalar(c, xs, v) for c in e.children]
+        vals = [c.scalar_fn(xl, v) for c in e.children]
         top = max(vals)
         tied = [i for i, cv in enumerate(vals) if top - cv <= tol]
         if len(tied) > 1:
             if not x_only or any(contains_coord(e.children[i]) for i in tied):
                 raise NonsmoothPointError(f"max tie in {format_expr(e)}")
             return top, np.zeros(d)
-        _, cg = _grad(e.children[tied[0]], xs, v, tol, x_only)
+        _, cg = _grad(e.children[tied[0]], xl, v, tol, x_only)
         return top, cg
     raise ValueError(f"unknown node kind {k}")
 
@@ -651,21 +756,20 @@ def active_kinks(e: Expr, x, v: float | None = None,
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_scenario(e, v)
-    xs = np.asarray(x, dtype=float).reshape(-1)
     out: list[KinkDescriptor] = []
-    _collect_kinks(e, xs, v, tol, out)
+    _collect_kinks(e, _floats(x), v, tol, out)
     return out
 
 
-def _collect_kinks(e: Expr, xs, v, tol, out: list[KinkDescriptor]) -> None:
+def _collect_kinks(e: Expr, xl, v, tol, out: list[KinkDescriptor]) -> None:
     if e.kind == "abs":
-        if abs(_eval_scalar(e.children[0], xs, v)) <= tol:
+        if abs(e.children[0].scalar_fn(xl, v)) <= tol:
             out.append(KinkDescriptor("abs", format_expr(e)))
     elif e.kind == "max":
-        vals = [_eval_scalar(c, xs, v) for c in e.children]
+        vals = [c.scalar_fn(xl, v) for c in e.children]
         top = max(vals)
         tied = tuple(i for i, cv in enumerate(vals) if top - cv <= tol)
         if len(tied) > 1:
             out.append(KinkDescriptor("max", format_expr(e), tied))
     for c in e.children:
-        _collect_kinks(c, xs, v, tol, out)
+        _collect_kinks(c, xl, v, tol, out)

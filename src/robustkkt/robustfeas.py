@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .funcdsl import Expr, contains_uncertainty, eval_expr, eval_on_grid
+from .funcdsl import (
+    Expr,
+    contains_uncertainty,
+    eval_expr,
+    eval_on_grid,
+    scenario_fn,
+)
 from .setcalc import ConeSpec, OmegaSpec, PolytopeSet
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -188,8 +194,18 @@ def maximize_scenario(fn, lo: float, hi: float, n: int = DEFAULT_VGRID,
     """Grid scan plus golden-section refinement; returns (max, argmax)."""
     if hi <= lo:
         return fn(lo), lo
+    return _refine_max(fn, *_scan(fn, lo, hi, n), refine_tol)
+
+
+def _scan(fn, lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     grid = np.linspace(lo, hi, n)
-    vals = np.array([fn(float(t)) for t in grid])
+    return grid, np.array([fn(t) for t in grid.tolist()])
+
+
+def _refine_max(fn, grid: np.ndarray, vals: np.ndarray,
+                refine_tol: float) -> tuple[float, float]:
+    """Golden-section refinement around the best value of a grid scan."""
+    n = grid.shape[0]
     k = int(np.argmax(vals))
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, n - 1)]
@@ -203,17 +219,17 @@ def maximize_scenario(fn, lo: float, hi: float, n: int = DEFAULT_VGRID,
 def active_scenarios_interval(fn, lo: float, hi: float, tol: float,
                               n: int = DEFAULT_VGRID,
                               merge_radius: float = 1e-6) -> tuple[float, list[float]]:
-    """All scenario values within tol of the envelope maximum.
+    """The envelope maximum and all scenario values within tol of it.
 
     Grid candidates are clustered; each cluster is refined by golden
     section.  A cluster that spans the whole interval as a flat plateau is
-    reported by its endpoints.
+    reported by its endpoints.  When the refinement beats every grid value
+    by more than tol, no cluster forms and the maximiser stands alone.
     """
     if hi <= lo:
         return fn(lo), [lo]
-    grid = np.linspace(lo, hi, n)
-    vals = np.array([fn(float(t)) for t in grid])
-    phi, _ = maximize_scenario(fn, lo, hi, n)
+    grid, vals = _scan(fn, lo, hi, n)
+    phi, argmax = _refine_max(fn, grid, vals, 1e-10)
     mask = vals >= phi - tol
     step = (hi - lo) / (n - 1)
     clusters: list[tuple[int, int]] = []
@@ -240,6 +256,8 @@ def active_scenarios_interval(fn, lo: float, hi: float, tol: float,
         best = xm if fm >= vals[i:j + 1].max() else float(grid[i:j + 1][
             int(np.argmax(vals[i:j + 1]))])
         reps.append(best)
+    if not clusters:
+        reps.append(argmax)
     merged: list[float] = []
     for r in sorted(reps):
         if not merged or abs(r - merged[-1]) > merge_radius:
@@ -257,10 +275,10 @@ def phi_i(spec: ProblemSpec, i: int, x) -> float:
     con = spec.constraints[i - 1]
     if not con.has_uncertainty:
         return eval_expr(con.expr, x)
+    fn = scenario_fn(con.expr, x)
     if con.scenarios is not None:
-        return max(eval_expr(con.expr, x, v) for v in con.scenarios)
-    phi, _ = maximize_scenario(lambda v: eval_expr(con.expr, x, v),
-                               con.lo, con.hi, spec.vgrid)
+        return max(fn(v) for v in con.scenarios)
+    phi, _ = maximize_scenario(fn, con.lo, con.hi, spec.vgrid)
     return phi
 
 
@@ -269,16 +287,25 @@ def active_uncertainty(spec: ProblemSpec, i: int, x,
     """Scenario values attaining the envelope of constraint i at x."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not spec.constraints[i - 1].has_uncertainty:
+        return [0.0]
+    return _envelope_and_actives(spec, i, x, tol)[1]
+
+
+def _envelope_and_actives(spec: ProblemSpec, i: int, x,
+                          tol: float) -> tuple[float, list[float]]:
+    """phi_i(x) and the scenario values attaining it, from one scan."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     con = spec.constraints[i - 1]
     if not con.has_uncertainty:
-        return [0.0]
+        return eval_expr(con.expr, x), [0.0]
+    fn = scenario_fn(con.expr, x)
     if con.scenarios is not None:
-        vals = [eval_expr(con.expr, x, v) for v in con.scenarios]
+        vals = [fn(v) for v in con.scenarios]
         top = max(vals)
-        return [v for v, fv in zip(con.scenarios, vals) if fv >= top - tol]
-    _, reps = active_scenarios_interval(
-        lambda v: eval_expr(con.expr, x, v), con.lo, con.hi, tol, spec.vgrid)
-    return reps
+        return top, [v for v, fv in zip(con.scenarios, vals) if fv >= top - tol]
+    return active_scenarios_interval(fn, con.lo, con.hi, tol, spec.vgrid)
 
 
 def phi(spec: ProblemSpec, x) -> float:
@@ -305,12 +332,13 @@ class ActiveSets:
 
 
 def compute_active_sets(spec: ProblemSpec, x, tol: float = 1e-6) -> ActiveSets:
-    phis = [phi_i(spec, i, x) for i in range(1, spec.n_constraints + 1)]
+    envs = [_envelope_and_actives(spec, i, x, tol)
+            for i in range(1, spec.n_constraints + 1)]
+    phis = tuple(p for p, _ in envs)
     top = max(phis) if phis else -math.inf
     idx = tuple(i + 1 for i, p in enumerate(phis) if p >= top - spec.feas_tol)
-    scen = tuple(tuple(active_uncertainty(spec, i, x, tol))
-                 for i in range(1, spec.n_constraints + 1))
-    return ActiveSets(tuple(phis), top, scen, idx)
+    scen = tuple(tuple(actives) for _, actives in envs)
+    return ActiveSets(phis, top, scen, idx)
 
 
 def zero_active_indices(spec: ProblemSpec, x, tol: float | None = None) -> list[int]:
@@ -371,10 +399,10 @@ class Raster:
 
     def to_csv(self) -> str:
         lines = ["x1,x2,feasible"]
-        for i, a in enumerate(self.x1):
-            for j, b in enumerate(self.x2):
-                lines.append(
-                    f"{float(a)!r},{float(b)!r},{int(self.feasible[i, j])}")
+        tails = [f",{float(b)!r}," for b in self.x2]
+        for a, row in zip(self.x1, self.feasible.tolist()):
+            head = repr(float(a))
+            lines.extend(f"{head}{tail}{int(f)}" for tail, f in zip(tails, row))
         return "\n".join(lines) + "\n"
 
 

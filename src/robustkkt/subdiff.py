@@ -27,12 +27,12 @@ from .funcdsl import (
     Expr,
     UnsupportedStructureError,
     _check_scenario,
-    _eval_scalar,
     contains_coord,
     coords_used,
     format_expr,
     gradient_x,
     is_affine,
+    scenario_fn,
 )
 from .robustfeas import ProblemSpec, active_uncertainty
 from .setcalc import Polytope, PolytopeSet, hull, minkowski_sum, scale
@@ -62,7 +62,7 @@ class _Atom:
     x_relevant: bool
 
 
-def _collect_atoms(e: Expr, xs, v, tol: float, ctx_linear: bool,
+def _collect_atoms(e: Expr, xl, v, tol: float, ctx_linear: bool,
                    out: dict[str, _Atom]) -> list[_Atom]:
     """Selection-aware walk returning the active atoms of this subtree."""
     k = e.kind
@@ -70,24 +70,24 @@ def _collect_atoms(e: Expr, xs, v, tol: float, ctx_linear: bool,
         return []
     if k == "abs":
         arg = e.children[0]
-        if abs(_eval_scalar(arg, xs, v)) <= tol:
+        if abs(arg.scalar_fn(xl, v)) <= tol:
             inner: dict[str, _Atom] = {}
-            nested = _collect_atoms(arg, xs, v, tol, False, inner)
+            nested = _collect_atoms(arg, xl, v, tol, False, inner)
             if any(a.x_relevant for a in nested):
                 raise UnsupportedStructureError(
                     f"active kink nested inside abs({format_expr(arg)})")
             atom = _register(out, _Atom(format_expr(e), "abs", e, (),
                                         ctx_linear, contains_coord(arg)))
             return [atom]
-        return _collect_atoms(arg, xs, v, tol, False, out)
+        return _collect_atoms(arg, xl, v, tol, False, out)
     if k == "max":
-        vals = [_eval_scalar(c, xs, v) for c in e.children]
+        vals = [c.scalar_fn(xl, v) for c in e.children]
         top = max(vals)
         tied = tuple(i for i, cv in enumerate(vals) if top - cv <= tol)
         if len(tied) > 1:
             for i in tied:
                 inner: dict[str, _Atom] = {}
-                nested = _collect_atoms(e.children[i], xs, v, tol, False, inner)
+                nested = _collect_atoms(e.children[i], xl, v, tol, False, inner)
                 if any(a.x_relevant for a in nested):
                     raise UnsupportedStructureError(
                         f"active kink nested inside {format_expr(e)}")
@@ -95,18 +95,18 @@ def _collect_atoms(e: Expr, xs, v, tol: float, ctx_linear: bool,
             atom = _register(out, _Atom(format_expr(e), "max", e, tied,
                                         ctx_linear, xrel))
             return [atom]
-        return _collect_atoms(e.children[tied[0]], xs, v, tol, False, out)
+        return _collect_atoms(e.children[tied[0]], xl, v, tol, False, out)
     if k == "sum":
         found: list[_Atom] = []
         for c in e.children:
-            found.extend(_collect_atoms(c, xs, v, tol, ctx_linear, out))
+            found.extend(_collect_atoms(c, xl, v, tol, ctx_linear, out))
         return found
     if k == "prod":
         per_child: list[list[_Atom]] = []
         for c in e.children:
             child_ctx = ctx_linear and all(
                 not contains_coord(o) for o in e.children if o is not c)
-            per_child.append(_collect_atoms(c, xs, v, tol, child_ctx, out))
+            per_child.append(_collect_atoms(c, xl, v, tol, child_ctx, out))
         rough = [c for c, found in zip(e.children, per_child)
                  if any(a.x_relevant for a in found)]
         if len(rough) > 1:
@@ -115,7 +115,7 @@ def _collect_atoms(e: Expr, xs, v, tol: float, ctx_linear: bool,
                 + format_expr(e))
         return [a for found in per_child for a in found]
     if k in ("pow", "recip", "sqrt"):
-        return _collect_atoms(e.children[0], xs, v, tol, False, out)
+        return _collect_atoms(e.children[0], xl, v, tol, False, out)
     raise ValueError(f"unknown node kind {k}")
 
 
@@ -128,7 +128,7 @@ def _register(out: dict[str, _Atom], atom: _Atom) -> _Atom:
     return prev
 
 
-def _sens(e: Expr, xs, v, tol: float, d: int):
+def _sens(e: Expr, xl, v, tol: float, d: int):
     """Value, ambient x-gradient and per-atom coefficients of this node."""
     k = e.kind
     zero = np.zeros(d)
@@ -137,35 +137,35 @@ def _sens(e: Expr, xs, v, tol: float, d: int):
     if k == "coord":
         g = np.zeros(d)
         g[e.index - 1] = 1.0
-        return float(xs[e.index - 1]), g, {}
+        return xl[e.index - 1], g, {}
     if k == "uvar":
         return float(v), zero, {}
     if k == "abs":
         arg = e.children[0]
-        av = _eval_scalar(arg, xs, v)
+        av = arg.scalar_fn(xl, v)
         if abs(av) <= tol:
             return abs(av), zero, {format_expr(e): 1.0}
-        val, g, kap = _sens(arg, xs, v, tol, d)
+        val, g, kap = _sens(arg, xl, v, tol, d)
         s = 1.0 if val > 0 else -1.0
         return abs(val), s * g, {q: s * c for q, c in kap.items()}
     if k == "max":
-        vals = [_eval_scalar(c, xs, v) for c in e.children]
+        vals = [c.scalar_fn(xl, v) for c in e.children]
         top = max(vals)
         tied = [i for i, cv in enumerate(vals) if top - cv <= tol]
         if len(tied) > 1:
             return top, zero, {format_expr(e): 1.0}
-        return _sens(e.children[tied[0]], xs, v, tol, d)
+        return _sens(e.children[tied[0]], xl, v, tol, d)
     if k == "sum":
         total, g, kap = 0.0, np.zeros(d), {}
         for c in e.children:
-            cv, cg, ck = _sens(c, xs, v, tol, d)
+            cv, cg, ck = _sens(c, xl, v, tol, d)
             total += cv
             g = g + cg
             for q, a in ck.items():
                 kap[q] = kap.get(q, 0.0) + a
         return total, g, kap
     if k == "prod":
-        parts = [_sens(c, xs, v, tol, d) for c in e.children]
+        parts = [_sens(c, xl, v, tol, d) for c in e.children]
         total = 1.0
         for cv, _, _ in parts:
             total *= cv
@@ -180,19 +180,19 @@ def _sens(e: Expr, xs, v, tol: float, d: int):
                 kap[q] = kap.get(q, 0.0) + rest * a
         return total, g, kap
     if k == "pow":
-        cv, cg, ck = _sens(e.children[0], xs, v, tol, d)
+        cv, cg, ck = _sens(e.children[0], xl, v, tol, d)
         n = e.exponent
         slope = n * cv ** (n - 1)
         return cv ** n, slope * cg, {q: slope * a for q, a in ck.items()}
     if k == "recip":
-        cv, cg, ck = _sens(e.children[0], xs, v, tol, d)
+        cv, cg, ck = _sens(e.children[0], xl, v, tol, d)
         if cv == 0.0:
             from .funcdsl import DomainError
             raise DomainError(f"division by zero in 1/({e.children[0]})")
         slope = -1.0 / (cv * cv)
         return 1.0 / cv, slope * cg, {q: slope * a for q, a in ck.items()}
     if k == "sqrt":
-        cv, cg, ck = _sens(e.children[0], xs, v, tol, d)
+        cv, cg, ck = _sens(e.children[0], xl, v, tol, d)
         if cv <= 0.0:
             from .funcdsl import DomainError
             raise DomainError(
@@ -227,9 +227,10 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
     _check_scenario(e, v)
     xs = np.asarray(x, dtype=float).reshape(-1)
     d = xs.shape[0]
+    xl = xs.tolist()
     atoms: dict[str, _Atom] = {}
-    _collect_atoms(e, xs, v, kink_tol, True, atoms)
-    _, g0, kappas = _sens(e, xs, v, kink_tol, d)
+    _collect_atoms(e, xl, v, kink_tol, True, atoms)
+    _, g0, kappas = _sens(e, xl, v, kink_tol, d)
 
     result = PolytopeSet.singleton(g0)
     rules: list[str] = []
@@ -291,18 +292,17 @@ def sup_rule(g: Expr, x, V, tol: float = 1e-6, mode: str = "hull",
     hull of the union over active scenarios is the rule's native form;
     limiting mode keeps the union of the per-scenario sets.
     """
-    from .funcdsl import contains_uncertainty, eval_expr
     from .robustfeas import active_scenarios_interval
 
-    if not contains_uncertainty(g):
+    if not g.has_v:
         return limiting_subdiff(g, x, None, mode, kink_tol)
+    fn = scenario_fn(g, x)
     if isinstance(V, (tuple, list)) and len(V) == 2 and not isinstance(V[0], (list, tuple)):
         lo, hi = float(V[0]), float(V[1])
-        _, actives = active_scenarios_interval(
-            lambda v: eval_expr(g, x, v), lo, hi, tol, vgrid)
+        _, actives = active_scenarios_interval(fn, lo, hi, tol, vgrid)
     else:
         scen = [float(v) for v in V]
-        vals = [eval_expr(g, x, v) for v in scen]
+        vals = [fn(v) for v in scen]
         top = max(vals)
         actives = [v for v, fv in zip(scen, vals) if fv >= top - tol]
     if not actives:

@@ -6,6 +6,7 @@ import pytest
 
 from robustkkt import cli
 from robustkkt.certify import ystar_grid, ystar_grid_size
+from robustkkt.funcdsl import MAX_NESTING
 from robustkkt.cli import (
     LoadError,
     load_problem,
@@ -85,6 +86,25 @@ fixture = f9 @ 0 : {(1)}
         assert parse_scalar("3/4") == 0.75
         assert parse_scalar("sqrt(2)/4") == pytest.approx(2 ** 0.5 / 4)
         assert parse_scalar("-0.25") == -0.25
+
+
+def _problem(tmp_path, constraint: str):
+    path = tmp_path / "p.problem"
+    path.write_text(f"""
+[space]
+dim = 2
+[cone]
+pattern = >=0
+[theta]
+value = 0
+[omega]
+kind = whole
+[objectives]
+f1 = "x1 + x2"
+[constraints]
+g1 = {constraint}
+""")
+    return str(path)
 
 
 class TestCommands:
@@ -177,6 +197,30 @@ class TestCommands:
                             "--at", "0,0"]) == 3
         assert run_command(["feasible", "--problem", "no_such_file",
                             "--at", "0,0"]) == 3
+
+    def test_spike_between_scenario_grid_points(self, capsys, tmp_path):
+        # Golden-section search beats every grid value by more than the
+        # active-set tolerance, so no grid cluster forms (was an IndexError,
+        # exit 1 with a traceback).
+        path = _problem(tmp_path, '"max(1 - 1000000*(v - 3/10000)^2, -1) '
+                                  '+ 0*x1" with v in [-1, 1]')
+        code, doc = run_json(capsys, ["feasible", "--problem", path,
+                                      "--at", "0,0"])
+        assert code == 1 and doc["verdict"] == "INFEASIBLE"
+        assert doc["details"]["phi"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_expression_depth_limit(self, capsys, tmp_path):
+        # Four tree levels per nesting level: the deepest trees the parser
+        # accepts still get a verdict; one level more is a data error.
+        for depth, want in ((MAX_NESTING - 1, 0), (MAX_NESTING, 3),
+                            (250, 3)):
+            deep = "x1 + 3 + 2/(" * depth + "x1 - 5" + ")^3" * depth
+            path = _problem(tmp_path, f'"{deep} - 10"')
+            code, doc = run_json(capsys, ["feasible", "--problem", path,
+                                          "--at", "0,0"])
+            assert code == want
+            if want == 3:
+                assert "nested deeper" in doc["error"]
 
     def test_byte_determinism(self, capsys):
         argv = ["kkt", "search", "--problem", "example_3_5", "--at", "0,0"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robustkkt.funcdsl import (
+    MAX_NESTING,
     DomainError,
     NonsmoothPointError,
     ParseError,
@@ -35,6 +36,15 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_expr("x1 + ^2", 2)
         assert "position" in str(exc.value)
+
+    @pytest.mark.parametrize("opener", ["abs(", "(", "max(1, ", "-"])
+    def test_nesting_bound(self, opener):
+        closer = "" if opener == "-" else ")"
+        deep = MAX_NESTING - 1
+        parse_expr(opener * deep + "x1" + closer * deep, 1)
+        for depth in (MAX_NESTING, 250, 5000):
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_expr(opener * depth + "x1" + closer * depth, 1)
 
     def test_coordinate_out_of_range(self):
         with pytest.raises(ParseError):
