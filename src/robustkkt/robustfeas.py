@@ -398,12 +398,15 @@ class Raster:
     feasible: np.ndarray    # shape (n1, n2), row-major over (x1, x2)
 
     def to_csv(self) -> str:
-        lines = ["x1,x2,feasible"]
+        # Each axis value is formatted once, and each x1 row is joined on
+        # its own, so only one row's line strings are alive at a time.
         tails = [f",{float(b)!r}," for b in self.x2]
-        for a, row in zip(self.x1, self.feasible.tolist()):
+        rows = ["x1,x2,feasible\n"]
+        for a, flags in zip(self.x1, self.feasible):
             head = repr(float(a))
-            lines.extend(f"{head}{tail}{int(f)}" for tail, f in zip(tails, row))
-        return "\n".join(lines) + "\n"
+            rows.append("".join([f"{head}{tail}{int(f)}\n"
+                                 for tail, f in zip(tails, flags.tolist())]))
+        return "".join(rows)
 
 
 def raster(spec: ProblemSpec, region, resolution) -> Raster:
