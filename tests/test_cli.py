@@ -6,7 +6,6 @@ import pytest
 
 from robustkkt import cli
 from robustkkt.certify import ystar_grid, ystar_grid_size
-from robustkkt.funcdsl import MAX_NESTING
 from robustkkt.cli import (
     LoadError,
     load_problem,
@@ -14,6 +13,7 @@ from robustkkt.cli import (
     resolve_problem_path,
     run_command,
 )
+from robustkkt.funcdsl import MAX_NESTING
 
 
 def run_json(capsys, argv):
