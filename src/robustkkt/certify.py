@@ -30,7 +30,6 @@ from .robustfeas import (
 from .setcalc import (
     PolyCone,
     Polytope,
-    PolytopeSet,
     _monotone_chain,
     dual_ball,
     normal_cone,
@@ -826,108 +825,99 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
             cone_ok &= vals <= 1e-12
 
     pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
-    ytheta_all = ys @ spec.theta
-
-    scal_cache: dict[int, tuple[PolytopeSet, np.ndarray]] = {}
-
-    def scal_set(myi: int) -> tuple[PolytopeSet, np.ndarray]:
-        if myi not in scal_cache:
-            s = direct_subdiff(ys[myi], spec.objectives, xbar, mode,
-                               spec.kink_tol).set
-            scal_cache[myi] = (s, s.all_vertices())
-        return scal_cache[myi]
-
-    # normalized witness margins, cached per (y index, premise-row mask):
-    # the margin problem is positively homogeneous in ||x - xbar||, so one
-    # normalized solve serves every sample sharing the rows
-    margin_cache: dict[tuple[int, tuple[bool, ...]], float | None] = {}
-    # the witness ball's polygon depends on the component, not on the
-    # mask, so one hull serves every mask of a (y index, component)
-    polygon_cache: dict[tuple[int, int], tuple] = {}
     l2_dirs = spec.norm == "l2"
+    ytheta_all = ys @ spec.theta
+    cand_ok = cand_g_ok & cone_ok
+    # one id per distinct premise-row mask (column of con_prem)
+    masks, mask_id = np.unique(con_prem.T, axis=0, return_inverse=True)
+    mask_id = mask_id.reshape(-1)
+    # (cuts, lines, walls) per mask id, built when a margin first needs it;
+    # walls are the planar cut rows, a lineality generator cutting both ways
+    mask_cuts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def ball_polygon(myi: int, k: int, comp: Polytope):
-        if comp.dim != 2:
-            return None
-        if (myi, k) not in polygon_cache:
-            polygon_cache[myi, k] = _planar_ball(
-                _witness_ball(comp, pball, l2_dirs))
-        return polygon_cache[myi, k]
+    def cuts_of(j: int):
+        if j not in mask_cuts:
+            rows_here = np.flatnonzero(masks[j]).tolist()
+            cuts, lines = _witness_cuts(spec.dim, rows_here, con_base, N)
+            mask_cuts[j] = (cuts, lines, np.vstack([cuts, lines, -lines]))
+        return mask_cuts[j]
 
-    def normalized_margin(myi: int, mask: tuple[bool, ...]) -> float | None:
-        key = (myi, mask)
-        if key not in margin_cache:
-            rows_here = [t for t in range(T) if mask[t]]
-            best: float | None = math.inf
-            sset, _ = scal_set(myi)
-            for k, comp in enumerate(sset.components):
-                found = _component_witness_margin(
-                    comp, 1.0, float(ytheta_all[myi]), rows_here, con_base,
-                    N, pball, l2_dirs, ball_polygon(myi, k, comp))
-                if found is None:
-                    best = None
-                    break
-                best = min(best, found[0])
-            margin_cache[key] = best
-        return margin_cache[key]
+    # A sample fails at the first y* (in index order) with neither the
+    # candidate w = x - xbar nor a witness margin >= eps_strict; later y*
+    # are not examined for it.  The margin problem is positively
+    # homogeneous in ||x - xbar||, so one normalized margin per (y*, mask)
+    # serves every sample sharing that mask.
+    first_fail = np.full(samples.shape[0], -1)
+    needs_margin = np.zeros(samples.shape[0], dtype=bool)
+    fail_detail: dict[int, str] = {}
+    for myi in np.flatnonzero(active.any(axis=1)).tolist():
+        cols = np.flatnonzero(active[myi] & (first_fail < 0))
+        if not cols.size:
+            continue
+        sset = direct_subdiff(ys[myi], spec.objectives, xbar, mode,
+                              spec.kink_tol).set
+        ytheta = float(ytheta_all[myi])
+        top = (sset.all_vertices() @ D[:, cols]).max(axis=0)
+        left = cols[~(cand_ok[cols] & (top + norms[cols] * ytheta <= -1e-12))]
+        if not left.size:
+            continue
+        needs_margin[left] = True
+        ids, inverse = np.unique(mask_id[left], return_inverse=True)
+        # the witness ball's shape depends on the component, not the mask
+        shapes: list = [None] * sset.ncomponents
+        margin = np.array([
+            _normalized_margin(sset.components, shapes, ytheta, cuts_of(j),
+                               pball, l2_dirs) for j in ids.tolist()])
+        failed = left[margin[inverse.reshape(-1)] * norms[left] < eps_strict]
+        if failed.size:
+            first_fail[failed] = myi
+            fail_detail[myi] = (f"no witness margin >= {eps_strict:g} at "
+                                f"y*={np.round(ys[myi], 6).tolist()}")
 
     verdicts: list[SampleVerdict] = []
-    for sidx in range(samples.shape[0]):
-        x = samples[sidx]
-        nrm = norms[sidx]
-        active_y = np.nonzero(active[:, sidx])[0]
-        mask = tuple(bool(b) for b in con_prem[:, sidx])
-        need_lp = False
-        inconclusive = None
-        for myi in active_y:
-            yv = ys[myi]
-            _, U = scal_set(int(myi))
-            if cand_g_ok[sidx] and cone_ok[sidx]:
-                top = float((U @ D[:, sidx]).max())
-                if top + nrm * float(ytheta_all[myi]) <= -1e-12:
-                    continue
-            margin = normalized_margin(int(myi), mask)
-            if margin is None or margin * nrm < eps_strict:
-                inconclusive = (f"no witness margin >= {eps_strict:g} at "
-                                f"y*={np.round(yv, 6).tolist()}")
-                break
-            need_lp = True
-        if inconclusive is not None:
-            verdicts.append(SampleVerdict(x, "INCONCLUSIVE",
-                                          len(active_y), inconclusive))
-        elif need_lp:
-            verdicts.append(SampleVerdict(x, "VERIFIED-COMMON-W", len(active_y)))
+    for x, fail, common, n_active in zip(samples, first_fail.tolist(),
+                                         needs_margin.tolist(),
+                                         active.sum(axis=0).tolist()):
+        if fail >= 0:
+            verdicts.append(SampleVerdict(x, "INCONCLUSIVE", n_active,
+                                          fail_detail[fail]))
         else:
-            verdicts.append(SampleVerdict(x, "VERIFIED-CANDIDATE-W",
-                                          len(active_y)))
+            verdicts.append(SampleVerdict(
+                x, "VERIFIED-COMMON-W" if common else "VERIFIED-CANDIDATE-W",
+                n_active))
     all_ok = all(v.verified for v in verdicts)
     return PseudoReport(ptype, verdicts, all_ok)
 
 
+def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,
+                       pball: Polytope, l2_dirs: bool) -> float:
+    """Witness margin at ||x - xbar|| = 1: the least over the components of
+    the max margin delta >= 0 with <u, w> + ytheta <= -delta for every
+    vertex u of the component (the definition lets w depend on the
+    subgradient choice); -inf if some component has no nonnegative margin.
 
-def _component_witness_margin(comp: Polytope, nrm, ytheta, rows_here,
-                              con_base, N: PolyCone, pball: Polytope,
-                              l2_exact_dirs: bool = False, polygon=None
-                              ) -> tuple[float, np.ndarray] | None:
-    """Max margin delta >= 0 with <u, w> + nrm*ytheta <= -delta for every
-    vertex u of the component, and the maximising w; None if no w has a
-    nonnegative margin.
-
-    w ranges over nrm times the witness ball (_witness_ball), cut by
-    <a, w> <= 0 for the vertices a of the premise-holding constraint rows
-    and by the normal cone's generators (= 0 for lineality generators).
-    In the plane polygon, if given, is _planar_ball of the witness ball.
+    w ranges over the witness ball (_witness_ball), cut by <a, w> <= 0 for
+    the vertices a of the premise-holding constraint rows and by the normal
+    cone's generators (= 0 for lineality generators); cut_rows is
+    (cuts, lines, walls) of those rows.  shapes[k] caches component k's
+    ball: its _planar_ball in the plane, its vertices otherwise.
     """
-    cuts, lines = _witness_cuts(comp.dim, rows_here, con_base, N)
-    if comp.dim != 2:
-        ball = _witness_ball(comp, pball, l2_exact_dirs)
-        return _lp_witness_margin(comp.vertices, nrm * ytheta, nrm * ball,
-                                  cuts, lines)
-    if polygon is None:
-        polygon = _planar_ball(_witness_ball(comp, pball, l2_exact_dirs))
-    # a lineality generator cuts both ways
-    return _planar_witness_margin(comp.vertices, nrm * ytheta, nrm, polygon,
-                                  np.vstack([cuts, lines, -lines]))
+    cuts, lines, walls = cut_rows
+    best = math.inf
+    for k, comp in enumerate(components):
+        if shapes[k] is None:
+            ball = _witness_ball(comp, pball, l2_dirs)
+            shapes[k] = _planar_ball(ball) if comp.dim == 2 else ball
+        if comp.dim == 2:
+            found = _planar_witness_margin(comp.vertices, ytheta, 1.0,
+                                           shapes[k], walls)
+        else:
+            found = _lp_witness_margin(comp.vertices, ytheta, shapes[k],
+                                       cuts, lines)
+        if found is None:
+            return -math.inf
+        best = min(best, found[0])
+    return best
 
 
 def _witness_ball(comp: Polytope, pball: Polytope,
@@ -964,8 +954,10 @@ def _witness_cuts(d: int, rows_here, con_base, N: PolyCone
 def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
                        cuts: np.ndarray, lines: np.ndarray
                        ) -> tuple[float, np.ndarray] | None:
-    """_component_witness_margin as one HiGHS LP; <a, w> = 0 for the rows
-    a of lines."""
+    """Max margin delta >= 0 with <u, w> + offset <= -delta for every row u
+    of U, and the maximising w, as one HiGHS LP; None if no w has a
+    nonnegative margin.  w ranges over the hull of the rows of ball, with
+    <a, w> <= 0 for the rows a of cuts and <a, w> = 0 for those of lines."""
     d = U.shape[1]
     lp = LPBuilder()
     w_ids = lp.add_vars(d, free=True)
@@ -1014,8 +1006,10 @@ def _planar_witness_margin(U: np.ndarray, offset: float, nrm: float,
     the origin or the boundary point of one of those rays.
     """
     H, normals, heights = polygon
-    ties = (U[:, None, :] - U[None, :, :])[np.triu_indices(U.shape[0], 1)]
-    lines = np.vstack([cuts, ties])
+    lines = cuts
+    if U.shape[0] > 1:
+        ties = (U[:, None, :] - U[None, :, :])[np.triu_indices(U.shape[0], 1)]
+        lines = np.vstack([cuts, ties])
     perp = np.column_stack([-lines[:, 1], lines[:, 0]])
     rays = np.vstack([H, perp, -perp])
     rays = rays[np.any(rays != 0.0, axis=1)]

@@ -45,7 +45,8 @@ REPORT_VERSION = 1
 # and problem-file options.  Larger values are refused as data errors.
 OPTION_LIMITS = {"res": 1001, "grid": 101, "y_res": 48, "samples": 100_000,
                  "grid_n": 401}
-PROBLEM_LIMITS = {"vgrid": 100_001, "ball_facets": 4096}
+PROBLEM_LIMITS = {"vgrid": 100_001, "ball_facets": 4096, "objectives": 16,
+                  "constraints": 64}
 # A pseudoconvex grid sweep holds a y*-grid points x --grid^2 premise
 # matrix; the y*-grid has --y-res^(m-1) points for m dual-cone generators.
 # 2^23 cells is 64 MiB per float64 array.
@@ -145,6 +146,13 @@ def load_problem(path) -> ProblemSpec:
         if default is None:
             raise LoadError(f"missing key {key!r} in [{section}]")
         return default
+
+    # refused before any expression is parsed
+    for section in ("objectives", "constraints"):
+        count = len(sections.get(section, []))
+        if count > PROBLEM_LIMITS[section]:
+            raise LoadError(f"{count} {section} exceed the limit "
+                            f"{PROBLEM_LIMITS[section]}")
 
     dim = int(single("space", "dim"))
 
@@ -257,7 +265,8 @@ def load_problem(path) -> ProblemSpec:
             return cast(opts[key][1])
         return default
 
-    for key, bound in PROBLEM_LIMITS.items():
+    for key in ("vgrid", "ball_facets"):
+        bound = PROBLEM_LIMITS[key]
         if key in opts and opt(key, int, None) > bound:
             raise LoadError(f"option {key} exceeds its limit {bound}",
                             opts[key][0])
@@ -505,15 +514,31 @@ def _check_option_limits(args) -> None:
             raise LoadError(f"{flag} {value} exceeds its limit {bound}")
 
 
+def _parse_points(args, spec: ProblemSpec) -> dict[str, np.ndarray]:
+    """The point options given, parsed and checked against the problem:
+    --at against its dimension, --ystar against its objectives."""
+    points = {}
+    for name, size in (("at", spec.dim), ("ystar", spec.n_objectives)):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        points[name] = parse_vector(text)
+        if points[name].shape[0] != size:
+            raise LoadError(f"--{name} has {points[name].shape[0]} entries, "
+                            f"the problem needs {size}")
+    return points
+
+
 def _dispatch(args) -> tuple[int, str, dict, dict]:
     _check_option_limits(args)
     spec = load_problem(args.problem)
+    points = _parse_points(args, spec)
+    x = points.get("at")
     mode = args.mode or "limiting"
     use_fx = bool(args.fixtures)
     config = {"mode": mode, "fixtures": use_fx}
 
     if args.command == "feasible":
-        x = parse_vector(args.at)
         acts = compute_active_sets(spec, x) if spec.constraints else None
         tol = spec.feas_tol if args.tol is None else args.tol
         ok = spec.omega.contains(x) and (acts is None or acts.phi <= tol)
@@ -539,7 +564,6 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
         return 0, "RASTER-WRITTEN", details, config
 
     if args.command == "subdiff":
-        x = parse_vector(args.at)
         smode = args.mode or "hull"
         config["mode"] = smode
         name = args.target
@@ -569,13 +593,11 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
         return 0, "SET-COMPUTED", details, config
 
     if args.command == "cq":
-        x = parse_vector(args.at)
         rep = check_cq(spec, x, use_fixtures=use_fx)
         verdict = "CQ-HOLDS" if rep.holds else "CQ-FAILS"
         return (0 if rep.holds else 1), verdict, vars(rep), config
 
     if args.command == "kkt":
-        x = parse_vector(args.at)
         if args.action == "check":
             if not args.cert:
                 raise LoadError("kkt check requires --cert")
@@ -598,16 +620,13 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
             config
 
     if args.command == "fuzzy":
-        x = parse_vector(args.at)
-        y = parse_vector(args.ystar)
-        rep = fuzzy_kkt_demo(spec, x, y, args.eta, args.radius, args.grid_n,
-                             mode=mode)
+        rep = fuzzy_kkt_demo(spec, x, points["ystar"], args.eta,
+                             args.radius, args.grid_n, mode=mode)
         if rep.found:
             return 0, "WITNESS-FOUND", vars(rep.witness), config
         return 2, "NONE-FOUND", {"diagnostic": rep.diagnostic}, config
 
     if args.command == "pseudoconvex":
-        x = parse_vector(args.at)
         witness = None
         if args.witness:
             doc = json.loads(Path(args.witness).read_text())
@@ -640,7 +659,6 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
         return 2, "INCONCLUSIVE", details, config
 
     if args.command == "efficiency":
-        x = parse_vector(args.at)
         region = parse_vector(args.region)
         rep = classify_point(spec, x, args.kind, region, args.res)
         details = vars(rep)
@@ -650,9 +668,8 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
 
     if args.command == "duality":
         if args.action == "strong":
-            if not args.at:
+            if x is None:
                 raise LoadError("duality strong requires --at")
-            x = parse_vector(args.at)
             rep = strong_duality_from(spec, x, mode, use_fx)
             details = {"triple": rep.triple.to_jsonable(),
                        "feasibility": vars(rep.feasibility)}
@@ -670,10 +687,9 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
                                       np.array(d["mu"], dtype=float))
                            for d in docs]
             else:
-                if not args.at:
+                if x is None:
                     raise LoadError("duality weak needs --triples or --at")
-                srep = strong_duality_from(spec, parse_vector(args.at),
-                                           mode, use_fx)
+                srep = strong_duality_from(spec, x, mode, use_fx)
                 triples = [srep.triple]
             samples = generate_feasible_samples(spec, region, args.samples)
             rep = weak_duality_check(spec, samples, triples, args.kind,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LPBuilder
+from .lp import _EXACT_COL_LIMIT, LPBuilder
 
 VERTEX_TOL = 1e-12
 
@@ -67,7 +67,10 @@ class Polytope:
         p = np.asarray(p, dtype=float).reshape(-1)
         if p.shape[0] != self.dim:
             raise DimensionMismatch("point/polytope dimension mismatch")
-        res = _membership_residual(p, self.vertices)
+        if self.dim == 2 and self.nverts <= _PLANAR_MEMBERSHIP_VERTS:
+            res = _planar_residual(p, self.vertices)
+        else:
+            res = _membership_residual(p, self.vertices)
         return res <= tol, res
 
     def translate(self, t) -> "Polytope":
@@ -92,6 +95,21 @@ def _membership_residual(p: np.ndarray, V: np.ndarray) -> float:
     if not res.feasible:  # simplex row always feasible; defensive
         return math.inf
     return max(res.objective, 0.0)
+
+
+# The planar membership LP has one column per vertex, its t column and four
+# slack columns; up to this many vertices LPBuilder.solve picks the exact
+# engine, whose residual _planar_residual reproduces.
+_PLANAR_MEMBERSHIP_VERTS = _EXACT_COL_LIMIT - 5
+
+
+def _planar_residual(p: np.ndarray, V: np.ndarray) -> float:
+    """_membership_residual in the plane, exactly and without an LP."""
+    P, scale = _integer_plane(np.vstack([p, V]))
+    num, den = _hull_distance(
+        P[0], [P[k] for k in _monotone_chain(P, range(1, len(P)))])
+    # int / int is correctly rounded, like the float of the exact LP optimum
+    return num / (den * scale)
 
 
 def _extreme_points(V: np.ndarray) -> np.ndarray:

@@ -244,6 +244,26 @@ class TestCommands:
             assert code == expected
             assert (doc["verdict"] in affirmative) == (code == 0)
 
+    @pytest.mark.parametrize("argv", [
+        ["feasible", "--problem", "example_3_2"],
+        ["cq", "--problem", "example_3_2"],
+        ["pseudoconvex", "--problem", "example_2_2", "--type", "I",
+         "--region", "-2,2,-2,2"],
+    ], ids=["feasible", "cq", "pseudoconvex"])
+    @pytest.mark.parametrize("at", ["0", "0,0,0"])
+    def test_at_checked_against_dimension(self, capsys, argv, at):
+        code, doc = run_json(capsys, argv + ["--at", at])
+        assert code == 3
+        assert doc["error"] == (f"--at has {at.count(',') + 1} entries, "
+                                "the problem needs 2")
+
+    def test_ystar_checked_against_objectives(self, capsys):
+        code, doc = run_json(capsys, ["fuzzy", "--problem", "example_3_2",
+                                      "--at", "0,0", "--ystar", "0.5,0.5",
+                                      "--eta", "0.1"])
+        assert code == 3
+        assert doc["error"] == "--ystar has 2 entries, the problem needs 3"
+
     def test_timings_flag_adds_field(self, capsys):
         _, doc = run_json(capsys, ["--timings", "feasible",
                                    "--problem", "example_3_2", "--at", "0,0"])
@@ -322,6 +342,37 @@ class TestSizeLimits:
         code, doc = run_json(capsys, ["feasible", "--problem", str(path),
                                       "--at", "0,0"])
         assert code == 3 and key in doc["error"]
+
+    @pytest.mark.parametrize("section", ["objectives", "constraints"])
+    def test_problem_count_over_limit(self, capsys, monkeypatch, tmp_path,
+                                      section):
+        def problem(count):
+            p = count if section == "objectives" else 1
+            n = count if section == "constraints" else 1
+            path = tmp_path / f"{section}{count}.problem"
+            path.write_text(
+                "[space]\ndim = 2\n[cone]\npattern = "
+                + ", ".join([">=0"] * p) + "\n[theta]\nvalue = "
+                + ", ".join(["0"] * p) + "\n[omega]\nkind = whole\n"
+                + "[objectives]\n"
+                + "".join(f'f{j} = "x1 + {j}*x2"\n' for j in range(p))
+                + "[constraints]\n"
+                + "".join(f'g{j} = "x1 - {j}"\n' for j in range(n)))
+            return str(path)
+
+        bound = cli.PROBLEM_LIMITS[section]
+        spec = load_problem(problem(bound))
+        assert len(getattr(spec, section)) == bound
+        # the stub stands in for parsing: at the limit the loader reaches
+        # it, above the limit it refuses first
+        monkeypatch.setattr(cli, "parse_expr", _reach)
+        with pytest.raises(Reached):
+            load_problem(problem(bound))
+        code, doc = run_json(capsys, ["feasible", "--problem",
+                                      problem(bound + 1), "--at", "0,0"])
+        assert code == 3
+        assert doc["error"] == (f"{bound + 1} {section} exceed the limit "
+                                f"{bound}")
 
     def test_premise_matrix_over_limit(self, capsys, monkeypatch, spec22):
         # example_2_2 has three objectives, so its y*-grid has y_res^2 points

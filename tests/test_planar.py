@@ -15,6 +15,7 @@ from robustkkt import certify, lp, setcalc
 from robustkkt.cli import run_command
 from robustkkt.setcalc import PolyCone, Polytope, PolytopeSet, minkowski_sum
 from robustkkt.subdiff import direct_subdiff, limiting_subdiff, scalarized_subdiff
+from sweep_oracle import component_witness_margin
 
 
 def assert_same_reduction(V):
@@ -107,6 +108,62 @@ class TestPlanarHull:
         assert_same_reduction(V)
 
 
+def assert_same_residual(p, V):
+    p = np.asarray(p, dtype=float)
+    exact = setcalc._planar_residual(p, V)
+    assert exact == setcalc._membership_residual(p, V)
+    return exact
+
+
+class TestPlanarMembership:
+    def test_engine_polytopes(self):
+        """The components of random subdifferentials, at their vertices,
+        edge midpoints, points just off them and random points."""
+        rng = np.random.default_rng(77)
+        inside = outside = 0
+        for _ in range(25):
+            x = random_point(rng, 2)
+            for e in (random_supported_expr(rng, 2, through=x),
+                      random_convex_expr(rng, 2)):
+                for comp in limiting_subdiff(e, x, None, "hull").set.components:
+                    V = comp.vertices
+                    mids = (V + np.roll(V, 1, axis=0)) / 2
+                    for p in np.vstack([V, mids, mids + 1e-13, V.mean(axis=0),
+                                        V[0] + rng.normal(size=2)]):
+                        res = assert_same_residual(p, V)
+                        inside += res == 0.0
+                        outside += res > 0.0
+        assert inside >= 50 and outside >= 50
+
+    @given(st.lists(st.tuples(st.floats(-4, 4, width=16),
+                              st.floats(-4, 4, width=16)),
+                    min_size=1, max_size=9),
+           st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+    @settings(max_examples=120, deadline=None)
+    def test_hypothesis_polygons(self, pts, p):
+        assert_same_residual(p, Polytope(np.array(pts, dtype=float)).vertices)
+
+    def test_contains_solves_no_lp_in_the_plane(self, monkeypatch):
+        calls = []
+        orig = lp.LPBuilder.solve
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(lp.LPBuilder, "solve", counting)
+        square = Polytope([[0, 0], [1, 0], [0, 1], [1, 1]])
+        assert square.contains([0.5, 0.5]) == (True, 0.0)
+        assert square.contains([2.0, 0.5]) == (False, 1.0)
+        assert calls == []
+        # past the exact LP's size the residual stays the LP's
+        angles = np.linspace(0, 2 * np.pi, setcalc._PLANAR_MEMBERSHIP_VERTS + 2)
+        ring = Polytope(np.column_stack([np.cos(angles[:-1]),
+                                         np.sin(angles[:-1])]))
+        ring.contains([2.0, 0.0])
+        assert calls == [1]
+
+
 def _random_margin_case(rng, norm):
     comp = Polytope(rng.normal(size=(int(rng.integers(1, 6)), 2)))
     pball = certify.primal_ball(norm, 2, 64)
@@ -134,7 +191,7 @@ class TestPlanarMargin:
             comp, nrm, ytheta, rows, con_base, N, pball = \
                 _random_margin_case(rng, norm)
             args = (comp, nrm, ytheta, rows, con_base, N, pball, norm == "l2")
-            planar = certify._component_witness_margin(*args)
+            planar = component_witness_margin(*args)
             ball = certify._witness_ball(comp, pball, norm == "l2")
             cuts, lines = certify._witness_cuts(2, rows, con_base, N)
             highs = certify._lp_witness_margin(comp.vertices, nrm * ytheta,
@@ -170,7 +227,7 @@ class TestPlanarMargin:
         comp = Polytope([[1.0, 0.0]])
         N = PolyCone(2, [[1.0, 0.0]], lineality=[True])
         pball = certify.primal_ball("linf", 2, 64)
-        delta, w = certify._component_witness_margin(
+        delta, w = component_witness_margin(
             comp, 1.0, 0.0, [], {}, N, pball)
         # w = (0, t): <u, w> = 0 whatever t, so the margin is 0
         assert delta == pytest.approx(0.0, abs=1e-15)
@@ -180,7 +237,7 @@ class TestPlanarMargin:
         comp = Polytope([[1.0, 0.0], [-1.0, 0.0]])
         pball = certify.primal_ball("l2", 2, 64)
         # min_u -<u, w> <= 0 everywhere, and the offset makes it negative
-        assert certify._component_witness_margin(
+        assert component_witness_margin(
             comp, 1.0, 0.5, [], {}, PolyCone.zero(2), pball) is None
 
 
