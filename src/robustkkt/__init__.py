@@ -43,18 +43,16 @@ from .setcalc import (
     Polytope,
     PolytopeSet,
     dual_ball,
-    dual_cone,
     hull,
     minkowski_sum,
     normal_cone,
     scale,
     zero_in_sum,
 )
-from .subdiff import SubdiffResult, limiting_subdiff, scalarized_subdiff, sup_rule
+from .subdiff import SubdiffResult, limiting_subdiff, sup_rule
 from .verify import (
     DualTriple,
     classify_point,
-    cone_membership,
     converse_duality_check,
     dual_feasible,
     strong_duality_from,

@@ -30,6 +30,7 @@ from .robustfeas import (
 from .setcalc import (
     PolyCone,
     Polytope,
+    _add_stationarity_rows,
     _monotone_chain,
     dual_ball,
     normal_cone,
@@ -222,7 +223,6 @@ class KKTSearchReport:
     recheck: KKTCheckReport | None
     active_indices: tuple[int, ...]
     selections_tried: int
-    heuristic: bool = False
     provenance: dict[str, str] = field(default_factory=dict)
 
 
@@ -231,11 +231,10 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                tol: float = 1e-9, scen_tol: float = 1e-6) -> KKTSearchReport:
     """One-LP search for a robust approximate KKT certificate at xbar.
 
-    For a sign-orthant cone the substitution y*_j = sigma_j s_j makes the
+    K is a sign orthant, so the substitution y*_j = sigma_j s_j makes the
     whole inclusion linear in vertex weights whose group totals are the
     multipliers; the 1-norm normalization sum(s) + sum(mu) = 1 plus
-    sum(s) >= eps_min pins the scale and forbids y* = 0.  Non-orthant
-    cones fall back to a direction-grid heuristic.
+    sum(s) >= eps_min pins the scale and forbids y* = 0.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     if not is_feasible(spec, xbar):
@@ -261,11 +260,6 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
     ball = dual_ball(spec.norm, d, spec.ball_facets)
     N = normal_cone(spec.omega, xbar)
 
-    if not spec.cone.is_orthant:
-        return _search_kkt_heuristic(spec, xbar, obj_sets, con_sets, con_scen,
-                                     ball, N, actives, eps_min, tol, mode,
-                                     use_fixtures, prov)
-
     sigma = np.asarray(spec.cone.dual().pattern, dtype=float)
     tried = 0
     for selection in itertools.product(*(range(s.ncomponents) for s in obj_sets)):
@@ -281,29 +275,8 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
             comp = con_sets[i]
             con_vars[i] = (lp.add_vars(comp.nverts), comp.vertices)
         ball_ids = lp.add_vars(ball.nverts)
-        cone_ids = []
-        if not N.is_zero:
-            cone_ids = [lp.add_var(free=bool(N.lineality[k]))
-                        for k in range(N.generators.shape[0])]
-        # stationarity rows
-        for a in range(d):
-            row: dict[int, float] = {}
-            for ids, V in obj_vars:
-                for t, vid in enumerate(ids):
-                    if V[t, a] != 0.0:
-                        row[vid] = row.get(vid, 0.0) + V[t, a]
-            for ids, V in con_vars.values():
-                for t, vid in enumerate(ids):
-                    if V[t, a] != 0.0:
-                        row[vid] = row.get(vid, 0.0) + V[t, a]
-            for t, vid in enumerate(ball_ids):
-                if ball.vertices[t, a] != 0.0:
-                    row[vid] = row.get(vid, 0.0) + ball.vertices[t, a]
-            for k, cid in enumerate(cone_ids):
-                g = N.generators[k, a]
-                if g != 0.0:
-                    row[cid] = row.get(cid, 0.0) + g
-            lp.add_eq(row, 0)
+        cone_ids = _add_stationarity_rows(
+            lp, [*obj_vars, *con_vars.values(), (ball_ids, ball.vertices)], N)
         # ball weight total equals <y*, theta> = sum_j sigma_j theta_j s_j
         row = {vid: 1.0 for vid in ball_ids}
         for j, (ids, _) in enumerate(obj_vars):
@@ -313,19 +286,10 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                     row[vid] = row.get(vid, 0.0) + coef
         lp.add_eq(row, 0)
         # normalization and y* != 0
-        norm_row = {}
-        for ids, _ in obj_vars:
-            for vid in ids:
-                norm_row[vid] = 1.0
-        for ids, _ in con_vars.values():
-            for vid in ids:
-                norm_row[vid] = 1.0
-        lp.add_eq(norm_row, 1)
-        smin_row = {}
-        for ids, _ in obj_vars:
-            for vid in ids:
-                smin_row[vid] = -1.0
-        lp.add_ub(smin_row, -eps_min)
+        s_ids = [vid for ids, _ in obj_vars for vid in ids]
+        mu_ids = [vid for ids, _ in con_vars.values() for vid in ids]
+        lp.add_eq(dict.fromkeys(s_ids + mu_ids, 1.0), 1)
+        lp.add_ub(dict.fromkeys(s_ids, -1.0), -eps_min)
         res = lp.solve()
         if not res.feasible:
             continue
@@ -370,129 +334,6 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                                provenance=prov)
     return KKTSearchReport(False, None, None, tuple(actives), tried,
                            provenance=prov)
-
-
-def _search_kkt_heuristic(spec, xbar, obj_sets, con_sets, con_scen, ball, N,
-                          actives, eps_min, tol, mode, use_fixtures, prov,
-                          directions: int = 24) -> KKTSearchReport:
-    """Grid over normalized y* directions in K+ with a per-candidate LP."""
-    p, n, d = spec.n_objectives, spec.n_constraints, spec.dim
-    dual = spec.cone.dual()
-    gens = dual.as_cone().generators if not dual.is_orthant else np.eye(p)
-    tried = 0
-    for weights in _simplex_grid(gens.shape[0], directions):
-        ydir = weights @ gens
-        l1 = float(np.sum(np.abs(ydir)))
-        if l1 < 1e-12:
-            continue
-        ydir = ydir / l1
-        tried += 1
-        for selection in itertools.product(
-                *(range(s.ncomponents) for s in obj_sets)):
-            lp = LPBuilder()
-            alpha = lp.add_var()
-            obj_vars = []
-            for j in range(p):
-                comp = obj_sets[j].components[selection[j]]
-                ids = lp.add_vars(comp.nverts)
-                lp.add_eq({**{t: 1.0 for t in ids}, alpha: -1.0}, 0)
-                obj_vars.append((ids, ydir[j] * comp.vertices))
-            con_vars = {i: (lp.add_vars(con_sets[i].nverts),
-                            con_sets[i].vertices) for i in actives}
-            ball_ids = lp.add_vars(ball.nverts)
-            cone_ids = [] if N.is_zero else [
-                lp.add_var(free=bool(N.lineality[k]))
-                for k in range(N.generators.shape[0])]
-            for a in range(d):
-                row: dict[int, float] = {}
-                for ids, V in obj_vars:
-                    for t, vid in enumerate(ids):
-                        row[vid] = row.get(vid, 0.0) + V[t, a]
-                for ids, V in con_vars.values():
-                    for t, vid in enumerate(ids):
-                        row[vid] = row.get(vid, 0.0) + V[t, a]
-                for t, vid in enumerate(ball_ids):
-                    row[vid] = row.get(vid, 0.0) + ball.vertices[t, a]
-                for k, cid in enumerate(cone_ids):
-                    row[cid] = row.get(cid, 0.0) + N.generators[k, a]
-                lp.add_eq(row, 0)
-            ytheta = float(np.dot(ydir, spec.theta))
-            lp.add_eq({**{vid: 1.0 for vid in ball_ids}, alpha: -ytheta}, 0)
-            norm_row = {alpha: 1.0}
-            for ids, _ in con_vars.values():
-                for vid in ids:
-                    norm_row[vid] = 1.0
-            lp.add_eq(norm_row, 1)
-            lp.add_ub({alpha: -1.0}, -eps_min)
-            res = lp.solve()
-            if not res.feasible:
-                continue
-            a_val = float(res.values[alpha])
-            ystar = a_val * ydir
-            u = []
-            for j, (ids, _) in enumerate(obj_vars):
-                comp = obj_sets[j].components[selection[j]]
-                w = res.values[np.asarray(ids)]
-                s = float(np.sum(w))
-                u.append(w @ comp.vertices / s if s > 1e-15
-                         else comp.vertices[0].copy())
-            mu = np.zeros(n)
-            vsel, vbar = [], []
-            for i in range(1, n + 1):
-                if i in con_vars:
-                    ids, V = con_vars[i]
-                    w = res.values[np.asarray(ids)]
-                    m = float(np.sum(w))
-                    mu[i - 1] = m
-                    vsel.append(w @ V / m if m > 1e-15 else V[0].copy())
-                    vbar.append(con_scen[i])
-                else:
-                    S, _ = constraint_set(spec, i, xbar, "hull", use_fixtures)
-                    vsel.append(S.all_vertices()[0].copy())
-                    scen = active_uncertainty(spec, i, xbar)
-                    vbar.append(scen[0] if scen else 0.0)
-            wb = res.values[np.asarray(ball_ids)]
-            radius = float(np.sum(wb))
-            bstar = (wb @ ball.vertices / radius) if radius > 1e-15 else np.zeros(d)
-            astar = np.zeros(d)
-            if cone_ids:
-                astar = res.values[np.asarray(cone_ids)] @ N.generators
-            cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
-            recheck = check_kkt(spec, xbar, cert, tol, mode, use_fixtures)
-            return KKTSearchReport(True, cert, recheck, tuple(actives), tried,
-                                   heuristic=True, provenance=prov)
-    return KKTSearchReport(False, None, None, tuple(actives), tried,
-                           heuristic=True, provenance=prov)
-
-
-def multiplier_only_feasible(spec: ProblemSpec, xbar,
-                             use_fixtures: bool = False) -> bool:
-    """Feasibility of the search LP restricted to y* = 0 (cross-check)."""
-    xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    actives = zero_active_indices(spec, xbar)
-    if not actives:
-        return False
-    N = normal_cone(spec.omega, xbar)
-    lp = LPBuilder()
-    groups = []
-    for i in actives:
-        S, _ = constraint_set(spec, i, xbar, "hull", use_fixtures)
-        comp = S.components[0] if S.ncomponents == 1 else Polytope(
-            S.all_vertices(), reduce=True)
-        groups.append((lp.add_vars(comp.nverts), comp.vertices))
-    cone_ids = [] if N.is_zero else [lp.add_var(free=bool(N.lineality[k]))
-                                     for k in range(N.generators.shape[0])]
-    d = spec.dim
-    for a in range(d):
-        row: dict[int, float] = {}
-        for ids, V in groups:
-            for t, vid in enumerate(ids):
-                row[vid] = row.get(vid, 0.0) + V[t, a]
-        for k, cid in enumerate(cone_ids):
-            row[cid] = row.get(cid, 0.0) + N.generators[k, a]
-        lp.add_eq(row, 0)
-    lp.add_eq({vid: 1.0 for ids, _ in groups for vid in ids}, 1)
-    return lp.solve().feasible
 
 
 # ---------------------------------------------------------------------------
@@ -595,21 +436,10 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
         lp.add_eq(c_row, 0)
         ball_ids = lp.add_vars(ball.nverts)
         lp.add_eq({vid: 1.0 for vid in ball_ids}, ball_total)
-        cone_ids = [] if N.is_zero else [lp.add_var(free=bool(N.lineality[k]))
-                                         for k in range(N.generators.shape[0])]
-        for a in range(spec.dim):
-            row: dict[int, float] = {}
-            for t, vid in enumerate(f_ids):
-                row[vid] = row.get(vid, 0.0) + comp.vertices[t, a]
-            for i in idx:
-                V = con_polys[i].vertices
-                for t, vid in enumerate(c_vars[i]):
-                    row[vid] = row.get(vid, 0.0) + V[t, a]
-            for t, vid in enumerate(ball_ids):
-                row[vid] = row.get(vid, 0.0) + ball.vertices[t, a]
-            for k, cid in enumerate(cone_ids):
-                row[cid] = row.get(cid, 0.0) + N.generators[k, a]
-            lp.add_eq(row, 0)
+        groups = [(f_ids, comp.vertices),
+                  *((c_vars[i], con_polys[i].vertices) for i in idx),
+                  (ball_ids, ball.vertices)]
+        cone_ids = _add_stationarity_rows(lp, groups, N)
         lp.add_eq({a1: 1.0, a2: 1.0}, 1)
         if not tight1:
             lp.add_eq({a1: 1.0}, 0)
@@ -634,10 +464,8 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
         mu = mu_bar / lam2
 
         total = np.zeros(spec.dim)
-        total += res.values[np.asarray(f_ids)] @ comp.vertices
-        for i in idx:
-            total += res.values[np.asarray(c_vars[i])] @ con_polys[i].vertices
-        total += res.values[np.asarray(ball_ids)] @ ball.vertices
+        for ids, V in groups:
+            total += res.values[np.asarray(ids)] @ V
         if cone_ids:
             total += res.values[np.asarray(cone_ids)] @ N.generators
         incl_res = float(np.linalg.norm(total))
@@ -710,11 +538,8 @@ def ystar_grid_size(spec: ProblemSpec, resolution: int = 24) -> int:
 
 
 def _dual_generators(spec: ProblemSpec) -> np.ndarray:
-    dual = spec.cone.dual()
-    if dual.is_orthant:
-        return np.eye(spec.n_objectives) * np.asarray(
-            dual.pattern, dtype=float)[:, None]
-    return dual.as_cone().generators
+    return np.eye(spec.n_objectives) * np.asarray(
+        spec.cone.dual().pattern, dtype=float)[:, None]
 
 
 def _simplex_grid(m: int, resolution: int):
@@ -1074,12 +899,12 @@ def _witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
         ustar = ustar + float(yj) * uj
     ytheta = float(np.dot(yv, spec.theta))
     rows = _constraint_rows(spec, xbar, scen_tol)
-    g_rows = []
-    for i, vsc, base, verts in rows:
-        val = eval_expr(spec.constraints[i - 1].expr, x, vsc)
-        if val <= base + 1e-12:
-            g_rows.append(verts)
-    N = normal_cone(spec.omega, xbar)
+    con_base = {t: (base, verts) for t, (_, _, base, verts) in enumerate(rows)}
+    rows_here = [t for t, (i, vsc, base, _) in enumerate(rows)
+                 if eval_expr(spec.constraints[i - 1].expr, x, vsc)
+                 <= base + 1e-12]
+    cuts, lines = _witness_cuts(spec.dim, rows_here, con_base,
+                                normal_cone(spec.omega, xbar))
     pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
     # minimize <u*, w> over all admissible w; failure iff optimum + r >= 0
     lp = LPBuilder()
@@ -1091,19 +916,11 @@ def _witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
             row[vid] = -nrm * pball.vertices[t, a]
         lp.add_eq(row, 0)
     lp.add_ub({vid: 1.0 for vid in lam}, 1)
-    for verts in g_rows:
-        for vert in verts:
-            row = {w_ids[a]: vert[a] for a in range(spec.dim)
-                   if vert[a] != 0.0}
-            if row:
-                lp.add_ub(row, 0)
-    for k in range(N.generators.shape[0]):
-        g = N.generators[k]
-        row = {w_ids[a]: g[a] for a in range(spec.dim) if g[a] != 0.0}
-        if N.lineality[k]:
-            lp.add_eq(row, 0)
-        else:
-            lp.add_ub(row, 0)
+    for cut in cuts:
+        lp.add_ub({w_ids[a]: cut[a] for a in range(spec.dim)
+                   if cut[a] != 0.0}, 0)
+    for g in lines:
+        lp.add_eq({w_ids[a]: g[a] for a in range(spec.dim) if g[a] != 0.0}, 0)
     lp.set_objective({w_ids[a]: ustar[a] for a in range(spec.dim)})
     res = lp.solve()
     if not res.feasible:

@@ -303,25 +303,46 @@ def resolve_problem_path(path) -> Path:
     raise LoadError(f"problem file not found: {path}")
 
 
+def _sized(label: str, values, length: int):
+    """values, refused unless there are length of them."""
+    if len(values) != length:
+        raise LoadError(f"{label} has {len(values)} entries, the problem "
+                        f"needs {length}")
+    return values
+
+
+def _vec(kind: str, field: str, vals, length: int) -> np.ndarray:
+    return _sized(f"{kind} field {field}",
+                  np.array([parse_scalar(str(t)) for t in vals]), length)
+
+
+def _rows(kind: str, field: str, rows, count: int, length: int):
+    return [_vec(kind, f"{field}[{k}]", row, length) for k, row
+            in enumerate(_sized(f"{kind} field {field}", rows, count))]
+
+
 def load_certificate(path, spec: ProblemSpec) -> KKTCertificate:
     doc = json.loads(Path(path).read_text())
-
-    def vec(key, length):
-        vals = doc[key]
-        if len(vals) != length:
-            raise LoadError(f"certificate field {key} has wrong length")
-        return np.array([parse_scalar(str(t)) for t in vals])
-
     p, n, d = spec.n_objectives, spec.n_constraints, spec.dim
     return KKTCertificate(
-        ystar=vec("ystar", p),
-        mu=vec("mu", n),
-        u=[np.array([parse_scalar(str(t)) for t in row]) for row in doc["u"]],
-        v=[np.array([parse_scalar(str(t)) for t in row]) for row in doc["v"]],
+        ystar=_vec("certificate", "ystar", doc["ystar"], p),
+        mu=_vec("certificate", "mu", doc["mu"], n),
+        u=_rows("certificate", "u", doc["u"], p, d),
+        v=_rows("certificate", "v", doc["v"], n, d),
         vbar=[parse_scalar(str(t)) for t in doc.get("vbar", [0] * n)],
-        bstar=vec("bstar", d),
-        astar=vec("astar", d),
+        bstar=_vec("certificate", "bstar", doc["bstar"], d),
+        astar=_vec("certificate", "astar", doc["astar"], d),
     )
+
+
+def load_witness(path, spec: ProblemSpec) -> dict:
+    """A pseudo-convexity failure witness: x, ystar and one subgradient
+    row u per objective, each checked against the problem's sizes."""
+    doc = json.loads(Path(path).read_text())
+    p, d = spec.n_objectives, spec.dim
+    return {"x": _vec("witness", "x", doc["x"], d),
+            "ystar": _vec("witness", "ystar", doc["ystar"], p),
+            "u": _rows("witness", "u", doc["u"], p, d)}
 
 
 def load_triple(path) -> DualTriple:
@@ -520,12 +541,8 @@ def _parse_points(args, spec: ProblemSpec) -> dict[str, np.ndarray]:
     points = {}
     for name, size in (("at", spec.dim), ("ystar", spec.n_objectives)):
         text = getattr(args, name, None)
-        if text is None:
-            continue
-        points[name] = parse_vector(text)
-        if points[name].shape[0] != size:
-            raise LoadError(f"--{name} has {points[name].shape[0]} entries, "
-                            f"the problem needs {size}")
+        if text is not None:
+            points[name] = _sized(f"--{name}", parse_vector(text), size)
     return points
 
 
@@ -612,7 +629,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
             details = {"certificate": rep.certificate.to_jsonable(),
                        "recheck": vars(rep.recheck),
                        "active_indices": rep.active_indices,
-                       "heuristic": rep.heuristic,
+                       "heuristic": False,
                        "provenance": rep.provenance}
             return 0, "CERTIFICATE-FOUND", details, config
         return 1, "NONE-FOUND", {"active_indices": rep.active_indices,
@@ -629,13 +646,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
     if args.command == "pseudoconvex":
         witness = None
         if args.witness:
-            doc = json.loads(Path(args.witness).read_text())
-            witness = {
-                "x": [parse_scalar(str(t)) for t in doc["x"]],
-                "ystar": [parse_scalar(str(t)) for t in doc["ystar"]],
-                "u": [[parse_scalar(str(t)) for t in row]
-                      for row in doc["u"]],
-            }
+            witness = load_witness(args.witness, spec)
         else:
             cells = ystar_grid_size(spec, args.y_res) * args.grid ** 2
             if cells > PREMISE_CELLS_LIMIT:

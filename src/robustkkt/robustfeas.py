@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +102,6 @@ class ProblemSpec:
                 raise ProblemError(f"objective {name} must not use v")
         if not self.cone.contains(th):
             raise ProblemError("theta must lie in the ordering cone K")
-        if not self.cone.is_pointed():
-            raise ProblemError("ordering cone K must be pointed")
         if self.norm not in ("l1", "l2", "linf"):
             raise ProblemError(f"unsupported norm {self.norm!r}")
 
@@ -130,10 +128,6 @@ class ProblemSpec:
             if fx.name == name and np.max(np.abs(fx.point - x)) <= tol:
                 return fx.pset
         return None
-
-    def with_objectives(self, names, exprs) -> "ProblemSpec":
-        return replace(self, objective_names=tuple(names),
-                       objectives=tuple(exprs))
 
     def fvec(self, x) -> np.ndarray:
         return np.array([eval_expr(f, x) for f in self.objectives])

@@ -3,8 +3,8 @@
 Everything is carried in V-representation: the sets that show up in the
 worked problems are points, segments and small boxes, so vertex lists stay
 tiny and Minkowski sums / hulls / zero-membership reduce to vertex
-arithmetic plus little LPs.  Cones are generator lists; sign-orthant cones
-get fast closed-form paths.
+arithmetic plus little LPs.  Normal cones are generator lists; the
+ordering cone is a per-axis sign orthant.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ class Polytope:
         else:
             res = _membership_residual(p, self.vertices)
         return res <= tol, res
-
-    def translate(self, t) -> "Polytope":
-        return Polytope(self.vertices + np.asarray(t, dtype=float))
 
     def __repr__(self):
         return f"Polytope({self.vertices.tolist()})"
@@ -337,31 +334,9 @@ class PolyCone:
     def zero(cls, dim: int) -> "PolyCone":
         return cls(dim)
 
-    @classmethod
-    def whole_space(cls, dim: int) -> "PolyCone":
-        eye = np.eye(dim)
-        return cls(dim, eye, lineality=np.ones(dim, dtype=bool))
-
     @property
     def is_zero(self) -> bool:
         return self.generators.shape[0] == 0
-
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        p = np.asarray(p, dtype=float).reshape(-1)
-        if self.is_zero:
-            return bool(np.max(np.abs(p), initial=0.0) <= tol)
-        lp = LPBuilder()
-        cs = [lp.add_var(free=bool(self.lineality[i]))
-              for i in range(self.generators.shape[0])]
-        t = lp.add_var()
-        for j in range(self.dim):
-            row = {cs[i]: self.generators[i, j]
-                   for i in range(len(cs)) if self.generators[i, j] != 0}
-            lp.add_ub({**row, t: -1}, p[j])
-            lp.add_ub({**{k: -a for k, a in row.items()}, t: -1}, -p[j])
-        lp.set_objective({t: 1})
-        res = lp.solve()
-        return res.feasible and res.objective <= tol
 
     def __repr__(self):
         return (f"PolyCone(dim={self.dim}, generators="
@@ -370,149 +345,29 @@ class PolyCone:
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Either a per-axis sign-orthant cone or a general generator cone.
+    """The ordering cone K, a per-axis sign orthant.
 
     A sign pattern entry +1 means the axis is constrained >= 0, -1 means
     <= 0.  Sign-orthant cones are pointed and closed by construction.
     """
-    pattern: tuple[int, ...] | None = None
-    cone: PolyCone | None = None
+    pattern: tuple[int, ...]
 
     def __post_init__(self):
-        if (self.pattern is None) == (self.cone is None):
-            raise SetCalcError("ConeSpec needs exactly one of pattern/cone")
-        if self.pattern is not None and any(s not in (-1, 1) for s in self.pattern):
+        if any(s not in (-1, 1) for s in self.pattern):
             raise SetCalcError("sign pattern entries must be +1 or -1")
 
     @property
     def dim(self) -> int:
-        return len(self.pattern) if self.pattern is not None else self.cone.dim
-
-    @property
-    def is_orthant(self) -> bool:
-        return self.pattern is not None
+        return len(self.pattern)
 
     def contains(self, y, tol: float = 1e-12) -> bool:
         y = np.asarray(y, dtype=float).reshape(-1)
-        if self.is_orthant:
-            s = np.asarray(self.pattern, dtype=float)
-            return bool(np.all(s * y >= -tol))
-        return self.cone.contains(y, tol=max(tol, 1e-12))
-
-    def contains_interior(self, y, tol: float = 1e-12) -> bool:
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if self.is_orthant:
-            s = np.asarray(self.pattern, dtype=float)
-            return bool(np.all(s * y > tol))
-        raise SetCalcError("interior test only supported for sign-orthant cones")
-
-    def is_pointed(self, tol: float = 1e-9) -> bool:
-        if self.is_orthant:
-            return True
-        c = self.cone
-        if c.is_zero:
-            return True
-        if np.any(c.lineality):
-            return False
-        # not pointed iff some nonzero nonnegative combination cancels
-        lp = LPBuilder()
-        lam = lp.add_vars(c.generators.shape[0])
-        for j in range(c.dim):
-            lp.add_eq({lam[i]: c.generators[i, j] for i in range(len(lam))}, 0)
-        lp.add_eq({i: 1 for i in lam}, 1)
-        return not lp.solve().feasible
-
-    def as_cone(self) -> PolyCone:
-        if self.is_orthant:
-            d = self.dim
-            G = np.eye(d) * np.asarray(self.pattern, dtype=float)[:, None]
-            return PolyCone(d, G)
-        return self.cone
+        s = np.asarray(self.pattern, dtype=float)
+        return bool(np.all(s * y >= -tol))
 
     def dual(self) -> "ConeSpec":
-        if self.is_orthant:
-            # dual of a sign orthant is the same sign orthant
-            return ConeSpec(pattern=self.pattern)
-        return ConeSpec(cone=dual_cone(self.cone))
-
-
-def dual_cone(c: PolyCone) -> PolyCone:
-    """Dual cone {y : <y, g> >= 0 for all generators g} in V-representation.
-
-    Sign-orthant duals are handled by ConeSpec; this generator-cone path is
-    supported for dim <= 3 where candidate-ray enumeration is feasible.
-    """
-    d = c.dim
-    if d > 3:
-        raise SetCalcError("generator-cone dual unsupported above dimension 3")
-    if c.is_zero:
-        return PolyCone.whole_space(d)
-    # Constraints: <g, y> >= 0 (equality when g is a lineality generator).
-    gens = c.generators
-    lin = c.lineality
-
-    def feasible(y, tol=1e-10):
-        for g, is_lin in zip(gens, lin):
-            val = float(np.dot(g, y))
-            if is_lin:
-                if abs(val) > tol:
-                    return False
-            elif val < -tol:
-                return False
-        return True
-
-    cands: list[np.ndarray] = []
-    if d == 1:
-        cands = [np.array([1.0]), np.array([-1.0])]
-    elif d == 2:
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        for g in gens:
-            cands.extend([rot @ g, -(rot @ g)])
-        cands.extend([g.copy() for g in gens])
-        cands.extend([-g for g in gens])
-    else:
-        pool = [g for g in gens] + [e for e in np.eye(3)]
-        for a, b in itertools.combinations(range(len(pool)), 2):
-            cr = np.cross(pool[a], pool[b])
-            if np.linalg.norm(cr) > 1e-12:
-                cands.extend([cr, -cr])
-        cands.extend([g.copy() for g in gens])
-        cands.extend([-g for g in gens])
-        cands.extend([e.copy() for e in np.eye(3)])
-        cands.extend([-e for e in np.eye(3)])
-    rays = []
-    for r in cands:
-        nr = np.linalg.norm(r)
-        if nr < 1e-12:
-            continue
-        r = r / nr
-        if feasible(r) and not any(np.linalg.norm(r - q) < 1e-9 for q in rays):
-            rays.append(r)
-    if not rays:
-        return PolyCone.zero(d)
-    out = PolyCone(d, np.array(rays))
-    _verify_dual_cover(out, gens, lin)
-    return out
-
-
-def _verify_dual_cover(cand: PolyCone, gens, lin, samples: int = 64) -> None:
-    """Sampled completeness check: random dual points must lie in cand."""
-    rng = np.random.default_rng(7)
-    d = cand.dim
-    found = 0
-    for _ in range(samples * 8):
-        if found >= samples:
-            break
-        y = rng.standard_normal(d)
-        for g, is_lin in zip(gens, lin):
-            if is_lin:
-                y = y - float(np.dot(g, y)) * g / float(np.dot(g, g))
-        if any(float(np.dot(g, y)) < 0 for g, is_lin in zip(gens, lin)
-               if not is_lin):
-            continue
-        found += 1
-        if not cand.contains(y, tol=1e-7 * max(1.0, float(np.linalg.norm(y)))):
-            raise SetCalcError("dual cone enumeration incomplete for this input")
+        # dual of a sign orthant is the same sign orthant
+        return ConeSpec(pattern=self.pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +456,12 @@ def normal_cone(omega: OmegaSpec, x, tol: float = 1e-9) -> PolyCone:
 # Dual-norm balls
 # ---------------------------------------------------------------------------
 
-def dual_ball(norm: str, d: int, m: int = 64, mode: str = "inner") -> Polytope:
+def dual_ball(norm: str, d: int, m: int = 64) -> Polytope:
     """Unit ball of the dual norm as a polytope.
 
     l1 and linf primal norms give exact boxes/cross-polytopes.  The l2 dual
-    ball is approximated by an inscribed polytope (so certificates found
-    with it stay valid); mode="outer" gives the circumscribed polygon in
-    dimension 2 for refutation work.
+    ball is approximated by an inscribed polytope, so certificates found
+    with it stay valid.
     """
     if d < 1:
         raise SetCalcError("dimension must be >= 1")
@@ -623,15 +477,8 @@ def dual_ball(norm: str, d: int, m: int = 64, mode: str = "inner") -> Polytope:
     if d == 2:
         if m < 8:
             raise SetCalcError("l2 ball needs at least 8 facets")
-        verts = _regular_polygon(m)
-        if mode == "outer":
-            verts = verts / math.cos(math.pi / m)
-        elif mode != "inner":
-            raise SetCalcError(f"unknown ball mode {mode!r}")
-        return Polytope(verts)
+        return Polytope(_regular_polygon(m))
     if d == 3:
-        if mode != "inner":
-            raise SetCalcError("outer l2 ball unsupported in dimension 3")
         dirs = []
         for pattern in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
             for perm in set(itertools.permutations(pattern)):
@@ -693,8 +540,8 @@ class ZeroInSumResult:
         return out
 
 
-def zero_in_sum(parts: list[PolytopeSet], cone: PolyCone | None = None,
-                engine: str = "auto") -> ZeroInSumResult:
+def zero_in_sum(parts: list[PolytopeSet],
+                cone: PolyCone | None = None) -> ZeroInSumResult:
     """Decide 0 in sum(parts) + cone, exactly over component selections.
 
     For each choice of one convex component per union part an LP looks for
@@ -707,7 +554,8 @@ def zero_in_sum(parts: list[PolytopeSet], cone: PolyCone | None = None,
     for p in parts:
         if p.dim != d:
             raise DimensionMismatch("zero_in_sum dimension mismatch")
-    if cone is not None and cone.dim != d:
+    cone = PolyCone.zero(d) if cone is None else cone
+    if cone.dim != d:
         raise DimensionMismatch("cone dimension mismatch")
 
     for selection in itertools.product(*(range(p.ncomponents) for p in parts)):
@@ -718,22 +566,8 @@ def zero_in_sum(parts: list[PolytopeSet], cone: PolyCone | None = None,
             ids = lp.add_vars(comp.nverts)
             groups.append((ids, comp.vertices))
             lp.add_eq({i: 1 for i in ids}, 1)
-        cids = []
-        if cone is not None and not cone.is_zero:
-            cids = [lp.add_var(free=bool(cone.lineality[i]))
-                    for i in range(cone.generators.shape[0])]
-        for j in range(d):
-            row = {}
-            for ids, V in groups:
-                for i, vid in enumerate(ids):
-                    if V[i, j] != 0.0:
-                        row[vid] = row.get(vid, 0.0) + V[i, j]
-            for i, cid in enumerate(cids):
-                g = cone.generators[i, j]
-                if g != 0.0:
-                    row[cid] = row.get(cid, 0.0) + g
-            lp.add_eq(row, 0)
-        res = lp.solve(engine)
+        cids = _add_stationarity_rows(lp, groups, cone)
+        res = lp.solve()
         if res.feasible:
             weights = [res.values[np.asarray(ids)] for ids, _ in groups]
             ccoef = res.values[np.asarray(cids)] if cids else np.zeros(0)
@@ -745,6 +579,24 @@ def zero_in_sum(parts: list[PolytopeSet], cone: PolyCone | None = None,
             return ZeroInSumResult(True, selection, weights, ccoef,
                                    float(np.linalg.norm(total)))
     return ZeroInSumResult(False)
+
+
+def _add_stationarity_rows(lp: LPBuilder, groups,
+                           cone: PolyCone) -> list[int]:
+    """Add to lp the rows sum_groups V^T w + sum_k c_k g_k = 0, one per
+    coordinate, for the (ids, V) groups of vertex weights w and new
+    coefficients c of the cone's generators g_k (free for lineality
+    generators); return the ids of c, created just before the rows."""
+    cids = [lp.add_var(free=bool(free)) for free in cone.lineality]
+    groups = [*groups, (cids, cone.generators)]
+    for a in range(cone.dim):
+        row = {}
+        for ids, V in groups:
+            for vid, coef in zip(ids, V[:, a].tolist()):
+                if coef != 0.0:
+                    row[vid] = coef
+        lp.add_eq(row, 0)
+    return cids
 
 
 def point_in_cone_residual(p, cone: PolyCone) -> float:

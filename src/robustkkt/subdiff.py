@@ -34,8 +34,8 @@ from .funcdsl import (
     is_affine,
     scenario_fn,
 )
-from .robustfeas import ProblemSpec, active_uncertainty
-from .setcalc import Polytope, PolytopeSet, hull, minkowski_sum, scale
+from .robustfeas import ProblemSpec
+from .setcalc import Polytope, PolytopeSet, hull, minkowski_sum
 
 DEFAULT_KINK_TOL = 1e-9
 
@@ -321,12 +321,6 @@ def sup_rule(g: Expr, x, V, tol: float = 1e-6, mode: str = "hull",
                          "exact" if exact else "outer-estimate", rules)
 
 
-@dataclass(frozen=True)
-class ScalarizedResult:
-    direct: SubdiffResult        # subdifferential of sum_j y_j f_j built as one tree
-    combination: SubdiffResult   # Minkowski sum of y_j-scaled per-objective sets
-
-
 def direct_subdiff(ystar, fs, x, mode: str = "limiting",
                    kink_tol: float = DEFAULT_KINK_TOL) -> SubdiffResult:
     """Subdifferential of <y*, f> at x, with sum_j y_j f_j differentiated
@@ -342,29 +336,6 @@ def direct_subdiff(ystar, fs, x, mode: str = "limiting",
     tree = add(*(mul(const(Fraction(float(y))), f)
                  for y, f in zip(ystar, fs)))
     return limiting_subdiff(tree, xs, None, mode, kink_tol)
-
-
-def scalarized_subdiff(ystar, fs, x, mode: str = "limiting",
-                       kink_tol: float = DEFAULT_KINK_TOL) -> ScalarizedResult:
-    """Both scalarization strategies for <y*, f> at x.
-
-    The direct strategy (direct_subdiff) is the tighter set; the
-    combination strategy scales each per-objective set by its weight
-    pointwise and Minkowski-sums, matching the certificate arithmetic of
-    the worked problems.
-    """
-    direct = direct_subdiff(ystar, fs, x, mode, kink_tol)
-    xs = np.asarray(x, dtype=float).reshape(-1)
-    combo = PolytopeSet.singleton(np.zeros(xs.shape[0]))
-    rules: list[str] = ["combination"]
-    for y, f in zip(np.asarray(ystar, dtype=float).reshape(-1), fs):
-        part = limiting_subdiff(f, xs, None, mode, kink_tol)
-        combo = minkowski_sum(combo, scale(part.set, float(y)))
-        rules.extend(part.rules)
-    if mode == "hull":
-        combo = PolytopeSet([hull(combo)])
-    combination = SubdiffResult(combo, mode, "outer-estimate", tuple(rules))
-    return ScalarizedResult(direct, combination)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +369,3 @@ def constraint_set(spec: ProblemSpec, i: int, x, mode: str = "hull",
     V = con.scenarios if con.scenarios is not None else (con.lo, con.hi)
     res = sup_rule(con.expr, x, V, tol, mode, spec.kink_tol, spec.vgrid)
     return res.set, "engine"
-
-
-def constraint_scenario_sets(spec: ProblemSpec, i: int, x,
-                             tol: float = 1e-6) -> list[tuple[float, PolytopeSet]]:
-    """Per-active-scenario limiting sets of constraint i at x."""
-    con = spec.constraints[i - 1]
-    if not con.has_uncertainty:
-        res = limiting_subdiff(con.expr, x, None, "limiting", spec.kink_tol)
-        return [(0.0, res.set)]
-    out = []
-    for v in active_uncertainty(spec, i, x, tol):
-        res = limiting_subdiff(con.expr, x, v, "limiting", spec.kink_tol)
-        out.append((v, res.set))
-    return out

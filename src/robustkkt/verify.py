@@ -37,32 +37,10 @@ class VerifyError(Exception):
 # Cone membership
 # ---------------------------------------------------------------------------
 
-def cone_membership(yvec, cone: ConeSpec, region: str,
-                    ztol: float = ZERO_TOL) -> bool:
-    """Membership of y in -K \\ {0} or -int K."""
-    y = np.asarray(yvec, dtype=float).reshape(-1)
-    if region == "minus-int-K":
-        if cone.is_orthant:
-            s = np.asarray(cone.pattern, dtype=float)
-            return bool(np.all(s * y < -ztol))
-        raise VerifyError("interior test needs a sign-orthant cone")
-    if region != "minus-K-minus-0":
-        raise VerifyError(f"unknown region {region!r}")
-    yz = np.where(np.abs(y) <= ztol, 0.0, y)
-    if not np.any(yz != 0.0):
-        return False
-    if cone.is_orthant:
-        s = np.asarray(cone.pattern, dtype=float)
-        return bool(np.all(s * yz <= 0.0))
-    return cone.contains(-y, tol=ztol)
-
-
 def _membership_mask(D: np.ndarray, cone: ConeSpec, region: str,
                      ztol: float = ZERO_TOL) -> np.ndarray:
-    """Vectorized orthant membership over columns of D (shape (p, N))."""
-    if not cone.is_orthant:
-        return np.array([cone_membership(D[:, t], cone, region)
-                         for t in range(D.shape[1])], dtype=bool)
+    """Membership of the columns of D (shape (p, N)) in -int K (region
+    "minus-int-K") or in -K \\ {0} (region "minus-K-minus-0")."""
     s = np.asarray(cone.pattern, dtype=float)[:, None]
     if region == "minus-int-K":
         return np.all(s * D < -ztol, axis=0)
@@ -149,9 +127,6 @@ class DualTriple:
     z: np.ndarray
     ystar: np.ndarray
     mu: np.ndarray
-
-    def objective_value(self, spec: ProblemSpec) -> np.ndarray:
-        return spec.fvec(self.z)
 
     def to_jsonable(self) -> dict:
         return {"z": self.z.tolist(), "ystar": self.ystar.tolist(),

@@ -7,7 +7,6 @@ from robustkkt.certify import (
     check_cq,
     check_kkt,
     fuzzy_kkt_demo,
-    multiplier_only_feasible,
     pseudoconvex_test,
     search_kkt,
     ystar_grid,
@@ -112,17 +111,6 @@ class TestSearchKKT:
                                                     origin):
         for spec in (spec32, spec35):
             assert check_cq(spec, origin).holds
-            assert not multiplier_only_feasible(spec, origin)
-
-    def test_heuristic_fallback_generator_cone(self):
-        cone = ConeSpec(cone=__import__("robustkkt.setcalc",
-                                        fromlist=["PolyCone"]).PolyCone(
-            1, [[1.0]]))
-        spec = _toy(cone=cone, theta=(0.0,),
-                    constraints=[("g1", "-x1 + v - v", (-1.0, 1.0))])
-        rep = search_kkt(spec, np.zeros(1))
-        assert rep.heuristic and rep.found
-        assert rep.recheck.valid
 
     def test_infeasible_point_rejected(self, spec32):
         with pytest.raises(CertifyError):
@@ -197,7 +185,7 @@ class TestPseudoConvex:
         assert np.all(ys * s >= 0)
 
 
-def _toy(objective="x1", constraints=(), cone=None, theta=(0.0,)):
+def _toy(objective="x1", constraints=(), theta=(0.0,)):
     cons = []
     for name, text, dom in constraints:
         expr = parse_expr(text, 1)
@@ -210,7 +198,7 @@ def _toy(objective="x1", constraints=(), cone=None, theta=(0.0,)):
         objective_names=("f1",),
         objectives=(parse_expr(objective, 1),),
         constraints=tuple(cons),
-        cone=cone if cone is not None else ConeSpec(pattern=(1,)),
+        cone=ConeSpec(pattern=(1,)),
         omega=OmegaSpec.whole(1),
         theta=np.asarray(theta, dtype=float),
     )

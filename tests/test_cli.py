@@ -264,6 +264,50 @@ class TestCommands:
         assert code == 3
         assert doc["error"] == "--ystar has 2 entries, the problem needs 3"
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("x", [0, 1, 0], "witness field x has 3 entries, the problem needs 2"),
+        ("ystar", [0, 1],
+         "witness field ystar has 2 entries, the problem needs 3"),
+        ("u", [["0", "-2/5"], ["0", "0"]],
+         "witness field u has 2 entries, the problem needs 3"),
+        ("u", [["0", "-2/5", "0"], ["0", "0"], ["0", "1/2"]],
+         "witness field u[0] has 3 entries, the problem needs 2"),
+    ], ids=["x", "ystar", "u-rows", "u-row-length"])
+    def test_witness_fields_checked(self, capsys, tmp_path, fixtures_dir,
+                                    field, value, error):
+        doc = json.loads((fixtures_dir / "example_2_2_witness.json")
+                         .read_text())
+        doc[field] = value
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, [
+            "pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+            "--type", "II", "--witness", str(path)])
+        assert code == 3
+        assert out["error"] == error
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("u", [["-2", "1", "0"], ["0", "-3"], ["0", "-1"]],
+         "certificate field u[0] has 3 entries, the problem needs 2"),
+        ("u", [["-2", "1"], ["0", "-3"]],
+         "certificate field u has 2 entries, the problem needs 3"),
+        ("v", [["sqrt(2)", "0"], ["0"]],
+         "certificate field v[1] has 1 entries, the problem needs 2"),
+        ("ystar", ["0", "1"],
+         "certificate field ystar has 2 entries, the problem needs 3"),
+    ], ids=["u-row-length", "u-rows", "v-row-length", "ystar"])
+    def test_certificate_fields_checked(self, capsys, tmp_path, fixtures_dir,
+                                        field, value, error):
+        doc = json.loads((fixtures_dir / "example_3_2.cert.json").read_text())
+        doc[field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, [
+            "kkt", "check", "--problem", "example_3_2", "--at", "0,0",
+            "--cert", str(path), "--fixtures"])
+        assert code == 3
+        assert out["error"] == error
+
     def test_timings_flag_adds_field(self, capsys):
         _, doc = run_json(capsys, ["--timings", "feasible",
                                    "--problem", "example_3_2", "--at", "0,0"])

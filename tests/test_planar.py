@@ -14,7 +14,7 @@ from genexpr import random_convex_expr, random_point, random_supported_expr
 from robustkkt import certify, lp, setcalc
 from robustkkt.cli import run_command
 from robustkkt.setcalc import PolyCone, Polytope, PolytopeSet, minkowski_sum
-from robustkkt.subdiff import direct_subdiff, limiting_subdiff, scalarized_subdiff
+from robustkkt.subdiff import limiting_subdiff
 from sweep_oracle import component_witness_margin
 
 
@@ -263,14 +263,3 @@ def test_bundled_sweeps_solve_no_lp(monkeypatch, argv):
         assert run_command(argv) == 0
     assert calls == []
 
-
-def test_direct_subdiff_is_scalarized_direct(spec22, spec32, origin):
-    for spec in (spec22, spec32):
-        for y in ([0.2, 0.3, 0.5], [0.0, 1.0, 0.0]):
-            y = np.asarray(y) * np.asarray(spec.cone.pattern)
-            a = direct_subdiff(y, spec.objectives, origin)
-            b = scalarized_subdiff(y, spec.objectives, origin).direct
-            assert (a.mode, a.exactness, a.rules) == \
-                (b.mode, b.exactness, b.rules)
-            assert [c.vertices.tolist() for c in a.set.components] == \
-                [c.vertices.tolist() for c in b.set.components]

@@ -1,0 +1,108 @@
+"""Reachability guard: every function defined in ``src/robustkkt`` runs
+during the README command set, or is listed in ``KEPT`` with the reason it
+stays.
+
+The commands of ``tests/test_golden.py`` run in-process under
+``sys.setprofile``; a function counts as reached when one of its frames is
+entered. Functions are found by compiling each module and walking its
+code objects, so methods and nested functions count, while lambdas,
+comprehensions and dataclass-generated methods (compiled from strings) do
+not. Code that no command reaches is deleted or named here; an entry whose
+function is gone or is now reached fails the test too, so the list stays
+exact.
+"""
+
+from __future__ import annotations
+
+import inspect
+import sys
+from pathlib import Path
+from types import CodeType
+
+import robustkkt
+from test_golden import COMMANDS, report
+
+SRC = Path(robustkkt.__file__).resolve().parent
+
+KEPT = {
+    "certify._lp_witness_margin":
+        "witness margins for d != 2; no bundled problem has d >= 3",
+    "cli.LoadError.__init__":
+        "raised only on refused input; tests/test_cli.py covers the refusals",
+    "cli.main": "console-script entry point; the commands call run_command",
+    "funcdsl.KinkDescriptor.__str__":
+        "printed form of the public active_kinks result",
+    "funcdsl.ParseError.__init__":
+        "raised only on a malformed expression",
+    "funcdsl._collect_kinks": "body of active_kinks",
+    "funcdsl.active_kinks": "public helper the acceptance tests use",
+    "funcdsl.smooth_gradient": "public helper the acceptance tests use",
+    "lp.LPBuilder._solve_float":
+        "LPs over 160 columns or 80 rows: d >= 3 witness margins, "
+        "memberships in polygons of more than 155 vertices",
+    "robustfeas.ProblemSpec.constraint":
+        "subdiff --target naming a constraint",
+    "setcalc.OmegaSpec.box":
+        "a box ground set; no bundled problem has one",
+    "setcalc.OmegaSpec.halfspaces":
+        "a halfspace ground set; no bundled problem has one",
+    "setcalc.PolyCone.__repr__": "debugging representation",
+    "setcalc.Polytope.__repr__": "debugging representation",
+    "setcalc.PolytopeSet.__repr__": "debugging representation",
+    "setcalc._lp_extreme_points": "hull reduction for d != 2",
+    "setcalc._membership_residual":
+        "membership for d != 2 or in polygons of more than 155 vertices",
+    "setcalc._planar_keep_mask":
+        "planar reduction of three or more points, such as the sum rule "
+        "where abs(x1) + abs(x2) kinks; the bundled problems reduce at "
+        "most two",
+    "setcalc.polytope_equal": "comparison the acceptance tests use",
+}
+
+
+def _key(code: CodeType) -> tuple[str, int, str]:
+    return str(Path(code.co_filename).resolve()), code.co_firstlineno, \
+        code.co_name
+
+
+def defined_functions() -> dict[tuple[str, int, str], str]:
+    """Dotted name (module.Class.function) of every function in the
+    package, keyed like the frames the profiler sees."""
+    found = {}
+
+    def walk(code: CodeType, prefix: str) -> None:
+        for const in code.co_consts:
+            if not isinstance(const, CodeType):
+                continue
+            anonymous = const.co_name.startswith("<")
+            name = prefix if anonymous else f"{prefix}.{const.co_name}"
+            # class bodies are walked for their methods but are no function
+            if not anonymous and const.co_flags & inspect.CO_OPTIMIZED:
+                found[_key(const)] = name
+            walk(const, name)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), path.stem)
+    return found
+
+
+def test_every_function_reached_or_kept(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    entered: set[CodeType] = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in COMMANDS.values():
+            report(argv)
+    finally:
+        sys.setprofile(previous)
+    reached = {_key(code) for code in entered}
+    unreached = {name for key, name in defined_functions().items()
+                 if key not in reached}
+    assert sorted(unreached - set(KEPT)) == [], "reached by no command"
+    assert sorted(set(KEPT) - unreached) == [], "kept but reached or gone"

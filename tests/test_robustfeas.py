@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robustkkt import robustfeas
 from robustkkt.funcdsl import parse_expr
 from robustkkt.robustfeas import (
     ProblemError,
@@ -9,6 +10,7 @@ from robustkkt.robustfeas import (
     UncertainConstraint,
     active_uncertainty,
     compute_active_sets,
+    envelope_grid,
     feasibility_mask,
     is_feasible,
     phi,
@@ -147,6 +149,27 @@ class TestRaster:
         spec = _toy_spec([], dim=3)
         with pytest.raises(ProblemError):
             raster(spec, (-1, 1, -1, 1), 5)
+
+    def test_two_threads_bit_equal(self, spec32, monkeypatch):
+        # the README raster grid of example 3.2
+        G1, G2 = np.meshgrid(np.linspace(-5, 1, 401), np.linspace(-5, 5, 401),
+                             indexing="ij")
+        X = np.vstack([G1.ravel(), G2.ravel()])
+        monkeypatch.delenv("ROBUSTKKT_THREADS", raising=False)
+        one = [envelope_grid(spec32, con, X) for con in spec32.constraints]
+        pools = []
+
+        class CountingPool(robustfeas.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(robustfeas, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setenv("ROBUSTKKT_THREADS", "2")
+        two = [envelope_grid(spec32, con, X) for con in spec32.constraints]
+        assert pools == [2, 2]
+        for a, b in zip(one, two):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestPsi:

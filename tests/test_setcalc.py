@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from robustkkt.setcalc import (
     PolytopeSet,
     SetCalcError,
     dual_ball,
-    dual_cone,
     hull,
     minkowski_sum,
     normal_cone,
@@ -22,6 +20,7 @@ from robustkkt.setcalc import (
     scale,
     zero_in_sum,
 )
+from robustkkt.verify import _membership_mask
 
 
 def seg(a, b):
@@ -209,12 +208,6 @@ class TestDualBall:
             vs = {tuple(v) for v in b.vertices}
             assert all((-x, -y) in vs for x, y in vs)
 
-    def test_outer_mode_circumscribes(self):
-        inner = dual_ball("l2", 2, 16)
-        outer = dual_ball("l2", 2, 16, mode="outer")
-        assert np.allclose(np.linalg.norm(outer.vertices, axis=1),
-                           1 / math.cos(math.pi / 16))
-
     def test_l1_primal_gives_box(self):
         b = dual_ball("l1", 3)
         assert b.nverts == 8
@@ -262,40 +255,19 @@ class TestDualCone:
         assert k.dual().pattern == (-1, 1, 1)
         assert ConeSpec(pattern=(1, 1, 1)).dual().pattern == (1, 1, 1)
 
-    def test_zero_cone_dual_is_whole_space(self):
-        d = dual_cone(PolyCone.zero(2))
-        for p in ([1.3, -2], [-5, 0.1]):
-            assert d.contains(p)
-
     def test_involution_for_orthants(self):
         for pattern in itertools.product((-1, 1), repeat=3):
             k = ConeSpec(pattern=pattern)
             assert k.dual().dual().pattern == k.pattern
-
-    def test_wedge_2d(self):
-        c = PolyCone(2, [[1.0, 0.0], [0.0, 1.0]])
-        d = dual_cone(c)
-        assert d.contains([1, 1]) and d.contains([1, 0])
-        assert not d.contains([-1, 0.5])
-
-    def test_halfspace_3d(self):
-        c = PolyCone(3, [[0.0, 0.0, 1.0]])
-        d = dual_cone(c)
-        assert d.contains([1, -2, 0.0]) and d.contains([0, 0, 5])
-        assert not d.contains([0, 0, -1])
-
-    def test_pointedness(self):
-        assert ConeSpec(pattern=(1, -1)).is_pointed()
-        line = ConeSpec(cone=PolyCone(2, [[1, 0], [-1, 0]]))
-        assert not line.is_pointed()
 
 
 class TestConeSpec:
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_interior_implies_membership(self, y):
+        # -y in -int K, the weak-efficiency relation, puts y in K
         k = ConeSpec(pattern=(-1, 1, 1))
-        if k.contains_interior(y):
+        if _membership_mask(-np.array([y]).T, k, "minus-int-K")[0]:
             assert k.contains(y)
 
     def test_theta_membership(self):

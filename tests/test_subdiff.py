@@ -9,7 +9,7 @@ from robustkkt.funcdsl import (
     smooth_gradient,
 )
 from robustkkt.setcalc import Polytope, hull, polytope_equal
-from robustkkt.subdiff import limiting_subdiff, scalarized_subdiff, sup_rule
+from robustkkt.subdiff import direct_subdiff, limiting_subdiff, sup_rule
 
 from genexpr import (
     one_sided_derivative,
@@ -140,30 +140,14 @@ class TestSupRule:
 
 
 class TestScalarized:
-    def test_combination_contains_certificate_point(self, spec32, origin):
-        y = np.array([2 ** 0.5 / 4, 0.0, 2 ** 0.5 / 4])
-        sc = scalarized_subdiff(y, spec32.objectives, origin, mode="hull")
-        inside, _ = sc.combination.set.contains([-2 ** 0.5 / 2, 0.0])
-        assert inside
-
     def test_zero_weights_give_origin(self, spec32, origin):
-        sc = scalarized_subdiff(np.zeros(3), spec32.objectives, origin)
-        assert np.allclose(sc.combination.set.all_vertices(), 0.0)
-        assert np.allclose(sc.direct.set.all_vertices(), 0.0)
+        sc = direct_subdiff(np.zeros(3), spec32.objectives, origin)
+        assert np.allclose(sc.set.all_vertices(), 0.0)
 
     def test_unit_vector_selects_objective(self, spec32, origin):
-        sc = scalarized_subdiff([1.0, 0.0, 0.0], spec32.objectives, origin)
-        direct = limiting_subdiff(spec32.objectives[0], origin)
-        assert polytope_equal(hull(sc.combination.set), hull(direct.set))
-
-    def test_direct_subset_of_combination(self, spec22, origin):
-        rng = np.random.default_rng(21)
-        for _ in range(60):
-            y = rng.uniform(-1, 1, size=3) * np.array([-1, 1, 1])
-            sc = scalarized_subdiff(y, spec22.objectives, origin)
-            for vert in sc.direct.set.all_vertices():
-                inside, res = sc.combination.set.contains(vert, tol=1e-8)
-                assert inside, f"y={y}, vert={vert}, res={res}"
+        sc = direct_subdiff([1.0, 0.0, 0.0], spec32.objectives, origin)
+        single = limiting_subdiff(spec32.objectives[0], origin)
+        assert polytope_equal(hull(sc.set), hull(single.set))
 
 
 class TestOracles:

@@ -9,8 +9,8 @@ from robustkkt.setcalc import ConeSpec, OmegaSpec
 from robustkkt.verify import (
     DualTriple,
     VerifyError,
+    _membership_mask,
     classify_point,
-    cone_membership,
     converse_duality_check,
     dual_feasible,
     generate_feasible_samples,
@@ -22,28 +22,34 @@ K_MIXED = ConeSpec(pattern=(-1, 1, 1))
 K_POS3 = ConeSpec(pattern=(1, 1, 1))
 
 
+def member(y, cone, region):
+    """_membership_mask on the one column y."""
+    return bool(_membership_mask(np.array([y], dtype=float).T, cone,
+                                 region)[0])
+
+
 class TestConeMembership:
     def test_sign_blocked(self):
         # -K for pattern (<=0, >=0, >=0) is {y1 >= 0, y2 <= 0, y3 <= 0}
-        assert not cone_membership([0, 1, 0], K_MIXED, "minus-K-minus-0")
+        assert not member([0, 1, 0], K_MIXED, "minus-K-minus-0")
 
     def test_zero_excluded_everywhere(self):
         for region in ("minus-K-minus-0", "minus-int-K"):
-            assert not cone_membership([0.0, 0.0, 0.0], K_POS3, region)
+            assert not member([0.0, 0.0, 0.0], K_POS3, region)
 
     def test_strict_negativity_interior(self):
-        assert cone_membership([-1, -1, -1], K_POS3, "minus-int-K")
-        assert not cone_membership([-1, 0, -1], K_POS3, "minus-int-K")
+        assert member([-1, -1, -1], K_POS3, "minus-int-K")
+        assert not member([-1, 0, -1], K_POS3, "minus-int-K")
 
     def test_boundary_in_minus_K(self):
-        assert cone_membership([0, -1, 0], K_POS3, "minus-K-minus-0")
+        assert member([0, -1, 0], K_POS3, "minus-K-minus-0")
 
     @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=3,
                     max_size=3))
     @settings(max_examples=300, deadline=None)
     def test_interior_implies_punctured(self, y):
-        if cone_membership(y, K_POS3, "minus-int-K"):
-            assert cone_membership(y, K_POS3, "minus-K-minus-0")
+        if member(y, K_POS3, "minus-int-K"):
+            assert member(y, K_POS3, "minus-K-minus-0")
 
     def test_theta_scaling_preserves_non_membership(self):
         # adding ||x - xbar|| theta with theta in K moves away from -int K
@@ -52,10 +58,9 @@ class TestConeMembership:
             delta = rng.uniform(-2, 2, size=3)
             theta = np.abs(rng.uniform(0, 1, size=3))
             nrm = rng.uniform(0, 2)
-            if not cone_membership(delta + nrm * theta, K_POS3,
-                                   "minus-int-K"):
-                assert not cone_membership(delta + 2 * nrm * theta, K_POS3,
-                                           "minus-int-K")
+            if not member(delta + nrm * theta, K_POS3, "minus-int-K"):
+                assert not member(delta + 2 * nrm * theta, K_POS3,
+                                  "minus-int-K")
 
 
 class TestClassify:
