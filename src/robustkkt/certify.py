@@ -22,10 +22,8 @@ from .robustfeas import (
     Psi,
     active_uncertainty,
     compute_active_sets,
-    is_feasible,
     phi,
     phi_i,
-    zero_active_indices,
 )
 from .setcalc import (
     PolyCone,
@@ -81,13 +79,22 @@ class CQReport:
     provenance: dict[str, str]
 
 
+def _feasible_active_sets(spec: ProblemSpec, xbar, scen_tol: float,
+                          refusal: str):
+    """compute_active_sets at xbar, refused unless xbar is robust-feasible."""
+    acts = spec.omega.contains(xbar) and compute_active_sets(spec, xbar,
+                                                             scen_tol)
+    if not (acts and acts.phi <= spec.feas_tol):
+        raise CertifyError(refusal)
+    return acts
+
+
 def check_cq(spec: ProblemSpec, xbar, use_fixtures: bool = False,
              scen_tol: float = 1e-6) -> CQReport:
     """Definition-style CQ: for every envelope-active index, zero must miss
     the sup-rule hull plus the normal cone."""
-    if not is_feasible(spec, xbar):
-        raise CertifyError("CQ is only defined at robust-feasible points")
-    acts = compute_active_sets(spec, xbar, scen_tol)
+    acts = _feasible_active_sets(spec, xbar, scen_tol,
+                                 "CQ is only defined at robust-feasible points")
     N = normal_cone(spec.omega, xbar)
     per = []
     prov: dict[str, str] = {}
@@ -237,10 +244,11 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
     sum(s) >= eps_min pins the scale and forbids y* = 0.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    if not is_feasible(spec, xbar):
-        raise CertifyError("search_kkt requires a robust-feasible point")
+    acts = _feasible_active_sets(spec, xbar, scen_tol,
+                                 "search_kkt requires a robust-feasible point")
     p, n, d = spec.n_objectives, spec.n_constraints, spec.dim
-    actives = zero_active_indices(spec, xbar)
+    actives = [i for i in range(1, n + 1)
+               if acts.phis[i - 1] >= -spec.feas_tol]
     prov: dict[str, str] = {}
 
     obj_sets = []
@@ -255,7 +263,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         prov[spec.constraints[i - 1].name] = origin
         con_sets[i] = S.components[0] if S.ncomponents == 1 else Polytope(
             S.all_vertices(), reduce=True)
-        scen = active_uncertainty(spec, i, xbar, scen_tol)
+        scen = acts.scenarios[i - 1]
         con_scen[i] = scen[0] if scen else 0.0
     ball = dual_ball(spec.norm, d, spec.ball_facets)
     N = normal_cone(spec.omega, xbar)
@@ -320,7 +328,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                                            use_fixtures, scen_tol)
                 prov[spec.constraints[i - 1].name] = origin
                 vsel.append(S.all_vertices()[0].copy())
-                scen = active_uncertainty(spec, i, xbar, scen_tol)
+                scen = acts.scenarios[i - 1]
                 vbar.append(scen[0] if scen else 0.0)
         wb = res.values[np.asarray(ball_ids)]
         radius = float(np.sum(wb))

@@ -4,7 +4,7 @@ Problem files are flat sectioned text: ``[section]`` headers and
 ``key = value`` lines, expressions quoted verbatim.  Reports are JSON on
 stdout and byte-deterministic for fixed inputs (timings only with
 ``--timings``).  Exit codes: 0 affirmative verdict, 1 negative or
-counterexample, 2 inconclusive, 3 usage or data error.
+counterexample, 2 inconclusive, 3 usage or data error, 4 internal fault.
 """
 
 from __future__ import annotations
@@ -345,12 +345,13 @@ def load_witness(path, spec: ProblemSpec) -> dict:
             "u": _rows("witness", "u", doc["u"], p, d)}
 
 
-def load_triple(path) -> DualTriple:
-    doc = json.loads(Path(path).read_text())
+def load_triple(doc: dict, spec: ProblemSpec) -> DualTriple:
+    """A Mond-Weir dual triple from one parsed JSON object, each field
+    checked against the problem's sizes."""
     return DualTriple(
-        z=np.array([parse_scalar(str(t)) for t in doc["z"]]),
-        ystar=np.array([parse_scalar(str(t)) for t in doc["ystar"]]),
-        mu=np.array([parse_scalar(str(t)) for t in doc["mu"]]),
+        z=_vec("triple", "z", doc["z"], spec.dim),
+        ystar=_vec("triple", "ystar", doc["ystar"], spec.n_objectives),
+        mu=_vec("triple", "mu", doc["mu"], spec.n_constraints),
     )
 
 
@@ -505,6 +506,13 @@ def _merge_negative_values(argv):
     return out
 
 
+# Refused input: exit 3.  Any other exception is an internal fault: exit 4,
+# never the negative verdict's 1.
+DATA_ERRORS = (LoadError, ProblemError, ExprError, SetCalcError,
+               certify.CertifyError, verify.VerifyError, OSError,
+               json.JSONDecodeError, ValueError)
+
+
 def run_command(argv) -> int:
     ap = build_parser()
     try:
@@ -514,17 +522,15 @@ def run_command(argv) -> int:
     t0 = time.monotonic()
     try:
         code, verdict, details, config = _dispatch(args)
-    except (LoadError, ProblemError, ExprError, SetCalcError,
-            certify.CertifyError, verify.VerifyError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+        timings = time.monotonic() - t0 if args.timings else None
+        path = resolve_problem_path(args.problem)
+        emit_report(args.command, path, _hash_file(path), config, verdict,
+                    details, timings)
+        return code
+    except Exception as exc:
         print(json.dumps({"report_version": REPORT_VERSION,
                           "error": str(exc)}, indent=2, sort_keys=True))
-        return 3
-    timings = time.monotonic() - t0 if args.timings else None
-    path = resolve_problem_path(args.problem)
-    emit_report(args.command, path, _hash_file(path), config, verdict,
-                details, timings)
-    return code
+        return 3 if isinstance(exc, DATA_ERRORS) else 4
 
 
 def _check_option_limits(args) -> None:
@@ -593,18 +599,12 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
                                    spec.kink_tol)
         else:
             con = spec.constraint(name)
-            if con.has_uncertainty:
-                scen = args.scenario
-                if scen is not None:
-                    res = limiting_subdiff(con.expr, x, parse_scalar(scen),
-                                           smode, spec.kink_tol)
-                else:
-                    V = con.scenarios if con.scenarios is not None \
-                        else (con.lo, con.hi)
-                    res = sup_rule(con.expr, x, V, mode=smode,
-                                   kink_tol=spec.kink_tol, vgrid=spec.vgrid)
+            if con.has_uncertainty and args.scenario is not None:
+                res = limiting_subdiff(con.expr, x, parse_scalar(args.scenario),
+                                       smode, spec.kink_tol)
             else:
-                res = limiting_subdiff(con.expr, x, None, smode, spec.kink_tol)
+                res = sup_rule(con, x, mode=smode, kink_tol=spec.kink_tol,
+                               vgrid=spec.vgrid)
         details = {"target": name, "set": res.set, "exactness": res.exactness,
                    "rules": list(res.rules), "provenance": "engine"}
         return 0, "SET-COMPUTED", details, config
@@ -693,10 +693,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
             region = parse_vector(args.region)
             if args.triples:
                 docs = json.loads(Path(args.triples).read_text())
-                triples = [DualTriple(np.array(d["z"], dtype=float),
-                                      np.array(d["ystar"], dtype=float),
-                                      np.array(d["mu"], dtype=float))
-                           for d in docs]
+                triples = [load_triple(doc, spec) for doc in docs]
             else:
                 if x is None:
                     raise LoadError("duality weak needs --triples or --at")
@@ -712,7 +709,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
                 ("NO-VIOLATION" if ok else "VIOLATION"), details, config
         if not args.triple or not args.region:
             raise LoadError("duality converse requires --triple and --region")
-        triple = load_triple(args.triple)
+        triple = load_triple(json.loads(Path(args.triple).read_text()), spec)
         region = parse_vector(args.region)
         rep = converse_duality_check(spec, triple, args.kind, region, args.res)
         details = {"kind": rep.kind, "efficiency": vars(rep.efficiency)}

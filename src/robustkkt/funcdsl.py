@@ -10,6 +10,7 @@ transcendentals are admitted.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -646,94 +647,169 @@ def _eval_grid(e: Expr, X: np.ndarray, v):
 
 
 # ---------------------------------------------------------------------------
-# Classical gradient at smooth points
+# Selection-aware walk at a point: value, gradient and active atoms
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _Atom:
+    """An abs node at its kink or a max node at a tie, with the gradients
+    of its argument (or of its tied branches) at the point.  fault is the
+    first DomainError those gradients met; it counts only where a nonzero
+    coefficient needs them."""
+    key: str
+    kind: str                  # "abs" | "max"
+    node: Expr
+    tied: tuple[int, ...]
+    ctx_linear: bool           # constant coefficient context
+    x_relevant: bool
+    grads: list[np.ndarray]
+    fault: DomainError | None
+
+
+class _PointWalk:
+    """One walk of a tree at (x, v) that selects each abs/max branch once.
+
+    ``node`` returns the value, the x-gradient, the coefficient of each
+    active atom below (keyed by format_expr) and whether one of those atoms
+    is x-relevant; the atoms outside other atoms are recorded in ``atoms``.
+    An x-relevant kink nested in an active atom, or a product of two factors
+    nonsmooth in x, raises UnsupportedStructureError at once.  A gradient
+    domain fault (1/0, sqrt of a nonpositive value) is recorded in
+    ``faults`` and the walk goes on with NaN, so those refusals come first
+    and the faults inside an atom count only for a nonzero coefficient.
+    With ``strict`` (smooth_gradient) every selected kink and every fault
+    raises at once, in walk order.
+
+    The reciprocal and square-root rules divide, as -g/u^2 and g/(2*sqrt(u)),
+    in atom arguments and under ``strict``; elsewhere they multiply by the
+    slope.  The two round differently, and each stays where it was used.
+    """
+
+    def __init__(self, xl: list[float], v, tol: float, strict: bool):
+        self.xl, self.v, self.tol, self.d = xl, v, tol, len(xl)
+        self.strict = self.quotient = strict
+        self.atoms: dict[str, _Atom] = {}
+        self.faults: list[DomainError] = []
+
+    def fault(self, message: str) -> float:
+        if self.strict:
+            raise DomainError(message)
+        self.faults.append(DomainError(message))
+        return math.nan
+
+    def atom(self, e: Expr, kind: str, tied: tuple[int, ...],
+             branches: tuple[Expr, ...], ctx_linear: bool):
+        """Record the active atom e; its coefficient map and x-relevance."""
+        key = format_expr(e)
+        if self.strict:
+            raise NonsmoothPointError(
+                f"{key} active" if kind == "abs" else f"max tie in {key}")
+        outer = self.atoms, self.faults, self.quotient
+        self.atoms, self.faults, self.quotient = {}, [], True
+        grads = []
+        for b in branches:
+            _, g, _, nested = self.node(b, False)
+            if nested:
+                raise UnsupportedStructureError(
+                    f"active kink nested inside {key}")
+            grads.append(g)
+        fault = self.faults[0] if self.faults else None
+        self.atoms, self.faults, self.quotient = outer
+        xrel = any(contains_coord(b) for b in branches)
+        atom = self.atoms.setdefault(key, _Atom(key, kind, e, tied, ctx_linear,
+                                                xrel, grads, fault))
+        atom.ctx_linear = atom.ctx_linear and ctx_linear
+        return {key: 1.0}, atom.x_relevant
+
+    def node(self, e: Expr, ctx_linear: bool):
+        k = e.kind
+        zero = np.zeros(self.d)
+        if k == "const":
+            return float(e.value), zero, {}, False
+        if k == "coord":
+            zero[e.index - 1] = 1.0
+            return self.xl[e.index - 1], zero, {}, False
+        if k == "uvar":
+            return float(self.v), zero, {}, False
+        if k == "abs":
+            arg = e.children[0]
+            av = arg.scalar_fn(self.xl, self.v)
+            if abs(av) <= self.tol:
+                return abs(av), zero, *self.atom(e, "abs", (), (arg,),
+                                                 ctx_linear)
+            val, g, kap, rough = self.node(arg, False)
+            s = 1.0 if val > 0 else -1.0
+            return abs(val), s * g, {q: s * c for q, c in kap.items()}, rough
+        if k == "max":
+            vals = [c.scalar_fn(self.xl, self.v) for c in e.children]
+            top = max(vals)
+            tied = tuple(i for i, cv in enumerate(vals) if top - cv <= self.tol)
+            if len(tied) > 1:
+                branches = tuple(e.children[i] for i in tied)
+                return top, zero, *self.atom(e, "max", tied, branches,
+                                             ctx_linear)
+            return self.node(e.children[tied[0]], False)
+        if k == "sum":
+            total, g, kap, rough = 0.0, zero, {}, False
+            for c in e.children:
+                cv, cg, ck, cr = self.node(c, ctx_linear)
+                total += cv
+                g = g + cg
+                for q, a in ck.items():
+                    kap[q] = kap.get(q, 0.0) + a
+                rough = rough or cr
+            return total, g, kap, rough
+        if k == "prod":
+            parts = [self.node(c, ctx_linear and all(
+                not contains_coord(o) for o in e.children if o is not c))
+                for c in e.children]
+            if sum(p[3] for p in parts) > 1:
+                raise UnsupportedStructureError(
+                    "product of two factors nonsmooth in x at this point: "
+                    + format_expr(e))
+            total = 1.0
+            for p in parts:
+                total *= p[0]
+            g, kap = zero, {}
+            for j, (_, cg, ck, _) in enumerate(parts):
+                rest = 1.0
+                for i, p in enumerate(parts):
+                    if i != j:
+                        rest *= p[0]
+                g = g + rest * cg
+                for q, a in ck.items():
+                    kap[q] = kap.get(q, 0.0) + rest * a
+            return total, g, kap, any(p[3] for p in parts)
+        if k not in ("pow", "recip", "sqrt"):
+            raise ValueError(f"unknown node kind {k}")
+        cv, cg, ck, rough = self.node(e.children[0], False)
+        if k == "pow":
+            n = e.exponent
+            slope = n * cv ** (n - 1)
+            val = cv ** n
+        elif k == "recip":
+            if cv == 0.0:
+                cv = self.fault(f"division by zero in 1/({e.children[0]})")
+            val = 1.0 / cv
+            if self.quotient:
+                return val, -cg / (cv * cv), {}, rough
+            slope = -1.0 / (cv * cv)
+        else:
+            if cv <= 0.0:
+                cv = self.fault(
+                    f"sqrt argument not positive in sqrt({e.children[0]})")
+            val = cv ** 0.5
+            if self.quotient:
+                return val, cg / (2.0 * val), {}, rough
+            slope = 0.5 / val
+        return val, slope * cg, {q: slope * a for q, a in ck.items()}, rough
+
 
 def smooth_gradient(e: Expr, x, v: float | None = None,
                     kink_tol: float = 1e-9) -> np.ndarray:
     """Gradient with respect to x; errors when any nonsmooth atom is active."""
     _check_scenario(e, v)
-    _, g = _grad(e, _floats(x), v, kink_tol, x_only=False)
-    return g
-
-
-def gradient_x(e: Expr, xs: np.ndarray, v, kink_tol: float,
-               x_only: bool = True) -> np.ndarray:
-    """Internal variant: with x_only, kinks in x-free subtrees do not error."""
-    _, g = _grad(e, _floats(xs), v, kink_tol, x_only)
-    return g
-
-
-def _grad(e: Expr, xl: list[float], v, tol: float, x_only: bool):
-    d = len(xl)
-    k = e.kind
-    if k == "const":
-        return float(e.value), np.zeros(d)
-    if k == "coord":
-        g = np.zeros(d)
-        g[e.index - 1] = 1.0
-        return xl[e.index - 1], g
-    if k == "uvar":
-        return float(v), np.zeros(d)
-    if k == "sum":
-        val, g = 0.0, np.zeros(d)
-        for c in e.children:
-            cv, cg = _grad(c, xl, v, tol, x_only)
-            val += cv
-            g += cg
-        return val, g
-    if k == "prod":
-        vals, grads = [], []
-        for c in e.children:
-            cv, cg = _grad(c, xl, v, tol, x_only)
-            vals.append(cv)
-            grads.append(cg)
-        total = 1.0
-        for cv in vals:
-            total *= cv
-        g = np.zeros(d)
-        for j in range(len(vals)):
-            rest = 1.0
-            for i, cv in enumerate(vals):
-                if i != j:
-                    rest *= cv
-            g += rest * grads[j]
-        return total, g
-    if k == "pow":
-        cv, cg = _grad(e.children[0], xl, v, tol, x_only)
-        n = e.exponent
-        return cv ** n, n * cv ** (n - 1) * cg
-    if k == "recip":
-        cv, cg = _grad(e.children[0], xl, v, tol, x_only)
-        if cv == 0.0:
-            raise DomainError(f"division by zero in 1/({e.children[0]})")
-        return 1.0 / cv, -cg / (cv * cv)
-    if k == "sqrt":
-        cv, cg = _grad(e.children[0], xl, v, tol, x_only)
-        if cv <= 0.0:
-            raise DomainError(f"sqrt argument not positive in sqrt({e.children[0]})")
-        r = cv ** 0.5
-        return r, cg / (2.0 * r)
-    if k == "abs":
-        arg = e.children[0]
-        cv = arg.scalar_fn(xl, v)
-        if abs(cv) <= tol:
-            if not x_only or contains_coord(arg):
-                raise NonsmoothPointError(f"abs({arg}) active")
-            return abs(cv), np.zeros(d)
-        _, cg = _grad(arg, xl, v, tol, x_only)
-        return abs(cv), np.copysign(1.0, cv) * cg
-    if k == "max":
-        vals = [c.scalar_fn(xl, v) for c in e.children]
-        top = max(vals)
-        tied = [i for i, cv in enumerate(vals) if top - cv <= tol]
-        if len(tied) > 1:
-            if not x_only or any(contains_coord(e.children[i]) for i in tied):
-                raise NonsmoothPointError(f"max tie in {format_expr(e)}")
-            return top, np.zeros(d)
-        _, cg = _grad(e.children[tied[0]], xl, v, tol, x_only)
-        return top, cg
-    raise ValueError(f"unknown node kind {k}")
+    return _PointWalk(_floats(x), v, kink_tol, strict=True).node(e, True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -283,15 +283,16 @@ def active_uncertainty(spec: ProblemSpec, i: int, x,
         raise ValueError("tol must be positive")
     if not spec.constraints[i - 1].has_uncertainty:
         return [0.0]
-    return _envelope_and_actives(spec, i, x, tol)[1]
+    return _envelope_and_actives(spec.constraints[i - 1], x, tol,
+                                 spec.vgrid)[1]
 
 
-def _envelope_and_actives(spec: ProblemSpec, i: int, x,
-                          tol: float) -> tuple[float, list[float]]:
-    """phi_i(x) and the scenario values attaining it, from one scan."""
+def _envelope_and_actives(con: UncertainConstraint, x, tol: float,
+                          vgrid: int) -> tuple[float, list[float]]:
+    """The envelope of con at x and the scenario values attaining it, from
+    one scan of its declared scenario list or interval."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    con = spec.constraints[i - 1]
     if not con.has_uncertainty:
         return eval_expr(con.expr, x), [0.0]
     fn = scenario_fn(con.expr, x)
@@ -299,7 +300,7 @@ def _envelope_and_actives(spec: ProblemSpec, i: int, x,
         vals = [fn(v) for v in con.scenarios]
         top = max(vals)
         return top, [v for v, fv in zip(con.scenarios, vals) if fv >= top - tol]
-    return active_scenarios_interval(fn, con.lo, con.hi, tol, spec.vgrid)
+    return active_scenarios_interval(fn, con.lo, con.hi, tol, vgrid)
 
 
 def phi(spec: ProblemSpec, x) -> float:
@@ -326,20 +327,13 @@ class ActiveSets:
 
 
 def compute_active_sets(spec: ProblemSpec, x, tol: float = 1e-6) -> ActiveSets:
-    envs = [_envelope_and_actives(spec, i, x, tol)
-            for i in range(1, spec.n_constraints + 1)]
+    envs = [_envelope_and_actives(con, x, tol, spec.vgrid)
+            for con in spec.constraints]
     phis = tuple(p for p, _ in envs)
     top = max(phis) if phis else -math.inf
     idx = tuple(i + 1 for i, p in enumerate(phis) if p >= top - spec.feas_tol)
     scen = tuple(tuple(actives) for _, actives in envs)
     return ActiveSets(phis, top, scen, idx)
-
-
-def zero_active_indices(spec: ProblemSpec, x, tol: float | None = None) -> list[int]:
-    """Constraints with phi_i(x) ~ 0; the KKT complementarity gate."""
-    tol = spec.feas_tol if tol is None else tol
-    return [i for i in range(1, spec.n_constraints + 1)
-            if phi_i(spec, i, x) >= -tol]
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,18 @@ import numpy as np
 
 from .funcdsl import (
     Expr,
-    UnsupportedStructureError,
+    _Atom,
     _check_scenario,
-    contains_coord,
+    _PointWalk,
     coords_used,
-    format_expr,
-    gradient_x,
     is_affine,
-    scenario_fn,
 )
-from .robustfeas import ProblemSpec
+from .robustfeas import (
+    DEFAULT_VGRID,
+    ProblemSpec,
+    UncertainConstraint,
+    _envelope_and_actives,
+)
 from .setcalc import Polytope, PolytopeSet, hull, minkowski_sum
 
 DEFAULT_KINK_TOL = 1e-9
@@ -52,168 +54,18 @@ class SubdiffResult:
         return self.exactness == "exact"
 
 
-@dataclass
-class _Atom:
-    key: str
-    kind: str                  # "abs" | "max"
-    node: Expr
-    tied: tuple[int, ...]
-    ctx_linear: bool           # constant coefficient context
-    x_relevant: bool
-
-
-def _collect_atoms(e: Expr, xl, v, tol: float, ctx_linear: bool,
-                   out: dict[str, _Atom]) -> list[_Atom]:
-    """Selection-aware walk returning the active atoms of this subtree."""
-    k = e.kind
-    if k in ("const", "coord", "uvar"):
-        return []
-    if k == "abs":
-        arg = e.children[0]
-        if abs(arg.scalar_fn(xl, v)) <= tol:
-            inner: dict[str, _Atom] = {}
-            nested = _collect_atoms(arg, xl, v, tol, False, inner)
-            if any(a.x_relevant for a in nested):
-                raise UnsupportedStructureError(
-                    f"active kink nested inside abs({format_expr(arg)})")
-            atom = _register(out, _Atom(format_expr(e), "abs", e, (),
-                                        ctx_linear, contains_coord(arg)))
-            return [atom]
-        return _collect_atoms(arg, xl, v, tol, False, out)
-    if k == "max":
-        vals = [c.scalar_fn(xl, v) for c in e.children]
-        top = max(vals)
-        tied = tuple(i for i, cv in enumerate(vals) if top - cv <= tol)
-        if len(tied) > 1:
-            for i in tied:
-                inner: dict[str, _Atom] = {}
-                nested = _collect_atoms(e.children[i], xl, v, tol, False, inner)
-                if any(a.x_relevant for a in nested):
-                    raise UnsupportedStructureError(
-                        f"active kink nested inside {format_expr(e)}")
-            xrel = any(contains_coord(e.children[i]) for i in tied)
-            atom = _register(out, _Atom(format_expr(e), "max", e, tied,
-                                        ctx_linear, xrel))
-            return [atom]
-        return _collect_atoms(e.children[tied[0]], xl, v, tol, False, out)
-    if k == "sum":
-        found: list[_Atom] = []
-        for c in e.children:
-            found.extend(_collect_atoms(c, xl, v, tol, ctx_linear, out))
-        return found
-    if k == "prod":
-        per_child: list[list[_Atom]] = []
-        for c in e.children:
-            child_ctx = ctx_linear and all(
-                not contains_coord(o) for o in e.children if o is not c)
-            per_child.append(_collect_atoms(c, xl, v, tol, child_ctx, out))
-        rough = [c for c, found in zip(e.children, per_child)
-                 if any(a.x_relevant for a in found)]
-        if len(rough) > 1:
-            raise UnsupportedStructureError(
-                "product of two factors nonsmooth in x at this point: "
-                + format_expr(e))
-        return [a for found in per_child for a in found]
-    if k in ("pow", "recip", "sqrt"):
-        return _collect_atoms(e.children[0], xl, v, tol, False, out)
-    raise ValueError(f"unknown node kind {k}")
-
-
-def _register(out: dict[str, _Atom], atom: _Atom) -> _Atom:
-    prev = out.get(atom.key)
-    if prev is None:
-        out[atom.key] = atom
-        return atom
-    prev.ctx_linear = prev.ctx_linear and atom.ctx_linear
-    return prev
-
-
-def _sens(e: Expr, xl, v, tol: float, d: int):
-    """Value, ambient x-gradient and per-atom coefficients of this node."""
-    k = e.kind
-    zero = np.zeros(d)
-    if k == "const":
-        return float(e.value), zero, {}
-    if k == "coord":
-        g = np.zeros(d)
-        g[e.index - 1] = 1.0
-        return xl[e.index - 1], g, {}
-    if k == "uvar":
-        return float(v), zero, {}
-    if k == "abs":
-        arg = e.children[0]
-        av = arg.scalar_fn(xl, v)
-        if abs(av) <= tol:
-            return abs(av), zero, {format_expr(e): 1.0}
-        val, g, kap = _sens(arg, xl, v, tol, d)
-        s = 1.0 if val > 0 else -1.0
-        return abs(val), s * g, {q: s * c for q, c in kap.items()}
-    if k == "max":
-        vals = [c.scalar_fn(xl, v) for c in e.children]
-        top = max(vals)
-        tied = [i for i, cv in enumerate(vals) if top - cv <= tol]
-        if len(tied) > 1:
-            return top, zero, {format_expr(e): 1.0}
-        return _sens(e.children[tied[0]], xl, v, tol, d)
-    if k == "sum":
-        total, g, kap = 0.0, np.zeros(d), {}
-        for c in e.children:
-            cv, cg, ck = _sens(c, xl, v, tol, d)
-            total += cv
-            g = g + cg
-            for q, a in ck.items():
-                kap[q] = kap.get(q, 0.0) + a
-        return total, g, kap
-    if k == "prod":
-        parts = [_sens(c, xl, v, tol, d) for c in e.children]
-        total = 1.0
-        for cv, _, _ in parts:
-            total *= cv
-        g, kap = np.zeros(d), {}
-        for j, (cv, cg, ck) in enumerate(parts):
-            rest = 1.0
-            for i, (ov, _, _) in enumerate(parts):
-                if i != j:
-                    rest *= ov
-            g = g + rest * cg
-            for q, a in ck.items():
-                kap[q] = kap.get(q, 0.0) + rest * a
-        return total, g, kap
-    if k == "pow":
-        cv, cg, ck = _sens(e.children[0], xl, v, tol, d)
-        n = e.exponent
-        slope = n * cv ** (n - 1)
-        return cv ** n, slope * cg, {q: slope * a for q, a in ck.items()}
-    if k == "recip":
-        cv, cg, ck = _sens(e.children[0], xl, v, tol, d)
-        if cv == 0.0:
-            from .funcdsl import DomainError
-            raise DomainError(f"division by zero in 1/({e.children[0]})")
-        slope = -1.0 / (cv * cv)
-        return 1.0 / cv, slope * cg, {q: slope * a for q, a in ck.items()}
-    if k == "sqrt":
-        cv, cg, ck = _sens(e.children[0], xl, v, tol, d)
-        if cv <= 0.0:
-            from .funcdsl import DomainError
-            raise DomainError(
-                f"sqrt argument not positive in sqrt({e.children[0]})")
-        slope = 0.5 / cv ** 0.5
-        return cv ** 0.5, slope * cg, {q: slope * a for q, a in ck.items()}
-    raise ValueError(f"unknown node kind {k}")
-
-
-def _atom_contribution(atom: _Atom, kappa: float, xs, v, tol: float,
-                       d: int) -> PolytopeSet:
+def _atom_contribution(atom: _Atom, kappa: float, d: int) -> PolytopeSet:
     if kappa == 0.0:
         return PolytopeSet.singleton(np.zeros(d))
+    if atom.fault is not None:
+        raise atom.fault
     if atom.kind == "abs":
-        grad_a = gradient_x(atom.node.children[0], xs, v, tol)
+        grad_a = atom.grads[0]
         lo, hi = -kappa * grad_a, kappa * grad_a
         if kappa > 0:
             return PolytopeSet([Polytope([lo, hi])])
         return PolytopeSet([Polytope([lo]), Polytope([hi])])
-    grads = [gradient_x(atom.node.children[i], xs, v, tol) for i in atom.tied]
-    verts = [kappa * g for g in grads]
+    verts = [kappa * g for g in atom.grads]
     if kappa > 0:
         return PolytopeSet([Polytope(verts, reduce=True)])
     return PolytopeSet([Polytope([w]) for w in verts])
@@ -227,10 +79,11 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
     _check_scenario(e, v)
     xs = np.asarray(x, dtype=float).reshape(-1)
     d = xs.shape[0]
-    xl = xs.tolist()
-    atoms: dict[str, _Atom] = {}
-    _collect_atoms(e, xl, v, kink_tol, True, atoms)
-    _, g0, kappas = _sens(e, xl, v, kink_tol, d)
+    walk = _PointWalk(xs.tolist(), v, kink_tol, strict=False)
+    _, g0, kappas, _ = walk.node(e, True)
+    if walk.faults:
+        raise walk.faults[0]
+    atoms = walk.atoms
 
     result = PolytopeSet.singleton(g0)
     rules: list[str] = []
@@ -241,7 +94,7 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
     for key in sorted(atoms):
         atom = atoms[key]
         kappa = kappas.get(key, 0.0)
-        contrib = _atom_contribution(atom, kappa, xs, v, kink_tol, d)
+        contrib = _atom_contribution(atom, kappa, d)
         result = minkowski_sum(result, contrib)
         tag = "abs-kink" if atom.kind == "abs" else "max-tie"
         rules.append(f"{tag}({key}, coeff={kappa:.6g})")
@@ -283,30 +136,19 @@ def _exactness(atoms: dict[str, _Atom]) -> bool:
 # Sup rule over the scenario set and scalarization
 # ---------------------------------------------------------------------------
 
-def sup_rule(g: Expr, x, V, tol: float = 1e-6, mode: str = "hull",
-             kink_tol: float = DEFAULT_KINK_TOL,
-             vgrid: int = 1001) -> SubdiffResult:
-    """Outer estimate of the subdifferential of max_v g(., v) at x.
+def sup_rule(con: UncertainConstraint, x, tol: float = 1e-6,
+             mode: str = "hull", kink_tol: float = DEFAULT_KINK_TOL,
+             vgrid: int = DEFAULT_VGRID) -> SubdiffResult:
+    """Outer estimate of the subdifferential of max_v g(., v) at x, for the
+    constraint g = con.expr over its declared scenario interval or list.
 
-    V is either an interval (lo, hi) or an explicit scenario list.  The
-    hull of the union over active scenarios is the rule's native form;
+    The hull of the union over active scenarios is the rule's native form;
     limiting mode keeps the union of the per-scenario sets.
     """
-    from .robustfeas import active_scenarios_interval
-
+    g = con.expr
     if not g.has_v:
         return limiting_subdiff(g, x, None, mode, kink_tol)
-    fn = scenario_fn(g, x)
-    if isinstance(V, (tuple, list)) and len(V) == 2 and not isinstance(V[0], (list, tuple)):
-        lo, hi = float(V[0]), float(V[1])
-        _, actives = active_scenarios_interval(fn, lo, hi, tol, vgrid)
-    else:
-        scen = [float(v) for v in V]
-        vals = [fn(v) for v in scen]
-        top = max(vals)
-        actives = [v for v, fv in zip(scen, vals) if fv >= top - tol]
-    if not actives:
-        raise ValueError("empty active scenario set")
+    _, actives = _envelope_and_actives(con, x, tol, vgrid)
     pieces = [limiting_subdiff(g, x, v, "limiting", kink_tol) for v in actives]
     comps = [c for r in pieces for c in r.set.components]
     union = PolytopeSet(comps)
@@ -363,9 +205,4 @@ def constraint_set(spec: ProblemSpec, i: int, x, mode: str = "hull",
         fx = spec.fixture_for(con.name, x)
         if fx is not None:
             return fx, "fixture"
-    if not con.has_uncertainty:
-        res = limiting_subdiff(con.expr, x, None, mode, spec.kink_tol)
-        return res.set, "engine"
-    V = con.scenarios if con.scenarios is not None else (con.lo, con.hi)
-    res = sup_rule(con.expr, x, V, tol, mode, spec.kink_tol, spec.vgrid)
-    return res.set, "engine"
+    return sup_rule(con, x, tol, mode, spec.kink_tol, spec.vgrid).set, "engine"

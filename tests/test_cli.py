@@ -192,6 +192,68 @@ class TestCommands:
             "--region", "-3,3,-4,1", "--res", "61"])
         assert code == 0 and doc["verdict"] == "NO-COUNTEREXAMPLE"
 
+    def test_duality_weak_from_triples(self, capsys, tmp_path):
+        triples = tmp_path / "t.json"
+        triples.write_text(json.dumps(
+            [{"z": [0, 0], "ystar": [0, 0, "1/33"], "mu": ["32/33", 0]}]))
+        code, doc = run_json(capsys, [
+            "duality", "weak", "--problem", "example_3_5",
+            "--triples", str(triples), "--kind", "I",
+            "--region", "-3,3,-4,1", "--samples", "50"])
+        assert code == 0 and doc["verdict"] == "NO-VIOLATION"
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("z", [0, 0, 0], "triple field z has 3 entries, the problem needs 2"),
+        ("ystar", [0, "1/33"],
+         "triple field ystar has 2 entries, the problem needs 3"),
+        ("mu", ["32/33"], "triple field mu has 1 entries, the problem needs 2"),
+    ], ids=["z", "ystar", "mu"])
+    @pytest.mark.parametrize("action, option", [("converse", "--triple"),
+                                                ("weak", "--triples")])
+    def test_triple_fields_checked(self, capsys, tmp_path, action, option,
+                                   field, value, error):
+        doc = {"z": [0, 0], "ystar": [0, 0, "1/33"], "mu": ["32/33", 0]}
+        doc[field] = value
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc if action == "converse" else [doc]))
+        code, out = run_json(capsys, [
+            "duality", action, "--problem", "example_3_5", option, str(path),
+            "--kind", "I", "--region", "-3,3,-4,1", "--res", "21",
+            "--samples", "20"])
+        assert code == 3
+        assert out["error"] == error
+
+    def test_two_scenario_list_is_not_an_interval(self, capsys, tmp_path):
+        # {0, 1} was read as the interval [0, 1]: one active scenario 1/2
+        # and the set {(1/2, 0)}, marked exact
+        path = _problem(tmp_path, '"v*x1 - (v - 1/2)^2" with v in {0, 1}')
+        code, doc = run_json(capsys, ["feasible", "--problem", path,
+                                      "--at", "0,0"])
+        assert code == 0 and doc["details"]["phi"] == -0.25
+        code, doc = run_json(capsys, ["subdiff", "--problem", path,
+                                      "--target", "g1", "--at", "0,0"])
+        assert code == 0
+        details = doc["details"]
+        assert details["rules"] == ["sup-rule(v=0)", "sup-rule(v=1)",
+                                    "hull-collapse"]
+        assert details["exactness"] == "outer-estimate"
+        [segment] = details["set"]["components"]
+        assert sorted(segment) == [[0.0, 0.0], [1.0, 0.0]]
+        # zero lies in that segment, so the CQ fails at the origin
+        code, doc = run_json(capsys, ["cq", "--problem", path, "--at", "0,0"])
+        assert code == 1 and doc["verdict"] == "CQ-FAILS"
+
+    def test_internal_fault_exits_four(self, capsys, monkeypatch):
+        def fault(*args, **kwargs):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(cli, "compute_active_sets", fault)
+        code, doc = run_json(capsys, ["feasible", "--problem", "example_3_2",
+                                      "--at", "0,0"])
+        assert code == 4
+        assert doc == {"report_version": cli.REPORT_VERSION,
+                       "error": "list index out of range"}
+
     def test_usage_error_exit_three(self, capsys):
         assert run_command(["kkt", "check", "--problem", "example_3_2",
                             "--at", "0,0"]) == 3
@@ -317,8 +379,9 @@ class TestCommands:
         assert "timings_sec" not in doc
 
 
-class Reached(Exception):
-    """Raised by a stub in place of the command's allocating call."""
+class Reached(BaseException):
+    """Raised by a stub in place of the command's allocating call; not an
+    Exception, so run_command's internal-fault exit 4 lets it through."""
 
 
 def _reach(*args, **kwargs):

@@ -34,6 +34,9 @@ KEPT = {
         "printed form of the public active_kinks result",
     "funcdsl.ParseError.__init__":
         "raised only on a malformed expression",
+    "funcdsl._PointWalk.fault":
+        "a gradient at 1/0 or at the square root of a nonpositive value; "
+        "no README command meets one",
     "funcdsl._collect_kinks": "body of active_kinks",
     "funcdsl.active_kinks": "public helper the acceptance tests use",
     "funcdsl.smooth_gradient": "public helper the acceptance tests use",

@@ -8,6 +8,7 @@ from robustkkt.funcdsl import (
     parse_expr,
     smooth_gradient,
 )
+from robustkkt.robustfeas import UncertainConstraint
 from robustkkt.setcalc import Polytope, hull, polytope_equal
 from robustkkt.subdiff import direct_subdiff, limiting_subdiff, sup_rule
 
@@ -111,31 +112,31 @@ class TestStructureRules:
 
 class TestSupRule:
     def test_example_3_2_g1(self, spec32, origin):
-        con = spec32.constraint("g1")
-        res = sup_rule(con.expr, origin, (con.lo, con.hi))
+        res = sup_rule(spec32.constraint("g1"), origin)
         assert polytope_equal(_single(res), Polytope([[1, 0], [2, 0]]))
 
     def test_example_3_5_g1(self, spec35, origin):
-        con = spec35.constraint("g1")
-        res = sup_rule(con.expr, origin, (con.lo, con.hi))
+        res = sup_rule(spec35.constraint("g1"), origin)
         assert polytope_equal(_single(res),
                               Polytope([[-1 / 64, 1 / 32], [1 / 64, 1 / 32]]),
                               tol=1e-12)
 
     def test_v_free_reduces_to_limiting(self):
         e = parse_expr("abs(x1) + x2", 2)
-        res = sup_rule(e, [0, 0], (-1, 1))
+        res = sup_rule(UncertainConstraint("g", e), [0, 0])
         direct = limiting_subdiff(e, [0, 0], mode="hull")
         assert polytope_equal(hull(res.set), hull(direct.set))
 
     def test_limiting_mode_unions_scenarios(self):
         # two scenario maximizers with different gradients
         e = parse_expr("v*x1 - v^2", 1)
-        res = sup_rule(e, [0.0], (-1, 1), mode="limiting")
+        res = sup_rule(UncertainConstraint("g", e, -1, 1), [0.0],
+                       mode="limiting")
         # at x = 0 both v = -1 and v = 1 are close to argmax of -v^2... the
         # active set is {0}; use an expression with a genuine tie instead
         e2 = parse_expr("v^2*x1", 1)
-        res2 = sup_rule(e2, [0.0], (-1, 1), mode="limiting", tol=1e-9)
+        res2 = sup_rule(UncertainConstraint("g", e2, -1, 1), [0.0],
+                        mode="limiting", tol=1e-9)
         assert res2.exactness in ("exact", "outer-estimate")
 
 
