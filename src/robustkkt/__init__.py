@@ -30,11 +30,10 @@ from .robustfeas import (
     ProblemSpec,
     Psi,
     UncertainConstraint,
-    active_uncertainty,
-    is_feasible,
-    phi,
-    phi_i,
+    compute_active_sets,
+    feasible_active_sets,
     raster,
+    scenario_envelope,
 )
 from .setcalc import (
     ConeSpec,

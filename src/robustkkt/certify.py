@@ -20,10 +20,8 @@ from .lp import LPBuilder
 from .robustfeas import (
     ProblemSpec,
     Psi,
-    active_uncertainty,
     compute_active_sets,
-    phi,
-    phi_i,
+    feasible_active_sets,
 )
 from .setcalc import (
     PolyCone,
@@ -79,28 +77,18 @@ class CQReport:
     provenance: dict[str, str]
 
 
-def _feasible_active_sets(spec: ProblemSpec, xbar, scen_tol: float,
-                          refusal: str):
-    """compute_active_sets at xbar, refused unless xbar is robust-feasible."""
-    acts = spec.omega.contains(xbar) and compute_active_sets(spec, xbar,
-                                                             scen_tol)
-    if not (acts and acts.phi <= spec.feas_tol):
-        raise CertifyError(refusal)
-    return acts
-
-
-def check_cq(spec: ProblemSpec, xbar, use_fixtures: bool = False,
-             scen_tol: float = 1e-6) -> CQReport:
+def check_cq(spec: ProblemSpec, xbar, use_fixtures: bool = False) -> CQReport:
     """Definition-style CQ: for every envelope-active index, zero must miss
     the sup-rule hull plus the normal cone."""
-    acts = _feasible_active_sets(spec, xbar, scen_tol,
-                                 "CQ is only defined at robust-feasible points")
+    acts = feasible_active_sets(spec, xbar)
+    if acts is None:
+        raise CertifyError("CQ is only defined at robust-feasible points")
     N = normal_cone(spec.omega, xbar)
     per = []
     prov: dict[str, str] = {}
     holds = True
     for i in acts.index_set:
-        S, origin = constraint_set(spec, i, xbar, "hull", use_fixtures, scen_tol)
+        S, origin = constraint_set(spec, i, xbar, acts, "hull", use_fixtures)
         prov[spec.constraints[i - 1].name] = origin
         res = zero_in_sum([S], N)
         ok = not res.sat
@@ -180,9 +168,10 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate, tol: float = 1e-9,
     ok_mu = bool(np.all(cert.mu >= -1e-12))
     checks.append({"name": "mu_nonnegative", "ok": ok_mu})
 
+    acts = compute_active_sets(spec, xbar)
     comp_ok = True
     for i in range(1, n + 1):
-        val = float(cert.mu[i - 1]) * phi_i(spec, i, xbar)
+        val = float(cert.mu[i - 1]) * acts.phis[i - 1]
         comp_ok = comp_ok and abs(val) <= COMPLEMENTARITY_TOL
         checks.append({"name": f"complementarity_{spec.constraints[i-1].name}",
                        "ok": abs(val) <= COMPLEMENTARITY_TOL, "value": val})
@@ -196,7 +185,7 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate, tol: float = 1e-9,
         checks.append({"name": f"u_in_subdiff_{spec.objective_names[j-1]}",
                        "ok": bool(inside), "residual": res})
     for i in range(1, n + 1):
-        S, origin = constraint_set(spec, i, xbar, "hull", use_fixtures)
+        S, origin = constraint_set(spec, i, xbar, acts, "hull", use_fixtures)
         prov[spec.constraints[i - 1].name] = origin
         inside, res = S.contains(cert.v[i - 1], mem_tol)
         memb_ok = memb_ok and inside
@@ -235,7 +224,7 @@ class KKTSearchReport:
 
 def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                use_fixtures: bool = False, eps_min: float = EPS_YSTAR_MIN,
-               tol: float = 1e-9, scen_tol: float = 1e-6) -> KKTSearchReport:
+               tol: float = 1e-9) -> KKTSearchReport:
     """One-LP search for a robust approximate KKT certificate at xbar.
 
     K is a sign orthant, so the substitution y*_j = sigma_j s_j makes the
@@ -244,8 +233,9 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
     sum(s) >= eps_min pins the scale and forbids y* = 0.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    acts = _feasible_active_sets(spec, xbar, scen_tol,
-                                 "search_kkt requires a robust-feasible point")
+    acts = feasible_active_sets(spec, xbar)
+    if acts is None:
+        raise CertifyError("search_kkt requires a robust-feasible point")
     p, n, d = spec.n_objectives, spec.n_constraints, spec.dim
     actives = [i for i in range(1, n + 1)
                if acts.phis[i - 1] >= -spec.feas_tol]
@@ -257,14 +247,11 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         prov[spec.objective_names[j - 1]] = origin
         obj_sets.append(S)
     con_sets = {}
-    con_scen = {}
     for i in actives:
-        S, origin = constraint_set(spec, i, xbar, "hull", use_fixtures, scen_tol)
+        S, origin = constraint_set(spec, i, xbar, acts, "hull", use_fixtures)
         prov[spec.constraints[i - 1].name] = origin
         con_sets[i] = S.components[0] if S.ncomponents == 1 else Polytope(
             S.all_vertices(), reduce=True)
-        scen = acts.scenarios[i - 1]
-        con_scen[i] = scen[0] if scen else 0.0
     ball = dual_ball(spec.norm, d, spec.ball_facets)
     N = normal_cone(spec.omega, xbar)
 
@@ -322,14 +309,13 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                 m = float(np.sum(w))
                 mu[i - 1] = m
                 vsel.append(w @ V / m if m > 1e-15 else V[0].copy())
-                vbar.append(con_scen[i])
             else:
-                S, origin = constraint_set(spec, i, xbar, "hull",
-                                           use_fixtures, scen_tol)
+                S, origin = constraint_set(spec, i, xbar, acts, "hull",
+                                           use_fixtures)
                 prov[spec.constraints[i - 1].name] = origin
                 vsel.append(S.all_vertices()[0].copy())
-                scen = acts.scenarios[i - 1]
-                vbar.append(scen[0] if scen else 0.0)
+            scen = acts.scenarios[i - 1]
+            vbar.append(scen[0] if scen else 0.0)
         wb = res.values[np.asarray(ball_ids)]
         radius = float(np.sum(wb))
         bstar = (wb @ ball.vertices / radius) if radius > 1e-15 else np.zeros(d)
@@ -404,24 +390,23 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
                         np.round(vals, 12)))
     x_eta = Xc[:, order[0]].copy()
 
-    psi_val = merit(x_eta)
+    acts = compute_active_sets(spec, x_eta)
     f_branch = float(np.dot(ystar, spec.fvec(x_eta) - spec.fvec(xbar)
                             + spec.theta))
-    phi_val = phi(spec, x_eta) if spec.constraints else -math.inf
+    psi_val = max(f_branch, acts.phi)
     tight1 = f_branch >= psi_val - max(comp_tol, 1e-9)
-    tight2 = phi_val >= psi_val - max(comp_tol, 1e-9)
+    tight2 = acts.phi >= psi_val - max(comp_tol, 1e-9)
 
     fset = direct_subdiff(ystar, spec.objectives, x_eta, mode,
                           spec.kink_tol).set
-    acts = compute_active_sets(spec, x_eta) if spec.constraints else None
-    idx = list(acts.index_set) if acts else []
+    idx = list(acts.index_set)
     con_polys = {}
     scen_used = {}
     for i in idx:
-        S, _ = constraint_set(spec, i, x_eta, "hull")
+        S, _ = constraint_set(spec, i, x_eta, acts, "hull")
         con_polys[i] = S.components[0] if S.ncomponents == 1 else Polytope(
             S.all_vertices(), reduce=True)
-        scen = active_uncertainty(spec, i, x_eta)
+        scen = acts.scenarios[i - 1]
         scen_used[i] = scen[0] if scen else 0.0
     ball = dual_ball(spec.norm, spec.dim, spec.ball_facets)
     N = normal_cone(spec.omega, x_eta)
@@ -566,13 +551,13 @@ def _simplex_grid(m: int, resolution: int):
         yield w
 
 
-def _constraint_rows(spec: ProblemSpec, xbar, scen_tol: float):
+def _constraint_rows(spec: ProblemSpec, xbar):
     """Per (constraint, active scenario): scenario, base value, vertex rows."""
+    acts = compute_active_sets(spec, xbar)
     rows = []
     for i in range(1, spec.n_constraints + 1):
         con = spec.constraints[i - 1]
-        scens = active_uncertainty(spec, i, xbar, scen_tol) \
-            if con.has_uncertainty else [None]
+        scens = acts.scenarios[i - 1] if con.has_uncertainty else [None]
         for vsc in scens:
             base = eval_expr(con.expr, xbar, vsc)
             sd = limiting_subdiff(con.expr, xbar, vsc, "limiting",
@@ -585,7 +570,6 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
                       samples: np.ndarray | None = None,
                       region=None, grid: int = 21, y_resolution: int = 24,
                       eps_strict: float = EPS_STRICT, mode: str = "limiting",
-                      scen_tol: float = 1e-6,
                       witness: dict | None = None) -> PseudoReport:
     """Sampled sufficient test of type I/II pseudo convexity at xbar.
 
@@ -604,7 +588,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
         raise CertifyError("xbar must lie in the ground set")
 
     if witness is not None:
-        return _witnessed_failure_check(spec, xbar, ptype, witness, scen_tol)
+        return _witnessed_failure_check(spec, xbar, ptype, witness)
 
     if samples is None:
         if region is None:
@@ -634,7 +618,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
         active = G <= 1e-12
     active[:, norms <= 1e-12] = False
 
-    con_rows = _constraint_rows(spec, xbar, scen_tol)
+    con_rows = _constraint_rows(spec, xbar)
     T = len(con_rows)
     con_base = {t: (row[2], row[3]) for t, row in enumerate(con_rows)}
     con_prem = np.zeros((T, samples.shape[0]), dtype=bool)
@@ -874,7 +858,7 @@ def _planar_ball(ball: np.ndarray):
 
 
 def _witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
-                             witness: dict, scen_tol: float) -> PseudoReport:
+                             witness: dict) -> PseudoReport:
     """Exact check of a user-supplied failure witness tuple."""
     x = np.asarray(witness["x"], dtype=float).reshape(-1)
     yv = np.asarray(witness["ystar"], dtype=float).reshape(-1)
@@ -906,7 +890,7 @@ def _witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     for yj, uj in zip(yv, umat):
         ustar = ustar + float(yj) * uj
     ytheta = float(np.dot(yv, spec.theta))
-    rows = _constraint_rows(spec, xbar, scen_tol)
+    rows = _constraint_rows(spec, xbar)
     con_base = {t: (base, verts) for t, (_, _, base, verts) in enumerate(rows)}
     rows_here = [t for t, (i, vsc, base, _) in enumerate(rows)
                  if eval_expr(spec.constraints[i - 1].expr, x, vsc)

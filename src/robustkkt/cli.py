@@ -32,6 +32,7 @@ from .robustfeas import (
     FixtureSet,
     compute_active_sets,
     raster,
+    scenario_envelope,
 )
 from .setcalc import ConeSpec, OmegaSpec, Polytope, PolytopeSet, SetCalcError
 from .subdiff import limiting_subdiff, sup_rule
@@ -311,27 +312,41 @@ def _sized(label: str, values, length: int):
     return values
 
 
-def _vec(kind: str, field: str, vals, length: int) -> np.ndarray:
-    return _sized(f"{kind} field {field}",
-                  np.array([parse_scalar(str(t)) for t in vals]), length)
+def _field(kind: str, doc, field: str):
+    """doc[field], refused unless doc is a JSON object holding field."""
+    if not isinstance(doc, dict):
+        raise LoadError(f"{kind} must be a JSON object")
+    if field not in doc:
+        raise LoadError(f"{kind} field {field} is missing")
+    return doc[field]
 
 
-def _rows(kind: str, field: str, rows, count: int, length: int):
-    return [_vec(kind, f"{field}[{k}]", row, length) for k, row
-            in enumerate(_sized(f"{kind} field {field}", rows, count))]
+def _numbers(label: str, vals, length: int) -> np.ndarray:
+    return _sized(label, np.array([parse_scalar(str(t)) for t in vals]),
+                  length)
+
+
+def _vec(kind: str, doc, field: str, length: int) -> np.ndarray:
+    return _numbers(f"{kind} field {field}", _field(kind, doc, field), length)
+
+
+def _rows(kind: str, doc, field: str, count: int, length: int):
+    label = f"{kind} field {field}"
+    return [_numbers(f"{label}[{k}]", row, length) for k, row
+            in enumerate(_sized(label, _field(kind, doc, field), count))]
 
 
 def load_certificate(path, spec: ProblemSpec) -> KKTCertificate:
     doc = json.loads(Path(path).read_text())
     p, n, d = spec.n_objectives, spec.n_constraints, spec.dim
     return KKTCertificate(
-        ystar=_vec("certificate", "ystar", doc["ystar"], p),
-        mu=_vec("certificate", "mu", doc["mu"], n),
-        u=_rows("certificate", "u", doc["u"], p, d),
-        v=_rows("certificate", "v", doc["v"], n, d),
+        ystar=_vec("certificate", doc, "ystar", p),
+        mu=_vec("certificate", doc, "mu", n),
+        u=_rows("certificate", doc, "u", p, d),
+        v=_rows("certificate", doc, "v", n, d),
         vbar=[parse_scalar(str(t)) for t in doc.get("vbar", [0] * n)],
-        bstar=_vec("certificate", "bstar", doc["bstar"], d),
-        astar=_vec("certificate", "astar", doc["astar"], d),
+        bstar=_vec("certificate", doc, "bstar", d),
+        astar=_vec("certificate", doc, "astar", d),
     )
 
 
@@ -340,18 +355,18 @@ def load_witness(path, spec: ProblemSpec) -> dict:
     row u per objective, each checked against the problem's sizes."""
     doc = json.loads(Path(path).read_text())
     p, d = spec.n_objectives, spec.dim
-    return {"x": _vec("witness", "x", doc["x"], d),
-            "ystar": _vec("witness", "ystar", doc["ystar"], p),
-            "u": _rows("witness", "u", doc["u"], p, d)}
+    return {"x": _vec("witness", doc, "x", d),
+            "ystar": _vec("witness", doc, "ystar", p),
+            "u": _rows("witness", doc, "u", p, d)}
 
 
 def load_triple(doc: dict, spec: ProblemSpec) -> DualTriple:
     """A Mond-Weir dual triple from one parsed JSON object, each field
     checked against the problem's sizes."""
     return DualTriple(
-        z=_vec("triple", "z", doc["z"], spec.dim),
-        ystar=_vec("triple", "ystar", doc["ystar"], spec.n_objectives),
-        mu=_vec("triple", "mu", doc["mu"], spec.n_constraints),
+        z=_vec("triple", doc, "z", spec.dim),
+        ystar=_vec("triple", doc, "ystar", spec.n_objectives),
+        mu=_vec("triple", doc, "mu", spec.n_constraints),
     )
 
 
@@ -603,8 +618,8 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
                 res = limiting_subdiff(con.expr, x, parse_scalar(args.scenario),
                                        smode, spec.kink_tol)
             else:
-                res = sup_rule(con, x, mode=smode, kink_tol=spec.kink_tol,
-                               vgrid=spec.vgrid)
+                _, actives = scenario_envelope(con, x, spec.vgrid)
+                res = sup_rule(con, x, actives, smode, spec.kink_tol)
         details = {"target": name, "set": res.set, "exactness": res.exactness,
                    "rules": list(res.rules), "provenance": "engine"}
         return 0, "SET-COMPUTED", details, config

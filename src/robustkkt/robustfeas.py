@@ -1,16 +1,20 @@
 """Worst-case constraint envelopes, robust feasibility and rasters.
 
 Each uncertain constraint g_i(x, v) carries a one-dimensional scenario
-interval (or a finite scenario list).  The envelope phi_i(x) is the exact
-worst case over scenarios, computed by a dense grid plus golden-section
-refinement; rasters vectorize the same maximization across a 2-D grid.
+interval (or a finite scenario list).  At a point x, scenario_envelope
+scans the scenarios of g_i once and gives both the envelope
+phi_i(x) = max_v g_i(x, v) (a dense grid plus golden-section refinement
+on an interval, the plain maximum on a list) and the active scenarios
+V_i(x) within SCENARIO_TOL of it.  compute_active_sets collects that one
+scan for every constraint; each verdict computes it once per point and
+reads feasibility, the envelopes, the active indices and the sup-rule
+scenarios from it.  Rasters vectorize the maximization across a 2-D grid
+by a running max over the scenario grid, without refinement.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_VGRID = 1001
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_KINK_TOL = 1e-9
+# Scenarios whose value is within SCENARIO_TOL of the envelope are active.
+SCENARIO_TOL = 1e-6
 
 
 class ProblemError(Exception):
@@ -120,7 +126,7 @@ class ProblemSpec:
         for c in self.constraints:
             if c.name == name:
                 return c
-        raise KeyError(name)
+        raise ProblemError(f"no constraint named {name!r}")
 
     def fixture_for(self, name: str, x, tol: float = 1e-9) -> PolytopeSet | None:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -151,15 +157,6 @@ class ProblemSpec:
         return np.sqrt(np.sum(D * D, axis=0))
 
 
-def worker_count() -> int:
-    raw = os.environ.get("ROBUSTKKT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 # ---------------------------------------------------------------------------
 # Scenario maximization
 # ---------------------------------------------------------------------------
@@ -183,48 +180,33 @@ def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, flo
     return xm, fn(xm)
 
 
-def maximize_scenario(fn, lo: float, hi: float, n: int = DEFAULT_VGRID,
-                      refine_tol: float = 1e-10) -> tuple[float, float]:
-    """Grid scan plus golden-section refinement; returns (max, argmax)."""
-    if hi <= lo:
-        return fn(lo), lo
-    return _refine_max(fn, *_scan(fn, lo, hi, n), refine_tol)
-
-
 def _scan(fn, lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     grid = np.linspace(lo, hi, n)
     return grid, np.array([fn(t) for t in grid.tolist()])
 
 
-def _refine_max(fn, grid: np.ndarray, vals: np.ndarray,
-                refine_tol: float) -> tuple[float, float]:
-    """Golden-section refinement around the best value of a grid scan."""
-    n = grid.shape[0]
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n - 1)]
-    xm, fm = golden_max(fn, float(a), float(b), refine_tol)
-    candidates = [(vals[k], float(grid[k])), (fm, xm),
-                  (vals[0], float(grid[0])), (vals[-1], float(grid[-1]))]
-    best = max(candidates, key=lambda t: t[0])
-    return float(best[0]), float(best[1])
+def active_scenarios_interval(fn, lo: float, hi: float,
+                              n: int) -> tuple[float, list[float]]:
+    """The envelope maximum and the scenarios within SCENARIO_TOL of it.
 
-
-def active_scenarios_interval(fn, lo: float, hi: float, tol: float,
-                              n: int = DEFAULT_VGRID,
-                              merge_radius: float = 1e-6) -> tuple[float, list[float]]:
-    """The envelope maximum and all scenario values within tol of it.
-
-    Grid candidates are clustered; each cluster is refined by golden
-    section.  A cluster that spans the whole interval as a flat plateau is
-    reported by its endpoints.  When the refinement beats every grid value
-    by more than tol, no cluster forms and the maximiser stands alone.
+    One scan of n grid points gives the maximum: the best of the grid's
+    best value, its golden-section refinement and the two endpoints.  Grid
+    candidates are clustered and each cluster refined by golden section;
+    a flat plateau over the whole interval is reported by its endpoints.
+    When the refinement beats every grid value by more than SCENARIO_TOL,
+    no cluster forms and the maximiser stands alone.
     """
     if hi <= lo:
         return fn(lo), [lo]
     grid, vals = _scan(fn, lo, hi, n)
-    phi, argmax = _refine_max(fn, grid, vals, 1e-10)
-    mask = vals >= phi - tol
+    k = int(np.argmax(vals))
+    xm, fm = golden_max(fn, float(grid[max(k - 1, 0)]),
+                        float(grid[min(k + 1, n - 1)]))
+    candidates = [(vals[k], float(grid[k])), (fm, xm),
+                  (vals[0], float(grid[0])), (vals[-1], float(grid[-1]))]
+    best = max(candidates, key=lambda t: t[0])
+    phi, argmax = float(best[0]), float(best[1])
+    mask = vals >= phi - SCENARIO_TOL
     step = (hi - lo) / (n - 1)
     clusters: list[tuple[int, int]] = []
     i = 0
@@ -246,7 +228,7 @@ def active_scenarios_interval(fn, lo: float, hi: float, tol: float,
             continue
         a = float(grid[max(i - 1, 0)])
         b = float(grid[min(j + 1, n - 1)])
-        xm, fm = golden_max(fn, a, b, 1e-10)
+        xm, fm = golden_max(fn, a, b)
         best = xm if fm >= vals[i:j + 1].max() else float(grid[i:j + 1][
             int(np.argmax(vals[i:j + 1]))])
         reps.append(best)
@@ -254,68 +236,30 @@ def active_scenarios_interval(fn, lo: float, hi: float, tol: float,
         reps.append(argmax)
     merged: list[float] = []
     for r in sorted(reps):
-        if not merged or abs(r - merged[-1]) > merge_radius:
+        if not merged or abs(r - merged[-1]) > 1e-6:
             merged.append(r)
-    out = [r for r in merged if abs(fn(r) - phi) <= max(tol, 1e-9)]
+    out = [r for r in merged if abs(fn(r) - phi) <= SCENARIO_TOL]
     return phi, out if out else [merged[0]]
 
 
 # ---------------------------------------------------------------------------
-# Envelopes and feasibility
+# The point envelope
 # ---------------------------------------------------------------------------
 
-def phi_i(spec: ProblemSpec, i: int, x) -> float:
-    """Worst-case envelope of constraint i (1-based) at x."""
-    con = spec.constraints[i - 1]
-    if not con.has_uncertainty:
-        return eval_expr(con.expr, x)
-    fn = scenario_fn(con.expr, x)
-    if con.scenarios is not None:
-        return max(fn(v) for v in con.scenarios)
-    phi, _ = maximize_scenario(fn, con.lo, con.hi, spec.vgrid)
-    return phi
-
-
-def active_uncertainty(spec: ProblemSpec, i: int, x,
-                       tol: float = 1e-6) -> list[float]:
-    """Scenario values attaining the envelope of constraint i at x."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not spec.constraints[i - 1].has_uncertainty:
-        return [0.0]
-    return _envelope_and_actives(spec.constraints[i - 1], x, tol,
-                                 spec.vgrid)[1]
-
-
-def _envelope_and_actives(con: UncertainConstraint, x, tol: float,
-                          vgrid: int) -> tuple[float, list[float]]:
-    """The envelope of con at x and the scenario values attaining it, from
-    one scan of its declared scenario list or interval."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def scenario_envelope(con: UncertainConstraint, x,
+                      vgrid: int) -> tuple[float, list[float]]:
+    """phi_i(x) = max_v g_i(x, v) and the scenarios attaining it within
+    SCENARIO_TOL, from one scan of the declared scenario list or interval.
+    A v-free constraint has the single dummy scenario 0."""
     if not con.has_uncertainty:
         return eval_expr(con.expr, x), [0.0]
     fn = scenario_fn(con.expr, x)
     if con.scenarios is not None:
         vals = [fn(v) for v in con.scenarios]
         top = max(vals)
-        return top, [v for v, fv in zip(con.scenarios, vals) if fv >= top - tol]
-    return active_scenarios_interval(fn, con.lo, con.hi, tol, vgrid)
-
-
-def phi(spec: ProblemSpec, x) -> float:
-    if not spec.constraints:
-        return -math.inf
-    return max(phi_i(spec, i, x) for i in range(1, spec.n_constraints + 1))
-
-
-def is_feasible(spec: ProblemSpec, x, tol: float | None = None) -> bool:
-    tol = spec.feas_tol if tol is None else tol
-    if not spec.omega.contains(x):
-        return False
-    if not spec.constraints:
-        return True
-    return phi(spec, x) <= tol
+        return top, [v for v, fv in zip(con.scenarios, vals)
+                     if fv >= top - SCENARIO_TOL]
+    return active_scenarios_interval(fn, con.lo, con.hi, vgrid)
 
 
 @dataclass(frozen=True)
@@ -326,14 +270,24 @@ class ActiveSets:
     index_set: tuple[int, ...]       # I(x) = argmax envelope, 1-based
 
 
-def compute_active_sets(spec: ProblemSpec, x, tol: float = 1e-6) -> ActiveSets:
-    envs = [_envelope_and_actives(con, x, tol, spec.vgrid)
-            for con in spec.constraints]
+def compute_active_sets(spec: ProblemSpec, x) -> ActiveSets:
+    """Every constraint's envelope and active scenarios at x, one scan
+    each; phi is -inf without constraints."""
+    envs = [scenario_envelope(con, x, spec.vgrid) for con in spec.constraints]
     phis = tuple(p for p, _ in envs)
     top = max(phis) if phis else -math.inf
     idx = tuple(i + 1 for i, p in enumerate(phis) if p >= top - spec.feas_tol)
     scen = tuple(tuple(actives) for _, actives in envs)
     return ActiveSets(phis, top, scen, idx)
+
+
+def feasible_active_sets(spec: ProblemSpec, x) -> ActiveSets | None:
+    """compute_active_sets at x, or None unless x is robust-feasible: in
+    the ground set, with every envelope at most feas_tol."""
+    if not spec.omega.contains(x):
+        return None
+    acts = compute_active_sets(spec, x)
+    return acts if acts.phi <= spec.feas_tol else None
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +303,9 @@ def envelope_grid(spec: ProblemSpec, con: UncertainConstraint,
         vgrid = np.asarray(con.scenarios, dtype=float)
     else:
         vgrid = np.linspace(con.lo, con.hi, spec.vgrid)
-    threads = worker_count()
-
-    def scan(chunk: np.ndarray) -> np.ndarray:
-        out = np.full(X.shape[1], -np.inf)
-        for v in chunk:
-            out = np.fmax(out, eval_on_grid(con.expr, X, float(v)))
-        return out
-
-    if threads == 1 or vgrid.size < 8:
-        return scan(vgrid)
-    chunks = np.array_split(vgrid, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(scan, chunks))
-    out = partials[0]
-    for p in partials[1:]:
-        out = np.fmax(out, p)
+    out = np.full(X.shape[1], -np.inf)
+    for v in vgrid:
+        out = np.fmax(out, eval_on_grid(con.expr, X, float(v)))
     return out
 
 
@@ -422,7 +363,7 @@ def raster(spec: ProblemSpec, region, resolution) -> Raster:
 # ---------------------------------------------------------------------------
 
 class Psi:
-    """psi(x) = max{ <y*, f(x) - f(xbar) + theta>, phi(x) }."""
+    """psi(x) = max{<y*, f(x) - f(xbar) + theta>, phi(x)} on grid columns."""
 
     def __init__(self, spec: ProblemSpec, ystar, xbar):
         ystar = np.asarray(ystar, dtype=float).reshape(-1)
@@ -432,11 +373,6 @@ class Psi:
         self.ystar = ystar
         self.xbar = np.asarray(xbar, dtype=float).reshape(-1)
         self.f_bar = spec.fvec(self.xbar)
-
-    def __call__(self, x) -> float:
-        first = float(np.dot(self.ystar,
-                             self.spec.fvec(x) - self.f_bar + self.spec.theta))
-        return max(first, phi(self.spec, x))
 
     def on_grid(self, X: np.ndarray) -> np.ndarray:
         F = self.spec.fvec_grid(X)

@@ -31,12 +31,7 @@ from .funcdsl import (
     coords_used,
     is_affine,
 )
-from .robustfeas import (
-    DEFAULT_VGRID,
-    ProblemSpec,
-    UncertainConstraint,
-    _envelope_and_actives,
-)
+from .robustfeas import ActiveSets, ProblemSpec, UncertainConstraint
 from .setcalc import Polytope, PolytopeSet, hull, minkowski_sum
 
 DEFAULT_KINK_TOL = 1e-9
@@ -136,11 +131,11 @@ def _exactness(atoms: dict[str, _Atom]) -> bool:
 # Sup rule over the scenario set and scalarization
 # ---------------------------------------------------------------------------
 
-def sup_rule(con: UncertainConstraint, x, tol: float = 1e-6,
-             mode: str = "hull", kink_tol: float = DEFAULT_KINK_TOL,
-             vgrid: int = DEFAULT_VGRID) -> SubdiffResult:
+def sup_rule(con: UncertainConstraint, x, actives, mode: str = "hull",
+             kink_tol: float = DEFAULT_KINK_TOL) -> SubdiffResult:
     """Outer estimate of the subdifferential of max_v g(., v) at x, for the
-    constraint g = con.expr over its declared scenario interval or list.
+    constraint g = con.expr and its active scenarios at x (the caller's
+    scenario_envelope scan; ignored when g is v-free).
 
     The hull of the union over active scenarios is the rule's native form;
     limiting mode keeps the union of the per-scenario sets.
@@ -148,7 +143,6 @@ def sup_rule(con: UncertainConstraint, x, tol: float = 1e-6,
     g = con.expr
     if not g.has_v:
         return limiting_subdiff(g, x, None, mode, kink_tol)
-    _, actives = _envelope_and_actives(con, x, tol, vgrid)
     pieces = [limiting_subdiff(g, x, v, "limiting", kink_tol) for v in actives]
     comps = [c for r in pieces for c in r.set.components]
     union = PolytopeSet(comps)
@@ -196,13 +190,15 @@ def objective_set(spec: ProblemSpec, j: int, x, mode: str = "limiting",
     return res.set, "engine"
 
 
-def constraint_set(spec: ProblemSpec, i: int, x, mode: str = "hull",
-                   use_fixtures: bool = False,
-                   tol: float = 1e-6) -> tuple[PolytopeSet, str]:
-    """Sup-rule set of constraint i (1-based) at x with provenance."""
+def constraint_set(spec: ProblemSpec, i: int, x, acts: ActiveSets,
+                   mode: str = "hull",
+                   use_fixtures: bool = False) -> tuple[PolytopeSet, str]:
+    """Sup-rule set of constraint i (1-based) at x with provenance, over
+    the active scenarios of acts, the caller's compute_active_sets(spec, x)."""
     con = spec.constraints[i - 1]
     if use_fixtures:
         fx = spec.fixture_for(con.name, x)
         if fx is not None:
             return fx, "fixture"
-    return sup_rule(con, x, tol, mode, spec.kink_tol, spec.vgrid).set, "engine"
+    return sup_rule(con, x, acts.scenarios[i - 1], mode,
+                    spec.kink_tol).set, "engine"

@@ -17,9 +17,9 @@ import numpy as np
 from .certify import CertifyError, search_kkt
 from .robustfeas import (
     ProblemSpec,
+    compute_active_sets,
     feasibility_mask,
-    is_feasible,
-    phi_i,
+    feasible_active_sets,
 )
 from .setcalc import ConeSpec, PolytopeSet, minkowski_sum, normal_cone, scale, zero_in_sum
 from .subdiff import constraint_set, objective_set
@@ -84,7 +84,7 @@ def classify_point(spec: ProblemSpec, xbar, kind: str, region,
     """
     quasi, memb_region = _kind_params(kind)
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    if not is_feasible(spec, xbar):
+    if feasible_active_sets(spec, xbar) is None:
         raise VerifyError("classification point must be robust-feasible")
     if spec.dim == 2:
         a1, b1, a2, b2 = [float(t) for t in region]
@@ -168,11 +168,12 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple, tol: float = 1e-9,
         S, _ = objective_set(spec, j, z, mode, use_fixtures)
         combo = minkowski_sum(combo, scale(S, float(ystar[j - 1])))
     parts = [combo]
+    acts = compute_active_sets(spec, z)
     comp_ok = True
     for i in range(1, spec.n_constraints + 1):
-        S, _ = constraint_set(spec, i, z, "hull", use_fixtures)
+        S, _ = constraint_set(spec, i, z, acts, "hull", use_fixtures)
         parts.append(scale(S, float(mu[i - 1])))
-        val = float(mu[i - 1]) * phi_i(spec, i, z)
+        val = float(mu[i - 1]) * acts.phis[i - 1]
         ok = val >= -tol
         comp_ok = comp_ok and ok
         checks.append({"name": f"mu_g_sign_{spec.constraints[i-1].name}",
@@ -295,7 +296,7 @@ def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,
     if kind not in ("I", "II"):
         raise VerifyError("kind must be 'I' or 'II'")
     z = np.asarray(triple.z, dtype=float).reshape(-1)
-    if not is_feasible(spec, z):
+    if feasible_active_sets(spec, z) is None:
         raise VerifyError("converse duality requires a robust-feasible z")
     rep = dual_feasible(spec, triple, mode=mode)
     if not rep.feasible:

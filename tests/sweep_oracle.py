@@ -53,7 +53,7 @@ def component_witness_margin(comp, nrm, ytheta, rows_here, con_base, N,
 
 def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
                            grid=21, y_resolution=24, eps_strict=1e-7,
-                           mode="limiting", scen_tol=1e-6):
+                           mode="limiting"):
     if ptype not in ("I", "II"):
         raise CertifyError("type must be 'I' or 'II'")
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -77,7 +77,7 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
         active = G <= 1e-12
     active[:, norms <= 1e-12] = False
 
-    con_rows = _constraint_rows(spec, xbar, scen_tol)
+    con_rows = _constraint_rows(spec, xbar)
     T = len(con_rows)
     con_base = {t: (row[2], row[3]) for t, row in enumerate(con_rows)}
     con_prem = np.zeros((T, samples.shape[0]), dtype=bool)

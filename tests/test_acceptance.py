@@ -17,7 +17,7 @@ from robustkkt.certify import (
 from robustkkt.cli import load_certificate, resolve_problem_path
 from robustkkt.funcdsl import DomainError, UnsupportedStructureError, \
     active_kinks, eval_expr, smooth_gradient
-from robustkkt.robustfeas import active_uncertainty, phi_i, raster
+from robustkkt.robustfeas import compute_active_sets, raster
 from robustkkt.setcalc import Polytope, PolytopeSet, hull, minkowski_sum, \
     polytope_equal, zero_in_sum
 from robustkkt.subdiff import constraint_set, limiting_subdiff
@@ -73,10 +73,10 @@ def test_criterion_1_example_2_2_subdifferentials(spec22, origin):
 
 def test_criterion_2_example_3_2_pipeline(spec32, origin):
     t0 = time.monotonic()
-    ok = abs(phi_i(spec32, 1, origin) - 0.0) <= 1e-8
-    ok = ok and abs(phi_i(spec32, 2, origin) - (-1.0)) <= 1e-8
-    v1 = active_uncertainty(spec32, 1, origin)
-    v2 = active_uncertainty(spec32, 2, origin)
+    acts = compute_active_sets(spec32, origin)
+    ok = abs(acts.phis[0] - 0.0) <= 1e-8
+    ok = ok and abs(acts.phis[1] - (-1.0)) <= 1e-8
+    v1, v2 = acts.scenarios
     ok = ok and len(v1) == 1 and abs(v1[0] - 0.0) <= 1e-6
     ok = ok and len(v2) == 1 and abs(v2[0] - 1.0) <= 1e-6
     ok = ok and check_cq(spec32, origin).holds
@@ -99,10 +99,10 @@ def test_criterion_2_example_3_2_pipeline(spec32, origin):
 def test_criterion_3_example_3_5_pipeline(spec35, origin):
     t0 = time.monotonic()
     ok = True
-    for i in (1, 2):
-        vi = active_uncertainty(spec35, i, origin)
+    acts = compute_active_sets(spec35, origin)
+    for vi in acts.scenarios:
         ok = ok and len(vi) == 1 and abs(vi[0] - (-0.25)) <= 1e-6
-    S1, _ = constraint_set(spec35, 1, origin, "hull")
+    S1, _ = constraint_set(spec35, 1, origin, acts, "hull")
     want = Polytope([[-1 / 64, 1 / 32], [1 / 64, 1 / 32]])
     ok = ok and polytope_equal(S1.components[0], want, tol=1e-12)
     cert = load_certificate(

@@ -223,6 +223,56 @@ class TestCommands:
         assert code == 3
         assert out["error"] == error
 
+    def test_triple_without_field_refused(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"z": [0, 0], "ystar": [0, 0, "1/33"]}))
+        code, out = run_json(capsys, [
+            "duality", "converse", "--problem", "example_3_5", "--triple",
+            str(path), "--kind", "I", "--region", "-3,3,-4,1"])
+        assert code == 3
+        assert out["error"] == "triple field mu is missing"
+
+    def test_triple_file_not_an_object_refused(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            [{"z": [0, 0], "ystar": [0, 0, "1/33"], "mu": ["32/33", 0]}]))
+        code, out = run_json(capsys, [
+            "duality", "converse", "--problem", "example_3_5", "--triple",
+            str(path), "--kind", "I", "--region", "-3,3,-4,1"])
+        assert code == 3
+        assert out["error"] == "triple must be a JSON object"
+
+    def test_certificate_without_field_refused(self, capsys, tmp_path,
+                                               fixtures_dir):
+        doc = json.loads((fixtures_dir / "example_3_2.cert.json").read_text())
+        del doc["astar"]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, [
+            "kkt", "check", "--problem", "example_3_2", "--at", "0,0",
+            "--cert", str(path), "--fixtures"])
+        assert code == 3
+        assert out["error"] == "certificate field astar is missing"
+
+    def test_witness_without_field_refused(self, capsys, tmp_path,
+                                           fixtures_dir):
+        doc = json.loads((fixtures_dir / "example_2_2_witness.json")
+                         .read_text())
+        del doc["u"]
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, [
+            "pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+            "--type", "II", "--witness", str(path)])
+        assert code == 3
+        assert out["error"] == "witness field u is missing"
+
+    def test_unknown_subdiff_target_refused(self, capsys):
+        code, out = run_json(capsys, ["subdiff", "--problem", "example_3_2",
+                                      "--target", "g9", "--at", "0,0"])
+        assert code == 3
+        assert out["error"] == "no constraint named 'g9'"
+
     def test_two_scenario_list_is_not_an_interval(self, capsys, tmp_path):
         # {0, 1} was read as the interval [0, 1]: one active scenario 1/2
         # and the set {(1/2, 0)}, marked exact

@@ -8,30 +8,30 @@ from robustkkt.robustfeas import (
     ProblemSpec,
     Psi,
     UncertainConstraint,
-    active_uncertainty,
     compute_active_sets,
-    envelope_grid,
     feasibility_mask,
-    is_feasible,
-    phi,
-    phi_i,
+    feasible_active_sets,
     raster,
+    scenario_envelope,
 )
 from robustkkt.setcalc import ConeSpec, OmegaSpec
+
+from test_golden import COMMANDS, report
 
 
 class TestEnvelopes:
     def test_phi_values_3_2(self, spec32, origin):
-        assert phi_i(spec32, 1, origin) == pytest.approx(0.0, abs=1e-8)
-        assert phi_i(spec32, 2, origin) == pytest.approx(-1.0, abs=1e-8)
+        assert compute_active_sets(spec32, origin).phis == pytest.approx(
+            (0.0, -1.0), abs=1e-8)
 
     def test_phi_values_3_5(self, spec35, origin):
-        assert phi_i(spec35, 1, origin) == pytest.approx(0.0, abs=1e-8)
-        assert phi_i(spec35, 2, origin) == pytest.approx(0.0, abs=1e-8)
+        assert compute_active_sets(spec35, origin).phis == pytest.approx(
+            (0.0, 0.0), abs=1e-8)
 
     def test_certain_constraint_passthrough(self):
         spec = _toy_spec([("g1", "x1 + x2 - 1", None)], dim=2)
-        assert phi_i(spec, 1, [0.25, 0.25]) == pytest.approx(-0.5)
+        assert compute_active_sets(spec, [0.25, 0.25]).phis == \
+            pytest.approx((-0.5,))
 
     def test_closed_form_quadratic_envelopes(self, spec35):
         # g's are polynomial of degree <= 2 in v; compare with the analytic
@@ -48,53 +48,54 @@ class TestEnvelopes:
             s_crit = -0.25 / (2 * A) if A != 0 else None
             if s_crit is not None and 0.25 <= s_crit <= 1.0:
                 cands.append(A * s_crit ** 2 + s_crit / 4)
-            assert phi_i(spec35, 1, x) == pytest.approx(max(cands), abs=1e-8)
+            assert scenario_envelope(con, x, spec35.vgrid)[0] == \
+                pytest.approx(max(cands), abs=1e-8)
 
     def test_phi_is_max_of_envelopes(self, spec32):
         rng = np.random.default_rng(10)
         for _ in range(25):
             x = rng.uniform(-3, 1, size=2)
-            phis = [phi_i(spec32, i, x) for i in (1, 2)]
-            assert phi(spec32, x) == max(phis)
+            phis = [scenario_envelope(con, x, spec32.vgrid)[0]
+                    for con in spec32.constraints]
+            acts = compute_active_sets(spec32, x)
+            assert acts.phis == tuple(phis)
+            assert acts.phi == max(phis)
 
 
 class TestActiveScenarios:
     def test_points_3_2(self, spec32, origin):
-        assert active_uncertainty(spec32, 1, origin) == pytest.approx([0.0],
-                                                                      abs=1e-6)
-        assert active_uncertainty(spec32, 2, origin) == pytest.approx([1.0],
-                                                                      abs=1e-6)
+        v1, v2 = compute_active_sets(spec32, origin).scenarios
+        assert v1 == pytest.approx((0.0,), abs=1e-6)
+        assert v2 == pytest.approx((1.0,), abs=1e-6)
 
     def test_points_3_5(self, spec35, origin):
-        for i in (1, 2):
-            assert active_uncertainty(spec35, i, origin) == pytest.approx(
-                [-0.25], abs=1e-6)
+        for scens in compute_active_sets(spec35, origin).scenarios:
+            assert scens == pytest.approx((-0.25,), abs=1e-6)
 
     def test_constant_in_v_reports_endpoints(self):
         spec = _toy_spec([("g1", "x1 + v - v", (-2.0, 3.0))])
-        reps = active_uncertainty(spec, 1, [0.5])
-        assert reps == pytest.approx([-2.0, 3.0])
+        [reps] = compute_active_sets(spec, [0.5]).scenarios
+        assert reps == pytest.approx((-2.0, 3.0))
 
     def test_values_attain_envelope(self, spec32, spec35):
         rng = np.random.default_rng(13)
         for spec in (spec32, spec35):
             for _ in range(10):
                 x = rng.uniform(-1.5, 0.5, size=2)
-                for i in (1, 2):
-                    env = phi_i(spec, i, x)
-                    con = spec.constraints[i - 1]
+                for con in spec.constraints:
+                    env, actives = scenario_envelope(con, x, spec.vgrid)
                     from robustkkt.funcdsl import eval_expr
-                    for vrep in active_uncertainty(spec, i, x, tol=1e-6):
+                    for vrep in actives:
                         val = eval_expr(con.expr, x, vrep)
                         assert abs(val - env) <= 1e-6
 
 
 class TestFeasibility:
     def test_examples(self, spec32, spec35):
-        assert is_feasible(spec32, [-1.0, 3.0])
-        assert not is_feasible(spec32, [1.0, 0.0])
-        assert is_feasible(spec35, [0.0, 0.0])
-        assert phi(spec35, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-8)
+        assert feasible_active_sets(spec32, [-1.0, 3.0]) is not None
+        assert feasible_active_sets(spec32, [1.0, 0.0]) is None
+        acts = feasible_active_sets(spec35, [0.0, 0.0])
+        assert acts.phi == pytest.approx(0.0, abs=1e-8)
 
     def test_direct_scenario_sweep_agreement(self, spec32, spec35):
         # envelope-based feasibility vs a direct for-all-v sweep on an
@@ -113,12 +114,43 @@ class TestFeasibility:
                 direct &= worst <= spec.feas_tol
             disagree = np.nonzero(mask != direct)[0]
             for t in disagree:  # only grid slack right at the boundary
-                assert abs(phi(spec, X[:, t])) <= 1e-3
+                assert abs(compute_active_sets(spec, X[:, t]).phi) <= 1e-3
             assert disagree.size <= 20
 
     def test_index_set(self, spec32, spec35, origin):
         assert compute_active_sets(spec32, origin).index_set == (1,)
         assert compute_active_sets(spec35, origin).index_set == (1, 2)
+
+
+# Scenario scans (robustfeas._scan calls) per README command: one per
+# uncertain constraint and point of each verdict function.  kkt search
+# adds its recheck by check_kkt, duality strong its dual_feasible,
+# duality weak the dual_feasible of its triple and converse duality the
+# dual_feasible and classify_point at z.  Grid commands scan none.
+SCANS = {"feasible": 2, "cq": 2, "kkt_check": 2, "fuzzy": 2,
+         "pseudoconvex_I": 2, "pseudoconvex_II": 2, "efficiency": 2,
+         "kkt_search": 4, "duality_strong": 6, "duality_weak": 8,
+         "duality_converse": 6, "raster": 0, "subdiff": 0}
+
+
+class TestScanCount:
+    def test_every_command_counted(self):
+        assert sorted(SCANS) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_one_scan_per_constraint_and_point(self, name, tmp_path,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        scan = robustfeas._scan
+
+        def counting(*args):
+            calls.append(args[1:])
+            return scan(*args)
+
+        monkeypatch.setattr(robustfeas, "_scan", counting)
+        report(COMMANDS[name])
+        assert len(calls) == SCANS[name]
 
 
 class TestRaster:
@@ -150,39 +182,21 @@ class TestRaster:
         with pytest.raises(ProblemError):
             raster(spec, (-1, 1, -1, 1), 5)
 
-    def test_two_threads_bit_equal(self, spec32, monkeypatch):
-        # the README raster grid of example 3.2
-        G1, G2 = np.meshgrid(np.linspace(-5, 1, 401), np.linspace(-5, 5, 401),
-                             indexing="ij")
-        X = np.vstack([G1.ravel(), G2.ravel()])
-        monkeypatch.delenv("ROBUSTKKT_THREADS", raising=False)
-        one = [envelope_grid(spec32, con, X) for con in spec32.constraints]
-        pools = []
-
-        class CountingPool(robustfeas.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(robustfeas, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setenv("ROBUSTKKT_THREADS", "2")
-        two = [envelope_grid(spec32, con, X) for con in spec32.constraints]
-        assert pools == [2, 2]
-        for a, b in zip(one, two):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
-
 
 class TestPsi:
     def test_value_at_xbar(self, spec32, origin):
         y = np.array([0.2, 0.3, 0.1])
         m = Psi(spec32, y, origin)
         # phi(xbar) = 0, <y, theta> = 0.3 >= 0
-        assert m(origin) == pytest.approx(float(np.dot(y, spec32.theta)))
+        [val] = m.on_grid(origin[:, None])
+        assert val == pytest.approx(float(np.dot(y, spec32.theta)))
 
     def test_zero_weights(self, spec32, origin):
         m = Psi(spec32, np.zeros(3), origin)
         x = np.array([-1.0, 0.5])
-        assert m(x) == pytest.approx(max(0.0, phi(spec32, x)), abs=1e-9)
+        [val] = m.on_grid(x[:, None])
+        assert val == pytest.approx(
+            max(0.0, compute_active_sets(spec32, x).phi), abs=1e-9)
 
     def test_requires_dual_cone_weight(self, spec35, origin):
         with pytest.raises(ProblemError):
@@ -195,7 +209,8 @@ class TestPsi:
         X = rng.uniform(-2, 1, size=(2, 40))
         grid = m.on_grid(X)
         for t in range(40):
-            assert grid[t] == pytest.approx(m(X[:, t]), abs=1e-9)
+            assert grid[t] == pytest.approx(_psi(spec32, y, origin, X[:, t]),
+                                            abs=1e-9)
 
 
 class TestSpecValidation:
@@ -214,6 +229,13 @@ class TestSpecValidation:
     def test_constraint_without_domain_rejected(self):
         with pytest.raises(ProblemError):
             UncertainConstraint("g1", parse_expr("v*x1", 1))
+
+
+def _psi(spec, ystar, xbar, x) -> float:
+    """psi at one point, as fuzzy_kkt_demo computes it at x_eta."""
+    f_branch = float(np.dot(ystar, spec.fvec(x) - spec.fvec(xbar)
+                            + spec.theta))
+    return max(f_branch, compute_active_sets(spec, x).phi)
 
 
 def _toy_spec(constraints, dim=1, theta=None):

@@ -8,7 +8,11 @@ from robustkkt.funcdsl import (
     parse_expr,
     smooth_gradient,
 )
-from robustkkt.robustfeas import UncertainConstraint
+from robustkkt.robustfeas import (
+    DEFAULT_VGRID,
+    UncertainConstraint,
+    scenario_envelope,
+)
 from robustkkt.setcalc import Polytope, hull, polytope_equal
 from robustkkt.subdiff import direct_subdiff, limiting_subdiff, sup_rule
 
@@ -24,6 +28,12 @@ from genexpr import (
 def _single(res):
     assert res.set.ncomponents == 1
     return res.set.components[0]
+
+
+def _sup_rule(con, x, mode="hull"):
+    """sup_rule over the active scenarios of one scenario_envelope scan."""
+    _, actives = scenario_envelope(con, x, DEFAULT_VGRID)
+    return sup_rule(con, x, actives, mode)
 
 
 class TestWorkedExampleSets:
@@ -112,32 +122,34 @@ class TestStructureRules:
 
 class TestSupRule:
     def test_example_3_2_g1(self, spec32, origin):
-        res = sup_rule(spec32.constraint("g1"), origin)
+        res = _sup_rule(spec32.constraint("g1"), origin)
         assert polytope_equal(_single(res), Polytope([[1, 0], [2, 0]]))
 
     def test_example_3_5_g1(self, spec35, origin):
-        res = sup_rule(spec35.constraint("g1"), origin)
+        res = _sup_rule(spec35.constraint("g1"), origin)
         assert polytope_equal(_single(res),
                               Polytope([[-1 / 64, 1 / 32], [1 / 64, 1 / 32]]),
                               tol=1e-12)
 
     def test_v_free_reduces_to_limiting(self):
         e = parse_expr("abs(x1) + x2", 2)
-        res = sup_rule(UncertainConstraint("g", e), [0, 0])
+        res = _sup_rule(UncertainConstraint("g", e), [0, 0])
         direct = limiting_subdiff(e, [0, 0], mode="hull")
         assert polytope_equal(hull(res.set), hull(direct.set))
 
     def test_limiting_mode_unions_scenarios(self):
-        # two scenario maximizers with different gradients
-        e = parse_expr("v*x1 - v^2", 1)
-        res = sup_rule(UncertainConstraint("g", e, -1, 1), [0.0],
-                       mode="limiting")
-        # at x = 0 both v = -1 and v = 1 are close to argmax of -v^2... the
-        # active set is {0}; use an expression with a genuine tie instead
-        e2 = parse_expr("v^2*x1", 1)
-        res2 = sup_rule(UncertainConstraint("g", e2, -1, 1), [0.0],
-                        mode="limiting", tol=1e-9)
-        assert res2.exactness in ("exact", "outer-estimate")
+        # at x = 0 the envelope -(v^2 - 1)^2 ties at v = -1 and v = 1,
+        # whose gradients in x1 are v
+        e = parse_expr("v*x1 - (v^2 - 1)^2", 1)
+        con = UncertainConstraint("g", e, -1, 1)
+        res = _sup_rule(con, [0.0], mode="limiting")
+        assert res.rules == ("sup-rule(v=-1)", "sup-rule(v=1)")
+        got = sorted(c.vertices.tolist() for c in res.set.components)
+        assert got == [[[-1.0]], [[1.0]]]
+        assert res.exactness == "outer-estimate"
+        hulled = _sup_rule(con, [0.0], mode="hull")
+        assert polytope_equal(_single(hulled), Polytope([[-1.0], [1.0]]))
+        assert hulled.exactness == "outer-estimate"
 
 
 class TestScalarized:
