@@ -304,9 +304,11 @@ def resolve_problem_path(path) -> Path:
     raise LoadError(f"problem file not found: {path}")
 
 
-def _sized(label: str, values, length: int):
-    """values, refused unless there are length of them."""
-    if len(values) != length:
+def _sized(label: str, values, length: int | None = None):
+    """values, refused unless a list or array (of length entries)."""
+    if not isinstance(values, (list, np.ndarray)):
+        raise LoadError(f"{label} must be a list")
+    if length is not None and len(values) != length:
         raise LoadError(f"{label} has {len(values)} entries, the problem "
                         f"needs {length}")
     return values
@@ -322,8 +324,8 @@ def _field(kind: str, doc, field: str):
 
 
 def _numbers(label: str, vals, length: int) -> np.ndarray:
-    return _sized(label, np.array([parse_scalar(str(t)) for t in vals]),
-                  length)
+    return np.array([parse_scalar(str(t))
+                     for t in _sized(label, vals, length)])
 
 
 def _vec(kind: str, doc, field: str, length: int) -> np.ndarray:
@@ -344,7 +346,8 @@ def load_certificate(path, spec: ProblemSpec) -> KKTCertificate:
         mu=_vec("certificate", doc, "mu", n),
         u=_rows("certificate", doc, "u", p, d),
         v=_rows("certificate", doc, "v", n, d),
-        vbar=[parse_scalar(str(t)) for t in doc.get("vbar", [0] * n)],
+        vbar=[parse_scalar(str(t)) for t in _sized(
+            "certificate field vbar", doc.get("vbar", [0] * n))],
         bstar=_vec("certificate", doc, "bstar", d),
         astar=_vec("certificate", doc, "astar", d),
     )
@@ -708,7 +711,8 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
             region = parse_vector(args.region)
             if args.triples:
                 docs = json.loads(Path(args.triples).read_text())
-                triples = [load_triple(doc, spec) for doc in docs]
+                triples = [load_triple(doc, spec)
+                           for doc in _sized("triples file", docs)]
             else:
                 if x is None:
                     raise LoadError("duality weak needs --triples or --at")

@@ -11,11 +11,13 @@ transcendentals are admitted.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -478,6 +480,30 @@ def is_affine(e: Expr) -> bool:
     return False
 
 
+def separable_branches(e: Expr) -> list | None:
+    """The branches of e's top-level max, each as (terms, feature) for
+    c(x) + a(v)*h(x) + b(v): a term is a product of pure factors, split as
+    (x-free factors with v, v-free rest); the terms whose rest touches x
+    share, up to order, the v factors ``feature``, whose product is a(v).
+    None when a factor mixes x and v or a branch has two features."""
+    if e.kind == "max":
+        subs = [separable_branches(c) for c in e.children]
+        return None if None in subs else [b for sub in subs for b in sub]
+    terms, features = [], {}
+    for t in e.children if e.kind == "sum" else (e,):
+        factors = t.children if t.kind == "prod" else (t,)
+        withv = tuple(f for f in factors if f.has_v)
+        rest = tuple(f for f in factors if not f.has_v)
+        if any(contains_coord(f) for f in withv):
+            return None
+        if withv and any(contains_coord(f) for f in rest):
+            features.setdefault(frozenset(Counter(withv).items()), withv)
+        terms.append((withv, rest))
+    if len(features) > 1:
+        return None
+    return [(terms, next(iter(features.values()), ()))]
+
+
 # ---------------------------------------------------------------------------
 # Evaluation (scalar, strict) and grid evaluation (vectorized, NaN-tolerant)
 # ---------------------------------------------------------------------------
@@ -610,7 +636,33 @@ def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
     return np.broadcast_to(out, X.shape[1:]).copy() if np.ndim(out) == 0 else out
 
 
-def _eval_grid(e: Expr, X: np.ndarray, v):
+def max_on_grid(e: Expr, X: np.ndarray, scenarios) -> np.ndarray:
+    """np.fmax from -inf of eval_on_grid(e, X, v) over the scenarios, with
+    each v-free subtree evaluated once for the grid; all else is the same
+    float operations in the same order, so the result is bit-equal."""
+    X = np.asarray(X, dtype=float)
+    fixed: dict[int, object] = {}
+    out = np.full(X.shape[1], -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for v in scenarios:
+            out = np.fmax(out, _eval_grid(e, X, float(v), fixed))
+    return out
+
+
+def eval_scenarios(e: Expr, scenarios) -> np.ndarray:
+    """An x-free tree at each scenario, as the grid evaluation computes it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.array([_eval_grid(e, None, float(v)) for v in scenarios],
+                        dtype=float)
+
+
+def _eval_grid(e: Expr, X: np.ndarray, v, fixed: dict | None = None):
+    """The value of e over the grid; with ``fixed``, each v-free subtree is
+    evaluated on its first visit and kept there, keyed by node identity."""
+    if fixed is not None and not e.has_v:
+        if id(e) not in fixed:
+            fixed[id(e)] = _eval_grid(e, X, v)
+        return fixed[id(e)]
     k = e.kind
     if k == "const":
         return float(e.value)
@@ -618,31 +670,23 @@ def _eval_grid(e: Expr, X: np.ndarray, v):
         return X[e.index - 1]
     if k == "uvar":
         return v
+    kids = [_eval_grid(c, X, v, fixed) for c in e.children]
     if k == "sum":
-        out = _eval_grid(e.children[0], X, v)
-        for c in e.children[1:]:
-            out = out + _eval_grid(c, X, v)
-        return out
+        return reduce(operator.add, kids)
     if k == "prod":
-        out = _eval_grid(e.children[0], X, v)
-        for c in e.children[1:]:
-            out = out * _eval_grid(c, X, v)
-        return out
+        return reduce(operator.mul, kids)
     if k == "pow":
-        return _eval_grid(e.children[0], X, v) ** e.exponent
+        return kids[0] ** e.exponent
     if k == "recip":
-        d = np.asarray(_eval_grid(e.children[0], X, v), dtype=float)
+        d = np.asarray(kids[0], dtype=float)
         return np.where(d == 0.0, np.nan, 1.0) / np.where(d == 0.0, 1.0, d)
     if k == "sqrt":
-        a = np.asarray(_eval_grid(e.children[0], X, v), dtype=float)
+        a = np.asarray(kids[0], dtype=float)
         return np.sqrt(np.where(a < 0.0, np.nan, a))
     if k == "abs":
-        return np.abs(_eval_grid(e.children[0], X, v))
+        return np.abs(kids[0])
     if k == "max":
-        out = _eval_grid(e.children[0], X, v)
-        for c in e.children[1:]:
-            out = np.maximum(out, _eval_grid(c, X, v))
-        return out
+        return reduce(np.maximum, kids)
     raise ValueError(f"unknown node kind {k}")
 
 
@@ -793,7 +837,9 @@ class _PointWalk:
             val = 1.0 / cv
             if self.quotient:
                 return val, -cg / (cv * cv), {}, rough
-            slope = -1.0 / (cv * cv)
+            square = cv * cv or self.fault(
+                f"slope of 1/({e.children[0]}) overflows")
+            slope = -1.0 / square
         else:
             if cv <= 0.0:
                 cv = self.fault(

@@ -8,25 +8,46 @@ on an interval, the plain maximum on a list) and the active scenarios
 V_i(x) within SCENARIO_TOL of it.  compute_active_sets collects that one
 scan for every constraint; each verdict computes it once per point and
 reads feasibility, the envelopes, the active indices and the sup-rule
-scenarios from it.  Rasters vectorize the maximization across a 2-D grid
-by a running max over the scenario grid, without refinement.
+scenarios from it.
+
+On a grid, envelope_grid is the running max F over the scenario grid,
+without refinement, evaluating each v-free subtree once per grid.  A max
+branch c(x) + a(v)*h(x) + b(v), a sum of products of pure factors with one
+feature a, is linear in each scenario's point (a_j, b_j), so its maximum
+lies on the upper hull of those points (de Berg et al., Computational
+Geometry, 3rd ed., 8.2 and 11.4): P = c + max_j (a_j*h + b_j) is one
+searchsorted on the hull's edge slopes per cell.  With N the branch's
+terms plus its most factors in one term, u = 2^-53, and C(x) the sum over
+terms of the product of max(1, |factor|), which bounds every partial
+product and so every underflow, the sum-of-products error bound (Higham,
+Accuracy and Stability of Numerical Algorithms, 3.1) applied to the scan,
+to c, h, a, b and to P gives |F - P| <= delta = (4N + 8) u C(x) plus what
+a vertex picked by rounded slopes can lose.  feasibility_mask decides a
+cell by P when |P - tol| > delta, and rescans the others (delta is
+infinite where C(x) > 2^1000) with envelope_grid: its mask is exactly the
+full scan's.  Other branches, or two or more features, take the full scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .funcdsl import (
     Expr,
+    contains_coord,
     contains_uncertainty,
     eval_expr,
     eval_on_grid,
+    eval_scenarios,
+    max_on_grid,
     scenario_fn,
+    separable_branches,
 )
-from .setcalc import ConeSpec, OmegaSpec, PolytopeSet
+from .setcalc import ConeSpec, OmegaSpec, PolytopeSet, upper_hull
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -294,29 +315,93 @@ def feasible_active_sets(spec: ProblemSpec, x) -> ActiveSets | None:
 # Vectorized feasibility and rasters
 # ---------------------------------------------------------------------------
 
+def _scenario_grid(spec: ProblemSpec, con: UncertainConstraint) -> np.ndarray:
+    if con.scenarios is not None:
+        return np.asarray(con.scenarios, dtype=float)
+    return np.linspace(con.lo, con.hi, spec.vgrid)
+
+
 def envelope_grid(spec: ProblemSpec, con: UncertainConstraint,
                   X: np.ndarray) -> np.ndarray:
     """phi_i over grid columns, by running max across the scenario grid."""
     if not con.has_uncertainty:
         return eval_on_grid(con.expr, X)
-    if con.scenarios is not None:
-        vgrid = np.asarray(con.scenarios, dtype=float)
-    else:
-        vgrid = np.linspace(con.lo, con.hi, spec.vgrid)
-    out = np.full(X.shape[1], -np.inf)
-    for v in vgrid:
-        out = np.fmax(out, eval_on_grid(con.expr, X, float(v)))
-    return out
+    return max_on_grid(con.expr, X, _scenario_grid(spec, con))
+
+
+# Unit roundoff; below _CAP no product of a branch overflows.
+_U, _CAP = 2.0 ** -53, 2.0 ** 1000
+
+
+def _hull_bound(spec: ProblemSpec, con: UncertainConstraint, X: np.ndarray):
+    """(P, delta) with |P - envelope_grid| <= delta where delta is finite,
+    or None.  A scenario NaN in a v factor is NaN at every cell: the scan
+    skips it, and so does the hull; an infinite one forbids the bound."""
+    branches = separable_branches(con.expr) if con.has_uncertainty else None
+    if branches is None:
+        return None
+    vals = {f: None for terms, _ in branches for withv, _ in terms
+            for f in withv}
+    V = np.array([eval_scenarios(f, _scenario_grid(spec, con)) for f in vals])
+    live = ~np.isnan(V).any(axis=0)
+    if not live.any() or np.isinf(V[:, live]).any():
+        return None
+    vals, grid = dict(zip(vals, V[:, live])), {}
+    P, delta = zip(*[_branch_bound(*br, X, vals, grid) for br in branches])
+    return reduce(np.maximum, P), reduce(np.maximum, delta)
+
+
+def _branch_bound(terms, feature, X, vals, grid):
+    """P = c + max_j (a_j*h + b_j) by a tangent query on the upper hull of
+    the scenario points (a_j, b_j), and the band delta around P."""
+    b = np.zeros(len(next(iter(vals.values()))))
+    c = h = cap = 0.0
+    for withv, rest in terms:
+        xpart = vpart = term_cap = 1.0
+        for f in rest:
+            if f not in grid:
+                grid[f] = eval_on_grid(f, X) if contains_coord(f) else \
+                    eval_scenarios(f, [0.0])[0]
+            xpart = xpart * grid[f]
+            term_cap = term_cap * np.maximum(1.0, np.abs(grid[f]))
+        for f in withv:
+            vpart = vpart * vals[f]
+            term_cap = term_cap * max(1.0, float(np.max(np.abs(vals[f]))))
+        cap = cap + term_cap
+        if not withv:
+            c = c + xpart
+        elif any(contains_coord(f) for f in rest):
+            h = h + xpart
+        else:
+            b = b + xpart * vpart
+    a = np.prod([vals[f] for f in feature], axis=0) if feature else 0.0 * b
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return np.nan, np.inf  # a product overflows: rescan every cell
+    k = upper_hull(a, b)
+    ak, bk = a[k], b[k]
+    s = np.diff(bk) / np.diff(ak)
+    j = np.searchsorted(np.maximum.accumulate(-s), h)
+    slack = float(np.sum(np.diff(ak) * np.maximum.accumulate(np.abs(s))))
+    n_ops = len(terms) + max(len(w) + len(r) for w, r in terms)
+    return c + (ak[j] * h + bk[j]), np.where(
+        cap <= _CAP, _U * ((4 * n_ops + 8) * cap + 4 * slack), np.inf)
 
 
 def feasibility_mask(spec: ProblemSpec, X: np.ndarray,
                      tol: float | None = None) -> np.ndarray:
-    """Boolean feasibility per grid column; NaN envelopes mean infeasible."""
+    """Boolean feasibility per grid column; NaN envelopes mean infeasible.
+    Cells outside each hull bound's band are decided by it, the rest, while
+    still feasible, by envelope_grid."""
     tol = spec.feas_tol if tol is None else tol
     ok = spec.omega.contains_grid(X)
     for con in spec.constraints:
-        env = envelope_grid(spec, con, X)
-        ok &= ~np.isnan(env) & (env <= tol)
+        P, delta = _hull_bound(spec, con, X) or (np.nan, np.inf)
+        decided = np.abs(P - tol) > delta
+        ok &= ~(decided & (P > tol))
+        idx = np.flatnonzero(ok & ~decided)
+        if idx.size:
+            env = envelope_grid(spec, con, X[:, idx])
+            ok[idx] = ~np.isnan(env) & (env <= tol)
     return ok
 
 

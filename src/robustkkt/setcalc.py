@@ -172,6 +172,19 @@ def _monotone_chain(P, idx) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
+def upper_hull(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Indices of the upper convex hull's vertices of the finite points
+    (a[i], b[i]), by increasing a, exactly; of equal a, the highest b."""
+    order = np.lexsort((b, a))
+    order = order[np.r_[a[order][1:] != a[order][:-1], True]]
+    if order.size == 1:
+        return order
+    # counterclockwise from the leftmost point; the upper chain comes last
+    H = _monotone_chain(_integer_plane(np.column_stack(
+        [a[order], b[order]]))[0], range(order.size))
+    return order[[0] + H[H.index(order.size - 1):][::-1]]
+
+
 def _segment_distance(p, a, b) -> tuple[int, int]:
     """Infinity-norm distance from p to the segment ab as (num, den)."""
     ux, uy = a[0] - p[0], a[1] - p[1]

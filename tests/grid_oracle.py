@@ -1,0 +1,88 @@
+"""The grid envelope and feasibility mask as they stood before the hoisted
+scan and the hull bound: every scenario evaluates the whole constraint tree
+over the whole grid, and the mask reads that running max at every cell.
+Kept verbatim as the oracle of ``tests/test_grid_scan.py``, which asserts
+bit-equal envelopes and equal masks.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from robustkkt.funcdsl import Expr, _check_scenario
+from robustkkt.robustfeas import ProblemSpec, UncertainConstraint
+
+
+def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
+    """Vectorized evaluation over columns of X (shape (d, N)).
+
+    Domain violations yield NaN entries instead of raising; callers treat
+    NaN as "undefined here" (a raster cell with NaN is reported infeasible).
+    """
+    _check_scenario(e, v)
+    X = np.asarray(X, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _eval_grid(e, X, v)
+    return np.broadcast_to(out, X.shape[1:]).copy() if np.ndim(out) == 0 else out
+
+
+def _eval_grid(e: Expr, X: np.ndarray, v):
+    k = e.kind
+    if k == "const":
+        return float(e.value)
+    if k == "coord":
+        return X[e.index - 1]
+    if k == "uvar":
+        return v
+    if k == "sum":
+        out = _eval_grid(e.children[0], X, v)
+        for c in e.children[1:]:
+            out = out + _eval_grid(c, X, v)
+        return out
+    if k == "prod":
+        out = _eval_grid(e.children[0], X, v)
+        for c in e.children[1:]:
+            out = out * _eval_grid(c, X, v)
+        return out
+    if k == "pow":
+        return _eval_grid(e.children[0], X, v) ** e.exponent
+    if k == "recip":
+        d = np.asarray(_eval_grid(e.children[0], X, v), dtype=float)
+        return np.where(d == 0.0, np.nan, 1.0) / np.where(d == 0.0, 1.0, d)
+    if k == "sqrt":
+        a = np.asarray(_eval_grid(e.children[0], X, v), dtype=float)
+        return np.sqrt(np.where(a < 0.0, np.nan, a))
+    if k == "abs":
+        return np.abs(_eval_grid(e.children[0], X, v))
+    if k == "max":
+        out = _eval_grid(e.children[0], X, v)
+        for c in e.children[1:]:
+            out = np.maximum(out, _eval_grid(c, X, v))
+        return out
+    raise ValueError(f"unknown node kind {k}")
+
+
+def envelope_grid(spec: ProblemSpec, con: UncertainConstraint,
+                  X: np.ndarray) -> np.ndarray:
+    """phi_i over grid columns, by running max across the scenario grid."""
+    if not con.has_uncertainty:
+        return eval_on_grid(con.expr, X)
+    if con.scenarios is not None:
+        vgrid = np.asarray(con.scenarios, dtype=float)
+    else:
+        vgrid = np.linspace(con.lo, con.hi, spec.vgrid)
+    out = np.full(X.shape[1], -np.inf)
+    for v in vgrid:
+        out = np.fmax(out, eval_on_grid(con.expr, X, float(v)))
+    return out
+
+
+def feasibility_mask(spec: ProblemSpec, X: np.ndarray,
+                     tol: float | None = None) -> np.ndarray:
+    """Boolean feasibility per grid column; NaN envelopes mean infeasible."""
+    tol = spec.feas_tol if tol is None else tol
+    ok = spec.omega.contains_grid(X)
+    for con in spec.constraints:
+        env = envelope_grid(spec, con, X)
+        ok &= ~np.isnan(env) & (env <= tol)
+    return ok

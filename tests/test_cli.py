@@ -428,6 +428,81 @@ class TestCommands:
                                    "--at", "0,0"])
         assert "timings_sec" not in doc
 
+    @pytest.mark.parametrize("value", [5, "00", {"x1": 0, "x2": 0}],
+                             ids=["number", "string", "object"])
+    def test_triple_field_not_a_list_refused(self, capsys, tmp_path, value):
+        doc = {"z": value, "ystar": [0, 0, "1/33"], "mu": ["32/33", 0]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, [
+            "duality", "converse", "--problem", "example_3_5", "--triple",
+            str(path), "--kind", "I", "--region", "-3,3,-4,1", "--res", "21"])
+        assert code == 3
+        assert out["error"] == "triple field z must be a list"
+
+    def test_triples_file_not_a_list_refused(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text("7")
+        code, out = run_json(capsys, [
+            "duality", "weak", "--problem", "example_3_5", "--triples",
+            str(path), "--kind", "I", "--region", "-3,3,-4,1",
+            "--samples", "20"])
+        assert code == 3
+        assert out["error"] == "triples file must be a list"
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("ystar", 1, "certificate field ystar must be a list"),
+        ("u", 1, "certificate field u must be a list"),
+        ("u", [1, 2, 3], "certificate field u[0] must be a list"),
+        ("vbar", 0, "certificate field vbar must be a list"),
+    ], ids=["ystar", "u", "u-row", "vbar"])
+    def test_certificate_field_not_a_list_refused(self, capsys, tmp_path,
+                                                  fixtures_dir, field, value,
+                                                  error):
+        doc = json.loads((fixtures_dir / "example_3_2.cert.json").read_text())
+        doc[field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, [
+            "kkt", "check", "--problem", "example_3_2", "--at", "0,0",
+            "--cert", str(path), "--fixtures"])
+        assert code == 3
+        assert out["error"] == error
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("x", "00", "witness field x must be a list"),
+        ("u", {"0": [0, 0]}, "witness field u must be a list"),
+        ("u", ["00", "00", "00"], "witness field u[0] must be a list"),
+    ], ids=["x", "u", "u-row"])
+    def test_witness_field_not_a_list_refused(self, capsys, tmp_path,
+                                              fixtures_dir, field, value,
+                                              error):
+        doc = json.loads((fixtures_dir / "example_2_2_witness.json")
+                         .read_text())
+        doc[field] = value
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, [
+            "pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+            "--type", "II", "--witness", str(path)])
+        assert code == 3
+        assert out["error"] == error
+
+    def test_reciprocal_slope_overflow_is_a_data_error(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "p.problem"
+        path.write_text('[space]\ndim = 1\n[cone]\npattern = >=0\n'
+                        '[theta]\nvalue = 0\n[omega]\nkind = whole\n'
+                        '[objectives]\nf1 = "1/x1"\n[constraints]\n')
+        code, out = run_json(capsys, ["subdiff", "--problem", str(path),
+                                      "--target", "f1", "--at", "1e-200"])
+        assert code == 3
+        assert out["error"] == "slope of 1/(x1) overflows"
+        code, out = run_json(capsys, ["subdiff", "--problem", str(path),
+                                      "--target", "f1", "--at", "1e-100"])
+        assert code == 0
+        assert out["details"]["set"]["components"] == [[[-1e200]]]
+
 
 class Reached(BaseException):
     """Raised by a stub in place of the command's allocating call; not an

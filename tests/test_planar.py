@@ -4,6 +4,7 @@ margin of the pseudo-convexity sweep."""
 
 import contextlib
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,39 @@ class TestPlanarHull:
             [[0.0, 1.0], [1e-13, 0.0], [1e-13, 1.0], [1.0, 0.5]]))
         assert V.shape[0] == 4
         assert_same_reduction(V)
+
+
+def _upper_hull_by_chords(a, b) -> list[int]:
+    """The upper hull by brute force in rationals: of equal a the highest
+    b, then every point strictly above each chord between its neighbours."""
+    best = {}
+    for i in np.lexsort((b, a)).tolist():
+        best[a[i]] = i
+    idx = [best[t] for t in sorted(best)]
+    F = [(Fraction(a[i]), Fraction(b[i])) for i in idx]
+    keep = []
+    for m in range(len(F)):
+        above = all((F[m][1] - F[i][1]) * (F[k][0] - F[i][0])
+                    > (F[k][1] - F[i][1]) * (F[m][0] - F[i][0])
+                    for i in range(m) for k in range(m + 1, len(F)))
+        if above:
+            keep.append(idx[m])
+    return keep
+
+
+class TestUpperHull:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.0]),
+                              st.floats(-3, 3)), min_size=1, max_size=8),
+           st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                    max_size=8))
+    def test_matches_chords(self, grid, free):
+        """Repeated a, collinear runs (b = 2a on the sampled a) and general
+        points, against the rational brute force."""
+        pts = grid + [(t, 2 * t) for t, _ in grid] + free
+        a, b = (np.array(c) for c in zip(*pts))
+        assert setcalc.upper_hull(a, b).tolist() == \
+            _upper_hull_by_chords(a, b)
 
 
 def assert_same_residual(p, V):

@@ -153,6 +153,39 @@ class TestScanCount:
         assert len(calls) == SCANS[name]
 
 
+# The README commands that build feasibility masks.  On the bundled fixtures
+# the hull bound of every constraint decides every cell, so the grid scan
+# (envelope_grid) evaluates no scenario at any cell and no cell is
+# rescanned; a constraint that lost its hull bound would fall back to the
+# full scan of its 1,001 scenarios over every feasible cell.
+MASK_COMMANDS = ("raster", "efficiency", "duality_weak", "duality_converse")
+
+
+class TestGridScanCount:
+    @pytest.mark.parametrize("name", MASK_COMMANDS)
+    def test_masks_need_no_grid_scan(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bounds, cells, evaluations = [], [], []
+        hull_bound, scan = robustfeas._hull_bound, robustfeas.envelope_grid
+
+        def bounding(spec, con, X):
+            out = hull_bound(spec, con, X)
+            bounds.append(out is not None)
+            return out
+
+        def counting(spec, con, X):
+            cells.append(X.shape[1])
+            evaluations.append(
+                X.shape[1] * len(robustfeas._scenario_grid(spec, con)))
+            return scan(spec, con, X)
+
+        monkeypatch.setattr(robustfeas, "_hull_bound", bounding)
+        monkeypatch.setattr(robustfeas, "envelope_grid", counting)
+        report(COMMANDS[name])
+        assert bounds and all(bounds)
+        assert (sum(cells), sum(evaluations)) == (0, 0)
+
+
 class TestRaster:
     def test_closed_form_3_2(self, spec32):
         r = raster(spec32, (-5, 1, -5, 5), 161)
