@@ -33,7 +33,8 @@ class ParseError(ExprError):
 
 
 class DomainError(ExprError):
-    """Division by zero or square root of a negative value."""
+    """Division by zero, square root of a negative value, or a float power
+    that overflows."""
 
 
 class ScenarioMismatchError(ExprError):
@@ -547,20 +548,30 @@ def _sqrt(a: float, message: str) -> float:
     return a ** 0.5
 
 
+def _power(a, n: int, e: Expr):
+    """a ** n for the power node e, raising DomainError where a float
+    power overflows (a Python float raises OverflowError; an array gives
+    inf)."""
+    try:
+        return a ** n
+    except OverflowError:
+        raise DomainError(f"{e} overflows") from None
+
+
 def _compile(e: Expr):
     """Straight-line Python code for the tree: one assignment per node.
 
     Children are assigned before their parent, left to right, so the code
     performs the float operations of a recursive walk in the same order and
     raises the same errors: sums and maxima call the builtins on a tuple, a
-    product is ``1.0 * a * b``, a power ``a ** n``, a square root
-    ``a ** 0.5``.  Constants, exponents and error messages reach the code as
-    closure values, never as source text.  Neither this function nor the
-    code it writes nests per tree level, so any tree the parser accepts
-    compiles.
+    product is ``1.0 * a * b``, a power ``a ** n`` (DomainError where it
+    overflows), a square root ``a ** 0.5``.  Constants, exponents, power
+    nodes and error messages reach the code as closure values, never as
+    source text.  Neither this function nor the code it writes nests per
+    tree level, so any tree the parser accepts compiles.
     """
     values = {"_sum": sum, "_max": max, "_abs": abs, "_recip": _recip,
-              "_sqrt": _sqrt}
+              "_sqrt": _sqrt, "_power": _power}
     lines: list[str] = []
 
     def bind(value) -> str:
@@ -581,7 +592,7 @@ def _compile(e: Expr):
         elif k == "prod":
             rhs = "1.0 * " + " * ".join(args)
         elif k == "pow":
-            rhs = f"{args[0]} ** {bind(node.exponent)}"
+            rhs = f"_power({args[0]}, {bind(node.exponent)}, {bind(node)})"
         elif k == "recip":
             msg = bind(f"division by zero in 1/({node.children[0]})")
             rhs = f"_recip({args[0]}, {msg})"
@@ -676,7 +687,7 @@ def _eval_grid(e: Expr, X: np.ndarray, v, fixed: dict | None = None):
     if k == "prod":
         return reduce(operator.mul, kids)
     if k == "pow":
-        return kids[0] ** e.exponent
+        return _power(kids[0], e.exponent, e)
     if k == "recip":
         d = np.asarray(kids[0], dtype=float)
         return np.where(d == 0.0, np.nan, 1.0) / np.where(d == 0.0, 1.0, d)
@@ -829,8 +840,8 @@ class _PointWalk:
         cv, cg, ck, rough = self.node(e.children[0], False)
         if k == "pow":
             n = e.exponent
-            slope = n * cv ** (n - 1)
-            val = cv ** n
+            slope = n * _power(cv, n - 1, e)
+            val = _power(cv, n, e)
         elif k == "recip":
             if cv == 0.0:
                 cv = self.fault(f"division by zero in 1/({e.children[0]})")

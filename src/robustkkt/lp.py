@@ -4,17 +4,33 @@ All the set questions in this package (is zero in a sum of polytopes, is a
 point inside a hull, does a witness direction exist) reduce to small LPs.
 Two engines are provided:
 
-* an exact Bland-rule simplex over ``Fraction`` entries, so feasibility
-  verdicts on the small equality-form certificate LPs carry no floating
-  point doubt (binary floats convert to Fractions losslessly), and
+* an exact Bland-rule simplex in fraction-free integer arithmetic, so
+  feasibility verdicts on the small equality-form certificate LPs carry no
+  floating point doubt (binary floats convert to integer ratios
+  losslessly), and
 * scipy's HiGHS for the larger inequality systems, with feasibility
   tolerance 1e-9.
+
+The exact simplex scales ``[A | b]`` once by the lcm L of its entries'
+denominators and keeps the tableau as integers over one positive common
+denominator D (Edmonds' integer-preserving elimination; Bareiss, Math.
+Comp. 22, 1968).  A pivot on the entry p keeps the pivot row, replaces each
+other entry a by ``(p·a − f·q) // D``, with f the entry of a's row in the
+pivot column and q that of the pivot row in a's column, which divides
+exactly, and makes p the new D; a negative p (only when a leftover
+artificial is driven out) negates the tableau, so D stays positive.  The
+artificial columns stay the identity, which rescales the artificial
+variables and the phase-1 cost by L > 0, so every reduced-cost sign and
+every ratio-test order, and with them the pivots, are those of the same
+simplex over ``Fraction`` entries.  (Scaling each row by its own factor
+would weight the phase-1 cost row by row and change its pricing.)
 
 ``engine="auto"`` picks the exact path for small systems.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,82 +46,116 @@ class LPError(Exception):
     pass
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(float(x))
+def _rational(x):
+    """x as an exact number the simplex accepts: a Fraction stays one,
+    anything else converts to float (infinity raises OverflowError, NaN
+    ValueError, when the simplex takes its integer ratio)."""
+    return x if isinstance(x, Fraction) else float(x)
+
+
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """The rows times L, the lcm of their entries' denominators, as ints;
+    and L.  Entries are ints, Fractions or floats."""
+    ratios = [[a.as_integer_ratio() for a in row] for row in rows]
+    scale = math.lcm(*(den for row in ratios for _, den in row))
+    return [[num * (scale // den) for num, den in row]
+            for row in ratios], scale
+
+
+def _pivot(rows, rhs, basis, r, col, d) -> int:
+    """Fraction-free pivot on rows[r][col] of the tableau ``rows``/``rhs``
+    over the common denominator d; returns the new denominator, made
+    positive by negating the tableau when the pivot is negative."""
+    prow, prhs = rows[r], rhs[r]
+    p = prow[col]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            rows[i] = [(p * a - f * q) // d for a, q in zip(row, prow)]
+            rhs[i] = (p * rhs[i] - f * prhs) // d
+        elif p != d:
+            rows[i] = [p * a // d for a in row]
+            rhs[i] = p * rhs[i] // d
+    basis[r] = col
+    if p < 0:
+        for i, row in enumerate(rows):
+            rows[i] = [-a for a in row]
+            rhs[i] = -rhs[i]
+        return -p
+    return p
 
 
 def simplex_standard(A, b, c):
     """Exact two-phase simplex for min c.x s.t. A x = b, x >= 0.
 
-    A, b, c contain Fractions.  Returns (status, x, objective) with status
-    one of "optimal", "infeasible", "unbounded".
+    A, b, c contain ints, Fractions or floats.  Bland's rule picks the
+    first column with a negative reduced cost and, among the rows of the
+    least ratio, the one whose basic column has the least index.  Returns
+    (status, x, objective) with x and the objective as Fractions and
+    status one of "optimal", "infeasible", "unbounded".
     """
     m = len(A)
     n = len(c)
-    rows = []
+    rows, _ = _integer_rows([[*A[i], b[i]] for i in range(m)])
+    (cost,), cost_scale = _integer_rows([c])
     rhs = []
-    for i in range(m):
-        row = list(A[i])
-        bi = b[i]
+    for i, row in enumerate(rows):
+        bi = row.pop()
         if bi < 0:
             row = [-a for a in row]
             bi = -bi
-        rows.append(row + [Fraction(0)] * m)
-        rows[-1][n + i] = Fraction(1)
+        rows[i] = row + [0] * m
+        rows[i][n + i] = 1
         rhs.append(bi)
     basis = [n + i for i in range(m)]
+    d = 1
 
     def solve_phase(cost, allow_cols):
+        # The reduced cost of column j, times d > 0, is
+        # d·cost_j − Σ_i cost_basis[i]·rows[i][j].
+        nonlocal d
         pivots = 0
         while True:
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise LPError("simplex pivot limit exceeded")
-            # reduced costs r_j = c_j - y.A_j with y from the basis
-            cb = [cost[j] for j in basis]
+            basic = set(basis)
+            priced = [(cost[j], rows[i]) for i, j in enumerate(basis)
+                      if cost[j]]
             entering = -1
             for j in allow_cols:
-                if j in basis:
+                if j in basic:
                     continue
-                rj = cost[j]
-                for i in range(m):
-                    if rows[i][j] != 0:
-                        rj -= cb[i] * rows[i][j]
+                rj = d * cost[j]
+                for cb, row in priced:
+                    rj -= cb * row[j]
                 if rj < 0:
                     entering = j
                     break  # Bland: first (smallest-index) improving column
             if entering < 0:
                 return "optimal"
             leaving = -1
-            best = None
             for i in range(m):
                 aij = rows[i][entering]
-                if aij > 0:
-                    ratio = rhs[i] / aij
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
+                if aij <= 0:
+                    continue
+                if leaving < 0:
+                    leaving = i
+                    continue
+                # rhs[i]/aij against the least ratio so far, cross-multiplied
+                ratio = rhs[i] * rows[leaving][entering]
+                least = rhs[leaving] * aij
+                if ratio < least or (ratio == least
+                                     and basis[i] < basis[leaving]):
+                    leaving = i
             if leaving < 0:
                 return "unbounded"
-            _pivot(rows, rhs, basis, leaving, entering)
-
-    def _pivot(rows, rhs, basis, r, col):
-        piv = rows[r][col]
-        rows[r] = [a / piv for a in rows[r]]
-        rhs[r] = rhs[r] / piv
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        basis[r] = col
+            d = _pivot(rows, rhs, basis, leaving, entering, d)
 
     total = n + m
-    phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
-    status = solve_phase(phase1_cost, range(total))
+    status = solve_phase([0] * n + [1] * m, range(total))
     if status != "optimal":  # phase 1 cannot be unbounded, defensive
         return "infeasible", None, None
     art_value = sum(rhs[i] for i in range(m) if basis[i] >= n)
@@ -116,19 +166,19 @@ def simplex_standard(A, b, c):
         if basis[i] >= n:
             for j in range(n):
                 if rows[i][j] != 0:
-                    _pivot(rows, rhs, basis, i, j)
+                    d = _pivot(rows, rhs, basis, i, j, d)
                     break
 
-    phase2_cost = list(c) + [Fraction(0)] * m
-    status = solve_phase(phase2_cost, range(n))
+    status = solve_phase(cost + [0] * m, range(n))
     if status == "unbounded":
         return "unbounded", None, None
     x = [Fraction(0)] * n
+    obj = 0
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = rhs[i]
-    obj = sum(ci * xi for ci, xi in zip(c, x))
-    return "optimal", x, obj
+            x[basis[i]] = Fraction(rhs[i], d)
+            obj += cost[basis[i]] * rhs[i]
+    return "optimal", x, Fraction(obj, cost_scale * d)
 
 
 @dataclass
@@ -203,9 +253,9 @@ class LPBuilder:
         A, b = [], []
 
         def expand(coeffs):
-            row = [Fraction(0)] * total
+            row = [0] * total
             for i, a in coeffs.items():
-                fa = _frac(a)
+                fa = _rational(a)
                 p, q = cols[i]
                 row[p] += fa
                 if q is not None:
@@ -214,15 +264,15 @@ class LPBuilder:
 
         for coeffs, rhs in self.eqs:
             A.append(expand(coeffs))
-            b.append(_frac(rhs))
+            b.append(_rational(rhs))
         for s, (coeffs, rhs) in enumerate(self.ubs):
             row = expand(coeffs)
-            row[base + s] = Fraction(1)
+            row[base + s] = 1
             A.append(row)
-            b.append(_frac(rhs))
-        c = [Fraction(0)] * total
+            b.append(_rational(rhs))
+        c = [0] * total
         for i, a in self.obj.items():
-            fa = _frac(a)
+            fa = _rational(a)
             p, q = cols[i]
             c[p] += fa
             if q is not None:
@@ -233,8 +283,7 @@ class LPBuilder:
         vals = np.zeros(self.n)
         for i in range(self.n):
             p, q = cols[i]
-            vi = x[p] - (x[q] if q is not None else 0)
-            vals[i] = float(vi)
+            vals[i] = float(x[p] if q is None else x[p] - x[q])
         return LPResult("optimal", vals, float(obj), engine="exact")
 
     def _solve_float(self) -> LPResult:

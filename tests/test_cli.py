@@ -503,6 +503,25 @@ class TestCommands:
         assert code == 0
         assert out["details"]["set"]["components"] == [[[-1e200]]]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["feasible", "--at", "0,0"], "v^400 overflows"),
+        (["raster", "--region", "-1,1,-1,1", "--res", "3"],
+         "v^400 overflows"),
+        (["subdiff", "--target", "f1", "--at", "1e200,0"], "x1^2 overflows"),
+    ], ids=["feasible", "raster", "subdiff"])
+    def test_power_overflow_is_a_data_error(self, capsys, tmp_path,
+                                            monkeypatch, argv, error):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "p.problem"
+        path.write_text('[space]\ndim = 2\n[cone]\npattern = >=0\n'
+                        '[theta]\nvalue = 0\n[omega]\nkind = whole\n'
+                        '[objectives]\nf1 = "x1^2"\n[constraints]\n'
+                        'g1 = "v^400*x1 - 1" with v in [1, 10]\n')
+        code, out = run_json(capsys, [argv[0], "--problem", str(path),
+                                      *argv[1:]])
+        assert code == 3
+        assert out["error"] == error
+
 
 class Reached(BaseException):
     """Raised by a stub in place of the command's allocating call; not an
