@@ -27,6 +27,7 @@ from .setcalc import (
     PolyCone,
     Polytope,
     _add_stationarity_rows,
+    _cross,
     _monotone_chain,
     dual_ball,
     normal_cone,
@@ -648,16 +649,9 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     # one id per distinct premise-row mask (column of con_prem)
     masks, mask_id = np.unique(con_prem.T, axis=0, return_inverse=True)
     mask_id = mask_id.reshape(-1)
-    # (cuts, lines, walls) per mask id, built when a margin first needs it;
-    # walls are the planar cut rows, a lineality generator cutting both ways
-    mask_cuts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def cuts_of(j: int):
-        if j not in mask_cuts:
-            rows_here = np.flatnonzero(masks[j]).tolist()
-            cuts, lines = _witness_cuts(spec.dim, rows_here, con_base, N)
-            mask_cuts[j] = (cuts, lines, np.vstack([cuts, lines, -lines]))
-        return mask_cuts[j]
+    cut_rows = [_witness_cuts(spec.dim, np.flatnonzero(m).tolist(), con_base,
+                              N) for m in masks]
+    geometry = None  # the planar geometry, built when a margin first needs it
 
     # A sample fails at the first y* (in index order) with neither the
     # candidate w = x - xbar nor a witness margin >= eps_strict; later y*
@@ -680,11 +674,13 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
             continue
         needs_margin[left] = True
         ids, inverse = np.unique(mask_id[left], return_inverse=True)
-        # the witness ball's shape depends on the component, not the mask
-        shapes: list = [None] * sset.ncomponents
-        margin = np.array([
-            _normalized_margin(sset.components, shapes, ytheta, cuts_of(j),
-                               pball, l2_dirs) for j in ids.tolist()])
+        if spec.dim == 2:
+            geometry = geometry or _SweepGeometry(pball, l2_dirs, cut_rows)
+            margin = geometry.margins(sset.components, ytheta, ids)
+        else:
+            margin = np.array([
+                _lp_margin(sset.components, ytheta, *cut_rows[j], pball,
+                           l2_dirs) for j in ids.tolist()])
         failed = left[margin[inverse.reshape(-1)] * norms[left] < eps_strict]
         if failed.size:
             first_fail[failed] = myi
@@ -706,31 +702,14 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     return PseudoReport(ptype, verdicts, all_ok)
 
 
-def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,
-                       pball: Polytope, l2_dirs: bool) -> float:
-    """Witness margin at ||x - xbar|| = 1: the least over the components of
-    the max margin delta >= 0 with <u, w> + ytheta <= -delta for every
-    vertex u of the component (the definition lets w depend on the
-    subgradient choice); -inf if some component has no nonnegative margin.
-
-    w ranges over the witness ball (_witness_ball), cut by <a, w> <= 0 for
-    the vertices a of the premise-holding constraint rows and by the normal
-    cone's generators (= 0 for lineality generators); cut_rows is
-    (cuts, lines, walls) of those rows.  shapes[k] caches component k's
-    ball: its _planar_ball in the plane, its vertices otherwise.
-    """
-    cuts, lines, walls = cut_rows
+def _lp_margin(components, ytheta: float, cuts: np.ndarray, lines: np.ndarray,
+               pball: Polytope, l2_dirs: bool) -> float:
+    """_SweepGeometry.margins off the plane, one mask, one LP each."""
     best = math.inf
-    for k, comp in enumerate(components):
-        if shapes[k] is None:
-            ball = _witness_ball(comp, pball, l2_dirs)
-            shapes[k] = _planar_ball(ball) if comp.dim == 2 else ball
-        if comp.dim == 2:
-            found = _planar_witness_margin(comp.vertices, ytheta, 1.0,
-                                           shapes[k], walls)
-        else:
-            found = _lp_witness_margin(comp.vertices, ytheta, shapes[k],
-                                       cuts, lines)
+    for comp in components:
+        found = _lp_witness_margin(comp.vertices, ytheta,
+                                   _witness_ball(comp, pball, l2_dirs),
+                                   cuts, lines)
         if found is None:
             return -math.inf
         best = min(best, found[0])
@@ -809,40 +788,105 @@ def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
 _CUT_TOL = 1e-12
 
 
-def _planar_witness_margin(U: np.ndarray, offset: float, nrm: float,
-                           polygon, cuts: np.ndarray):
-    """_lp_witness_margin in the plane, without an LP, over nrm times the
-    ball whose _planar_ball is polygon.
+class _SweepGeometry:
+    """The planar witness margins of one sweep.
 
-    The w-set is that polygon cut by the half-planes <a, w> <= 0, all
-    through the origin, so it is the ball clipped to a wedge.  The
-    objective min_u -<u, w> is concave and positively homogeneous, linear
-    on the wedges between tie lines <u_i - u_j, w> = 0.  On every angular
-    sector between consecutive ball vertices, cut lines and tie lines both
-    the ball's boundary and the objective are linear, so the optimum is
-    the origin or the boundary point of one of those rays.
+    w ranges over the witness ball clipped to the wedge of a mask's walls
+    <a, w> <= 0, and min_u -<u, w> is linear between the tie lines
+    <u_i - u_j, w> = 0, so the optimum is the origin or the boundary point
+    of a ball vertex, wall ray or tie ray.  The base polygon (the hull of
+    the primal ball) and each mask's cut tests of its vertices and wall
+    rays are built once; a component's exact directions go in by binary
+    search on angle (Preparata & Shamos, Computational Geometry, 1985,
+    sec. 3.3.6), and one stacked evaluation serves all the masks.
     """
-    H, normals, heights = polygon
-    lines = cuts
-    if U.shape[0] > 1:
-        ties = (U[:, None, :] - U[None, :, :])[np.triu_indices(U.shape[0], 1)]
-        lines = np.vstack([cuts, ties])
-    perp = np.column_stack([-lines[:, 1], lines[:, 0]])
-    rays = np.vstack([H, perp, -perp])
-    rays = rays[np.any(rays != 0.0, axis=1)]
-    if cuts.shape[0]:
-        slack = cuts @ rays.T
-        scale = np.outer(np.linalg.norm(cuts, axis=1),
-                         np.linalg.norm(rays, axis=1))
-        rays = rays[np.all(slack <= _CUT_TOL * scale, axis=0)]
-    # the ray along r leaves the ball at r / gauge(r)
-    gauge = np.max((rays @ normals.T) / heights, axis=1)
-    W = np.vstack([np.zeros((1, 2)), nrm * rays / gauge[:, None]])
-    vals = -np.max(W @ U.T, axis=1) - offset
-    k = int(np.argmax(vals))
-    if vals[k] < 0.0:
-        return None
-    return float(vals[k]), W[k]
+
+    def __init__(self, pball: Polytope, l2_dirs: bool, cut_rows: list):
+        self.pball, self.l2_dirs = pball, l2_dirs
+        H, normals, heights = _planar_ball(pball.vertices)
+        # rows (vertex, normal and height of the edge it starts) by angle,
+        # which is a rotation of the counterclockwise H
+        ang = np.arctan2(H[:, 1], H[:, 0])
+        order = np.argsort(ang)
+        self.sorted = np.column_stack([H, normals, heights])[order], ang[order]
+        # a mask's walls are its cuts, and its lines cutting both ways
+        walls = [np.vstack([cuts, lines, -lines]) for cuts, lines in cut_rows]
+        self.walls = np.vstack(walls)
+        self.wall_norms = np.linalg.norm(self.walls, axis=1)
+        owner = np.repeat(np.arange(len(walls)), [w.shape[0] for w in walls])
+        self.wall_owner = owner == np.arange(len(walls))[:, None]
+        live = np.any(self.walls != 0.0, axis=1)
+        perp = np.column_stack([-self.walls[live, 1], self.walls[live, 0]])
+        perp = np.vstack([perp, -perp])  # the rays along each wall
+        # a mask sees its own wall rays, those that pass its cut test
+        pown = np.tile(owner[live], 2)
+        perp_ok = (pown == np.arange(len(walls))[:, None]) & self.cut_ok(
+            perp)[pown, np.arange(pown.size)]
+        base = self.sorted[0][:, :2]
+        self.known = (np.vstack([base, perp]),
+                      np.hstack([self.cut_ok(base), perp_ok]))
+        self.perp_known = (perp, perp_ok)
+
+    def cut_ok(self, rays: np.ndarray) -> np.ndarray:
+        """(masks, rays): does <a, r> <= _CUT_TOL |a| |r| for every wall a."""
+        slack = self.walls @ rays.T
+        bad = slack > _CUT_TOL * np.outer(self.wall_norms,
+                                          np.linalg.norm(rays, axis=1))
+        return ~(self.wall_owner @ bad)
+
+    def polygon(self, ball: np.ndarray):
+        """_planar_ball(ball) for a witness ball (_witness_ball), and whether
+        it came by inserting the rows past the primal ball's into the base
+        polygon; an insertion not clearly convex falls back to the hull."""
+        G, ang = self.sorted
+        for e in ball[self.pball.nverts:]:
+            a = np.arctan2(e[1], e[0])
+            n = G.shape[0]
+            k = int(np.searchsorted(ang, a)) or n  # between G[k - 1], G[k]
+            pp, p, q, qq = G[[k - 2, k - 1, k % n, (k + 1) % n], :2].tolist()
+            et = e.tolist()
+            if min(_cross(pp, p, et), _cross(p, et, q),
+                   _cross(et, q, qq)) <= 1e-12:
+                return _planar_ball(ball), False
+            # the edge p -> q becomes p -> e -> q
+            new = np.array([[*p, et[1] - p[1], -(et[0] - p[0])],
+                            [*et, q[1] - et[1], -(q[0] - et[0])]])
+            new = np.column_stack([new, np.einsum("ij,ij->i", new[:, 2:],
+                                                  new[:, :2])])
+            G = np.concatenate([G[:k - 1], new, G[k:]])
+            ang = np.concatenate([ang[:k], [a], ang[k:]])
+        # counterclockwise from the lexicographically least vertex
+        s = int(np.lexsort((G[:, 1], G[:, 0]))[0])
+        G = np.concatenate([G[s:], G[:s]])
+        return (G[:, :2], G[:, 2:4], G[:, 4]), True
+
+    def margins(self, components, ytheta: float, ids: np.ndarray
+                ) -> np.ndarray:
+        """The witness margin at ||x - xbar|| = 1 of each mask id in ids:
+        the least over the components of _lp_witness_margin's margin, -inf
+        if some component has none."""
+        best = np.full(ids.size, math.inf)
+        for comp in components:
+            U = comp.vertices
+            ball = _witness_ball(comp, self.pball, self.l2_dirs)
+            (H, normals, heights), inserted = self.polygon(ball)
+            (rays, ok), fresh = ((self.known, ball[self.pball.nverts:])
+                                 if inserted else (self.perp_known, H))
+            if U.shape[0] > 1:
+                t = (U[:, None, :] - U[None, :, :])[
+                    np.triu_indices(U.shape[0], 1)]
+                ties = np.column_stack([-t[:, 1], t[:, 0]])
+                fresh = np.vstack([fresh, ties, -ties])
+            rays = np.vstack([rays, fresh])
+            ok = np.hstack([ok, self.cut_ok(fresh)])[ids]
+            # the ray along r leaves the ball at r / gauge(r)
+            gauge = np.max((rays @ normals.T) / heights, axis=1)
+            vals = -np.max((rays / gauge[:, None]) @ U.T, axis=1) - ytheta
+            # the origin, w = 0, is always admissible
+            m = np.max(np.where(ok, vals, -math.inf), axis=1,
+                       initial=-ytheta)
+            best = np.minimum(best, np.where(m < 0.0, -math.inf, m))
+        return best
 
 
 def _planar_ball(ball: np.ndarray):

@@ -66,7 +66,7 @@ def parse_scalar(text: str) -> float:
     text = text.strip()
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         pass
     try:
         from .funcdsl import eval_expr

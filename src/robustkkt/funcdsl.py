@@ -33,8 +33,8 @@ class ParseError(ExprError):
 
 
 class DomainError(ExprError):
-    """Division by zero, square root of a negative value, or a float power
-    that overflows."""
+    """Division by zero, square root of a negative value, a float power
+    that overflows, or a constant too large for a float."""
 
 
 class ScenarioMismatchError(ExprError):
@@ -83,7 +83,12 @@ class Expr:
 # ---------------------------------------------------------------------------
 
 def const(q, span=(0, 0)) -> Expr:
-    return Expr("const", value=Fraction(q), span=span)
+    q = Fraction(q)
+    try:
+        float(q)
+    except OverflowError:
+        raise DomainError("constant too large for a float") from None
+    return Expr("const", value=q, span=span)
 
 
 def coord(k: int, span=(0, 0)) -> Expr:
@@ -642,7 +647,7 @@ def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
     """
     _check_scenario(e, v)
     X = np.asarray(X, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = _eval_grid(e, X, v)
     return np.broadcast_to(out, X.shape[1:]).copy() if np.ndim(out) == 0 else out
 
@@ -654,7 +659,7 @@ def max_on_grid(e: Expr, X: np.ndarray, scenarios) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     fixed: dict[int, object] = {}
     out = np.full(X.shape[1], -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for v in scenarios:
             out = np.fmax(out, _eval_grid(e, X, float(v), fixed))
     return out
@@ -662,7 +667,7 @@ def max_on_grid(e: Expr, X: np.ndarray, scenarios) -> np.ndarray:
 
 def eval_scenarios(e: Expr, scenarios) -> np.ndarray:
     """An x-free tree at each scenario, as the grid evaluation computes it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.array([_eval_grid(e, None, float(v)) for v in scenarios],
                         dtype=float)
 

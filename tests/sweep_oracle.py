@@ -6,6 +6,11 @@ differential tests in test_sweep.py.
 holds there, in index order, and stops at the first y* without a witness.
 Besides the report it returns the (y* index, premise mask) pairs whose
 normalized margin it solved.
+
+``_normalized_margin`` and ``_planar_witness_margin`` are the planar margin
+as the sweep computed it before its geometry was built once per sweep: one
+monotone-chain hull per (y*, component) and one margin call per (y*, mask,
+component).  They are kept verbatim as the oracle of the batched margins.
 """
 
 from __future__ import annotations
@@ -15,21 +20,88 @@ import math
 import numpy as np
 
 from robustkkt.certify import (
+    _CUT_TOL,
     CertifyError,
     PseudoReport,
     SampleVerdict,
     _constraint_rows,
     _lp_witness_margin,
     _planar_ball,
-    _planar_witness_margin,
     _witness_ball,
     _witness_cuts,
     primal_ball,
     ystar_grid,
 )
 from robustkkt.funcdsl import eval_expr
-from robustkkt.setcalc import normal_cone
+from robustkkt.setcalc import Polytope, normal_cone
 from robustkkt.subdiff import direct_subdiff
+
+
+def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,
+                       pball: Polytope, l2_dirs: bool) -> float:
+    """Witness margin at ||x - xbar|| = 1: the least over the components of
+    the max margin delta >= 0 with <u, w> + ytheta <= -delta for every
+    vertex u of the component (the definition lets w depend on the
+    subgradient choice); -inf if some component has no nonnegative margin.
+
+    w ranges over the witness ball (_witness_ball), cut by <a, w> <= 0 for
+    the vertices a of the premise-holding constraint rows and by the normal
+    cone's generators (= 0 for lineality generators); cut_rows is
+    (cuts, lines, walls) of those rows.  shapes[k] caches component k's
+    ball: its _planar_ball in the plane, its vertices otherwise.
+    """
+    cuts, lines, walls = cut_rows
+    best = math.inf
+    for k, comp in enumerate(components):
+        if shapes[k] is None:
+            ball = _witness_ball(comp, pball, l2_dirs)
+            shapes[k] = _planar_ball(ball) if comp.dim == 2 else ball
+        if comp.dim == 2:
+            found = _planar_witness_margin(comp.vertices, ytheta, 1.0,
+                                           shapes[k], walls)
+        else:
+            found = _lp_witness_margin(comp.vertices, ytheta, shapes[k],
+                                       cuts, lines)
+        if found is None:
+            return -math.inf
+        best = min(best, found[0])
+    return best
+
+
+def _planar_witness_margin(U: np.ndarray, offset: float, nrm: float,
+                           polygon, cuts: np.ndarray):
+    """_lp_witness_margin in the plane, without an LP, over nrm times the
+    ball whose _planar_ball is polygon.
+
+    The w-set is that polygon cut by the half-planes <a, w> <= 0, all
+    through the origin, so it is the ball clipped to a wedge.  The
+    objective min_u -<u, w> is concave and positively homogeneous, linear
+    on the wedges between tie lines <u_i - u_j, w> = 0.  On every angular
+    sector between consecutive ball vertices, cut lines and tie lines both
+    the ball's boundary and the objective are linear, so the optimum is
+    the origin or the boundary point of one of those rays.
+    """
+    H, normals, heights = polygon
+    lines = cuts
+    if U.shape[0] > 1:
+        ties = (U[:, None, :] - U[None, :, :])[np.triu_indices(U.shape[0], 1)]
+        lines = np.vstack([cuts, ties])
+    perp = np.column_stack([-lines[:, 1], lines[:, 0]])
+    rays = np.vstack([H, perp, -perp])
+    rays = rays[np.any(rays != 0.0, axis=1)]
+    if cuts.shape[0]:
+        slack = cuts @ rays.T
+        scale = np.outer(np.linalg.norm(cuts, axis=1),
+                         np.linalg.norm(rays, axis=1))
+        rays = rays[np.all(slack <= _CUT_TOL * scale, axis=0)]
+    # the ray along r leaves the ball at r / gauge(r)
+    gauge = np.max((rays @ normals.T) / heights, axis=1)
+    W = np.vstack([np.zeros((1, 2)), nrm * rays / gauge[:, None]])
+    vals = -np.max(W @ U.T, axis=1) - offset
+    k = int(np.argmax(vals))
+    if vals[k] < 0.0:
+        return None
+    return float(vals[k]), W[k]
 
 
 def component_witness_margin(comp, nrm, ytheta, rows_here, con_base, N,

@@ -522,6 +522,34 @@ class TestCommands:
         assert code == 3
         assert out["error"] == error
 
+    def test_grid_overflow_leaves_stderr_empty(self, capsys, recwarn,
+                                               tmp_path, monkeypatch):
+        # x1^400 overflows to inf on the grid: the cells are infeasible,
+        # and numpy's overflow warning stays silent
+        monkeypatch.chdir(tmp_path)
+        path = _problem(tmp_path, '"x1^400 - 1"')
+        assert run_command(["raster", "--problem", path, "--region",
+                            "1e10,1e11,-1,1", "--res", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["details"]["feasible_cells"] == 0
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_constant_too_large_is_a_data_error(self, capsys, tmp_path):
+        path = _problem(tmp_path, '"10^400*x1 - 1"')
+        code, out = run_json(capsys, ["feasible", "--problem", path,
+                                      "--at", "0,0"])
+        assert code == 3
+        assert out["error"].startswith(
+            "constraint g1: constant too large for a float")
+
+    def test_literal_too_large_is_a_data_error(self, capsys):
+        code, out = run_json(capsys, ["feasible", "--problem", "example_3_2",
+                                      "--at", "1e400,0"])
+        assert code == 3
+        assert out["error"] == ("bad numeric literal '1e400': "
+                                "constant too large for a float")
+
 
 class Reached(BaseException):
     """Raised by a stub in place of the command's allocating call; not an

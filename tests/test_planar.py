@@ -1,6 +1,7 @@
 """Differential tests of the LP-free planar paths against the LPs they
 replace: the monotone-chain hull reduction and the closed-form witness
-margin of the pseudo-convexity sweep."""
+margin of the pseudo-convexity sweep; and of the sweep's witness polygons,
+built by insertion into one base polygon, against a hull of all points."""
 
 import contextlib
 import io
@@ -297,3 +298,98 @@ def test_bundled_sweeps_solve_no_lp(monkeypatch, argv):
         assert run_command(argv) == 0
     assert calls == []
 
+
+
+def _exact_dirs(U):
+    """The directions -u/|u| the l2 witness ball adds for the rows u of U."""
+    pball = certify.primal_ball("l2", 2, 64)
+    return certify._witness_ball(Polytope(U), pball, True)[pball.nverts:]
+
+
+def _geometry(norm):
+    return certify._SweepGeometry(certify.primal_ball(norm, 2, 64),
+                                  norm == "l2",
+                                  [(np.zeros((0, 2)), np.zeros((0, 2)))])
+
+
+def assert_same_polygon(geometry, extras):
+    """The polygon by insertion is the arrays _planar_ball gives for the
+    base polygon's points and the extras; returns whether it inserted."""
+    ball = np.vstack([geometry.pball.vertices,
+                      np.asarray(extras, dtype=float).reshape(-1, 2)])
+    got, inserted = geometry.polygon(ball)
+    want = certify._planar_ball(ball)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    return inserted
+
+
+class TestSweepPolygon:
+    @pytest.mark.parametrize("argv", README_SWEEPS, ids=["type-I", "type-II"])
+    def test_bundled_components(self, monkeypatch, argv):
+        """Every component the README sweeps meet, none by the fallback."""
+        seen = []
+        orig = certify._SweepGeometry.polygon
+
+        def spy(self, ball):
+            seen.append((self, ball[self.pball.nverts:].copy()))
+            return orig(self, ball)
+
+        monkeypatch.setattr(certify._SweepGeometry, "polygon", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(argv) == 0
+        monkeypatch.undo()
+        assert len(seen) >= 700
+        for geometry, extras in seen:
+            assert assert_same_polygon(geometry, extras)
+
+    @given(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_directions(self, angles):
+        t = np.array(angles)
+        assert_same_polygon(_geometry("l2"),
+                            np.column_stack([np.cos(t), np.sin(t)]))
+
+    @pytest.mark.parametrize("extras", [[0.0, -1.0], [-1.0, 0.0], [1.0, 0.0],
+                                        [-1.0, -0.0]],
+                             ids=["down", "left", "right", "left-negzero"])
+    def test_polygon_vertices(self, extras):
+        assert not assert_same_polygon(_geometry("l2"), extras)
+
+    def test_neighbours_of_the_diagonal_vertex(self):
+        geometry = _geometry("l2")
+        V = geometry.pball.vertices
+        x, y = V[np.argmin(np.abs(np.arctan2(V[:, 1], V[:, 0]) - np.pi / 4))]
+        for dx in (-np.inf, 0, np.inf):
+            for dy in (-np.inf, 0, np.inf):
+                e = [np.nextafter(x, dx) if dx else x,
+                     np.nextafter(y, dy) if dy else y]
+                assert_same_polygon(geometry, e)
+
+    def test_below_the_lexicographic_start(self):
+        geometry = _geometry("l2")
+        # (-1.0, -1e-10), lexicographically below (-1, 0)
+        e = _exact_dirs([[1.0, 1e-10]])
+        assert e.tolist() == [[-1.0, -1e-10]]
+        assert_same_polygon(geometry, e)
+        # far enough from (-1, 0) to be inserted, and still the least
+        assert assert_same_polygon(geometry, [-1.0, -1e-8])
+
+    def test_segment_component(self):
+        geometry = _geometry("l2")
+        for U in ([[1.0, 0.3], [-0.2, 1.0]], [[0.5, 0.4], [0.5, -2.0]],
+                  [[3.0, 0.2], [-1.0, 0.7]]):
+            extras = _exact_dirs(U)
+            assert extras.shape == (2, 2)
+            assert assert_same_polygon(geometry, extras)
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_box_balls(self, norm):
+        geometry = _geometry(norm)
+        hull = certify._planar_ball(geometry.pball.vertices)
+        got, inserted = geometry.polygon(geometry.pball.vertices)
+        assert inserted and all(np.array_equal(a, b)
+                                for a, b in zip(got, hull))
+        # unit directions lie outside the l1 ball and inside the linf one
+        for t in np.linspace(-3.0, 3.0, 13):
+            assert_same_polygon(geometry, [np.cos(t), np.sin(t)])

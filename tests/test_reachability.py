@@ -25,6 +25,8 @@ from test_golden import COMMANDS, report
 SRC = Path(robustkkt.__file__).resolve().parent
 
 KEPT = {
+    "certify._lp_margin":
+        "witness margins for d != 2; no bundled problem has d >= 3",
     "certify._lp_witness_margin":
         "witness margins for d != 2; no bundled problem has d >= 3",
     "cli.LoadError.__init__":

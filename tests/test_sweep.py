@@ -1,9 +1,12 @@
 """Differential tests of the pseudo-convexity sweep: ``pseudoconvex_test``,
 one array pass per y*, against the per-sample loop it replaced
-(sweep_oracle.py), and a guard on the geometry work the sweep does."""
+(sweep_oracle.py); its batched planar margins against the per-(y*, mask,
+component) margin they replaced; and a guard on the geometry work the sweep
+does."""
 
 import contextlib
 import io
+import math
 import re
 
 import numpy as np
@@ -13,6 +16,7 @@ import sweep_oracle
 from robustkkt import certify, lp
 from robustkkt.certify import pseudoconvex_test
 from robustkkt.cli import load_problem, resolve_problem_path, run_command
+from robustkkt.subdiff import direct_subdiff
 from sweep_oracle import loop_pseudoconvex_test
 
 FIXTURES = ["example_2_2", "example_2_3", "example_3_2", "example_3_5"]
@@ -89,15 +93,19 @@ VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_matches_loop_with_cuts(tmp_path, variant):
+def _variant(tmp_path, variant):
     edits, region = VARIANTS[variant]
     text = resolve_problem_path("example_3_2").read_text()
     for old, new in edits:
         text = text.replace(old, new)
     path = tmp_path / "variant.problem"
     path.write_text(text)
-    spec = load_problem(path)
+    return load_problem(path), region
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_matches_loop_with_cuts(tmp_path, variant):
+    spec, region = _variant(tmp_path, variant)
     for ptype in ("I", "II"):
         rows = assert_same_sweep(spec, np.zeros(2), ptype, region=region,
                                  grid=9, y_resolution=6)
@@ -128,34 +136,124 @@ def test_no_samples(spec22):
     assert rep.verdicts == [] and rep.all_verified
 
 
+def test_type_two_at_benchmark_size(spec23):
+    # the second sweep of the benchmark's pseudoconvex workload
+    assert_same_sweep(spec23, np.zeros(2), "II", region=[-2, 2, -2, 2],
+                      grid=21, y_resolution=24)
+
+
+def _counting(counts, key, fn, weight=lambda *args: 1):
+    def wrapped(*args, **kwargs):
+        counts[key] += weight(*args)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_bundled_type_one_sweep_work(monkeypatch, spec22):
-    """One _witness_cuts per premise mask, one planar margin per
-    (y*, mask, component), and no LP, on the README type I sweep."""
+    """On the README type I sweep: one hull, the base polygon, and no
+    fallback; one _witness_cuts per premise mask; one batched margin
+    evaluation per (y*, component), which groups the oracle's one planar
+    margin per (y*, mask, component); and no LP."""
+    counts = dict.fromkeys(["cuts", "hull", "chain", "batch", "polygon",
+                            "lp", "oracle"], 0)
+    # the oracle solves each (y*, mask) once, one margin per component
+    monkeypatch.setattr(sweep_oracle, "_planar_witness_margin", _counting(
+        counts, "oracle", sweep_oracle._planar_witness_margin))
     _, keys = loop_pseudoconvex_test(spec22, np.zeros(2), "I",
                                      region=[-2, 2, -2, 2])
-    counts = {"cuts": 0, "planar": 0, "lp": 0}
-
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(certify, "_witness_cuts",
-                        counting("cuts", certify._witness_cuts))
-    monkeypatch.setattr(certify, "_planar_witness_margin",
-                        counting("planar", certify._planar_witness_margin))
-    monkeypatch.setattr(lp.LPBuilder, "solve",
-                        counting("lp", lp.LPBuilder.solve))
+    ys = certify.ystar_grid(spec22)
+    ncomp = {myi: direct_subdiff(ys[myi], spec22.objectives, np.zeros(2),
+                                 "limiting", spec22.kink_tol).set.ncomponents
+             for myi in {myi for myi, _ in keys}}
+    assert counts["oracle"] == sum(ncomp[myi] for myi, _ in keys) == 3026
+    for module, name, key in (
+            (certify, "_witness_cuts", "cuts"),
+            (certify, "_planar_ball", "hull"),
+            (certify, "_monotone_chain", "chain"),
+            (certify._SweepGeometry, "polygon", "polygon"),
+            (lp.LPBuilder, "solve", "lp")):
+        monkeypatch.setattr(module, name,
+                            _counting(counts, key, getattr(module, name)))
+    monkeypatch.setattr(certify._SweepGeometry, "margins", _counting(
+        counts, "batch", certify._SweepGeometry.margins,
+        lambda self, components, *rest: len(components)))
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_command(["pseudoconvex", "--problem", "example_2_2",
                             "--at", "0,0", "--type", "I",
                             "--region", "-2,2,-2,2"]) == 0
     assert counts["cuts"] == len({mask for _, mask in keys})
+    assert counts["hull"] == counts["chain"] == 1
+    assert counts["batch"] == counts["polygon"] == sum(ncomp.values()) == 760
     assert counts["lp"] == 0
-    # the oracle solves each (y*, mask) once, one margin per component
-    monkeypatch.setattr(sweep_oracle, "_planar_witness_margin",
-                        counting("oracle", sweep_oracle._planar_witness_margin))
-    counts["oracle"] = 0
-    loop_pseudoconvex_test(spec22, np.zeros(2), "I", region=[-2, 2, -2, 2])
-    assert counts["planar"] == counts["oracle"] == 3026
+
+
+def assert_same_margin(got, want, eps_strict):
+    """Within 4 ulps from 1e-9 up; below it (or -inf, no margin), both
+    sides fail the sweep's eps_strict test alike."""
+    if min(got, want) < 1e-9:
+        assert max(got, want) < eps_strict, (got, want)
+    else:
+        assert abs(got - want) <= 4 * np.spacing(max(got, want)), (got, want)
+
+
+def assert_same_margins(monkeypatch, spec, xbar, ptype, eps_strict=1e-7,
+                        **kw):
+    """Every (y*, mask, component) the sweep meets: the batched margin
+    against the oracle's _planar_witness_margin, and each (y*, mask)
+    against its _normalized_margin.  Returns the number of margins."""
+    built, calls = [], []
+    init = certify._SweepGeometry.__init__
+    margins = certify._SweepGeometry.margins
+
+    def spy_init(self, pball, l2_dirs, cut_rows):
+        # a lineality generator cuts both ways
+        built.append((pball, l2_dirs, [np.vstack([cuts, lines, -lines])
+                                       for cuts, lines in cut_rows]))
+        init(self, pball, l2_dirs, cut_rows)
+
+    def spy_margins(self, components, ytheta, ids):
+        calls.append((self, components, ytheta, ids))
+        return margins(self, components, ytheta, ids)
+
+    monkeypatch.setattr(certify._SweepGeometry, "__init__", spy_init)
+    monkeypatch.setattr(certify._SweepGeometry, "margins", spy_margins)
+    pseudoconvex_test(spec, xbar, ptype, eps_strict=eps_strict, **kw)
+    monkeypatch.undo()
+    if not calls:
+        return 0
+    (pball, l2_dirs, walls), = built
+    seen = 0
+    for geometry, components, ytheta, ids in calls:
+        whole = margins(geometry, components, ytheta, ids)
+        for comp in components:
+            polygon = certify._planar_ball(
+                certify._witness_ball(comp, pball, l2_dirs))
+            batched = margins(geometry, [comp], ytheta, ids)
+            for j, got in zip(ids.tolist(), batched.tolist()):
+                found = sweep_oracle._planar_witness_margin(
+                    comp.vertices, ytheta, 1.0, polygon, walls[j])
+                assert_same_margin(got, -math.inf if found is None
+                                   else found[0], eps_strict)
+                seen += 1
+        for j, got in zip(ids.tolist(), whole.tolist()):
+            assert_same_margin(got, sweep_oracle._normalized_margin(
+                components, [None] * len(components), ytheta,
+                (None, None, walls[j]), pball, l2_dirs), eps_strict)
+    return seen
+
+
+@pytest.mark.parametrize("name, ptype", [("example_2_2", "I"),
+                                         ("example_2_3", "II")])
+def test_batched_margins_on_bundled_sweeps(monkeypatch, name, ptype):
+    spec = load_problem(name)
+    assert assert_same_margins(monkeypatch, spec, np.zeros(2), ptype,
+                               region=[-2, 2, -2, 2]) >= 1000
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_margins_with_cuts(monkeypatch, tmp_path, variant):
+    spec, region = _variant(tmp_path, variant)
+    for ptype in ("I", "II"):
+        assert assert_same_margins(monkeypatch, spec, np.zeros(2), ptype,
+                                   region=region, grid=9,
+                                   y_resolution=6) > 0
