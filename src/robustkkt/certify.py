@@ -384,11 +384,10 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     keep = (dist <= eta + 1e-12) & spec.omega.contains_grid(X)
     if not np.any(keep):
         return FuzzyReport(False, None, "no admissible grid point within eta")
-    Xc = X[:, keep]
-    vals = merit.on_grid(Xc)
-    dc = dist[keep]
+    cells, keys = merit.candidate_keys(X[:, keep])
+    Xc, dc = X[:, keep][:, cells], dist[keep][cells]
     order = np.lexsort((*(Xc[k] for k in reversed(range(spec.dim))), dc,
-                        np.round(vals, 12)))
+                        keys))
     x_eta = Xc[:, order[0]].copy()
 
     acts = compute_active_sets(spec, x_eta)

@@ -24,7 +24,8 @@ import numpy as np
 from . import certify, verify
 from .certify import KKTCertificate, check_cq, check_kkt, fuzzy_kkt_demo, \
     pseudoconvex_test, search_kkt, ystar_grid_size
-from .funcdsl import ExprError, contains_uncertainty, parse_expr
+from .funcdsl import DomainError, ExprError, contains_uncertainty, \
+    decimal_fraction, parse_expr
 from .robustfeas import (
     ProblemError,
     ProblemSpec,
@@ -65,8 +66,8 @@ def parse_scalar(text: str) -> float:
     """Numeric literal: fraction, decimal, or a constant expression."""
     text = text.strip()
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        return float(Fraction(text) if "/" in text else decimal_fraction(text))
+    except (ArithmeticError, ValueError, DomainError):
         pass
     try:
         from .funcdsl import eval_expr

@@ -91,6 +91,18 @@ def const(q, span=(0, 0)) -> Expr:
     return Expr("const", value=q, span=span)
 
 
+def decimal_fraction(text: str) -> Fraction:
+    """The exact value of a decimal literal (InvalidOperation if text is
+    not one).  One whose decimal exponent exceeds 1000 in magnitude is
+    refused first: the Fraction of 1eN takes time superlinear in N.  Every
+    float, and every underflow to zero down to 1e-1000, is within bounds."""
+    d = Decimal(text)
+    if not d.is_zero() and abs(d.adjusted()) > 1000:
+        raise DomainError(f"literal {text} has a decimal exponent of "
+                          "magnitude above 1000")
+    return Fraction(d)
+
+
 def coord(k: int, span=(0, 0)) -> Expr:
     if k < 1:
         raise ValueError("coordinate index must be >= 1")
@@ -322,7 +334,7 @@ class _Parser:
         t = self.take()
         if t.kind == "num":
             try:
-                q = Fraction(Decimal(t.text))
+                q = decimal_fraction(t.text)
             except InvalidOperation:
                 raise ParseError(f"bad numeric literal {t.text!r}", t.pos)
             return const(q, span=(t.pos, t.pos + len(t.text)))

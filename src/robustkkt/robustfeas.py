@@ -26,6 +26,15 @@ a vertex picked by rounded slopes can lose.  feasibility_mask decides a
 cell by P when |P - tol| > delta, and rescans the others (delta is
 infinite where C(x) > 2^1000) with envelope_grid: its mask is exactly the
 full scan's.  Other branches, or two or more features, take the full scan.
+
+fuzzy minimises the key np.round(psi, 12) of the merit function psi over a
+grid.  Per cell, L <= psi <= U for L and U the objective branch maxed with
+each P - delta and P + delta (a constraint without a bound enters exactly).
+np.round(., 12), a multiply, a rint and a divide by positive constants, is
+monotone: round(L) <= key <= round(U).
+So a cell whose round(L) exceeds the least round(U) cannot hold the least
+key, and one with round(L) == round(U) has that key (-0.0 and +0.0 tie in
+a sort).  Psi.candidate_keys rescans only the other cells it keeps.
 """
 
 from __future__ import annotations
@@ -459,13 +468,30 @@ class Psi:
         self.xbar = np.asarray(xbar, dtype=float).reshape(-1)
         self.f_bar = spec.fvec(self.xbar)
 
-    def on_grid(self, X: np.ndarray) -> np.ndarray:
-        F = self.spec.fvec_grid(X)
-        first = np.tensordot(self.ystar, F - (self.f_bar - self.spec.theta)[:, None],
-                             axes=(0, 0))
-        env = np.full(X.shape[1], -np.inf)
-        for con in self.spec.constraints:
-            env = np.fmax(env, envelope_grid(self.spec, con, X))
-        if not self.spec.constraints:
-            return first
-        return np.fmax(first, env)
+    def candidate_keys(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of X that can hold the least key np.round(psi, 12),
+        and their exact keys.  Open cells (first, P or delta NaN, or delta
+        infinite) are rescanned by envelope_grid, bit-equal on any columns."""
+        spec, n = self.spec, X.shape[1]
+        first = np.tensordot(self.ystar, spec.fvec_grid(X) - (
+            self.f_bar - spec.theta)[:, None], axes=(0, 0))
+        if not spec.constraints:
+            return np.arange(n), np.round(first, 12)
+        lo = hi = np.full(n, -np.inf)
+        opened = np.isnan(first)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for con in spec.constraints:
+                P, delta = _hull_bound(spec, con, X) or (
+                    envelope_grid(spec, con, X), 0.0)
+                opened = opened | np.isnan(P) | ~np.isfinite(delta)
+                lo, hi = np.fmax(lo, P - delta), np.fmax(hi, P + delta)
+            keys = np.round(np.fmax(first, lo), 12)
+            top = np.round(np.fmax(first, hi), 12)
+        keep = ~(keys > np.min(top, where=~opened, initial=np.inf))
+        cells = np.flatnonzero(keep & (opened | (keys != top)))
+        if cells.size:
+            env = reduce(np.fmax, [envelope_grid(spec, con, X[:, cells])
+                                   for con in spec.constraints],
+                         np.full(cells.size, -np.inf))
+            keys[cells] = np.round(np.fmax(first[cells], env), 12)
+        return np.flatnonzero(keep), keys[keep]

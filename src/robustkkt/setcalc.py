@@ -174,15 +174,17 @@ def _monotone_chain(P, idx) -> list[int]:
 
 def upper_hull(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Indices of the upper convex hull's vertices of the finite points
-    (a[i], b[i]), by increasing a, exactly; of equal a, the highest b."""
+    (a[i], b[i]), by increasing a, exactly; of equal a, the highest b.
+    The upper chain of Andrew's monotone chain, built left to right."""
     order = np.lexsort((b, a))
     order = order[np.r_[a[order][1:] != a[order][:-1], True]]
-    if order.size == 1:
-        return order
-    # counterclockwise from the leftmost point; the upper chain comes last
-    H = _monotone_chain(_integer_plane(np.column_stack(
-        [a[order], b[order]]))[0], range(order.size))
-    return order[[0] + H[H.index(order.size - 1):][::-1]]
+    P = _integer_plane(np.column_stack([a[order], b[order]]))[0]
+    H: list[int] = []
+    for k in range(order.size):
+        while len(H) >= 2 and _cross(P[H[-2]], P[H[-1]], P[k]) >= 0:
+            H.pop()
+        H.append(k)
+    return order[H]
 
 
 def _segment_distance(p, a, b) -> tuple[int, int]:

@@ -2,7 +2,9 @@
 scan and the hull bound: every scenario evaluates the whole constraint tree
 over the whole grid, and the mask reads that running max at every cell.
 Kept verbatim as the oracle of ``tests/test_grid_scan.py``, which asserts
-bit-equal envelopes and equal masks.
+bit-equal envelopes and equal masks.  ``psi_on_grid`` is the merit function
+``Psi.on_grid`` that ``fuzzy`` minimised over every cell before it read
+only the cells its hull bound leaves in play (``Psi.candidate_keys``).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from robustkkt.funcdsl import Expr, _check_scenario
-from robustkkt.robustfeas import ProblemSpec, UncertainConstraint
+from robustkkt.robustfeas import Psi, ProblemSpec, UncertainConstraint
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
@@ -86,3 +88,16 @@ def feasibility_mask(spec: ProblemSpec, X: np.ndarray,
         env = envelope_grid(spec, con, X)
         ok &= ~np.isnan(env) & (env <= tol)
     return ok
+
+
+def psi_on_grid(self: Psi, X: np.ndarray) -> np.ndarray:
+    """psi(x) = max{<y*, f(x) - f(xbar) + theta>, phi(x)} on grid columns."""
+    F = self.spec.fvec_grid(X)
+    first = np.tensordot(self.ystar, F - (self.f_bar - self.spec.theta)[:, None],
+                         axes=(0, 0))
+    env = np.full(X.shape[1], -np.inf)
+    for con in self.spec.constraints:
+        env = np.fmax(env, envelope_grid(self.spec, con, X))
+    if not self.spec.constraints:
+        return first
+    return np.fmax(first, env)

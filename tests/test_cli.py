@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -549,6 +550,40 @@ class TestCommands:
         assert code == 3
         assert out["error"] == ("bad numeric literal '1e400': "
                                 "constant too large for a float")
+
+    @pytest.mark.parametrize("literal", ["1e5000000", "-1e5000000",
+                                         "1e-5000000", "0.1e1002"])
+    def test_huge_exponent_refused_at_once(self, capsys, literal):
+        """An exact Fraction of 1e5000000 takes seconds to build; the
+        exponent is refused before it is."""
+        start = time.perf_counter()
+        code, out = run_json(capsys, ["feasible", "--problem", "example_3_2",
+                                      "--at", f"{literal},0"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out["error"].startswith(f"bad numeric literal {literal!r}: ")
+        assert "exponent of magnitude above 1000" in out["error"]
+
+    def test_huge_exponent_in_a_constraint(self, capsys, tmp_path):
+        path = _problem(tmp_path, '"1e5000000*x1 - 1"')
+        start = time.perf_counter()
+        code, out = run_json(capsys, ["feasible", "--problem", path,
+                                      "--at", "0,0"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out["error"].startswith("constraint g1: literal 1e5000000 ")
+
+    def test_largest_exponents_still_parse(self, capsys, tmp_path):
+        assert parse_scalar("1e-1000") == 0.0
+        assert parse_scalar("-1e-1000") == 0.0
+        assert parse_scalar("0.00001e-995") == 0.0
+        assert parse_scalar("1.7976931348623157e308") == 1.7976931348623157e308
+        assert parse_scalar("10000e-1004") == parse_scalar("1e-1000")
+        assert parse_scalar("0e9999999") == 0.0
+        path = _problem(tmp_path, '"1e-1000*x1 + 1e308*x2 - 1"')
+        code, out = run_json(capsys, ["feasible", "--problem", path,
+                                      "--at", "1e-1000,0"])
+        assert code == 0 and out["details"]["point"] == [0.0, 0.0]
 
 
 class Reached(BaseException):

@@ -41,12 +41,16 @@ KEPT = {
         "no README command meets one",
     "funcdsl._collect_kinks": "body of active_kinks",
     "funcdsl.active_kinks": "public helper the acceptance tests use",
+    "funcdsl.max_on_grid": "body of envelope_grid",
     "funcdsl.smooth_gradient": "public helper the acceptance tests use",
     "lp.LPBuilder._solve_float":
         "LPs over 160 columns or 80 rows: d >= 3 witness margins, "
         "memberships in polygons of more than 155 vertices",
     "robustfeas.ProblemSpec.constraint":
         "subdiff --target naming a constraint",
+    "robustfeas.envelope_grid":
+        "grid cells a hull bound leaves undecided, and constraints without "
+        "a hull bound; the bundled problems have neither",
     "setcalc.OmegaSpec.box":
         "a box ground set; no bundled problem has one",
     "setcalc.OmegaSpec.halfspaces":

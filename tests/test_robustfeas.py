@@ -16,6 +16,7 @@ from robustkkt.robustfeas import (
 )
 from robustkkt.setcalc import ConeSpec, OmegaSpec
 
+from grid_oracle import psi_on_grid
 from test_golden import COMMANDS, report
 
 
@@ -186,6 +187,43 @@ class TestGridScanCount:
         assert (sum(cells), sum(evaluations)) == (0, 0)
 
 
+# The README fuzzy command and one benchmark-style fuzzy per bundled
+# problem.  Their merit keys are settled by the hull bound of each
+# constraint, computed once over the disc, and envelope_grid rescans no
+# cell; the full scan of every cell saw 1,001 scenarios over 5,025 cells.
+FUZZY_COMMANDS = [COMMANDS["fuzzy"]] + [
+    ["fuzzy", "--problem", problem, "--at", at, "--ystar", ystar,
+     "--eta", eta]
+    for problem, at, ystar, eta in (
+        ("example_3_5", "-0.0904,-2.2161", "-0.3788,0.5616,0.6423", "0.135"),
+        ("example_3_2", "-1.8879,0.6136", "0.4548,0.1033,0.8765", "0.171"),
+        ("example_2_2", "-0.2511,-3.8601", "-0.2681,0.2184,0.6052", "0.142"),
+        ("example_2_3", "1.8986,-2.7235", "-0.8497,0.6895,0.1291", "0.179"))]
+
+
+class TestMeritScanCount:
+    @pytest.mark.parametrize("argv", FUZZY_COMMANDS, ids=[
+        "readme", "example_3_5", "example_3_2", "example_2_2", "example_2_3"])
+    def test_fuzzy_needs_no_grid_scan(self, argv, monkeypatch):
+        bounds, cells = [], []
+        hull_bound, scan = robustfeas._hull_bound, robustfeas.envelope_grid
+
+        def bounding(spec, con, X):
+            out = hull_bound(spec, con, X)
+            bounds.append(out is not None)
+            return out
+
+        def counting(spec, con, X):
+            cells.append(X.shape[1])
+            return scan(spec, con, X)
+
+        monkeypatch.setattr(robustfeas, "_hull_bound", bounding)
+        monkeypatch.setattr(robustfeas, "envelope_grid", counting)
+        assert report(argv)[0] in (0, 2)
+        assert bounds == [True, True]
+        assert sum(cells) == 0
+
+
 class TestRaster:
     def test_closed_form_3_2(self, spec32):
         r = raster(spec32, (-5, 1, -5, 5), 161)
@@ -217,17 +255,22 @@ class TestRaster:
 
 
 class TestPsi:
+    """psi on grid columns is grid_oracle.psi_on_grid, the full scan that
+    Psi.candidate_keys replaced; test_merit_keys.py holds the two
+    together."""
+
     def test_value_at_xbar(self, spec32, origin):
         y = np.array([0.2, 0.3, 0.1])
         m = Psi(spec32, y, origin)
         # phi(xbar) = 0, <y, theta> = 0.3 >= 0
-        [val] = m.on_grid(origin[:, None])
+        [val] = psi_on_grid(m, origin[:, None])
         assert val == pytest.approx(float(np.dot(y, spec32.theta)))
+        assert m.candidate_keys(origin[:, None])[1] == np.round(val, 12)
 
     def test_zero_weights(self, spec32, origin):
         m = Psi(spec32, np.zeros(3), origin)
         x = np.array([-1.0, 0.5])
-        [val] = m.on_grid(x[:, None])
+        [val] = psi_on_grid(m, x[:, None])
         assert val == pytest.approx(
             max(0.0, compute_active_sets(spec32, x).phi), abs=1e-9)
 
@@ -240,7 +283,7 @@ class TestPsi:
         m = Psi(spec32, y, origin)
         rng = np.random.default_rng(15)
         X = rng.uniform(-2, 1, size=(2, 40))
-        grid = m.on_grid(X)
+        grid = psi_on_grid(m, X)
         for t in range(40):
             assert grid[t] == pytest.approx(_psi(spec32, y, origin, X[:, t]),
                                             abs=1e-9)
