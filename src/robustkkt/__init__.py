@@ -20,7 +20,6 @@ from .funcdsl import (
     NonsmoothPointError,
     ParseError,
     UnsupportedStructureError,
-    active_kinks,
     eval_expr,
     format_expr,
     parse_expr,

@@ -34,7 +34,8 @@ from .setcalc import (
     point_in_cone_residual,
     zero_in_sum,
 )
-from .subdiff import constraint_set, direct_subdiff, limiting_subdiff, objective_set
+from .subdiff import Scalarization, constraint_set, direct_subdiff, \
+    limiting_subdiff, objective_set
 
 COMPLEMENTARITY_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
@@ -651,6 +652,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     cut_rows = [_witness_cuts(spec.dim, np.flatnonzero(m).tolist(), con_base,
                               N) for m in masks]
     geometry = None  # the planar geometry, built when a margin first needs it
+    scalarize = Scalarization(spec.objectives, xbar, mode, spec.kink_tol)
 
     # A sample fails at the first y* (in index order) with neither the
     # candidate w = x - xbar nor a witness margin >= eps_strict; later y*
@@ -664,8 +666,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
         cols = np.flatnonzero(active[myi] & (first_fail < 0))
         if not cols.size:
             continue
-        sset = direct_subdiff(ys[myi], spec.objectives, xbar, mode,
-                              spec.kink_tol).set
+        sset = scalarize(ys[myi]).set
         ytheta = float(ytheta_all[myi])
         top = (sset.all_vertices() @ D[:, cols]).max(axis=0)
         left = cols[~(cand_ok[cols] & (top + norms[cols] * ytheta <= -1e-12))]

@@ -80,6 +80,14 @@ def parse_vector(text: str) -> np.ndarray:
     return np.array([parse_scalar(t) for t in text.split(",") if t.strip()])
 
 
+def _cast(label: str, cast, text: str, line: int | None = None):
+    """cast(text), refused as a LoadError naming label."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise LoadError(f"bad {label} {text!r}", line) from None
+
+
 # ---------------------------------------------------------------------------
 # Problem files
 # ---------------------------------------------------------------------------
@@ -115,6 +123,8 @@ def _parse_polytope_set(text: str, lineno: int) -> PolytopeSet:
             verts.append([parse_scalar(t) for t in m.group(1).split(",")])
         if not verts:
             raise LoadError("fixture component has no vertices", lineno)
+        if len({len(v) for v in verts}) > 1:
+            raise LoadError("fixture vertices differ in length", lineno)
         comps.append(Polytope(np.array(verts)))
     return PolytopeSet(comps)
 
@@ -156,7 +166,9 @@ def load_problem(path) -> ProblemSpec:
             raise LoadError(f"{count} {section} exceed the limit "
                             f"{PROBLEM_LIMITS[section]}")
 
-    dim = int(single("space", "dim"))
+    dim = _cast("dim", int, single("space", "dim"))
+    if dim < 0:
+        raise LoadError("dim must be >= 0")
 
     pattern = []
     for tok in single("cone", "pattern").split(","):
@@ -177,6 +189,8 @@ def load_problem(path) -> ProblemSpec:
     elif okind == "box":
         lo, hi = [], []
         for tok in single("omega", "bounds").split(","):
+            if tok.count("..") != 1:
+                raise LoadError(f"box bound must be 'lo..hi', got {tok!r}")
             a, b = tok.split("..")
             lo.append(-np.inf if a.strip() == "-inf" else parse_scalar(a))
             hi.append(np.inf if b.strip() == "inf" else parse_scalar(b))
@@ -229,6 +243,9 @@ def load_problem(path) -> ProblemSpec:
         if dom is not None:
             dom = dom.strip()
             if dom.startswith("[") and dom.endswith("]"):
+                if dom.count(",") != 1:
+                    raise LoadError("scenario interval must be [lo, hi]",
+                                    lineno)
                 a, b = dom[1:-1].split(",")
                 lo, hi = parse_scalar(a), parse_scalar(b)
             elif dom.startswith("{") and dom.endswith("}"):
@@ -263,15 +280,18 @@ def load_problem(path) -> ProblemSpec:
                                    _parse_polytope_set(m.group("sets"), lineno)))
 
     def opt(key, cast, default):
-        if key in opts:
-            return cast(opts[key][1])
-        return default
+        if key not in opts:
+            return default
+        lineno, text = opts[key]
+        return _cast(f"option {key}", cast, text, lineno)
 
     for key in ("vgrid", "ball_facets"):
         bound = PROBLEM_LIMITS[key]
         if key in opts and opt(key, int, None) > bound:
             raise LoadError(f"option {key} exceeds its limit {bound}",
                             opts[key][0])
+    if opt("vgrid", int, 2) < 2:
+        raise LoadError("option vgrid must be at least 2", opts["vgrid"][0])
 
     try:
         return ProblemSpec(
@@ -529,7 +549,7 @@ def _merge_negative_values(argv):
 # never the negative verdict's 1.
 DATA_ERRORS = (LoadError, ProblemError, ExprError, SetCalcError,
                certify.CertifyError, verify.VerifyError, OSError,
-               json.JSONDecodeError, ValueError)
+               json.JSONDecodeError, UnicodeDecodeError)
 
 
 def run_command(argv) -> int:
@@ -555,16 +575,21 @@ def run_command(argv) -> int:
 def _check_option_limits(args) -> None:
     for name, bound in OPTION_LIMITS.items():
         value = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
+        least = 1 if name == "y_res" else 0
         if value is not None and value > bound:
-            flag = "--" + name.replace("_", "-")
             raise LoadError(f"{flag} {value} exceeds its limit {bound}")
+        if value is not None and value < least:
+            raise LoadError(f"{flag} {value} is below {least}")
 
 
 def _parse_points(args, spec: ProblemSpec) -> dict[str, np.ndarray]:
     """The point options given, parsed and checked against the problem:
-    --at against its dimension, --ystar against its objectives."""
+    --at against its dimension, --ystar against its objectives and the
+    --region box against twice its dimension."""
     points = {}
-    for name, size in (("at", spec.dim), ("ystar", spec.n_objectives)):
+    for name, size in (("at", spec.dim), ("ystar", spec.n_objectives),
+                       ("region", 2 * spec.dim)):
         text = getattr(args, name, None)
         if text is not None:
             points[name] = _sized(f"--{name}", parse_vector(text), size)
@@ -592,7 +617,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
             details, config
 
     if args.command == "raster":
-        region = parse_vector(args.region)
+        region = points["region"]
         r = raster(spec, region, args.res)
         csv_text = r.to_csv()
         details = {"region": region, "res": args.res,
@@ -673,7 +698,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
                     f"--y-res {args.y_res} and --grid {args.grid} make "
                     f"{cells} premise cells, over the limit "
                     f"{PREMISE_CELLS_LIMIT}")
-        region = parse_vector(args.region) if args.region else None
+        region = points.get("region")
         rep = pseudoconvex_test(spec, x, args.ptype, region=region,
                                 grid=args.grid, y_resolution=args.y_res,
                                 mode=mode, witness=witness)
@@ -689,7 +714,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
         return 2, "INCONCLUSIVE", details, config
 
     if args.command == "efficiency":
-        region = parse_vector(args.region)
+        region = points["region"]
         rep = classify_point(spec, x, args.kind, region, args.res)
         details = vars(rep)
         if rep.no_counterexample:
@@ -709,7 +734,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
         if args.action == "weak":
             if not args.region:
                 raise LoadError("duality weak requires --region")
-            region = parse_vector(args.region)
+            region = points["region"]
             if args.triples:
                 docs = json.loads(Path(args.triples).read_text())
                 triples = [load_triple(doc, spec)
@@ -730,7 +755,7 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
         if not args.triple or not args.region:
             raise LoadError("duality converse requires --triple and --region")
         triple = load_triple(json.loads(Path(args.triple).read_text()), spec)
-        region = parse_vector(args.region)
+        region = points["region"]
         rep = converse_duality_check(spec, triple, args.kind, region, args.res)
         details = {"kind": rep.kind, "efficiency": vars(rep.efficiency)}
         ok = rep.consistent

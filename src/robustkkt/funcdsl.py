@@ -822,36 +822,17 @@ class _PointWalk:
                                              ctx_linear)
             return self.node(e.children[tied[0]], False)
         if k == "sum":
-            total, g, kap, rough = 0.0, zero, {}, False
-            for c in e.children:
-                cv, cg, ck, cr = self.node(c, ctx_linear)
-                total += cv
-                g = g + cg
-                for q, a in ck.items():
-                    kap[q] = kap.get(q, 0.0) + a
-                rough = rough or cr
-            return total, g, kap, rough
+            return _sum_rule([self.node(c, ctx_linear) for c in e.children],
+                            zero)
         if k == "prod":
-            parts = [self.node(c, ctx_linear and all(
-                not contains_coord(o) for o in e.children if o is not c))
-                for c in e.children]
+            parts = [self.node(c, ctx) for c, ctx
+                     in zip(e.children, _factor_contexts(e.children,
+                                                        ctx_linear))]
             if sum(p[3] for p in parts) > 1:
                 raise UnsupportedStructureError(
                     "product of two factors nonsmooth in x at this point: "
                     + format_expr(e))
-            total = 1.0
-            for p in parts:
-                total *= p[0]
-            g, kap = zero, {}
-            for j, (_, cg, ck, _) in enumerate(parts):
-                rest = 1.0
-                for i, p in enumerate(parts):
-                    if i != j:
-                        rest *= p[0]
-                g = g + rest * cg
-                for q, a in ck.items():
-                    kap[q] = kap.get(q, 0.0) + rest * a
-            return total, g, kap, any(p[3] for p in parts)
+            return _prod_rule(parts, zero)
         if k not in ("pow", "recip", "sqrt"):
             raise ValueError(f"unknown node kind {k}")
         cv, cg, ck, rough = self.node(e.children[0], False)
@@ -879,47 +860,46 @@ class _PointWalk:
         return val, slope * cg, {q: slope * a for q, a in ck.items()}, rough
 
 
+def _factor_contexts(children: tuple[Expr, ...], ctx_linear: bool):
+    """Whether each factor of a product sits in a constant-coefficient
+    context: the product's own context, and no other factor reads x."""
+    return [ctx_linear and all(not contains_coord(o) for o in children
+                               if o is not c) for c in children]
+
+
+def _sum_rule(parts, zero: np.ndarray):
+    """The walk of a sum from the walks of its terms, in term order."""
+    total, g, kap, rough = 0.0, zero, {}, False
+    for cv, cg, ck, cr in parts:
+        total += cv
+        g = g + cg
+        for q, a in ck.items():
+            kap[q] = kap.get(q, 0.0) + a
+        rough = rough or cr
+    return total, g, kap, rough
+
+
+def _prod_rule(parts, zero: np.ndarray):
+    """The walk of a product from the walks of its factors, in factor
+    order: each factor's gradient and coefficients times the product of
+    the other factors' values."""
+    total = 1.0
+    for p in parts:
+        total *= p[0]
+    g, kap = zero, {}
+    for j, (_, cg, ck, _) in enumerate(parts):
+        rest = 1.0
+        for i, p in enumerate(parts):
+            if i != j:
+                rest *= p[0]
+        g = g + rest * cg
+        for q, a in ck.items():
+            kap[q] = kap.get(q, 0.0) + rest * a
+    return total, g, kap, any(p[3] for p in parts)
+
+
 def smooth_gradient(e: Expr, x, v: float | None = None,
                     kink_tol: float = 1e-9) -> np.ndarray:
     """Gradient with respect to x; errors when any nonsmooth atom is active."""
     _check_scenario(e, v)
     return _PointWalk(_floats(x), v, kink_tol, strict=True).node(e, True)[1]
-
-
-# ---------------------------------------------------------------------------
-# Active-kink listing
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KinkDescriptor:
-    kind: str                 # "abs" | "max"
-    text: str                 # printed atom
-    tied: tuple[int, ...] = ()  # tied branch indices for max nodes
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def active_kinks(e: Expr, x, v: float | None = None,
-                 tol: float = 1e-9) -> list[KinkDescriptor]:
-    """List every abs node near its kink and every max node with a tie."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_scenario(e, v)
-    out: list[KinkDescriptor] = []
-    _collect_kinks(e, _floats(x), v, tol, out)
-    return out
-
-
-def _collect_kinks(e: Expr, xl, v, tol, out: list[KinkDescriptor]) -> None:
-    if e.kind == "abs":
-        if abs(e.children[0].scalar_fn(xl, v)) <= tol:
-            out.append(KinkDescriptor("abs", format_expr(e)))
-    elif e.kind == "max":
-        vals = [c.scalar_fn(xl, v) for c in e.children]
-        top = max(vals)
-        tied = tuple(i for i, cv in enumerate(vals) if top - cv <= tol)
-        if len(tied) > 1:
-            out.append(KinkDescriptor("max", format_expr(e), tied))
-    for c in e.children:
-        _collect_kinks(c, xl, v, tol, out)

@@ -316,12 +316,6 @@ def hull(a: PolytopeSet) -> Polytope:
     return Polytope(a.all_vertices(), reduce=True)
 
 
-def polytope_equal(a: Polytope, b: Polytope, tol: float = VERTEX_TOL) -> bool:
-    if a.nverts != b.nverts or a.dim != b.dim:
-        return False
-    return bool(np.max(np.abs(a.vertices - b.vertices)) <= tol)
-
-
 # ---------------------------------------------------------------------------
 # Cones
 # ---------------------------------------------------------------------------

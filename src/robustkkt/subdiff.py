@@ -15,11 +15,23 @@ gradients for nonnegative coefficients and the plain union otherwise.
 Results are guaranteed outer estimates of the limiting subdifferential and
 exact on the documented subclass (sums of constant-coefficient atoms with
 affine arguments and pairwise disjoint coordinate supports).
+
+Scalarization rule.  The subdifferential of <y*, f> is that of the one
+expression add(mul(const(y_1), f_1), ...), not the sum of the objectives'
+sets.  Below the weights that tree is the same for every y*, so
+``Scalarization`` walks each objective once and per y* repeats only the
+walk's product and sum rules above the objectives, merging their atoms by
+first occurrence, as mul and add canonicalize: a zero weight drops its term,
+a product objective's constant c_j folds into float(Fraction(y_j) c_j), a
+term whose constant comes to 1 drops it and a lone sum factor then joins the
+outer sum, and all constants gather into one last term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +39,11 @@ from .funcdsl import (
     Expr,
     _Atom,
     _check_scenario,
+    _factor_contexts,
     _PointWalk,
+    _prod_rule,
+    _sum_rule,
+    const,
     coords_used,
     is_affine,
 )
@@ -73,13 +89,18 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
         raise ValueError(f"unknown mode {mode!r}")
     _check_scenario(e, v)
     xs = np.asarray(x, dtype=float).reshape(-1)
-    d = xs.shape[0]
     walk = _PointWalk(xs.tolist(), v, kink_tol, strict=False)
     _, g0, kappas, _ = walk.node(e, True)
     if walk.faults:
         raise walk.faults[0]
-    atoms = walk.atoms
+    return _assemble(g0, kappas, walk.atoms, mode)
 
+
+def _assemble(g0: np.ndarray, kappas: dict[str, float],
+              atoms: dict[str, _Atom], mode: str) -> SubdiffResult:
+    """{g0} plus each atom's contribution, in key order, then the hull in
+    hull mode."""
+    d = g0.shape[0]
     result = PolytopeSet.singleton(g0)
     rules: list[str] = []
     if not atoms:
@@ -157,21 +178,126 @@ def sup_rule(con: UncertainConstraint, x, actives, mode: str = "hull",
                          "exact" if exact else "outer-estimate", rules)
 
 
+class _Objective:
+    """An objective f walked once at x and split as mul splits const(y)*f:
+    the product ``const`` of its constant factors, and its other factors
+    with their walks ``parts``.  When y*const is 1 the const factor drops
+    and the term puts ``unit`` in the outer sum: the walks of a lone sum
+    factor's terms, which add flattens (their constant ``unit_const`` joins
+    the outer one), or else the walk of the product of the factors."""
+
+    def __init__(self, f: Expr, walk: _PointWalk):
+        self.f, self.const, self.factors, ctxs = f, Fraction(1), [], []
+        factors = f.children if f.kind == "prod" else (f,)
+        for c, ctx in zip(factors, _factor_contexts(factors, True)):
+            if c.kind == "const":
+                self.const *= c.value
+            else:
+                self.factors.append(c)
+                ctxs.append(ctx)
+        terms = (self.factors[0].children if len(self.factors) == 1
+                 and self.factors[0].kind == "sum" else ())
+        self.unit_const = sum((t.value for t in terms if t.kind == "const"),
+                              Fraction(0))
+        zero = np.zeros(walk.d)
+        self.parts, self.unit, self.error = [], [], None
+        try:
+            if terms:
+                walked = [walk.node(t, True) for t in terms]
+                self.parts = [_sum_rule(walked, zero)]
+                self.unit = [p for t, p in zip(terms, walked)
+                             if t.kind != "const"]
+            else:
+                self.parts = [walk.node(c, ctx)
+                              for c, ctx in zip(self.factors, ctxs)]
+                self.unit = self.parts[:1] if len(self.parts) < 2 else [
+                    _prod_rule(self.parts, zero)]
+        except Exception as exc:  # raised by the calls that keep f
+            self.error = exc
+        self.atoms, self.faults = walk.atoms, walk.faults
+        # two factors nonsmooth in x: the walk of f's product term refuses
+        self.rough = self.error is None and sum(p[3] for p in self.parts) > 1
+
+
+class Scalarization:
+    """``ystar -> SubdiffResult``: the subdifferential of <y*, f> at x,
+    with sum_j y_j f_j differentiated as one assembled expression (shared
+    atoms merge), each objective walked once for every y*.
+
+    A call gives what limiting_subdiff gives on the tree
+    add(mul(const(y_1), f_1), ...), bit for bit and with the same
+    exceptions, without building that tree (see the module docstring).
+    """
+
+    def __init__(self, fs, x, mode: str = "limiting",
+                 kink_tol: float = DEFAULT_KINK_TOL):
+        self.xl = np.asarray(x, dtype=float).reshape(-1).tolist()
+        self.mode, self.kink_tol = mode, kink_tol
+        self.zero = np.zeros(len(self.xl))
+        self.objectives = [_Objective(f, self._walk()) for f in fs]
+
+    def _walk(self) -> _PointWalk:
+        return _PointWalk(self.xl, None, self.kink_tol, strict=False)
+
+    def __call__(self, ystar) -> SubdiffResult:
+        ystar = np.asarray(ystar, dtype=float).reshape(-1)
+        if ystar.shape[0] != len(self.objectives):
+            raise ValueError("weight/objective count mismatch")
+        # the tree's constants, refused where mul and add refuse them
+        kept, csum = [], Fraction(0)
+        for y, ob in zip(ystar.tolist(), self.objectives):
+            # Fraction(y) * 1 is y, and Fraction(y) refuses inf and NaN
+            cp = (y if ob.const == 1 and ob.factors and math.isfinite(y)
+                  else Fraction(y) * ob.const)
+            if cp == 0:
+                continue
+            if not ob.factors or cp != 1 and ob.const != 1:
+                const(cp)  # a float y times 1 always fits
+            if not ob.factors:
+                csum += cp
+                continue
+            kept.append((ob, cp))
+            if cp == 1:
+                csum += ob.unit_const
+        if csum:
+            const(csum)
+        # then limiting_subdiff's refusals, and the walk's in term order
+        if self.mode not in ("limiting", "hull"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        for ob, _ in kept:
+            _check_scenario(ob.f, None)
+        for ob, cp in kept:
+            if ob.error is not None:
+                raise ob.error.with_traceback(None)
+            if ob.rough:  # refused as the walk of the term refuses it
+                self._walk().node(Expr("prod", children=(
+                    (const(cp),) if cp != 1 else ()) + tuple(ob.factors)),
+                    True)
+        for ob, _ in kept:
+            if ob.faults:
+                raise ob.faults[0].with_traceback(None)
+
+        rest, atoms = [], {}
+        for ob, cp in kept:
+            if cp == 1:
+                rest.extend(ob.unit)
+            else:
+                rest.append(_prod_rule([(float(cp), self.zero, {}, False)]
+                                       + ob.parts, self.zero))
+            for key, atom in ob.atoms.items():
+                first = atoms.setdefault(key, atom)
+                if first.ctx_linear and not atom.ctx_linear:
+                    atoms[key] = replace(first, ctx_linear=False)
+        if csum != 0 or not rest:
+            rest.append((float(csum), self.zero, {}, False))
+        top = rest[0] if len(rest) == 1 else _sum_rule(rest, self.zero)
+        return _assemble(top[1], top[2], atoms, self.mode)
+
+
 def direct_subdiff(ystar, fs, x, mode: str = "limiting",
                    kink_tol: float = DEFAULT_KINK_TOL) -> SubdiffResult:
-    """Subdifferential of <y*, f> at x, with sum_j y_j f_j differentiated
-    as one assembled expression (shared atoms merge)."""
-    from fractions import Fraction
-
-    from .funcdsl import add, const, mul
-
-    ystar = np.asarray(ystar, dtype=float).reshape(-1)
-    if ystar.shape[0] != len(fs):
-        raise ValueError("weight/objective count mismatch")
-    xs = np.asarray(x, dtype=float).reshape(-1)
-    tree = add(*(mul(const(Fraction(float(y))), f)
-                 for y, f in zip(ystar, fs)))
-    return limiting_subdiff(tree, xs, None, mode, kink_tol)
+    """Subdifferential of <y*, f> at x (one call of a Scalarization)."""
+    return Scalarization(fs, x, mode, kink_tol)(ystar)
 
 
 # ---------------------------------------------------------------------------

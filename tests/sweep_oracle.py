@@ -11,6 +11,11 @@ normalized margin it solved.
 as the sweep computed it before its geometry was built once per sweep: one
 monotone-chain hull per (y*, component) and one margin call per (y*, mask,
 component).  They are kept verbatim as the oracle of the batched margins.
+
+``direct_subdiff`` is the scalarization as it was before
+``subdiff.Scalarization`` walked each objective once per sweep: it builds
+the tree add(mul(const(y_1), f_1), ...) for every y* and walks it.  It is
+kept verbatim as the oracle of test_scalarization.py.
 """
 
 from __future__ import annotations
@@ -34,7 +39,24 @@ from robustkkt.certify import (
 )
 from robustkkt.funcdsl import eval_expr
 from robustkkt.setcalc import Polytope, normal_cone
-from robustkkt.subdiff import direct_subdiff
+from robustkkt.subdiff import DEFAULT_KINK_TOL, SubdiffResult, limiting_subdiff
+
+
+def direct_subdiff(ystar, fs, x, mode: str = "limiting",
+                   kink_tol: float = DEFAULT_KINK_TOL) -> SubdiffResult:
+    """Subdifferential of <y*, f> at x, with sum_j y_j f_j differentiated
+    as one assembled expression (shared atoms merge)."""
+    from fractions import Fraction
+
+    from robustkkt.funcdsl import add, const, mul
+
+    ystar = np.asarray(ystar, dtype=float).reshape(-1)
+    if ystar.shape[0] != len(fs):
+        raise ValueError("weight/objective count mismatch")
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    tree = add(*(mul(const(Fraction(float(y))), f)
+                 for y, f in zip(ystar, fs)))
+    return limiting_subdiff(tree, xs, None, mode, kink_tol)
 
 
 def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,

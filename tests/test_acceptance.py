@@ -16,10 +16,10 @@ from robustkkt.certify import (
 )
 from robustkkt.cli import load_certificate, resolve_problem_path
 from robustkkt.funcdsl import DomainError, UnsupportedStructureError, \
-    active_kinks, eval_expr, smooth_gradient
+    eval_expr, smooth_gradient
 from robustkkt.robustfeas import compute_active_sets, raster
 from robustkkt.setcalc import Polytope, PolytopeSet, hull, minkowski_sum, \
-    polytope_equal, zero_in_sum
+    zero_in_sum
 from robustkkt.subdiff import constraint_set, limiting_subdiff
 from robustkkt.verify import classify_point, generate_feasible_samples, \
     strong_duality_from, weak_duality_check
@@ -30,6 +30,7 @@ from genexpr import (
     random_point,
     random_supported_expr,
 )
+from helpers import active_kinks, polytope_equal
 from test_setcalc import _grid_oracle_min
 
 

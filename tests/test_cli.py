@@ -1,11 +1,12 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robustkkt import cli
+from robustkkt import certify, cli
 from robustkkt.certify import ystar_grid, ystar_grid_size
 from robustkkt.cli import (
     LoadError,
@@ -15,6 +16,7 @@ from robustkkt.cli import (
     run_command,
 )
 from robustkkt.funcdsl import MAX_NESTING
+from robustkkt.subdiff import direct_subdiff
 
 
 def run_json(capsys, argv):
@@ -304,6 +306,75 @@ class TestCommands:
         assert code == 4
         assert doc == {"report_version": cli.REPORT_VERSION,
                        "error": "list index out of range"}
+
+    def test_internal_value_error_exits_four(self, capsys, monkeypatch):
+        # a ValueError raised by the program, not by refused input, is an
+        # internal fault (D2): here the weight-count mismatch
+        def short_weights(ystar, fs, *args):
+            return direct_subdiff(ystar[:-1], fs, *args)
+
+        monkeypatch.setattr(certify, "direct_subdiff", short_weights)
+        code, doc = run_json(capsys, ["fuzzy", "--problem", "example_3_2",
+                                      "--at", "0,0", "--ystar", "1,1,1",
+                                      "--eta", "0.1"])
+        assert code == 4
+        assert doc["error"] == "weight/objective count mismatch"
+
+        def unknown_kind(*args, **kwargs):
+            raise ValueError("unknown node kind bogus")
+
+        monkeypatch.setattr(cli, "compute_active_sets", unknown_kind)
+        code, doc = run_json(capsys, ["feasible", "--problem", "example_3_2",
+                                      "--at", "0,0"])
+        assert code == 4 and doc["error"] == "unknown node kind bogus"
+
+    @pytest.mark.parametrize("edit, error", [
+        (("dim = 2", "dim = two"), "bad dim 'two'"),
+        (("dim = 2", "dim = -1"), "dim must be >= 0"),
+        (("kind = whole", "kind = box\nbounds = -1..1, -1"),
+         "box bound must be 'lo..hi', got ' -1'"),
+        (("[-1, 1]", "[-1, 0, 1]"), "scenario interval must be [lo, hi]"),
+        (("[omega]", "[options]\nseed = x\n[omega]"), "bad option seed 'x'"),
+        (("[omega]", "[options]\nfeas_tol = tiny\n[omega]"),
+         "bad option feas_tol 'tiny'"),
+        (("[omega]", "[options]\nvgrid = 1\n[omega]"),
+         "option vgrid must be at least 2"),
+        (("[omega]", "[options]\nfixture = f1 @ 0,0 : {(1,2), (3)}\n"
+                     "[omega]"), "fixture vertices differ in length"),
+    ])
+    def test_malformed_problem_refused(self, capsys, tmp_path, edit, error):
+        """Refused input exits 3 with the loader's own error, not through a
+        stray ValueError."""
+        path = _problem(tmp_path, '"v*x1 - 1" with v in [-1, 1]')
+        text = Path(path).read_text()
+        assert edit[0] in text
+        Path(path).write_text(text.replace(*edit))
+        code, doc = run_json(capsys, ["feasible", "--problem", path,
+                                      "--at", "0,0"])
+        assert code == 3 and doc["error"].startswith(error)
+
+    def test_problem_file_not_text_refused(self, capsys, tmp_path):
+        path = tmp_path / "p.problem"
+        path.write_bytes(b"\xff\xfe[space]")
+        code, doc = run_json(capsys, ["feasible", "--problem", str(path),
+                                      "--at", "0,0"])
+        assert code == 3 and doc["error"].startswith("'utf-8' codec can't")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["raster", "--problem", "example_3_2", "--region", "-1,1,-1",
+          "--res", "3"], "--region has 3 entries, the problem needs 4"),
+        (["efficiency", "--problem", "example_3_2", "--at", "0,0",
+          "--kind", "weak-quasi", "--region", "-1,1"],
+         "--region has 2 entries, the problem needs 4"),
+        (["raster", "--problem", "example_3_2", "--region", "-1,1,-1,1",
+          "--res", "-3"], "--res -3 is below 0"),
+        (["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+          "--type", "I", "--region", "-1,1,-1,1", "--y-res", "0"],
+         "--y-res 0 is below 1"),
+    ])
+    def test_bad_option_values_refused(self, capsys, argv, error):
+        code, doc = run_json(capsys, argv)
+        assert code == 3 and doc["error"] == error
 
     def test_usage_error_exit_three(self, capsys):
         assert run_command(["kkt", "check", "--problem", "example_3_2",

@@ -7,7 +7,6 @@ from robustkkt.funcdsl import (
     NonsmoothPointError,
     ParseError,
     ScenarioMismatchError,
-    active_kinks,
     eval_expr,
     eval_on_grid,
     format_expr,
@@ -16,6 +15,7 @@ from robustkkt.funcdsl import (
 )
 
 from genexpr import random_point, random_supported_expr
+from helpers import active_kinks
 
 
 class TestParse:

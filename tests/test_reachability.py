@@ -32,15 +32,11 @@ KEPT = {
     "cli.LoadError.__init__":
         "raised only on refused input; tests/test_cli.py covers the refusals",
     "cli.main": "console-script entry point; the commands call run_command",
-    "funcdsl.KinkDescriptor.__str__":
-        "printed form of the public active_kinks result",
     "funcdsl.ParseError.__init__":
         "raised only on a malformed expression",
     "funcdsl._PointWalk.fault":
         "a gradient at 1/0 or at the square root of a nonpositive value; "
         "no README command meets one",
-    "funcdsl._collect_kinks": "body of active_kinks",
-    "funcdsl.active_kinks": "public helper the acceptance tests use",
     "funcdsl.max_on_grid": "body of envelope_grid",
     "funcdsl.smooth_gradient": "public helper the acceptance tests use",
     "lp.LPBuilder._solve_float":
@@ -65,7 +61,6 @@ KEPT = {
         "planar reduction of three or more points, such as the sum rule "
         "where abs(x1) + abs(x2) kinks; the bundled problems reduce at "
         "most two",
-    "setcalc.polytope_equal": "comparison the acceptance tests use",
 }
 
 

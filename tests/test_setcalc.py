@@ -16,11 +16,12 @@ from robustkkt.setcalc import (
     hull,
     minkowski_sum,
     normal_cone,
-    polytope_equal,
     scale,
     zero_in_sum,
 )
 from robustkkt.verify import _membership_mask
+
+from helpers import polytope_equal
 
 
 def seg(a, b):

@@ -13,7 +13,7 @@ from robustkkt.robustfeas import (
     UncertainConstraint,
     scenario_envelope,
 )
-from robustkkt.setcalc import Polytope, hull, polytope_equal
+from robustkkt.setcalc import Polytope, hull
 from robustkkt.subdiff import direct_subdiff, limiting_subdiff, sup_rule
 
 from genexpr import (
@@ -23,6 +23,7 @@ from genexpr import (
     random_supported_expr,
     sampled_clarke_derivative,
 )
+from helpers import active_kinks, polytope_equal
 
 
 def _single(res):
@@ -249,7 +250,6 @@ class TestOracles:
             dim = int(rng.integers(1, 4))
             e = random_supported_expr(rng, dim)
             x = random_point(rng, dim)
-            from robustkkt.funcdsl import active_kinks
             if active_kinks(e, x, tol=1e-5):
                 continue
             try:

@@ -8,16 +8,16 @@ import contextlib
 import io
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import sweep_oracle
-from robustkkt import certify, lp
+from robustkkt import certify, cli, funcdsl, lp, subdiff
 from robustkkt.certify import pseudoconvex_test
 from robustkkt.cli import load_problem, resolve_problem_path, run_command
-from robustkkt.subdiff import direct_subdiff
-from sweep_oracle import loop_pseudoconvex_test
+from sweep_oracle import direct_subdiff, loop_pseudoconvex_test
 
 FIXTURES = ["example_2_2", "example_2_3", "example_3_2", "example_3_5"]
 VERDICTS = {"VERIFIED-CANDIDATE-W", "VERIFIED-COMMON-W", "INCONCLUSIVE"}
@@ -153,12 +153,19 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     """On the README type I sweep: one hull, the base polygon, and no
     fallback; one _witness_cuts per premise mask; one batched margin
     evaluation per (y*, component), which groups the oracle's one planar
-    margin per (y*, mask, component); and no LP."""
+    margin per (y*, mask, component); and no LP.  Each objective is walked
+    once per sweep: one walk per objective visits each of its operands
+    once; no tree is built (no mul); and there is one scalarization call
+    per y* the sweep examines, as there was one direct_subdiff call."""
     counts = dict.fromkeys(["cuts", "hull", "chain", "batch", "polygon",
-                            "lp", "oracle"], 0)
-    # the oracle solves each (y*, mask) once, one margin per component
+                            "lp", "oracle", "mul", "scalarize",
+                            "oracle_scalarize"], 0)
+    # the oracle solves each (y*, mask) once, one margin per component,
+    # and builds one scalarization tree per y* it examines
     monkeypatch.setattr(sweep_oracle, "_planar_witness_margin", _counting(
         counts, "oracle", sweep_oracle._planar_witness_margin))
+    monkeypatch.setattr(sweep_oracle, "direct_subdiff", _counting(
+        counts, "oracle_scalarize", sweep_oracle.direct_subdiff))
     _, keys = loop_pseudoconvex_test(spec22, np.zeros(2), "I",
                                      region=[-2, 2, -2, 2])
     ys = certify.ystar_grid(spec22)
@@ -177,6 +184,26 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     monkeypatch.setattr(certify._SweepGeometry, "margins", _counting(
         counts, "batch", certify._SweepGeometry.margins,
         lambda self, components, *rest: len(components)))
+    monkeypatch.setattr(funcdsl, "mul", _counting(counts, "mul",
+                                                  funcdsl.mul))
+    monkeypatch.setattr(subdiff.Scalarization, "__call__", _counting(
+        counts, "scalarize", subdiff.Scalarization.__call__))
+    # the objectives' operands: the terms of a sum, else the objective
+    operands = {id(t): t for f in spec22.objectives
+                for t in (f.children if f.kind == "sum" else (f,))}
+    walks, walkers = Counter(), []
+    node = funcdsl._PointWalk.node
+
+    def spy_node(self, e, ctx_linear):
+        if id(e) in operands:
+            walks[id(e)] += 1
+            if self not in walkers:
+                walkers.append(self)
+        return node(self, e, ctx_linear)
+
+    monkeypatch.setattr(funcdsl._PointWalk, "node", spy_node)
+    # the command runs on spec22's own objective trees
+    monkeypatch.setattr(cli, "load_problem", lambda path: spec22)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_command(["pseudoconvex", "--problem", "example_2_2",
                             "--at", "0,0", "--type", "I",
@@ -185,6 +212,10 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     assert counts["hull"] == counts["chain"] == 1
     assert counts["batch"] == counts["polygon"] == sum(ncomp.values()) == 760
     assert counts["lp"] == 0
+    assert len(walkers) == len(spec22.objectives) == 3
+    assert walks == Counter(dict.fromkeys(operands, 1))
+    assert counts["mul"] == 0
+    assert counts["scalarize"] == counts["oracle_scalarize"] == 381
 
 
 def assert_same_margin(got, want, eps_strict):
