@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -25,7 +26,7 @@ from . import certify, verify
 from .certify import KKTCertificate, check_cq, check_kkt, fuzzy_kkt_demo, \
     pseudoconvex_test, search_kkt, ystar_grid_size
 from .funcdsl import DomainError, ExprError, contains_uncertainty, \
-    decimal_fraction, parse_expr
+    decimal_fraction, eval_expr, parse_expr
 from .robustfeas import (
     ProblemError,
     ProblemSpec,
@@ -70,7 +71,6 @@ def parse_scalar(text: str) -> float:
     except (ArithmeticError, ValueError, DomainError):
         pass
     try:
-        from .funcdsl import eval_expr
         return eval_expr(parse_expr(text, 0), [])
     except ExprError as exc:
         raise LoadError(f"bad numeric literal {text!r}: {exc}")
@@ -290,8 +290,13 @@ def load_problem(path) -> ProblemSpec:
         if key in opts and opt(key, int, None) > bound:
             raise LoadError(f"option {key} exceeds its limit {bound}",
                             opts[key][0])
-    if opt("vgrid", int, 2) < 2:
-        raise LoadError("option vgrid must be at least 2", opts["vgrid"][0])
+    vgrid, feas_tol = opt("vgrid", int, 1001), opt("feas_tol", float, 1e-8)
+    kink_tol = opt("kink_tol", float, 1e-9)
+    for key, ok, rule in (("vgrid", vgrid >= 2, "at least 2"),
+                          ("feas_tol", not math.isnan(feas_tol), "a number"),
+                          ("kink_tol", kink_tol >= 0.0, "a number >= 0")):
+        if not ok:
+            raise LoadError(f"option {key} must be {rule}", opts[key][0])
 
     try:
         return ProblemSpec(
@@ -304,9 +309,9 @@ def load_problem(path) -> ProblemSpec:
             theta=theta,
             norm=opt("norm", str, "l2"),
             ball_facets=opt("ball_facets", int, 64),
-            feas_tol=opt("feas_tol", float, 1e-8),
-            kink_tol=opt("kink_tol", float, 1e-9),
-            vgrid=opt("vgrid", int, 1001),
+            feas_tol=feas_tol,
+            kink_tol=kink_tol,
+            vgrid=vgrid,
             seed=opt("seed", int, 20240601),
             fixtures=tuple(fixtures),
         )

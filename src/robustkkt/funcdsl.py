@@ -11,13 +11,12 @@ transcendentals are admitted.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -75,6 +74,12 @@ class Expr:
         Built on first use and kept on this node only.
         """
         return _compile(self)
+
+    @cached_property
+    def grid_fn(self):
+        """This tree compiled to ``f(X, scenarios)``, which yields its values
+        over the columns of X at each scenario (see ``_compile``)."""
+        return _compile(self, grid=True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +248,8 @@ def _tokenize(text: str) -> list[_Tok]:
 
 # Deepest nesting of parentheses, function arguments and sign prefixes the
 # parser accepts; each level costs several Python frames here and in the
-# recursive tree walkers.
+# recursive walks that remain (printing, the point walk, the structure
+# queries); the code generator and the code it writes do not recurse.
 MAX_NESTING = 100
 
 
@@ -464,18 +470,11 @@ def contains_uncertainty(e: Expr) -> bool:
 
 
 def contains_coord(e: Expr) -> bool:
-    if e.kind == "coord":
-        return True
-    return any(contains_coord(c) for c in e.children)
+    return any(n.kind == "coord" for n in _nodes(e))
 
 
 def coords_used(e: Expr) -> frozenset[int]:
-    if e.kind == "coord":
-        return frozenset([e.index])
-    out: frozenset[int] = frozenset()
-    for c in e.children:
-        out |= coords_used(c)
-    return out
+    return frozenset(n.index for n in _nodes(e) if n.kind == "coord")
 
 
 def is_affine(e: Expr) -> bool:
@@ -485,12 +484,9 @@ def is_affine(e: Expr) -> bool:
     """
     if e.kind in ("const", "coord", "uvar"):
         return True
-    if e.kind == "sum":
-        return all(is_affine(c) for c in e.children)
-    if e.kind == "prod":
-        xdep = [c for c in e.children if contains_coord(c)]
-        if len(xdep) > 1:
-            return False
+    if e.kind == "prod" and sum(map(contains_coord, e.children)) > 1:
+        return False
+    if e.kind in ("sum", "prod"):
         return all(is_affine(c) for c in e.children)
     if e.kind in ("pow", "recip", "sqrt", "abs", "max"):
         # Nonlinear in x unless x-free entirely.
@@ -523,7 +519,8 @@ def separable_branches(e: Expr) -> list | None:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (scalar, strict) and grid evaluation (vectorized, NaN-tolerant)
+# Evaluation: one code generator, a scalar target (strict) and a grid
+# target (vectorized, NaN-tolerant)
 # ---------------------------------------------------------------------------
 
 def _check_scenario(e: Expr, v) -> None:
@@ -553,15 +550,15 @@ def scenario_fn(e: Expr, x):
     return partial(e.scalar_fn, _floats(x))
 
 
-def _recip(d: float, message: str) -> float:
+def _recip(d: float, e: Expr) -> float:
     if d == 0.0:
-        raise DomainError(message)
+        raise DomainError(f"division by zero in 1/({e.children[0]})")
     return 1.0 / d
 
 
-def _sqrt(a: float, message: str) -> float:
+def _sqrt(a: float, e: Expr) -> float:
     if a < 0.0:
-        raise DomainError(message)
+        raise DomainError(f"sqrt of negative value in sqrt({e.children[0]})")
     return a ** 0.5
 
 
@@ -575,80 +572,117 @@ def _power(a, n: int, e: Expr):
         raise DomainError(f"{e} overflows") from None
 
 
-def _compile(e: Expr):
-    """Straight-line Python code for the tree: one assignment per node.
+def _nan_recip(d):
+    """1/d over a grid, NaN where d is zero."""
+    return np.where(d == 0.0, np.nan, 1.0) / np.where(d == 0.0, 1.0, d)
 
-    Children are assigned before their parent, left to right, so the code
-    performs the float operations of a recursive walk in the same order and
-    raises the same errors: sums and maxima call the builtins on a tuple, a
-    product is ``1.0 * a * b``, a power ``a ** n`` (DomainError where it
-    overflows), a square root ``a ** 0.5``.  Constants, exponents, power
-    nodes and error messages reach the code as closure values, never as
-    source text.  Neither this function nor the code it writes nests per
-    tree level, so any tree the parser accepts compiles.
+
+def _nan_sqrt(a):
+    """sqrt(a) over a grid, NaN where a is negative."""
+    return np.sqrt(np.where(a < 0.0, np.nan, a))
+
+
+# Each node kind's right-hand side in the scalar and in the grid code.  A
+# scalar sum or max calls the builtin on a tuple and a product starts from
+# 1.0; on the grid they are left folds (``sum`` starts from 0, which differs
+# on -0.0).  Fields: {a} the first operand; {args}, {plus} and {times} all
+# operands, joined by ", ", " + " and " * "; {i} a coordinate's 0-based
+# index; {n} a power's exponent; {node} the node, for error messages.
+# const and uvar nodes are operands, not assignments.
+_RULES = {
+    "coord": ("x[{i}]", "X[{i}]"),
+    "sum": ("_sum(({args},))", "{plus}"),
+    "prod": ("1.0 * {times}", "{times}"),
+    "pow": ("_power({a}, {n}, {node})",) * 2,
+    "recip": ("_recip({a}, {node})", "_nan_recip({a})"),
+    "sqrt": ("_sqrt({a}, {node})", "_nan_sqrt({a})"),
+    "abs": ("_abs({a})", "_np_abs({a})"),
+    "max": ("_max(({args},))", "_reduce(_maximum, ({args},))"),
+}
+_HELPERS = {"_float": float, "_sum": sum, "_max": max, "_abs": abs,
+            "_recip": _recip, "_sqrt": _sqrt, "_power": _power,
+            "_nan_recip": _nan_recip, "_nan_sqrt": _nan_sqrt,
+            "_np_abs": np.abs, "_reduce": reduce, "_maximum": np.maximum}
+
+
+@lru_cache(maxsize=1024)
+def _maker(src: str):
+    """The ``make`` that src defines; trees of one shape share it."""
+    namespace: dict = {}
+    exec(compile(src, "<robustkkt expression>", "exec"), {}, namespace)
+    return namespace["make"]
+
+
+def _compile(e: Expr, grid: bool = False):
+    """Straight-line Python code for the tree, one assignment per node
+    (see ``_RULES``), children before their parent, left to right: the
+    float operations of a recursive walk, in the same order.  The scalar
+    code ``f(x, v)`` returns a float and raises DomainError where the tree
+    is undefined.  The grid code ``f(X, scenarios)`` yields the tree over
+    the columns of X at each scenario, NaN where it is undefined; each
+    v-free node is assigned once, before the scenario loop.  Constants and
+    scenarios stay as given: a power of Python floats raises DomainError
+    where it overflows, one of an array or a numpy scalar gives inf.
+    Constants, exponents, power nodes and error messages reach the code as
+    closure values, never as source text.  Neither this function nor the
+    code it writes nests per tree level, so any tree the parser accepts
+    compiles.
     """
-    values = {"_sum": sum, "_max": max, "_abs": abs, "_recip": _recip,
-              "_sqrt": _sqrt, "_power": _power}
-    lines: list[str] = []
+    values = dict(_HELPERS)
+    fixed: list[str] = []   # all scalar assignments; v-free grid ones
+    looped: list[str] = []  # grid assignments that depend on v
 
     def bind(value) -> str:
         name = f"c{len(values)}"
         values[name] = value
         return name
 
-    def operand(node: Expr, args: list[str]) -> str:
+    def operand(node: Expr, args: list[str], varies: bool) -> str:
         k = node.kind
         if k == "const":
             return bind(float(node.value))
         if k == "uvar":
             return "v"
-        if k == "coord":
-            rhs = f"x[{node.index - 1}]"
-        elif k == "sum":
-            rhs = f"_sum(({', '.join(args)},))"
-        elif k == "prod":
-            rhs = "1.0 * " + " * ".join(args)
-        elif k == "pow":
-            rhs = f"_power({args[0]}, {bind(node.exponent)}, {bind(node)})"
-        elif k == "recip":
-            msg = bind(f"division by zero in 1/({node.children[0]})")
-            rhs = f"_recip({args[0]}, {msg})"
-        elif k == "sqrt":
-            msg = bind(f"sqrt of negative value in sqrt({node.children[0]})")
-            rhs = f"_sqrt({args[0]}, {msg})"
-        elif k == "abs":
-            rhs = f"_abs({args[0]})"
-        elif k == "max":
-            rhs = f"_max(({', '.join(args)},))"
-        else:
+        if k not in _RULES:
             raise ValueError(f"unknown node kind {k}")
-        lines.append(f"        t{len(lines)} = {rhs}")
-        return f"t{len(lines) - 1}"
+        rule = _RULES[k][grid]
+        fields = {"a": args[0] if args else None, "args": ", ".join(args),
+                  "plus": " + ".join(args), "times": " * ".join(args)}
+        if k == "coord":
+            fields["i"] = node.index - 1
+        if k == "pow":
+            fields["n"] = bind(node.exponent)
+        if "{node}" in rule:
+            fields["node"] = bind(node)
+        name = f"t{len(fixed) + len(looped)}"
+        (looped if grid and varies else fixed).append(
+            f"{name} = {rule.format_map(fields)}")
+        return name
 
     # Post-order without recursion: a node is visited again, marked ready,
-    # once its children's operands are on the operand stack.
+    # once its children's operands (with whether they use v) are stacked.
     todo: list[tuple[Expr, bool]] = [(e, False)]
-    operands: list[str] = []
+    operands: list[tuple[str, bool]] = []
     while todo:
         node, ready = todo.pop()
         if not ready:
             todo.append((node, True))
             todo.extend((c, False) for c in reversed(node.children))
             continue
-        first = len(operands) - len(node.children)
-        args = operands[first:]
-        del operands[first:]
-        operands.append(operand(node, args))
+        args = [operands.pop() for _ in node.children][::-1]
+        varies = node.kind == "uvar" or any(a[1] for a in args)
+        operands.append((operand(node, [a[0] for a in args], varies), varies))
 
-    head = ["    def f(x, v):"]
-    if e.has_v:
-        head.append("        v = _float(v)")
-        values["_float"] = float
-    src = "\n".join([f"def make({', '.join(values)}):", *head, *lines,
-                     f"        return {operands[0]}", "    return f"])
-    namespace: dict = {}
-    exec(compile(src, "<robustkkt expression>", "exec"), {}, namespace)
-    return namespace["make"](**values)
+    [(root, has_v)] = operands
+    if grid:
+        body = ["def f(X, scenarios):", *fixed, "for v in scenarios:",
+                *("    " + line for line in looped), f"    yield {root}"]
+    else:
+        body = ["def f(x, v):", *(["v = _float(v)"] if has_v else []), *fixed,
+                f"return {root}"]
+    src = "\n".join([f"def make({', '.join(values)}):", "    " + body[0],
+                     *("        " + s for s in body[1:]), "    return f"])
+    return _maker(src)(**values)
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
@@ -660,62 +694,22 @@ def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
     _check_scenario(e, v)
     X = np.asarray(X, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval_grid(e, X, v)
+        [out] = e.grid_fn(X, (v,))
     return np.broadcast_to(out, X.shape[1:]).copy() if np.ndim(out) == 0 else out
 
 
 def max_on_grid(e: Expr, X: np.ndarray, scenarios) -> np.ndarray:
-    """np.fmax from -inf of eval_on_grid(e, X, v) over the scenarios, with
-    each v-free subtree evaluated once for the grid; all else is the same
-    float operations in the same order, so the result is bit-equal."""
+    """np.fmax from -inf of eval_on_grid(e, X, v) over the scenarios."""
     X = np.asarray(X, dtype=float)
-    fixed: dict[int, object] = {}
-    out = np.full(X.shape[1], -np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for v in scenarios:
-            out = np.fmax(out, _eval_grid(e, X, float(v), fixed))
-    return out
+        return reduce(np.fmax, e.grid_fn(X, map(float, scenarios)),
+                      np.full(X.shape[1], -np.inf))
 
 
 def eval_scenarios(e: Expr, scenarios) -> np.ndarray:
-    """An x-free tree at each scenario, as the grid evaluation computes it."""
+    """An x-free tree at each scenario, as the grid code computes it."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.array([_eval_grid(e, None, float(v)) for v in scenarios],
-                        dtype=float)
-
-
-def _eval_grid(e: Expr, X: np.ndarray, v, fixed: dict | None = None):
-    """The value of e over the grid; with ``fixed``, each v-free subtree is
-    evaluated on its first visit and kept there, keyed by node identity."""
-    if fixed is not None and not e.has_v:
-        if id(e) not in fixed:
-            fixed[id(e)] = _eval_grid(e, X, v)
-        return fixed[id(e)]
-    k = e.kind
-    if k == "const":
-        return float(e.value)
-    if k == "coord":
-        return X[e.index - 1]
-    if k == "uvar":
-        return v
-    kids = [_eval_grid(c, X, v, fixed) for c in e.children]
-    if k == "sum":
-        return reduce(operator.add, kids)
-    if k == "prod":
-        return reduce(operator.mul, kids)
-    if k == "pow":
-        return _power(kids[0], e.exponent, e)
-    if k == "recip":
-        d = np.asarray(kids[0], dtype=float)
-        return np.where(d == 0.0, np.nan, 1.0) / np.where(d == 0.0, 1.0, d)
-    if k == "sqrt":
-        a = np.asarray(kids[0], dtype=float)
-        return np.sqrt(np.where(a < 0.0, np.nan, a))
-    if k == "abs":
-        return np.abs(kids[0])
-    if k == "max":
-        return reduce(np.maximum, kids)
-    raise ValueError(f"unknown node kind {k}")
+        return np.fromiter(e.grid_fn(None, map(float, scenarios)), float)
 
 
 # ---------------------------------------------------------------------------

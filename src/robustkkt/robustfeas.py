@@ -10,8 +10,8 @@ scan for every constraint; each verdict computes it once per point and
 reads feasibility, the envelopes, the active indices and the sup-rule
 scenarios from it.
 
-On a grid, envelope_grid is the running max F over the scenario grid,
-without refinement, evaluating each v-free subtree once per grid.  A max
+On a grid, envelope_grid is the running max F over the scenarios of the
+tree's grid code (its v-free nodes hoisted), without refinement.  A max
 branch c(x) + a(v)*h(x) + b(v), a sum of products of pure factors with one
 feature a, is linear in each scenario's point (a_j, b_j), so its maximum
 lies on the upper hull of those points (de Berg et al., Computational

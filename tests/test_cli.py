@@ -353,6 +353,28 @@ class TestCommands:
                                       "--at", "0,0"])
         assert code == 3 and doc["error"].startswith(error)
 
+    @pytest.mark.parametrize("option, error", [
+        ("kink_tol = -1", "option kink_tol must be a number >= 0"),
+        ("kink_tol = nan", "option kink_tol must be a number >= 0"),
+        ("feas_tol = nan", "option feas_tol must be a number"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["pseudoconvex", "--at", "0,0", "--type", "I", "--region",
+         "-1,1,-1,1", "--grid", "3", "--y-res", "3"],
+        ["cq", "--at", "0,0"],
+    ], ids=["pseudoconvex", "cq"])
+    def test_bad_tolerance_refused(self, capsys, tmp_path, fixtures_dir,
+                                   option, error, argv):
+        """A tolerance option that is NaN, or a negative kink_tol, exits 3
+        naming the option; a negative kink_tol tied no max branch and
+        exited 4."""
+        text = (fixtures_dir / "example_3_2.problem").read_text()
+        path = tmp_path / "p.problem"
+        path.write_text(text.replace("[options]\n", f"[options]\n{option}\n"))
+        code, doc = run_json(capsys, [argv[0], "--problem", str(path),
+                                      *argv[1:]])
+        assert code == 3 and doc["error"].startswith(error)
+
     def test_problem_file_not_text_refused(self, capsys, tmp_path):
         path = tmp_path / "p.problem"
         path.write_bytes(b"\xff\xfe[space]")

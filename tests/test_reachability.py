@@ -26,18 +26,26 @@ SRC = Path(robustkkt.__file__).resolve().parent
 
 KEPT = {
     "certify._lp_margin":
-        "witness margins for d != 2; no bundled problem has d >= 3",
+        "witness margins for d != 2; only pseudoconvex_test's samples= "
+        "argument reaches them, as the CLI refuses grid sampling for d != 2",
     "certify._lp_witness_margin":
-        "witness margins for d != 2; no bundled problem has d >= 3",
+        "witness margins for d != 2; only pseudoconvex_test's samples= "
+        "argument reaches them, as the CLI refuses grid sampling for d != 2",
     "cli.LoadError.__init__":
         "raised only on refused input; tests/test_cli.py covers the refusals",
     "cli.main": "console-script entry point; the commands call run_command",
+    "funcdsl.Expr.__str__":
+        "messages of domain errors, formatted when one is raised; no README "
+        "command meets one",
     "funcdsl.ParseError.__init__":
         "raised only on a malformed expression",
     "funcdsl._PointWalk.fault":
         "a gradient at 1/0 or at the square root of a nonpositive value; "
         "no README command meets one",
     "funcdsl.max_on_grid": "body of envelope_grid",
+    "funcdsl._split_negative":
+        "printing a sum with a negative term, for an error message or an "
+        "atom key; no README command prints one",
     "funcdsl.smooth_gradient": "public helper the acceptance tests use",
     "lp.LPBuilder._solve_float":
         "LPs over 160 columns or 80 rows: d >= 3 witness margins, "

@@ -6,7 +6,8 @@ Sets must be bit-equal, vertices compared as int64 views so that -0.0 and
 NaN count, with equal rules and exactness, in both modes; smooth gradients
 must be bit-equal; where the oracle raises, the walker raises the same
 exception class, except that a reciprocal slope whose square underflows,
-a ZeroDivisionError in the oracle, is a DomainError of the walker.  Points
+a ZeroDivisionError in the oracle, and a float power that overflows, an
+OverflowError in the oracle, are DomainErrors of the walker.  Points
 sit on kinks, max ties and the sqrt(0) and 1/0 boundaries as well as at
 generic places.
 """
@@ -50,8 +51,8 @@ def _outcome(fn):
 
 def _expected(outcome):
     """The walker's outcome where the oracle's is ``outcome``."""
-    return ("raised", DomainError) \
-        if outcome == ("raised", ZeroDivisionError) else outcome
+    return ("raised", DomainError) if outcome in (
+        ("raised", ZeroDivisionError), ("raised", OverflowError)) else outcome
 
 
 def _set_key(res):
