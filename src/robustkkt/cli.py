@@ -4,21 +4,28 @@ Problem files are flat sectioned text: ``[section]`` headers and
 ``key = value`` lines, expressions quoted verbatim.  Reports are JSON on
 stdout and byte-deterministic for fixed inputs (timings only with
 ``--timings``).  Exit codes: 0 affirmative verdict, 1 negative or
-counterexample, 2 inconclusive, 3 usage or data error, 4 internal fault.
+counterexample, 2 inconclusive, 3 usage or data error, 4 internal fault,
+141 stdout closed by its reader.  Every input rule is a row of ``TABLE``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import os
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +35,7 @@ from .certify import KKTCertificate, check_cq, check_kkt, fuzzy_kkt_demo, \
 from .funcdsl import DomainError, ExprError, contains_uncertainty, \
     decimal_fraction, eval_expr, parse_expr
 from .robustfeas import (
+    NORMS,
     ProblemError,
     ProblemSpec,
     UncertainConstraint,
@@ -43,13 +51,6 @@ from .verify import DualTriple, classify_point, converse_duality_check, \
 
 REPORT_VERSION = 1
 
-# Upper bounds on the sizes a command allocates or loops over: command-line
-# options (``--res`` makes N x N rasters, ``--grid`` N x N samples, ...)
-# and problem-file options.  Larger values are refused as data errors.
-OPTION_LIMITS = {"res": 1001, "grid": 101, "y_res": 48, "samples": 100_000,
-                 "grid_n": 401}
-PROBLEM_LIMITS = {"vgrid": 100_001, "ball_facets": 4096, "objectives": 16,
-                  "constraints": 64}
 # A pseudoconvex grid sweep holds a y*-grid points x --grid^2 premise
 # matrix; the y*-grid has --y-res^(m-1) points for m dual-cone generators.
 # 2^23 cells is 64 MiB per float64 array.
@@ -60,7 +61,6 @@ class LoadError(Exception):
     def __init__(self, message: str, line: int | None = None):
         where = f" (line {line})" if line is not None else ""
         super().__init__(message + where)
-        self.line = line
 
 
 def parse_scalar(text: str) -> float:
@@ -80,12 +80,212 @@ def parse_vector(text: str) -> np.ndarray:
     return np.array([parse_scalar(t) for t in text.split(",") if t.strip()])
 
 
-def _cast(label: str, cast, text: str, line: int | None = None):
-    """cast(text), refused as a LoadError naming label."""
+_NONFINITE_RE = re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE)
+
+
+def _number(text: str) -> float:
+    """parse_scalar, with nan and inf read as float() reads them, so that
+    the row's bounds refuse them by name."""
+    if _NONFINITE_RE.fullmatch(text.strip()):
+        return float(text)
+    return parse_scalar(text)
+
+
+def _integer(text: str) -> int:
+    value = parse_scalar(text)
+    if value != int(value):
+        raise ValueError(text)
+    return int(value)
+
+
+# ---------------------------------------------------------------------------
+# The input table
+# ---------------------------------------------------------------------------
+
+class Row(NamedTuple):
+    """One input rule.  ``kind``: ``cli`` (an option of the ``commands``
+    listed, ``!`` where required), ``space`` or ``options`` (a problem-file
+    key), ``count`` (a problem-file section's entries) or the JSON file
+    holding the field.  ``parse``: ``bool`` for a flag, a tuple of the
+    words allowed, None for text.  A number above ``most`` is refused as
+    over its limit, one below ``least`` or NaN by ``rule``.  ``size``: a
+    list's length per axis, per coordinate (d), objective (p), constraint
+    (n), or two per coordinate (2d)."""
+    kind: str
+    name: str
+    parse: object = None
+    default: object = None
+    least: float = -math.inf
+    most: float = math.inf
+    rule: str = "is below {least}"
+    size: tuple[str, ...] = ()
+    commands: str = ""
+    help: str | None = None
+
+
+COMMANDS = {
+    "feasible": "robust feasibility of a point",
+    "raster": "feasibility raster to CSV",
+    "subdiff": "subdifferential set of one function",
+    "cq": "constraint qualification at a point",
+    "kkt": "KKT certificate check or search",
+    "fuzzy": "fuzzy necessary-condition demonstrator",
+    "pseudoconvex": "type I/II pseudo-convexity test",
+    "efficiency": "classify a candidate point",
+    "duality": "Mond-Weir duality checks",
+}
+
+
+def _param(fn, name: str):
+    """The default of fn's parameter name: the library's default is the
+    command line's, as ProblemSpec's is the problem file's."""
+    return inspect.signature(fn).parameters[name].default
+
+
+_SPEC = {f.name: f.default for f in dataclasses.fields(ProblemSpec)}
+_EVERY = " ".join(COMMANDS)
+_NUMBER = "must be a number >= {least} and <= {most}"
+_AT_LEAST = "must be at least {least}"
+
+TABLE = [
+    Row("cli", "--timings", bool, help="include wall-clock timing in the "
+        "report (off by default to keep reports byte-deterministic)"),
+    Row("cli", "--problem", commands=_EVERY.replace(" ", "! ") + "!"),
+    Row("cli", "--fixtures", bool, commands=_EVERY,
+        help="use problem-file fixture sets where declared"),
+    Row("cli", "--mode", ("limiting", "hull"), commands=_EVERY),
+    Row("cli", "action", ("check", "search"), commands="kkt"),
+    Row("cli", "action", ("weak", "strong", "converse"), commands="duality"),
+    Row("cli", "--at", size=("d",), commands="feasible! subdiff! cq! kkt! "
+        "fuzzy! pseudoconvex! efficiency! duality"),
+    Row("cli", "--ystar", size=("p",), commands="fuzzy!"),
+    Row("cli", "--region", size=("2d",),
+        commands="raster! pseudoconvex efficiency! duality"),
+    # feasible's --tol defaults to the problem's feas_tol
+    Row("cli", "--tol", _number, None, 0.0, 1.0, _NUMBER, commands="feasible"),
+    Row("cli", "--tol", _number, _param(check_kkt, "tol"), 0.0, 1.0, _NUMBER,
+        commands="kkt"),
+    Row("cli", "--res", _integer, _param(classify_point, "resolution"), 0,
+        1001, commands="raster efficiency duality"),
+    Row("cli", "--out", commands="raster"),
+    Row("cli", "--target", commands="subdiff!"),
+    Row("cli", "--scenario", parse_scalar, commands="subdiff"),
+    Row("cli", "--cert", commands="kkt"),
+    Row("cli", "--eta", _number, None, 1e-9, 1e9, _NUMBER, commands="fuzzy!"),
+    # fuzzy's --radius defaults to --eta
+    Row("cli", "--radius", _number, None, 0.0, 1e9, _NUMBER, commands="fuzzy"),
+    Row("cli", "--grid-n", _integer, _param(fuzzy_kkt_demo, "grid_n"), 2, 401,
+        commands="fuzzy"),
+    Row("cli", "--type", ("I", "II"), commands="pseudoconvex!"),
+    Row("cli", "--grid", _integer, _param(pseudoconvex_test, "grid"), 0, 101,
+        commands="pseudoconvex"),
+    Row("cli", "--y-res", _integer, _param(pseudoconvex_test, "y_resolution"),
+        1, 48, commands="pseudoconvex"),
+    Row("cli", "--witness", commands="pseudoconvex"),
+    Row("cli", "--kind", verify.KINDS, commands="efficiency!"),
+    Row("cli", "--kind", ("I", "II"), "I", commands="duality"),
+    Row("cli", "--triple", commands="duality"),
+    Row("cli", "--triples", commands="duality"),
+    Row("cli", "--samples", _integer, 1000, 1, 100_000, commands="duality"),
+    # problem files; the section sizes are refused before any expression
+    # is parsed, and an l1 norm's dual ball has 2^dim vertices
+    Row("space", "dim", _integer, None, 0, 16, "must be >= {least}"),
+    Row("count", "objectives", least=1, most=16,
+        rule="at least {least} objective is required"),
+    Row("count", "constraints", least=0, most=64),
+    Row("options", "vgrid", _integer, _SPEC["vgrid"], 2, 100_001, _AT_LEAST),
+    Row("options", "feas_tol", _number, _SPEC["feas_tol"], 0.0, 1.0, _NUMBER),
+    Row("options", "kink_tol", _number, _SPEC["kink_tol"], 0.0, 1.0, _NUMBER),
+    Row("options", "ball_facets", _integer, _SPEC["ball_facets"], 8, 4096,
+        _AT_LEAST),
+    Row("options", "seed", _integer, _SPEC["seed"], 0, 2 ** 32 - 1, _AT_LEAST),
+    Row("options", "norm", NORMS, _SPEC["norm"]),
+    # JSON files: a kkt check certificate, a pseudoconvex witness, a dual
+    # triple; vbar is reported only, and defaults to zeros
+    Row("certificate", "ystar", size=("p",)),
+    Row("certificate", "mu", size=("n",)),
+    Row("certificate", "u", size=("p", "d")),
+    Row("certificate", "v", size=("n", "d")),
+    Row("certificate", "vbar", default=0, size=("n",)),
+    Row("certificate", "bstar", size=("d",)),
+    Row("certificate", "astar", size=("d",)),
+    Row("witness", "x", size=("d",)),
+    Row("witness", "ystar", size=("p",)),
+    Row("witness", "u", size=("p", "d")),
+    Row("triple", "z", size=("d",)),
+    Row("triple", "ystar", size=("p",)),
+    Row("triple", "mu", size=("n",)),
+]
+
+# the rows by command, and by kind for the rows outside the command line
+ROWS: dict[str, list[Row]] = {}
+for _row in TABLE:
+    for _key in (_row.commands.split() if _row.kind == "cli"
+                 else [_row.kind]):
+        ROWS.setdefault(_key.rstrip("!"), []).append(_row)
+
+
+def _fmt(bound) -> str:
+    return f"{bound:g}" if isinstance(bound, float) else str(bound)
+
+
+def _read(row: Row, text: str, label: str = "", line: int | None = None):
+    """text read by the row and checked against its words or bounds,
+    refused as a LoadError naming label, by default the row's name (and
+    showing a command-line value)."""
+    label = label or row.name
+    shown = f"{label} {text}" if row.kind == "cli" else label
+    if isinstance(row.parse, tuple):
+        if text not in row.parse:
+            raise LoadError(f"{shown} must be one of {', '.join(row.parse)}",
+                            line)
+        return text
     try:
-        return cast(text)
-    except ValueError:
+        value = row.parse(text)
+    except (LoadError, ValueError):
         raise LoadError(f"bad {label} {text!r}", line) from None
+    if value > row.most:
+        raise LoadError(f"{shown} exceeds its limit {_fmt(row.most)}", line)
+    if not value >= row.least:
+        raise LoadError(f"{shown} " + row.rule.format(
+            least=_fmt(row.least), most=_fmt(row.most)), line)
+    return value
+
+
+def _sizes(spec: ProblemSpec) -> dict[str, int]:
+    return {"d": spec.dim, "p": spec.n_objectives, "n": spec.n_constraints,
+            "2d": 2 * spec.dim}
+
+
+def _array(label: str, values, axes: list[int]):
+    """values as a float array, or a list of them for two axes; refused
+    unless a list of axes[0] entries."""
+    if not isinstance(values, list):
+        raise LoadError(f"{label} must be a list")
+    if len(values) != axes[0]:
+        raise LoadError(f"{label} has {len(values)} entries, the problem "
+                        f"needs {axes[0]}")
+    if len(axes) > 1:
+        return [_array(f"{label}[{k}]", row, axes[1:])
+                for k, row in enumerate(values)]
+    return np.array([parse_scalar(str(t)) for t in values])
+
+
+def _fields(kind: str, doc, spec: ProblemSpec) -> dict:
+    """The fields of a JSON input file, each read by its row."""
+    if not isinstance(doc, dict):
+        raise LoadError(f"{kind} must be a JSON object")
+    sizes, out = _sizes(spec), {}
+    for row in ROWS[kind]:
+        axes = [sizes[a] for a in row.size]
+        if row.name in doc:
+            values = doc[row.name]
+        elif row.default is not None:
+            values = [row.default] * axes[0]
+        else:
+            raise LoadError(f"{kind} field {row.name} is missing")
+        out[row.name] = _array(f"{kind} field {row.name}", values, axes)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +359,21 @@ def load_problem(path) -> ProblemSpec:
             raise LoadError(f"missing key {key!r} in [{section}]")
         return default
 
-    # refused before any expression is parsed
-    for section in ("objectives", "constraints"):
-        count = len(sections.get(section, []))
-        if count > PROBLEM_LIMITS[section]:
-            raise LoadError(f"{count} {section} exceed the limit "
-                            f"{PROBLEM_LIMITS[section]}")
+    for row in ROWS["count"]:
+        count = len(sections.get(row.name, []))
+        if count > row.most:
+            raise LoadError(f"{count} {row.name} exceed the limit {row.most}")
+        if count < row.least:
+            raise LoadError(row.rule.format(least=row.least))
 
-    dim = _cast("dim", int, single("space", "dim"))
-    if dim < 0:
-        raise LoadError("dim must be >= 0")
+    dim = _read(ROWS["space"][0], single("space", "dim"), "dim")
 
-    pattern = []
-    for tok in single("cone", "pattern").split(","):
-        tok = tok.strip()
-        if tok == ">=0":
-            pattern.append(1)
-        elif tok == "<=0":
-            pattern.append(-1)
-        else:
+    signs = {">=0": 1, "<=0": -1}
+    pattern = [tok.strip() for tok in single("cone", "pattern").split(",")]
+    for tok in pattern:
+        if tok not in signs:
             raise LoadError(f"cone pattern entry must be >=0 or <=0, got {tok!r}")
-    cone = ConeSpec(pattern=tuple(pattern))
+    cone = ConeSpec(pattern=tuple(signs[tok] for tok in pattern))
 
     theta = parse_vector(single("theta", "value"))
 
@@ -212,48 +406,42 @@ def load_problem(path) -> ProblemSpec:
     else:
         raise LoadError(f"unknown omega kind {okind!r}")
 
+    def expression(what: str, lineno: int, k: str, v: str):
+        """A quoted expression and its scenario domain (None if none)."""
+        m = _CONSTRAINT_RE.match(v)
+        if not m:
+            raise LoadError(f"{what} must be a quoted expression", lineno)
+        try:
+            return parse_expr(m.group("expr"), dim), m.group("dom")
+        except ExprError as exc:
+            raise LoadError(f"{what} {k}: {exc}", lineno)
+
     obj_names, objs = [], []
     for lineno, k, v in sections.get("objectives", []):
-        m = _CONSTRAINT_RE.match(v)
-        if not m or m.group("dom"):
+        expr, dom = expression("objective", lineno, k, v)
+        if dom:
             raise LoadError("objective must be a quoted expression", lineno)
-        try:
-            expr = parse_expr(m.group("expr"), dim)
-        except ExprError as exc:
-            raise LoadError(f"objective {k}: {exc}", lineno)
         if contains_uncertainty(expr):
             raise LoadError(f"objective {k} must not use v", lineno)
         obj_names.append(k)
         objs.append(expr)
-    if not objs:
-        raise LoadError("at least one objective is required")
 
     constraints = []
     for lineno, k, v in sections.get("constraints", []):
-        m = _CONSTRAINT_RE.match(v)
-        if not m:
-            raise LoadError("constraint must be a quoted expression", lineno)
-        try:
-            expr = parse_expr(m.group("expr"), dim)
-        except ExprError as exc:
-            raise LoadError(f"constraint {k}: {exc}", lineno)
-        dom = m.group("dom")
-        lo = hi = None
-        scenarios = None
+        expr, dom = expression("constraint", lineno, k, v)
+        lo = hi = scenarios = None
         if dom is not None:
             dom = dom.strip()
-            if dom.startswith("[") and dom.endswith("]"):
-                if dom.count(",") != 1:
-                    raise LoadError("scenario interval must be [lo, hi]",
-                                    lineno)
-                a, b = dom[1:-1].split(",")
-                lo, hi = parse_scalar(a), parse_scalar(b)
-            elif dom.startswith("{") and dom.endswith("}"):
-                scenarios = tuple(parse_scalar(t)
-                                  for t in dom[1:-1].split(","))
-            else:
+            if dom[:1] + dom[-1:] not in ("[]", "{}"):
                 raise LoadError("scenario domain must be [lo, hi] or {..}",
                                 lineno)
+            values = tuple(parse_scalar(t) for t in dom[1:-1].split(","))
+            if dom[0] == "{":
+                scenarios = values
+            elif len(values) == 2:
+                lo, hi = values
+            else:
+                raise LoadError("scenario interval must be [lo, hi]", lineno)
         elif contains_uncertainty(expr):
             raise LoadError(f"constraint {k} uses v but has no domain", lineno)
         try:
@@ -261,8 +449,6 @@ def load_problem(path) -> ProblemSpec:
         except ProblemError as exc:
             raise LoadError(str(exc), lineno)
 
-    opts = {k: (lineno, v) for lineno, k, v in sections.get("options", [])
-            if k != "fixture"}
     fixtures = []
     declared = set(obj_names) | {c.name for c in constraints}
     for lineno, k, v in sections.get("options", []):
@@ -279,25 +465,10 @@ def load_problem(path) -> ProblemSpec:
         fixtures.append(FixtureSet(name, parse_vector(m.group("pt")),
                                    _parse_polytope_set(m.group("sets"), lineno)))
 
-    def opt(key, cast, default):
-        if key not in opts:
-            return default
-        lineno, text = opts[key]
-        return _cast(f"option {key}", cast, text, lineno)
-
-    for key in ("vgrid", "ball_facets"):
-        bound = PROBLEM_LIMITS[key]
-        if key in opts and opt(key, int, None) > bound:
-            raise LoadError(f"option {key} exceeds its limit {bound}",
-                            opts[key][0])
-    vgrid, feas_tol = opt("vgrid", int, 1001), opt("feas_tol", float, 1e-8)
-    kink_tol = opt("kink_tol", float, 1e-9)
-    for key, ok, rule in (("vgrid", vgrid >= 2, "at least 2"),
-                          ("feas_tol", not math.isnan(feas_tol), "a number"),
-                          ("kink_tol", kink_tol >= 0.0, "a number >= 0")):
-        if not ok:
-            raise LoadError(f"option {key} must be {rule}", opts[key][0])
-
+    # only the options the file gives: ProblemSpec holds the defaults
+    rows = {row.name: row for row in ROWS["options"]}
+    given = {k: _read(rows[k], v, f"option {k}", lineno)
+             for lineno, k, v in sections.get("options", []) if k in rows}
     try:
         return ProblemSpec(
             dim=dim,
@@ -307,13 +478,8 @@ def load_problem(path) -> ProblemSpec:
             cone=cone,
             omega=omega,
             theta=theta,
-            norm=opt("norm", str, "l2"),
-            ball_facets=opt("ball_facets", int, 64),
-            feas_tol=feas_tol,
-            kink_tol=kink_tol,
-            vgrid=vgrid,
-            seed=opt("seed", int, 20240601),
             fixtures=tuple(fixtures),
+            **given,
         )
     except (ProblemError, SetCalcError) as exc:
         raise LoadError(str(exc))
@@ -330,73 +496,14 @@ def resolve_problem_path(path) -> Path:
     raise LoadError(f"problem file not found: {path}")
 
 
-def _sized(label: str, values, length: int | None = None):
-    """values, refused unless a list or array (of length entries)."""
-    if not isinstance(values, (list, np.ndarray)):
-        raise LoadError(f"{label} must be a list")
-    if length is not None and len(values) != length:
-        raise LoadError(f"{label} has {len(values)} entries, the problem "
-                        f"needs {length}")
-    return values
-
-
-def _field(kind: str, doc, field: str):
-    """doc[field], refused unless doc is a JSON object holding field."""
-    if not isinstance(doc, dict):
-        raise LoadError(f"{kind} must be a JSON object")
-    if field not in doc:
-        raise LoadError(f"{kind} field {field} is missing")
-    return doc[field]
-
-
-def _numbers(label: str, vals, length: int) -> np.ndarray:
-    return np.array([parse_scalar(str(t))
-                     for t in _sized(label, vals, length)])
-
-
-def _vec(kind: str, doc, field: str, length: int) -> np.ndarray:
-    return _numbers(f"{kind} field {field}", _field(kind, doc, field), length)
-
-
-def _rows(kind: str, doc, field: str, count: int, length: int):
-    label = f"{kind} field {field}"
-    return [_numbers(f"{label}[{k}]", row, length) for k, row
-            in enumerate(_sized(label, _field(kind, doc, field), count))]
-
-
 def load_certificate(path, spec: ProblemSpec) -> KKTCertificate:
-    doc = json.loads(Path(path).read_text())
-    p, n, d = spec.n_objectives, spec.n_constraints, spec.dim
-    return KKTCertificate(
-        ystar=_vec("certificate", doc, "ystar", p),
-        mu=_vec("certificate", doc, "mu", n),
-        u=_rows("certificate", doc, "u", p, d),
-        v=_rows("certificate", doc, "v", n, d),
-        vbar=[parse_scalar(str(t)) for t in _sized(
-            "certificate field vbar", doc.get("vbar", [0] * n))],
-        bstar=_vec("certificate", doc, "bstar", d),
-        astar=_vec("certificate", doc, "astar", d),
-    )
-
-
-def load_witness(path, spec: ProblemSpec) -> dict:
-    """A pseudo-convexity failure witness: x, ystar and one subgradient
-    row u per objective, each checked against the problem's sizes."""
-    doc = json.loads(Path(path).read_text())
-    p, d = spec.n_objectives, spec.dim
-    return {"x": _vec("witness", doc, "x", d),
-            "ystar": _vec("witness", doc, "ystar", p),
-            "u": _rows("witness", doc, "u", p, d)}
+    return KKTCertificate(**_fields("certificate",
+                                    json.loads(Path(path).read_text()), spec))
 
 
 def load_triple(doc: dict, spec: ProblemSpec) -> DualTriple:
-    """A Mond-Weir dual triple from one parsed JSON object, each field
-    checked against the problem's sizes."""
-    return DualTriple(
-        z=_vec("triple", doc, "z", spec.dim),
-        ystar=_vec("triple", doc, "ystar", spec.n_objectives),
-        mu=_vec("triple", doc, "mu", spec.n_constraints),
-    )
+    """A Mond-Weir dual triple from one parsed JSON object."""
+    return DualTriple(**_fields("triple", doc, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +513,8 @@ def load_triple(doc: dict, spec: ProblemSpec) -> DualTriple:
 def to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [to_jsonable(t) for t in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, Polytope):
         return {"vertices": obj.vertices.tolist()}
     if isinstance(obj, PolytopeSet):
@@ -448,103 +551,43 @@ def _hash_file(path) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """One argument per command-line row, each value read by its row; the
+    points are read once the problem is loaded (_read_points).  Built once
+    per process and shared, so callers must not change it."""
     ap = argparse.ArgumentParser(
         prog="robustkkt",
         description="Verification toolkit for nonsmooth robust "
                     "multiobjective optimization")
-    ap.add_argument("--timings", action="store_true",
-                    help="include wall-clock timing in the report "
-                         "(off by default to keep reports byte-deterministic)")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--problem", required=True)
-        p.add_argument("--fixtures", action="store_true",
-                       help="use problem-file fixture sets where declared")
-        p.add_argument("--mode", choices=("limiting", "hull"),
-                       default=None)
-
-    p = sub.add_parser("feasible", help="robust feasibility of a point")
-    common(p)
-    p.add_argument("--at", required=True)
-    p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("raster", help="feasibility raster to CSV")
-    common(p)
-    p.add_argument("--region", required=True)
-    p.add_argument("--res", type=int, default=401)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("subdiff", help="subdifferential set of one function")
-    common(p)
-    p.add_argument("--target", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--scenario", default=None)
-
-    p = sub.add_parser("cq", help="constraint qualification at a point")
-    common(p)
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("kkt", help="KKT certificate check or search")
-    common(p)
-    p.add_argument("action", choices=("check", "search"))
-    p.add_argument("--at", required=True)
-    p.add_argument("--cert", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = sub.add_parser("fuzzy", help="fuzzy necessary-condition demonstrator")
-    common(p)
-    p.add_argument("--at", required=True)
-    p.add_argument("--ystar", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--grid-n", type=int, default=81)
-
-    p = sub.add_parser("pseudoconvex", help="type I/II pseudo-convexity test")
-    common(p)
-    p.add_argument("--at", required=True)
-    p.add_argument("--type", dest="ptype", choices=("I", "II"), required=True)
-    p.add_argument("--region", default=None)
-    p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--y-res", type=int, default=24)
-    p.add_argument("--witness", default=None)
-
-    p = sub.add_parser("efficiency", help="classify a candidate point")
-    common(p)
-    p.add_argument("--at", required=True)
-    p.add_argument("--kind", choices=verify.KINDS, required=True)
-    p.add_argument("--region", required=True)
-    p.add_argument("--res", type=int, default=401)
-
-    p = sub.add_parser("duality", help="Mond-Weir duality checks")
-    common(p)
-    p.add_argument("action", choices=("weak", "strong", "converse"))
-    p.add_argument("--at", default=None)
-    p.add_argument("--kind", choices=("I", "II"), default="I")
-    p.add_argument("--triple", default=None)
-    p.add_argument("--triples", default=None)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--region", default=None)
-    p.add_argument("--res", type=int, default=401)
+    parsers = {name: sub.add_parser(name, help=text)
+               for name, text in COMMANDS.items()}
+    for row in TABLE:
+        if row.kind != "cli":
+            continue
+        kw = {"help": row.help}
+        if row.parse is bool:
+            kw["action"] = "store_true"
+        elif row.parse and not row.size:
+            kw.update(type=partial(_read, row), default=row.default)
+        for command in row.commands.split() or [""]:
+            if row.name.startswith("--") and command:
+                kw["required"] = command.endswith("!")
+            parsers.get(command.rstrip("!"), ap).add_argument(row.name, **kw)
     return ap
 
 
-_VALUE_FLAGS = {"--region", "--at", "--ystar", "--scenario"}
+_VALUE_FLAGS = {row.name for row in TABLE if row.kind == "cli"
+                and row.name.startswith("--") and row.parse is not bool}
 
 
 def _merge_negative_values(argv):
     """Join value flags with leading-dash payloads ('--region -5,1,..')."""
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and re.match(
-                r"^-[\d.]", argv[i + 1]):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
@@ -558,57 +601,50 @@ DATA_ERRORS = (LoadError, ProblemError, ExprError, SetCalcError,
 
 
 def run_command(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(_merge_negative_values(argv))
-    except SystemExit as exc:
-        return 3 if exc.code not in (0, None) else 0
-    t0 = time.monotonic()
-    try:
-        code, verdict, details, config = _dispatch(args)
+        args = build_parser().parse_args(_merge_negative_values(argv))
+        t0 = time.monotonic()
+        code, verdict, details = _dispatch(args)
         timings = time.monotonic() - t0 if args.timings else None
         path = resolve_problem_path(args.problem)
+        config = {"mode": args.mode, "fixtures": args.fixtures}
         emit_report(args.command, path, _hash_file(path), config, verdict,
                     details, timings)
         return code
+    except SystemExit as exc:  # argparse's usage errors, and --help
+        return 3 if exc.code not in (0, None) else 0
+    except BrokenPipeError:
+        raise
     except Exception as exc:
         print(json.dumps({"report_version": REPORT_VERSION,
                           "error": str(exc)}, indent=2, sort_keys=True))
         return 3 if isinstance(exc, DATA_ERRORS) else 4
 
 
-def _check_option_limits(args) -> None:
-    for name, bound in OPTION_LIMITS.items():
-        value = getattr(args, name, None)
-        flag = "--" + name.replace("_", "-")
-        least = 1 if name == "y_res" else 0
-        if value is not None and value > bound:
-            raise LoadError(f"{flag} {value} exceeds its limit {bound}")
-        if value is not None and value < least:
-            raise LoadError(f"{flag} {value} is below {least}")
-
-
-def _parse_points(args, spec: ProblemSpec) -> dict[str, np.ndarray]:
-    """The point options given, parsed and checked against the problem:
-    --at against its dimension, --ystar against its objectives and the
-    --region box against twice its dimension."""
-    points = {}
-    for name, size in (("at", spec.dim), ("ystar", spec.n_objectives),
-                       ("region", 2 * spec.dim)):
-        text = getattr(args, name, None)
+def _read_points(args, spec: ProblemSpec) -> None:
+    """Each point option given replaced by its entries, checked against
+    the problem's sizes (the parser reads the other values)."""
+    sizes = _sizes(spec)
+    for row in ROWS[args.command]:
+        text = getattr(args, row.name[2:]) if row.size else None
         if text is not None:
-            points[name] = _sized(f"--{name}", parse_vector(text), size)
-    return points
+            setattr(args, row.name[2:], _array(
+                row.name, [t for t in text.split(",") if t.strip()],
+                [sizes[a] for a in row.size]))
 
 
-def _dispatch(args) -> tuple[int, str, dict, dict]:
-    _check_option_limits(args)
+def _settled(ok: bool, yes: str, no: str, details: dict):
+    """Exit 0 with the affirmative verdict, or 1 with the negative one."""
+    return (0, yes, details) if ok else (1, no, details)
+
+
+def _dispatch(args) -> tuple[int, str, dict]:
     spec = load_problem(args.problem)
-    points = _parse_points(args, spec)
-    x = points.get("at")
-    mode = args.mode or "limiting"
-    use_fx = bool(args.fixtures)
-    config = {"mode": mode, "fixtures": use_fx}
+    _read_points(args, spec)
+    x = getattr(args, "at", None)
+    hull = args.command == "subdiff" or getattr(args, "action", "") == "check"
+    mode = args.mode = args.mode or ("hull" if hull else "limiting")
+    use_fx = args.fixtures
 
     if args.command == "feasible":
         acts = compute_active_sets(spec, x) if spec.constraints else None
@@ -618,14 +654,12 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
         if acts:
             details["phi"] = acts.phi
             details["phi_i"] = acts.phis
-        return (0 if ok else 1), ("FEASIBLE" if ok else "INFEASIBLE"), \
-            details, config
+        return _settled(ok, "FEASIBLE", "INFEASIBLE", details)
 
     if args.command == "raster":
-        region = points["region"]
-        r = raster(spec, region, args.res)
+        r = raster(spec, args.region, args.res)
         csv_text = r.to_csv()
-        details = {"region": region, "res": args.res,
+        details = {"region": args.region, "res": args.res,
                    "feasible_cells": int(np.sum(r.feasible)),
                    "total_cells": int(r.feasible.size)}
         if args.out:
@@ -633,46 +667,40 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
             details["out"] = args.out
         else:
             details["csv"] = csv_text
-        return 0, "RASTER-WRITTEN", details, config
+        return 0, "RASTER-WRITTEN", details
 
     if args.command == "subdiff":
-        smode = args.mode or "hull"
-        config["mode"] = smode
         name = args.target
         fx = spec.fixture_for(name, x) if use_fx else None
         if fx is not None:
             return 0, "SET-COMPUTED", {"target": name, "set": fx,
-                                       "provenance": "fixture"}, config
+                                       "provenance": "fixture"}
         if name in spec.objective_names:
-            res = limiting_subdiff(spec.objective(name), x, None, smode,
+            res = limiting_subdiff(spec.objective(name), x, None, mode,
                                    spec.kink_tol)
         else:
             con = spec.constraint(name)
             if con.has_uncertainty and args.scenario is not None:
-                res = limiting_subdiff(con.expr, x, parse_scalar(args.scenario),
-                                       smode, spec.kink_tol)
+                res = limiting_subdiff(con.expr, x, args.scenario, mode,
+                                       spec.kink_tol)
             else:
                 _, actives = scenario_envelope(con, x, spec.vgrid)
-                res = sup_rule(con, x, actives, smode, spec.kink_tol)
+                res = sup_rule(con, x, actives, mode, spec.kink_tol)
         details = {"target": name, "set": res.set, "exactness": res.exactness,
                    "rules": list(res.rules), "provenance": "engine"}
-        return 0, "SET-COMPUTED", details, config
+        return 0, "SET-COMPUTED", details
 
     if args.command == "cq":
         rep = check_cq(spec, x, use_fixtures=use_fx)
-        verdict = "CQ-HOLDS" if rep.holds else "CQ-FAILS"
-        return (0 if rep.holds else 1), verdict, vars(rep), config
+        return _settled(rep.holds, "CQ-HOLDS", "CQ-FAILS", vars(rep))
 
     if args.command == "kkt":
         if args.action == "check":
             if not args.cert:
                 raise LoadError("kkt check requires --cert")
             cert = load_certificate(args.cert, spec)
-            cmode = args.mode or "hull"
-            config["mode"] = cmode
-            rep = check_kkt(spec, x, cert, args.tol, cmode, use_fx)
-            verdict = "VALID" if rep.valid else "INVALID"
-            return (0 if rep.valid else 1), verdict, vars(rep), config
+            rep = check_kkt(spec, x, cert, args.tol, mode, use_fx)
+            return _settled(rep.valid, "VALID", "INVALID", vars(rep))
         rep = search_kkt(spec, x, mode, use_fx, tol=args.tol)
         if rep.found:
             details = {"certificate": rep.certificate.to_jsonable(),
@@ -680,22 +708,22 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
                        "active_indices": rep.active_indices,
                        "heuristic": False,
                        "provenance": rep.provenance}
-            return 0, "CERTIFICATE-FOUND", details, config
+            return 0, "CERTIFICATE-FOUND", details
         return 1, "NONE-FOUND", {"active_indices": rep.active_indices,
-                                 "selections_tried": rep.selections_tried},\
-            config
+                                 "selections_tried": rep.selections_tried}
 
     if args.command == "fuzzy":
-        rep = fuzzy_kkt_demo(spec, x, points["ystar"], args.eta,
+        rep = fuzzy_kkt_demo(spec, x, args.ystar, args.eta,
                              args.radius, args.grid_n, mode=mode)
         if rep.found:
-            return 0, "WITNESS-FOUND", vars(rep.witness), config
-        return 2, "NONE-FOUND", {"diagnostic": rep.diagnostic}, config
+            return 0, "WITNESS-FOUND", vars(rep.witness)
+        return 2, "NONE-FOUND", {"diagnostic": rep.diagnostic}
 
     if args.command == "pseudoconvex":
         witness = None
         if args.witness:
-            witness = load_witness(args.witness, spec)
+            witness = _fields("witness",
+                              json.loads(Path(args.witness).read_text()), spec)
         else:
             cells = ystar_grid_size(spec, args.y_res) * args.grid ** 2
             if cells > PREMISE_CELLS_LIMIT:
@@ -703,28 +731,22 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
                     f"--y-res {args.y_res} and --grid {args.grid} make "
                     f"{cells} premise cells, over the limit "
                     f"{PREMISE_CELLS_LIMIT}")
-        region = points.get("region")
-        rep = pseudoconvex_test(spec, x, args.ptype, region=region,
+        rep = pseudoconvex_test(spec, x, args.type, region=args.region,
                                 grid=args.grid, y_resolution=args.y_res,
                                 mode=mode, witness=witness)
-        counts: dict[str, int] = {}
-        for v in rep.verdicts:
-            counts[v.verdict] = counts.get(v.verdict, 0) + 1
+        counts = Counter(v.verdict for v in rep.verdicts)
         details = {"counts": counts, "lp_optimum": rep.lp_optimum,
                    "samples": len(rep.verdicts)}
-        if any(v.verdict == "WITNESSED-FAILURE" for v in rep.verdicts):
-            return 1, "WITNESSED-FAILURE", details, config
+        if counts["WITNESSED-FAILURE"]:
+            return 1, "WITNESSED-FAILURE", details
         if rep.all_verified:
-            return 0, "VERIFIED", details, config
-        return 2, "INCONCLUSIVE", details, config
+            return 0, "VERIFIED", details
+        return 2, "INCONCLUSIVE", details
 
     if args.command == "efficiency":
-        region = points["region"]
-        rep = classify_point(spec, x, args.kind, region, args.res)
-        details = vars(rep)
-        if rep.no_counterexample:
-            return 0, "NO-COUNTEREXAMPLE", details, config
-        return 1, "COUNTEREXAMPLE", details, config
+        rep = classify_point(spec, x, args.kind, args.region, args.res)
+        return _settled(rep.no_counterexample, "NO-COUNTEREXAMPLE",
+                        "COUNTEREXAMPLE", vars(rep))
 
     if args.command == "duality":
         if args.action == "strong":
@@ -733,45 +755,48 @@ def _dispatch(args) -> tuple[int, str, dict, dict]:
             rep = strong_duality_from(spec, x, mode, use_fx)
             details = {"triple": rep.triple.to_jsonable(),
                        "feasibility": vars(rep.feasibility)}
-            ok = rep.feasibility.feasible
-            return (0 if ok else 1), ("FEASIBLE" if ok else "INFEASIBLE"), \
-                details, config
+            return _settled(rep.feasibility.feasible, "FEASIBLE", "INFEASIBLE",
+                            details)
         if args.action == "weak":
-            if not args.region:
+            if args.region is None:
                 raise LoadError("duality weak requires --region")
-            region = points["region"]
             if args.triples:
                 docs = json.loads(Path(args.triples).read_text())
-                triples = [load_triple(doc, spec)
-                           for doc in _sized("triples file", docs)]
+                if not isinstance(docs, list):
+                    raise LoadError("triples file must be a list")
+                triples = [load_triple(doc, spec) for doc in docs]
+            elif x is None:
+                raise LoadError("duality weak needs --triples or --at")
             else:
-                if x is None:
-                    raise LoadError("duality weak needs --triples or --at")
-                srep = strong_duality_from(spec, x, mode, use_fx)
-                triples = [srep.triple]
-            samples = generate_feasible_samples(spec, region, args.samples)
+                triples = [strong_duality_from(spec, x, mode, use_fx).triple]
+            samples = generate_feasible_samples(spec, args.region,
+                                                args.samples)
             rep = weak_duality_check(spec, samples, triples, args.kind,
                                      mode=mode)
             details = {"pairs_checked": rep.pairs_checked,
                        "violation": rep.violation}
-            ok = rep.no_violation
-            return (0 if ok else 1), \
-                ("NO-VIOLATION" if ok else "VIOLATION"), details, config
-        if not args.triple or not args.region:
+            return _settled(rep.no_violation, "NO-VIOLATION", "VIOLATION",
+                            details)
+        if not args.triple or args.region is None:
             raise LoadError("duality converse requires --triple and --region")
         triple = load_triple(json.loads(Path(args.triple).read_text()), spec)
-        region = points["region"]
-        rep = converse_duality_check(spec, triple, args.kind, region, args.res)
+        rep = converse_duality_check(spec, triple, args.kind, args.region,
+                                     args.res)
         details = {"kind": rep.kind, "efficiency": vars(rep.efficiency)}
-        ok = rep.consistent
-        return (0 if ok else 1), \
-            ("NO-COUNTEREXAMPLE" if ok else "COUNTEREXAMPLE"), details, config
+        return _settled(rep.consistent, "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE",
+                        details)
 
     raise LoadError(f"unknown command {args.command}")
 
 
 def main(argv=None) -> int:
-    return run_command(sys.argv[1:] if argv is None else argv)
+    """The console script.  A reader that closes stdout early exits 141,
+    as for SIGPIPE; stdout then goes to the null device for the exit."""
+    try:
+        return run_command(sys.argv[1:] if argv is None else argv)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

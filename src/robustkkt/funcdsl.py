@@ -732,6 +732,10 @@ class _Atom:
     fault: DomainError | None
 
 
+# A max branch within this of the winning one counts as tied (a kink).
+DEFAULT_KINK_TOL = 1e-9
+
+
 class _PointWalk:
     """One walk of a tree at (x, v) that selects each abs/max branch once.
 
@@ -893,7 +897,7 @@ def _prod_rule(parts, zero: np.ndarray):
 
 
 def smooth_gradient(e: Expr, x, v: float | None = None,
-                    kink_tol: float = 1e-9) -> np.ndarray:
+                    kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
     """Gradient with respect to x; errors when any nonsmooth atom is active."""
     _check_scenario(e, v)
     return _PointWalk(_floats(x), v, kink_tol, strict=True).node(e, True)[1]

@@ -46,6 +46,7 @@ from functools import reduce
 import numpy as np
 
 from .funcdsl import (
+    DEFAULT_KINK_TOL,
     Expr,
     contains_coord,
     contains_uncertainty,
@@ -62,7 +63,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_VGRID = 1001
 DEFAULT_FEAS_TOL = 1e-8
-DEFAULT_KINK_TOL = 1e-9
+NORMS = ("l1", "l2", "linf")
 # Scenarios whose value is within SCENARIO_TOL of the envelope are active.
 SCENARIO_TOL = 1e-6
 
@@ -138,7 +139,7 @@ class ProblemSpec:
                 raise ProblemError(f"objective {name} must not use v")
         if not self.cone.contains(th):
             raise ProblemError("theta must lie in the ordering cone K")
-        if self.norm not in ("l1", "l2", "linf"):
+        if self.norm not in NORMS:
             raise ProblemError(f"unsupported norm {self.norm!r}")
 
     @property

@@ -36,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .funcdsl import (
+    DEFAULT_KINK_TOL,
     Expr,
     _Atom,
     _check_scenario,
@@ -49,8 +50,6 @@ from .funcdsl import (
 )
 from .robustfeas import ActiveSets, ProblemSpec, UncertainConstraint
 from .setcalc import Polytope, PolytopeSet, hull, minkowski_sum
-
-DEFAULT_KINK_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ from robustkkt.certify import (
     primal_ball,
     ystar_grid,
 )
-from robustkkt.funcdsl import eval_expr
+from robustkkt.funcdsl import DEFAULT_KINK_TOL, eval_expr
 from robustkkt.setcalc import Polytope, normal_cone
-from robustkkt.subdiff import DEFAULT_KINK_TOL, SubdiffResult, limiting_subdiff
+from robustkkt.subdiff import SubdiffResult, limiting_subdiff
 
 
 def direct_subdiff(ystar, fs, x, mode: str = "limiting",

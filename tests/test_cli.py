@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -398,6 +401,63 @@ class TestCommands:
         code, doc = run_json(capsys, argv)
         assert code == 3 and doc["error"] == error
 
+    @pytest.mark.parametrize("argv, error", [
+        (["feasible", "--problem", "example_3_2", "--at", "0,0", "--tol",
+          "nan"], "--tol nan must be a number >= 0 and <= 1"),
+        (["kkt", "check", "--problem", "example_3_2", "--at", "0,0", "--cert",
+          "{cert}", "--fixtures", "--tol", "nan"],
+         "--tol nan must be a number >= 0 and <= 1"),
+        (["fuzzy", "--problem", "example_3_2", "--at", "0,0", "--ystar",
+          "0.3535,0,0.3535", "--eta", "inf"], "--eta inf exceeds its limit "
+         "1e+09"),
+        (["fuzzy", "--problem", "example_3_2", "--at", "0,0", "--ystar",
+          "0.3535,0,0.3535", "--eta", "0.1", "--grid-n", "1"],
+         "--grid-n 1 is below 2"),
+        (["duality", "weak", "--problem", "example_3_5", "--at", "0,0",
+          "--region", "-3,3,-4,1", "--samples", "0"], "--samples 0 is below 1"),
+    ], ids=["feasible-tol-nan", "kkt-tol-nan", "eta-inf", "grid-n-1",
+            "samples-0"])
+    def test_option_outside_its_bounds_refused(self, capsys, fixtures_dir,
+                                               argv, error):
+        """A NaN --tol read as INFEASIBLE or INVALID (exit 1), --eta inf
+        and --grid-n 1 exited 4 (the first with RuntimeWarnings on stderr),
+        and --samples 0 was refused as "could not sample enough feasible
+        points"."""
+        cert = str(fixtures_dir / "example_3_2.cert.json")
+        code = run_command([t.format(cert=cert) for t in argv])
+        out, err = capsys.readouterr()
+        assert code == 3 and json.loads(out)["error"] == error
+        assert err == ""
+
+    def test_negative_seed_refused(self, capsys, tmp_path):
+        # duality weak exited 4: "expected non-negative integer"
+        path = tmp_path / "p.problem"
+        path.write_text(resolve_problem_path("example_3_5").read_text()
+                        + "seed = -1\n")
+        code, doc = run_json(capsys, ["duality", "weak", "--problem",
+                                      str(path), "--at", "0,0", "--region",
+                                      "-3,3,-4,1"])
+        assert code == 3
+        assert doc["error"].startswith("option seed must be at least 0")
+
+    def test_closed_stdout_exits_141(self):
+        """A reader that closes stdout before the report is written: exit
+        141, not the negative verdict's 1, and no traceback.  The report
+        (about 1 MB) is larger than a pipe's buffer."""
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from robustkkt.cli import main; sys.exit(main())",
+             "raster", "--problem", "example_3_2", "--region", "-5,1,-5,5",
+             "--res", "201"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+
     def test_usage_error_exit_three(self, capsys):
         assert run_command(["kkt", "check", "--problem", "example_3_2",
                             "--at", "0,0"]) == 3
@@ -709,14 +769,21 @@ LIMITED = [
 ]
 
 
+def _most(name):
+    """The limit in cli.TABLE of a command-line option, named as its
+    argparse dest (y_res), or of a problem-file option or section."""
+    return next(row.most for row in cli.TABLE
+                if row.name in (name, "--" + name.replace("_", "-")))
+
+
 class TestSizeLimits:
     def test_limits_admit_documented_values(self):
         used = {"res": 401, "grid": 21, "y_res": 24, "samples": 1000,
                 "grid_n": 81}
         for name, value in used.items():
-            assert value <= cli.OPTION_LIMITS[name]
-        assert 1001 <= cli.PROBLEM_LIMITS["vgrid"]
-        assert 64 <= cli.PROBLEM_LIMITS["ball_facets"]
+            assert value <= _most(name)
+        assert 1001 <= _most("vgrid")
+        assert 64 <= _most("ball_facets")
         # the bundled three-objective sweep: a 24^2-point y*-grid, 21^2 samples
         assert 24 ** 2 * 21 ** 2 <= cli.PREMISE_CELLS_LIMIT
 
@@ -727,7 +794,7 @@ class TestSizeLimits:
         # the stub stands in for the allocation: a value at the limit
         # reaches it, one above is refused first
         monkeypatch.setattr(cli, target, _reach)
-        bound = cli.OPTION_LIMITS[name]
+        bound = _most(name)
         with pytest.raises(Reached):
             run_command(argv + [str(bound)])
         capsys.readouterr()
@@ -739,7 +806,7 @@ class TestSizeLimits:
     @pytest.mark.parametrize("key", ["vgrid", "ball_facets"])
     def test_problem_option_over_limit(self, capsys, tmp_path, key):
         base = resolve_problem_path("example_3_2").read_text()
-        bound = cli.PROBLEM_LIMITS[key]
+        bound = _most(key)
         path = tmp_path / "big.problem"
         path.write_text(base + f"{key} = {bound}\n")
         assert getattr(load_problem(path), key) == bound
@@ -767,7 +834,7 @@ class TestSizeLimits:
                 + "".join(f'g{j} = "x1 - {j}"\n' for j in range(n)))
             return str(path)
 
-        bound = cli.PROBLEM_LIMITS[section]
+        bound = _most(section)
         spec = load_problem(problem(bound))
         assert len(getattr(spec, section)) == bound
         # the stub stands in for parsing: at the limit the loader reaches
@@ -783,10 +850,10 @@ class TestSizeLimits:
 
     def test_premise_matrix_over_limit(self, capsys, monkeypatch, spec22):
         # example_2_2 has three objectives, so its y*-grid has y_res^2 points
-        y_res = cli.OPTION_LIMITS["y_res"]
+        y_res = _most("y_res")
         assert ystar_grid_size(spec22, 5) == len(ystar_grid(spec22, 5)) == 25
         grid = math.isqrt(cli.PREMISE_CELLS_LIMIT // y_res ** 2)
-        assert grid + 1 <= cli.OPTION_LIMITS["grid"]
+        assert grid + 1 <= _most("grid")
         monkeypatch.setattr(cli, "pseudoconvex_test", _reach)
         argv = ["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
                 "--type", "I", "--region", "-2,2,-2,2", "--y-res", str(y_res),

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustkkt.funcdsl import (
+    DEFAULT_KINK_TOL,
     DomainError,
     Expr,
     NonsmoothPointError,
@@ -28,7 +29,7 @@ from robustkkt.funcdsl import (
     format_expr,
 )
 from robustkkt.setcalc import Polytope, PolytopeSet, hull, minkowski_sum
-from robustkkt.subdiff import DEFAULT_KINK_TOL, SubdiffResult, _exactness
+from robustkkt.subdiff import SubdiffResult, _exactness
 
 
 @dataclass
