@@ -525,7 +525,7 @@ def ystar_grid(spec: ProblemSpec, resolution: int = 24) -> np.ndarray:
     return np.array(out)
 
 
-def ystar_grid_size(spec: ProblemSpec, resolution: int = 24) -> int:
+def ystar_grid_size(spec: ProblemSpec, resolution: int) -> int:
     """The number of points ystar_grid visits, without building them."""
     m = _dual_generators(spec).shape[0]
     return 1 if m == 1 else resolution ** (m - 1)

@@ -286,7 +286,7 @@ class ConverseDualityReport:
 
 
 def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,
-                           region, resolution: int = 401,
+                           region, resolution: int,
                            mode: str = "limiting") -> ConverseDualityReport:
     """Check the converse-duality conclusion at a primal-feasible dual point.
 
