@@ -569,8 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
         kw = {"help": row.help}
         if row.parse is bool:
             kw["action"] = "store_true"
-        elif row.parse and not row.size:
-            kw.update(type=partial(_read, row), default=row.default)
+        elif row.parse and not row.size:  # _read refuses a bad word first
+            kw.update(type=partial(_read, row), default=row.default,
+                      choices=row.parse if type(row.parse) is tuple else None)
         for command in row.commands.split() or [""]:
             if row.name.startswith("--") and command:
                 kw["required"] = command.endswith("!")
