@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .funcdsl import eval_expr
+from .funcdsl import eval_expr, eval_on_grid
 from .lp import LPBuilder
 from .robustfeas import (
     ProblemSpec,
@@ -41,6 +41,9 @@ COMPLEMENTARITY_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
 EPS_STRICT = 1e-7
 EPS_YSTAR_MIN = 1e-6
+KKT_TOL = 1e-9  # the stationarity residual a certificate may leave
+# y* per block of the sweep's (y*, sample) temporaries, which bounds them
+_BLOCK = 64
 
 
 class CertifyError(Exception):
@@ -150,8 +153,9 @@ class KKTCheckReport:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate, tol: float = 1e-9,
-              mode: str = "hull", use_fixtures: bool = False,
+def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
+              tol: float = KKT_TOL, mode: str = "hull",
+              use_fixtures: bool = False,
               mem_tol: float = MEMBERSHIP_TOL) -> KKTCheckReport:
     """Verify every membership and the residual of a certificate."""
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -226,7 +230,7 @@ class KKTSearchReport:
 
 def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                use_fixtures: bool = False, eps_min: float = EPS_YSTAR_MIN,
-               tol: float = 1e-9) -> KKTSearchReport:
+               tol: float = KKT_TOL) -> KKTSearchReport:
     """One-LP search for a robust approximate KKT certificate at xbar.
 
     K is a sign orthant, so the substitution y*_j = sigma_j s_j makes the
@@ -505,51 +509,37 @@ class PseudoReport:
     lp_optimum: float | None = None   # explicit-witness path only
 
 
-def ystar_grid(spec: ProblemSpec, resolution: int = 24) -> np.ndarray:
+def ystar_grid(spec: ProblemSpec, resolution: int) -> np.ndarray:
     """Interior midpoint grid on the l1-normalized cross-section of K+.
 
     Midpoint (open) parametrization keeps degenerate boundary rays such as
     single-objective unit vectors off the grid; those edges are exercised
-    through explicit witnesses instead.
+    through explicit witnesses instead.  The weights are a stick-breaking
+    grid over the simplex, on the cone's generators, the signed unit
+    vectors.
     """
-    gens = _dual_generators(spec)
-    m = gens.shape[0]
+    sign = np.asarray(spec.cone.dual().pattern, dtype=float)
+    m = sign.size
     if m == 1:
-        return gens / np.sum(np.abs(gens[0]))
-    out = []
-    for weights in _simplex_grid(m, resolution):
-        y = weights @ gens
-        l1 = float(np.sum(np.abs(y)))
-        if l1 > 1e-12:
-            out.append(y / l1)
-    return np.array(out)
+        return sign[None] / np.abs(sign[0])
+    ticks = (np.arange(resolution) + 0.5) / resolution
+    T = np.stack(np.meshgrid(*[ticks] * (m - 1), indexing="ij"),
+                 axis=-1).reshape(-1, m - 1)
+    W = np.empty((T.shape[0], m))
+    remaining = np.ones(T.shape[0])
+    for k in range(m - 1):
+        W[:, k] = remaining * T[:, k]
+        remaining = remaining * (1.0 - T[:, k])
+    W[:, m - 1] = remaining
+    Y = W * sign
+    l1 = np.sum(np.abs(Y), axis=1)
+    return Y[l1 > 1e-12] / l1[l1 > 1e-12, None]
 
 
 def ystar_grid_size(spec: ProblemSpec, resolution: int) -> int:
     """The number of points ystar_grid visits, without building them."""
-    m = _dual_generators(spec).shape[0]
+    m = spec.n_objectives
     return 1 if m == 1 else resolution ** (m - 1)
-
-
-def _dual_generators(spec: ProblemSpec) -> np.ndarray:
-    return np.eye(spec.n_objectives) * np.asarray(
-        spec.cone.dual().pattern, dtype=float)[:, None]
-
-
-def _simplex_grid(m: int, resolution: int):
-    """Midpoint stick-breaking grid over the (m-1)-simplex."""
-    if m == 1:
-        yield np.array([1.0])
-        return
-    ticks = (np.arange(resolution) + 0.5) / resolution
-    for combo in itertools.product(ticks, repeat=m - 1):
-        w = np.zeros(m)
-        remaining = 1.0
-        for k, t in enumerate(combo):
-            w[k] = remaining * t
-            remaining *= (1.0 - t)
-        w[m - 1] = remaining
-        yield w
 
 
 def _constraint_rows(spec: ProblemSpec, xbar):
@@ -625,8 +615,13 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     con_prem = np.zeros((T, samples.shape[0]), dtype=bool)
     row_cand_ok = np.ones((T, samples.shape[0]), dtype=bool)
     for t, (i, vsc, base, verts) in enumerate(con_rows):
-        vals = np.array([eval_expr(spec.constraints[i - 1].expr, s, vsc)
-                         for s in samples])
+        e = spec.constraints[i - 1].expr
+        vals = eval_on_grid(e, samples.T, vsc)
+        undefined = np.flatnonzero(~np.isfinite(vals))
+        if undefined.size:  # each raises its DomainError, in sample order
+            vals = vals.copy()
+            vals[undefined] = [eval_expr(e, samples[c], vsc)
+                               for c in undefined.tolist()]
         con_prem[t] = vals <= base + 1e-12
         if verts.size:
             row_cand_ok[t] = np.max(verts @ D, axis=0) <= 1e-12
@@ -658,34 +653,71 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     # candidate w = x - xbar nor a witness margin >= eps_strict; later y*
     # are not examined for it.  The margin problem is positively
     # homogeneous in ||x - xbar||, so one normalized margin per (y*, mask)
-    # serves every sample sharing that mask.
-    first_fail = np.full(samples.shape[0], -1)
-    needs_margin = np.zeros(samples.shape[0], dtype=bool)
-    fail_detail: dict[int, str] = {}
-    for myi in np.flatnonzero(active.any(axis=1)).tolist():
-        cols = np.flatnonzero(active[myi] & (first_fail < 0))
-        if not cols.size:
+    # serves every sample sharing that mask, and it does not depend on
+    # which samples are left.  So every y* with an active sample is
+    # scalarized, one batch per structure group; the planar margins of all
+    # its masks come in one stack per group; and the failures are read off
+    # afterwards.  What must be done one y* at a time (a set whose shape
+    # depends on its values, a refused y*, an LP margin off the plane) is
+    # done in index order, only at the y* where a sample has not failed.
+    M, n = active.shape
+    rows = np.flatnonzero(active.any(axis=1))
+    left = np.zeros_like(active)  # active, and the candidate w is refused
+    margin = np.full((M, len(masks)), np.nan)
+    later = {}
+    for sub, comps in scalarize.groups(ys[rows]):
+        sub = rows[sub]
+        if not isinstance(comps, list):
+            later.update(dict.fromkeys(sub.tolist(), comps))
             continue
-        sset = scalarize(ys[myi]).set
-        ytheta = float(ytheta_all[myi])
-        top = (sset.all_vertices() @ D[:, cols]).max(axis=0)
-        left = cols[~(cand_ok[cols] & (top + norms[cols] * ytheta <= -1e-12))]
-        if not left.size:
-            continue
-        needs_margin[left] = True
-        ids, inverse = np.unique(mask_id[left], return_inverse=True)
-        if spec.dim == 2:
+        V = np.concatenate(comps, axis=1)  # every vertex of each set
+        for lo in range(0, sub.size, _BLOCK):
+            r = sub[lo:lo + _BLOCK]
+            top = (V[lo:lo + _BLOCK] @ D).max(axis=1)
+            left[r] = active[r] & ~(cand_ok & (
+                top + np.outer(ytheta_all[r], norms) <= -1e-12))
+        need = left[sub].any(axis=1)
+        if spec.dim != 2:
+            later.update(zip(sub.tolist(), zip(*comps)))
+        elif need.any():
             geometry = geometry or _SweepGeometry(pball, l2_dirs, cut_rows)
-            margin = geometry.margins(sset.components, ytheta, ids)
+            margin[sub[need]] = geometry.margins([U[need] for U in comps],
+                                                 ytheta_all[sub[need]])
+    fail = np.zeros_like(active)
+    for lo in range(0, M, _BLOCK):
+        # a margin not computed is NaN and fails no test, as is -inf * 0
+        # at the sample x = xbar, whose premise never holds
+        with np.errstate(invalid="ignore"):
+            fail[lo:lo + _BLOCK] = left[lo:lo + _BLOCK] & (
+                margin[lo:lo + _BLOCK, mask_id] * norms < eps_strict)
+    first = np.where(fail.any(axis=0), fail.argmax(axis=0), M)
+    for r in sorted(later):
+        live = active[r] & (first > r)  # not failed before y* r
+        comps = later[r]
+        if not live.any():
+            continue
+        if isinstance(comps, Exception):
+            raise comps
+        if callable(comps):
+            comps = [c.vertices for c in comps().components]
+            top = (np.vstack(comps) @ D).max(axis=0)
+            left[r] = active[r] & ~(cand_ok & (
+                top + norms * ytheta_all[r] <= -1e-12))
+        cols = np.flatnonzero(left[r] & live)
+        ids = np.unique(mask_id[cols])
+        if spec.dim == 2 and ids.size:
+            geometry = geometry or _SweepGeometry(pball, l2_dirs, cut_rows)
+            margin[r] = geometry.margins([U[None] for U in comps],
+                                         ytheta_all[[r]])[0]
         else:
-            margin = np.array([
-                _lp_margin(sset.components, ytheta, *cut_rows[j], pball,
-                           l2_dirs) for j in ids.tolist()])
-        failed = left[margin[inverse.reshape(-1)] * norms[left] < eps_strict]
-        if failed.size:
-            first_fail[failed] = myi
-            fail_detail[myi] = (f"no witness margin >= {eps_strict:g} at "
-                                f"y*={np.round(ys[myi], 6).tolist()}")
+            margin[r, ids] = [_lp_margin(comps, ytheta_all[r], *cut_rows[j],
+                                         pball, l2_dirs) for j in ids.tolist()]
+        first[cols[margin[r, mask_id[cols]] * norms[cols] < eps_strict]] = r
+    needs_margin = (left & (np.arange(M)[:, None] <= first)).any(axis=0)
+    first_fail = np.where(first < M, first, -1)
+    fail_detail = {r: f"no witness margin >= {eps_strict:g} at "
+                      f"y*={np.round(ys[r], 6).tolist()}"
+                   for r in set(first_fail.tolist()) - {-1}}
 
     verdicts: list[SampleVerdict] = []
     for x, fail, common, n_active in zip(samples, first_fail.tolist(),
@@ -702,13 +734,13 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     return PseudoReport(ptype, verdicts, all_ok)
 
 
-def _lp_margin(components, ytheta: float, cuts: np.ndarray, lines: np.ndarray,
+def _lp_margin(comps, ytheta: float, cuts: np.ndarray, lines: np.ndarray,
                pball: Polytope, l2_dirs: bool) -> float:
-    """_SweepGeometry.margins off the plane, one mask, one LP each."""
+    """_SweepGeometry.margins off the plane, for one set given by its
+    components' vertex arrays and one mask, one LP each."""
     best = math.inf
-    for comp in components:
-        found = _lp_witness_margin(comp.vertices, ytheta,
-                                   _witness_ball(comp, pball, l2_dirs),
+    for U in comps:
+        found = _lp_witness_margin(U, ytheta, _witness_ball(U, pball, l2_dirs),
                                    cuts, lines)
         if found is None:
             return -math.inf
@@ -716,9 +748,10 @@ def _lp_margin(components, ytheta: float, cuts: np.ndarray, lines: np.ndarray,
     return best
 
 
-def _witness_ball(comp: Polytope, pball: Polytope,
+def _witness_ball(U: np.ndarray, pball: Polytope,
                   l2_exact_dirs: bool) -> np.ndarray:
-    """Vertices of the unit ball the witness w ranges over.
+    """Vertices of the unit ball the witness w ranges over, for a
+    component with vertices U.
 
     With l2_exact_dirs the inscribed ball gains the exact unit directions
     opposite the component's vertices (still on the sphere, so still an
@@ -728,7 +761,7 @@ def _witness_ball(comp: Polytope, pball: Polytope,
     ball = pball.vertices
     if l2_exact_dirs:
         extra = []
-        for u in comp.vertices:
+        for u in U:
             nu = float(np.linalg.norm(u))
             if nu > 1e-15:
                 extra.append(-u / nu)
@@ -789,16 +822,21 @@ _CUT_TOL = 1e-12
 
 
 class _SweepGeometry:
-    """The planar witness margins of one sweep.
+    """The planar witness margins of one sweep, for all y* at once.
 
     w ranges over the witness ball clipped to the wedge of a mask's walls
     <a, w> <= 0, and min_u -<u, w> is linear between the tie lines
     <u_i - u_j, w> = 0, so the optimum is the origin or the boundary point
     of a ball vertex, wall ray or tie ray.  The base polygon (the hull of
-    the primal ball) and each mask's cut tests of its vertices and wall
-    rays are built once; a component's exact directions go in by binary
-    search on angle (Preparata & Shamos, Computational Geometry, 1985,
-    sec. 3.3.6), and one stacked evaluation serves all the masks.
+    the primal ball), the cut tests of its vertices and wall rays for every
+    mask, and those rays' gauge terms on its edges, best first, are built
+    once.  A component's exact directions are merged into the base polygon
+    by angle (Preparata & Shamos, Computational Geometry, 1985, sec.
+    3.3.6), for every y* at once: each splits one edge in two, so a known
+    ray's gauge is its best edge not split, or a new edge.  Any other ray
+    leaves a convex polygon by the edge its angle falls in, so its gauge is
+    taken on the edges next to that angle.  A y* whose merge is not clearly
+    convex takes the hull of its ball.
     """
 
     def __init__(self, pball: Polytope, l2_dirs: bool, cut_rows: list):
@@ -808,7 +846,8 @@ class _SweepGeometry:
         # which is a rotation of the counterclockwise H
         ang = np.arctan2(H[:, 1], H[:, 0])
         order = np.argsort(ang)
-        self.sorted = np.column_stack([H, normals, heights])[order], ang[order]
+        self.G, self.ang = np.column_stack([H, normals, heights])[order], \
+            ang[order]
         # a mask's walls are its cuts, and its lines cutting both ways
         walls = [np.vstack([cuts, lines, -lines]) for cuts, lines in cut_rows]
         self.walls = np.vstack(walls)
@@ -822,9 +861,14 @@ class _SweepGeometry:
         pown = np.tile(owner[live], 2)
         perp_ok = (pown == np.arange(len(walls))[:, None]) & self.cut_ok(
             perp)[pown, np.arange(pown.size)]
-        base = self.sorted[0][:, :2]
-        self.known = (np.vstack([base, perp]),
-                      np.hstack([self.cut_ok(base), perp_ok]))
+        base = self.G[:, :2]
+        known = np.vstack([base, perp])
+        # each known ray's gauge terms <r, n>/h on the base polygon's
+        # edges, best first, and their edges
+        B = (known @ self.G[:, 2:4].T) / self.G[:, 4]
+        top = np.argsort(-B, axis=1, kind="stable")
+        self.known = (known, np.hstack([self.cut_ok(base), perp_ok]),
+                      np.take_along_axis(B, top, 1), top)
         self.perp_known = (perp, perp_ok)
 
     def cut_ok(self, rays: np.ndarray) -> np.ndarray:
@@ -834,59 +878,117 @@ class _SweepGeometry:
                                           np.linalg.norm(rays, axis=1))
         return ~(self.wall_owner @ bad)
 
-    def polygon(self, ball: np.ndarray):
-        """_planar_ball(ball) for a witness ball (_witness_ball), and whether
-        it came by inserting the rows past the primal ball's into the base
-        polygon; an insertion not clearly convex falls back to the hull."""
-        G, ang = self.sorted
-        for e in ball[self.pball.nverts:]:
-            a = np.arctan2(e[1], e[0])
-            n = G.shape[0]
-            k = int(np.searchsorted(ang, a)) or n  # between G[k - 1], G[k]
-            pp, p, q, qq = G[[k - 2, k - 1, k % n, (k + 1) % n], :2].tolist()
-            et = e.tolist()
-            if min(_cross(pp, p, et), _cross(p, et, q),
-                   _cross(et, q, qq)) <= 1e-12:
-                return _planar_ball(ball), False
-            # the edge p -> q becomes p -> e -> q
-            new = np.array([[*p, et[1] - p[1], -(et[0] - p[0])],
-                            [*et, q[1] - et[1], -(q[0] - et[0])]])
-            new = np.column_stack([new, np.einsum("ij,ij->i", new[:, 2:],
-                                                  new[:, :2])])
-            G = np.concatenate([G[:k - 1], new, G[k:]])
-            ang = np.concatenate([ang[:k], [a], ang[k:]])
-        # counterclockwise from the lexicographically least vertex
-        s = int(np.lexsort((G[:, 1], G[:, 0]))[0])
-        G = np.concatenate([G[s:], G[:s]])
-        return (G[:, :2], G[:, 2:4], G[:, 4]), True
+    def _near(self, rays: np.ndarray):
+        """The base polygon's edges next to each ray's angle (the edge the
+        ray leaves by and its neighbours), and <r, n>/h on each, rounded as
+        the product of many rays and the normals rounds (numpy takes one
+        row alone through a vector product, so each ray goes twice)."""
+        k = np.searchsorted(self.ang, np.arctan2(rays[..., 1], rays[..., 0]))
+        near = (k[..., None] + np.arange(-2, 1)) % self.ang.size
+        E = self.G[near]
+        twin = np.stack([rays, rays], axis=-2)
+        return near, (twin @ E[..., 2:4].swapaxes(-1, -2))[..., 0, :] \
+            / E[..., 4]
 
-    def margins(self, components, ytheta: float, ids: np.ndarray
-                ) -> np.ndarray:
-        """The witness margin at ||x - xbar|| = 1 of each mask id in ids:
-        the least over the components of _lp_witness_margin's margin, -inf
-        if some component has none."""
-        best = np.full(ids.size, math.inf)
-        for comp in components:
-            U = comp.vertices
-            ball = _witness_ball(comp, self.pball, self.l2_dirs)
-            (H, normals, heights), inserted = self.polygon(ball)
-            (rays, ok), fresh = ((self.known, ball[self.pball.nverts:])
-                                 if inserted else (self.perp_known, H))
-            if U.shape[0] > 1:
-                t = (U[:, None, :] - U[None, :, :])[
-                    np.triu_indices(U.shape[0], 1)]
-                ties = np.column_stack([-t[:, 1], t[:, 0]])
-                fresh = np.vstack([fresh, ties, -ties])
-            rays = np.vstack([rays, fresh])
-            ok = np.hstack([ok, self.cut_ok(fresh)])[ids]
-            # the ray along r leaves the ball at r / gauge(r)
-            gauge = np.max((rays @ normals.T) / heights, axis=1)
-            vals = -np.max((rays / gauge[:, None]) @ U.T, axis=1) - ytheta
-            # the origin, w = 0, is always admissible
-            m = np.max(np.where(ok, vals, -math.inf), axis=1,
-                       initial=-ytheta)
+    def margins(self, comps: list, ytheta: np.ndarray) -> np.ndarray:
+        """(rows, masks): the witness margin at ||x - xbar|| = 1 of every
+        mask for each row's set, given as component slots (rows, k, 2): the
+        least over the components of _lp_witness_margin's margin, -inf if
+        some component has none."""
+        best = np.full((ytheta.size, self.wall_owner.shape[0]), math.inf)
+        for U in comps:
+            m = self._component(U, ytheta)
             best = np.minimum(best, np.where(m < 0.0, -math.inf, m))
         return best
+
+    def _component(self, U: np.ndarray, ytheta: np.ndarray) -> np.ndarray:
+        """The best value over each mask's admissible rays, per row, for
+        one component slot U (rows, k, 2)."""
+        R, k, _ = U.shape
+        i, j = np.triu_indices(k, 1)
+        t = U[:, i] - U[:, j]
+        ties = np.stack([-t[..., 1], t[..., 0]], axis=2)
+        fresh = np.concatenate([ties, -ties], axis=1)
+        hit, new = np.zeros((R, 0), dtype=int), np.zeros((R, 0, 3))
+        hull = np.zeros(R, dtype=bool)
+        if self.l2_dirs:  # _witness_ball's exact directions, as it rounds
+            nu = np.sqrt(U[..., None, :] @ U[..., None])[..., 0, 0]
+            has = nu > 1e-15
+            E = -U / np.where(has, nu, 1.0)[..., None]
+            convex, hit, new = self._insert(E)
+            hull = ~(convex & has.all(axis=1))
+            # a row taking the hull may have an edge of length 0 here
+            new[hull] = [0.0, 0.0, 1.0]
+            fresh = np.concatenate([E, fresh], axis=1)
+        # the gauges on each row's polygon: the base polygon's edges but
+        # the ones split, and the new ones
+        known, known_ok, best, at = self.known
+        top = hit.shape[1] + 1  # one of these edges is not split
+        old = np.where((at[:, :top, None] == hit[:, None, None]).any(axis=3),
+                       -math.inf, best[:, :top]).max(axis=2)
+        near, vals = self._near(fresh)
+        vals = np.where((near[..., None] == hit[:, None, None]).any(axis=3),
+                        -math.inf, vals)
+        rays = np.concatenate([np.broadcast_to(known, (R, *known.shape)),
+                               fresh], axis=1)
+        gauge = np.concatenate([old, vals.max(axis=2)], axis=1)
+        if new.shape[1]:
+            gauge = np.maximum(gauge, ((rays @ new[:, :, :2].transpose(
+                0, 2, 1)) / new[:, None, :, 2]).max(axis=2))
+        fresh_ok = self.cut_ok(fresh.reshape(-1, 2)).reshape(
+            known_ok.shape[0], *fresh.shape[:2]).transpose(1, 0, 2)
+        ok = np.concatenate([np.broadcast_to(known_ok, (R, *known_ok.shape)),
+                             fresh_ok], axis=2)
+        m = self._best(rays, gauge, ok, U, ytheta)
+        perp, perp_ok = self.perp_known
+        for r in np.flatnonzero(hull).tolist():
+            H, normals, heights = _planar_ball(np.vstack([
+                self.pball.vertices, E[r][has[r]]]))
+            extra = np.vstack([H, fresh[r, k:]])
+            rays = np.vstack([perp, extra])
+            ok = np.hstack([perp_ok, self.cut_ok(extra)])
+            gauge = np.max((rays @ normals.T) / heights, axis=1)
+            m[r] = self._best(rays[None], gauge[None], ok[None], U[[r]],
+                              ytheta[[r]])[0]
+        return m
+
+    def _insert(self, E: np.ndarray):
+        """Each row's directions E (rows, j, 2) merged into the base polygon
+        by angle: whether every turn next to them is clearly convex, the
+        base edges they split, and the edges that start or end at one
+        (normal, height), 2j per row (a spare one is an edge kept)."""
+        R, j, _ = E.shape
+        n = self.ang.size
+        a = np.arctan2(E[..., 1], E[..., 0])
+        order = np.argsort(np.concatenate([np.broadcast_to(
+            self.ang, (R, n)), a], axis=1), axis=1, kind="stable")
+        V = np.take_along_axis(np.concatenate([np.broadcast_to(
+            self.G[:, :2], (R, n, 2)), E], axis=1), order[..., None], 1)
+        ins = order >= n
+        p, q = np.roll(V, 1, axis=1), np.roll(V, -1, axis=1)
+        turn = _cross(p.T, V.T, q.T).T
+        near = ins | np.roll(ins, 1, axis=1) | np.roll(ins, -1, axis=1)
+        convex = ~np.any(near & (turn <= 1e-12), axis=1)
+        # the edge V[s] -> V[s + 1], as _planar_ball computes it
+        s = np.argsort(~(ins | np.roll(ins, -1, axis=1)), axis=1,
+                       kind="stable")[:, :2 * j, None]
+        start = np.take_along_axis(V, s, 1)
+        d = np.take_along_axis(q, s, 1) - start
+        normals = np.stack([d[..., 1], -d[..., 0]], axis=2)
+        heights = np.einsum("ij,ij->i", normals.reshape(-1, 2),
+                            start.reshape(-1, 2)).reshape(R, -1, 1)
+        return convex, (np.searchsorted(self.ang, a) - 1) % n, \
+            np.concatenate([normals, heights], axis=2)
+
+    @staticmethod
+    def _best(rays, gauge, ok, U, ytheta) -> np.ndarray:
+        """(rows, masks): the best margin over the rays each mask admits."""
+        # the ray along r leaves the ball at r / gauge(r)
+        vals = -np.max((rays / gauge[..., None]) @ U.transpose(0, 2, 1),
+                       axis=2) - ytheta[:, None]
+        # the origin, w = 0, is always admissible
+        return np.maximum(np.where(ok, vals[:, None], -math.inf).max(axis=2),
+                          -ytheta[:, None])
 
 
 def _planar_ball(ball: np.ndarray):

@@ -467,6 +467,9 @@ def load_problem(path) -> ProblemSpec:
 
     # only the options the file gives: ProblemSpec holds the defaults
     rows = {row.name: row for row in ROWS["options"]}
+    for lineno, k, _ in sections.get("options", []):
+        if k not in rows and k != "fixture":
+            raise LoadError(f"unknown option {k!r}", lineno)
     given = {k: _read(rows[k], v, f"option {k}", lineno)
              for lineno, k, v in sections.get("options", []) if k in rows}
     try:
@@ -639,6 +642,14 @@ def _settled(ok: bool, yes: str, no: str, details: dict):
     return (0, yes, details) if ok else (1, no, details)
 
 
+def _sampled(checked: int, ok: bool, yes: str, no: str, details: dict):
+    """_settled for a verdict over samples: none checked is INCONCLUSIVE
+    (exit 2), as nothing was found either way."""
+    if not checked:
+        return 2, "INCONCLUSIVE", details
+    return _settled(ok, yes, no, details)
+
+
 def _dispatch(args) -> tuple[int, str, dict]:
     spec = load_problem(args.problem)
     _read_points(args, spec)
@@ -740,14 +751,14 @@ def _dispatch(args) -> tuple[int, str, dict]:
                    "samples": len(rep.verdicts)}
         if counts["WITNESSED-FAILURE"]:
             return 1, "WITNESSED-FAILURE", details
-        if rep.all_verified:
+        if rep.all_verified and rep.verdicts:
             return 0, "VERIFIED", details
         return 2, "INCONCLUSIVE", details
 
     if args.command == "efficiency":
         rep = classify_point(spec, x, args.kind, args.region, args.res)
-        return _settled(rep.no_counterexample, "NO-COUNTEREXAMPLE",
-                        "COUNTEREXAMPLE", vars(rep))
+        return _sampled(rep.feasible_checked, rep.no_counterexample,
+                        "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", vars(rep))
 
     if args.command == "duality":
         if args.action == "strong":
@@ -784,8 +795,8 @@ def _dispatch(args) -> tuple[int, str, dict]:
         rep = converse_duality_check(spec, triple, args.kind, args.region,
                                      args.res)
         details = {"kind": rep.kind, "efficiency": vars(rep.efficiency)}
-        return _settled(rep.consistent, "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE",
-                        details)
+        return _sampled(rep.efficiency.feasible_checked, rep.consistent,
+                        "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", details)
 
     raise LoadError(f"unknown command {args.command}")
 

@@ -19,12 +19,17 @@ affine arguments and pairwise disjoint coordinate supports).
 Scalarization rule.  The subdifferential of <y*, f> is that of the one
 expression add(mul(const(y_1), f_1), ...), not the sum of the objectives'
 sets.  Below the weights that tree is the same for every y*, so
-``Scalarization`` walks each objective once and per y* repeats only the
-walk's product and sum rules above the objectives, merging their atoms by
-first occurrence, as mul and add canonicalize: a zero weight drops its term,
-a product objective's constant c_j folds into float(Fraction(y_j) c_j), a
+``Scalarization`` walks each objective once and repeats only the walk's
+product and sum rules above the objectives, merging their atoms by first
+occurrence, as mul and add canonicalize: a zero weight drops its term, a
+product objective's constant c_j folds into float(Fraction(y_j) c_j), a
 term whose constant comes to 1 drops it and a lone sum factor then joins the
-outer sum, and all constants gather into one last term.
+outer sum, and all constants gather into one last term.  Those rules run on
+columns of y* values at once, one pass per structure group: the y* that
+drop the same terms, fold the same constants to 1 and give each atom's
+coefficient the same sign share every float operation but their values,
+so their vertices are computed as arrays, row for row what the set
+calculus gives (``_sets``).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +55,8 @@ from .funcdsl import (
     is_affine,
 )
 from .robustfeas import ActiveSets, ProblemSpec, UncertainConstraint
-from .setcalc import Polytope, PolytopeSet, hull, minkowski_sum
+from .setcalc import VERTEX_TOL, Polytope, PolytopeSet, hull, \
+    minkowski_sum
 
 
 @dataclass(frozen=True)
@@ -92,34 +99,110 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
     _, g0, kappas, _ = walk.node(e, True)
     if walk.faults:
         raise walk.faults[0]
-    return _assemble(g0, kappas, walk.atoms, mode)
+    return _result(_assemble(g0, kappas, walk.atoms, mode), kappas,
+                   walk.atoms, mode)
 
 
 def _assemble(g0: np.ndarray, kappas: dict[str, float],
-              atoms: dict[str, _Atom], mode: str) -> SubdiffResult:
+              atoms: dict[str, _Atom], mode: str) -> PolytopeSet:
     """{g0} plus each atom's contribution, in key order, then the hull in
     hull mode."""
-    d = g0.shape[0]
     result = PolytopeSet.singleton(g0)
-    rules: list[str] = []
-    if not atoms:
-        rules.append("smooth-gradient")
-    else:
-        rules.append("sum-rule")
     for key in sorted(atoms):
-        atom = atoms[key]
-        kappa = kappas.get(key, 0.0)
-        contrib = _atom_contribution(atom, kappa, d)
-        result = minkowski_sum(result, contrib)
-        tag = "abs-kink" if atom.kind == "abs" else "max-tie"
-        rules.append(f"{tag}({key}, coeff={kappa:.6g})")
+        result = minkowski_sum(result, _atom_contribution(
+            atoms[key], kappas.get(key, 0.0), g0.shape[0]))
+    return PolytopeSet([hull(result)]) if mode == "hull" else result
 
-    exact = _exactness(atoms)
+
+def _result(sset: PolytopeSet, kappas: dict[str, float],
+            atoms: dict[str, _Atom], mode: str) -> SubdiffResult:
+    """The set with the rules _assemble applied, and its exactness."""
+    rules = ["sum-rule" if atoms else "smooth-gradient"]
+    for key in sorted(atoms):
+        tag = "abs-kink" if atoms[key].kind == "abs" else "max-tie"
+        rules.append(f"{tag}({key}, coeff={kappas.get(key, 0.0):.6g})")
     if mode == "hull":
-        result = PolytopeSet([hull(result)])
         rules.append("hull-collapse")
-    return SubdiffResult(result, mode, "exact" if exact else "outer-estimate",
-                         tuple(rules))
+    return SubdiffResult(sset, mode, "exact" if _exactness(atoms)
+                         else "outer-estimate", tuple(rules))
+
+
+def _sets(g0: np.ndarray, kap: dict, atoms: dict[str, _Atom], mode: str):
+    """_assemble for R rows g0 (R, d) and coefficients kap {atom key: (R,)}
+    at once: [(rows, components)] per sign pattern of the coefficients, the
+    components as vertex arrays (rows, k, d) from the float operations of
+    minkowski_sum and Polytope.  A row whose set's shape depends on its
+    values gets _assemble of that row, to call when needed; an atom's fault
+    under a nonzero coefficient is its pattern's exception."""
+    keys, R = sorted(atoms), g0.shape[0]
+    codes = np.array([np.where(kap[q] == 0.0, 0, np.where(kap[q] > 0.0, 1, 2))
+                      for q in keys], dtype=int).reshape(-1, R)
+    patterns: dict[tuple, list[int]] = {}
+    for r, pattern in enumerate(codes.T.tolist()):
+        patterns.setdefault(tuple(pattern), []).append(r)
+    out = []
+    for pattern, rows in patterns.items():
+        rows = np.array(rows)
+        fault = next((atoms[q].fault for q, c in zip(keys, pattern)
+                      if c and atoms[q].fault is not None), None)
+        if fault is not None:
+            out.append((rows, fault))
+            continue
+        comps, bad = _sums(g0[rows], {q: kap[q][rows] for q in keys}, atoms,
+                           pattern, mode)
+        if not bad.all():
+            out.append((rows[~bad], [V[~bad] for V in comps]))
+        out.extend((np.array([r]), partial(_assemble, g0[r], {
+            q: float(kap[q][r]) for q in keys}, atoms, mode))
+            for r in rows[bad].tolist())
+    return out
+
+
+def _sums(g0: np.ndarray, kap: dict, atoms: dict[str, _Atom], pattern,
+          mode: str):
+    """_sets for rows of one sign pattern (0 for a zero coefficient, 1 for
+    a positive one, else 2): the components, and the rows whose sets _canon
+    cannot make canonical."""
+    R, d = g0.shape
+    comps, bad = [g0[:, None]], np.zeros(R, dtype=bool)
+    for (q, atom), c in zip(sorted(atoms.items()), pattern):
+        parts = [np.zeros((1, 1, d))]
+        if c:
+            k = kap[q][:, None]
+            # an abs kink gives -kappa g and kappa g, a max tie kappa g_i
+            verts = [k * g for g in atom.grads]
+            if atom.kind == "abs":
+                verts.insert(0, -k * atom.grads[0])
+            V = np.stack(verts, axis=1)
+            parts = [V[:, [i]] for i in range(V.shape[1])]
+            if c == 1:  # one component, the hull of those points
+                V, b = _canon(V)
+                parts, bad = [V], bad | b
+        sums = []
+        for A in comps:
+            for B in parts:
+                V, b = _canon((A[:, :, None] + B[:, None]).reshape(R, -1, d))
+                sums.append(V)
+                bad = bad | b
+        comps = sums
+    if mode == "hull":
+        V, b = _canon(np.concatenate(comps, axis=1))
+        comps, bad = [V], bad | b
+    return comps, bad
+
+
+def _canon(V: np.ndarray):
+    """Per row r of V (R, k, d): the vertices Polytope(V[r], reduce=True)
+    keeps, in _dedup_rows' order, and whether the row must go through
+    Polytope itself, as its set's shape then depends on its values (two
+    vertices within VERTEX_TOL of each other, NaN, or more than two)."""
+    if V.shape[1] != 2:
+        return V, V.shape[1] > 2
+    a, b = V[:, 0], V[:, 1]
+    # lexicographic, the first coordinate first; equal rows keep their order
+    swap = np.take_along_axis(b < a, (a != b).argmax(axis=1)[:, None], 1)
+    V = np.where(swap[:, :, None], V[:, ::-1], V)
+    return V, ~(np.abs(V[:, 1] - V[:, 0]).max(axis=1) > VERTEX_TOL)
 
 
 def _exactness(atoms: dict[str, _Atom]) -> bool:
@@ -214,18 +297,22 @@ class _Objective:
         except Exception as exc:  # raised by the calls that keep f
             self.error = exc
         self.atoms, self.faults = walk.atoms, walk.faults
+        self.plain = self.const == 1 and bool(self.factors)
         # two factors nonsmooth in x: the walk of f's product term refuses
         self.rough = self.error is None and sum(p[3] for p in self.parts) > 1
 
 
 class Scalarization:
-    """``ystar -> SubdiffResult``: the subdifferential of <y*, f> at x,
-    with sum_j y_j f_j differentiated as one assembled expression (shared
-    atoms merge), each objective walked once for every y*.
+    """The subdifferential of <y*, f> at x, with sum_j y_j f_j
+    differentiated as one assembled expression (shared atoms merge), each
+    objective walked once for every y*.
 
-    A call gives what limiting_subdiff gives on the tree
-    add(mul(const(y_1), f_1), ...), bit for bit and with the same
-    exceptions, without building that tree (see the module docstring).
+    ``groups`` gives the sets of a whole (M, p) array of y*, one array pass
+    per structure group; a call gives the SubdiffResult of one y*, as the
+    batch of one plus its rules and exactness.  Both give what
+    limiting_subdiff gives on the tree add(mul(const(y_1), f_1), ...), bit
+    for bit and with the same exceptions, without building that tree (see
+    the module docstring).
     """
 
     def __init__(self, fs, x, mode: str = "limiting",
@@ -239,15 +326,54 @@ class Scalarization:
         return _PointWalk(self.xl, None, self.kink_tol, strict=False)
 
     def __call__(self, ystar) -> SubdiffResult:
-        ystar = np.asarray(ystar, dtype=float).reshape(-1)
-        if ystar.shape[0] != len(self.objectives):
+        key, cps = self._weights(
+            np.asarray(ystar, dtype=float).reshape(-1).tolist())
+        g0, kap, atoms = self._terms(key, np.array([cps]))
+        [(_, comps)] = _sets(g0, kap, atoms, self.mode)
+        if isinstance(comps, Exception):
+            raise comps
+        return _result(comps() if callable(comps) else PolytopeSet(
+            [Polytope(V[0]) for V in comps]), {q: float(a[0]) for q, a in
+                                                kap.items()}, atoms, self.mode)
+
+    def groups(self, Y) -> list[tuple[np.ndarray, list | Exception]]:
+        """The sets of the rows y* of Y (M, p) by structure group: (rows of
+        Y, components), the components one vertex array (rows, k, d) per
+        component slot; or the exception a call raises for those rows; or,
+        for a row whose set's shape depends on its values, a function that
+        gives its PolytopeSet.  A group is one zero pattern of the weights,
+        one set of weights whose constant comes to 1 and one sign of each
+        atom's coefficient."""
+        by_key, out = {}, []
+        for r, y in enumerate(np.asarray(Y, dtype=float).tolist()):
+            try:
+                key, cps = self._weights(y)
+            except Exception as exc:  # what a call for this y* raises
+                out.append((np.array([r]), exc))
+                continue
+            by_key.setdefault(key, []).append((r, cps))
+        for key, members in by_key.items():
+            rows = np.array([r for r, _ in members])
+            parts = self._terms(key, np.array([c for _, c in members]))
+            out.extend((rows[sub], comps)
+                       for sub, comps in _sets(*parts, self.mode))
+        return out
+
+    def _weights(self, ys: list) -> tuple[tuple, list[float]]:
+        """The weights ys refused where the tree and its walk refuse them;
+        else the structure they give the tree (per objective 0 where its
+        term drops, 1 where its constant comes to 1, else 2; and whether
+        the constants sum to nonzero) and the float constants of the terms
+        marked 2."""
+        if len(ys) != len(self.objectives):
             raise ValueError("weight/objective count mismatch")
         # the tree's constants, refused where mul and add refuse them
-        kept, csum = [], Fraction(0)
-        for y, ob in zip(ystar.tolist(), self.objectives):
+        states, kept, cps, csum = [], [], [], Fraction(0)
+        for y, ob in zip(ys, self.objectives):
             # Fraction(y) * 1 is y, and Fraction(y) refuses inf and NaN
-            cp = (y if ob.const == 1 and ob.factors and math.isfinite(y)
+            cp = (y if ob.plain and math.isfinite(y)
                   else Fraction(y) * ob.const)
+            states.append(0)
             if cp == 0:
                 continue
             if not ob.factors or cp != 1 and ob.const != 1:
@@ -256,8 +382,11 @@ class Scalarization:
                 csum += cp
                 continue
             kept.append((ob, cp))
+            states[-1] = 1 if cp == 1 else 2
             if cp == 1:
                 csum += ob.unit_const
+            else:
+                cps.append(float(cp))
         if csum:
             const(csum)
         # then limiting_subdiff's refusals, and the walk's in term order
@@ -275,22 +404,35 @@ class Scalarization:
         for ob, _ in kept:
             if ob.faults:
                 raise ob.faults[0].with_traceback(None)
+        return (tuple(states), csum != 0), cps
 
+    def _terms(self, key: tuple, C: np.ndarray):
+        """g0 (R, d), each atom's coefficient (R,) and the merged atoms, for
+        R weight rows of one structure whose constants marked 2 are the
+        columns of C: the walk's product and sum rules above the
+        objectives, run on columns (R, 1) where a call runs on floats."""
+        states, nonzero = key
+        cols = iter(C.T[:, :, None])
         rest, atoms = [], {}
-        for ob, cp in kept:
-            if cp == 1:
+        for ob, state in zip(self.objectives, states):
+            if state == 1:
                 rest.extend(ob.unit)
-            else:
-                rest.append(_prod_rule([(float(cp), self.zero, {}, False)]
+            elif state == 2:
+                rest.append(_prod_rule([(next(cols), self.zero, {}, False)]
                                        + ob.parts, self.zero))
-            for key, atom in ob.atoms.items():
-                first = atoms.setdefault(key, atom)
+            for q, atom in ob.atoms.items() if state else ():
+                first = atoms.setdefault(q, atom)
                 if first.ctx_linear and not atom.ctx_linear:
-                    atoms[key] = replace(first, ctx_linear=False)
-        if csum != 0 or not rest:
-            rest.append((float(csum), self.zero, {}, False))
-        top = rest[0] if len(rest) == 1 else _sum_rule(rest, self.zero)
-        return _assemble(top[1], top[2], atoms, self.mode)
+                    atoms[q] = replace(first, ctx_linear=False)
+        if nonzero or not rest:
+            # the constants' term; no rule reads its value
+            rest.append((0.0, self.zero, {}, False))
+        _, g, kap, _ = rest[0] if len(rest) == 1 else _sum_rule(rest,
+                                                                self.zero)
+        R = C.shape[0]
+        return (np.broadcast_to(g, (R, self.zero.size)),
+                {q: np.broadcast_to(kap.get(q, 0.0), (R, 1))[:, 0]
+                 for q in atoms}, atoms)
 
 
 def direct_subdiff(ystar, fs, x, mode: str = "limiting",

@@ -76,7 +76,7 @@ def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,
     best = math.inf
     for k, comp in enumerate(components):
         if shapes[k] is None:
-            ball = _witness_ball(comp, pball, l2_dirs)
+            ball = _witness_ball(comp.vertices, pball, l2_dirs)
             shapes[k] = _planar_ball(ball) if comp.dim == 2 else ball
         if comp.dim == 2:
             found = _planar_witness_margin(comp.vertices, ytheta, 1.0,
@@ -135,11 +135,11 @@ def component_witness_margin(comp, nrm, ytheta, rows_here, con_base, N,
     closed-form path, otherwise by HiGHS."""
     cuts, lines = _witness_cuts(comp.dim, rows_here, con_base, N)
     if comp.dim != 2:
-        ball = _witness_ball(comp, pball, l2_exact_dirs)
+        ball = _witness_ball(comp.vertices, pball, l2_exact_dirs)
         return _lp_witness_margin(comp.vertices, nrm * ytheta, nrm * ball,
                                   cuts, lines)
     if polygon is None:
-        polygon = _planar_ball(_witness_ball(comp, pball, l2_exact_dirs))
+        polygon = _planar_ball(_witness_ball(comp.vertices, pball, l2_exact_dirs))
     # a lineality generator cuts both ways
     return _planar_witness_margin(comp.vertices, nrm * ytheta, nrm, polygon,
                                   np.vstack([cuts, lines, -lines]))

@@ -1,3 +1,6 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from robustkkt.certify import (
     pseudoconvex_test,
     search_kkt,
     ystar_grid,
+    ystar_grid_size,
 )
 from robustkkt.cli import load_certificate, resolve_problem_path
 from robustkkt.funcdsl import parse_expr
@@ -183,6 +187,33 @@ class TestPseudoConvex:
         assert np.min(np.max(np.abs(ys), axis=1)) < 1.0
         s = np.asarray(spec22.cone.dual().pattern, dtype=float)
         assert np.all(ys * s >= 0)
+
+    @pytest.mark.parametrize("pattern", [(1,), (-1,), (-1, 1), (-1, 1, 1),
+                                         (1, -1, 1, -1)])
+    def test_ystar_grid_is_the_stick_breaking_loop(self, pattern):
+        """The array grid, bit for bit, against the loop it replaced: one
+        stick-breaking weight vector per tick tuple, on the signed unit
+        vectors, l1-normalized."""
+        m = len(pattern)
+        spec = SimpleNamespace(cone=ConeSpec(pattern=pattern),
+                               n_objectives=m)
+        gens = np.eye(m) * np.asarray(pattern, dtype=float)[:, None]
+        for res in (1, 2, 5, 12):
+            ticks = (np.arange(res) + 0.5) / res
+            want = []
+            for combo in itertools.product(ticks, repeat=m - 1):
+                w, remaining = np.zeros(m), 1.0
+                for k, t in enumerate(combo):
+                    w[k] = remaining * t
+                    remaining *= (1.0 - t)
+                w[m - 1] = remaining
+                y = w @ gens
+                want.append(y / float(np.sum(np.abs(y))))
+            got = ystar_grid(spec, res)
+            assert got.shape == (len(want), m) == (ystar_grid_size(spec, res),
+                                                   m)
+            assert np.array_equal(got.view(np.int64),
+                                  np.array(want).view(np.int64))
 
 
 def _toy(objective="x1", constraints=(), theta=(0.0,)):

@@ -198,6 +198,32 @@ class TestCommands:
             "--region", "-3,3,-4,1", "--res", "61"])
         assert code == 0 and doc["verdict"] == "NO-COUNTEREXAMPLE"
 
+    @pytest.mark.parametrize("argv, counted", [
+        (["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+          "--type", "I", "--region", "-2,2,-2,2", "--grid", "0"],
+         ["samples"]),
+        (["efficiency", "--problem", "example_3_2", "--at", "0,0",
+          "--kind", "weak-quasi", "--region", "-5,1,-5,5", "--res", "0"],
+         ["feasible_checked"]),
+        (["duality", "converse", "--problem", "example_3_5", "--triple",
+          "TRIPLE", "--kind", "I", "--region", "-3,3,-4,1", "--res", "0"],
+         ["efficiency", "feasible_checked"]),
+    ], ids=["pseudoconvex", "efficiency", "duality-converse"])
+    def test_zero_samples_are_inconclusive(self, capsys, tmp_path, argv,
+                                           counted):
+        """A verdict over no checked sample affirms nothing: it was
+        VERIFIED or NO-COUNTEREXAMPLE with exit 0."""
+        triple = tmp_path / "t.json"
+        triple.write_text(json.dumps(
+            {"z": [0, 0], "ystar": [0, 0, "1/33"], "mu": ["32/33", 0]}))
+        argv = [str(triple) if a == "TRIPLE" else a for a in argv]
+        code, doc = run_json(capsys, argv)
+        assert code == 2 and doc["verdict"] == "INCONCLUSIVE"
+        value = doc["details"]
+        for key in counted:
+            value = value[key]
+        assert value == 0
+
     def test_duality_weak_from_triples(self, capsys, tmp_path):
         triples = tmp_path / "t.json"
         triples.write_text(json.dumps(
@@ -377,6 +403,18 @@ class TestCommands:
         code, doc = run_json(capsys, [argv[0], "--problem", str(path),
                                       *argv[1:]])
         assert code == 3 and doc["error"].startswith(error)
+
+    def test_unknown_option_refused(self, capsys, tmp_path, fixtures_dir):
+        """A misspelled [options] key exits 3 naming it and its line; it
+        was dropped, and the option kept its default."""
+        text = (fixtures_dir / "example_2_2.problem").read_text()
+        path = tmp_path / "p.problem"
+        path.write_text(text + "feas_tols = 0.5\n")
+        code, doc = run_json(capsys, ["feasible", "--problem", str(path),
+                                      "--at", "0,0"])
+        line = len(text.splitlines()) + 1
+        assert code == 3
+        assert doc["error"] == f"unknown option 'feas_tols' (line {line})"
 
     def test_problem_file_not_text_refused(self, capsys, tmp_path):
         path = tmp_path / "p.problem"

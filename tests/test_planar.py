@@ -227,7 +227,7 @@ class TestPlanarMargin:
                 _random_margin_case(rng, norm)
             args = (comp, nrm, ytheta, rows, con_base, N, pball, norm == "l2")
             planar = component_witness_margin(*args)
-            ball = certify._witness_ball(comp, pball, norm == "l2")
+            ball = certify._witness_ball(comp.vertices, pball, norm == "l2")
             cuts, lines = certify._witness_cuts(2, rows, con_base, N)
             highs = certify._lp_witness_margin(comp.vertices, nrm * ytheta,
                                                nrm * ball, cuts, lines)
@@ -303,7 +303,8 @@ def test_bundled_sweeps_solve_no_lp(monkeypatch, argv):
 def _exact_dirs(U):
     """The directions -u/|u| the l2 witness ball adds for the rows u of U."""
     pball = certify.primal_ball("l2", 2, 64)
-    return certify._witness_ball(Polytope(U), pball, True)[pball.nverts:]
+    return certify._witness_ball(np.asarray(U, dtype=float), pball,
+                                 True)[pball.nverts:]
 
 
 def _geometry(norm):
@@ -312,16 +313,36 @@ def _geometry(norm):
                                   [(np.zeros((0, 2)), np.zeros((0, 2)))])
 
 
+def _lexicographic(G):
+    """The polygon rows G (vertex, normal, height) as _planar_ball gives
+    them: counterclockwise from the lexicographically least vertex."""
+    s = int(np.lexsort((G[:, 1], G[:, 0]))[0])
+    G = np.roll(G, -s, axis=0)
+    return G[:, :2], G[:, 2:4], G[:, 4]
+
+
+def _edges(rows):
+    """Edge rows (normal, height) as a set, bit for bit."""
+    rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, 3)
+    return set(map(tuple, rows.view(np.int64).tolist()))
+
+
 def assert_same_polygon(geometry, extras):
-    """The polygon by insertion is the arrays _planar_ball gives for the
-    base polygon's points and the extras; returns whether it inserted."""
-    ball = np.vstack([geometry.pball.vertices,
-                      np.asarray(extras, dtype=float).reshape(-1, 2)])
-    got, inserted = geometry.polygon(ball)
-    want = certify._planar_ball(ball)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and np.array_equal(a, b)
-    return inserted
+    """The base polygon with the directions inserted (_insert) is what
+    _planar_ball gives for the base polygon's points and those directions:
+    every direction a vertex, and the edges the base edges not split and
+    the ones _insert gives, bit for bit.  Returns whether it inserted."""
+    E = np.asarray(extras, dtype=float).reshape(1, -1, 2)
+    [convex], [hit], [new] = geometry._insert(E)
+    if not convex:  # the sweep then takes _planar_ball itself
+        return False
+    H, normals, heights = certify._planar_ball(
+        np.vstack([geometry.pball.vertices, E[0]]))
+    assert H.shape[0] == geometry.G.shape[0] + E.shape[1]
+    kept = np.delete(geometry.G[:, 2:], hit, axis=0)
+    assert _edges(np.vstack([kept, new])) == _edges(
+        np.column_stack([normals, heights]))
+    return True
 
 
 class TestSweepPolygon:
@@ -329,19 +350,19 @@ class TestSweepPolygon:
     def test_bundled_components(self, monkeypatch, argv):
         """Every component the README sweeps meet, none by the fallback."""
         seen = []
-        orig = certify._SweepGeometry.polygon
+        orig = certify._SweepGeometry._insert
 
-        def spy(self, ball):
-            seen.append((self, ball[self.pball.nverts:].copy()))
-            return orig(self, ball)
+        def spy(self, E):
+            seen.extend((self, row) for row in E.copy())
+            return orig(self, E)
 
-        monkeypatch.setattr(certify._SweepGeometry, "polygon", spy)
+        monkeypatch.setattr(certify._SweepGeometry, "_insert", spy)
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(argv) == 0
         monkeypatch.undo()
         assert len(seen) >= 700
-        for geometry, extras in seen:
-            assert assert_same_polygon(geometry, extras)
+        for geometry, E in seen:
+            assert assert_same_polygon(geometry, E)
 
     @given(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=2))
     @settings(max_examples=300, deadline=None)
@@ -387,9 +408,8 @@ class TestSweepPolygon:
     def test_box_balls(self, norm):
         geometry = _geometry(norm)
         hull = certify._planar_ball(geometry.pball.vertices)
-        got, inserted = geometry.polygon(geometry.pball.vertices)
-        assert inserted and all(np.array_equal(a, b)
-                                for a, b in zip(got, hull))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_lexicographic(geometry.G), hull))
         # unit directions lie outside the l1 ball and inside the linf one
         for t in np.linspace(-3.0, 3.0, 13):
             assert_same_polygon(geometry, [np.cos(t), np.sin(t)])

@@ -28,6 +28,9 @@ KEPT = {
     "certify._lp_margin":
         "witness margins for d != 2; only pseudoconvex_test's samples= "
         "argument reaches them, as the CLI refuses grid sampling for d != 2",
+    "certify._witness_ball":
+        "the witness ball of one component for d != 2; the planar sweep "
+        "adds the same directions for all y* at once",
     "certify._lp_witness_margin":
         "witness margins for d != 2; only pseudoconvex_test's samples= "
         "argument reaches them, as the CLI refuses grid sampling for d != 2",

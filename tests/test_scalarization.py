@@ -1,6 +1,7 @@
 """Differential tests of the scalarization: ``subdiff.direct_subdiff``, one
-``Scalarization`` call that walks each objective once, against the tree
-add(mul(const(y_1), f_1), ...) that it no longer builds
+``Scalarization`` call that walks each objective once, and
+``Scalarization.groups``, the sets of a whole array of y* by structure
+group, against the tree add(mul(const(y_1), f_1), ...) that neither builds
 (``sweep_oracle.direct_subdiff``).
 
 Sets must be bit-equal, vertices compared as int64 views so that -0.0 and
@@ -262,3 +263,97 @@ def test_direct_subdiff_is_one_call():
     got = direct_subdiff([0.3, 0.7], fs, x, "hull")
     want = Scalarization(fs, x, "hull")([0.3, 0.7])
     assert _outcome(lambda: got) == _outcome(lambda: want)
+
+
+def assert_same_groups(fs, x, Y, mode="limiting", kink_tol=1e-9):
+    """Scalarization.groups over the rows of Y against the oracle, row by
+    row: each row in one group, its components bit-equal to the oracle's
+    set, or the oracle's exception.  Returns the groups."""
+    Y = np.asarray(Y, dtype=float)
+    with np.errstate(all="ignore"):
+        groups = Scalarization(fs, x, mode, kink_tol).groups(Y)
+    seen = np.zeros(Y.shape[0], dtype=int)
+    for rows, comps in groups:
+        for i, r in enumerate(rows.tolist()):
+            seen[r] += 1
+            with np.errstate(all="ignore"):
+                want = _outcome(lambda: sweep_oracle.direct_subdiff(
+                    Y[r], fs, x, mode, kink_tol))
+            if isinstance(comps, Exception):
+                assert want[:3] == ("raised", type(comps), str(comps)), r
+                continue
+            assert want[0] == "value", (r, want)
+            got = ([c.vertices for c in comps().components]
+                   if callable(comps) else [V[i] for V in comps])
+            assert [(V.shape, _bits(V)) for V in got] == want[4], (r, Y[r])
+    assert seen.tolist() == [1] * Y.shape[0]
+    return groups
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_groups_over_the_bundled_ystar_grid(name):
+    """The sweep's y* grid at resolution 24 (and the unit weights), at the
+    kinks and at generic points, in both modes."""
+    from robustkkt.cli import load_problem
+
+    spec = load_problem(name)
+    Y = np.vstack([ystar_grid(spec, 24), np.eye(3), -np.eye(3)])
+    for x, mode in (([0.0, 0.0], "limiting"), ([0.0, 0.0], "hull"),
+                    ([0.0, 1.0], "limiting")):
+        assert_same_groups(spec.objectives, np.array(x), Y, mode,
+                           spec.kink_tol)
+
+
+def test_groups_cover_every_structure():
+    """Shared kinks whose coefficients take every sign, a max tie, zero
+    weights of both signs, weights that make a constant 1, and rows whose
+    sets' shapes depend on their values: two positive kinks make a
+    parallelogram, reduced by Polytope row by row."""
+    fs = _parse(["abs(x1) + max(x1, 2*x2)", "abs(x2) - abs(x1)",
+                 "2*(abs(x1 - x2) + 1)", "(1/2)*abs(x2)"])
+    grid = [0.0, -0.0, 0.5, 1.0, -0.3]
+    Y = np.array(np.meshgrid(*[grid] * 4, indexing="ij")).reshape(4, -1).T
+    for mode in MODES:
+        groups = assert_same_groups(fs, np.zeros(2), Y, mode)
+        sizes = [(rows.size, [V.shape[1] for V in comps])
+                 for rows, comps in groups if not callable(comps)]
+        # batched segments and point pairs, and rows reduced alone
+        assert any(n > 1 and 2 in k for n, k in sizes)
+        assert any(n > 1 and len(k) > 1 and set(k) == {1}
+                   for n, k in sizes) == (mode == "limiting")
+        assert any(callable(comps) for _, comps in groups)
+
+
+def test_groups_of_generated_objectives():
+    rng = np.random.default_rng(43)
+    for trial in range(30):
+        dim = int(rng.integers(1, 4))
+        x = np.round(random_point(rng, dim), 2)
+        through = x if trial % 3 else None
+        fs = [random_convex_expr(rng, dim) if rng.random() < 0.3 else
+              random_supported_expr(rng, dim, through=through)
+              for _ in range(int(rng.integers(1, 4)))]
+        if trial % 5 == 0:
+            fs.append(fs[0])
+        Y = [_weights(rng, len(fs)) for _ in range(6)]
+        # a hull in three dimensions is one exact LP per point
+        for mode in MODES[:1] if dim == 3 else MODES:
+            assert_same_groups(fs, x, Y, mode)
+
+
+@pytest.mark.parametrize("texts, x, error", [
+    # a fault under a nonzero coefficient only; a walk fault; a refused
+    # product; a constant too large for a float, for some rows only
+    (["abs(sqrt(x1))", "abs(sqrt(x1))"], [0.0], DomainError),
+    (["sqrt(x1)", "x1"], [0.0], DomainError),
+    (["2*abs(x1)*abs(x2)", "x1"], [0.0, 0.0], UnsupportedStructureError),
+    (["(10^300)*x1", "x1"], [1.0, 0.0], DomainError),
+])
+def test_groups_with_refused_rows(texts, x, error):
+    fs = _parse(texts, len(x))
+    Y = [[a, b] for a in (0.0, 1.0, -1.0, 1e10) for b in (0.0, 1.0, -0.5)]
+    for mode in MODES:
+        groups = assert_same_groups(fs, x, Y, mode)
+        raised = [c for _, c in groups if isinstance(c, Exception)]
+        assert raised and all(isinstance(c, error) for c in raised)
+        assert len(raised) < len(groups)

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 import sweep_oracle
-from robustkkt import certify, cli, funcdsl, lp, subdiff
+from robustkkt import certify, cli, funcdsl, lp, setcalc, subdiff
 from robustkkt.certify import pseudoconvex_test
 from robustkkt.cli import load_problem, resolve_problem_path, run_command
+from robustkkt.funcdsl import DomainError
+from robustkkt.setcalc import Polytope
 from sweep_oracle import direct_subdiff, loop_pseudoconvex_test
 
 FIXTURES = ["example_2_2", "example_2_3", "example_3_2", "example_3_5"]
@@ -131,6 +133,55 @@ def test_matches_loop_in_three_dimensions(tmp_path):
         assert {r[0] for r in rows} == VERDICTS
 
 
+def _outcome(fn):
+    try:
+        return _rows(fn())
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ptype", ["I", "II"])
+def test_exception_from_the_first_reached_ystar(monkeypatch, ptype):
+    """A y* whose scalarization raises stops the sweep only where a loop
+    over the y* in index order meets it: at a y* where an active sample
+    has not failed yet, the first such.  Every active sample of y* 11 has
+    failed at an earlier y*, while y* 12 has active samples not failed
+    yet.  (The oracle visits samples first, so it may meet another refused
+    y* first; it is compared where nothing is raised.)"""
+    spec = load_problem("example_3_2")
+    region = (-2.33, -0.12, -1.87, 2.36)
+    kw = dict(region=list(region), grid=11, y_resolution=9)
+    want, _ = loop_pseudoconvex_test(spec, np.zeros(2), ptype, **kw)
+    ys, _, G = _premises(spec, ptype, region, 11, 9)
+    index = {str(np.round(y, 6).tolist()): i for i, y in enumerate(ys)}
+    first = np.array([index[_YSTAR.search(v.detail).group(1)]
+                      if v.verdict == "INCONCLUSIVE" else -1
+                      for v in want.verdicts])
+    met = G & ((first < 0) | (first >= np.arange(len(ys))[:, None]))
+    assert G[11].any() and not met[11].any() and met[12].any()
+
+    weights, oracle = subdiff.Scalarization._weights, \
+        sweep_oracle.direct_subdiff
+    for refused in ({11}, {11, 12}, {11, 12, 13}):
+        bad = {tuple(ys[r].tolist()): r for r in refused}
+
+        def refuse(y):
+            if tuple(np.asarray(y, dtype=float).tolist()) in bad:
+                raise DomainError(f"refused y* {bad[tuple(y)]}")
+
+        monkeypatch.setattr(subdiff.Scalarization, "_weights",
+                            lambda self, y: refuse(y) or weights(self, y))
+        monkeypatch.setattr(sweep_oracle, "direct_subdiff",
+                            lambda y, *a: refuse(list(y)) or oracle(y, *a))
+        got = _outcome(lambda: pseudoconvex_test(spec, np.zeros(2), ptype,
+                                                 **kw))
+        if refused == {11}:
+            assert got == _outcome(lambda: loop_pseudoconvex_test(
+                spec, np.zeros(2), ptype, **kw)[0]) == _rows(want)
+        else:
+            assert got == "refused y* 12"
+
+
 def test_no_samples(spec22):
     rep = pseudoconvex_test(spec22, np.zeros(2), "I", samples=np.zeros((0, 2)))
     assert rep.verdicts == [] and rep.all_verified
@@ -149,45 +200,68 @@ def _counting(counts, key, fn, weight=lambda *args: 1):
     return wrapped
 
 
+def _sweep_counts(monkeypatch, argv, names):
+    """Calls of each (owner, name, key) in names during one command."""
+    counts = Counter()
+    for owner, name, key in names:
+        monkeypatch.setattr(owner, name,
+                            _counting(counts, key, getattr(owner, name)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command(argv) == 0
+    monkeypatch.undo()
+    return counts
+
+
 def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     """On the README type I sweep: one hull, the base polygon, and no
-    fallback; one _witness_cuts per premise mask; one batched margin
-    evaluation per (y*, component), which groups the oracle's one planar
-    margin per (y*, mask, component); and no LP.  Each objective is walked
-    once per sweep: one walk per objective visits each of its operands
-    once; no tree is built (no mul); and there is one scalarization call
-    per y* the sweep examines, as there was one direct_subdiff call."""
-    counts = dict.fromkeys(["cuts", "hull", "chain", "batch", "polygon",
-                            "lp", "oracle", "mul", "scalarize",
-                            "oracle_scalarize"], 0)
-    # the oracle solves each (y*, mask) once, one margin per component,
-    # and builds one scalarization tree per y* it examines
+    fallback; one _witness_cuts per premise mask; the y* scalarized in one
+    batch, one vertex pass per structure group (the zero pattern, the unit
+    constants and the coefficients' signs of the oracle's sets); one
+    stacked margin evaluation per group that needs margins; no Polytope
+    or minkowski_sum per y* (as many as at a coarser y* grid: those of the
+    constraint rows); and no LP.  Each objective is walked once per sweep:
+    one walk per objective visits each of its operands once, and no tree
+    is built (no mul)."""
+    counts = Counter()
     monkeypatch.setattr(sweep_oracle, "_planar_witness_margin", _counting(
         counts, "oracle", sweep_oracle._planar_witness_margin))
-    monkeypatch.setattr(sweep_oracle, "direct_subdiff", _counting(
-        counts, "oracle_scalarize", sweep_oracle.direct_subdiff))
     _, keys = loop_pseudoconvex_test(spec22, np.zeros(2), "I",
                                      region=[-2, 2, -2, 2])
-    ys = certify.ystar_grid(spec22)
-    ncomp = {myi: direct_subdiff(ys[myi], spec22.objectives, np.zeros(2),
-                                 "limiting", spec22.kink_tol).set.ncomponents
-             for myi in {myi for myi, _ in keys}}
-    assert counts["oracle"] == sum(ncomp[myi] for myi, _ in keys) == 3026
-    for module, name, key in (
-            (certify, "_witness_cuts", "cuts"),
-            (certify, "_planar_ball", "hull"),
-            (certify, "_monotone_chain", "chain"),
-            (certify._SweepGeometry, "polygon", "polygon"),
-            (lp.LPBuilder, "solve", "lp")):
-        monkeypatch.setattr(module, name,
-                            _counting(counts, key, getattr(module, name)))
-    monkeypatch.setattr(certify._SweepGeometry, "margins", _counting(
-        counts, "batch", certify._SweepGeometry.margins,
-        lambda self, components, *rest: len(components)))
-    monkeypatch.setattr(funcdsl, "mul", _counting(counts, "mul",
-                                                  funcdsl.mul))
-    monkeypatch.setattr(subdiff.Scalarization, "__call__", _counting(
-        counts, "scalarize", subdiff.Scalarization.__call__))
+    monkeypatch.undo()
+    ys = certify.ystar_grid(spec22, 24)
+    sets = {myi: direct_subdiff(ys[myi], spec22.objectives, np.zeros(2),
+                                "limiting", spec22.kink_tol)
+            for myi in {myi for myi, _ in keys}}
+    assert counts["oracle"] == sum(sets[myi].set.ncomponents
+                                   for myi, _ in keys) == 3026
+    # the y* the sweep scalarizes: those where some sample's premise holds
+    _, _, G = _premises(spec22, "I")
+    groups = set()
+    for myi in np.flatnonzero(G.any(axis=1)).tolist():
+        res = sets.get(myi) or direct_subdiff(
+            ys[myi], spec22.objectives, np.zeros(2), "limiting",
+            spec22.kink_tol)
+        coeffs = [float(r.rsplit("coeff=", 1)[1][:-1]) for r in res.rules
+                  if "coeff=" in r]
+        groups.add((tuple(ys[myi] == 0), tuple(ys[myi] == 1),
+                    tuple(np.sign(coeffs))))
+
+    argv = ["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+            "--type", "I", "--region", "-2,2,-2,2"]
+    per_sweep = [(setcalc.Polytope, "__init__", "polytope"),
+                 (subdiff, "minkowski_sum", "minkowski")]
+    coarse = _sweep_counts(monkeypatch, argv + ["--y-res", "8"], per_sweep)
+    vertex_groups, counts = [], Counter()
+    batch = subdiff.Scalarization.groups
+
+    def spy_groups(self, Y):
+        before = counts["sums"]
+        out = batch(self, Y)
+        counts["group_sums"] += counts["sums"] - before
+        vertex_groups.extend(out)
+        return out
+
+    monkeypatch.setattr(subdiff.Scalarization, "groups", spy_groups)
     # the objectives' operands: the terms of a sum, else the objective
     operands = {id(t): t for f in spec22.objectives
                 for t in (f.children if f.kind == "sum" else (f,))}
@@ -204,18 +278,47 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     monkeypatch.setattr(funcdsl._PointWalk, "node", spy_node)
     # the command runs on spec22's own objective trees
     monkeypatch.setattr(cli, "load_problem", lambda path: spec22)
+    for owner, name, key in [
+            (certify, "_witness_cuts", "cuts"),
+            (certify, "_planar_ball", "hull"),
+            (certify, "_monotone_chain", "chain"),
+            (certify._SweepGeometry, "margins", "batch"),
+            (subdiff.Scalarization, "groups", "groups"),
+            (subdiff, "_sums", "sums"),
+            (subdiff.Scalarization, "__call__", "scalarize"),
+            (funcdsl, "mul", "mul"),
+            (lp.LPBuilder, "solve", "lp"), *per_sweep]:
+        monkeypatch.setattr(owner, name,
+                            _counting(counts, key, getattr(owner, name)))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert run_command(["pseudoconvex", "--problem", "example_2_2",
-                            "--at", "0,0", "--type", "I",
-                            "--region", "-2,2,-2,2"]) == 0
+        assert run_command(argv) == 0
     assert counts["cuts"] == len({mask for _, mask in keys})
     assert counts["hull"] == counts["chain"] == 1
-    assert counts["batch"] == counts["polygon"] == sum(ncomp.values()) == 760
+    assert counts["groups"] == 1 and counts["scalarize"] == 0
+    # the y* with kappa > 0 (segments) clear every sample by the candidate
+    assert len(vertex_groups) == len(groups) == 2 and counts["batch"] == 1
+    assert counts["group_sums"] == len(groups)  # one vertex pass each
+    assert counts["polytope"] == coarse["polytope"]
+    assert counts["minkowski"] == coarse["minkowski"]
     assert counts["lp"] == 0
     assert len(walkers) == len(spec22.objectives) == 3
     assert walks == Counter(dict.fromkeys(operands, 1))
     assert counts["mul"] == 0
-    assert counts["scalarize"] == counts["oracle_scalarize"] == 381
+
+
+def _premises(spec, ptype, region=(-2, 2, -2, 2), grid=21, y_res=24):
+    """The y* grid, the samples and the premise matrix of a sweep."""
+    ys = certify.ystar_grid(spec, y_res)
+    g1, g2 = np.meshgrid(np.linspace(region[0], region[1], grid),
+                         np.linspace(region[2], region[3], grid),
+                         indexing="ij")
+    X = np.vstack([g1.ravel(), g2.ravel()])
+    norms = spec.primal_norm_grid(X)
+    G = ys @ (spec.fvec_grid(X) - spec.fvec(np.zeros(2))[:, None]) \
+        + np.outer(ys @ spec.theta, norms)
+    G = G < -1e-7 if ptype == "I" else G <= 1e-12
+    G[:, norms <= 1e-12] = False
+    return ys, X, G
 
 
 def assert_same_margin(got, want, eps_strict):
@@ -229,8 +332,9 @@ def assert_same_margin(got, want, eps_strict):
 
 def assert_same_margins(monkeypatch, spec, xbar, ptype, eps_strict=1e-7,
                         **kw):
-    """Every (y*, mask, component) the sweep meets: the batched margin
-    against the oracle's _planar_witness_margin, and each (y*, mask)
+    """Every (y*, mask, component) of every batch the sweep stacks: the
+    batched margin of each component slot, over all the batch's rows,
+    against the oracle's _planar_witness_margin; and each (y*, mask)
     against its _normalized_margin.  Returns the number of margins."""
     built, calls = [], []
     init = certify._SweepGeometry.__init__
@@ -242,9 +346,9 @@ def assert_same_margins(monkeypatch, spec, xbar, ptype, eps_strict=1e-7,
                                        for cuts, lines in cut_rows]))
         init(self, pball, l2_dirs, cut_rows)
 
-    def spy_margins(self, components, ytheta, ids):
-        calls.append((self, components, ytheta, ids))
-        return margins(self, components, ytheta, ids)
+    def spy_margins(self, comps, ytheta):
+        calls.append((self, comps, ytheta))
+        return margins(self, comps, ytheta)
 
     monkeypatch.setattr(certify._SweepGeometry, "__init__", spy_init)
     monkeypatch.setattr(certify._SweepGeometry, "margins", spy_margins)
@@ -254,22 +358,25 @@ def assert_same_margins(monkeypatch, spec, xbar, ptype, eps_strict=1e-7,
         return 0
     (pball, l2_dirs, walls), = built
     seen = 0
-    for geometry, components, ytheta, ids in calls:
-        whole = margins(geometry, components, ytheta, ids)
-        for comp in components:
-            polygon = certify._planar_ball(
-                certify._witness_ball(comp, pball, l2_dirs))
-            batched = margins(geometry, [comp], ytheta, ids)
-            for j, got in zip(ids.tolist(), batched.tolist()):
-                found = sweep_oracle._planar_witness_margin(
-                    comp.vertices, ytheta, 1.0, polygon, walls[j])
-                assert_same_margin(got, -math.inf if found is None
-                                   else found[0], eps_strict)
-                seen += 1
-        for j, got in zip(ids.tolist(), whole.tolist()):
-            assert_same_margin(got, sweep_oracle._normalized_margin(
-                components, [None] * len(components), ytheta,
-                (None, None, walls[j]), pball, l2_dirs), eps_strict)
+    for geometry, comps, ytheta in calls:
+        whole = margins(geometry, comps, ytheta)
+        for U in comps:
+            batched = margins(geometry, [U], ytheta)
+            for r, row in enumerate(batched.tolist()):
+                polygon = certify._planar_ball(
+                    certify._witness_ball(U[r], pball, l2_dirs))
+                for j, got in enumerate(row):
+                    found = sweep_oracle._planar_witness_margin(
+                        U[r], ytheta[r], 1.0, polygon, walls[j])
+                    assert_same_margin(got, -math.inf if found is None
+                                       else found[0], eps_strict)
+                    seen += 1
+        for r, row in enumerate(whole.tolist()):
+            components = [Polytope(U[r]) for U in comps]
+            for j, got in enumerate(row):
+                assert_same_margin(got, sweep_oracle._normalized_margin(
+                    components, [None] * len(components), ytheta[r],
+                    (None, None, walls[j]), pball, l2_dirs), eps_strict)
     return seen
 
 
