@@ -189,7 +189,7 @@ TABLE = [
     Row("cli", "--samples", _integer, 1000, 1, 100_000, commands="duality"),
     # problem files; the section sizes are refused before any expression
     # is parsed, and an l1 norm's dual ball has 2^dim vertices
-    Row("space", "dim", _integer, None, 0, 16, "must be >= {least}"),
+    Row("space", "dim", _integer, None, 1, 16, "must be >= {least}"),
     Row("count", "objectives", least=1, most=16,
         rule="at least {least} objective is required"),
     Row("count", "constraints", least=0, most=64),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -79,7 +80,13 @@ class Expr:
     def grid_fn(self):
         """This tree compiled to ``f(X, scenarios)``, which yields its values
         over the columns of X at each scenario (see ``_compile``)."""
-        return _compile(self, grid=True)
+        return _compile(self, GRID)
+
+    @cached_property
+    def scan_fn(self):
+        """This tree compiled to ``f(x, V)``, its values at x at every
+        scenario of the array V (see ``_compile``)."""
+        return _compile(self, SCAN)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +526,8 @@ def separable_branches(e: Expr) -> list | None:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one code generator, a scalar target (strict) and a grid
-# target (vectorized, NaN-tolerant)
+# Evaluation: one code generator, a scalar target (strict), a grid target
+# (vectorized, NaN-tolerant) and a scan target (all scenarios at a point)
 # ---------------------------------------------------------------------------
 
 def _check_scenario(e: Expr, v) -> None:
@@ -548,6 +555,13 @@ def scenario_fn(e: Expr, x):
     """
     _check_scenario(e, 0.0)
     return partial(e.scalar_fn, _floats(x))
+
+
+def scenario_scan(e: Expr, x):
+    """``V -> e at x for every scenario of the float64 array V`` by one
+    array pass (``Expr.scan_fn``), for a scan at one point x."""
+    _check_scenario(e, 0.0)
+    return partial(e.scan_fn, _floats(x))
 
 
 def _recip(d: float, e: Expr) -> float:
@@ -582,27 +596,48 @@ def _nan_sqrt(a):
     return np.sqrt(np.where(a < 0.0, np.nan, a))
 
 
-# Each node kind's right-hand side in the scalar and in the grid code.  A
-# scalar sum or max calls the builtin on a tuple and a product starts from
-# 1.0; on the grid they are left folds (``sum`` starts from 0, which differs
-# on -0.0).  Fields: {a} the first operand; {args}, {plus} and {times} all
+def _scan_power(a, n, e: Expr):
+    """Python's float pow of each scenario value (numpy's ``**`` and sqrt
+    are not libm's pow), raising DomainError where one overflows."""
+    try:
+        return np.fromiter(map(pow, a.tolist(), repeat(n)), float, a.size)
+    except OverflowError:
+        raise DomainError(f"{e} overflows") from None
+
+
+# Each node kind's right-hand side in the scalar, the grid and the scan
+# code.  A scalar sum or max calls the builtin on a tuple and a product
+# starts from 1.0; on the grid they are left folds (``sum`` starts from 0,
+# which differs on -0.0).  The scan code keeps the scalar rule where it
+# gives the same bits per scenario, keeps the first of equal maxima as the
+# builtin does (-0.0 before 0.0; np.maximum does not), and raises the
+# scalar error on a zero divisor or negative root anywhere.
+# Fields: {a} the first operand; {args}, {plus} and {times} all
 # operands, joined by ", ", " + " and " * "; {i} a coordinate's 0-based
 # index; {n} a power's exponent; {node} the node, for error messages.
 # const and uvar nodes are operands, not assignments.
 _RULES = {
-    "coord": ("x[{i}]", "X[{i}]"),
-    "sum": ("_sum(({args},))", "{plus}"),
-    "prod": ("1.0 * {times}", "{times}"),
-    "pow": ("_power({a}, {n}, {node})",) * 2,
-    "recip": ("_recip({a}, {node})", "_nan_recip({a})"),
-    "sqrt": ("_sqrt({a}, {node})", "_nan_sqrt({a})"),
-    "abs": ("_abs({a})", "_np_abs({a})"),
-    "max": ("_max(({args},))", "_reduce(_maximum, ({args},))"),
+    "coord": ("x[{i}]", "X[{i}]", "x[{i}]"),
+    "sum": ("_sum(({args},))", "{plus}", "_sum(({args},))"),
+    "prod": ("1.0 * {times}", "{times}", "1.0 * {times}"),
+    "pow": ("_power({a}, {n}, {node})",) * 2
+    + ("_scan_power({a}, {n}, {node})",),
+    "recip": ("_recip({a}, {node})", "_nan_recip({a})",
+              "1.0 / {a} if {a}.all() else _recip(0.0, {node})"),
+    "sqrt": ("_sqrt({a}, {node})", "_nan_sqrt({a})",
+             "_sqrt(-1.0, {node}) if ({a} < 0.0).any() "
+             "else _scan_power({a}, 0.5, {node})"),
+    "abs": ("_abs({a})", "_np_abs({a})", "_abs({a})"),
+    "max": ("_max(({args},))", "_reduce(_maximum, ({args},))",
+            "_reduce(_first_max, ({args},))"),
 }
 _HELPERS = {"_float": float, "_sum": sum, "_max": max, "_abs": abs,
             "_recip": _recip, "_sqrt": _sqrt, "_power": _power,
             "_nan_recip": _nan_recip, "_nan_sqrt": _nan_sqrt,
-            "_np_abs": np.abs, "_reduce": reduce, "_maximum": np.maximum}
+            "_np_abs": np.abs, "_reduce": reduce, "_maximum": np.maximum,
+            "_scan_power": _scan_power,
+            "_first_max": lambda a, b: np.where(b > a, b, a)}
+SCALAR, GRID, SCAN = range(3)  # the targets of _compile
 
 
 @lru_cache(maxsize=1024)
@@ -613,31 +648,39 @@ def _maker(src: str):
     return namespace["make"]
 
 
-def _compile(e: Expr, grid: bool = False):
+def _compile(e: Expr, target: int = SCALAR):
     """Straight-line Python code for the tree, one assignment per node
     (see ``_RULES``), children before their parent, left to right: the
     float operations of a recursive walk, in the same order.  The scalar
     code ``f(x, v)`` returns a float and raises DomainError where the tree
     is undefined.  The grid code ``f(X, scenarios)`` yields the tree over
     the columns of X at each scenario, NaN where it is undefined; each
-    v-free node is assigned once, before the scenario loop.  Constants and
-    scenarios stay as given: a power of Python floats raises DomainError
-    where it overflows, one of an array or a numpy scalar gives inf.
-    Constants, exponents, power nodes and error messages reach the code as
-    closure values, never as source text.  Neither this function nor the
-    code it writes nests per tree level, so any tree the parser accepts
-    compiles.
+    v-free node is assigned once, before the scenario loop.  The scan code
+    ``f(x, V)`` gives the tree at x for every scenario of the array V: its
+    v-free nodes are the scalar code's floats, its nodes without x are
+    computed once per V and kept with the tree for the last V (compared by
+    its bytes, not its id).  It raises DomainError where the scalar code
+    would at some scenario, not always with its message, and is otherwise
+    bit-equal to it per scenario (builtin ``sum`` is a plain left fold
+    before Python 3.12); its caller falls back to the scalar code on a
+    DomainError or a value that is not finite.  Constants and scenarios
+    stay as given: a power of Python floats raises DomainError where it
+    overflows, one of a grid array or a numpy scalar gives inf.  Constants,
+    exponents, power nodes and error messages reach the code as closure
+    values, never as source text.  Neither this function nor the code it
+    writes nests per tree level, so any tree the parser accepts compiles.
     """
     values = dict(_HELPERS)
-    fixed: list[str] = []   # all scalar assignments; v-free grid ones
-    looped: list[str] = []  # grid assignments that depend on v
+    fixed: list[str] = []   # scalar; v-free grid; v-free scan with x
+    looped: list[str] = []  # grid with v; scan with x and v
+    xfree: list[str] = []   # scan without x
 
     def bind(value) -> str:
         name = f"c{len(values)}"
         values[name] = value
         return name
 
-    def operand(node: Expr, args: list[str], varies: bool) -> str:
+    def operand(node: Expr, args: list[str], varies: bool, xdep: bool):
         k = node.kind
         if k == "const":
             return bind(float(node.value))
@@ -645,7 +688,7 @@ def _compile(e: Expr, grid: bool = False):
             return "v"
         if k not in _RULES:
             raise ValueError(f"unknown node kind {k}")
-        rule = _RULES[k][grid]
+        rule = _RULES[k][SCALAR if target == SCAN and not varies else target]
         fields = {"a": args[0] if args else None, "args": ", ".join(args),
                   "plus": " + ".join(args), "times": " * ".join(args)}
         if k == "coord":
@@ -654,15 +697,16 @@ def _compile(e: Expr, grid: bool = False):
             fields["n"] = bind(node.exponent)
         if "{node}" in rule:
             fields["node"] = bind(node)
-        name = f"t{len(fixed) + len(looped)}"
-        (looped if grid and varies else fixed).append(
+        name = f"t{len(fixed) + len(looped) + len(xfree)}"
+        (xfree if target == SCAN and not xdep else
+         looped if target != SCALAR and varies else fixed).append(
             f"{name} = {rule.format_map(fields)}")
         return name
 
     # Post-order without recursion: a node is visited again, marked ready,
-    # once its children's operands (with whether they use v) are stacked.
+    # once its children's operands (and whether they use v, x) are stacked.
     todo: list[tuple[Expr, bool]] = [(e, False)]
-    operands: list[tuple[str, bool]] = []
+    operands: list[tuple[str, bool, bool]] = []
     while todo:
         node, ready = todo.pop()
         if not ready:
@@ -671,15 +715,25 @@ def _compile(e: Expr, grid: bool = False):
             continue
         args = [operands.pop() for _ in node.children][::-1]
         varies = node.kind == "uvar" or any(a[1] for a in args)
-        operands.append((operand(node, [a[0] for a in args], varies), varies))
+        xdep = node.kind == "coord" or any(a[2] for a in args)
+        operands.append((operand(node, [a[0] for a in args], varies, xdep),
+                         varies, xdep))
 
-    [(root, has_v)] = operands
-    if grid:
+    [(root, has_v, _)] = operands
+    if target == GRID:
         body = ["def f(X, scenarios):", *fixed, "for v in scenarios:",
                 *("    " + line for line in looped), f"    yield {root}"]
-    else:
+    elif target == SCALAR:
         body = ["def f(x, v):", *(["v = _float(v)"] if has_v else []), *fixed,
                 f"return {root}"]
+    else:
+        names = "".join(line.split(" = ")[0] + ", " for line in xfree)
+        memo = bind([(None, None)])  # the last V's bytes, its x-free values
+        body = ["def f(x, v):", f"seen, pre = {memo}[0]",
+                "if seen == v.tobytes():", f"    ({names}) = pre", "else:",
+                *("    " + line for line in xfree),
+                f"    {memo}[0] = v.tobytes(), ({names})",
+                *fixed, *looped, f"return {root}"]
     src = "\n".join([f"def make({', '.join(values)}):", "    " + body[0],
                      *("        " + s for s in body[1:]), "    return f"])
     return _maker(src)(**values)

@@ -8,7 +8,10 @@ on an interval, the plain maximum on a list) and the active scenarios
 V_i(x) within SCENARIO_TOL of it.  compute_active_sets collects that one
 scan for every constraint; each verdict computes it once per point and
 reads feasibility, the envelopes, the active indices and the sup-rule
-scenarios from it.
+scenarios from it.  The scan is one array pass of the tree's scan code
+over all scenarios, its x-free nodes kept per scenario grid; on a
+DomainError or a value that is not finite, the scalar code runs scenario
+by scenario instead, so every value and exception is its own.
 
 On a grid, envelope_grid is the running max F over the scenarios of the
 tree's grid code (its v-free nodes hoisted), without refinement.  A max
@@ -47,6 +50,7 @@ import numpy as np
 
 from .funcdsl import (
     DEFAULT_KINK_TOL,
+    DomainError,
     Expr,
     contains_coord,
     contains_uncertainty,
@@ -55,6 +59,7 @@ from .funcdsl import (
     eval_scenarios,
     max_on_grid,
     scenario_fn,
+    scenario_scan,
     separable_branches,
 )
 from .setcalc import ConeSpec, OmegaSpec, PolytopeSet, upper_hull
@@ -211,12 +216,20 @@ def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, flo
     return xm, fn(xm)
 
 
-def _scan(fn, lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.linspace(lo, hi, n)
-    return grid, np.array([fn(t) for t in grid.tolist()])
+def _scan(fn, scan, grid: np.ndarray) -> np.ndarray:
+    """fn at every scenario of grid, by scan(grid) where it gives finite
+    values, else scenario by scenario."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = scan(grid)
+        if np.isfinite(vals).all():
+            return vals
+    except DomainError:
+        pass
+    return np.array([fn(t) for t in grid.tolist()])
 
 
-def active_scenarios_interval(fn, lo: float, hi: float,
+def active_scenarios_interval(fn, scan, lo: float, hi: float,
                               n: int) -> tuple[float, list[float]]:
     """The envelope maximum and the scenarios within SCENARIO_TOL of it.
 
@@ -229,7 +242,8 @@ def active_scenarios_interval(fn, lo: float, hi: float,
     """
     if hi <= lo:
         return fn(lo), [lo]
-    grid, vals = _scan(fn, lo, hi, n)
+    grid = np.linspace(lo, hi, n)
+    vals = _scan(fn, scan, grid)
     k = int(np.argmax(vals))
     xm, fm = golden_max(fn, float(grid[max(k - 1, 0)]),
                         float(grid[min(k + 1, n - 1)]))
@@ -237,19 +251,11 @@ def active_scenarios_interval(fn, lo: float, hi: float,
                   (vals[0], float(grid[0])), (vals[-1], float(grid[-1]))]
     best = max(candidates, key=lambda t: t[0])
     phi, argmax = float(best[0]), float(best[1])
-    mask = vals >= phi - SCENARIO_TOL
     step = (hi - lo) / (n - 1)
-    clusters: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            clusters.append((i, j))
-            i = j + 1
-        else:
-            i += 1
+    # runs of scenarios within SCENARIO_TOL, as (first, last) index pairs
+    edges = np.flatnonzero(np.diff(vals >= phi - SCENARIO_TOL,
+                                   prepend=False, append=False)).tolist()
+    clusters = list(zip(edges[::2], [j - 1 for j in edges[1::2]]))
     reps: list[float] = []
     for i, j in clusters:
         span = grid[j] - grid[i]
@@ -284,13 +290,13 @@ def scenario_envelope(con: UncertainConstraint, x,
     A v-free constraint has the single dummy scenario 0."""
     if not con.has_uncertainty:
         return eval_expr(con.expr, x), [0.0]
-    fn = scenario_fn(con.expr, x)
+    fn, scan = scenario_fn(con.expr, x), scenario_scan(con.expr, x)
     if con.scenarios is not None:
-        vals = [fn(v) for v in con.scenarios]
+        vals = _scan(fn, scan, np.array(con.scenarios, dtype=float)).tolist()
         top = max(vals)
         return top, [v for v, fv in zip(con.scenarios, vals)
                      if fv >= top - SCENARIO_TOL]
-    return active_scenarios_interval(fn, con.lo, con.hi, vgrid)
+    return active_scenarios_interval(fn, scan, con.lo, con.hi, vgrid)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """The scalar scenario maximiser as it stood before the point envelope
 became one path: ``phi_i`` scanned a constraint on its own, through
-``maximize_scenario`` and ``_refine_max``.  Kept verbatim as the oracle of
+``maximize_scenario`` and ``_refine_max``, calling the scalar code once per
+scenario (``scan_each``).  Kept verbatim as the oracle of
 ``tests/test_scenario_oracle.py``, which asserts that
-``compute_active_sets`` gives bit-equal envelopes.
+``compute_active_sets`` gives bit-equal envelopes and that the array scan
+``robustfeas._scan`` gives bit-equal values or the same exception.
 """
 
 from __future__ import annotations
@@ -10,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from robustkkt.funcdsl import eval_expr, scenario_fn
-from robustkkt.robustfeas import DEFAULT_VGRID, ProblemSpec, _scan, golden_max
+from robustkkt.robustfeas import DEFAULT_VGRID, ProblemSpec, golden_max
+
+
+def scan_each(fn, grid: np.ndarray) -> np.ndarray:
+    """fn at every scenario of grid, one scalar call each."""
+    return np.array([fn(t) for t in grid.tolist()])
 
 
 def maximize_scenario(fn, lo: float, hi: float, n: int = DEFAULT_VGRID,
@@ -18,7 +25,8 @@ def maximize_scenario(fn, lo: float, hi: float, n: int = DEFAULT_VGRID,
     """Grid scan plus golden-section refinement; returns (max, argmax)."""
     if hi <= lo:
         return fn(lo), lo
-    return _refine_max(fn, *_scan(fn, lo, hi, n), refine_tol)
+    grid = np.linspace(lo, hi, n)
+    return _refine_max(fn, grid, scan_each(fn, grid), refine_tol)
 
 
 def _refine_max(fn, grid: np.ndarray, vals: np.ndarray,

@@ -359,7 +359,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("edit, error", [
         (("dim = 2", "dim = two"), "bad dim 'two'"),
-        (("dim = 2", "dim = -1"), "dim must be >= 0"),
+        (("dim = 2", "dim = -1"), "dim must be >= 1"),
         (("kind = whole", "kind = box\nbounds = -1..1, -1"),
          "box bound must be 'lo..hi', got ' -1'"),
         (("[-1, 1]", "[-1, 0, 1]"), "scenario interval must be [lo, hi]"),
@@ -370,6 +370,8 @@ class TestCommands:
          "option vgrid must be at least 2"),
         (("[omega]", "[options]\nfixture = f1 @ 0,0 : {(1,2), (3)}\n"
                      "[omega]"), "fixture vertices differ in length"),
+        # refused by the loader, not by x1 being out of range 1..0
+        (("dim = 2", "dim = 0"), "dim must be >= 1"),
     ])
     def test_malformed_problem_refused(self, capsys, tmp_path, edit, error):
         """Refused input exits 3 with the loader's own error, not through a
