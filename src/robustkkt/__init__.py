@@ -13,17 +13,16 @@ from .certify import (
     fuzzy_kkt_demo,
     pseudoconvex_test,
     search_kkt,
+    witnessed_failure_check,
 )
 from .funcdsl import (
     DomainError,
     Expr,
-    NonsmoothPointError,
     ParseError,
     UnsupportedStructureError,
     eval_expr,
     format_expr,
     parse_expr,
-    smooth_gradient,
 )
 from .robustfeas import (
     ProblemSpec,

@@ -39,9 +39,14 @@ from .subdiff import Scalarization, constraint_set, direct_subdiff, \
 
 COMPLEMENTARITY_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-9
+TIGHT_TOL = 1e-9  # a fuzzy merit branch this close to psi is tight
 EPS_STRICT = 1e-7
 EPS_YSTAR_MIN = 1e-6
 KKT_TOL = 1e-9  # the stationarity residual a certificate may leave
+# A pseudoconvex sweep holds a y*-grid points x grid^2 premise matrix; the
+# y*-grid has y_resolution^(m-1) points for m dual-cone generators.  2^23
+# cells is 64 MiB per float64 array.
+PREMISE_CELLS_LIMIT = 2 ** 23
 # y* per block of the sweep's (y*, sample) temporaries, which bounds them
 _BLOCK = 64
 
@@ -155,8 +160,7 @@ class KKTCheckReport:
 
 def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
               tol: float = KKT_TOL, mode: str = "hull",
-              use_fixtures: bool = False,
-              mem_tol: float = MEMBERSHIP_TOL) -> KKTCheckReport:
+              use_fixtures: bool = False) -> KKTCheckReport:
     """Verify every membership and the residual of a certificate."""
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     p, n, d = spec.n_objectives, spec.n_constraints, spec.dim
@@ -186,14 +190,14 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
     for j in range(1, p + 1):
         S, origin = objective_set(spec, j, xbar, mode, use_fixtures)
         prov[spec.objective_names[j - 1]] = origin
-        inside, res = S.contains(cert.u[j - 1], mem_tol)
+        inside, res = S.contains(cert.u[j - 1], MEMBERSHIP_TOL)
         memb_ok = memb_ok and inside
         checks.append({"name": f"u_in_subdiff_{spec.objective_names[j-1]}",
                        "ok": bool(inside), "residual": res})
     for i in range(1, n + 1):
         S, origin = constraint_set(spec, i, xbar, acts, "hull", use_fixtures)
         prov[spec.constraints[i - 1].name] = origin
-        inside, res = S.contains(cert.v[i - 1], mem_tol)
+        inside, res = S.contains(cert.v[i - 1], MEMBERSHIP_TOL)
         memb_ok = memb_ok and inside
         checks.append({"name": f"v_in_suprule_{spec.constraints[i-1].name}",
                        "ok": bool(inside), "residual": res})
@@ -205,7 +209,7 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
 
     N = normal_cone(spec.omega, xbar)
     ares = point_in_cone_residual(cert.astar, N)
-    ok_a = ares <= mem_tol
+    ok_a = ares <= MEMBERSHIP_TOL
     checks.append({"name": "astar_in_normal_cone", "ok": bool(ok_a),
                    "residual": ares})
 
@@ -229,14 +233,14 @@ class KKTSearchReport:
 
 
 def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
-               use_fixtures: bool = False, eps_min: float = EPS_YSTAR_MIN,
+               use_fixtures: bool = False,
                tol: float = KKT_TOL) -> KKTSearchReport:
     """One-LP search for a robust approximate KKT certificate at xbar.
 
     K is a sign orthant, so the substitution y*_j = sigma_j s_j makes the
     whole inclusion linear in vertex weights whose group totals are the
     multipliers; the 1-norm normalization sum(s) + sum(mu) = 1 plus
-    sum(s) >= eps_min pins the scale and forbids y* = 0.
+    sum(s) >= EPS_YSTAR_MIN pins the scale and forbids y* = 0.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     acts = feasible_active_sets(spec, xbar)
@@ -290,7 +294,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         s_ids = [vid for ids, _ in obj_vars for vid in ids]
         mu_ids = [vid for ids, _ in con_vars.values() for vid in ids]
         lp.add_eq(dict.fromkeys(s_ids + mu_ids, 1.0), 1)
-        lp.add_ub(dict.fromkeys(s_ids, -1.0), -eps_min)
+        lp.add_ub(dict.fromkeys(s_ids, -1.0), -EPS_YSTAR_MIN)
         res = lp.solve()
         if not res.feasible:
             continue
@@ -361,7 +365,7 @@ class FuzzyReport:
 
 def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
                    radius: float | None = None, grid_n: int = 81,
-                   comp_tol: float = 1e-9, mode: str = "limiting") -> FuzzyReport:
+                   mode: str = "limiting") -> FuzzyReport:
     """Locate an Ekeland-style point and solve the perturbed inclusion.
 
     The merit function psi is grid-minimized over the ground set within the
@@ -399,8 +403,8 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     f_branch = float(np.dot(ystar, spec.fvec(x_eta) - spec.fvec(xbar)
                             + spec.theta))
     psi_val = max(f_branch, acts.phi)
-    tight1 = f_branch >= psi_val - max(comp_tol, 1e-9)
-    tight2 = acts.phi >= psi_val - max(comp_tol, 1e-9)
+    tight1 = f_branch >= psi_val - TIGHT_TOL
+    tight2 = acts.phi >= psi_val - TIGHT_TOL
 
     fset = direct_subdiff(ystar, spec.objectives, x_eta, mode,
                           spec.kink_tol).set
@@ -557,42 +561,46 @@ def _constraint_rows(spec: ProblemSpec, xbar):
     return rows
 
 
-def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
-                      samples: np.ndarray | None = None,
-                      region=None, grid: int = 21, y_resolution: int = 24,
-                      eps_strict: float = EPS_STRICT, mode: str = "limiting",
-                      witness: dict | None = None) -> PseudoReport:
-    """Sampled sufficient test of type I/II pseudo convexity at xbar.
-
-    For every sample x and every y* on the dual-cone grid whose scalarized
-    premise holds, a witness direction w is sought: first the candidate
-    w = x - xbar, then the max-margin w per convex component of the
-    scalarized subdifferential (the definition lets w depend on the
-    subgradient choice), found by planar geometry in dimension 2 and by
-    an LP otherwise.  INCONCLUSIVE never asserts failure; failures
-    come only from an explicit witness tuple, checked exactly.
-    """
+def _checked_point(spec: ProblemSpec, xbar, ptype: str) -> np.ndarray:
+    """xbar as a float vector, refused unless ptype is I or II and xbar
+    lies in the ground set."""
     if ptype not in ("I", "II"):
         raise CertifyError("type must be 'I' or 'II'")
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     if not spec.omega.contains(xbar):
         raise CertifyError("xbar must lie in the ground set")
+    return xbar
 
-    if witness is not None:
-        return _witnessed_failure_check(spec, xbar, ptype, witness)
 
-    if samples is None:
-        if region is None:
-            raise CertifyError("provide samples or a sampling region")
-        if spec.dim != 2:
-            raise CertifyError("grid sampling requires dimension 2")
-        a1, b1, a2, b2 = [float(t) for t in region]
-        g1, g2 = np.meshgrid(np.linspace(a1, b1, grid),
-                             np.linspace(a2, b2, grid), indexing="ij")
-        samples = np.vstack([g1.ravel(), g2.ravel()]).T
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    inside = spec.omega.contains_grid(samples.T)
-    samples = samples[inside]
+def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
+                      grid: int = 21, y_resolution: int = 24,
+                      mode: str = "limiting") -> PseudoReport:
+    """Sampled sufficient test of type I/II pseudo convexity at xbar, on
+    a grid x grid raster of the planar region (a1, b1, a2, b2).
+
+    For every sample x and every y* on the dual-cone grid whose scalarized
+    premise holds, a witness direction w is sought: first the candidate
+    w = x - xbar, then the max-margin w per convex component of the
+    scalarized subdifferential (the definition lets w depend on the
+    subgradient choice), found by planar geometry.  INCONCLUSIVE never
+    asserts failure; failures come only from an explicit witness tuple,
+    checked exactly by witnessed_failure_check.
+    """
+    xbar = _checked_point(spec, xbar, ptype)
+    if region is None:
+        raise CertifyError("provide a sampling region")
+    if spec.dim != 2:
+        raise CertifyError("grid sampling requires dimension 2")
+    cells = ystar_grid_size(spec, y_resolution) * grid ** 2
+    if cells > PREMISE_CELLS_LIMIT:
+        raise CertifyError(
+            f"y_resolution {y_resolution} and grid {grid} make {cells} "
+            f"premise cells, over the limit {PREMISE_CELLS_LIMIT}")
+    a1, b1, a2, b2 = [float(t) for t in region]
+    g1, g2 = np.meshgrid(np.linspace(a1, b1, grid),
+                         np.linspace(a2, b2, grid), indexing="ij")
+    samples = np.vstack([g1.ravel(), g2.ravel()]).T
+    samples = samples[spec.omega.contains_grid(samples.T)]
 
     ys = ystar_grid(spec, y_resolution)
     fbar = spec.fvec(xbar)
@@ -602,9 +610,9 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     # premise margins m(x, y) for the whole grid at once
     G = ys @ (F - fbar[:, None]) + np.outer(ys @ spec.theta, norms)  # (M, N)
     if ptype == "I":
-        # the premise is a strict inequality; eps_strict is the margin used
+        # the premise is a strict inequality; EPS_STRICT is the margin used
         # for strict inequalities throughout
-        active = G < -eps_strict
+        active = G < -EPS_STRICT
     else:
         active = G <= 1e-12
     active[:, norms <= 1e-12] = False
@@ -650,7 +658,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     scalarize = Scalarization(spec.objectives, xbar, mode, spec.kink_tol)
 
     # A sample fails at the first y* (in index order) with neither the
-    # candidate w = x - xbar nor a witness margin >= eps_strict; later y*
+    # candidate w = x - xbar nor a witness margin >= EPS_STRICT; later y*
     # are not examined for it.  The margin problem is positively
     # homogeneous in ||x - xbar||, so one normalized margin per (y*, mask)
     # serves every sample sharing that mask, and it does not depend on
@@ -658,13 +666,13 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     # scalarized, one batch per structure group; the planar margins of all
     # its masks come in one stack per group; and the failures are read off
     # afterwards.  What must be done one y* at a time (a set whose shape
-    # depends on its values, a refused y*, an LP margin off the plane) is
-    # done in index order, only at the y* where a sample has not failed.
+    # depends on its values, a refused y*) is done in index order, only at
+    # the y* where a sample has not failed.
     M, n = active.shape
     rows = np.flatnonzero(active.any(axis=1))
     left = np.zeros_like(active)  # active, and the candidate w is refused
     margin = np.full((M, len(masks)), np.nan)
-    later = {}
+    later = {}  # y* index: the function giving its set, or its exception
     for sub, comps in scalarize.groups(ys[rows]):
         sub = rows[sub]
         if not isinstance(comps, list):
@@ -677,9 +685,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
             left[r] = active[r] & ~(cand_ok & (
                 top + np.outer(ytheta_all[r], norms) <= -1e-12))
         need = left[sub].any(axis=1)
-        if spec.dim != 2:
-            later.update(zip(sub.tolist(), zip(*comps)))
-        elif need.any():
+        if need.any():
             geometry = geometry or _SweepGeometry(pball, l2_dirs, cut_rows)
             margin[sub[need]] = geometry.margins([U[need] for U in comps],
                                                  ytheta_all[sub[need]])
@@ -689,33 +695,27 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
         # at the sample x = xbar, whose premise never holds
         with np.errstate(invalid="ignore"):
             fail[lo:lo + _BLOCK] = left[lo:lo + _BLOCK] & (
-                margin[lo:lo + _BLOCK, mask_id] * norms < eps_strict)
+                margin[lo:lo + _BLOCK, mask_id] * norms < EPS_STRICT)
     first = np.where(fail.any(axis=0), fail.argmax(axis=0), M)
     for r in sorted(later):
         live = active[r] & (first > r)  # not failed before y* r
-        comps = later[r]
         if not live.any():
             continue
-        if isinstance(comps, Exception):
-            raise comps
-        if callable(comps):
-            comps = [c.vertices for c in comps().components]
-            top = (np.vstack(comps) @ D).max(axis=0)
-            left[r] = active[r] & ~(cand_ok & (
-                top + norms * ytheta_all[r] <= -1e-12))
+        if isinstance(later[r], Exception):
+            raise later[r]
+        comps = [c.vertices for c in later[r]().components]
+        top = (np.vstack(comps) @ D).max(axis=0)
+        left[r] = active[r] & ~(cand_ok & (
+            top + norms * ytheta_all[r] <= -1e-12))
         cols = np.flatnonzero(left[r] & live)
-        ids = np.unique(mask_id[cols])
-        if spec.dim == 2 and ids.size:
+        if cols.size:
             geometry = geometry or _SweepGeometry(pball, l2_dirs, cut_rows)
             margin[r] = geometry.margins([U[None] for U in comps],
                                          ytheta_all[[r]])[0]
-        else:
-            margin[r, ids] = [_lp_margin(comps, ytheta_all[r], *cut_rows[j],
-                                         pball, l2_dirs) for j in ids.tolist()]
-        first[cols[margin[r, mask_id[cols]] * norms[cols] < eps_strict]] = r
+        first[cols[margin[r, mask_id[cols]] * norms[cols] < EPS_STRICT]] = r
     needs_margin = (left & (np.arange(M)[:, None] <= first)).any(axis=0)
     first_fail = np.where(first < M, first, -1)
-    fail_detail = {r: f"no witness margin >= {eps_strict:g} at "
+    fail_detail = {r: f"no witness margin >= {EPS_STRICT:g} at "
                       f"y*={np.round(ys[r], 6).tolist()}"
                    for r in set(first_fail.tolist()) - {-1}}
 
@@ -734,42 +734,6 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str,
     return PseudoReport(ptype, verdicts, all_ok)
 
 
-def _lp_margin(comps, ytheta: float, cuts: np.ndarray, lines: np.ndarray,
-               pball: Polytope, l2_dirs: bool) -> float:
-    """_SweepGeometry.margins off the plane, for one set given by its
-    components' vertex arrays and one mask, one LP each."""
-    best = math.inf
-    for U in comps:
-        found = _lp_witness_margin(U, ytheta, _witness_ball(U, pball, l2_dirs),
-                                   cuts, lines)
-        if found is None:
-            return -math.inf
-        best = min(best, found[0])
-    return best
-
-
-def _witness_ball(U: np.ndarray, pball: Polytope,
-                  l2_exact_dirs: bool) -> np.ndarray:
-    """Vertices of the unit ball the witness w ranges over, for a
-    component with vertices U.
-
-    With l2_exact_dirs the inscribed ball gains the exact unit directions
-    opposite the component's vertices (still on the sphere, so still an
-    inner approximation); this removes the polygon deficit along the
-    directions that matter near premise boundaries.
-    """
-    ball = pball.vertices
-    if l2_exact_dirs:
-        extra = []
-        for u in U:
-            nu = float(np.linalg.norm(u))
-            if nu > 1e-15:
-                extra.append(-u / nu)
-        if extra:
-            ball = np.vstack([ball, np.array(extra)])
-    return ball
-
-
 def _witness_cuts(d: int, rows_here, con_base, N: PolyCone
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(cuts, lines): w must meet <a, w> <= 0 for the rows a of cuts and
@@ -778,44 +742,6 @@ def _witness_cuts(d: int, rows_here, con_base, N: PolyCone
             if np.any(vert != 0.0)]
     cuts.extend(N.generators[~N.lineality])
     return np.array(cuts).reshape(-1, d), N.generators[N.lineality]
-
-
-def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
-                       cuts: np.ndarray, lines: np.ndarray
-                       ) -> tuple[float, np.ndarray] | None:
-    """Max margin delta >= 0 with <u, w> + offset <= -delta for every row u
-    of U, and the maximising w, as one HiGHS LP; None if no w has a
-    nonnegative margin.  w ranges over the hull of the rows of ball, with
-    <a, w> <= 0 for the rows a of cuts and <a, w> = 0 for those of lines."""
-    d = U.shape[1]
-    lp = LPBuilder()
-    w_ids = lp.add_vars(d, free=True)
-    delta = lp.add_var()
-    lam = lp.add_vars(ball.shape[0])
-    # w = sum lam_b * ball_vertex, sum lam <= 1
-    for a in range(d):
-        row = {w_ids[a]: 1.0}
-        for t, vid in enumerate(lam):
-            row[vid] = -ball[t, a]
-        lp.add_eq(row, 0)
-    lp.add_ub({vid: 1.0 for vid in lam}, 1)
-    for vert in U:
-        row = {delta: 1.0}
-        for a in range(d):
-            if vert[a] != 0.0:
-                row[w_ids[a]] = vert[a]
-        lp.add_ub(row, -offset)
-    for cut in cuts:
-        row = {w_ids[a]: cut[a] for a in range(d) if cut[a] != 0.0}
-        if row:
-            lp.add_ub(row, 0)
-    for g in lines:
-        lp.add_eq({w_ids[a]: g[a] for a in range(d) if g[a] != 0.0}, 0)
-    lp.set_objective({delta: -1.0})  # maximize delta
-    res = lp.solve(engine="float")
-    if not res.feasible:
-        return None
-    return -res.objective, res.values[np.asarray(w_ids)]
 
 
 _CUT_TOL = 1e-12
@@ -893,8 +819,12 @@ class _SweepGeometry:
     def margins(self, comps: list, ytheta: np.ndarray) -> np.ndarray:
         """(rows, masks): the witness margin at ||x - xbar|| = 1 of every
         mask for each row's set, given as component slots (rows, k, 2): the
-        least over the components of _lp_witness_margin's margin, -inf if
-        some component has none."""
+        least over the components of the largest delta >= 0 with
+        <u, w> + ytheta <= -delta for every vertex u, -inf if some
+        component has none.  w ranges over the witness ball clipped to the
+        mask's wedge; with l2_dirs the ball gains the exact unit directions
+        opposite the component's vertices (still on the sphere, so still
+        an inner approximation)."""
         best = np.full((ytheta.size, self.wall_owner.shape[0]), math.inf)
         for U in comps:
             m = self._component(U, ytheta)
@@ -911,7 +841,7 @@ class _SweepGeometry:
         fresh = np.concatenate([ties, -ties], axis=1)
         hit, new = np.zeros((R, 0), dtype=int), np.zeros((R, 0, 3))
         hull = np.zeros(R, dtype=bool)
-        if self.l2_dirs:  # _witness_ball's exact directions, as it rounds
+        if self.l2_dirs:  # the exact directions -u/|u| of nonzero u
             nu = np.sqrt(U[..., None, :] @ U[..., None])[..., 0, 0]
             has = nu > 1e-15
             E = -U / np.where(has, nu, 1.0)[..., None]
@@ -1003,9 +933,11 @@ def _planar_ball(ball: np.ndarray):
     return H, normals, np.einsum("ij,ij->i", normals, H)
 
 
-def _witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
-                             witness: dict) -> PseudoReport:
-    """Exact check of a user-supplied failure witness tuple."""
+def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
+                            witness: dict) -> PseudoReport:
+    """Exact check of a user-supplied failure witness tuple (x, y*, u), in
+    any dimension: does no admissible w have <u*, w> + r < 0?"""
+    xbar = _checked_point(spec, xbar, ptype)
     x = np.asarray(witness["x"], dtype=float).reshape(-1)
     yv = np.asarray(witness["ystar"], dtype=float).reshape(-1)
     umat = [np.asarray(u, dtype=float).reshape(-1) for u in witness["u"]]

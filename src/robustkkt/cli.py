@@ -31,7 +31,7 @@ import numpy as np
 
 from . import certify, verify
 from .certify import KKTCertificate, check_cq, check_kkt, fuzzy_kkt_demo, \
-    pseudoconvex_test, search_kkt, ystar_grid_size
+    pseudoconvex_test, search_kkt, witnessed_failure_check
 from .funcdsl import DomainError, ExprError, contains_uncertainty, \
     decimal_fraction, eval_expr, parse_expr
 from .robustfeas import (
@@ -50,11 +50,6 @@ from .verify import DualTriple, classify_point, converse_duality_check, \
     generate_feasible_samples, strong_duality_from, weak_duality_check
 
 REPORT_VERSION = 1
-
-# A pseudoconvex grid sweep holds a y*-grid points x --grid^2 premise
-# matrix; the y*-grid has --y-res^(m-1) points for m dual-cone generators.
-# 2^23 cells is 64 MiB per float64 array.
-PREMISE_CELLS_LIMIT = 2 ** 23
 
 
 class LoadError(Exception):
@@ -732,20 +727,13 @@ def _dispatch(args) -> tuple[int, str, dict]:
         return 2, "NONE-FOUND", {"diagnostic": rep.diagnostic}
 
     if args.command == "pseudoconvex":
-        witness = None
         if args.witness:
             witness = _fields("witness",
                               json.loads(Path(args.witness).read_text()), spec)
+            rep = witnessed_failure_check(spec, x, args.type, witness)
         else:
-            cells = ystar_grid_size(spec, args.y_res) * args.grid ** 2
-            if cells > PREMISE_CELLS_LIMIT:
-                raise LoadError(
-                    f"--y-res {args.y_res} and --grid {args.grid} make "
-                    f"{cells} premise cells, over the limit "
-                    f"{PREMISE_CELLS_LIMIT}")
-        rep = pseudoconvex_test(spec, x, args.type, region=args.region,
-                                grid=args.grid, y_resolution=args.y_res,
-                                mode=mode, witness=witness)
+            rep = pseudoconvex_test(spec, x, args.type, args.region,
+                                    args.grid, args.y_res, mode)
         counts = Counter(v.verdict for v in rep.verdicts)
         details = {"counts": counts, "lp_optimum": rep.lp_optimum,
                    "samples": len(rep.verdicts)}
@@ -784,7 +772,7 @@ def _dispatch(args) -> tuple[int, str, dict]:
             samples = generate_feasible_samples(spec, args.region,
                                                 args.samples)
             rep = weak_duality_check(spec, samples, triples, args.kind,
-                                     mode=mode)
+                                     mode, use_fx)
             details = {"pairs_checked": rep.pairs_checked,
                        "violation": rep.violation}
             return _settled(rep.no_violation, "NO-VIOLATION", "VIOLATION",
@@ -793,7 +781,7 @@ def _dispatch(args) -> tuple[int, str, dict]:
             raise LoadError("duality converse requires --triple and --region")
         triple = load_triple(json.loads(Path(args.triple).read_text()), spec)
         rep = converse_duality_check(spec, triple, args.kind, args.region,
-                                     args.res)
+                                     args.res, mode, use_fx)
         details = {"kind": rep.kind, "efficiency": vars(rep.efficiency)}
         return _sampled(rep.efficiency.feasible_checked, rep.consistent,
                         "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", details)

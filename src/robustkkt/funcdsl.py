@@ -41,10 +41,6 @@ class ScenarioMismatchError(ExprError):
     """Scenario value supplied for a v-free expression, or missing."""
 
 
-class NonsmoothPointError(ExprError):
-    """A kink or max tie is active at the query point."""
-
-
 class UnsupportedStructureError(ExprError):
     """Expression shape outside the subdifferential calculus in scope."""
 
@@ -801,23 +797,19 @@ class _PointWalk:
     domain fault (1/0, sqrt of a nonpositive value) is recorded in
     ``faults`` and the walk goes on with NaN, so those refusals come first
     and the faults inside an atom count only for a nonzero coefficient.
-    With ``strict`` (smooth_gradient) every selected kink and every fault
-    raises at once, in walk order.
 
     The reciprocal and square-root rules divide, as -g/u^2 and g/(2*sqrt(u)),
-    in atom arguments and under ``strict``; elsewhere they multiply by the
-    slope.  The two round differently, and each stays where it was used.
+    in atom arguments; elsewhere they multiply by the slope.  The two round
+    differently, and each stays where it was used.
     """
 
-    def __init__(self, xl: list[float], v, tol: float, strict: bool):
+    def __init__(self, xl: list[float], v, tol: float):
         self.xl, self.v, self.tol, self.d = xl, v, tol, len(xl)
-        self.strict = self.quotient = strict
+        self.quotient = False
         self.atoms: dict[str, _Atom] = {}
         self.faults: list[DomainError] = []
 
     def fault(self, message: str) -> float:
-        if self.strict:
-            raise DomainError(message)
         self.faults.append(DomainError(message))
         return math.nan
 
@@ -825,9 +817,6 @@ class _PointWalk:
              branches: tuple[Expr, ...], ctx_linear: bool):
         """Record the active atom e; its coefficient map and x-relevance."""
         key = format_expr(e)
-        if self.strict:
-            raise NonsmoothPointError(
-                f"{key} active" if kind == "abs" else f"max tie in {key}")
         outer = self.atoms, self.faults, self.quotient
         self.atoms, self.faults, self.quotient = {}, [], True
         grads = []
@@ -948,10 +937,3 @@ def _prod_rule(parts, zero: np.ndarray):
         for q, a in ck.items():
             kap[q] = kap.get(q, 0.0) + rest * a
     return total, g, kap, any(p[3] for p in parts)
-
-
-def smooth_gradient(e: Expr, x, v: float | None = None,
-                    kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
-    """Gradient with respect to x; errors when any nonsmooth atom is active."""
-    _check_scenario(e, v)
-    return _PointWalk(_floats(x), v, kink_tol, strict=True).node(e, True)[1]

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -71,6 +71,8 @@ DEFAULT_FEAS_TOL = 1e-8
 NORMS = ("l1", "l2", "linf")
 # Scenarios whose value is within SCENARIO_TOL of the envelope are active.
 SCENARIO_TOL = 1e-6
+# A fixture declared within FIXTURE_TOL of a point (max norm) applies there.
+FIXTURE_TOL = 1e-9
 
 
 class ProblemError(Exception):
@@ -164,10 +166,11 @@ class ProblemSpec:
                 return c
         raise ProblemError(f"no constraint named {name!r}")
 
-    def fixture_for(self, name: str, x, tol: float = 1e-9) -> PolytopeSet | None:
+    def fixture_for(self, name: str, x) -> PolytopeSet | None:
+        """The fixture set of name declared at x, within FIXTURE_TOL."""
         x = np.asarray(x, dtype=float).reshape(-1)
         for fx in self.fixtures:
-            if fx.name == name and np.max(np.abs(fx.point - x)) <= tol:
+            if fx.name == name and np.max(np.abs(fx.point - x)) <= FIXTURE_TOL:
                 return fx.pset
         return None
 
@@ -244,9 +247,14 @@ def active_scenarios_interval(fn, scan, lo: float, hi: float,
         return fn(lo), [lo]
     grid = np.linspace(lo, hi, n)
     vals = _scan(fn, scan, grid)
+
+    @cache
+    def refine(a: int, b: int) -> tuple[float, float]:
+        """golden_max on [grid[a], grid[b]], once per bracket."""
+        return golden_max(fn, float(grid[a]), float(grid[b]))
+
     k = int(np.argmax(vals))
-    xm, fm = golden_max(fn, float(grid[max(k - 1, 0)]),
-                        float(grid[min(k + 1, n - 1)]))
+    xm, fm = refine(max(k - 1, 0), min(k + 1, n - 1))
     candidates = [(vals[k], float(grid[k])), (fm, xm),
                   (vals[0], float(grid[0])), (vals[-1], float(grid[-1]))]
     best = max(candidates, key=lambda t: t[0])
@@ -263,9 +271,7 @@ def active_scenarios_interval(fn, scan, lo: float, hi: float,
         if flat and span >= (hi - lo) - 2 * step:
             reps.extend([float(grid[i]), float(grid[j])])
             continue
-        a = float(grid[max(i - 1, 0)])
-        b = float(grid[min(j + 1, n - 1)])
-        xm, fm = golden_max(fn, a, b)
+        xm, fm = refine(max(i - 1, 0), min(j + 1, n - 1))
         best = xm if fm >= vals[i:j + 1].max() else float(grid[i:j + 1][
             int(np.argmax(vals[i:j + 1]))])
         reps.append(best)

@@ -18,6 +18,7 @@ import numpy as np
 from .lp import _EXACT_COL_LIMIT, LPBuilder
 
 VERTEX_TOL = 1e-12
+OMEGA_TOL = 1e-9  # how far outside the ground set a point still counts in
 
 
 class SetCalcError(Exception):
@@ -32,12 +33,12 @@ class DimensionMismatch(SetCalcError):
 # Polytopes and unions
 # ---------------------------------------------------------------------------
 
-def _dedup_rows(rows: np.ndarray, tol: float = VERTEX_TOL) -> np.ndarray:
+def _dedup_rows(rows: np.ndarray) -> np.ndarray:
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     keep = [0]
     for i in range(1, rows.shape[0]):
-        if np.max(np.abs(rows[i] - rows[keep[-1]])) > tol:
+        if np.max(np.abs(rows[i] - rows[keep[-1]])) > VERTEX_TOL:
             keep.append(i)
     return rows[keep]
 
@@ -413,15 +414,17 @@ class OmegaSpec:
             raise SetCalcError("halfspace normals/offsets mismatch")
         return cls("halfspaces", A.shape[1], normals=A, offsets=b)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
+        tol = OMEGA_TOL
         if self.kind == "whole":
             return True
         if self.kind == "box":
             return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
         return bool(np.all(self.normals @ x <= self.offsets + tol))
 
-    def contains_grid(self, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def contains_grid(self, X: np.ndarray) -> np.ndarray:
+        tol = OMEGA_TOL
         if self.kind == "whole":
             return np.ones(X.shape[1], dtype=bool)
         if self.kind == "box":
@@ -432,10 +435,11 @@ class OmegaSpec:
         return np.all(self.normals @ X <= self.offsets[:, None] + tol, axis=0)
 
 
-def normal_cone(omega: OmegaSpec, x, tol: float = 1e-9) -> PolyCone:
+def normal_cone(omega: OmegaSpec, x) -> PolyCone:
     """Normal cone to omega at x, generated by active outward normals."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if not omega.contains(x, tol):
+    tol = OMEGA_TOL
+    if not omega.contains(x):
         raise SetCalcError("point lies outside the ground set")
     d = omega.dim
     if omega.kind == "whole":

@@ -95,7 +95,7 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
         raise ValueError(f"unknown mode {mode!r}")
     _check_scenario(e, v)
     xs = np.asarray(x, dtype=float).reshape(-1)
-    walk = _PointWalk(xs.tolist(), v, kink_tol, strict=False)
+    walk = _PointWalk(xs.tolist(), v, kink_tol)
     _, g0, kappas, _ = walk.node(e, True)
     if walk.faults:
         raise walk.faults[0]
@@ -323,7 +323,7 @@ class Scalarization:
         self.objectives = [_Objective(f, self._walk()) for f in fs]
 
     def _walk(self) -> _PointWalk:
-        return _PointWalk(self.xl, None, self.kink_tol, strict=False)
+        return _PointWalk(self.xl, None, self.kink_tol)
 
     def __call__(self, ystar) -> SubdiffResult:
         key, cps = self._weights(

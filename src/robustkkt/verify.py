@@ -25,6 +25,7 @@ from .setcalc import ConeSpec, PolytopeSet, minkowski_sum, normal_cone, scale, z
 from .subdiff import constraint_set, objective_set
 
 ZERO_TOL = 1e-12
+DUAL_TOL = 1e-9  # how negative a complementarity product mu_i * g_i may be
 
 KINDS = ("efficient", "weak", "quasi", "weak-quasi")
 
@@ -37,14 +38,14 @@ class VerifyError(Exception):
 # Cone membership
 # ---------------------------------------------------------------------------
 
-def _membership_mask(D: np.ndarray, cone: ConeSpec, region: str,
-                     ztol: float = ZERO_TOL) -> np.ndarray:
+def _membership_mask(D: np.ndarray, cone: ConeSpec,
+                     region: str) -> np.ndarray:
     """Membership of the columns of D (shape (p, N)) in -int K (region
     "minus-int-K") or in -K \\ {0} (region "minus-K-minus-0")."""
     s = np.asarray(cone.pattern, dtype=float)[:, None]
     if region == "minus-int-K":
-        return np.all(s * D < -ztol, axis=0)
-    Dz = np.where(np.abs(D) <= ztol, 0.0, D)
+        return np.all(s * D < -ZERO_TOL, axis=0)
+    Dz = np.where(np.abs(D) <= ZERO_TOL, 0.0, D)
     return np.all(s * Dz <= 0.0, axis=0) & np.any(Dz != 0.0, axis=0)
 
 
@@ -140,7 +141,7 @@ class DualFeasReport:
     witness: list | None = None
 
 
-def dual_feasible(spec: ProblemSpec, triple: DualTriple, tol: float = 1e-9,
+def dual_feasible(spec: ProblemSpec, triple: DualTriple,
                   mode: str = "limiting",
                   use_fixtures: bool = False) -> DualFeasReport:
     """Membership of (z, y*, mu) in the Mond-Weir dual feasible set.
@@ -148,7 +149,7 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple, tol: float = 1e-9,
     The stationarity inclusion is decided by the zero-in-sum LP with the
     weighted per-objective sets, mu-scaled sup-rule hulls, the scaled dual
     ball and the normal cone at z; the signed complementarity requires
-    mu_i * g_i(z, v_i) >= -tol at the active scenarios.
+    mu_i * g_i(z, v_i) >= -DUAL_TOL at the active scenarios.
     """
     z = np.asarray(triple.z, dtype=float).reshape(-1)
     ystar = np.asarray(triple.ystar, dtype=float).reshape(-1)
@@ -174,7 +175,7 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple, tol: float = 1e-9,
         S, _ = constraint_set(spec, i, z, acts, "hull", use_fixtures)
         parts.append(scale(S, float(mu[i - 1])))
         val = float(mu[i - 1]) * acts.phis[i - 1]
-        ok = val >= -tol
+        ok = val >= -DUAL_TOL
         comp_ok = comp_ok and ok
         checks.append({"name": f"mu_g_sign_{spec.constraints[i-1].name}",
                        "ok": bool(ok), "value": val})
@@ -203,9 +204,10 @@ class WeakDualityReport:
 
 def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
                        triples: list[DualTriple], kind: str,
-                       check_feasibility: bool = True,
-                       mode: str = "limiting") -> WeakDualityReport:
-    """Non-domination of f(x) against f(z) - ||x - z|| theta over all pairs.
+                       mode: str = "limiting",
+                       use_fixtures: bool = False) -> WeakDualityReport:
+    """Non-domination of f(x) against f(z) - ||x - z|| theta over all pairs
+    of robust-feasible samples x and dual-feasible triples.
 
     Kind I uses the weak relation (no violation means f(x) never lands in
     -int K); kind II uses the strict relation via -K \\ {0}.
@@ -214,14 +216,11 @@ def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
         raise VerifyError("kind must be 'I' or 'II'")
     memb_region = "minus-int-K" if kind == "I" else "minus-K-minus-0"
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if check_feasibility:
-        mask = feasibility_mask(spec, samples.T)
-        if not np.all(mask):
-            raise VerifyError("weak duality samples must be robust-feasible")
-        for tr in triples:
-            rep = dual_feasible(spec, tr, mode=mode)
-            if not rep.feasible:
-                raise VerifyError("weak duality requires dual-feasible triples")
+    if not np.all(feasibility_mask(spec, samples.T)):
+        raise VerifyError("weak duality samples must be robust-feasible")
+    for tr in triples:
+        if not dual_feasible(spec, tr, mode, use_fixtures).feasible:
+            raise VerifyError("weak duality requires dual-feasible triples")
     F = spec.fvec_grid(samples.T)
     pairs = 0
     for tr in triples:
@@ -238,10 +237,11 @@ def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
     return WeakDualityReport(True, kind, pairs)
 
 
-def generate_feasible_samples(spec: ProblemSpec, region, count: int,
-                              seed: int | None = None) -> np.ndarray:
-    """Deterministic rejection sampling of robust-feasible points."""
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+def generate_feasible_samples(spec: ProblemSpec, region,
+                              count: int) -> np.ndarray:
+    """Deterministic rejection sampling of robust-feasible points, seeded
+    by the problem's seed."""
+    rng = np.random.default_rng(spec.seed)
     lo = np.asarray(region[0::2], dtype=float)
     hi = np.asarray(region[1::2], dtype=float)
     out = []
@@ -286,8 +286,9 @@ class ConverseDualityReport:
 
 
 def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,
-                           region, resolution: int,
-                           mode: str = "limiting") -> ConverseDualityReport:
+                           region, resolution: int, mode: str = "limiting",
+                           use_fixtures: bool = False
+                           ) -> ConverseDualityReport:
     """Check the converse-duality conclusion at a primal-feasible dual point.
 
     Kind I (type-I pseudo convexity) implies weak quasi-efficiency of z,
@@ -298,8 +299,7 @@ def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,
     z = np.asarray(triple.z, dtype=float).reshape(-1)
     if feasible_active_sets(spec, z) is None:
         raise VerifyError("converse duality requires a robust-feasible z")
-    rep = dual_feasible(spec, triple, mode=mode)
-    if not rep.feasible:
+    if not dual_feasible(spec, triple, mode, use_fixtures).feasible:
         raise VerifyError("converse duality requires a dual-feasible triple")
     eff_kind = "weak-quasi" if kind == "I" else "quasi"
     verdict = classify_point(spec, z, eff_kind, region, resolution)

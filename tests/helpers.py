@@ -1,6 +1,6 @@
 """Helpers of the test suites that the program itself does not use: a
-listing of the active kinks of an expression, and a comparison of two
-polytopes' vertex arrays."""
+listing of the active kinks of an expression, a comparison of two
+polytopes' vertex arrays, and the gradient at a smooth point."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from robustkkt.funcdsl import Expr, _check_scenario, _floats, format_expr
 from robustkkt.setcalc import VERTEX_TOL, Polytope
+from robustkkt.subdiff import limiting_subdiff
 
 
 @dataclass(frozen=True)
@@ -51,3 +52,10 @@ def polytope_equal(a: Polytope, b: Polytope, tol: float = VERTEX_TOL) -> bool:
     if a.nverts != b.nverts or a.dim != b.dim:
         return False
     return bool(np.max(np.abs(a.vertices - b.vertices)) <= tol)
+
+
+def gradient(e: Expr, x) -> np.ndarray:
+    """The gradient of e at a point where no kink is active: the one
+    vertex of its limiting subdifferential, as the commands walk it."""
+    (g,) = limiting_subdiff(e, x).set.all_vertices()
+    return g

@@ -16,6 +16,12 @@ component).  They are kept verbatim as the oracle of the batched margins.
 ``subdiff.Scalarization`` walked each objective once per sweep: it builds
 the tree add(mul(const(y_1), f_1), ...) for every y* and walks it.  It is
 kept verbatim as the oracle of test_scalarization.py.
+
+``_witness_ball`` and ``_lp_witness_margin`` are the witness ball of one
+component and its margin as one HiGHS LP, which the sweep used off the
+plane before it refused dimensions other than 2.  They are kept verbatim
+as the HiGHS oracle of the planar margins (test_planar.py) and the margin
+of this loop off the plane.
 """
 
 from __future__ import annotations
@@ -30,14 +36,13 @@ from robustkkt.certify import (
     PseudoReport,
     SampleVerdict,
     _constraint_rows,
-    _lp_witness_margin,
     _planar_ball,
-    _witness_ball,
     _witness_cuts,
     primal_ball,
     ystar_grid,
 )
 from robustkkt.funcdsl import DEFAULT_KINK_TOL, eval_expr
+from robustkkt.lp import LPBuilder
 from robustkkt.setcalc import Polytope, normal_cone
 from robustkkt.subdiff import SubdiffResult, limiting_subdiff
 
@@ -57,6 +62,66 @@ def direct_subdiff(ystar, fs, x, mode: str = "limiting",
     tree = add(*(mul(const(Fraction(float(y))), f)
                  for y, f in zip(ystar, fs)))
     return limiting_subdiff(tree, xs, None, mode, kink_tol)
+
+
+def _witness_ball(U: np.ndarray, pball: Polytope,
+                  l2_exact_dirs: bool) -> np.ndarray:
+    """Vertices of the unit ball the witness w ranges over, for a
+    component with vertices U.
+
+    With l2_exact_dirs the inscribed ball gains the exact unit directions
+    opposite the component's vertices (still on the sphere, so still an
+    inner approximation); this removes the polygon deficit along the
+    directions that matter near premise boundaries.
+    """
+    ball = pball.vertices
+    if l2_exact_dirs:
+        extra = []
+        for u in U:
+            nu = float(np.linalg.norm(u))
+            if nu > 1e-15:
+                extra.append(-u / nu)
+        if extra:
+            ball = np.vstack([ball, np.array(extra)])
+    return ball
+
+
+def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
+                       cuts: np.ndarray, lines: np.ndarray
+                       ) -> tuple[float, np.ndarray] | None:
+    """Max margin delta >= 0 with <u, w> + offset <= -delta for every row u
+    of U, and the maximising w, as one HiGHS LP; None if no w has a
+    nonnegative margin.  w ranges over the hull of the rows of ball, with
+    <a, w> <= 0 for the rows a of cuts and <a, w> = 0 for those of lines."""
+    d = U.shape[1]
+    lp = LPBuilder()
+    w_ids = lp.add_vars(d, free=True)
+    delta = lp.add_var()
+    lam = lp.add_vars(ball.shape[0])
+    # w = sum lam_b * ball_vertex, sum lam <= 1
+    for a in range(d):
+        row = {w_ids[a]: 1.0}
+        for t, vid in enumerate(lam):
+            row[vid] = -ball[t, a]
+        lp.add_eq(row, 0)
+    lp.add_ub({vid: 1.0 for vid in lam}, 1)
+    for vert in U:
+        row = {delta: 1.0}
+        for a in range(d):
+            if vert[a] != 0.0:
+                row[w_ids[a]] = vert[a]
+        lp.add_ub(row, -offset)
+    for cut in cuts:
+        row = {w_ids[a]: cut[a] for a in range(d) if cut[a] != 0.0}
+        if row:
+            lp.add_ub(row, 0)
+    for g in lines:
+        lp.add_eq({w_ids[a]: g[a] for a in range(d) if g[a] != 0.0}, 0)
+    lp.set_objective({delta: -1.0})  # maximize delta
+    res = lp.solve(engine="float")
+    if not res.feasible:
+        return None
+    return -res.objective, res.values[np.asarray(w_ids)]
 
 
 def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,

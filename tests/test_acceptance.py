@@ -13,10 +13,11 @@ from robustkkt.certify import (
     check_kkt,
     pseudoconvex_test,
     search_kkt,
+    witnessed_failure_check,
 )
 from robustkkt.cli import load_certificate, resolve_problem_path
 from robustkkt.funcdsl import DomainError, UnsupportedStructureError, \
-    eval_expr, smooth_gradient
+    eval_expr
 from robustkkt.robustfeas import compute_active_sets, raster
 from robustkkt.setcalc import Polytope, PolytopeSet, hull, minkowski_sum, \
     zero_in_sum
@@ -30,7 +31,7 @@ from genexpr import (
     random_point,
     random_supported_expr,
 )
-from helpers import active_kinks, polytope_equal
+from helpers import active_kinks, gradient, polytope_equal
 from test_setcalc import _grid_oracle_min
 
 
@@ -180,7 +181,7 @@ def test_criterion_6_pseudo_convexity(spec22, spec23, origin):
     okI = repI.all_verified and len(repI.verdicts) == 441
     w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
          "u": [[0.0, -0.4], [0.0, 0.0], [0.0, 0.5]]}
-    repw = pseudoconvex_test(spec22, origin, "II", witness=w)
+    repw = witnessed_failure_check(spec22, origin, "II", w)
     okW = (repw.verdicts[0].verdict == "WITNESSED-FAILURE"
            and abs(repw.lp_optimum) <= 1e-12)
     repII = pseudoconvex_test(spec23, origin, "II", region=(-2, 2, -2, 2),
@@ -265,7 +266,7 @@ class TestCriterion8PropertySuites:
             if active_kinks(e, x, tol=1e-4):
                 continue
             try:
-                g = smooth_gradient(e, x)
+                g = gradient(e, x)
             except Exception:
                 continue
             h = 1e-6

@@ -12,6 +12,7 @@ from robustkkt.certify import (
     fuzzy_kkt_demo,
     pseudoconvex_test,
     search_kkt,
+    witnessed_failure_check,
     ystar_grid,
     ystar_grid_size,
 )
@@ -156,7 +157,7 @@ class TestPseudoConvex:
     def test_type_II_failure_witness_2_2(self, spec22, origin):
         w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
              "u": [[0.0, -0.4], [0.0, 0.0], [0.0, 0.5]]}
-        rep = pseudoconvex_test(spec22, origin, "II", witness=w)
+        rep = witnessed_failure_check(spec22, origin, "II", w)
         assert rep.verdicts[0].verdict == "WITNESSED-FAILURE"
         assert abs(rep.lp_optimum) <= 1e-12
 
@@ -178,7 +179,7 @@ class TestPseudoConvex:
         w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
              "u": [[0.0, -0.4], [9.0, 0.0], [0.0, 0.5]]}
         with pytest.raises(CertifyError):
-            pseudoconvex_test(spec22, origin, "II", witness=w)
+            witnessed_failure_check(spec22, origin, "II", w)
 
     def test_ystar_grid_interior(self, spec22):
         ys = ystar_grid(spec22, 8)

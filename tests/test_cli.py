@@ -175,6 +175,27 @@ class TestCommands:
         assert code == 1 and doc["verdict"] == "WITNESSED-FAILURE"
         assert abs(doc["details"]["lp_optimum"]) <= 1e-12
 
+    def test_pseudoconvex_off_the_plane(self, capsys, tmp_path):
+        """In three dimensions the sweep is refused and a witness is
+        checked: the cuts <(1, 1, 1), w> <= 0 and >= 0 of g1's limiting
+        set leave no w with <u, w> < 0."""
+        problem = tmp_path / "cube.problem"
+        problem.write_text(
+            "[space]\ndim = 3\n[cone]\npattern = >=0\n[theta]\nvalue = 0\n"
+            '[omega]\nkind = whole\n[objectives]\nf1 = "x1 + x2 + x3"\n'
+            '[constraints]\ng1 = "-abs(x1 + x2 + x3)"\n')
+        argv = ["pseudoconvex", "--problem", str(problem), "--at", "0,0,0",
+                "--type", "I"]
+        code, doc = run_json(capsys, argv + ["--region", "-1,1,-1,1,-1,1"])
+        assert code == 3
+        assert doc["error"] == "grid sampling requires dimension 2"
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps(
+            {"x": [-1, 0, 0], "ystar": [1], "u": [[1, 1, 1]]}))
+        code, doc = run_json(capsys, argv + ["--witness", str(witness)])
+        assert code == 1 and doc["verdict"] == "WITNESSED-FAILURE"
+        assert abs(doc["details"]["lp_optimum"]) <= 1e-12
+
     def test_duality_strong(self, capsys):
         code, doc = run_json(capsys, ["duality", "strong",
                                       "--problem", "example_3_5",
@@ -223,6 +244,44 @@ class TestCommands:
         for key in counted:
             value = value[key]
         assert value == 0
+
+    @pytest.mark.parametrize("action, flag", [
+        ("converse", "--mode"), ("converse", "--fixtures"),
+        ("weak", "--fixtures")])
+    def test_duality_dual_feasibility_follows_flags(self, capsys, tmp_path,
+                                                    action, flag):
+        """The triple (0, 0), y* = 1, mu = 1 is dual-feasible only where
+        f1's set at the origin holds (0, 1), against g1's (0, -1): in
+        hull mode, or under the fixture, not in the limiting set
+        {(-1, 1), (1, 1)}.  The dual feasibility checks of converse and
+        weak duality ran in limiting mode without fixtures whatever the
+        flags (exit 3, "requires ... dual-feasible")."""
+        fixture = ("[options]\nfixture = f1 @ 0,0 : {(0,1)}\n"
+                   if flag == "--fixtures" else "")
+        problem = tmp_path / "p.problem"
+        problem.write_text(
+            "[space]\ndim = 2\n[cone]\npattern = >=0\n[theta]\nvalue = 0\n"
+            '[omega]\nkind = whole\n[objectives]\nf1 = "-abs(x1) + x2"\n'
+            + fixture + '[constraints]\ng1 = "-x2 + v - 1" with v in [0, 1]\n')
+        triple = {"z": [0, 0], "ystar": [1], "mu": [1]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(triple if action == "converse"
+                                   else [triple]))
+        argv = ["duality", action, "--problem", str(problem),
+                "--triple" if action == "converse" else "--triples",
+                str(path), "--kind", "I", "--region", "-1,1,-1,1",
+                "--res", "21", "--samples", "50"]
+        code, doc = run_json(capsys, argv)
+        assert code == 3 and "dual-feasible" in doc["error"]
+        flags = ["--mode", "hull"] if flag == "--mode" else ["--fixtures"]
+        code, doc = run_json(capsys, argv + flags)
+        # f1(1, 0) = -1 < f1(0, 0): the triple is accepted, and the
+        # conclusion fails on this problem, which is not pseudo-convex
+        assert code == 1 and doc["verdict"] == (
+            "COUNTEREXAMPLE" if action == "converse" else "VIOLATION")
+        assert doc["config"] == {"fixtures": flag == "--fixtures",
+                                 "mode": "hull" if flag == "--mode"
+                                 else "limiting"}
 
     def test_duality_weak_from_triples(self, capsys, tmp_path):
         triples = tmp_path / "t.json"
@@ -825,7 +884,7 @@ class TestSizeLimits:
         assert 1001 <= _most("vgrid")
         assert 64 <= _most("ball_facets")
         # the bundled three-objective sweep: a 24^2-point y*-grid, 21^2 samples
-        assert 24 ** 2 * 21 ** 2 <= cli.PREMISE_CELLS_LIMIT
+        assert 24 ** 2 * 21 ** 2 <= certify.PREMISE_CELLS_LIMIT
 
     @pytest.mark.parametrize("name,target,argv", LIMITED,
                              ids=[f"{n}-{a[0]}" for n, _, a in LIMITED])
@@ -892,15 +951,21 @@ class TestSizeLimits:
         # example_2_2 has three objectives, so its y*-grid has y_res^2 points
         y_res = _most("y_res")
         assert ystar_grid_size(spec22, 5) == len(ystar_grid(spec22, 5)) == 25
-        grid = math.isqrt(cli.PREMISE_CELLS_LIMIT // y_res ** 2)
+        grid = math.isqrt(certify.PREMISE_CELLS_LIMIT // y_res ** 2)
         assert grid + 1 <= _most("grid")
-        monkeypatch.setattr(cli, "pseudoconvex_test", _reach)
+        # the stub stands in for the sweep's first allocation
+        monkeypatch.setattr(certify, "ystar_grid", _reach)
         argv = ["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
                 "--type", "I", "--region", "-2,2,-2,2", "--y-res", str(y_res),
                 "--grid"]
         with pytest.raises(Reached):
             run_command(argv + [str(grid)])
         capsys.readouterr()
-        code, doc = run_json(capsys, argv + [str(grid + 1)])
-        assert code == 3
-        assert "premise cells" in doc["error"] and "limit" in doc["error"]
+        for over in (grid + 1, _most("grid")):
+            code, doc = run_json(capsys, argv + [str(over)])
+            assert code == 3
+            assert "premise cells" in doc["error"] and "limit" in doc["error"]
+            # the Python API has the same bound
+            with pytest.raises(certify.CertifyError, match="premise cells"):
+                certify.pseudoconvex_test(spec22, [0, 0], "I", [-2, 2, -2, 2],
+                                          over, y_res)

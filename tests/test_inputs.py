@@ -219,7 +219,7 @@ JSON = {
                                   "--at", "0,0", "--cert", path,
                                   "--fixtures"]),
     "witness": (json.loads((FIXTURES / "example_2_2_witness.json")
-                           .read_text()), "pseudoconvex_test",
+                           .read_text()), "witnessed_failure_check",
                 lambda path: ["pseudoconvex", "--problem", "example_2_2",
                               "--at", "0,0", "--type", "II", "--witness",
                               path]),

@@ -17,7 +17,8 @@ from robustkkt import certify, lp, setcalc
 from robustkkt.cli import run_command
 from robustkkt.setcalc import PolyCone, Polytope, PolytopeSet, minkowski_sum
 from robustkkt.subdiff import limiting_subdiff
-from sweep_oracle import component_witness_margin
+from sweep_oracle import _lp_witness_margin, _witness_ball, \
+    component_witness_margin
 
 
 def assert_same_reduction(V):
@@ -227,10 +228,10 @@ class TestPlanarMargin:
                 _random_margin_case(rng, norm)
             args = (comp, nrm, ytheta, rows, con_base, N, pball, norm == "l2")
             planar = component_witness_margin(*args)
-            ball = certify._witness_ball(comp.vertices, pball, norm == "l2")
+            ball = _witness_ball(comp.vertices, pball, norm == "l2")
             cuts, lines = certify._witness_cuts(2, rows, con_base, N)
-            highs = certify._lp_witness_margin(comp.vertices, nrm * ytheta,
-                                               nrm * ball, cuts, lines)
+            highs = _lp_witness_margin(comp.vertices, nrm * ytheta,
+                                       nrm * ball, cuts, lines)
             if planar is None or highs is None:
                 # a margin of 0 sits on the LP's feasibility boundary
                 other = planar if highs is None else highs
@@ -303,8 +304,8 @@ def test_bundled_sweeps_solve_no_lp(monkeypatch, argv):
 def _exact_dirs(U):
     """The directions -u/|u| the l2 witness ball adds for the rows u of U."""
     pball = certify.primal_ball("l2", 2, 64)
-    return certify._witness_ball(np.asarray(U, dtype=float), pball,
-                                 True)[pball.nverts:]
+    return _witness_ball(np.asarray(U, dtype=float), pball,
+                         True)[pball.nverts:]
 
 
 def _geometry(norm):

@@ -1,6 +1,7 @@
-"""Reachability guard: every function defined in ``src/robustkkt`` runs
+"""Reachability guards: every function defined in ``src/robustkkt`` runs
 during the README command set, or is listed in ``KEPT`` with the reason it
-stays.
+stays; and every defaulted parameter is set by some call in ``src/``, or is
+listed in ``KEPT_PARAMS`` with the reason it stays.
 
 The commands of ``tests/test_golden.py`` run in-process under
 ``sys.setprofile``; a function counts as reached when one of its frames is
@@ -14,6 +15,7 @@ exact.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import sys
 from pathlib import Path
@@ -25,15 +27,6 @@ from test_golden import COMMANDS, report
 SRC = Path(robustkkt.__file__).resolve().parent
 
 KEPT = {
-    "certify._lp_margin":
-        "witness margins for d != 2; only pseudoconvex_test's samples= "
-        "argument reaches them, as the CLI refuses grid sampling for d != 2",
-    "certify._witness_ball":
-        "the witness ball of one component for d != 2; the planar sweep "
-        "adds the same directions for all y* at once",
-    "certify._lp_witness_margin":
-        "witness margins for d != 2; only pseudoconvex_test's samples= "
-        "argument reaches them, as the CLI refuses grid sampling for d != 2",
     "cli.LoadError.__init__":
         "raised only on refused input; tests/test_cli.py covers the refusals",
     "cli._fmt": "formats a bound in a refusal; no README command is refused",
@@ -53,10 +46,10 @@ KEPT = {
     "funcdsl._split_negative":
         "printing a sum with a negative term, for an error message or an "
         "atom key; no README command prints one",
-    "funcdsl.smooth_gradient": "public helper the acceptance tests use",
     "lp.LPBuilder._solve_float":
-        "LPs over 160 columns or 80 rows: d >= 3 witness margins, "
-        "memberships in polygons of more than 155 vertices",
+        "LPs over 160 columns or 80 rows, such as memberships in polygons "
+        "of more than 155 vertices or a witness check off the plane; no "
+        "bundled problem has one",
     "robustfeas.ProblemSpec.constraint":
         "subdiff --target naming a constraint",
     "robustfeas.envelope_grid":
@@ -78,6 +71,29 @@ KEPT = {
         "most two",
 }
 
+
+# Defaulted parameters that no call in src/ sets, by module.function(name).
+KEPT_PARAMS = {
+    "cli.main(argv)":
+        "the console script calls main() bare; tests pass their argv",
+    "funcdsl.abs_(span)":
+        "_Parser.atom passes it through f = abs_ or sqrt_, a call by "
+        "another name",
+    "funcdsl.sqrt_(span)":
+        "_Parser.atom passes it through f = abs_ or sqrt_, a call by "
+        "another name",
+    "lp.LPBuilder.solve(engine)":
+        "tests/test_lp.py solves one LP by both engines, and the HiGHS "
+        "margin oracle of tests/sweep_oracle.py asks for the float engine",
+    "robustfeas.golden_max(tol)":
+        "tests/scenario_oracle.py passes its refine_tol",
+    "robustfeas.feasibility_mask(tol)":
+        "tests/test_grid_scan.py puts the tolerance on a cell's envelope "
+        "to reach the edges of the hull bound's band",
+    "setcalc.PolyCone.__init__(lineality)":
+        "a cone with lineality generators: normal_cone builds none, the "
+        "planar margin tests do",
+}
 
 def _key(code: CodeType) -> tuple[str, int, str]:
     return str(Path(code.co_filename).resolve()), code.co_firstlineno, \
@@ -131,3 +147,67 @@ def test_every_function_reached_or_kept(tmp_path, monkeypatch):
                  if key not in reached}
     assert sorted(unreached - set(KEPT)) == [], "reached by no command"
     assert sorted(set(KEPT) - unreached) == [], "kept but reached or gone"
+
+
+def defaulted_parameters() -> dict[str, tuple[str, int | None]]:
+    """Every defaulted parameter of a function in the package, as
+    'module.Class.function(name)': the name a call uses (the class for
+    __init__) and the parameter's position in a call (None if keyword
+    only)."""
+    found = {}
+
+    def walk(node: ast.AST, prefix: str, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}.{child.name}", child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                names = [a.arg for a in args.posonlyargs + args.args]
+                bound = owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                called = owner if child.name == "__init__" else child.name
+                for name in names[len(names) - len(args.defaults):]:
+                    found[f"{prefix}.{child.name}({name})"] = (
+                        called, names.index(name) - bound)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                    if d is not None:
+                        found[f"{prefix}.{child.name}({a.arg})"] = (
+                            called, None)
+                walk(child, f"{prefix}.{child.name}", None)
+            else:
+                walk(child, prefix, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def parameters_set() -> set[tuple[str, object]]:
+    """(called name, keyword or position) for every argument of every
+    call in the package; a call is matched by the name it uses, so a name
+    two functions share counts for both, and *args or **kwargs set all."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                out.add((name, "*"))
+            out.update((name, k) for k in range(len(call.args)))
+            out.update((name, k.arg) for k in call.keywords)
+    return out
+
+
+def test_every_default_is_set_or_kept():
+    """A default that no call overrides is a constant in disguise."""
+    calls = parameters_set()
+    unset = {key for key, (called, position) in
+             defaulted_parameters().items()
+             if not {(called, key[key.index("(") + 1:-1]), (called, "*"),
+                     (called, position)} & calls}
+    assert sorted(unset - set(KEPT_PARAMS)) == [], "set by no call"
+    assert sorted(set(KEPT_PARAMS) - unset) == [], "kept but set or gone"

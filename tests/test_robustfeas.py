@@ -90,6 +90,32 @@ class TestActiveScenarios:
                         val = eval_expr(con.expr, x, vrep)
                         assert abs(val - env) <= 1e-6
 
+    def test_each_bracket_refined_once(self, monkeypatch, spec22, spec32,
+                                       spec35):
+        """One scan refines a bracket of grid points at most once: the
+        bracket around the grid's best value is also the bracket of the
+        cluster that value forms alone, in most scans."""
+        scans, golden = [], robustfeas.golden_max
+        interval = robustfeas.active_scenarios_interval
+
+        def spy_golden(fn, lo, hi):
+            scans[-1].append((lo, hi))
+            return golden(fn, lo, hi)
+
+        def spy_interval(*args):
+            scans.append([])
+            return interval(*args)
+
+        monkeypatch.setattr(robustfeas, "golden_max", spy_golden)
+        monkeypatch.setattr(robustfeas, "active_scenarios_interval",
+                            spy_interval)
+        rng = np.random.default_rng(18)
+        for spec in (spec22, spec32, spec35):
+            for x in rng.uniform(-2.0, 2.0, (40, 2)):
+                compute_active_sets(spec, x)
+        assert len(scans) >= 200 and all(scans)
+        assert [b for b in scans if len(set(b)) != len(b)] == []
+
 
 class TestFeasibility:
     def test_examples(self, spec32, spec35):

@@ -114,25 +114,6 @@ def test_matches_loop_with_cuts(tmp_path, variant):
         assert {r[0] for r in rows} == VERDICTS
 
 
-def test_matches_loop_in_three_dimensions(tmp_path):
-    # explicit samples off the plane: the margins come from HiGHS LPs
-    path = tmp_path / "cube.problem"
-    path.write_text(
-        "[space]\ndim = 3\n\n[cone]\npattern = <=0, >=0\n\n"
-        "[theta]\nvalue = 0, 1/2\n\n[omega]\nkind = whole\n\n"
-        '[objectives]\nf1 = "abs(x1) - x2 + x3"\n'
-        'f2 = "abs(x2) + abs(x3) - x1/2"\n\n'
-        '[constraints]\ng1 = "x1 + abs(x2) - 1"\n'
-        'g2 = "v*x3 + x2/4 - 1" with v in [1/2, 1]\n')
-    spec = load_problem(path)
-    rng = np.random.default_rng(3)
-    samples = rng.uniform(-1.5, 1.5, size=(40, 3))
-    for ptype in ("I", "II"):
-        rows = assert_same_sweep(spec, np.zeros(3), ptype, samples=samples,
-                                 y_resolution=6)
-        assert {r[0] for r in rows} == VERDICTS
-
-
 def _outcome(fn):
     try:
         return _rows(fn())
@@ -183,7 +164,7 @@ def test_exception_from_the_first_reached_ystar(monkeypatch, ptype):
 
 
 def test_no_samples(spec22):
-    rep = pseudoconvex_test(spec22, np.zeros(2), "I", samples=np.zeros((0, 2)))
+    rep = pseudoconvex_test(spec22, np.zeros(2), "I", [-2, 2, -2, 2], grid=0)
     assert rep.verdicts == [] and rep.all_verified
 
 
@@ -321,17 +302,16 @@ def _premises(spec, ptype, region=(-2, 2, -2, 2), grid=21, y_res=24):
     return ys, X, G
 
 
-def assert_same_margin(got, want, eps_strict):
+def assert_same_margin(got, want):
     """Within 4 ulps from 1e-9 up; below it (or -inf, no margin), both
-    sides fail the sweep's eps_strict test alike."""
+    sides fail the sweep's EPS_STRICT test alike."""
     if min(got, want) < 1e-9:
-        assert max(got, want) < eps_strict, (got, want)
+        assert max(got, want) < certify.EPS_STRICT, (got, want)
     else:
         assert abs(got - want) <= 4 * np.spacing(max(got, want)), (got, want)
 
 
-def assert_same_margins(monkeypatch, spec, xbar, ptype, eps_strict=1e-7,
-                        **kw):
+def assert_same_margins(monkeypatch, spec, xbar, ptype, **kw):
     """Every (y*, mask, component) of every batch the sweep stacks: the
     batched margin of each component slot, over all the batch's rows,
     against the oracle's _planar_witness_margin; and each (y*, mask)
@@ -352,7 +332,7 @@ def assert_same_margins(monkeypatch, spec, xbar, ptype, eps_strict=1e-7,
 
     monkeypatch.setattr(certify._SweepGeometry, "__init__", spy_init)
     monkeypatch.setattr(certify._SweepGeometry, "margins", spy_margins)
-    pseudoconvex_test(spec, xbar, ptype, eps_strict=eps_strict, **kw)
+    pseudoconvex_test(spec, xbar, ptype, **kw)
     monkeypatch.undo()
     if not calls:
         return 0
@@ -364,19 +344,19 @@ def assert_same_margins(monkeypatch, spec, xbar, ptype, eps_strict=1e-7,
             batched = margins(geometry, [U], ytheta)
             for r, row in enumerate(batched.tolist()):
                 polygon = certify._planar_ball(
-                    certify._witness_ball(U[r], pball, l2_dirs))
+                    sweep_oracle._witness_ball(U[r], pball, l2_dirs))
                 for j, got in enumerate(row):
                     found = sweep_oracle._planar_witness_margin(
                         U[r], ytheta[r], 1.0, polygon, walls[j])
                     assert_same_margin(got, -math.inf if found is None
-                                       else found[0], eps_strict)
+                                       else found[0])
                     seen += 1
         for r, row in enumerate(whole.tolist()):
             components = [Polytope(U[r]) for U in comps]
             for j, got in enumerate(row):
                 assert_same_margin(got, sweep_oracle._normalized_margin(
                     components, [None] * len(components), ytheta[r],
-                    (None, None, walls[j]), pball, l2_dirs), eps_strict)
+                    (None, None, walls[j]), pball, l2_dirs))
     return seen
 
 

@@ -1,10 +1,10 @@
-"""Differential tests of the point walker: ``limiting_subdiff`` and
-``smooth_gradient``, one selection-aware walk per call, against the three
-walkers they replaced (walker_oracle.py).
+"""Differential tests of the point walker: ``limiting_subdiff``, one
+selection-aware walk per call, against the three walkers it replaced
+(walker_oracle.py).
 
 Sets must be bit-equal, vertices compared as int64 views so that -0.0 and
-NaN count, with equal rules and exactness, in both modes; smooth gradients
-must be bit-equal; where the oracle raises, the walker raises the same
+NaN count, with equal rules and exactness, in both modes; where the
+oracle raises, the walker raises the same
 exception class, except that a reciprocal slope whose square underflows,
 a ZeroDivisionError in the oracle, and a float power that overflows, an
 OverflowError in the oracle, are DomainErrors of the walker.  Points
@@ -28,11 +28,9 @@ from genexpr import _affine, random_convex_expr, random_point, \
 from robustkkt.funcdsl import (
     DomainError,
     Expr,
-    NonsmoothPointError,
     UnsupportedStructureError,
     eval_expr,
     parse_expr,
-    smooth_gradient,
 )
 from robustkkt.subdiff import limiting_subdiff
 from test_scalar_fn import _node
@@ -70,9 +68,6 @@ def assert_same(e: Expr, x, v=None):
             got = _outcome(lambda: _set_key(limiting_subdiff(e, x, v, mode)))
             assert got == _expected(want), (str(e), list(x), v, mode)
             seen.append(want)
-        want = _outcome(lambda: _bits(walker_oracle.smooth_gradient(e, x, v)))
-        got = _outcome(lambda: _bits(smooth_gradient(e, x, v)))
-    assert got == _expected(want), (str(e), list(x), v, "smooth_gradient")
     return seen[0]
 
 
@@ -213,11 +208,3 @@ class TestEdgeCases:
             limiting_subdiff(e, [1e-200])
         # one square short of underflow, both roundings stay as they were
         assert assert_same(e, [1e-150])[0] == "value"
-
-    def test_smooth_gradient_meets_kink_or_fault_in_walk_order(self):
-        assert_same(parse_expr("abs(x1) + sqrt(x2)", 2), [0.0, 0.0])
-        assert_same(parse_expr("sqrt(x2) + abs(x1)", 2), [0.0, 0.0])
-        with pytest.raises(NonsmoothPointError):
-            smooth_gradient(parse_expr("abs(x1) + sqrt(x2)", 2), [0.0, 0.0])
-        with pytest.raises(DomainError):
-            smooth_gradient(parse_expr("sqrt(x2) + abs(x1)", 2), [0.0, 0.0])

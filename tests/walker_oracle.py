@@ -1,14 +1,14 @@
-"""The walkers of ``limiting_subdiff`` and ``smooth_gradient`` before
-``funcdsl._PointWalk`` merged them, kept as the oracle of the differential
-tests in test_walker.py.
+"""The walkers of ``limiting_subdiff`` before ``funcdsl._PointWalk``
+merged them, kept as the oracle of the differential tests in
+test_walker.py.
 
 ``limiting_subdiff`` made three walks per call at the same point:
 ``_collect_atoms`` found the active atoms and refused unsupported
 structure, ``_sens`` took the value, the smooth gradient and the per-atom
 coefficients, and ``gradient_x`` (``_grad``) took the gradient of each
 atom's argument or tied branch, only for atoms with a nonzero coefficient.
-``smooth_gradient`` was ``_grad`` with every selected kink an error.
-The functions below are the removed code, unchanged apart from imports.
+The functions below are the removed code, unchanged apart from imports;
+``NonsmoothPointError``, which the package no longer has, is defined here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from robustkkt.funcdsl import (
     DEFAULT_KINK_TOL,
     DomainError,
     Expr,
-    NonsmoothPointError,
+    ExprError,
     UnsupportedStructureError,
     _check_scenario,
     _floats,
@@ -30,6 +30,10 @@ from robustkkt.funcdsl import (
 )
 from robustkkt.setcalc import Polytope, PolytopeSet, hull, minkowski_sum
 from robustkkt.subdiff import SubdiffResult, _exactness
+
+
+class NonsmoothPointError(ExprError):
+    """A kink or max tie is active at the query point."""
 
 
 @dataclass
@@ -230,14 +234,6 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
         rules.append("hull-collapse")
     return SubdiffResult(result, mode, "exact" if exact else "outer-estimate",
                          tuple(rules))
-
-
-def smooth_gradient(e: Expr, x, v: float | None = None,
-                    kink_tol: float = 1e-9) -> np.ndarray:
-    """Gradient with respect to x; errors when any nonsmooth atom is active."""
-    _check_scenario(e, v)
-    _, g = _grad(e, _floats(x), v, kink_tol, x_only=False)
-    return g
 
 
 def gradient_x(e: Expr, xs: np.ndarray, v, kink_tol: float,
