@@ -36,7 +36,6 @@ from .robustfeas import (
 from .setcalc import (
     ConeSpec,
     OmegaSpec,
-    PolyCone,
     Polytope,
     PolytopeSet,
     dual_ball,

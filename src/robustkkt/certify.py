@@ -24,7 +24,7 @@ from .robustfeas import (
     feasible_active_sets,
 )
 from .setcalc import (
-    PolyCone,
+    MEMBERSHIP_TOL,
     Polytope,
     _add_stationarity_rows,
     _cross,
@@ -38,7 +38,6 @@ from .subdiff import Scalarization, constraint_set, direct_subdiff, \
     limiting_subdiff, objective_set
 
 COMPLEMENTARITY_TOL = 1e-8
-MEMBERSHIP_TOL = 1e-9
 TIGHT_TOL = 1e-9  # a fuzzy merit branch this close to psi is tight
 EPS_STRICT = 1e-7
 EPS_YSTAR_MIN = 1e-6
@@ -98,7 +97,7 @@ def check_cq(spec: ProblemSpec, xbar, use_fixtures: bool = False) -> CQReport:
     prov: dict[str, str] = {}
     holds = True
     for i in acts.index_set:
-        S, origin = constraint_set(spec, i, xbar, acts, "hull", use_fixtures)
+        S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
         prov[spec.constraints[i - 1].name] = origin
         res = zero_in_sum([S], N)
         ok = not res.sat
@@ -190,14 +189,14 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
     for j in range(1, p + 1):
         S, origin = objective_set(spec, j, xbar, mode, use_fixtures)
         prov[spec.objective_names[j - 1]] = origin
-        inside, res = S.contains(cert.u[j - 1], MEMBERSHIP_TOL)
+        inside, res = S.contains(cert.u[j - 1])
         memb_ok = memb_ok and inside
         checks.append({"name": f"u_in_subdiff_{spec.objective_names[j-1]}",
                        "ok": bool(inside), "residual": res})
     for i in range(1, n + 1):
-        S, origin = constraint_set(spec, i, xbar, acts, "hull", use_fixtures)
+        S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
         prov[spec.constraints[i - 1].name] = origin
-        inside, res = S.contains(cert.v[i - 1], MEMBERSHIP_TOL)
+        inside, res = S.contains(cert.v[i - 1])
         memb_ok = memb_ok and inside
         checks.append({"name": f"v_in_suprule_{spec.constraints[i-1].name}",
                        "ok": bool(inside), "residual": res})
@@ -258,7 +257,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         obj_sets.append(S)
     con_sets = {}
     for i in actives:
-        S, origin = constraint_set(spec, i, xbar, acts, "hull", use_fixtures)
+        S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
         prov[spec.constraints[i - 1].name] = origin
         con_sets[i] = S.components[0] if S.ncomponents == 1 else Polytope(
             S.all_vertices(), reduce=True)
@@ -320,8 +319,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                 mu[i - 1] = m
                 vsel.append(w @ V / m if m > 1e-15 else V[0].copy())
             else:
-                S, origin = constraint_set(spec, i, xbar, acts, "hull",
-                                           use_fixtures)
+                S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
                 prov[spec.constraints[i - 1].name] = origin
                 vsel.append(S.all_vertices()[0].copy())
             scen = acts.scenarios[i - 1]
@@ -331,7 +329,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         bstar = (wb @ ball.vertices / radius) if radius > 1e-15 else np.zeros(d)
         astar = np.zeros(d)
         if cone_ids:
-            astar = res.values[np.asarray(cone_ids)] @ N.generators
+            astar = res.values[np.asarray(cone_ids)] @ N
         cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
         recheck = check_kkt(spec, xbar, cert, tol, mode, use_fixtures)
         return KKTSearchReport(True, cert, recheck, tuple(actives), tried,
@@ -412,7 +410,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     con_polys = {}
     scen_used = {}
     for i in idx:
-        S, _ = constraint_set(spec, i, x_eta, acts, "hull")
+        S, _ = constraint_set(spec, i, x_eta, acts)
         con_polys[i] = S.components[0] if S.ncomponents == 1 else Polytope(
             S.all_vertices(), reduce=True)
         scen = acts.scenarios[i - 1]
@@ -469,7 +467,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
         for ids, V in groups:
             total += res.values[np.asarray(ids)] @ V
         if cone_ids:
-            total += res.values[np.asarray(cone_ids)] @ N.generators
+            total += res.values[np.asarray(cone_ids)] @ N
         incl_res = float(np.linalg.norm(total))
         comp1 = (lam1 / lam2) * (f_branch - psi_val)
         comp2 = 0.0
@@ -507,7 +505,6 @@ class SampleVerdict:
 
 @dataclass
 class PseudoReport:
-    ptype: str
     verdicts: list[SampleVerdict]
     all_verified: bool
     lp_optimum: float | None = None   # explicit-witness path only
@@ -638,12 +635,8 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
 
     N = normal_cone(spec.omega, xbar)
     cone_ok = np.ones(samples.shape[0], dtype=bool)
-    for k in range(N.generators.shape[0]):
-        vals = N.generators[k] @ D
-        if N.lineality[k]:
-            cone_ok &= np.abs(vals) <= 1e-12
-        else:
-            cone_ok &= vals <= 1e-12
+    for g in N:
+        cone_ok &= g @ D <= 1e-12
 
     pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
     l2_dirs = spec.norm == "l2"
@@ -652,8 +645,8 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     # one id per distinct premise-row mask (column of con_prem)
     masks, mask_id = np.unique(con_prem.T, axis=0, return_inverse=True)
     mask_id = mask_id.reshape(-1)
-    cut_rows = [_witness_cuts(spec.dim, np.flatnonzero(m).tolist(), con_base,
-                              N) for m in masks]
+    walls = [_witness_cuts(spec.dim, np.flatnonzero(m).tolist(), con_base, N)
+             for m in masks]
     geometry = None  # the planar geometry, built when a margin first needs it
     scalarize = Scalarization(spec.objectives, xbar, mode, spec.kink_tol)
 
@@ -686,7 +679,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
                 top + np.outer(ytheta_all[r], norms) <= -1e-12))
         need = left[sub].any(axis=1)
         if need.any():
-            geometry = geometry or _SweepGeometry(pball, l2_dirs, cut_rows)
+            geometry = geometry or _SweepGeometry(pball, l2_dirs, walls)
             margin[sub[need]] = geometry.margins([U[need] for U in comps],
                                                  ytheta_all[sub[need]])
     fail = np.zeros_like(active)
@@ -709,7 +702,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
             top + norms * ytheta_all[r] <= -1e-12))
         cols = np.flatnonzero(left[r] & live)
         if cols.size:
-            geometry = geometry or _SweepGeometry(pball, l2_dirs, cut_rows)
+            geometry = geometry or _SweepGeometry(pball, l2_dirs, walls)
             margin[r] = geometry.margins([U[None] for U in comps],
                                          ytheta_all[[r]])[0]
         first[cols[margin[r, mask_id[cols]] * norms[cols] < EPS_STRICT]] = r
@@ -730,18 +723,17 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
             verdicts.append(SampleVerdict(
                 x, "VERIFIED-COMMON-W" if common else "VERIFIED-CANDIDATE-W",
                 n_active))
-    all_ok = all(v.verified for v in verdicts)
-    return PseudoReport(ptype, verdicts, all_ok)
+    return PseudoReport(verdicts, all(v.verified for v in verdicts))
 
 
-def _witness_cuts(d: int, rows_here, con_base, N: PolyCone
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(cuts, lines): w must meet <a, w> <= 0 for the rows a of cuts and
-    <g, w> = 0 for the rows g of lines."""
+def _witness_cuts(d: int, rows_here, con_base, N: np.ndarray) -> np.ndarray:
+    """The rows a with <a, w> <= 0 for an admissible w: the nonzero vertices
+    of the premise-holding constraint rows, then the normal cone's
+    generators N."""
     cuts = [vert for t in rows_here for vert in con_base[t][1]
             if np.any(vert != 0.0)]
-    cuts.extend(N.generators[~N.lineality])
-    return np.array(cuts).reshape(-1, d), N.generators[N.lineality]
+    cuts.extend(N)
+    return np.array(cuts).reshape(-1, d)
 
 
 _CUT_TOL = 1e-12
@@ -765,7 +757,7 @@ class _SweepGeometry:
     convex takes the hull of its ball.
     """
 
-    def __init__(self, pball: Polytope, l2_dirs: bool, cut_rows: list):
+    def __init__(self, pball: Polytope, l2_dirs: bool, walls: list):
         self.pball, self.l2_dirs = pball, l2_dirs
         H, normals, heights = _planar_ball(pball.vertices)
         # rows (vertex, normal and height of the edge it starts) by angle,
@@ -774,8 +766,7 @@ class _SweepGeometry:
         order = np.argsort(ang)
         self.G, self.ang = np.column_stack([H, normals, heights])[order], \
             ang[order]
-        # a mask's walls are its cuts, and its lines cutting both ways
-        walls = [np.vstack([cuts, lines, -lines]) for cuts, lines in cut_rows]
+        # a mask's walls are its _witness_cuts
         self.walls = np.vstack(walls)
         self.wall_norms = np.linalg.norm(self.walls, axis=1)
         owner = np.repeat(np.arange(len(walls)), [w.shape[0] for w in walls])
@@ -933,19 +924,32 @@ def _planar_ball(ball: np.ndarray):
     return H, normals, np.einsum("ij,ij->i", normals, H)
 
 
+def refuse_unread_fixtures(spec: ProblemSpec, xbar, names, path: str) -> None:
+    """Refuse a fixture at xbar for one of names, which path does not read."""
+    for name in names:
+        if spec.fixture_for(name, xbar) is not None:
+            raise CertifyError(f"{path} reads no fixture, but fixtures are "
+                               f"asked for and {name} has one at this point")
+
+
 def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
-                            witness: dict) -> PseudoReport:
+                            witness: dict, mode: str,
+                            use_fixtures: bool) -> PseudoReport:
     """Exact check of a user-supplied failure witness tuple (x, y*, u), in
-    any dimension: does no admissible w have <u*, w> + r < 0?"""
+    any dimension: does no admissible w have <u*, w> + r < 0?  Each u_j
+    must lie in objective j's set of the given mode, or its fixture."""
     xbar = _checked_point(spec, xbar, ptype)
+    if use_fixtures:
+        refuse_unread_fixtures(spec, xbar, [c.name for c in spec.constraints],
+                               "the witness check of the constraints")
     x = np.asarray(witness["x"], dtype=float).reshape(-1)
     yv = np.asarray(witness["ystar"], dtype=float).reshape(-1)
     umat = [np.asarray(u, dtype=float).reshape(-1) for u in witness["u"]]
     if len(umat) != spec.n_objectives:
         raise CertifyError("witness must choose one subgradient per objective")
     for j, uj in enumerate(umat):
-        S, _ = objective_set(spec, j + 1, xbar, "hull", False)
-        inside, res = S.contains(uj, 1e-9)
+        S, _ = objective_set(spec, j + 1, xbar, mode, use_fixtures)
+        inside, res = S.contains(uj)
         if not inside:
             raise CertifyError(
                 f"witness u[{j}] outside the subdifferential "
@@ -962,8 +966,8 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
         premise = margin <= 1e-12 and nrm > 1e-12 and float(
             np.max(np.abs(yv))) > 1e-12
     if not premise:
-        return PseudoReport(ptype, [SampleVerdict(x, "INCONCLUSIVE", 0,
-                                                  "premise not active")], False)
+        return PseudoReport([SampleVerdict(x, "INCONCLUSIVE", 0,
+                                           "premise not active")], False)
     ustar = np.zeros(spec.dim)
     for yj, uj in zip(yv, umat):
         ustar = ustar + float(yj) * uj
@@ -973,8 +977,8 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     rows_here = [t for t, (i, vsc, base, _) in enumerate(rows)
                  if eval_expr(spec.constraints[i - 1].expr, x, vsc)
                  <= base + 1e-12]
-    cuts, lines = _witness_cuts(spec.dim, rows_here, con_base,
-                                normal_cone(spec.omega, xbar))
+    cuts = _witness_cuts(spec.dim, rows_here, con_base,
+                         normal_cone(spec.omega, xbar))
     pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
     # minimize <u*, w> over all admissible w; failure iff optimum + r >= 0
     lp = LPBuilder()
@@ -989,8 +993,6 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     for cut in cuts:
         lp.add_ub({w_ids[a]: cut[a] for a in range(spec.dim)
                    if cut[a] != 0.0}, 0)
-    for g in lines:
-        lp.add_eq({w_ids[a]: g[a] for a in range(spec.dim) if g[a] != 0.0}, 0)
     lp.set_objective({w_ids[a]: ustar[a] for a in range(spec.dim)})
     res = lp.solve()
     if not res.feasible:
@@ -999,7 +1001,7 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     if best >= -1e-12:
         v = SampleVerdict(x, "WITNESSED-FAILURE", 1,
                           f"min <u*,w> + r = {best:.3g} >= 0 for all w")
-        return PseudoReport(ptype, [v], False, lp_optimum=best)
+        return PseudoReport([v], False, lp_optimum=best)
     v = SampleVerdict(x, "INCONCLUSIVE", 1,
                       "a witness direction exists for this tuple")
-    return PseudoReport(ptype, [v], False, lp_optimum=best)
+    return PseudoReport([v], False, lp_optimum=best)

@@ -730,8 +730,13 @@ def _dispatch(args) -> tuple[int, str, dict]:
         if args.witness:
             witness = _fields("witness",
                               json.loads(Path(args.witness).read_text()), spec)
-            rep = witnessed_failure_check(spec, x, args.type, witness)
+            rep = witnessed_failure_check(spec, x, args.type, witness, mode,
+                                          use_fx)
         else:
+            if use_fx:
+                certify.refuse_unread_fixtures(spec, x, [
+                    *spec.objective_names, *(c.name for c in spec.constraints)
+                ], "the pseudo-convexity sweep")
             rep = pseudoconvex_test(spec, x, args.type, args.region,
                                     args.grid, args.y_res, mode)
         counts = Counter(v.verdict for v in rep.verdicts)

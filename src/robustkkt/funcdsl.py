@@ -797,15 +797,12 @@ class _PointWalk:
     domain fault (1/0, sqrt of a nonpositive value) is recorded in
     ``faults`` and the walk goes on with NaN, so those refusals come first
     and the faults inside an atom count only for a nonzero coefficient.
-
-    The reciprocal and square-root rules divide, as -g/u^2 and g/(2*sqrt(u)),
-    in atom arguments; elsewhere they multiply by the slope.  The two round
-    differently, and each stays where it was used.
+    The reciprocal and square-root rules multiply g by the slope,
+    -1/u^2 and 0.5/sqrt(u).
     """
 
     def __init__(self, xl: list[float], v, tol: float):
         self.xl, self.v, self.tol, self.d = xl, v, tol, len(xl)
-        self.quotient = False
         self.atoms: dict[str, _Atom] = {}
         self.faults: list[DomainError] = []
 
@@ -817,8 +814,8 @@ class _PointWalk:
              branches: tuple[Expr, ...], ctx_linear: bool):
         """Record the active atom e; its coefficient map and x-relevance."""
         key = format_expr(e)
-        outer = self.atoms, self.faults, self.quotient
-        self.atoms, self.faults, self.quotient = {}, [], True
+        outer = self.atoms, self.faults
+        self.atoms, self.faults = {}, []
         grads = []
         for b in branches:
             _, g, _, nested = self.node(b, False)
@@ -827,7 +824,7 @@ class _PointWalk:
                     f"active kink nested inside {key}")
             grads.append(g)
         fault = self.faults[0] if self.faults else None
-        self.atoms, self.faults, self.quotient = outer
+        self.atoms, self.faults = outer
         xrel = any(contains_coord(b) for b in branches)
         atom = self.atoms.setdefault(key, _Atom(key, kind, e, tied, ctx_linear,
                                                 xrel, grads, fault))
@@ -885,8 +882,6 @@ class _PointWalk:
             if cv == 0.0:
                 cv = self.fault(f"division by zero in 1/({e.children[0]})")
             val = 1.0 / cv
-            if self.quotient:
-                return val, -cg / (cv * cv), {}, rough
             square = cv * cv or self.fault(
                 f"slope of 1/({e.children[0]}) overflows")
             slope = -1.0 / square
@@ -895,8 +890,6 @@ class _PointWalk:
                 cv = self.fault(
                     f"sqrt argument not positive in sqrt({e.children[0]})")
             val = cv ** 0.5
-            if self.quotient:
-                return val, cg / (2.0 * val), {}, rough
             slope = 0.5 / val
         return val, slope * cg, {q: slope * a for q, a in ck.items()}, rough
 

@@ -25,7 +25,8 @@ every ratio-test order, and with them the pivots, are those of the same
 simplex over ``Fraction`` entries.  (Scaling each row by its own factor
 would weight the phase-1 cost row by row and change its pricing.)
 
-``engine="auto"`` picks the exact path for small systems.
+``LPBuilder.solve`` takes the exact engine for systems of at most 160
+columns and 80 rows, HiGHS above.
 """
 
 from __future__ import annotations
@@ -225,13 +226,12 @@ class LPBuilder:
 
     # -- solving ----------------------------------------------------------
 
-    def solve(self, engine: str = "auto") -> LPResult:
+    def solve(self) -> LPResult:
         ncols = self.n + sum(self.free) + len(self.ubs)
         nrows = len(self.eqs) + len(self.ubs)
-        if engine == "auto":
-            engine = "exact" if (ncols <= _EXACT_COL_LIMIT
-                                 and nrows <= _EXACT_ROW_LIMIT) else "float"
-        return self._solve_exact() if engine == "exact" else self._solve_float()
+        if ncols <= _EXACT_COL_LIMIT and nrows <= _EXACT_ROW_LIMIT:
+            return self._solve_exact()
+        return self._solve_float()
 
     def _split_map(self):
         # variable i -> (pos column, neg column or None)

@@ -65,6 +65,7 @@ from .funcdsl import (
 from .setcalc import ConeSpec, OmegaSpec, PolytopeSet, upper_hull
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_TOL = 1e-10  # golden_max stops at a bracket this wide
 
 DEFAULT_VGRID = 1001
 DEFAULT_FEAS_TOL = 1e-8
@@ -200,13 +201,13 @@ class ProblemSpec:
 # Scenario maximization
 # ---------------------------------------------------------------------------
 
-def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -409,12 +410,11 @@ def _branch_bound(terms, feature, X, vals, grid):
         cap <= _CAP, _U * ((4 * n_ops + 8) * cap + 4 * slack), np.inf)
 
 
-def feasibility_mask(spec: ProblemSpec, X: np.ndarray,
-                     tol: float | None = None) -> np.ndarray:
-    """Boolean feasibility per grid column; NaN envelopes mean infeasible.
-    Cells outside each hull bound's band are decided by it, the rest, while
-    still feasible, by envelope_grid."""
-    tol = spec.feas_tol if tol is None else tol
+def feasibility_mask(spec: ProblemSpec, X: np.ndarray) -> np.ndarray:
+    """Boolean feasibility per grid column (envelopes <= spec.feas_tol);
+    NaN envelopes mean infeasible.  Cells outside each hull bound's band are
+    decided by it, the rest, while still feasible, by envelope_grid."""
+    tol = spec.feas_tol
     ok = spec.omega.contains_grid(X)
     for con in spec.constraints:
         P, delta = _hull_bound(spec, con, X) or (np.nan, np.inf)

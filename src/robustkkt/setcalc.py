@@ -3,8 +3,8 @@
 Everything is carried in V-representation: the sets that show up in the
 worked problems are points, segments and small boxes, so vertex lists stay
 tiny and Minkowski sums / hulls / zero-membership reduce to vertex
-arithmetic plus little LPs.  Normal cones are generator lists; the
-ordering cone is a per-axis sign orthant.
+arithmetic plus little LPs.  Normal cones are (k, d) generator arrays, a
+line being the pair g, -g; the ordering cone is a per-axis sign orthant.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .lp import _EXACT_COL_LIMIT, LPBuilder
 
 VERTEX_TOL = 1e-12
 OMEGA_TOL = 1e-9  # how far outside the ground set a point still counts in
+MEMBERSHIP_TOL = 1e-9  # how far outside a polytope a point still counts in
 
 
 class SetCalcError(Exception):
@@ -62,7 +63,7 @@ class Polytope:
     def nverts(self) -> int:
         return self.vertices.shape[0]
 
-    def contains(self, p, tol: float = 1e-9):
+    def contains(self, p):
         """Membership test; returns (bool, residual) with residual the best
         achievable infinity-norm gap between p and a convex combination."""
         p = np.asarray(p, dtype=float).reshape(-1)
@@ -72,7 +73,7 @@ class Polytope:
             res = _planar_residual(p, self.vertices)
         else:
             res = _membership_residual(p, self.vertices)
-        return res <= tol, res
+        return res <= MEMBERSHIP_TOL, res
 
     def __repr__(self):
         return f"Polytope({self.vertices.tolist()})"
@@ -285,12 +286,12 @@ class PolytopeSet:
     def all_vertices(self) -> np.ndarray:
         return np.vstack([c.vertices for c in self.components])
 
-    def contains(self, p, tol: float = 1e-9):
+    def contains(self, p):
         best = math.inf
         for c in self.components:
-            _, r = c.contains(p, tol)
+            _, r = c.contains(p)
             best = min(best, r)
-        return best <= tol, best
+        return best <= MEMBERSHIP_TOL, best
 
     def __repr__(self):
         return f"PolytopeSet({[c.vertices.tolist() for c in self.components]})"
@@ -321,38 +322,6 @@ def hull(a: PolytopeSet) -> Polytope:
 # Cones
 # ---------------------------------------------------------------------------
 
-class PolyCone:
-    """Conic hull of generators; lineality generators span both directions."""
-
-    def __init__(self, dim: int, generators=None, lineality=None):
-        self.dim = dim
-        G = np.zeros((0, dim)) if generators is None else np.atleast_2d(
-            np.asarray(generators, dtype=float))
-        if G.size == 0:
-            G = np.zeros((0, dim))
-        if G.shape[0]:
-            norms = np.linalg.norm(G, axis=1)
-            if np.any(norms == 0):
-                raise SetCalcError("cone generators must be nonzero")
-        self.generators = G
-        if lineality is None:
-            self.lineality = np.zeros(G.shape[0], dtype=bool)
-        else:
-            self.lineality = np.asarray(lineality, dtype=bool)
-
-    @classmethod
-    def zero(cls, dim: int) -> "PolyCone":
-        return cls(dim)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.generators.shape[0] == 0
-
-    def __repr__(self):
-        return (f"PolyCone(dim={self.dim}, generators="
-                f"{self.generators.tolist()}, lineality={self.lineality.tolist()})")
-
-
 @dataclass(frozen=True)
 class ConeSpec:
     """The ordering cone K, a per-axis sign orthant.
@@ -370,10 +339,10 @@ class ConeSpec:
     def dim(self) -> int:
         return len(self.pattern)
 
-    def contains(self, y, tol: float = 1e-12) -> bool:
+    def contains(self, y) -> bool:
         y = np.asarray(y, dtype=float).reshape(-1)
         s = np.asarray(self.pattern, dtype=float)
-        return bool(np.all(s * y >= -tol))
+        return bool(np.all(s * y >= -1e-12))
 
     def dual(self) -> "ConeSpec":
         # dual of a sign orthant is the same sign orthant
@@ -435,34 +404,31 @@ class OmegaSpec:
         return np.all(self.normals @ X <= self.offsets[:, None] + tol, axis=0)
 
 
-def normal_cone(omega: OmegaSpec, x) -> PolyCone:
-    """Normal cone to omega at x, generated by active outward normals."""
+def normal_cone(omega: OmegaSpec, x) -> np.ndarray:
+    """Normal cone to omega at x: the (k, d) array of its generators, the
+    active outward normals; (0, d) where none is active."""
     x = np.asarray(x, dtype=float).reshape(-1)
     tol = OMEGA_TOL
     if not omega.contains(x):
         raise SetCalcError("point lies outside the ground set")
     d = omega.dim
-    if omega.kind == "whole":
-        return PolyCone.zero(d)
     gens = []
     if omega.kind == "box":
+        lo = np.isfinite(omega.lo) & (x <= omega.lo + tol)
+        hi = np.isfinite(omega.hi) & (x >= omega.hi - tol)
         for j in range(d):
-            e = np.zeros(d)
-            if np.isfinite(omega.lo[j]) and x[j] <= omega.lo[j] + tol:
-                e2 = e.copy()
-                e2[j] = -1.0
-                gens.append(e2)
-            if np.isfinite(omega.hi[j]) and x[j] >= omega.hi[j] - tol:
-                e2 = e.copy()
-                e2[j] = 1.0
-                gens.append(e2)
-    else:
+            for sign, active in ((-1.0, lo[j]), (1.0, hi[j])):
+                if active:
+                    gens.append(np.zeros(d))
+                    gens[-1][j] = sign
+    elif omega.kind == "halfspaces":
         for a, b in zip(omega.normals, omega.offsets):
             if abs(float(np.dot(a, x)) - float(b)) <= tol * max(1.0, abs(b)) + tol:
                 gens.append(np.asarray(a, dtype=float))
-    if not gens:
-        return PolyCone.zero(d)
-    return PolyCone(d, np.array(gens))
+    G = np.array(gens).reshape(-1, d)
+    if np.any(np.linalg.norm(G, axis=1) == 0):
+        raise SetCalcError("cone generators must be nonzero")
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +508,6 @@ class ZeroInSumResult:
     sat: bool
     selection: tuple[int, ...] | None = None
     weights: list[np.ndarray] | None = None   # per part, per vertex
-    cone_coeffs: np.ndarray | None = None
-    residual: float | None = None
 
     def witness_points(self, parts: list[PolytopeSet]) -> list[np.ndarray]:
         out = []
@@ -553,9 +517,9 @@ class ZeroInSumResult:
         return out
 
 
-def zero_in_sum(parts: list[PolytopeSet],
-                cone: PolyCone | None = None) -> ZeroInSumResult:
-    """Decide 0 in sum(parts) + cone, exactly over component selections.
+def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:
+    """Decide 0 in sum(parts) + cone, exactly over component selections;
+    cone is the (k, d) array of its generators.
 
     For each choice of one convex component per union part an LP looks for
     convex weights and nonnegative cone coefficients summing to zero; the
@@ -567,8 +531,7 @@ def zero_in_sum(parts: list[PolytopeSet],
     for p in parts:
         if p.dim != d:
             raise DimensionMismatch("zero_in_sum dimension mismatch")
-    cone = PolyCone.zero(d) if cone is None else cone
-    if cone.dim != d:
+    if cone.shape[1] != d:
         raise DimensionMismatch("cone dimension mismatch")
 
     for selection in itertools.product(*(range(p.ncomponents) for p in parts)):
@@ -579,30 +542,23 @@ def zero_in_sum(parts: list[PolytopeSet],
             ids = lp.add_vars(comp.nverts)
             groups.append((ids, comp.vertices))
             lp.add_eq({i: 1 for i in ids}, 1)
-        cids = _add_stationarity_rows(lp, groups, cone)
+        _add_stationarity_rows(lp, groups, cone)
         res = lp.solve()
         if res.feasible:
             weights = [res.values[np.asarray(ids)] for ids, _ in groups]
-            ccoef = res.values[np.asarray(cids)] if cids else np.zeros(0)
-            total = np.zeros(d)
-            for (ids, V), w in zip(groups, weights):
-                total += w @ V
-            if cids:
-                total += ccoef @ cone.generators
-            return ZeroInSumResult(True, selection, weights, ccoef,
-                                   float(np.linalg.norm(total)))
+            return ZeroInSumResult(True, selection, weights)
     return ZeroInSumResult(False)
 
 
 def _add_stationarity_rows(lp: LPBuilder, groups,
-                           cone: PolyCone) -> list[int]:
+                           cone: np.ndarray) -> list[int]:
     """Add to lp the rows sum_groups V^T w + sum_k c_k g_k = 0, one per
     coordinate, for the (ids, V) groups of vertex weights w and new
-    coefficients c of the cone's generators g_k (free for lineality
-    generators); return the ids of c, created just before the rows."""
-    cids = [lp.add_var(free=bool(free)) for free in cone.lineality]
-    groups = [*groups, (cids, cone.generators)]
-    for a in range(cone.dim):
+    nonnegative coefficients c of the cone's generators g_k, the rows of
+    cone; return the ids of c, created just before the rows."""
+    cids = lp.add_vars(cone.shape[0])
+    groups = [*groups, (cids, cone)]
+    for a in range(cone.shape[1]):
         row = {}
         for ids, V in groups:
             for vid, coef in zip(ids, V[:, a].tolist()):
@@ -612,18 +568,17 @@ def _add_stationarity_rows(lp: LPBuilder, groups,
     return cids
 
 
-def point_in_cone_residual(p, cone: PolyCone) -> float:
-    """Infinity-norm distance from representing p as a conic combination."""
+def point_in_cone_residual(p, cone: np.ndarray) -> float:
+    """Infinity-norm distance from representing p as a conic combination
+    of the rows of cone."""
     p = np.asarray(p, dtype=float).reshape(-1)
-    if cone.is_zero:
+    if not cone.shape[0]:
         return float(np.max(np.abs(p), initial=0.0))
     lp = LPBuilder()
-    cs = [lp.add_var(free=bool(cone.lineality[i]))
-          for i in range(cone.generators.shape[0])]
+    cs = lp.add_vars(cone.shape[0])
     t = lp.add_var()
-    for j in range(cone.dim):
-        row = {cs[i]: cone.generators[i, j]
-               for i in range(len(cs)) if cone.generators[i, j] != 0}
+    for j in range(cone.shape[1]):
+        row = {cs[i]: cone[i, j] for i in range(len(cs)) if cone[i, j] != 0}
         lp.add_ub({**row, t: -1}, p[j])
         lp.add_ub({**{k: -a for k, a in row.items()}, t: -1}, -p[j])
     lp.set_objective({t: 1})

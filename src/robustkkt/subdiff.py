@@ -458,14 +458,13 @@ def objective_set(spec: ProblemSpec, j: int, x, mode: str = "limiting",
 
 
 def constraint_set(spec: ProblemSpec, i: int, x, acts: ActiveSets,
-                   mode: str = "hull",
                    use_fixtures: bool = False) -> tuple[PolytopeSet, str]:
-    """Sup-rule set of constraint i (1-based) at x with provenance, over
+    """Sup-rule hull of constraint i (1-based) at x with provenance, over
     the active scenarios of acts, the caller's compute_active_sets(spec, x)."""
     con = spec.constraints[i - 1]
     if use_fixtures:
         fx = spec.fixture_for(con.name, x)
         if fx is not None:
             return fx, "fixture"
-    return sup_rule(con, x, acts.scenarios[i - 1], mode,
+    return sup_rule(con, x, acts.scenarios[i - 1], "hull",
                     spec.kink_tol).set, "engine"

@@ -172,7 +172,7 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
     acts = compute_active_sets(spec, z)
     comp_ok = True
     for i in range(1, spec.n_constraints + 1):
-        S, _ = constraint_set(spec, i, z, acts, "hull", use_fixtures)
+        S, _ = constraint_set(spec, i, z, acts, use_fixtures)
         parts.append(scale(S, float(mu[i - 1])))
         val = float(mu[i - 1]) * acts.phis[i - 1]
         ok = val >= -DUAL_TOL
@@ -261,7 +261,6 @@ def generate_feasible_samples(spec: ProblemSpec, region,
 class StrongDualityReport:
     triple: DualTriple
     feasibility: DualFeasReport
-    search_found: bool
 
 
 def strong_duality_from(spec: ProblemSpec, xbar, mode: str = "limiting",
@@ -275,7 +274,7 @@ def strong_duality_from(spec: ProblemSpec, xbar, mode: str = "limiting",
     cert = rep.certificate
     triple = DualTriple(xbar, cert.ystar.copy(), cert.mu.copy())
     feas = dual_feasible(spec, triple, mode=mode, use_fixtures=use_fixtures)
-    return StrongDualityReport(triple, feas, True)
+    return StrongDualityReport(triple, feas)
 
 
 @dataclass

@@ -79,10 +79,9 @@ def envelope_grid(spec: ProblemSpec, con: UncertainConstraint,
     return out
 
 
-def feasibility_mask(spec: ProblemSpec, X: np.ndarray,
-                     tol: float | None = None) -> np.ndarray:
+def feasibility_mask(spec: ProblemSpec, X: np.ndarray) -> np.ndarray:
     """Boolean feasibility per grid column; NaN envelopes mean infeasible."""
-    tol = spec.feas_tol if tol is None else tol
+    tol = spec.feas_tol
     ok = spec.omega.contains_grid(X)
     for con in spec.constraints:
         env = envelope_grid(spec, con, X)

@@ -1,7 +1,8 @@
 """The scalar scenario maximiser as it stood before the point envelope
 became one path: ``phi_i`` scanned a constraint on its own, through
 ``maximize_scenario`` and ``_refine_max``, calling the scalar code once per
-scenario (``scan_each``).  Kept verbatim as the oracle of
+scenario (``scan_each``).  Kept verbatim, apart from the refinement
+tolerance that is now ``golden_max``'s constant, as the oracle of
 ``tests/test_scenario_oracle.py``, which asserts that
 ``compute_active_sets`` gives bit-equal envelopes and that the array scan
 ``robustfeas._scan`` gives bit-equal values or the same exception.
@@ -20,23 +21,23 @@ def scan_each(fn, grid: np.ndarray) -> np.ndarray:
     return np.array([fn(t) for t in grid.tolist()])
 
 
-def maximize_scenario(fn, lo: float, hi: float, n: int = DEFAULT_VGRID,
-                      refine_tol: float = 1e-10) -> tuple[float, float]:
+def maximize_scenario(fn, lo: float, hi: float,
+                      n: int = DEFAULT_VGRID) -> tuple[float, float]:
     """Grid scan plus golden-section refinement; returns (max, argmax)."""
     if hi <= lo:
         return fn(lo), lo
     grid = np.linspace(lo, hi, n)
-    return _refine_max(fn, grid, scan_each(fn, grid), refine_tol)
+    return _refine_max(fn, grid, scan_each(fn, grid))
 
 
-def _refine_max(fn, grid: np.ndarray, vals: np.ndarray,
-                refine_tol: float) -> tuple[float, float]:
+def _refine_max(fn, grid: np.ndarray,
+                vals: np.ndarray) -> tuple[float, float]:
     """Golden-section refinement around the best value of a grid scan."""
     n = grid.shape[0]
     k = int(np.argmax(vals))
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, n - 1)]
-    xm, fm = golden_max(fn, float(a), float(b), refine_tol)
+    xm, fm = golden_max(fn, float(a), float(b))
     candidates = [(vals[k], float(grid[k])), (fm, xm),
                   (vals[0], float(grid[0])), (vals[-1], float(grid[-1]))]
     best = max(candidates, key=lambda t: t[0])

@@ -87,12 +87,11 @@ def _witness_ball(U: np.ndarray, pball: Polytope,
 
 
 def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
-                       cuts: np.ndarray, lines: np.ndarray
-                       ) -> tuple[float, np.ndarray] | None:
+                       cuts: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Max margin delta >= 0 with <u, w> + offset <= -delta for every row u
     of U, and the maximising w, as one HiGHS LP; None if no w has a
     nonnegative margin.  w ranges over the hull of the rows of ball, with
-    <a, w> <= 0 for the rows a of cuts and <a, w> = 0 for those of lines."""
+    <a, w> <= 0 for the rows a of cuts."""
     d = U.shape[1]
     lp = LPBuilder()
     w_ids = lp.add_vars(d, free=True)
@@ -115,16 +114,14 @@ def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
         row = {w_ids[a]: cut[a] for a in range(d) if cut[a] != 0.0}
         if row:
             lp.add_ub(row, 0)
-    for g in lines:
-        lp.add_eq({w_ids[a]: g[a] for a in range(d) if g[a] != 0.0}, 0)
     lp.set_objective({delta: -1.0})  # maximize delta
-    res = lp.solve(engine="float")
+    res = lp._solve_float()
     if not res.feasible:
         return None
     return -res.objective, res.values[np.asarray(w_ids)]
 
 
-def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,
+def _normalized_margin(components, shapes: list, ytheta: float, cuts,
                        pball: Polytope, l2_dirs: bool) -> float:
     """Witness margin at ||x - xbar|| = 1: the least over the components of
     the max margin delta >= 0 with <u, w> + ytheta <= -delta for every
@@ -133,11 +130,9 @@ def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,
 
     w ranges over the witness ball (_witness_ball), cut by <a, w> <= 0 for
     the vertices a of the premise-holding constraint rows and by the normal
-    cone's generators (= 0 for lineality generators); cut_rows is
-    (cuts, lines, walls) of those rows.  shapes[k] caches component k's
+    cone's generators, the rows of cuts.  shapes[k] caches component k's
     ball: its _planar_ball in the plane, its vertices otherwise.
     """
-    cuts, lines, walls = cut_rows
     best = math.inf
     for k, comp in enumerate(components):
         if shapes[k] is None:
@@ -145,10 +140,10 @@ def _normalized_margin(components, shapes: list, ytheta: float, cut_rows,
             shapes[k] = _planar_ball(ball) if comp.dim == 2 else ball
         if comp.dim == 2:
             found = _planar_witness_margin(comp.vertices, ytheta, 1.0,
-                                           shapes[k], walls)
+                                           shapes[k], cuts)
         else:
             found = _lp_witness_margin(comp.vertices, ytheta, shapes[k],
-                                       cuts, lines)
+                                       cuts)
         if found is None:
             return -math.inf
         best = min(best, found[0])
@@ -198,16 +193,15 @@ def component_witness_margin(comp, nrm, ytheta, rows_here, con_base, N,
     nonnegative margin.  w ranges over nrm times the witness ball, cut by
     the premise-holding rows and the normal cone; in the plane by the
     closed-form path, otherwise by HiGHS."""
-    cuts, lines = _witness_cuts(comp.dim, rows_here, con_base, N)
+    cuts = _witness_cuts(comp.dim, rows_here, con_base, N)
     if comp.dim != 2:
         ball = _witness_ball(comp.vertices, pball, l2_exact_dirs)
         return _lp_witness_margin(comp.vertices, nrm * ytheta, nrm * ball,
-                                  cuts, lines)
+                                  cuts)
     if polygon is None:
         polygon = _planar_ball(_witness_ball(comp.vertices, pball, l2_exact_dirs))
-    # a lineality generator cuts both ways
     return _planar_witness_margin(comp.vertices, nrm * ytheta, nrm, polygon,
-                                  np.vstack([cuts, lines, -lines]))
+                                  cuts)
 
 
 def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
@@ -251,12 +245,8 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
 
     N = normal_cone(spec.omega, xbar)
     cone_ok = np.ones(samples.shape[0], dtype=bool)
-    for k in range(N.generators.shape[0]):
-        vals = N.generators[k] @ D
-        if N.lineality[k]:
-            cone_ok &= np.abs(vals) <= 1e-12
-        else:
-            cone_ok &= vals <= 1e-12
+    for g in N:
+        cone_ok &= g @ D <= 1e-12
 
     pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
     ytheta_all = ys @ spec.theta
@@ -319,5 +309,5 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
         else:
             verdicts.append(SampleVerdict(x, "VERIFIED-CANDIDATE-W",
                                           len(active_y)))
-    report = PseudoReport(ptype, verdicts, all(v.verified for v in verdicts))
+    report = PseudoReport(verdicts, all(v.verified for v in verdicts))
     return report, set(margin_cache)

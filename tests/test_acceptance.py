@@ -104,7 +104,7 @@ def test_criterion_3_example_3_5_pipeline(spec35, origin):
     acts = compute_active_sets(spec35, origin)
     for vi in acts.scenarios:
         ok = ok and len(vi) == 1 and abs(vi[0] - (-0.25)) <= 1e-6
-    S1, _ = constraint_set(spec35, 1, origin, acts, "hull")
+    S1, _ = constraint_set(spec35, 1, origin, acts)
     want = Polytope([[-1 / 64, 1 / 32], [1 / 64, 1 / 32]])
     ok = ok and polytope_equal(S1.components[0], want, tol=1e-12)
     cert = load_certificate(
@@ -181,7 +181,8 @@ def test_criterion_6_pseudo_convexity(spec22, spec23, origin):
     okI = repI.all_verified and len(repI.verdicts) == 441
     w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
          "u": [[0.0, -0.4], [0.0, 0.0], [0.0, 0.5]]}
-    repw = witnessed_failure_check(spec22, origin, "II", w)
+    repw = witnessed_failure_check(spec22, origin, "II", w, "limiting",
+                                   False)
     okW = (repw.verdicts[0].verdict == "WITNESSED-FAILURE"
            and abs(repw.lp_optimum) <= 1e-12)
     repII = pseudoconvex_test(spec23, origin, "II", region=(-2, 2, -2, 2),
@@ -238,7 +239,7 @@ class TestCriterion8PropertySuites:
             omin = _grid_oracle_min(parts)
             if 1e-9 < omin <= 8e-3:
                 continue
-            assert zero_in_sum(parts).sat == (omin <= 1e-9)
+            assert zero_in_sum(parts, np.zeros((0, 2))).sat == (omin <= 1e-9)
             checked += 1
         _crit("criterion 8b: zero_in_sum vs dense-grid oracle, 200 instances",
               True)
@@ -325,7 +326,7 @@ class TestCriterion8PropertySuites:
                 continue
             H = hl.set.components[0]
             for vert in lim.set.all_vertices():
-                inside, _ = H.contains(vert, tol=1e-9)
+                inside, _ = H.contains(vert)
                 assert inside
             checked += 1
         _crit("criterion 8f: limiting set inside hull set, 200 instances",

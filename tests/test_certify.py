@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from robustkkt import certify
 from robustkkt.certify import (
     CertifyError,
     KKTCertificate,
@@ -157,7 +158,8 @@ class TestPseudoConvex:
     def test_type_II_failure_witness_2_2(self, spec22, origin):
         w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
              "u": [[0.0, -0.4], [0.0, 0.0], [0.0, 0.5]]}
-        rep = witnessed_failure_check(spec22, origin, "II", w)
+        rep = witnessed_failure_check(spec22, origin, "II", w, "limiting",
+                                      False)
         assert rep.verdicts[0].verdict == "WITNESSED-FAILURE"
         assert abs(rep.lp_optimum) <= 1e-12
 
@@ -179,7 +181,8 @@ class TestPseudoConvex:
         w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
              "u": [[0.0, -0.4], [9.0, 0.0], [0.0, 0.5]]}
         with pytest.raises(CertifyError):
-            witnessed_failure_check(spec22, origin, "II", w)
+            witnessed_failure_check(spec22, origin, "II", w, "limiting",
+                                    False)
 
     def test_ystar_grid_interior(self, spec22):
         ys = ystar_grid(spec22, 8)
@@ -215,6 +218,80 @@ class TestPseudoConvex:
                                                    m)
             assert np.array_equal(got.view(np.int64),
                                   np.array(want).view(np.int64))
+
+
+# Ground sets a.x <= b, each with a point on one face and a corner.
+_BOX = (np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+        np.array([1.0, 1.0, 1.0, 2.0]))
+_HALFSPACES = (np.array([[1.0, 2.0], [-1.0, 0.0], [0.5, -1.0]]),
+               np.array([2.0, 0.0, 1.0]))
+_GROUND = {
+    "box-face": (OmegaSpec.box([-1, -1], [1, 2]), _BOX, (1.0, 0.0)),
+    "box-corner": (OmegaSpec.box([-1, -1], [1, 2]), _BOX, (-1.0, 2.0)),
+    "halfspaces-face": (OmegaSpec.halfspaces(*_HALFSPACES), _HALFSPACES,
+                        (1.0, 0.5)),
+    "halfspaces-corner": (OmegaSpec.halfspaces(*_HALFSPACES), _HALFSPACES,
+                          (0.0, 1.0)),
+}
+
+
+def _highs_witness_optimum(spec, xbar, x, ystar, u, cuts):
+    """min <y* u, w> + ||x - xbar|| <y*, theta> over w = ||x - xbar|| B lam
+    (B the primal ball's vertices, lam >= 0, sum lam <= 1) with
+    <a, w> <= 0 for the rows a of cuts, by HiGHS with w free."""
+    from scipy.optimize import linprog
+
+    nrm = spec.primal_norm(x - xbar)
+    B = certify.primal_ball(spec.norm, 2, spec.ball_facets).vertices
+    m = B.shape[0]
+    A_ub = np.vstack([np.r_[0.0, 0.0, np.ones(m)],
+                      np.hstack([cuts, np.zeros((len(cuts), m))])])
+    res = linprog(np.r_[ystar * u, np.zeros(m)], A_ub=A_ub,
+                  b_ub=np.r_[1.0, np.zeros(len(cuts))],
+                  A_eq=np.hstack([np.eye(2), -nrm * B.T]), b_eq=np.zeros(2),
+                  bounds=[(None, None)] * 2 + [(0, None)] * m,
+                  method="highs")
+    assert res.status == 0
+    return res.fun + nrm * ystar * float(spec.theta[0])
+
+
+class TestWitnessCuts:
+    """The witness LP of witnessed_failure_check against HiGHS where the
+    normal cone cuts w: x-bar on a face or a corner of a box or of a
+    polygon, random witnesses under every norm."""
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("ground", sorted(_GROUND))
+    def test_lp_optimum_matches_highs(self, ground, norm):
+        omega, (A, b), xbar = _GROUND[ground]
+        xbar = np.array(xbar)
+        # the active outward normals, the normal cone's generators
+        cuts = A[np.abs(A @ xbar - b) <= 1e-12]
+        assert len(cuts) == (2 if "corner" in ground else 1)
+        rng = np.random.default_rng(sorted(_GROUND).index(ground) * 3
+                                    + ["l1", "l2", "linf"].index(norm))
+        cut_matters = 0
+        for _ in range(25):
+            # -|x1 - a| - |x2 - b| has the hull [-1, 1]^2 at (a, b), and
+            # its premise holds at every x != xbar for theta <= 1
+            spec = ProblemSpec(
+                dim=2, objective_names=("f1",),
+                objectives=(parse_expr(f"-abs(x1 - ({xbar[0]})) "
+                                       f"- abs(x2 - ({xbar[1]}))", 2),),
+                constraints=(), cone=ConeSpec(pattern=(1,)), omega=omega,
+                theta=np.array([rng.uniform(0.0, 1.0)]), norm=norm)
+            x = xbar + rng.uniform(-1.0, 1.0, size=2)
+            ystar = float(rng.uniform(0.2, 2.0))
+            u = rng.uniform(-1.0, 1.0, size=2)
+            rep = certify.witnessed_failure_check(
+                spec, xbar, "II", {"x": x, "ystar": [ystar], "u": [u]},
+                "hull", False)
+            want = _highs_witness_optimum(spec, xbar, x, ystar, u, cuts)
+            assert rep.lp_optimum == pytest.approx(want, abs=1e-9)
+            uncut = _highs_witness_optimum(spec, xbar, x, ystar, u,
+                                           np.zeros((0, 2)))
+            cut_matters += want > uncut + 1e-6
+        assert cut_matters >= 5
 
 
 def _toy(objective="x1", constraints=(), theta=(0.0,)):

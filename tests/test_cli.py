@@ -196,6 +196,73 @@ class TestCommands:
         assert code == 1 and doc["verdict"] == "WITNESSED-FAILURE"
         assert abs(doc["details"]["lp_optimum"]) <= 1e-12
 
+    KINK = """
+[space]
+dim = 2
+[cone]
+pattern = >=0
+[theta]
+value = 0
+[omega]
+kind = whole
+[objectives]
+f1 = "-abs(x1) + x2"
+[constraints]
+g1 = "x1 - 5"
+[options]
+fixture = f1 @ 0,0 : {(0,2)}
+"""
+
+    def _kink(self, tmp_path, u, *flags, fixture=""):
+        """pseudoconvex --witness at 0,0 on f1 = -abs(x1) + x2, whose
+        limiting set there is {(-1, 1)} | {(1, 1)} and whose fixture is
+        {(0, 2)}."""
+        problem = tmp_path / "kink.problem"
+        problem.write_text(self.KINK + fixture)
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"x": [1, 0], "ystar": [1], "u": u}))
+        return ["pseudoconvex", "--problem", str(problem), "--at", "0,0",
+                "--type", "II", "--witness", str(witness), *flags]
+
+    def test_witness_reads_the_fixture(self, capsys, tmp_path):
+        # (0, 2) is the fixture's one point, and lies off the engine's hull
+        code, doc = run_json(capsys, self._kink(tmp_path, [[0, 2]],
+                                                "--fixtures"))
+        assert code == 2 and doc["verdict"] == "INCONCLUSIVE"
+        code, doc = run_json(capsys, self._kink(tmp_path, [[0, 2]]))
+        assert code == 3
+        assert doc["error"] == ("witness u[0] outside the subdifferential "
+                                "(residual 1)")
+
+    def test_witness_checked_in_the_mode_asked(self, capsys, tmp_path):
+        # (0, 1) lies in the hull of the limiting set, not in the set
+        code, doc = run_json(capsys, self._kink(tmp_path, [[0, 1]]))
+        assert code == 3
+        assert doc["error"] == ("witness u[0] outside the subdifferential "
+                                "(residual 1)")
+        code, doc = run_json(capsys, self._kink(tmp_path, [[0, 1]],
+                                                "--mode", "hull"))
+        assert code == 2 and doc["verdict"] == "INCONCLUSIVE"
+
+    def test_witness_refuses_a_constraint_fixture(self, capsys, tmp_path):
+        argv = self._kink(tmp_path, [[1, 1]], "--fixtures",
+                          fixture="fixture = g1 @ 0,0 : {(1,0)}\n")
+        code, doc = run_json(capsys, argv)
+        assert code == 3 and "g1 has one at this point" in doc["error"]
+        code, doc = run_json(capsys, argv[:-1])
+        assert code == 2 and doc["verdict"] == "INCONCLUSIVE"
+
+    def test_sweep_refuses_fixtures(self, capsys, tmp_path):
+        argv = self._kink(tmp_path, [[0, 2]])[:-2] + ["--region",
+                                                      "-1,1,-1,1"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0 and doc["verdict"] == "VERIFIED"
+        code, doc = run_json(capsys, argv + ["--fixtures"])
+        assert code == 3
+        assert doc["error"] == (
+            "the pseudo-convexity sweep reads no fixture, but fixtures are "
+            "asked for and f1 has one at this point")
+
     def test_duality_strong(self, capsys):
         code, doc = run_json(capsys, ["duality", "strong",
                                       "--problem", "example_3_5",

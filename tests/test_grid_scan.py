@@ -68,7 +68,10 @@ def _outcome(fn):
 
 
 def assert_same(spec, X, tol=None):
-    """Bit-equal envelopes and equal masks; returns the cells rescanned."""
+    """Bit-equal envelopes and equal masks, with tol as the spec's
+    feas_tol if given; returns the cells rescanned."""
+    if tol is not None:
+        spec = replace(spec, feas_tol=tol)
     rescanned = []
     scan = robustfeas.envelope_grid
 
@@ -84,10 +87,10 @@ def assert_same(spec, X, tol=None):
                 spec, con, X).view(np.int64).tolist())
             assert got == want, str(con.expr)
         want = _outcome(
-            lambda: grid_oracle.feasibility_mask(spec, X, tol).tolist())
+            lambda: grid_oracle.feasibility_mask(spec, X).tolist())
         robustfeas.envelope_grid = counting
         try:
-            got = _outcome(lambda: feasibility_mask(spec, X, tol).tolist())
+            got = _outcome(lambda: feasibility_mask(spec, X).tolist())
         finally:
             robustfeas.envelope_grid = scan
     assert got == want, [str(c.expr) for c in spec.constraints]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from genexpr import random_convex_expr, random_point, random_supported_expr
 from robustkkt import certify, lp, setcalc
 from robustkkt.cli import run_command
-from robustkkt.setcalc import PolyCone, Polytope, PolytopeSet, minkowski_sum
+from robustkkt.setcalc import Polytope, PolytopeSet, minkowski_sum
 from robustkkt.subdiff import limiting_subdiff
 from sweep_oracle import _lp_witness_margin, _witness_ball, \
     component_witness_margin
@@ -208,11 +208,11 @@ def _random_margin_case(rng, norm):
                 for t in range(T)}
     rows = [t for t in range(T) if rng.random() < 0.7]
     ngen = int(rng.integers(0, 3))
+    N = np.zeros((0, 2))
     if ngen:
-        N = PolyCone(2, rng.normal(size=(ngen, 2)),
-                     lineality=rng.random(ngen) < 0.35)
-    else:
-        N = PolyCone.zero(2)
+        G = rng.normal(size=(ngen, 2))
+        # a line in the normal cone is the pair g, -g; it pins w to a line
+        N = np.vstack([G, -G[rng.random(ngen) < 0.35]])
     nrm = float(rng.uniform(0.1, 3.0))
     ytheta = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.0))
     return comp, nrm, ytheta, rows, con_base, N, pball
@@ -229,9 +229,9 @@ class TestPlanarMargin:
             args = (comp, nrm, ytheta, rows, con_base, N, pball, norm == "l2")
             planar = component_witness_margin(*args)
             ball = _witness_ball(comp.vertices, pball, norm == "l2")
-            cuts, lines = certify._witness_cuts(2, rows, con_base, N)
+            cuts = certify._witness_cuts(2, rows, con_base, N)
             highs = _lp_witness_margin(comp.vertices, nrm * ytheta,
-                                       nrm * ball, cuts, lines)
+                                       nrm * ball, cuts)
             if planar is None or highs is None:
                 # a margin of 0 sits on the LP's feasibility boundary
                 other = planar if highs is None else highs
@@ -248,20 +248,21 @@ class TestPlanarMargin:
         delta, w = found
         for t in rows:
             assert np.all(con_base[t][1] @ w <= 1e-9)
-        for g, is_line in zip(N.generators, N.lineality):
-            assert (abs(g @ w) if is_line else g @ w) <= 1e-9
+        for g in N:
+            assert g @ w <= 1e-9
         assert np.max(comp.vertices @ w) + nrm * ytheta <= -delta + 1e-9
         ball = [pball.vertices]
         if l2_exact_dirs:
             ball += [-u[None, :] / np.linalg.norm(u) for u in comp.vertices
                      if np.linalg.norm(u) > 1e-15]
         ball = np.vstack(ball)
-        inside, _ = Polytope(nrm * ball).contains(w, tol=1e-9)
+        inside, _ = Polytope(nrm * ball).contains(w)
         assert inside
 
     def test_lineality_pins_w_to_a_line(self):
         comp = Polytope([[1.0, 0.0]])
-        N = PolyCone(2, [[1.0, 0.0]], lineality=[True])
+        # the line through (1, 0) in the normal cone, as the pair g, -g
+        N = np.array([[1.0, 0.0], [-1.0, 0.0]])
         pball = certify.primal_ball("linf", 2, 64)
         delta, w = component_witness_margin(
             comp, 1.0, 0.0, [], {}, N, pball)
@@ -274,7 +275,7 @@ class TestPlanarMargin:
         pball = certify.primal_ball("l2", 2, 64)
         # min_u -<u, w> <= 0 everywhere, and the offset makes it negative
         assert component_witness_margin(
-            comp, 1.0, 0.5, [], {}, PolyCone.zero(2), pball) is None
+            comp, 1.0, 0.5, [], {}, np.zeros((0, 2)), pball) is None
 
 
 README_SWEEPS = [
@@ -311,7 +312,7 @@ def _exact_dirs(U):
 def _geometry(norm):
     return certify._SweepGeometry(certify.primal_ball(norm, 2, 64),
                                   norm == "l2",
-                                  [(np.zeros((0, 2)), np.zeros((0, 2)))])
+                                  [np.zeros((0, 2))])
 
 
 def _lexicographic(G):

@@ -11,6 +11,9 @@ comprehensions and dataclass-generated methods (compiled from strings) do
 not. Code that no command reaches is deleted or named here; an entry whose
 function is gone or is now reached fails the test too, so the list stays
 exact.
+
+A default that every call in ``src/`` overrides with one and the same
+literal is a constant in disguise as well, and fails like an unset one.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import ast
 import inspect
 import sys
+from collections import defaultdict
 from pathlib import Path
 from types import CodeType
 
@@ -27,6 +31,9 @@ from test_golden import COMMANDS, report
 SRC = Path(robustkkt.__file__).resolve().parent
 
 KEPT = {
+    "certify.refuse_unread_fixtures":
+        "pseudoconvex under --fixtures; no README command asks for fixtures "
+        "there",
     "cli.LoadError.__init__":
         "raised only on refused input; tests/test_cli.py covers the refusals",
     "cli._fmt": "formats a bound in a refusal; no README command is refused",
@@ -59,7 +66,6 @@ KEPT = {
         "a box ground set; no bundled problem has one",
     "setcalc.OmegaSpec.halfspaces":
         "a halfspace ground set; no bundled problem has one",
-    "setcalc.PolyCone.__repr__": "debugging representation",
     "setcalc.Polytope.__repr__": "debugging representation",
     "setcalc.PolytopeSet.__repr__": "debugging representation",
     "setcalc._lp_extreme_points": "hull reduction for d != 2",
@@ -72,7 +78,8 @@ KEPT = {
 }
 
 
-# Defaulted parameters that no call in src/ sets, by module.function(name).
+# Defaulted parameters that no call in src/ sets, or that every call sets
+# to the same literal, by module.function(name).
 KEPT_PARAMS = {
     "cli.main(argv)":
         "the console script calls main() bare; tests pass their argv",
@@ -82,17 +89,6 @@ KEPT_PARAMS = {
     "funcdsl.sqrt_(span)":
         "_Parser.atom passes it through f = abs_ or sqrt_, a call by "
         "another name",
-    "lp.LPBuilder.solve(engine)":
-        "tests/test_lp.py solves one LP by both engines, and the HiGHS "
-        "margin oracle of tests/sweep_oracle.py asks for the float engine",
-    "robustfeas.golden_max(tol)":
-        "tests/scenario_oracle.py passes its refine_tol",
-    "robustfeas.feasibility_mask(tol)":
-        "tests/test_grid_scan.py puts the tolerance on a cell's envelope "
-        "to reach the edges of the hull bound's band",
-    "setcalc.PolyCone.__init__(lineality)":
-        "a cone with lineality generators: normal_cone builds none, the "
-        "planar margin tests do",
 }
 
 def _key(code: CodeType) -> tuple[str, int, str]:
@@ -149,8 +145,14 @@ def test_every_function_reached_or_kept(tmp_path, monkeypatch):
     assert sorted(set(KEPT) - unreached) == [], "kept but reached or gone"
 
 
-def defaulted_parameters() -> dict[str, tuple[str, int | None]]:
-    """Every defaulted parameter of a function in the package, as
+def _modules() -> dict[str, str]:
+    """Source text of every module of the package, by module name."""
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def defaulted_parameters(modules: dict[str, str]
+                         ) -> dict[str, tuple[str, int | None]]:
+    """Every defaulted parameter of a function in the modules, as
     'module.Class.function(name)': the name a call uses (the class for
     __init__) and the parameter's position in a call (None if keyword
     only)."""
@@ -178,36 +180,83 @@ def defaulted_parameters() -> dict[str, tuple[str, int | None]]:
             else:
                 walk(child, prefix, owner)
 
-    for path in sorted(SRC.glob("*.py")):
-        walk(ast.parse(path.read_text()), path.stem, None)
+    for stem, text in modules.items():
+        walk(ast.parse(text), stem, None)
     return found
 
 
-def parameters_set() -> set[tuple[str, object]]:
-    """(called name, keyword or position) for every argument of every
-    call in the package; a call is matched by the name it uses, so a name
-    two functions share counts for both, and *args or **kwargs set all."""
+def calls_by_name(modules: dict[str, str]) -> dict[str, list[ast.Call]]:
+    """Every call in the modules, by the name it uses, so a name two
+    functions share counts for both."""
+    out = defaultdict(list)
+    for text in modules.values():
+        for call in ast.walk(ast.parse(text)):
+            if isinstance(call, ast.Call):
+                f = call.func
+                out[getattr(f, "id", None) or getattr(f, "attr", None)] \
+                    .append(call)
+    return out
+
+
+def passed(call: ast.Call, name: str, position: int | None):
+    """What call passes for the parameter name at position: its node,
+    "*" if a *args or **kwargs may hold it, None if it leaves the
+    default."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return "*"
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+    if position is not None and position < len(call.args):
+        return call.args[position]
+    return None
+
+
+def _literal(node) -> str | None:
+    """ast.dump of node if it is a literal, else None."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def disguised_constants(modules: dict[str, str]) -> set[str]:
+    """The defaulted parameters that no call sets, or that every call
+    sets to one and the same literal."""
+    calls = calls_by_name(modules)
     out = set()
-    for path in sorted(SRC.glob("*.py")):
-        for call in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(call, ast.Call):
-                continue
-            f = call.func
-            name = getattr(f, "id", None) or getattr(f, "attr", None)
-            if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                    k.arg is None for k in call.keywords):
-                out.add((name, "*"))
-            out.update((name, k) for k in range(len(call.args)))
-            out.update((name, k.arg) for k in call.keywords)
+    for key, (called, position) in defaulted_parameters(modules).items():
+        name = key[key.index("(") + 1:-1]
+        values = [passed(c, name, position) for c in calls[called]]
+        if all(v is None for v in values):
+            out.add(key)  # set by no call
+        elif all(isinstance(v, ast.AST) for v in values):
+            literals = {_literal(v) for v in values}
+            if len(literals) == 1 and None not in literals:
+                out.add(key)  # every call sets the same literal
     return out
 
 
 def test_every_default_is_set_or_kept():
-    """A default that no call overrides is a constant in disguise."""
-    calls = parameters_set()
-    unset = {key for key, (called, position) in
-             defaulted_parameters().items()
-             if not {(called, key[key.index("(") + 1:-1]), (called, "*"),
-                     (called, position)} & calls}
-    assert sorted(unset - set(KEPT_PARAMS)) == [], "set by no call"
-    assert sorted(set(KEPT_PARAMS) - unset) == [], "kept but set or gone"
+    """A default that no call overrides is a constant in disguise, and so
+    is one that every call overrides with the same literal."""
+    disguised = disguised_constants(_modules())
+    assert sorted(disguised - set(KEPT_PARAMS)) == [], "a constant"
+    assert sorted(set(KEPT_PARAMS) - disguised) == [], "kept but set or gone"
+
+
+def test_a_default_every_call_overrides_alike_is_a_constant():
+    def modules(*calls):
+        return {"m": "def _k(a, b=1):\n    return a + b\n\n\n"
+                     "def f(x):\n" + "".join(f"    {c}\n" for c in calls)}
+
+    assert disguised_constants(modules("_k(x, 2)")) == {"m._k(b)"}
+    assert disguised_constants(modules("_k(x, 2)", "_k(x, b=2)")) \
+        == {"m._k(b)"}
+    assert disguised_constants(modules("_k(x)")) == {"m._k(b)"}
+    assert disguised_constants(modules("_k(x, 2)", "_k(x, 3)")) == set()
+    assert disguised_constants(modules("_k(x, 2)", "_k(x)")) == set()
+    assert disguised_constants(modules("_k(x, x)", "_k(x, x)")) == set()
+    assert disguised_constants(modules("_k(*x)")) == set()

@@ -220,7 +220,7 @@ class TestOracles:
                 continue
             H = hl.set.components[0]
             for vert in lim.set.all_vertices():
-                inside, res = H.contains(vert, tol=1e-9)
+                inside, res = H.contains(vert)
                 assert inside, f"{e} at {x}: {vert} escapes hull by {res}"
             checked += 1
 

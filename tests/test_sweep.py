@@ -320,11 +320,9 @@ def assert_same_margins(monkeypatch, spec, xbar, ptype, **kw):
     init = certify._SweepGeometry.__init__
     margins = certify._SweepGeometry.margins
 
-    def spy_init(self, pball, l2_dirs, cut_rows):
-        # a lineality generator cuts both ways
-        built.append((pball, l2_dirs, [np.vstack([cuts, lines, -lines])
-                                       for cuts, lines in cut_rows]))
-        init(self, pball, l2_dirs, cut_rows)
+    def spy_init(self, pball, l2_dirs, walls):
+        built.append((pball, l2_dirs, walls))
+        init(self, pball, l2_dirs, walls)
 
     def spy_margins(self, comps, ytheta):
         calls.append((self, comps, ytheta))
@@ -356,7 +354,7 @@ def assert_same_margins(monkeypatch, spec, xbar, ptype, **kw):
             for j, got in enumerate(row):
                 assert_same_margin(got, sweep_oracle._normalized_margin(
                     components, [None] * len(components), ytheta[r],
-                    (None, None, walls[j]), pball, l2_dirs))
+                    walls[j], pball, l2_dirs))
     return seen
 
 

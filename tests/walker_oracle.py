@@ -286,13 +286,13 @@ def _grad(e: Expr, xl: list[float], v, tol: float, x_only: bool):
         cv, cg = _grad(e.children[0], xl, v, tol, x_only)
         if cv == 0.0:
             raise DomainError(f"division by zero in 1/({e.children[0]})")
-        return 1.0 / cv, -cg / (cv * cv)
+        return 1.0 / cv, (-1.0 / (cv * cv)) * cg
     if k == "sqrt":
         cv, cg = _grad(e.children[0], xl, v, tol, x_only)
         if cv <= 0.0:
             raise DomainError(f"sqrt argument not positive in sqrt({e.children[0]})")
         r = cv ** 0.5
-        return r, cg / (2.0 * r)
+        return r, (0.5 / r) * cg
     if k == "abs":
         arg = e.children[0]
         cv = arg.scalar_fn(xl, v)
