@@ -18,6 +18,7 @@ import numpy as np
 from .funcdsl import eval_expr, eval_on_grid
 from .lp import LPBuilder
 from .robustfeas import (
+    CELLS_LIMIT,
     ProblemSpec,
     Psi,
     compute_active_sets,
@@ -42,10 +43,6 @@ TIGHT_TOL = 1e-9  # a fuzzy merit branch this close to psi is tight
 EPS_STRICT = 1e-7
 EPS_YSTAR_MIN = 1e-6
 KKT_TOL = 1e-9  # the stationarity residual a certificate may leave
-# A pseudoconvex sweep holds a y*-grid points x grid^2 premise matrix; the
-# y*-grid has y_resolution^(m-1) points for m dual-cone generators.  2^23
-# cells is 64 MiB per float64 array.
-PREMISE_CELLS_LIMIT = 2 ** 23
 # y* per block of the sweep's (y*, sample) temporaries, which bounds them
 _BLOCK = 64
 
@@ -589,10 +586,10 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     if spec.dim != 2:
         raise CertifyError("grid sampling requires dimension 2")
     cells = ystar_grid_size(spec, y_resolution) * grid ** 2
-    if cells > PREMISE_CELLS_LIMIT:
+    if cells > CELLS_LIMIT:
         raise CertifyError(
             f"y_resolution {y_resolution} and grid {grid} make {cells} "
-            f"premise cells, over the limit {PREMISE_CELLS_LIMIT}")
+            f"premise cells, over the limit {CELLS_LIMIT}")
     a1, b1, a2, b2 = [float(t) for t in region]
     g1, g2 = np.meshgrid(np.linspace(a1, b1, grid),
                          np.linspace(a2, b2, grid), indexing="ij")

@@ -75,7 +75,7 @@ class Expr:
     @cached_property
     def grid_fn(self):
         """This tree compiled to ``f(X, scenarios)``, which yields its values
-        over the columns of X at each scenario (see ``_compile``)."""
+        over the cells of the grid X at each scenario (see ``_compile``)."""
         return _compile(self, GRID)
 
     @cached_property
@@ -602,9 +602,10 @@ def _scan_power(a, n, e: Expr):
 
 
 # Each node kind's right-hand side in the scalar, the grid and the scan
-# code.  A scalar sum or max calls the builtin on a tuple and a product
-# starts from 1.0; on the grid they are left folds (``sum`` starts from 0,
-# which differs on -0.0).  The scan code keeps the scalar rule where it
+# code.  A scalar sum is the left fold from 0 (builtin ``sum`` before
+# Python 3.12 compensated it), a product starts from 1.0 and a max calls
+# the builtin on a tuple; on the grid they are left folds from the first
+# operand (0 + -0.0 is 0.0).  The scan code keeps the scalar rule where it
 # gives the same bits per scenario, keeps the first of equal maxima as the
 # builtin does (-0.0 before 0.0; np.maximum does not), and raises the
 # scalar error on a zero divisor or negative root anywhere.
@@ -614,7 +615,7 @@ def _scan_power(a, n, e: Expr):
 # const and uvar nodes are operands, not assignments.
 _RULES = {
     "coord": ("x[{i}]", "X[{i}]", "x[{i}]"),
-    "sum": ("_sum(({args},))", "{plus}", "_sum(({args},))"),
+    "sum": ("0 + {plus}", "{plus}", "0 + {plus}"),
     "prod": ("1.0 * {times}", "{times}", "1.0 * {times}"),
     "pow": ("_power({a}, {n}, {node})",) * 2
     + ("_scan_power({a}, {n}, {node})",),
@@ -627,7 +628,7 @@ _RULES = {
     "max": ("_max(({args},))", "_reduce(_maximum, ({args},))",
             "_reduce(_first_max, ({args},))"),
 }
-_HELPERS = {"_float": float, "_sum": sum, "_max": max, "_abs": abs,
+_HELPERS = {"_float": float, "_max": max, "_abs": abs,
             "_recip": _recip, "_sqrt": _sqrt, "_power": _power,
             "_nan_recip": _nan_recip, "_nan_sqrt": _nan_sqrt,
             "_np_abs": np.abs, "_reduce": reduce, "_maximum": np.maximum,
@@ -650,21 +651,20 @@ def _compile(e: Expr, target: int = SCALAR):
     float operations of a recursive walk, in the same order.  The scalar
     code ``f(x, v)`` returns a float and raises DomainError where the tree
     is undefined.  The grid code ``f(X, scenarios)`` yields the tree over
-    the columns of X at each scenario, NaN where it is undefined; each
-    v-free node is assigned once, before the scenario loop.  The scan code
-    ``f(x, V)`` gives the tree at x for every scenario of the array V: its
-    v-free nodes are the scalar code's floats, its nodes without x are
-    computed once per V and kept with the tree for the last V (compared by
-    its bytes, not its id).  It raises DomainError where the scalar code
-    would at some scenario, not always with its message, and is otherwise
-    bit-equal to it per scenario (builtin ``sum`` is a plain left fold
-    before Python 3.12); its caller falls back to the scalar code on a
-    DomainError or a value that is not finite.  Constants and scenarios
-    stay as given: a power of Python floats raises DomainError where it
-    overflows, one of a grid array or a numpy scalar gives inf.  Constants,
-    exponents, power nodes and error messages reach the code as closure
-    values, never as source text.  Neither this function nor the code it
-    writes nests per tree level, so any tree the parser accepts compiles.
+    the cells of X (see ``eval_on_grid``) at each scenario, NaN where it is
+    undefined; each v-free node is assigned once, before the scenario loop.
+    The scan code ``f(x, V)`` gives the tree at x for every scenario of the
+    array V: its v-free nodes are the scalar code's floats, its nodes
+    without x are computed once per V and kept with the tree for the last V
+    (compared by its bytes, not its id).  It raises DomainError where the
+    scalar code would at some scenario, not always with its message, and is
+    otherwise bit-equal to it per scenario; its caller falls back to the
+    scalar code on a DomainError or a value that is not finite.  Constants
+    and scenarios stay as given: a power of Python floats raises DomainError
+    where it overflows, one of a grid array or a numpy scalar gives inf.
+    Constants, exponents, power nodes and error messages reach the code as
+    closure values, never as source text.  Neither this function nor the
+    code it writes nests per tree level, so any parsed tree compiles.
     """
     values = dict(_HELPERS)
     fixed: list[str] = []   # scalar; v-free grid; v-free scan with x
@@ -735,25 +735,33 @@ def _compile(e: Expr, target: int = SCALAR):
     return _maker(src)(**values)
 
 
-def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
-    """Vectorized evaluation over columns of X (shape (d, N)).
+def _on_grid(e: Expr, X, v=None):
+    """e over the grid X in the shape of the coordinates it reads."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        [out] = e.grid_fn(X, (v,))
+    return out
+
+
+def eval_on_grid(e: Expr, X, v=None) -> np.ndarray:
+    """Vectorized evaluation over the cells of the grid X, coordinate
+    arrays that broadcast together, in their shape: (N,) for a dense
+    (d, N) array, (n1, n2) for the open mesh (x1[:, None], x2[None, :]).
 
     Domain violations yield NaN entries instead of raising; callers treat
     NaN as "undefined here" (a raster cell with NaN is reported infeasible).
     """
     _check_scenario(e, v)
-    X = np.asarray(X, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        [out] = e.grid_fn(X, (v,))
-    return np.broadcast_to(out, X.shape[1:]).copy() if np.ndim(out) == 0 else out
+    X = [np.asarray(x, dtype=float) for x in X]
+    out, cells = _on_grid(e, X, v), np.broadcast_shapes(*map(np.shape, X))
+    return out if np.shape(out) == cells else np.broadcast_to(out, cells).copy()
 
 
-def max_on_grid(e: Expr, X: np.ndarray, scenarios) -> np.ndarray:
+def max_on_grid(e: Expr, X, scenarios) -> np.ndarray:
     """np.fmax from -inf of eval_on_grid(e, X, v) over the scenarios."""
-    X = np.asarray(X, dtype=float)
+    X = [np.asarray(x, dtype=float) for x in X]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return reduce(np.fmax, e.grid_fn(X, map(float, scenarios)),
-                      np.full(X.shape[1], -np.inf))
+                      np.full(np.broadcast_shapes(*map(np.shape, X)), -np.inf))
 
 
 def eval_scenarios(e: Expr, scenarios) -> np.ndarray:

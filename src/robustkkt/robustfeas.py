@@ -13,19 +13,21 @@ over all scenarios, its x-free nodes kept per scenario grid; on a
 DomainError or a value that is not finite, the scalar code runs scenario
 by scenario instead, so every value and exception is its own.
 
-On a grid, envelope_grid is the running max F over the scenarios of the
-tree's grid code (its v-free nodes hoisted), without refinement.  A max
-branch c(x) + a(v)*h(x) + b(v), a sum of products of pure factors with one
-feature a, is linear in each scenario's point (a_j, b_j), so its maximum
-lies on the upper hull of those points (de Berg et al., Computational
-Geometry, 3rd ed., 8.2 and 11.4): P = c + max_j (a_j*h + b_j) is one
-searchsorted on the hull's edge slopes per cell.  With N the branch's
-terms plus its most factors in one term, u = 2^-53, and C(x) the sum over
-terms of the product of max(1, |factor|), which bounds every partial
-product and so every underflow, the sum-of-products error bound (Higham,
-Accuracy and Stability of Numerical Algorithms, 3.1) applied to the scan,
-to c, h, a, b and to P gives |F - P| <= delta = (4N + 8) u C(x) plus what
-a vertex picked by rounded slopes can lose.  feasibility_mask decides a
+On a grid (a raster's open mesh, where a factor of x1 costs one pass over
+the x1 axis, or dense samples), envelope_grid is the running max F over
+the scenarios of the tree's grid code (its v-free nodes hoisted), without
+refinement.  A max branch c(x) + a(v)*h(x) + b(v), a sum of products of
+pure factors with one feature a, is linear in each scenario's point
+(a_j, b_j), so its maximum lies on the upper hull of those points (de Berg
+et al., Computational Geometry, 3rd ed., 8.2 and 11.4), kept per
+constraint: P = c + max_j (a_j*h + b_j) is one searchsorted on the hull's
+edge slopes per cell.  With N the branch's terms plus its most factors in
+one term, u = 2^-53, and C(x) the sum over terms of the product of
+max(1, |factor|), which bounds every partial product and so every
+underflow, the sum-of-products error bound (Higham, Accuracy and Stability
+of Numerical Algorithms, 3.1) applied to the scan, to c, h, a, b and to P
+gives |F - P| <= delta = (4N + 8) u C(x) plus what a vertex picked by
+rounded slopes can lose.  feasibility_mask decides a
 cell by P when |P - tol| > delta, and rescans the others (delta is
 infinite where C(x) > 2^1000) with envelope_grid: its mask is exactly the
 full scan's.  Other branches, or two or more features, take the full scan.
@@ -44,7 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
+from operator import mul
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .funcdsl import (
     DEFAULT_KINK_TOL,
     DomainError,
     Expr,
+    _on_grid,
     contains_coord,
     contains_uncertainty,
     eval_expr,
@@ -74,6 +78,8 @@ NORMS = ("l1", "l2", "linf")
 SCENARIO_TOL = 1e-6
 # A fixture declared within FIXTURE_TOL of a point (max norm) applies there.
 FIXTURE_TOL = 1e-9
+# Cells of a raster, sample set or premise matrix: 64 MiB per float64 array
+CELLS_LIMIT = 2 ** 23
 
 
 class ProblemError(Exception):
@@ -338,10 +344,10 @@ def feasible_active_sets(spec: ProblemSpec, x) -> ActiveSets | None:
 # Vectorized feasibility and rasters
 # ---------------------------------------------------------------------------
 
-def _scenario_grid(spec: ProblemSpec, con: UncertainConstraint) -> np.ndarray:
+def _scenario_grid(con: UncertainConstraint, vgrid: int) -> np.ndarray:
     if con.scenarios is not None:
         return np.asarray(con.scenarios, dtype=float)
-    return np.linspace(con.lo, con.hi, spec.vgrid)
+    return np.linspace(con.lo, con.hi, vgrid)
 
 
 def envelope_grid(spec: ProblemSpec, con: UncertainConstraint,
@@ -349,81 +355,105 @@ def envelope_grid(spec: ProblemSpec, con: UncertainConstraint,
     """phi_i over grid columns, by running max across the scenario grid."""
     if not con.has_uncertainty:
         return eval_on_grid(con.expr, X)
-    return max_on_grid(con.expr, X, _scenario_grid(spec, con))
+    return max_on_grid(con.expr, X, _scenario_grid(con, spec.vgrid))
 
 
 # Unit roundoff; below _CAP no product of a branch overflows.
 _U, _CAP = 2.0 ** -53, 2.0 ** 1000
 
 
-def _hull_bound(spec: ProblemSpec, con: UncertainConstraint, X: np.ndarray):
-    """(P, delta) with |P - envelope_grid| <= delta where delta is finite,
-    or None.  A scenario NaN in a v factor is NaN at every cell: the scan
-    skips it, and so does the hull; an infinite one forbids the bound."""
-    branches = separable_branches(con.expr) if con.has_uncertainty else None
+def _hull_bound(spec: ProblemSpec, con: UncertainConstraint, X):
+    """(P, delta) over the cells of the grid X with |P - envelope_grid| <=
+    delta where delta is finite, or None."""
+    sides = con.has_uncertainty and _scenario_sides(con, spec.vgrid)
+    if not sides:
+        return None
+    grid = {}
+    P, delta = zip(*[_branch_bound(*side, X, grid) for side in sides])
+    return reduce(np.maximum, P), reduce(np.maximum, delta)
+
+
+@lru_cache(maxsize=64)
+def _scenario_sides(con: UncertainConstraint, vgrid: int):
+    """What no cell changes in con's hull bound, per branch: its terms,
+    the v factors' caps and, where a(v) and b(v) are finite, the upper
+    hull of the (a_j, b_j), its slope steps and slack.  A NaN v factor
+    skips its scenario, as the scan does; an infinite one, the bound."""
+    branches = separable_branches(con.expr)
     if branches is None:
         return None
     vals = {f: None for terms, _ in branches for withv, _ in terms
             for f in withv}
-    V = np.array([eval_scenarios(f, _scenario_grid(spec, con)) for f in vals])
+    V = np.array([eval_scenarios(f, _scenario_grid(con, vgrid))
+                  for f in vals])
     live = ~np.isnan(V).any(axis=0)
     if not live.any() or np.isinf(V[:, live]).any():
         return None
-    vals, grid = dict(zip(vals, V[:, live])), {}
-    P, delta = zip(*[_branch_bound(*br, X, vals, grid) for br in branches])
-    return reduce(np.maximum, P), reduce(np.maximum, delta)
+    V = V[:, live]
+    vals, sides = dict(zip(vals, V)), []
+    caps = {f: max(1.0, float(np.max(np.abs(x)))) for f, x in vals.items()}
+    for terms, feature in branches:
+        b = np.zeros(V.shape[1])
+        for withv, rest in terms:
+            if withv and not any(map(contains_coord, rest)):
+                b = b + reduce(mul, [eval_scenarios(f, [0.0])[0]
+                                     for f in rest], 1.0) \
+                    * reduce(mul, [vals[f] for f in withv], 1.0)
+        a = np.prod([vals[f] for f in feature], axis=0) if feature \
+            else 0.0 * b
+        hull = None
+        if np.isfinite(a).all() and np.isfinite(b).all():
+            k = upper_hull(a, b)
+            s = np.diff(b[k]) / np.diff(a[k])
+            hull = a[k], b[k], np.maximum.accumulate(-s), float(np.sum(
+                np.diff(a[k]) * np.maximum.accumulate(np.abs(s))))
+        sides.append((terms, caps, hull))
+    return sides
 
 
-def _branch_bound(terms, feature, X, vals, grid):
+def _branch_bound(terms, caps, hull, X, grid):
     """P = c + max_j (a_j*h + b_j) by a tangent query on the upper hull of
-    the scenario points (a_j, b_j), and the band delta around P."""
-    b = np.zeros(len(next(iter(vals.values()))))
+    the scenario points (a_j, b_j), and the band delta around P; each x
+    factor keeps the shape of its coordinates (_on_grid)."""
     c = h = cap = 0.0
     for withv, rest in terms:
-        xpart = vpart = term_cap = 1.0
+        xpart = term_cap = 1.0
         for f in rest:
             if f not in grid:
-                grid[f] = eval_on_grid(f, X) if contains_coord(f) else \
+                grid[f] = _on_grid(f, X) if contains_coord(f) else \
                     eval_scenarios(f, [0.0])[0]
             xpart = xpart * grid[f]
             term_cap = term_cap * np.maximum(1.0, np.abs(grid[f]))
-        for f in withv:
-            vpart = vpart * vals[f]
-            term_cap = term_cap * max(1.0, float(np.max(np.abs(vals[f]))))
-        cap = cap + term_cap
+        cap = cap + reduce(mul, map(caps.get, withv), term_cap)
         if not withv:
             c = c + xpart
         elif any(contains_coord(f) for f in rest):
             h = h + xpart
-        else:
-            b = b + xpart * vpart
-    a = np.prod([vals[f] for f in feature], axis=0) if feature else 0.0 * b
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if hull is None:
         return np.nan, np.inf  # a product overflows: rescan every cell
-    k = upper_hull(a, b)
-    ak, bk = a[k], b[k]
-    s = np.diff(bk) / np.diff(ak)
-    j = np.searchsorted(np.maximum.accumulate(-s), h)
-    slack = float(np.sum(np.diff(ak) * np.maximum.accumulate(np.abs(s))))
+    ak, bk, steps, slack = hull
+    j = np.searchsorted(steps, h)
     n_ops = len(terms) + max(len(w) + len(r) for w, r in terms)
     return c + (ak[j] * h + bk[j]), np.where(
         cap <= _CAP, _U * ((4 * n_ops + 8) * cap + 4 * slack), np.inf)
 
 
-def feasibility_mask(spec: ProblemSpec, X: np.ndarray) -> np.ndarray:
-    """Boolean feasibility per grid column (envelopes <= spec.feas_tol);
-    NaN envelopes mean infeasible.  Cells outside each hull bound's band are
-    decided by it, the rest, while still feasible, by envelope_grid."""
+def feasibility_mask(spec: ProblemSpec, X) -> np.ndarray:
+    """Boolean feasibility over the cells of the grid X (envelopes <=
+    spec.feas_tol); NaN envelopes mean infeasible.  Cells outside each hull
+    bound's band are decided by it, the rest, while still feasible, by
+    envelope_grid on their dense coordinates."""
     tol = spec.feas_tol
     ok = spec.omega.contains_grid(X)
     for con in spec.constraints:
         P, delta = _hull_bound(spec, con, X) or (np.nan, np.inf)
         decided = np.abs(P - tol) > delta
         ok &= ~(decided & (P > tol))
-        idx = np.flatnonzero(ok & ~decided)
-        if idx.size:
-            env = envelope_grid(spec, con, X[:, idx])
-            ok[idx] = ~np.isnan(env) & (env <= tol)
+        cells = np.nonzero(ok & ~decided)
+        if cells[0].size:
+            env = envelope_grid(spec, con, np.array(
+                [np.broadcast_to(x, ok.shape)[cells] for x in X]))
+            ok[cells] = ~np.isnan(env) & (env <= tol)
     return ok
 
 
@@ -434,19 +464,19 @@ class Raster:
     feasible: np.ndarray    # shape (n1, n2), row-major over (x1, x2)
 
     def to_csv(self) -> str:
-        # Each axis value is formatted once, and each x1 row is joined on
-        # its own, so only one row's line strings are alive at a time.
-        tails = [f",{float(b)!r}," for b in self.x2]
+        # Each axis value is formatted once, with either flag; an x1 row is
+        # its head, then the tails its flags pick joined by that head.
         rows = ["x1,x2,feasible\n"]
-        for a, flags in zip(self.x1, self.feasible):
+        zeros, ones = [np.array([f",{float(b)!r},{f}\n" for b in self.x2],
+                                dtype=object) for f in (0, 1)]
+        for a, flags in zip(self.x1, self.feasible if self.x2.size else ()):
             head = repr(float(a))
-            rows.append("".join([f"{head}{tail}{int(f)}\n"
-                                 for tail, f in zip(tails, flags.tolist())]))
+            rows += [head, head.join(np.where(flags, ones, zeros))]
         return "".join(rows)
 
 
 def raster(spec: ProblemSpec, region, resolution) -> Raster:
-    """Feasibility raster over a 2-D box region.
+    """Feasibility raster over a 2-D box region, on its open mesh.
 
     region is (x1_lo, x1_hi, x2_lo, x2_hi); resolution an int or (n1, n2).
     """
@@ -456,13 +486,14 @@ def raster(spec: ProblemSpec, region, resolution) -> Raster:
         n1 = n2 = resolution
     else:
         n1, n2 = resolution
+    if n1 * n2 > CELLS_LIMIT:
+        raise ProblemError(f"a {n1} x {n2} raster has {n1 * n2} cells, "
+                           f"over the limit {CELLS_LIMIT}")
     a1, b1, a2, b2 = [float(t) for t in region]
     x1 = np.linspace(a1, b1, n1)
     x2 = np.linspace(a2, b2, n2)
-    G1, G2 = np.meshgrid(x1, x2, indexing="ij")
-    X = np.vstack([G1.ravel(), G2.ravel()])
-    mask = feasibility_mask(spec, X)
-    return Raster(x1, x2, mask.reshape(n1, n2))
+    mesh = np.meshgrid(x1, x2, indexing="ij", sparse=True)
+    return Raster(x1, x2, feasibility_mask(spec, mesh))
 
 
 # ---------------------------------------------------------------------------

@@ -392,16 +392,17 @@ class OmegaSpec:
             return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
         return bool(np.all(self.normals @ x <= self.offsets + tol))
 
-    def contains_grid(self, X: np.ndarray) -> np.ndarray:
+    def contains_grid(self, X) -> np.ndarray:
         tol = OMEGA_TOL
-        if self.kind == "whole":
-            return np.ones(X.shape[1], dtype=bool)
+        ok = np.ones(np.broadcast_shapes(*map(np.shape, X)), dtype=bool)
         if self.kind == "box":
-            ok = np.ones(X.shape[1], dtype=bool)
             for j in range(self.dim):
                 ok &= (X[j] >= self.lo[j] - tol) & (X[j] <= self.hi[j] + tol)
-            return ok
-        return np.all(self.normals @ X <= self.offsets[:, None] + tol, axis=0)
+        elif self.kind == "halfspaces":
+            D = np.array(np.broadcast_arrays(*X)).reshape(self.dim, -1)
+            ok = np.all(self.normals @ D <= self.offsets[:, None] + tol,
+                        axis=0).reshape(ok.shape)
+        return ok
 
 
 def normal_cone(omega: OmegaSpec, x) -> np.ndarray:

@@ -16,10 +16,12 @@ import numpy as np
 
 from .certify import CertifyError, search_kkt
 from .robustfeas import (
+    CELLS_LIMIT,
     ProblemSpec,
     compute_active_sets,
     feasibility_mask,
     feasible_active_sets,
+    raster,
 )
 from .setcalc import ConeSpec, PolytopeSet, minkowski_sum, normal_cone, scale, zero_in_sum
 from .subdiff import constraint_set, objective_set
@@ -88,18 +90,19 @@ def classify_point(spec: ProblemSpec, xbar, kind: str, region,
     if feasible_active_sets(spec, xbar) is None:
         raise VerifyError("classification point must be robust-feasible")
     if spec.dim == 2:
-        a1, b1, a2, b2 = [float(t) for t in region]
-        g1, g2 = np.meshgrid(np.linspace(a1, b1, resolution),
-                             np.linspace(a2, b2, resolution), indexing="ij")
-        X = np.vstack([g1.ravel(), g2.ravel()])
+        r = raster(spec, region, resolution)
+        i1, i2 = np.nonzero(r.feasible)  # row-major, as the raster's CSV
+        Xf = np.vstack([r.x1[i1], r.x2[i2]])
     else:
+        if resolution > CELLS_LIMIT:
+            raise VerifyError(
+                f"{resolution} samples exceed the limit {CELLS_LIMIT}")
         lo = np.asarray(region[0::2], dtype=float)
         hi = np.asarray(region[1::2], dtype=float)
         rng = np.random.default_rng(spec.seed)
         X = (lo[:, None] + (hi - lo)[:, None]
              * rng.random((spec.dim, resolution)))
-    mask = feasibility_mask(spec, X)
-    Xf = X[:, mask]
+        Xf = X[:, feasibility_mask(spec, X)]
     if Xf.shape[1] == 0:
         return EfficiencyVerdict(kind, True, None, None, tuple(region),
                                  resolution, 0)

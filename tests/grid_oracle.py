@@ -2,17 +2,30 @@
 scan and the hull bound: every scenario evaluates the whole constraint tree
 over the whole grid, and the mask reads that running max at every cell.
 Kept verbatim as the oracle of ``tests/test_grid_scan.py``, which asserts
-bit-equal envelopes and equal masks.  ``psi_on_grid`` is the merit function
+bit-equal envelopes and equal masks.  ``hull_bound`` is the hull bound
+(P, delta) as it stood before its scenario side was cached per constraint
+(``robustfeas._scenario_sides``): it rebuilds the v factors and their
+upper hull on every call.  ``psi_on_grid`` is the merit function
 ``Psi.on_grid`` that ``fuzzy`` minimised over every cell before it read
 only the cells its hull bound leaves in play (``Psi.candidate_keys``).
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from robustkkt.funcdsl import Expr, _check_scenario
-from robustkkt.robustfeas import Psi, ProblemSpec, UncertainConstraint
+from robustkkt.funcdsl import (
+    Expr,
+    _check_scenario,
+    contains_coord,
+    eval_scenarios,
+    separable_branches,
+)
+from robustkkt.robustfeas import _CAP, _U, Psi, ProblemSpec, \
+    UncertainConstraint
+from robustkkt.setcalc import upper_hull
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
@@ -100,3 +113,56 @@ def psi_on_grid(self: Psi, X: np.ndarray) -> np.ndarray:
     if not self.spec.constraints:
         return first
     return np.fmax(first, env)
+
+
+def hull_bound(spec: ProblemSpec, con: UncertainConstraint, X: np.ndarray):
+    """(P, delta) with |P - envelope_grid| <= delta where delta is finite,
+    or None, over the columns of X."""
+    branches = separable_branches(con.expr) if con.has_uncertainty else None
+    if branches is None:
+        return None
+    vals = {f: None for terms, _ in branches for withv, _ in terms
+            for f in withv}
+    vgrid = np.asarray(con.scenarios, dtype=float) if con.scenarios \
+        is not None else np.linspace(con.lo, con.hi, spec.vgrid)
+    V = np.array([eval_scenarios(f, vgrid) for f in vals])
+    live = ~np.isnan(V).any(axis=0)
+    if not live.any() or np.isinf(V[:, live]).any():
+        return None
+    vals, grid = dict(zip(vals, V[:, live])), {}
+    P, delta = zip(*[_branch_bound(*br, X, vals, grid) for br in branches])
+    return reduce(np.maximum, P), reduce(np.maximum, delta)
+
+
+def _branch_bound(terms, feature, X, vals, grid):
+    b = np.zeros(len(next(iter(vals.values()))))
+    c = h = cap = 0.0
+    for withv, rest in terms:
+        xpart = vpart = term_cap = 1.0
+        for f in rest:
+            if f not in grid:
+                grid[f] = eval_on_grid(f, X) if contains_coord(f) else \
+                    eval_scenarios(f, [0.0])[0]
+            xpart = xpart * grid[f]
+            term_cap = term_cap * np.maximum(1.0, np.abs(grid[f]))
+        for f in withv:
+            vpart = vpart * vals[f]
+            term_cap = term_cap * max(1.0, float(np.max(np.abs(vals[f]))))
+        cap = cap + term_cap
+        if not withv:
+            c = c + xpart
+        elif any(contains_coord(f) for f in rest):
+            h = h + xpart
+        else:
+            b = b + xpart * vpart
+    a = np.prod([vals[f] for f in feature], axis=0) if feature else 0.0 * b
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return np.nan, np.inf
+    k = upper_hull(a, b)
+    ak, bk = a[k], b[k]
+    s = np.diff(bk) / np.diff(ak)
+    j = np.searchsorted(np.maximum.accumulate(-s), h)
+    slack = float(np.sum(np.diff(ak) * np.maximum.accumulate(np.abs(s))))
+    n_ops = len(terms) + max(len(w) + len(r) for w, r in terms)
+    return c + (ak[j] * h + bk[j]), np.where(
+        cap <= _CAP, _U * ((4 * n_ops + 8) * cap + 4 * slack), np.inf)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustkkt import certify, cli
+from robustkkt import certify, cli, robustfeas
 from robustkkt.certify import ystar_grid, ystar_grid_size
 from robustkkt.cli import (
     LoadError,
@@ -951,7 +951,7 @@ class TestSizeLimits:
         assert 1001 <= _most("vgrid")
         assert 64 <= _most("ball_facets")
         # the bundled three-objective sweep: a 24^2-point y*-grid, 21^2 samples
-        assert 24 ** 2 * 21 ** 2 <= certify.PREMISE_CELLS_LIMIT
+        assert 24 ** 2 * 21 ** 2 <= robustfeas.CELLS_LIMIT
 
     @pytest.mark.parametrize("name,target,argv", LIMITED,
                              ids=[f"{n}-{a[0]}" for n, _, a in LIMITED])
@@ -1018,7 +1018,7 @@ class TestSizeLimits:
         # example_2_2 has three objectives, so its y*-grid has y_res^2 points
         y_res = _most("y_res")
         assert ystar_grid_size(spec22, 5) == len(ystar_grid(spec22, 5)) == 25
-        grid = math.isqrt(certify.PREMISE_CELLS_LIMIT // y_res ** 2)
+        grid = math.isqrt(robustfeas.CELLS_LIMIT // y_res ** 2)
         assert grid + 1 <= _most("grid")
         # the stub stands in for the sweep's first allocation
         monkeypatch.setattr(certify, "ystar_grid", _reach)

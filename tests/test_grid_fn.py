@@ -12,6 +12,7 @@ tree level.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -153,6 +154,20 @@ class TestEdgeCases:
         assert assert_same_scenarios(
             Expr("sum", children=(minus_v, minus_v)), [0.0]) == \
             ("value", minus_zero)
+
+    def test_sums_are_left_folds_in_every_target(self):
+        # 1e16 + 1 rounds to 1e16, so a plain left fold cancels to 0.0,
+        # where a compensated sum (math.fsum, and builtin sum from Python
+        # 3.12 on) gives 1.0; the scalar and scan code must not depend on
+        # the interpreter's sum
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+        x = [1e16, 1.0]
+        e = parse_expr("x1 + x2 - x1", 2)
+        assert eval_expr(e, x) == 0.0
+        assert eval_on_grid(e, np.array([x]).T).tolist() == [0.0]
+        ev = parse_expr("x1 + x2*v - x1", 2)
+        assert ev.scan_fn(x, np.array([1.0, 2.0])).tolist() == [0.0, 2.0]
+        assert eval_expr(ev, x, 1.0) == 0.0
 
     def test_trees_of_one_shape_keep_their_constants(self):
         # both trees compile to the same source and share its code; the

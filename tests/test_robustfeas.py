@@ -15,6 +15,7 @@ from robustkkt.robustfeas import (
     scenario_envelope,
 )
 from robustkkt.setcalc import ConeSpec, OmegaSpec
+from robustkkt.verify import VerifyError, classify_point
 
 from grid_oracle import psi_on_grid
 from test_golden import COMMANDS, report
@@ -203,7 +204,7 @@ class TestGridScanCount:
         def counting(spec, con, X):
             cells.append(X.shape[1])
             evaluations.append(
-                X.shape[1] * len(robustfeas._scenario_grid(spec, con)))
+                X.shape[1] * len(robustfeas._scenario_grid(con, spec.vgrid)))
             return scan(spec, con, X)
 
         monkeypatch.setattr(robustfeas, "_hull_bound", bounding)
@@ -257,6 +258,29 @@ class TestRaster:
         closed = (((X1 >= -0.5) & (X1 <= 0) & (np.abs(X2) <= -3 * X1 + 2))
                   | ((X1 <= -0.5) & (np.abs(X2) <= -X1 + 3)))
         assert np.mean(r.feasible == closed) >= 0.999
+
+    def test_too_many_cells_refused_before_any_exist(self, spec32,
+                                                     monkeypatch):
+        def allocate(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(robustfeas.np, "linspace", allocate)
+        with pytest.raises(ProblemError, match="16777216 cells, over the "
+                                               "limit 8388608"):
+            raster(spec32, (-5, 1, -5, 5), (4096, 4096))
+        with pytest.raises(AssertionError, match="was built"):
+            raster(spec32, (-5, 1, -5, 5), (2048, 4096))  # at the limit
+
+    def test_sample_count_bounded_off_the_plane(self, spec32):
+        line = ProblemSpec(
+            dim=1, objective_names=("f1",), objectives=(parse_expr("x1", 1),),
+            constraints=(), cone=ConeSpec(pattern=(1,)),
+            omega=OmegaSpec.whole(1), theta=np.zeros(1))
+        with pytest.raises(VerifyError,
+                           match="8388609 samples exceed the limit 8388608"):
+            classify_point(line, [0.0], "weak", (-1, 1), 2 ** 23 + 1)
+        assert classify_point(line, [0.0], "weak", (-1, 1), 5) \
+            .feasible_checked == 5
 
     def test_csv_format(self, spec32, tmp_path):
         r = raster(spec32, (-1, 0, -1, 1), (3, 5))
