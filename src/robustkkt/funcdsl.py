@@ -651,7 +651,7 @@ def _compile(e: Expr, target: int = SCALAR):
     float operations of a recursive walk, in the same order.  The scalar
     code ``f(x, v)`` returns a float and raises DomainError where the tree
     is undefined.  The grid code ``f(X, scenarios)`` yields the tree over
-    the cells of X (see ``eval_on_grid``) at each scenario, NaN where it is
+    the cells of X (see ``_on_grid``) at each scenario, NaN where it is
     undefined; each v-free node is assigned once, before the scenario loop.
     The scan code ``f(x, V)`` gives the tree at x for every scenario of the
     array V: its v-free nodes are the scalar code's floats, its nodes
@@ -736,32 +736,31 @@ def _compile(e: Expr, target: int = SCALAR):
 
 
 def _on_grid(e: Expr, X, v=None):
-    """e over the grid X in the shape of the coordinates it reads."""
+    """e over X, float coordinate arrays that broadcast together, in the
+    shape of those it reads: (n1, 1) for x1 alone on an open mesh."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         [out] = e.grid_fn(X, (v,))
     return out
 
 
-def eval_on_grid(e: Expr, X, v=None) -> np.ndarray:
-    """Vectorized evaluation over the cells of the grid X, coordinate
-    arrays that broadcast together, in their shape: (N,) for a dense
-    (d, N) array, (n1, n2) for the open mesh (x1[:, None], x2[None, :]).
+def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
+    """Vectorized evaluation over columns of X (shape (d, N)).
 
     Domain violations yield NaN entries instead of raising; callers treat
     NaN as "undefined here" (a raster cell with NaN is reported infeasible).
     """
     _check_scenario(e, v)
-    X = [np.asarray(x, dtype=float) for x in X]
-    out, cells = _on_grid(e, X, v), np.broadcast_shapes(*map(np.shape, X))
-    return out if np.shape(out) == cells else np.broadcast_to(out, cells).copy()
+    X = np.asarray(X, dtype=float)
+    out = _on_grid(e, X, v)
+    return np.broadcast_to(out, X.shape[1:]).copy() if np.ndim(out) == 0 else out
 
 
-def max_on_grid(e: Expr, X, scenarios) -> np.ndarray:
+def max_on_grid(e: Expr, X: np.ndarray, scenarios) -> np.ndarray:
     """np.fmax from -inf of eval_on_grid(e, X, v) over the scenarios."""
-    X = [np.asarray(x, dtype=float) for x in X]
+    X = np.asarray(X, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return reduce(np.fmax, e.grid_fn(X, map(float, scenarios)),
-                      np.full(np.broadcast_shapes(*map(np.shape, X)), -np.inf))
+                      np.full(X.shape[1], -np.inf))
 
 
 def eval_scenarios(e: Expr, scenarios) -> np.ndarray:

@@ -13,24 +13,24 @@ over all scenarios, its x-free nodes kept per scenario grid; on a
 DomainError or a value that is not finite, the scalar code runs scenario
 by scenario instead, so every value and exception is its own.
 
-On a grid (a raster's open mesh, where a factor of x1 costs one pass over
-the x1 axis, or dense samples), envelope_grid is the running max F over
-the scenarios of the tree's grid code (its v-free nodes hoisted), without
-refinement.  A max branch c(x) + a(v)*h(x) + b(v), a sum of products of
-pure factors with one feature a, is linear in each scenario's point
-(a_j, b_j), so its maximum lies on the upper hull of those points (de Berg
-et al., Computational Geometry, 3rd ed., 8.2 and 11.4), kept per
-constraint: P = c + max_j (a_j*h + b_j) is one searchsorted on the hull's
-edge slopes per cell.  With N the branch's terms plus its most factors in
+On dense grid columns, envelope_grid is the running max F over the
+scenarios of the tree's grid code (its v-free nodes hoisted), without
+refinement.  A max branch c(x) + a(v)*h(x) + b(v), a sum of products of pure
+factors with one feature a, is linear in each scenario's point (a_j, b_j),
+so its maximum lies on the upper hull of those points (de Berg et al.,
+Computational Geometry, 3rd ed., 8.2 and 11.4), kept per constraint in the
+process: P = c + max_j (a_j*h + b_j) is one searchsorted on the hull's edge
+slopes per cell, and on a raster's open mesh an x factor costs one pass
+over the axis it reads.  With N the branch's terms plus its most factors in
 one term, u = 2^-53, and C(x) the sum over terms of the product of
 max(1, |factor|), which bounds every partial product and so every
 underflow, the sum-of-products error bound (Higham, Accuracy and Stability
 of Numerical Algorithms, 3.1) applied to the scan, to c, h, a, b and to P
 gives |F - P| <= delta = (4N + 8) u C(x) plus what a vertex picked by
-rounded slopes can lose.  feasibility_mask decides a
-cell by P when |P - tol| > delta, and rescans the others (delta is
-infinite where C(x) > 2^1000) with envelope_grid: its mask is exactly the
-full scan's.  Other branches, or two or more features, take the full scan.
+rounded slopes can lose.  feasibility_mask decides a cell by P when
+|P - tol| > delta, and rescans the others (delta is infinite where
+C(x) > 2^1000) with envelope_grid: its mask is exactly the full scan's.
+Other branches, or two or more features, take the full scan.
 
 fuzzy minimises the key np.round(psi, 12) of the merit function psi over a
 grid.  Per cell, L <= psi <= U for L and U the objective branch maxed with
@@ -95,6 +95,8 @@ class UncertainConstraint:
     scenarios: tuple[float, ...] | None = None  # finite list alternative
 
     def __post_init__(self):
+        if self.scenarios is not None:  # hashable: keys _scenario_sides
+            object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if contains_uncertainty(self.expr):
             interval = self.lo is not None and self.hi is not None
             if not interval and not self.scenarios:
@@ -413,8 +415,7 @@ def _scenario_sides(con: UncertainConstraint, vgrid: int):
 
 def _branch_bound(terms, caps, hull, X, grid):
     """P = c + max_j (a_j*h + b_j) by a tangent query on the upper hull of
-    the scenario points (a_j, b_j), and the band delta around P; each x
-    factor keeps the shape of its coordinates (_on_grid)."""
+    the scenario points (a_j, b_j), and the band delta around P."""
     c = h = cap = 0.0
     for withv, rest in terms:
         xpart = term_cap = 1.0
@@ -439,11 +440,12 @@ def _branch_bound(terms, caps, hull, X, grid):
 
 
 def feasibility_mask(spec: ProblemSpec, X) -> np.ndarray:
-    """Boolean feasibility over the cells of the grid X (envelopes <=
-    spec.feas_tol); NaN envelopes mean infeasible.  Cells outside each hull
-    bound's band are decided by it, the rest, while still feasible, by
-    envelope_grid on their dense coordinates."""
-    tol = spec.feas_tol
+    """Boolean feasibility over the cells of X, coordinate arrays that
+    broadcast together (a dense (d, N) array or a raster's open mesh), in
+    their shape (envelopes <= spec.feas_tol); NaN envelopes mean
+    infeasible.  Cells outside each hull bound's band are decided by it,
+    the rest, while still feasible, by envelope_grid on dense columns."""
+    X, tol = [np.asarray(x, dtype=float) for x in X], spec.feas_tol
     ok = spec.omega.contains_grid(X)
     for con in spec.constraints:
         P, delta = _hull_bound(spec, con, X) or (np.nan, np.inf)
@@ -490,8 +492,7 @@ def raster(spec: ProblemSpec, region, resolution) -> Raster:
         raise ProblemError(f"a {n1} x {n2} raster has {n1 * n2} cells, "
                            f"over the limit {CELLS_LIMIT}")
     a1, b1, a2, b2 = [float(t) for t in region]
-    x1 = np.linspace(a1, b1, n1)
-    x2 = np.linspace(a2, b2, n2)
+    x1, x2 = np.linspace(a1, b1, n1), np.linspace(a2, b2, n2)
     mesh = np.meshgrid(x1, x2, indexing="ij", sparse=True)
     return Raster(x1, x2, feasibility_mask(spec, mesh))
 

@@ -2,14 +2,15 @@
 against the dense (d, N) grid of the same cells, compared as int64 views so
 that -0.0 and NaN count.
 
-- ``eval_on_grid`` and ``max_on_grid`` on the mesh (x1[:, None], x2[None, :])
-  give, cell for cell, the bits of the dense columns, or raise the same
-  exception class: hypothesis and ``tests/genexpr.py`` trees, axes with
-  zero, -0.0 and integer coordinates and values whose powers overflow.
+- ``_on_grid``, which evaluates the hull bound's x factors, gives on the
+  mesh (x1[:, None], x2[None, :]), cell for cell, the bits of
+  ``eval_on_grid`` on the dense columns, or raises the same exception
+  class: hypothesis and ``tests/genexpr.py`` trees, axes with zero, -0.0
+  and integer coordinates and values whose powers overflow.
 - ``feasibility_mask`` on the mesh equals the dense mask and
   ``grid_oracle``'s: separable, non-separable and two-feature constraints,
-  cells inside the rounding band of the hull bound, and whole, box and
-  halfspace ground sets.
+  cells inside the rounding band of the hull bound, whole, box and
+  halfspace ground sets, and integer coordinates.
 - The hull bound, whose scenario side is cached per constraint, gives the
   bits of the bound that rebuilt it on every call (``grid_oracle``), on a
   cache miss and on a hit, on the mesh and on dense columns.
@@ -32,7 +33,7 @@ import grid_oracle
 from genexpr import random_supported_expr
 from robustkkt import robustfeas
 from robustkkt.cli import load_problem
-from robustkkt.funcdsl import DomainError, eval_on_grid, max_on_grid, \
+from robustkkt.funcdsl import DomainError, _on_grid, eval_on_grid, \
     parse_expr
 from robustkkt.robustfeas import UncertainConstraint, feasibility_mask
 from robustkkt.setcalc import OmegaSpec
@@ -74,6 +75,13 @@ _SCENARIOS = st.lists(st.one_of(_COORD, st.sampled_from([10.0, 1e100])),
                       min_size=1, max_size=5)
 
 
+def on_mesh(e, mesh, v=None):
+    """The hull bound's factor values on the mesh (_on_grid), expanded to
+    its cells."""
+    return np.broadcast_to(_on_grid(e, mesh, v),
+                           np.broadcast_shapes(*map(np.shape, mesh)))
+
+
 class TestEvaluation:
     @settings(max_examples=250, deadline=None)
     @given(_TREES, _SCENARIOS, _AXIS_SIZES, st.integers(0, 2 ** 16))
@@ -81,31 +89,24 @@ class TestEvaluation:
         rng = np.random.default_rng(seed)
         mesh, dense = mesh_and_dense(*[_axis(rng, n + 3) for n in sizes])
         v = scenarios[0] if e.has_v else None
-        got = bits(lambda: eval_on_grid(e, mesh, v))
+        got = bits(lambda: on_mesh(e, mesh, v))
         assert got == bits(lambda: eval_on_grid(e, dense, v)), str(e)
-        if got[0] == "value":
-            with np.errstate(all="ignore"):
-                assert eval_on_grid(e, mesh, v).shape == \
-                    tuple(n + 3 for n in sizes)
-        if e.has_v:
-            assert bits(lambda: max_on_grid(e, mesh, scenarios)) == \
-                bits(lambda: max_on_grid(e, dense, scenarios)), str(e)
 
-    def test_cell_shape(self):
+    def test_factor_shape(self):
+        # a factor keeps the shape of the coordinates it reads
         mesh, dense = mesh_and_dense(np.arange(3.0), np.arange(4.0))
-        for text in ("x1", "x2", "x1*x2", "2", "sqrt(-1)"):
+        for text, shape in (("x1", (3, 1)), ("x2", (1, 4)),
+                            ("x1*x2", (3, 4)), ("2", ()), ("sqrt(-1)", ())):
             e = parse_expr(text, 2)
-            assert eval_on_grid(e, mesh).shape == (3, 4)
+            assert np.shape(_on_grid(e, mesh)) == shape
             assert eval_on_grid(e, dense).shape == (12,)
-        assert max_on_grid(parse_expr("v*x1", 2), mesh, [1.0]).shape == \
-            (3, 4)
 
     def test_genexpr_trees(self):
         rng = np.random.default_rng(83)
         for trial in range(80):
             e = random_supported_expr(rng, 2)
             mesh, dense = mesh_and_dense(_axis(rng, 9), _axis(rng, 6))
-            assert bits(lambda: eval_on_grid(e, mesh)) == \
+            assert bits(lambda: on_mesh(e, mesh)) == \
                 bits(lambda: eval_on_grid(e, dense)), str(e)
 
     def test_zero_divisors_and_overflow(self):
@@ -114,7 +115,7 @@ class TestEvaluation:
         for text in ("1/x1 + x2", "1/(x1*x2)", "sqrt(x2) - x1^5",
                      "x1^3*x2^2", "max(1/x2, x1^4)", "abs(x1)/x2 - 1"):
             e = parse_expr(text, 2)
-            got = bits(lambda: eval_on_grid(e, mesh))
+            got = bits(lambda: on_mesh(e, mesh))
             assert got == bits(lambda: eval_on_grid(e, dense)), text
             assert got[0] == "value"
 
@@ -188,6 +189,16 @@ class TestFeasibilityMask:
                 checked += 1
         assert checked > 0
 
+    def test_integer_coordinates_are_read_as_floats(self):
+        # in int64, x1^5 at x1 = +-7000 wraps around to the other sign
+        spec = _spec(["x1^5 + v*x2 - 1"], 2)
+        x1, x2 = np.array([-7000, 0, 7000]), np.array([-1, 0, 1])
+        mesh, dense = mesh_and_dense(x1, x2)
+        assert dense.dtype == np.int64
+        got = assert_same_mask(spec, x1, x2)
+        assert feasibility_mask(spec, dense).tolist() == got.ravel().tolist()
+        assert got.tolist() == [[True] * 3] * 2 + [[False] * 3]
+
     def test_rescan_gathers_dense_cells_in_row_major_order(self,
                                                            monkeypatch):
         # a non-separable constraint is rescanned at every feasible cell,
@@ -259,6 +270,14 @@ class TestScenarioSideCache:
                 "g1", parse_expr(text, 2), -1.0, 1.0), X)
         info = robustfeas._scenario_sides.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_scenarios_given_as_a_list(self):
+        # a list of scenarios is kept as a tuple, so the constraint is a key
+        con = UncertainConstraint("g1", parse_expr("x1 + v*x2 - 1", 2),
+                                  scenarios=[-1.0, 0.5, 2.0])
+        assert con.scenarios == (-1.0, 0.5, 2.0)
+        spec = replace(_spec(["x1"], 2), constraints=(con,))
+        assert_same_mask(spec, np.linspace(-2, 2, 9), np.linspace(-2, 2, 7))
 
     def test_scenario_count_is_part_of_the_key(self):
         robustfeas._scenario_sides.cache_clear()
