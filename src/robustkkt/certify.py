@@ -26,6 +26,7 @@ from .robustfeas import (
 )
 from .setcalc import (
     MEMBERSHIP_TOL,
+    SELECTIONS_LIMIT,
     Polytope,
     _add_stationarity_rows,
     _cross,
@@ -252,6 +253,10 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         S, origin = objective_set(spec, j, xbar, mode, use_fixtures)
         prov[spec.objective_names[j - 1]] = origin
         obj_sets.append(S)
+    count = math.prod(s.ncomponents for s in obj_sets)
+    if count > SELECTIONS_LIMIT:
+        raise CertifyError(f"{count} component selections, over the limit "
+                           f"{SELECTIONS_LIMIT}")
     con_sets = {}
     for i in actives:
         S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
@@ -648,25 +653,22 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     scalarize = Scalarization(spec.objectives, xbar, mode, spec.kink_tol)
 
     # A sample fails at the first y* (in index order) with neither the
-    # candidate w = x - xbar nor a witness margin >= EPS_STRICT; later y*
-    # are not examined for it.  The margin problem is positively
-    # homogeneous in ||x - xbar||, so one normalized margin per (y*, mask)
-    # serves every sample sharing that mask, and it does not depend on
-    # which samples are left.  So every y* with an active sample is
-    # scalarized, one batch per structure group; the planar margins of all
-    # its masks come in one stack per group; and the failures are read off
-    # afterwards.  What must be done one y* at a time (a set whose shape
-    # depends on its values, a refused y*) is done in index order, only at
-    # the y* where a sample has not failed.
+    # candidate w = x - xbar nor a witness margin >= EPS_STRICT.  The
+    # margin problem is positively homogeneous in ||x - xbar||, so one
+    # normalized margin per (y*, mask) serves every sample of that mask.
+    # So the sets of every y* with an active sample come in groups of one
+    # shape, the margins in one stack per group, and the failures are read
+    # off afterwards.  A refused y* raises only where a loop over the y* in
+    # index order meets it: with an active sample not failed before it.
     M, n = active.shape
     rows = np.flatnonzero(active.any(axis=1))
     left = np.zeros_like(active)  # active, and the candidate w is refused
     margin = np.full((M, len(masks)), np.nan)
-    later = {}  # y* index: the function giving its set, or its exception
+    refused = {}  # y* index: the exception its scalarization raises
     for sub, comps in scalarize.groups(ys[rows]):
         sub = rows[sub]
-        if not isinstance(comps, list):
-            later.update(dict.fromkeys(sub.tolist(), comps))
+        if isinstance(comps, Exception):
+            refused.update(dict.fromkeys(sub.tolist(), comps))
             continue
         V = np.concatenate(comps, axis=1)  # every vertex of each set
         for lo in range(0, sub.size, _BLOCK):
@@ -687,22 +689,9 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
             fail[lo:lo + _BLOCK] = left[lo:lo + _BLOCK] & (
                 margin[lo:lo + _BLOCK, mask_id] * norms < EPS_STRICT)
     first = np.where(fail.any(axis=0), fail.argmax(axis=0), M)
-    for r in sorted(later):
-        live = active[r] & (first > r)  # not failed before y* r
-        if not live.any():
-            continue
-        if isinstance(later[r], Exception):
-            raise later[r]
-        comps = [c.vertices for c in later[r]().components]
-        top = (np.vstack(comps) @ D).max(axis=0)
-        left[r] = active[r] & ~(cand_ok & (
-            top + norms * ytheta_all[r] <= -1e-12))
-        cols = np.flatnonzero(left[r] & live)
-        if cols.size:
-            geometry = geometry or _SweepGeometry(pball, l2_dirs, walls)
-            margin[r] = geometry.margins([U[None] for U in comps],
-                                         ytheta_all[[r]])[0]
-        first[cols[margin[r, mask_id[cols]] * norms[cols] < EPS_STRICT]] = r
+    for r in sorted(refused):
+        if (active[r] & (first > r)).any():  # not failed before y* r
+            raise refused[r]
     needs_margin = (left & (np.arange(M)[:, None] <= first)).any(axis=0)
     first_fail = np.where(first < M, first, -1)
     fail_detail = {r: f"no witness margin >= {EPS_STRICT:g} at "

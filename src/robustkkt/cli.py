@@ -138,17 +138,17 @@ def _param(fn, name: str):
 
 
 _SPEC = {f.name: f.default for f in dataclasses.fields(ProblemSpec)}
-_EVERY = " ".join(COMMANDS)
 _NUMBER = "must be a number >= {least} and <= {most}"
 _AT_LEAST = "must be at least {least}"
 
 TABLE = [
     Row("cli", "--timings", bool, help="include wall-clock timing in the "
         "report (off by default to keep reports byte-deterministic)"),
-    Row("cli", "--problem", commands=_EVERY.replace(" ", "! ") + "!"),
-    Row("cli", "--fixtures", bool, commands=_EVERY,
-        help="use problem-file fixture sets where declared"),
-    Row("cli", "--mode", ("limiting", "hull"), commands=_EVERY),
+    Row("cli", "--problem", commands="! ".join(COMMANDS) + "!"),
+    Row("cli", "--fixtures", bool, commands="subdiff cq kkt pseudoconvex "
+        "duality", help="use problem-file fixture sets where declared"),
+    Row("cli", "--mode", ("limiting", "hull"),
+        commands="subdiff kkt fuzzy pseudoconvex duality"),
     Row("cli", "action", ("check", "search"), commands="kkt"),
     Row("cli", "action", ("weak", "strong", "converse"), commands="duality"),
     Row("cli", "--at", size=("d",), commands="feasible! subdiff! cq! kkt! "
@@ -650,8 +650,9 @@ def _dispatch(args) -> tuple[int, str, dict]:
     _read_points(args, spec)
     x = getattr(args, "at", None)
     hull = args.command == "subdiff" or getattr(args, "action", "") == "check"
-    mode = args.mode = args.mode or ("hull" if hull else "limiting")
-    use_fx = args.fixtures
+    mode = args.mode = getattr(args, "mode", None) or (
+        "hull" if hull else "limiting")
+    use_fx = args.fixtures = getattr(args, "fixtures", False)
 
     if args.command == "feasible":
         acts = compute_active_sets(spec, x) if spec.constraints else None

@@ -18,6 +18,8 @@ import numpy as np
 from .lp import _EXACT_COL_LIMIT, LPBuilder
 
 VERTEX_TOL = 1e-12
+# component selections that zero_in_sum or search_kkt try, one exact LP each
+SELECTIONS_LIMIT = 4096
 OMEGA_TOL = 1e-9  # how far outside the ground set a point still counts in
 MEMBERSHIP_TOL = 1e-9  # how far outside a polytope a point still counts in
 
@@ -534,6 +536,10 @@ def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:
             raise DimensionMismatch("zero_in_sum dimension mismatch")
     if cone.shape[1] != d:
         raise DimensionMismatch("cone dimension mismatch")
+    count = math.prod(p.ncomponents for p in parts)
+    if count > SELECTIONS_LIMIT:
+        raise SetCalcError(f"{count} component selections, over the limit "
+                           f"{SELECTIONS_LIMIT}")
 
     for selection in itertools.product(*(range(p.ncomponents) for p in parts)):
         lp = LPBuilder()

@@ -1036,3 +1036,79 @@ class TestSizeLimits:
             with pytest.raises(certify.CertifyError, match="premise cells"):
                 certify.pseudoconvex_test(spec22, [0, 0], "I", [-2, 2, -2, 2],
                                           over, y_res)
+
+    def _kinks(self, tmp_path, counts):
+        """A problem in ten coordinates without constraints (its dual ball
+        the l1 ball), objective j the sum of -abs(x_k) for k up to
+        counts[j]: at the origin, in limiting mode, 2^counts[j]
+        components."""
+        path = tmp_path / "kinks.problem"
+        path.write_text(
+            "[space]\ndim = 10\n[cone]\npattern = "
+            + ", ".join([">=0"] * len(counts)) + "\n[theta]\nvalue = "
+            + ", ".join(["0"] * len(counts)) + "\n[omega]\nkind = whole\n"
+            "[objectives]\n" + "".join(
+                f'f{j} = "' + " ".join(f"- abs(x{k})" for k in
+                                       range(1, c + 1)) + '"\n'
+                for j, c in enumerate(counts)) + "[options]\nnorm = linf\n")
+        return str(path)
+
+    def test_selections_over_limit(self, capsys, monkeypatch, tmp_path):
+        """kkt search tries one LP per choice of a component of each
+        objective's set: three objectives of 2^10 components would be 2^30
+        exact LPs.  At the limit the search reaches its first LP; above it,
+        it is refused before any, naming the count and the limit, as
+        zero_in_sum refuses its parts."""
+        from robustkkt import lp, setcalc
+
+        limit = setcalc.SELECTIONS_LIMIT
+        assert limit == 2 ** 12
+        monkeypatch.setattr(lp.LPBuilder, "solve", _reach)
+        argv = ["kkt", "search", "--at", ",".join(["0"] * 10), "--problem"]
+        with pytest.raises(Reached):
+            run_command(argv + [self._kinks(tmp_path, [10, 2])])
+        capsys.readouterr()
+        for counts, count in (([10, 3], 2 ** 13), ([10, 10, 10], 2 ** 30)):
+            code, doc = run_json(capsys, argv + [self._kinks(tmp_path,
+                                                             counts)])
+            assert code == 3
+            assert doc["error"] == (f"{count} component selections, over "
+                                    f"the limit {limit}")
+        pair = setcalc.PolytopeSet([setcalc.Polytope([[0.0]]),
+                                    setcalc.Polytope([[1.0]])])
+        cone = np.zeros((0, 1))
+        with pytest.raises(Reached):
+            setcalc.zero_in_sum([pair] * 12, cone)
+        with pytest.raises(setcalc.SetCalcError, match=f"{2 ** 13} component "
+                           f"selections, over the limit {limit}"):
+            setcalc.zero_in_sum([pair] * 13, cone)
+
+
+# commands that read neither flag, or only one: each refuses the other
+UNREAD_FLAGS = {
+    "feasible": (["--problem", "example_3_2", "--at", "0,0"],
+                 ["--mode", "--fixtures"]),
+    "raster": (["--problem", "example_3_2", "--region", "-1,1,-1,1",
+                "--res", "3"], ["--mode", "--fixtures"]),
+    "efficiency": (["--problem", "example_3_2", "--at", "0,0", "--kind",
+                    "weak", "--region", "-1,1,-1,1", "--res", "3"],
+                   ["--mode", "--fixtures"]),
+    "cq": (["--problem", "example_3_2", "--at", "0,0"], ["--mode"]),
+    "fuzzy": (["--problem", "example_3_2", "--at", "0,0", "--ystar",
+               "0.3535,0,0.3535", "--eta", "0.1"], ["--fixtures"]),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c, (_, flags) in UNREAD_FLAGS.items() for f in flags])
+def test_unread_flag_is_refused(capsys, command, flag):
+    """A flag the command would echo in its config but never read is a
+    usage error (exit 3, naming the flag); without it the config echoes
+    the defaults, as before."""
+    argv = [command, *UNREAD_FLAGS[command][0]]
+    value = ["hull"] if flag == "--mode" else []
+    assert run_command(argv + [flag, *value]) == 3
+    assert flag in capsys.readouterr().err
+    code, doc = run_json(capsys, argv)
+    assert code in (0, 1, 2)
+    assert doc["config"] == {"fixtures": False, "mode": "limiting"}

@@ -283,8 +283,7 @@ def assert_same_groups(fs, x, Y, mode="limiting", kink_tol=1e-9):
                 assert want[:3] == ("raised", type(comps), str(comps)), r
                 continue
             assert want[0] == "value", (r, want)
-            got = ([c.vertices for c in comps().components]
-                   if callable(comps) else [V[i] for V in comps])
+            got = [V[i] for V in comps]
             assert [(V.shape, _bits(V)) for V in got] == want[4], (r, Y[r])
     assert seen.tolist() == [1] * Y.shape[0]
     return groups
@@ -308,20 +307,27 @@ def test_groups_cover_every_structure():
     """Shared kinks whose coefficients take every sign, a max tie, zero
     weights of both signs, weights that make a constant 1, and rows whose
     sets' shapes depend on their values: two positive kinks make a
-    parallelogram, reduced by Polytope row by row."""
+    parallelogram, reduced by Polytope and batched with the rows of its
+    shape.  A group is vertex arrays of one shape, never anything else."""
     fs = _parse(["abs(x1) + max(x1, 2*x2)", "abs(x2) - abs(x1)",
                  "2*(abs(x1 - x2) + 1)", "(1/2)*abs(x2)"])
     grid = [0.0, -0.0, 0.5, 1.0, -0.3]
     Y = np.array(np.meshgrid(*[grid] * 4, indexing="ij")).reshape(4, -1).T
     for mode in MODES:
         groups = assert_same_groups(fs, np.zeros(2), Y, mode)
-        sizes = [(rows.size, [V.shape[1] for V in comps])
-                 for rows, comps in groups if not callable(comps)]
-        # batched segments and point pairs, and rows reduced alone
+        sizes = []
+        for rows, comps in groups:
+            if isinstance(comps, Exception):
+                continue
+            assert type(comps) is list and all(
+                type(V) is np.ndarray and V.shape[0] == rows.size
+                and V.shape[2] == 2 for V in comps)
+            sizes.append((rows.size, [V.shape[1] for V in comps]))
+        # batched segments and point pairs, and batched parallelograms
         assert any(n > 1 and 2 in k for n, k in sizes)
         assert any(n > 1 and len(k) > 1 and set(k) == {1}
                    for n, k in sizes) == (mode == "limiting")
-        assert any(callable(comps) for _, comps in groups)
+        assert any(n > 1 and max(k) >= 3 for n, k in sizes)
 
 
 def test_groups_of_generated_objectives():

@@ -69,6 +69,24 @@ def test_matches_loop_on_fixtures(name, ptype):
 
 
 @pytest.mark.parametrize("ptype", ["I", "II"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_matches_loop_in_hull_mode(name, ptype):
+    """Hull mode, where a set's shape depends on its values most often:
+    the hull of several segments is a polygon of value-dependent size."""
+    assert_same_sweep(load_problem(name), np.zeros(2), ptype,
+                      region=[-2, 2, -2, 2], grid=9, y_resolution=8,
+                      mode="hull")
+
+
+@pytest.mark.parametrize("ptype", ["I", "II"])
+def test_matches_loop_in_hull_mode_on_inconclusive_samples(ptype):
+    rows = assert_same_sweep(load_problem("example_3_2"), np.zeros(2), ptype,
+                             region=[-2.33, -0.12, -1.87, 2.36], grid=11,
+                             y_resolution=9, mode="hull")
+    assert "INCONCLUSIVE" in {r[0] for r in rows}
+
+
+@pytest.mark.parametrize("ptype", ["I", "II"])
 def test_matches_loop_on_inconclusive_samples(ptype):
     # example_3_2 has premises without a witness margin around the origin
     spec = load_problem("example_3_2")
@@ -199,8 +217,8 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     batch, one vertex pass per structure group (the zero pattern, the unit
     constants and the coefficients' signs of the oracle's sets); one
     stacked margin evaluation per group that needs margins; no Polytope
-    or minkowski_sum per y* (as many as at a coarser y* grid: those of the
-    constraint rows); and no LP.  Each objective is walked once per sweep:
+    per y* (as many as at a coarser y* grid: those of the constraint rows);
+    and no LP.  Each objective is walked once per sweep:
     one walk per objective visits each of its operands once, and no tree
     is built (no mul)."""
     counts = Counter()
@@ -229,8 +247,7 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
 
     argv = ["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
             "--type", "I", "--region", "-2,2,-2,2"]
-    per_sweep = [(setcalc.Polytope, "__init__", "polytope"),
-                 (subdiff, "minkowski_sum", "minkowski")]
+    per_sweep = [(setcalc.Polytope, "__init__", "polytope")]
     coarse = _sweep_counts(monkeypatch, argv + ["--y-res", "8"], per_sweep)
     vertex_groups, counts = [], Counter()
     batch = subdiff.Scalarization.groups
@@ -280,7 +297,6 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     assert len(vertex_groups) == len(groups) == 2 and counts["batch"] == 1
     assert counts["group_sums"] == len(groups)  # one vertex pass each
     assert counts["polytope"] == coarse["polytope"]
-    assert counts["minkowski"] == coarse["minkowski"]
     assert counts["lp"] == 0
     assert len(walkers) == len(spec22.objectives) == 3
     assert walks == Counter(dict.fromkeys(operands, 1))
