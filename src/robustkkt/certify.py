@@ -26,11 +26,11 @@ from .robustfeas import (
 )
 from .setcalc import (
     MEMBERSHIP_TOL,
-    SELECTIONS_LIMIT,
     Polytope,
     _add_stationarity_rows,
     _cross,
     _monotone_chain,
+    check_selections,
     dual_ball,
     normal_cone,
     point_in_cone_residual,
@@ -253,10 +253,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         S, origin = objective_set(spec, j, xbar, mode, use_fixtures)
         prov[spec.objective_names[j - 1]] = origin
         obj_sets.append(S)
-    count = math.prod(s.ncomponents for s in obj_sets)
-    if count > SELECTIONS_LIMIT:
-        raise CertifyError(f"{count} component selections, over the limit "
-                           f"{SELECTIONS_LIMIT}")
+    check_selections(obj_sets, CertifyError)
     con_sets = {}
     for i in actives:
         S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)

@@ -12,18 +12,25 @@ Two engines are provided:
   tolerance 1e-9.
 
 The exact simplex scales ``[A | b]`` once by the lcm L of its entries'
-denominators and keeps the tableau as integers over one positive common
-denominator D (Edmonds' integer-preserving elimination; Bareiss, Math.
-Comp. 22, 1968).  A pivot on the entry p keeps the pivot row, replaces each
-other entry a by ``(p·a − f·q) // D``, with f the entry of a's row in the
-pivot column and q that of the pivot row in a's column, which divides
-exactly, and makes p the new D; a negative p (only when a leftover
-artificial is driven out) negates the tableau, so D stays positive.  The
-artificial columns stay the identity, which rescales the artificial
-variables and the phase-1 cost by L > 0, so every reduced-cost sign and
-every ratio-test order, and with them the pivots, are those of the same
-simplex over ``Fraction`` entries.  (Scaling each row by its own factor
-would weight the phase-1 cost row by row and change its pricing.)
+denominators, which gives the integer start ``T0 = [A' | b' | I]``.  Every
+later tableau is ``M·T0`` over one positive common denominator D, with M
+the integer m×m block in the artificial columns, so the engine is a
+revised simplex (Azulay & Pique, ACM TOMS 27, 2001) that keeps only M,
+the right-hand side, the basis and D.  Column j is ``M·A'_j``, and its
+reduced cost times D is ``D·c_j − y·A'_j`` with ``y = Σ_i c_basis[i]·M_i``,
+so Bland's rule prices the columns one by one and forms only the entering
+column.  A pivot on its entry p updates M and the right-hand side
+fraction-free (Edmonds' integer-preserving elimination; Bareiss, Math.
+Comp. 22, 1968): it keeps the pivot row, replaces each other entry a by
+``(p·a − f·q) // D``, with f the entering column's entry in a's row and q
+that of the pivot row in a's column, which divides exactly, and makes p
+the new D; a negative p (only when a leftover artificial is driven out)
+negates M and the right-hand side, so D stays positive.  The artificial
+columns start as the identity, which rescales the artificial variables
+and the phase-1 cost by L > 0, so every reduced-cost sign and every
+ratio-test order, and with them the pivots, are those of the same simplex
+over ``Fraction`` entries.  (Scaling each row by its own factor would
+weight the phase-1 cost row by row and change its pricing.)
 
 ``LPBuilder.solve`` takes the exact engine for systems of at most 160
 columns and 80 rows, HiGHS above.
@@ -63,26 +70,27 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
             for row in ratios], scale
 
 
-def _pivot(rows, rhs, basis, r, col, d) -> int:
-    """Fraction-free pivot on rows[r][col] of the tableau ``rows``/``rhs``
-    over the common denominator d; returns the new denominator, made
-    positive by negating the tableau when the pivot is negative."""
-    prow, prhs = rows[r], rhs[r]
-    p = prow[col]
-    for i, row in enumerate(rows):
+def _pivot(inverse, rhs, basis, r, col, column, d) -> int:
+    """Fraction-free pivot on entry r of ``column``, the tableau column of
+    the entering variable col: updates the inverse block ``inverse`` and
+    ``rhs`` over the common denominator d; returns the new denominator,
+    made positive by negating both when the pivot is negative."""
+    prow, prhs = inverse[r], rhs[r]
+    p = column[r]
+    for i, row in enumerate(inverse):
         if i == r:
             continue
-        f = row[col]
+        f = column[i]
         if f:
-            rows[i] = [(p * a - f * q) // d for a, q in zip(row, prow)]
+            inverse[i] = [(p * a - f * q) // d for a, q in zip(row, prow)]
             rhs[i] = (p * rhs[i] - f * prhs) // d
         elif p != d:
-            rows[i] = [p * a // d for a in row]
+            inverse[i] = [p * a // d for a in row]
             rhs[i] = p * rhs[i] // d
     basis[r] = col
     if p < 0:
-        for i, row in enumerate(rows):
-            rows[i] = [-a for a in row]
+        for i, row in enumerate(inverse):
+            inverse[i] = [-a for a in row]
             rhs[i] = -rhs[i]
         return -p
     return p
@@ -107,15 +115,21 @@ def simplex_standard(A, b, c):
         if bi < 0:
             row = [-a for a in row]
             bi = -bi
-        rows[i] = row + [0] * m
-        rows[i][n + i] = 1
+        rows[i] = row
         rhs.append(bi)
+    # The sparse columns of [A' | I]: (row, entry) pairs.
+    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]]
+               for j in range(n)] + [[(i, 1)] for i in range(m)]
+    inverse = [[int(i == k) for k in range(m)] for i in range(m)]
     basis = [n + i for i in range(m)]
     d = 1
 
+    def tableau_column(j):
+        return [sum(row[k] * a for k, a in columns[j]) for row in inverse]
+
     def solve_phase(cost, allow_cols):
-        # The reduced cost of column j, times d > 0, is
-        # d·cost_j − Σ_i cost_basis[i]·rows[i][j].
+        # The reduced cost of column j, times d > 0, is d·cost_j − y·A'_j
+        # with y = Σ_i cost_basis[i]·inverse[i].
         nonlocal d
         pivots = 0
         while True:
@@ -123,37 +137,40 @@ def simplex_standard(A, b, c):
             if pivots > _MAX_PIVOTS:
                 raise LPError("simplex pivot limit exceeded")
             basic = set(basis)
-            priced = [(cost[j], rows[i]) for i, j in enumerate(basis)
-                      if cost[j]]
+            y = [0] * m
+            for i, j in enumerate(basis):
+                if cost[j]:
+                    y = [s + cost[j] * a for s, a in zip(y, inverse[i])]
             entering = -1
             for j in allow_cols:
                 if j in basic:
                     continue
                 rj = d * cost[j]
-                for cb, row in priced:
-                    rj -= cb * row[j]
+                for k, a in columns[j]:
+                    rj -= y[k] * a
                 if rj < 0:
                     entering = j
                     break  # Bland: first (smallest-index) improving column
             if entering < 0:
                 return "optimal"
+            column = tableau_column(entering)
             leaving = -1
             for i in range(m):
-                aij = rows[i][entering]
+                aij = column[i]
                 if aij <= 0:
                     continue
                 if leaving < 0:
                     leaving = i
                     continue
                 # rhs[i]/aij against the least ratio so far, cross-multiplied
-                ratio = rhs[i] * rows[leaving][entering]
+                ratio = rhs[i] * column[leaving]
                 least = rhs[leaving] * aij
                 if ratio < least or (ratio == least
                                      and basis[i] < basis[leaving]):
                     leaving = i
             if leaving < 0:
                 return "unbounded"
-            d = _pivot(rows, rhs, basis, leaving, entering, d)
+            d = _pivot(inverse, rhs, basis, leaving, entering, column, d)
 
     total = n + m
     status = solve_phase([0] * n + [1] * m, range(total))
@@ -166,8 +183,9 @@ def simplex_standard(A, b, c):
     for i in range(m):
         if basis[i] >= n:
             for j in range(n):
-                if rows[i][j] != 0:
-                    d = _pivot(rows, rhs, basis, i, j, d)
+                if sum(inverse[i][k] * a for k, a in columns[j]):
+                    d = _pivot(inverse, rhs, basis, i, j, tableau_column(j),
+                               d)
                     break
 
     status = solve_phase(cost + [0] * m, range(n))

@@ -520,6 +520,16 @@ class ZeroInSumResult:
         return out
 
 
+def check_selections(parts: list[PolytopeSet],
+                     error: type[Exception] = SetCalcError) -> None:
+    """Refuse, raising error, a choice of one component per part, one LP
+    each, that has more than SELECTIONS_LIMIT combinations."""
+    count = math.prod(p.ncomponents for p in parts)
+    if count > SELECTIONS_LIMIT:
+        raise error(f"{count} component selections, over the limit "
+                    f"{SELECTIONS_LIMIT}")
+
+
 def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:
     """Decide 0 in sum(parts) + cone, exactly over component selections;
     cone is the (k, d) array of its generators.
@@ -536,11 +546,7 @@ def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:
             raise DimensionMismatch("zero_in_sum dimension mismatch")
     if cone.shape[1] != d:
         raise DimensionMismatch("cone dimension mismatch")
-    count = math.prod(p.ncomponents for p in parts)
-    if count > SELECTIONS_LIMIT:
-        raise SetCalcError(f"{count} component selections, over the limit "
-                           f"{SELECTIONS_LIMIT}")
-
+    check_selections(parts)
     for selection in itertools.product(*(range(p.ncomponents) for p in parts)):
         lp = LPBuilder()
         groups = []

@@ -23,7 +23,15 @@ from .robustfeas import (
     feasible_active_sets,
     raster,
 )
-from .setcalc import ConeSpec, PolytopeSet, minkowski_sum, normal_cone, scale, zero_in_sum
+from .setcalc import (
+    ConeSpec,
+    PolytopeSet,
+    check_selections,
+    minkowski_sum,
+    normal_cone,
+    scale,
+    zero_in_sum,
+)
 from .subdiff import constraint_set, objective_set
 
 ZERO_TOL = 1e-12
@@ -167,11 +175,10 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
         checks.append({"name": "z_in_omega", "ok": False})
         return DualFeasReport(False, checks)
 
-    combo = PolytopeSet.singleton(np.zeros(spec.dim))
-    for j in range(1, spec.n_objectives + 1):
-        S, _ = objective_set(spec, j, z, mode, use_fixtures)
-        combo = minkowski_sum(combo, scale(S, float(ystar[j - 1])))
-    parts = [combo]
+    objectives = [scale(objective_set(spec, j, z, mode, use_fixtures)[0],
+                        float(ystar[j - 1]))
+                  for j in range(1, spec.n_objectives + 1)]
+    parts = []
     acts = compute_active_sets(spec, z)
     comp_ok = True
     for i in range(1, spec.n_constraints + 1):
@@ -188,6 +195,13 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
     ball = PolytopeSet([dual_ball(spec.norm, spec.dim, spec.ball_facets)])
     parts.append(scale(ball, radius))
     N = normal_cone(spec.omega, z)
+    # The sum of the objectives' unions has the product of their component
+    # counts, the count zero_in_sum refuses; refuse it before it is built.
+    check_selections(objectives + parts)
+    combo = PolytopeSet.singleton(np.zeros(spec.dim))
+    for S in objectives:
+        combo = minkowski_sum(combo, S)
+    parts.insert(0, combo)
     res = zero_in_sum(parts, N)
     checks.append({"name": "stationarity_inclusion", "ok": bool(res.sat)})
     feas = bool(ok_y and ok_mu and comp_ok and res.sat)

@@ -1083,6 +1083,44 @@ class TestSizeLimits:
                            f"selections, over the limit {limit}"):
             setcalc.zero_in_sum([pair] * 13, cone)
 
+    def test_search_selections_raise_certify_error(self, tmp_path):
+        """From the library, search_kkt refuses too many selections with
+        its own CertifyError, as zero_in_sum does with SetCalcError."""
+        spec = load_problem(self._kinks(tmp_path, [10, 3]))
+        with pytest.raises(certify.CertifyError, match=f"{2 ** 13} component "
+                           f"selections, over the limit"):
+            certify.search_kkt(spec, np.zeros(10))
+
+    def test_dual_selections_refused_before_any_sum(self, capsys,
+                                                    monkeypatch, tmp_path):
+        """Dual feasibility sums the y*-scaled objective sets before its
+        zero-in-sum LPs: two objectives of 2^7 components each would build
+        16,384 polytopes and only then be refused.  Over the limit it is
+        refused before the first Minkowski sum; at the limit, or with an
+        objective scaled by 0 (one component, as scale makes it), it
+        reaches the sum."""
+        from robustkkt import setcalc, verify
+
+        monkeypatch.setattr(verify, "minkowski_sum", _reach)
+        triple = tmp_path / "t.json"
+
+        def converse(counts, ystar):
+            triple.write_text(json.dumps(
+                {"z": [0] * 10, "ystar": ystar, "mu": []}))
+            return run_json(capsys, [
+                "duality", "converse", "--problem",
+                self._kinks(tmp_path, counts), "--triple", str(triple),
+                "--kind", "I", "--region", ",".join(["-1,1"] * 10)])
+
+        code, doc = converse([7, 7], [1, 1])
+        assert code == 3
+        assert doc["error"] == (f"{2 ** 14} component selections, over the "
+                                f"limit {setcalc.SELECTIONS_LIMIT}")
+        for counts, ystar in (([6, 6], [1, 1]), ([7, 7], [1, 0])):
+            with pytest.raises(Reached):
+                converse(counts, ystar)
+            capsys.readouterr()
+
 
 # commands that read neither flag, or only one: each refuses the other
 UNREAD_FLAGS = {

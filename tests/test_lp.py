@@ -11,7 +11,7 @@ from test_golden import COMMANDS, report
 from robustkkt import lp
 from robustkkt.funcdsl import DomainError, UnsupportedStructureError
 from robustkkt.lp import LPBuilder, LPError, simplex_standard
-from robustkkt.setcalc import zero_in_sum
+from robustkkt.setcalc import dual_ball, zero_in_sum
 from robustkkt.subdiff import limiting_subdiff
 
 
@@ -142,9 +142,9 @@ def engine(monkeypatch):
     pivots = []
     pivot = lp._pivot
 
-    def recording(rows, rhs, basis, r, col, d):
+    def recording(inverse, rhs, basis, r, col, column, d):
         pivots.append((r, col))
-        return pivot(rows, rhs, basis, r, col, d)
+        return pivot(inverse, rhs, basis, r, col, column, d)
 
     monkeypatch.setattr(lp, "_pivot", recording)
 
@@ -240,6 +240,27 @@ def random_degenerate_lp(rng):
     return A, b, [pick() for _ in range(n)]
 
 
+def ball_lp(rng):
+    """A zero-in-sum LP at the size of the certificate LPs and above: m in
+    [8, 16] rows, n in [40, 100] columns, no objective.  Rows 0 and 1 are
+    the stationarity rows, with zero right-hand sides: the vertices of a
+    scaled l2 dual ball (cos/sin floats, as _regular_polygon makes them)
+    and then small rationals.  The other rows sum the weights of one group
+    of columns to 1, the ball's first; the columns after the last group
+    are free of them, as a normal cone's are."""
+    m, n = int(rng.integers(8, 17)), int(rng.integers(40, 101))
+    ball = dual_ball("l2", 2, 32).vertices * float(rng.uniform(0.1, 2))
+    k = len(ball)
+    A = [ball[:, r].tolist()
+         + [ENTRIES[int(t)] for t in rng.integers(len(ENTRIES), size=n - k)]
+         for r in (0, 1)]
+    cuts = [0, k, *sorted(rng.choice(range(k + 1, n), m - 3,
+                                     replace=False).tolist()), n]
+    A += [[int(cuts[g] <= j < cuts[g + 1]) for j in range(n)]
+          for g in range(m - 2)]
+    return A, [0, 0] + [1] * (m - 2), [0] * n
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize("name", LP_COMMANDS)
     def test_readme_lps(self, name, readme_lps, engine):
@@ -264,6 +285,11 @@ class TestAgainstOracle:
             negative += any(element < 0 for _, _, element in pivots)
         assert statuses == {"optimal", "infeasible", "unbounded"}
         assert negative
+
+    def test_ball_lps(self, engine):
+        rng = np.random.default_rng(23)
+        statuses = {assert_same(engine, *ball_lp(rng))[0] for _ in range(10)}
+        assert statuses == {"optimal", "infeasible"}
 
 
 class TestEngineEdges:

@@ -1,0 +1,174 @@
+"""Paired end-to-end benchmark runs of a parent commit and this checkout.
+
+    python3 tools/bench_pair.py --parent REF --out BENCH_23.json
+
+REF is the parent commit: ``HEAD`` while the change is still uncommitted
+in the checkout, ``HEAD~1`` once it is committed.  It is checked out in a
+``git worktree`` under a temporary directory, which is removed afterwards.
+For each workload the script runs
+
+    python3 verdictbench/run.py --workload W --seed N --seconds S --trace 0
+
+in both trees, with S the ``run_seconds`` of ``BENCHMARK.json``, one pair
+per seed, alternating which tree runs first.  Each run starts in its own
+tree, so each imports its own ``src/`` (``verdictbench/worker.py`` refuses
+any other).  The benchmark code of each tree is its own, so compare only
+commits whose ``verdictbench/`` agrees.
+
+The JSON written holds, per workload and end-to-end metric, both sides'
+medians and quartiles and the change's win count (ties count for neither),
+and per workload whether every run was correct and whether the report
+digests of the two trees agree seed by seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("point-queries", "sweep-rasters", "pseudoconvex-sweep")
+DIGEST = re.compile(r"^# (\S+) seed (\d+): .* report sha256 (.+)$")
+
+
+def parse_run(text: str) -> dict:
+    """The result of one ``run.py`` output: the last line's JSON object,
+    its metric values by name, the report digest of each seed from the
+    ``#`` lines (None where the worker did not finish) and the
+    environment line."""
+    lines = text.strip().splitlines()
+    last = json.loads(lines[-1])
+    digests, environment = {}, None
+    for line in lines[:-1]:
+        if line.startswith("# environment "):
+            environment = json.loads(line[len("# environment "):])
+        match = DIGEST.match(line)
+        if match:
+            sha = match.group(3)
+            digests[int(match.group(2))] = sha if re.fullmatch(
+                r"[0-9a-f]{64}", sha) else None
+    return {"correct": last["correct"], "attempted": last["attempted"],
+            "failed": last["failed"],
+            "metrics": {k: v["value"] for k, v in last["metrics"].items()},
+            "digests": digests, "environment": environment}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """One workload's summary from its pairs, each {"seed", "first",
+    "parent", "change"} with the two sides' ``parse_run`` results; better
+    maps a metric to "higher" or "lower"."""
+    metrics = {}
+    for name, way in better.items():
+        sides = {side: [p[side]["metrics"][name] for p in pairs]
+                 for side in ("parent", "change")}
+        sign = 1 if way == "higher" else -1
+        wins = sum(sign * (c - p) > 0
+                   for p, c in zip(sides["parent"], sides["change"]))
+        parent, change = quartiles(sides["parent"]), quartiles(sides["change"])
+        metrics[name] = {
+            "better": way, "parent": parent, "change": change, "wins": wins,
+            "pairs": len(pairs),
+            "change_pct": (100.0 * (change["median"] / parent["median"] - 1)
+                           if parent["median"] else None)}
+    return {
+        "seeds": [p["seed"] for p in pairs],
+        "first": [p["first"] for p in pairs],
+        "correct": all(p[s]["correct"] for p in pairs
+                       for s in ("parent", "change")),
+        "failed": {s: sum(p[s]["failed"] for p in pairs)
+                   for s in ("parent", "change")},
+        "digests_equal": all(
+            p["parent"]["digests"].get(p["seed"]) is not None
+            and p["parent"]["digests"] == p["change"]["digests"]
+            for p in pairs),
+        "digests": [{"seed": p["seed"],
+                     "parent": p["parent"]["digests"].get(p["seed"]),
+                     "change": p["change"]["digests"].get(p["seed"])}
+                    for p in pairs],
+        "metrics": metrics,
+    }
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "verdictbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True, check=True)
+    return parse_run(proc.stdout)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--workload", action="append", choices=WORKLOADS)
+    args = ap.parse_args(argv)
+    if args.pairs < 3:
+        ap.error("--pairs must be at least 3")
+    # Terminated, unwind, so the worktree is removed below.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    parent_sha = git("rev-parse", args.parent)
+    record = {
+        "parent": {"ref": args.parent, "commit": parent_sha},
+        "change": {"commit": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain",
+                                                   "--untracked-files=no"))},
+        "settings": {"seconds": spec["run_seconds"], "pairs": args.pairs,
+                     "trace": 0},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        parent_tree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent_tree), parent_sha)
+        try:
+            for workload in args.workload or WORKLOADS:
+                pairs = []
+                for i in range(args.pairs):
+                    seed = args.first_seed + i
+                    order = (("parent", parent_tree), ("change", ROOT))
+                    order = order if i % 2 == 0 else order[::-1]
+                    pair = {"seed": seed, "first": order[0][0]}
+                    for side, tree in order:
+                        t0 = time.monotonic()
+                        pair[side] = run_once(tree, workload, seed,
+                                              spec["run_seconds"])
+                        print(f"{workload} seed {seed} {side}: "
+                              f"{time.monotonic() - t0:.0f} s",
+                              file=sys.stderr, flush=True)
+                    pairs.append(pair)
+                record["workloads"][workload] = summarize(pairs, better)
+                record.setdefault("environment", {
+                    k: v for k, v in pairs[0]["change"]["environment"].items()
+                    if k != "commit"})
+        finally:
+            git("worktree", "remove", "--force", str(parent_tree))
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
