@@ -5,11 +5,12 @@ Certificates follow the worked problems' arithmetic: the scalarized
 objective term is the weighted sum of per-objective subgradient choices,
 constraint terms come from the sup-rule hulls, the ball term is scaled by
 <y*, theta>, and everything must cancel against a normal-cone element.
+The CQ, the KKT search and the fuzzy inclusion each state that question
+as parts and multiplier rows to setcalc.zero_in_sum, which builds the LP.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,13 +28,16 @@ from .robustfeas import (
 from .setcalc import (
     MEMBERSHIP_TOL,
     Polytope,
-    _add_stationarity_rows,
+    STATIONARITY,
+    PolytopeSet,
     _cross,
     _monotone_chain,
     check_selections,
     dual_ball,
+    hull,
     normal_cone,
     point_in_cone_residual,
+    scale,
     zero_in_sum,
 )
 from .subdiff import Scalarization, constraint_set, direct_subdiff, \
@@ -232,11 +236,14 @@ class KKTSearchReport:
 def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                use_fixtures: bool = False,
                tol: float = KKT_TOL) -> KKTSearchReport:
-    """One-LP search for a robust approximate KKT certificate at xbar.
+    """Search for a robust approximate KKT certificate at xbar, one
+    zero_in_sum LP per choice of a component of each objective's set.
 
     K is a sign orthant, so the substitution y*_j = sigma_j s_j makes the
     whole inclusion linear in vertex weights whose group totals are the
-    multipliers; the 1-norm normalization sum(s) + sum(mu) = 1 plus
+    multipliers: the parts are the sigma_j-scaled objective sets, the
+    active constraint sets and the dual ball, whose total is <y*, theta>.
+    The 1-norm normalization sum(s) + sum(mu) = 1 plus
     sum(s) >= EPS_YSTAR_MIN pins the scale and forbids y* = 0.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -254,86 +261,55 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         prov[spec.objective_names[j - 1]] = origin
         obj_sets.append(S)
     check_selections(obj_sets, CertifyError)
-    con_sets = {}
+    sigma = np.asarray(spec.cone.dual().pattern, dtype=float)
+    parts = [scale(S, s) for S, s in zip(obj_sets, sigma)]
     for i in actives:
         S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
         prov[spec.constraints[i - 1].name] = origin
-        con_sets[i] = S.components[0] if S.ncomponents == 1 else Polytope(
-            S.all_vertices(), reduce=True)
-    ball = dual_ball(spec.norm, d, spec.ball_facets)
+        parts.append(S if S.ncomponents == 1 else PolytopeSet([hull(S)]))
+    parts.append(PolytopeSet([dual_ball(spec.norm, d, spec.ball_facets)]))
     N = normal_cone(spec.omega, xbar)
 
-    sigma = np.asarray(spec.cone.dual().pattern, dtype=float)
-    tried = 0
-    for selection in itertools.product(*(range(s.ncomponents) for s in obj_sets)):
-        tried += 1
-        lp = LPBuilder()
-        obj_vars = []
-        for j in range(p):
-            comp = obj_sets[j].components[selection[j]]
-            ids = lp.add_vars(comp.nverts)
-            obj_vars.append((ids, sigma[j] * comp.vertices))
-        con_vars = {}
-        for i in actives:
-            comp = con_sets[i]
-            con_vars[i] = (lp.add_vars(comp.nverts), comp.vertices)
-        ball_ids = lp.add_vars(ball.nverts)
-        cone_ids = _add_stationarity_rows(
-            lp, [*obj_vars, *con_vars.values(), (ball_ids, ball.vertices)], N)
-        # ball weight total equals <y*, theta> = sum_j sigma_j theta_j s_j
-        row = {vid: 1.0 for vid in ball_ids}
-        for j, (ids, _) in enumerate(obj_vars):
-            coef = -sigma[j] * spec.theta[j]
-            if coef != 0.0:
-                for vid in ids:
-                    row[vid] = row.get(vid, 0.0) + coef
-        lp.add_eq(row, 0)
-        # normalization and y* != 0
-        s_ids = [vid for ids, _ in obj_vars for vid in ids]
-        mu_ids = [vid for ids, _ in con_vars.values() for vid in ids]
-        lp.add_eq(dict.fromkeys(s_ids + mu_ids, 1.0), 1)
-        lp.add_ub(dict.fromkeys(s_ids, -1.0), -EPS_YSTAR_MIN)
-        res = lp.solve()
-        if not res.feasible:
-            continue
-
-        # assemble the certificate from group weights
-        ystar = np.zeros(p)
-        u = []
-        for j, (ids, _) in enumerate(obj_vars):
-            comp = obj_sets[j].components[selection[j]]
-            w = res.values[np.asarray(ids)]
-            s = float(np.sum(w))
-            ystar[j] = sigma[j] * s
-            u.append(w @ comp.vertices / s if s > 1e-15
-                     else comp.vertices[0].copy())
-        mu = np.zeros(n)
-        vsel = []
-        vbar = []
-        for i in range(1, n + 1):
-            if i in con_vars:
-                ids, V = con_vars[i]
-                w = res.values[np.asarray(ids)]
-                m = float(np.sum(w))
-                mu[i - 1] = m
-                vsel.append(w @ V / m if m > 1e-15 else V[0].copy())
-            else:
-                S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
-                prov[spec.constraints[i - 1].name] = origin
-                vsel.append(S.all_vertices()[0].copy())
-            scen = acts.scenarios[i - 1]
-            vbar.append(scen[0] if scen else 0.0)
-        wb = res.values[np.asarray(ball_ids)]
-        radius = float(np.sum(wb))
-        bstar = (wb @ ball.vertices / radius) if radius > 1e-15 else np.zeros(d)
-        astar = np.zeros(d)
-        if cone_ids:
-            astar = res.values[np.asarray(cone_ids)] @ N
-        cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
-        recheck = check_kkt(spec, xbar, cert, tol, mode, use_fixtures)
-        return KKTSearchReport(True, cert, recheck, tuple(actives), tried,
+    # ball total equals <y*, theta> = sum_j sigma_j theta_j s_j
+    ball_row = {len(parts) - 1: 1.0}
+    ball_row.update((j, -sigma[j] * spec.theta[j]) for j in range(p))
+    res = zero_in_sum(parts, N, [
+        STATIONARITY, (ball_row, 0),
+        (dict.fromkeys(range(len(parts) - 1), 1.0), 1)],
+        floor=(dict.fromkeys(range(p), 1.0), EPS_YSTAR_MIN))
+    if not res.sat:
+        return KKTSearchReport(False, None, None, tuple(actives), res.tried,
                                provenance=prov)
-    return KKTSearchReport(False, None, None, tuple(actives), tried,
+
+    # the certificate from the group totals and weighted vertices; the
+    # objective parts are scaled by sigma_j, so u_j divides by y*_j
+    points = res.witness_points(parts)
+    totals = [float(np.sum(w)) for w in res.weights]
+    ystar = sigma * totals[:p]
+    u = [points[j] / ystar[j] if totals[j] > 1e-15 else
+         obj_sets[j].components[res.selection[j]].vertices[0].copy()
+         for j in range(p)]
+    mu = np.zeros(n)
+    vsel = []
+    vbar = []
+    for i in range(1, n + 1):
+        if i in actives:
+            g = p + actives.index(i)
+            mu[i - 1] = totals[g]
+            vsel.append(points[g] / totals[g] if totals[g] > 1e-15
+                        else parts[g].components[0].vertices[0].copy())
+        else:
+            S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
+            prov[spec.constraints[i - 1].name] = origin
+            vsel.append(S.all_vertices()[0].copy())
+        scen = acts.scenarios[i - 1]
+        vbar.append(scen[0] if scen else 0.0)
+    radius = totals[-1]
+    bstar = points[-1] / radius if radius > 1e-15 else np.zeros(d)
+    astar = res.cone_weights @ N
+    cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
+    recheck = check_kkt(spec, xbar, cert, tol, mode, use_fixtures)
+    return KKTSearchReport(True, cert, recheck, tuple(actives), res.tried,
                            provenance=prov)
 
 
@@ -366,9 +342,10 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     """Locate an Ekeland-style point and solve the perturbed inclusion.
 
     The merit function psi is grid-minimized over the ground set within the
-    search radius; the inclusion LP then runs at the located point with
-    ball radius <y*, theta>/eta and branch gates matching the two
-    complementarity relations.
+    search radius; the inclusion is then a zero_in_sum LP at the located
+    point, one per component of the scalarized set, with ball radius
+    <y*, theta>/eta and branch gates matching the two complementarity
+    relations.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     ystar = np.asarray(ystar, dtype=float).reshape(-1)
@@ -403,86 +380,60 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     tight1 = f_branch >= psi_val - TIGHT_TOL
     tight2 = acts.phi >= psi_val - TIGHT_TOL
 
-    fset = direct_subdiff(ystar, spec.objectives, x_eta, mode,
-                          spec.kink_tol).set
+    # parts: the branch weights lam_f and lam_g, as points {0} that add
+    # only their totals, the scalarized set, the active constraints'
+    # sup-rule hulls (one component each, as no fixture is read), the ball
+    zero = PolytopeSet.singleton(np.zeros(spec.dim))
+    parts = [zero, zero, direct_subdiff(ystar, spec.objectives, x_eta, mode,
+                                        spec.kink_tol).set]
     idx = list(acts.index_set)
-    con_polys = {}
     scen_used = {}
     for i in idx:
-        S, _ = constraint_set(spec, i, x_eta, acts)
-        con_polys[i] = S.components[0] if S.ncomponents == 1 else Polytope(
-            S.all_vertices(), reduce=True)
+        parts.append(constraint_set(spec, i, x_eta, acts)[0])
         scen = acts.scenarios[i - 1]
         scen_used[i] = scen[0] if scen else 0.0
-    ball = dual_ball(spec.norm, spec.dim, spec.ball_facets)
+    parts.append(PolytopeSet([dual_ball(spec.norm, spec.dim,
+                                        spec.ball_facets)]))
     N = normal_cone(spec.omega, x_eta)
     ytheta = float(np.dot(ystar, spec.theta))
-    ball_total = ytheta / eta
-
-    for comp in fset.components:
-        lp = LPBuilder()
-        a1 = lp.add_var()
-        a2 = lp.add_var()
-        f_ids = lp.add_vars(comp.nverts)
-        lp.add_eq({**{t: 1.0 for t in f_ids}, a1: -1.0}, 0)
-        c_vars = {}
-        c_row = {a2: -1.0}
-        for i in idx:
-            ids = lp.add_vars(con_polys[i].nverts)
-            c_vars[i] = ids
-            for vid in ids:
-                c_row[vid] = 1.0
-        lp.add_eq(c_row, 0)
-        ball_ids = lp.add_vars(ball.nverts)
-        lp.add_eq({vid: 1.0 for vid in ball_ids}, ball_total)
-        groups = [(f_ids, comp.vertices),
-                  *((c_vars[i], con_polys[i].vertices) for i in idx),
-                  (ball_ids, ball.vertices)]
-        cone_ids = _add_stationarity_rows(lp, groups, N)
-        lp.add_eq({a1: 1.0, a2: 1.0}, 1)
-        if not tight1:
-            lp.add_eq({a1: 1.0}, 0)
-        if not tight2 or not idx:
-            lp.add_eq({a2: 1.0}, 0)
-        res = lp.solve()
-        if not res.feasible:
-            continue
-        a1v = float(res.values[a1])
-        a2v = float(res.values[a2])
-        mu_bar = np.zeros(spec.n_constraints)
-        if a2v > 1e-15:
-            for i in idx:
-                mu_bar[i - 1] = float(np.sum(res.values[np.asarray(c_vars[i])])) / a2v
-        elif idx:
-            mu_bar[idx[0] - 1] = 1.0
-        lam1 = a1v
-        norm_mu_bar = float(np.sum(mu_bar))
-        lam2 = a1v * float(np.sum(np.abs(ystar))) + norm_mu_bar
-        if lam2 <= 1e-15:
-            continue
-        mu = mu_bar / lam2
-
-        total = np.zeros(spec.dim)
-        for ids, V in groups:
-            total += res.values[np.asarray(ids)] @ V
-        if cone_ids:
-            total += res.values[np.asarray(cone_ids)] @ N
-        incl_res = float(np.linalg.norm(total))
-        comp1 = (lam1 / lam2) * (f_branch - psi_val)
-        comp2 = 0.0
-        for i in idx:
-            gi = eval_expr(spec.constraints[i - 1].expr, x_eta,
-                           scen_used[i] if spec.constraints[i - 1].has_uncertainty
-                           else None)
-            comp2 = max(comp2, abs((1.0 - lam1) * mu[i - 1] * (gi - psi_val)))
-        normalization = (lam1 / lam2) * float(np.sum(np.abs(ystar))) + float(
-            np.sum(np.abs(mu)))
-        witness = FuzzyKKTWitness(
-            x_eta, (lam1, lam2), mu,
-            tuple(scen_used.get(i, 0.0) for i in range(1, spec.n_constraints + 1)),
-            incl_res, comp1, comp2, normalization)
-        return FuzzyReport(True, witness)
-    return FuzzyReport(False, None, "inclusion LP unsatisfiable at x_eta")
+    # lam_f = t_f, lam_g = sum(t_con), t_ball = <y*, theta>/eta,
+    # lam_f + lam_g = 1, and a branch that is not tight has weight 0
+    rows = [({0: -1.0, 2: 1.0}, 0),
+            ({1: -1.0, **dict.fromkeys(range(3, len(parts) - 1), 1.0)}, 0),
+            ({len(parts) - 1: 1.0}, ytheta / eta), STATIONARITY,
+            ({0: 1.0, 1: 1.0}, 1)]
+    if not tight1:
+        rows.append(({0: 1.0}, 0))
+    if not tight2 or not idx:
+        rows.append(({1: 1.0}, 0))
+    res = zero_in_sum(parts, N, rows)
+    if not res.sat:
+        return FuzzyReport(False, None, "inclusion LP unsatisfiable at x_eta")
+    lam1, a2, _, *con_totals = (float(np.sum(w)) for w in res.weights[:-1])
+    mu_bar = np.zeros(spec.n_constraints)
+    if a2 > 1e-15:
+        for i, t in zip(idx, con_totals):
+            mu_bar[i - 1] = t / a2
+    elif idx:
+        mu_bar[idx[0] - 1] = 1.0
+    lam2 = lam1 * float(np.sum(np.abs(ystar))) + float(np.sum(mu_bar))
+    mu = mu_bar / lam2
+    incl_res = float(np.linalg.norm(sum(res.witness_points(parts)[2:])
+                                    + res.cone_weights @ N))
+    comp1 = (lam1 / lam2) * (f_branch - psi_val)
+    comp2 = 0.0
+    for i in idx:
+        gi = eval_expr(spec.constraints[i - 1].expr, x_eta,
+                       scen_used[i] if spec.constraints[i - 1].has_uncertainty
+                       else None)
+        comp2 = max(comp2, abs((1.0 - lam1) * mu[i - 1] * (gi - psi_val)))
+    normalization = (lam1 / lam2) * float(np.sum(np.abs(ystar))) + float(
+        np.sum(np.abs(mu)))
+    witness = FuzzyKKTWitness(
+        x_eta, (lam1, lam2), mu,
+        tuple(scen_used.get(i, 0.0) for i in range(1, spec.n_constraints + 1)),
+        incl_res, comp1, comp2, normalization)
+    return FuzzyReport(True, witness)
 
 
 # ---------------------------------------------------------------------------

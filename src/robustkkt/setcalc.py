@@ -81,21 +81,22 @@ class Polytope:
         return f"Polytope({self.vertices.tolist()})"
 
 
-def _membership_residual(p: np.ndarray, V: np.ndarray) -> float:
-    # min t s.t. |sum_i lam_i v_i - p|_inf <= t, lam in simplex
-    d = V.shape[1]
+def _membership_residual(p: np.ndarray, V: np.ndarray,
+                         simplex: bool = True) -> float:
+    """min t s.t. |sum_i c_i v_i - p|_inf <= t over c >= 0, the rows v_i
+    of V; with simplex, sum_i c_i = 1, else c spans a cone."""
     lp = LPBuilder()
-    lam = lp.add_vars(V.shape[0])
+    cs = lp.add_vars(V.shape[0])
     t = lp.add_var()
-    lp.add_eq({i: 1 for i in lam}, 1)
-    for j in range(d):
-        lp.add_ub({**{lam[i]: V[i, j] for i in range(V.shape[0])}, t: -1}, p[j])
-        lp.add_ub({**{lam[i]: -V[i, j] for i in range(V.shape[0])}, t: -1}, -p[j])
+    if simplex:
+        lp.add_eq(dict.fromkeys(cs, 1), 1)
+    for j in range(V.shape[1]):
+        row = {c: a for c, a in zip(cs, V[:, j].tolist()) if a != 0.0}
+        lp.add_ub({**row, t: -1}, p[j])
+        lp.add_ub({**{c: -a for c, a in row.items()}, t: -1}, -p[j])
     lp.set_objective({t: 1})
     res = lp.solve()
-    if not res.feasible:  # simplex row always feasible; defensive
-        return math.inf
-    return max(res.objective, 0.0)
+    return max(res.objective, 0.0) if res.feasible else math.inf
 
 
 # The planar membership LP has one column per vertex, its t column and four
@@ -511,13 +512,12 @@ class ZeroInSumResult:
     sat: bool
     selection: tuple[int, ...] | None = None
     weights: list[np.ndarray] | None = None   # per part, per vertex
+    cone_weights: np.ndarray | None = None    # per cone generator
+    tried: int = 0                            # selections whose LP ran
 
     def witness_points(self, parts: list[PolytopeSet]) -> list[np.ndarray]:
-        out = []
-        for p, (part, w) in enumerate(zip(parts, self.weights)):
-            comp = part.components[self.selection[p]]
-            out.append(w @ comp.vertices)
-        return out
+        return [w @ part.components[k].vertices
+                for part, k, w in zip(parts, self.selection, self.weights)]
 
 
 def check_selections(parts: list[PolytopeSet],
@@ -530,13 +530,29 @@ def check_selections(parts: list[PolytopeSet],
                     f"{SELECTIONS_LIMIT}")
 
 
-def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:
-    """Decide 0 in sum(parts) + cone, exactly over component selections;
-    cone is the (k, d) array of its generators.
+# In the rows of zero_in_sum, the d rows of the sum itself
+STATIONARITY = "stationarity"
 
-    For each choice of one convex component per union part an LP looks for
-    convex weights and nonnegative cone coefficients summing to zero; the
-    first satisfiable selection is returned.
+
+def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray,
+                rows: list | None = None,
+                floor: tuple[dict, float] | None = None) -> ZeroInSumResult:
+    """Decide 0 in sum_g t_g part_g + cone, exactly over component
+    selections; cone is the (k, d) array of its generators.
+
+    Every certificate LP is this one.  Part g enters through nonnegative
+    weights on its vertices, whose sum is its total t_g.  rows are the
+    equality rows in order: ({g: coefficient}, rhs) asks
+    sum_g coefficient t_g = rhs, and STATIONARITY stands for the d rows
+    of the sum.  By default every t_g = 1, then STATIONARITY: the plain
+    question 0 in sum(parts) + cone.  floor, ({g: coefficient}, bound),
+    asks sum_g coefficient t_g >= bound.  The order of the rows decides
+    the vertex the exact simplex stops at, and so the witness.
+
+    For each choice of one convex component per part, in
+    itertools.product order, one LP has the vertex weights part by part,
+    then the cone's coefficients, as columns.  The first satisfiable
+    selection is returned, with the number of LPs run.
     """
     if not parts:
         raise SetCalcError("zero_in_sum needs at least one part")
@@ -547,38 +563,41 @@ def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:
     if cone.shape[1] != d:
         raise DimensionMismatch("cone dimension mismatch")
     check_selections(parts)
+    if rows is None:
+        rows = [*(({g: 1}, 1) for g in range(len(parts))), STATIONARITY]
+    tried = 0
     for selection in itertools.product(*(range(p.ncomponents) for p in parts)):
+        tried += 1
         lp = LPBuilder()
-        groups = []
-        for p, part in enumerate(parts):
-            comp = part.components[selection[p]]
-            ids = lp.add_vars(comp.nverts)
-            groups.append((ids, comp.vertices))
-            lp.add_eq({i: 1 for i in ids}, 1)
-        _add_stationarity_rows(lp, groups, cone)
+        groups = [(lp.add_vars(part.components[k].nverts),
+                   part.components[k].vertices)
+                  for part, k in zip(parts, selection)]
+        cids = lp.add_vars(cone.shape[0])
+
+        def total(coeffs, sign=1.0):
+            return {vid: sign * c for g, c in coeffs.items() if c != 0.0
+                    for vid in groups[g][0]}
+
+        for row in rows:
+            if row is not STATIONARITY:
+                lp.add_eq(total(row[0]), row[1])
+                continue
+            for a in range(d):
+                eq = {}
+                for ids, V in [*groups, (cids, cone)]:
+                    for vid, coef in zip(ids, V[:, a].tolist()):
+                        if coef != 0.0:
+                            eq[vid] = coef
+                lp.add_eq(eq, 0)
+        if floor is not None:
+            lp.add_ub(total(floor[0], -1.0), -floor[1])
         res = lp.solve()
         if res.feasible:
-            weights = [res.values[np.asarray(ids)] for ids, _ in groups]
-            return ZeroInSumResult(True, selection, weights)
-    return ZeroInSumResult(False)
-
-
-def _add_stationarity_rows(lp: LPBuilder, groups,
-                           cone: np.ndarray) -> list[int]:
-    """Add to lp the rows sum_groups V^T w + sum_k c_k g_k = 0, one per
-    coordinate, for the (ids, V) groups of vertex weights w and new
-    nonnegative coefficients c of the cone's generators g_k, the rows of
-    cone; return the ids of c, created just before the rows."""
-    cids = lp.add_vars(cone.shape[0])
-    groups = [*groups, (cids, cone)]
-    for a in range(cone.shape[1]):
-        row = {}
-        for ids, V in groups:
-            for vid, coef in zip(ids, V[:, a].tolist()):
-                if coef != 0.0:
-                    row[vid] = coef
-        lp.add_eq(row, 0)
-    return cids
+            return ZeroInSumResult(
+                True, selection,
+                [res.values[np.asarray(ids, dtype=int)] for ids, _ in groups],
+                res.values[np.asarray(cids, dtype=int)], tried)
+    return ZeroInSumResult(False, tried=tried)
 
 
 def point_in_cone_residual(p, cone: np.ndarray) -> float:
@@ -587,13 +606,4 @@ def point_in_cone_residual(p, cone: np.ndarray) -> float:
     p = np.asarray(p, dtype=float).reshape(-1)
     if not cone.shape[0]:
         return float(np.max(np.abs(p), initial=0.0))
-    lp = LPBuilder()
-    cs = lp.add_vars(cone.shape[0])
-    t = lp.add_var()
-    for j in range(cone.shape[1]):
-        row = {cs[i]: cone[i, j] for i in range(len(cs)) if cone[i, j] != 0}
-        lp.add_ub({**row, t: -1}, p[j])
-        lp.add_ub({**{k: -a for k, a in row.items()}, t: -1}, -p[j])
-    lp.set_objective({t: 1})
-    res = lp.solve()
-    return max(res.objective, 0.0) if res.feasible else math.inf
+    return _membership_residual(p, cone, simplex=False)

@@ -27,6 +27,7 @@ from .setcalc import (
     ConeSpec,
     PolytopeSet,
     check_selections,
+    dual_ball,
     minkowski_sum,
     normal_cone,
     scale,
@@ -189,8 +190,6 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
         comp_ok = comp_ok and ok
         checks.append({"name": f"mu_g_sign_{spec.constraints[i-1].name}",
                        "ok": bool(ok), "value": val})
-    from .setcalc import dual_ball
-
     radius = float(np.dot(ystar, spec.theta))
     ball = PolytopeSet([dual_ball(spec.norm, spec.dim, spec.ball_facets)])
     parts.append(scale(ball, radius))

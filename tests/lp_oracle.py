@@ -1,8 +1,9 @@
 """The exact simplex as it stood before it became fraction-free: Bland's
 rule over ``Fraction`` entries, with a full-tableau row update per pivot.
-Kept verbatim as the oracle of ``tests/test_lp.py``, which asserts that
+Kept as the oracle of ``tests/test_lp.py``, which asserts that
 ``robustkkt.lp.simplex_standard`` returns the same result after the same
-pivots.
+pivots; the pivot is a module function, with the same arithmetic as the
+closure it was, so that the test can record its calls.
 """
 
 from __future__ import annotations
@@ -10,6 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from robustkkt.lp import _MAX_PIVOTS, LPError
+
+
+def _pivot(rows, rhs, basis, r, col, m):
+    piv = rows[r][col]
+    rows[r] = [a / piv for a in rows[r]]
+    rhs[r] = rhs[r] / piv
+    for i in range(m):
+        if i != r and rows[i][col] != 0:
+            f = rows[i][col]
+            rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
+            rhs[i] = rhs[i] - f * rhs[r]
+    basis[r] = col
 
 
 def simplex_standard(A, b, c):
@@ -66,18 +79,7 @@ def simplex_standard(A, b, c):
                         leaving = i
             if leaving < 0:
                 return "unbounded"
-            _pivot(rows, rhs, basis, leaving, entering)
-
-    def _pivot(rows, rhs, basis, r, col):
-        piv = rows[r][col]
-        rows[r] = [a / piv for a in rows[r]]
-        rhs[r] = rhs[r] / piv
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        basis[r] = col
+            _pivot(rows, rhs, basis, leaving, entering, m)
 
     total = n + m
     phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
@@ -92,7 +94,7 @@ def simplex_standard(A, b, c):
         if basis[i] >= n:
             for j in range(n):
                 if rows[i][j] != 0:
-                    _pivot(rows, rhs, basis, i, j)
+                    _pivot(rows, rhs, basis, i, j, m)
                     break
 
     phase2_cost = list(c) + [Fraction(0)] * m

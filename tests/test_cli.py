@@ -1091,6 +1091,28 @@ class TestSizeLimits:
                            f"selections, over the limit"):
             certify.search_kkt(spec, np.zeros(10))
 
+    def test_fuzzy_selections_refused(self, capsys, monkeypatch):
+        """fuzzy tries one LP per component of the scalarized set, within
+        the same limit: with the limit at 1, the README fuzzy command,
+        whose set at x_eta = (0, 0) has two components, is refused with
+        SetCalcError from the library and exit 3 from the command line."""
+        from robustkkt import setcalc
+
+        spec = load_problem("example_3_2")
+        ystar = np.array([0.3535, 0.0, 0.3535])
+        assert direct_subdiff(ystar, spec.objectives, np.zeros(2),
+                              "limiting").set.ncomponents == 2
+        assert certify.fuzzy_kkt_demo(spec, np.zeros(2), ystar, 0.1).found
+        monkeypatch.setattr(setcalc, "SELECTIONS_LIMIT", 1)
+        with pytest.raises(setcalc.SetCalcError, match="2 component "
+                           "selections, over the limit 1"):
+            certify.fuzzy_kkt_demo(spec, np.zeros(2), ystar, 0.1)
+        code, doc = run_json(capsys, [
+            "fuzzy", "--problem", "example_3_2", "--at", "0,0", "--ystar",
+            "0.3535,0,0.3535", "--eta", "0.1"])
+        assert code == 3
+        assert doc["error"] == "2 component selections, over the limit 1"
+
     def test_dual_selections_refused_before_any_sum(self, capsys,
                                                     monkeypatch, tmp_path):
         """Dual feasibility sums the y*-scaled objective sets before its

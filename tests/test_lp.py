@@ -1,6 +1,4 @@
-import sys
 from fractions import Fraction
-from types import CodeType
 
 import lp_oracle
 import numpy as np
@@ -108,31 +106,21 @@ class TestLPBuilder:
 # Differential test: the fraction-free engine against the Fraction oracle
 # ---------------------------------------------------------------------------
 
-# The oracle's pivot is a closure; its calls are seen by a profile hook.
-ORACLE_PIVOT = next(
-    code for code in lp_oracle.simplex_standard.__code__.co_consts
-    if isinstance(code, CodeType) and code.co_name == "_pivot")
-
-
 def oracle(A, b, c):
     """The oracle's result on the entries as Fractions, and its pivots as
     (row, column, pivot element)."""
     pivots = []
+    pivot = lp_oracle._pivot
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is ORACLE_PIVOT:
-            loc = frame.f_locals
-            r, col = loc["r"], loc["col"]
-            pivots.append((r, col, loc["rows"][r][col]))
+    def recording(rows, rhs, basis, r, col, m):
+        pivots.append((r, col, rows[r][col]))
+        return pivot(rows, rhs, basis, r, col, m)
 
     exact = ([[Fraction(a) for a in row] for row in A],
              [Fraction(a) for a in b], [Fraction(a) for a in c])
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_oracle, "_pivot", recording)
         result = lp_oracle.simplex_standard(*exact)
-    finally:
-        sys.setprofile(previous)
     return result, pivots
 
 
@@ -242,7 +230,9 @@ def random_degenerate_lp(rng):
 
 def ball_lp(rng):
     """A zero-in-sum LP at the size of the certificate LPs and above: m in
-    [8, 16] rows, n in [40, 100] columns, no objective.  Rows 0 and 1 are
+    [8, 16] rows, n in [40, 100] columns, small rationals as the objective,
+    nonnegative on the columns no group row bounds, so that phase 2 prices
+    and pivots but stays bounded.  Rows 0 and 1 are
     the stationarity rows, with zero right-hand sides: the vertices of a
     scaled l2 dual ball (cos/sin floats, as _regular_polygon makes them)
     and then small rationals.  The other rows sum the weights of one group
@@ -258,7 +248,9 @@ def ball_lp(rng):
                                      replace=False).tolist()), n]
     A += [[int(cuts[g] <= j < cuts[g + 1]) for j in range(n)]
           for g in range(m - 2)]
-    return A, [0, 0] + [1] * (m - 2), [0] * n
+    c = [ENTRIES[int(t)] for t in rng.integers(len(ENTRIES), size=n)]
+    return A, [0, 0] + [1] * (m - 2), [
+        abs(a) if j >= cuts[-2] else a for j, a in enumerate(c)]
 
 
 class TestAgainstOracle:

@@ -3,8 +3,9 @@
     python3 tools/bench_pair.py --parent REF --out BENCH_23.json
 
 REF is the parent commit: ``HEAD`` while the change is still uncommitted
-in the checkout, ``HEAD~1`` once it is committed.  It is checked out in a
-``git worktree`` under a temporary directory, which is removed afterwards.
+in the checkout, ``HEAD~1`` once it is committed.  Its files are exported
+by ``git archive`` into a temporary directory (under ``TMPDIR``), which is
+removed afterwards.
 For each workload the script runs
 
     python3 verdictbench/run.py --workload W --seed N --seconds S --trace 0
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 3:
         ap.error("--pairs must be at least 3")
-    # Terminated, unwind, so the worktree is removed below.
+    # Terminated, unwind, so the temporary directory is removed.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -143,29 +144,30 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_sha)
-        try:
-            for workload in args.workload or WORKLOADS:
-                pairs = []
-                for i in range(args.pairs):
-                    seed = args.first_seed + i
-                    order = (("parent", parent_tree), ("change", ROOT))
-                    order = order if i % 2 == 0 else order[::-1]
-                    pair = {"seed": seed, "first": order[0][0]}
-                    for side, tree in order:
-                        t0 = time.monotonic()
-                        pair[side] = run_once(tree, workload, seed,
-                                              spec["run_seconds"])
-                        print(f"{workload} seed {seed} {side}: "
-                              f"{time.monotonic() - t0:.0f} s",
-                              file=sys.stderr, flush=True)
-                    pairs.append(pair)
-                record["workloads"][workload] = summarize(pairs, better)
-                record.setdefault("environment", {
-                    k: v for k, v in pairs[0]["change"]["environment"].items()
-                    if k != "commit"})
-        finally:
-            git("worktree", "remove", "--force", str(parent_tree))
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
+                       check=True)
+        for workload in args.workload or WORKLOADS:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                order = (("parent", parent_tree), ("change", ROOT))
+                order = order if i % 2 == 0 else order[::-1]
+                pair = {"seed": seed, "first": order[0][0]}
+                for side, tree in order:
+                    t0 = time.monotonic()
+                    pair[side] = run_once(tree, workload, seed,
+                                          spec["run_seconds"])
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{time.monotonic() - t0:.0f} s",
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
+            record["workloads"][workload] = summarize(pairs, better)
+            record.setdefault("environment", {
+                k: v for k, v in pairs[0]["change"]["environment"].items()
+                if k != "commit"})
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
