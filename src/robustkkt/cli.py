@@ -294,16 +294,16 @@ _FIXTURE_RE = re.compile(
     r"^(?P<name>\w+)\s*@\s*(?P<pt>[^:]+):\s*(?P<sets>.+)$")
 
 
+# the line up to its first # outside double quotes (a quote left open
+# runs to the end of the line)
+_UNCOMMENTED_RE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
+
+
 def _strip_comment(line: str) -> str:
-    out = []
-    in_quote = False
-    for ch in line:
-        if ch == '"':
-            in_quote = not in_quote
-        if ch == "#" and not in_quote:
-            break
-        out.append(ch)
-    return "".join(out).rstrip()
+    return _UNCOMMENTED_RE.match(line).group().rstrip()
+
+
+_FUNCTIONS = ("objectives", "constraints")
 
 
 def _parse_polytope_set(text: str, lineno: int) -> PolytopeSet:
@@ -329,6 +329,7 @@ def load_problem(path) -> ProblemSpec:
     path = resolve_problem_path(path)
     text = Path(path).read_text()
     sections: dict[str, list[tuple[int, str, str]]] = {}
+    seen: set[tuple] = set()
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -343,8 +344,18 @@ def load_problem(path) -> ProblemSpec:
             raise LoadError("content before first [section]", lineno)
         if "=" not in line:
             raise LoadError("expected key = value", lineno)
-        key, val = line.split("=", 1)
-        sections[current].append((lineno, key.strip(), val.strip()))
+        key, val = (t.strip() for t in line.split("=", 1))
+        # objectives and constraints share one namespace of function names;
+        # only fixtures and halfspaces may repeat
+        space = _FUNCTIONS if current in _FUNCTIONS else current
+        repeats = (current, key) == ("options", "fixture") or (
+            current == "omega" and key.startswith("h"))
+        if (space, key) in seen and not repeats:
+            raise LoadError(f"duplicate function name {key!r}"
+                            if space is _FUNCTIONS else
+                            f"duplicate key {key!r} in [{current}]", lineno)
+        seen.add((space, key))
+        sections[current].append((lineno, key, val))
 
     def single(section: str, key: str, default=None):
         for _, k, v in sections.get(section, []):

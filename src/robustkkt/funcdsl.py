@@ -68,7 +68,8 @@ class Expr:
         """This tree compiled to ``f(x, v) -> float`` (see ``_compile``).
 
         x is a list of Python floats; v is ignored when the tree has no v.
-        Built on first use and kept on this node only.
+        Built on first use and kept on this node, which ``parse_expr``
+        shares among all its calls with the same text and dimension.
         """
         return _compile(self)
 
@@ -384,8 +385,16 @@ class _Parser:
         return self.toks[self.i - 1].pos if self.i else 0
 
 
+@lru_cache(maxsize=1024)
 def parse_expr(text: str, dim: int) -> Expr:
-    """Parse ``text`` into an expression tree over R^dim (plus the symbol v)."""
+    """Parse ``text`` into an expression tree over R^dim (plus the symbol v).
+
+    Memoised on ``(text, dim)``: every later call with the same text and
+    dimension returns the same tree, with the code its nodes have compiled
+    so far, so a process that loads one problem file many times parses and
+    compiles each expression once.  The tree is shared and must be treated
+    as immutable.  Errors are not memoised: a bad text raises again.
+    """
     if dim < 0:
         raise ValueError("dim must be >= 0")
     return _Parser(text, dim).parse()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -971,7 +972,9 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("key", ["vgrid", "ball_facets"])
     def test_problem_option_over_limit(self, capsys, tmp_path, key):
-        base = resolve_problem_path("example_3_2").read_text()
+        # the entry replaces the file's own: a key may not repeat
+        base = re.sub(rf"(?m)^{key} = .*\n", "", resolve_problem_path(
+            "example_3_2").read_text())
         bound = _most(key)
         path = tmp_path / "big.problem"
         path.write_text(base + f"{key} = {bound}\n")

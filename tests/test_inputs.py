@@ -17,6 +17,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robustkkt import cli
@@ -152,7 +153,9 @@ def _problem(tmp_path, row, value) -> str:
                         "[theta]\nvalue = 0\n[omega]\nkind = whole\n"
                         '[objectives]\nf1 = "1"\n')
     else:
-        base = resolve_problem_path("example_3_2").read_text()
+        # the entry replaces the file's own: a key may not repeat
+        base = re.sub(rf"(?m)^{row.name} = .*\n", "", resolve_problem_path(
+            "example_3_2").read_text())
         path.write_text(base + f"{row.name} = {value}\n")
     return str(path)
 
@@ -202,6 +205,60 @@ def test_section_size_refused(capsys, tmp_path, row):
         code, error = _run(capsys, ["feasible", "--problem", str(path),
                                     "--at", "0,0"])
         assert code == 3 and row.name.rstrip("s") in error, error
+
+
+# each edit of example_3_2 repeats a name that must appear once, and the
+# refusal names the name and the line of its second appearance
+DUPLICATES = {
+    "space": (("dim = 2\n", "dim = 2\ndim = 3\n"),
+              "duplicate key 'dim' in [space]", "dim = 3"),
+    "options": (("ball_facets = 64\n", "ball_facets = 64\nball_facets = 8\n"),
+                "duplicate key 'ball_facets' in [options]", "ball_facets = 8"),
+    "objectives": (('f3 = "', 'f1 = "x1"\nf3 = "'),
+                   "duplicate function name 'f1'", 'f1 = "x1"'),
+    "constraints": (('g2 = "', 'g1 = "x1"\ng2 = "'),
+                    "duplicate function name 'g1'", 'g1 = "x1"'),
+    "across": (('g2 = "', 'f2 = "x1"\ng2 = "'),
+               "duplicate function name 'f2'", 'f2 = "x1"'),
+}
+
+
+@pytest.mark.parametrize("case", DUPLICATES)
+def test_duplicate_name_refused(capsys, tmp_path, case):
+    (old, new), message, line = DUPLICATES[case]
+    text = resolve_problem_path("example_3_2").read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    path = tmp_path / "p.problem"
+    path.write_text(text)
+    lineno = text.splitlines().index(line) + 1
+    code, error = _run(capsys, ["feasible", "--problem", str(path),
+                                "--at", "0,0"])
+    assert code == 3
+    assert error == f"{message} (line {lineno})"
+
+
+def test_fixtures_and_halfspaces_may_repeat(tmp_path):
+    text = resolve_problem_path("example_3_2").read_text().replace(
+        "kind = whole", "kind = halfspaces\nh = 1, 0 : 1\nh = 0, 1 : 1")
+    path = tmp_path / "p.problem"
+    path.write_text(text)
+    spec = load_problem(path)
+    assert len(spec.fixtures) == 5
+    assert spec.omega.contains(np.array([1.0, 1.0]))
+    assert not spec.omega.contains(np.array([1.0, 1.5]))
+
+
+@pytest.mark.parametrize("line, kept", [
+    ('f1 = "x1" # a comment', 'f1 = "x1"'),
+    ('f1 = "x1 # not a comment"', 'f1 = "x1 # not a comment"'),
+    ('f1 = "x1 # inside" # after "x" # more', 'f1 = "x1 # inside"'),
+    ('f1 = "x1 # left open', 'f1 = "x1 # left open'),
+    ("# only a comment", ""),
+    ("dim = 2   ", "dim = 2"),
+])
+def test_comment_stripped_outside_quotes(line, kept):
+    assert cli._strip_comment(line) == kept
 
 
 # ---------------------------------------------------------------------------
