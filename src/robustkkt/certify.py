@@ -11,6 +11,7 @@ as parts and multiplier rows to setcalc.zero_in_sum, which builds the LP.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -684,11 +685,13 @@ class _SweepGeometry:
     mask, and those rays' gauge terms on its edges, best first, are built
     once.  A component's exact directions are merged into the base polygon
     by angle (Preparata & Shamos, Computational Geometry, 1985, sec.
-    3.3.6), for every y* at once: each splits one edge in two, so a known
-    ray's gauge is its best edge not split, or a new edge.  Any other ray
-    leaves a convex polygon by the edge its angle falls in, so its gauge is
-    taken on the edges next to that angle.  A y* whose merge is not clearly
-    convex takes the hull of its ball.
+    3.3.6), for every y* at once and locally: a binary search places each
+    among the base angles, and only it and its neighbours are looked at.
+    Each splits one edge in two, so a known ray's gauge is its best edge
+    not split, or a new edge.  Any other ray leaves a convex polygon by the
+    edge its angle falls in, so its gauge is taken on the edges next to
+    that angle.  A y* whose merge is not clearly convex takes the hull of
+    its ball.
     """
 
     def __init__(self, pball: Polytope, l2_dirs: bool, walls: list):
@@ -779,22 +782,18 @@ class _SweepGeometry:
         # the ones split, and the new ones
         known, known_ok, best, at = self.known
         top = hit.shape[1] + 1  # one of these edges is not split
-        old = np.where((at[:, :top, None] == hit[:, None, None]).any(axis=3),
-                       -math.inf, best[:, :top]).max(axis=2)
+        old = _unsplit_max(at[:, :top], np.broadcast_to(
+            best[:, :top], (R, *best[:, :top].shape)), hit)
         near, vals = self._near(fresh)
-        vals = np.where((near[..., None] == hit[:, None, None]).any(axis=3),
-                        -math.inf, vals)
-        rays = np.concatenate([np.broadcast_to(known, (R, *known.shape)),
-                               fresh], axis=1)
-        gauge = np.concatenate([old, vals.max(axis=2)], axis=1)
-        if new.shape[1]:
-            gauge = np.maximum(gauge, ((rays @ new[:, :, :2].transpose(
-                0, 2, 1)) / new[:, None, :, 2]).max(axis=2))
+        rays = np.empty((R, known.shape[0] + fresh.shape[1], 2))
+        rays[:, :known.shape[0]], rays[:, known.shape[0]:] = known, fresh
+        gauge = np.concatenate([old, _unsplit_max(near, vals, hit)], axis=1)
+        T = rays @ new[:, :, :2].transpose(0, 2, 1)
+        for c in range(T.shape[2]):
+            gauge = np.maximum(gauge, T[..., c] / new[:, c, None, 2])
         fresh_ok = self.cut_ok(fresh.reshape(-1, 2)).reshape(
             known_ok.shape[0], *fresh.shape[:2]).transpose(1, 0, 2)
-        ok = np.concatenate([np.broadcast_to(known_ok, (R, *known_ok.shape)),
-                             fresh_ok], axis=2)
-        m = self._best(rays, gauge, ok, U, ytheta)
+        m = self._best(rays, gauge, U, ytheta, known_ok, fresh_ok)
         perp, perp_ok = self.perp_known
         for r in np.flatnonzero(hull).tolist():
             H, normals, heights = _planar_ball(np.vstack([
@@ -803,47 +802,83 @@ class _SweepGeometry:
             rays = np.vstack([perp, extra])
             ok = np.hstack([perp_ok, self.cut_ok(extra)])
             gauge = np.max((rays @ normals.T) / heights, axis=1)
-            m[r] = self._best(rays[None], gauge[None], ok[None], U[[r]],
-                              ytheta[[r]])[0]
+            m[r] = self._best(rays[None], gauge[None], U[[r]], ytheta[[r]],
+                              ok, ok[None, :, :0])[0]
         return m
 
     def _insert(self, E: np.ndarray):
         """Each row's directions E (rows, j, 2) merged into the base polygon
-        by angle: whether every turn next to them is clearly convex, the
-        base edges they split, and the edges that start or end at one
-        (normal, height), 2j per row (a spare one is an edge kept)."""
+        by angle, each after a base vertex of its angle, looking only at
+        them and their neighbours: whether every turn next to them is
+        clearly convex, the base edges they split, and the edges that start
+        or end at one (normal, height), 2j per row in the merged order (a
+        spare one is an edge kept, the first of the polygon)."""
         R, j, _ = E.shape
-        n = self.ang.size
+        N = self.ang.size + j
         a = np.arctan2(E[..., 1], E[..., 0])
-        order = np.argsort(np.concatenate([np.broadcast_to(
-            self.ang, (R, n)), a], axis=1), axis=1, kind="stable")
-        V = np.take_along_axis(np.concatenate([np.broadcast_to(
-            self.G[:, :2], (R, n, 2)), E], axis=1), order[..., None], 1)
-        ins = order >= n
-        p, q = np.roll(V, 1, axis=1), np.roll(V, -1, axis=1)
-        turn = _cross(p.T, V.T, q.T).T
-        near = ins | np.roll(ins, 1, axis=1) | np.roll(ins, -1, axis=1)
-        convex = ~np.any(near & (turn <= 1e-12), axis=1)
-        # the edge V[s] -> V[s + 1], as _planar_ball computes it
-        s = np.argsort(~(ins | np.roll(ins, -1, axis=1)), axis=1,
-                       kind="stable")[:, :2 * j, None]
-        start = np.take_along_axis(V, s, 1)
-        d = np.take_along_axis(q, s, 1) - start
+        order = np.argsort(a, axis=1, kind="stable")
+        E = np.take_along_axis(E, order[..., None], 1)
+        gap = np.searchsorted(self.ang, np.take_along_axis(a, order, 1),
+                              side="right")
+        P = gap + np.arange(j)  # their places in the merged polygon
+        W = np.moveaxis(self._merged(P, E, P + np.arange(-2, 3)[:, None,
+                                                                None]), -1, 0)
+        convex = ~(_cross(W[:, :3], W[:, 1:4], W[:, 2:]) <= 1e-12).any(
+            axis=(0, 2))
+        # the edge V[s] -> V[s + 1], as _planar_ball computes it: those at
+        # an inserted vertex by place, then the first others
+        c = np.hstack([P - 1, P, np.tile(np.arange(2 * j), (R, 1))]) % N
+        at = sum((c == p[:, None]) | ((c + 1) % N == p[:, None]) for p in P.T)
+        s = np.sort(np.where(at, c, N + c), axis=1)
+        s[:, 1:][s[:, 1:] == s[:, :-1]] = 3 * N
+        s = np.sort(s, axis=1)[:, :2 * j] % N
+        start = self._merged(P, E, s)
+        d = self._merged(P, E, s + 1) - start
         normals = np.stack([d[..., 1], -d[..., 0]], axis=2)
         heights = np.einsum("ij,ij->i", normals.reshape(-1, 2),
                             start.reshape(-1, 2)).reshape(R, -1, 1)
-        return convex, (np.searchsorted(self.ang, a) - 1) % n, \
-            np.concatenate([normals, heights], axis=2)
+        return convex, (gap - 1) % self.ang.size, np.concatenate(
+            [normals, heights], axis=2)
+
+    def _merged(self, P: np.ndarray, E: np.ndarray, c: np.ndarray):
+        """The vertices at places c (..., rows, m), cyclic, of the base
+        polygon with the rows E (rows, j, 2) at the ascending places P."""
+        n, j = self.ang.size, P.shape[1]
+        c = c % (n + j)
+        before = sum(P[:, t, None] < c for t in range(j))
+        t, rows = np.minimum(before, j - 1), np.arange(P.shape[0])[:, None]
+        V = self.G[(c - before) % n, :2]
+        ins = P[rows, t] == c
+        V[ins] = E[rows, t][ins]
+        return V
 
     @staticmethod
-    def _best(rays, gauge, ok, U, ytheta) -> np.ndarray:
-        """(rows, masks): the best margin over the rays each mask admits."""
+    def _best(rays, gauge, U, ytheta, shared, own) -> np.ndarray:
+        """(rows, masks): the best margin over the rays each mask admits,
+        the first rays as shared (masks, rays) says, the others as own
+        (rows, masks, rays)."""
         # the ray along r leaves the ball at r / gauge(r)
-        vals = -np.max((rays / gauge[..., None]) @ U.transpose(0, 2, 1),
-                       axis=2) - ytheta[:, None]
+        W = np.empty_like(rays)
+        for c in range(2):
+            np.divide(rays[..., c], gauge, out=W[..., c])
+        vals = -functools.reduce(np.maximum, np.moveaxis(
+            W @ U.transpose(0, 2, 1), -1, 0)) - ytheta[:, None]
+        best = np.stack([vals[:, :shared.shape[1]].compress(ok, axis=1).max(
+            axis=1, initial=-math.inf) for ok in shared], axis=1)
+        for c in range(own.shape[2]):
+            best = np.maximum(best, np.where(
+                own[..., c], vals[:, None, shared.shape[1] + c], -math.inf))
         # the origin, w = 0, is always admissible
-        return np.maximum(np.where(ok, vals[:, None], -math.inf).max(axis=2),
-                          -ytheta[:, None])
+        return np.maximum(best, -ytheta[:, None])
+
+
+def _unsplit_max(edges: np.ndarray, vals: np.ndarray, hit: np.ndarray):
+    """np.max over the short last axis of vals (rows, ..., c), -inf where
+    the edge is one its row's directions split (hit (rows, j)), in a loop
+    over that axis: the same bits, without a tiny loop per element."""
+    return functools.reduce(np.maximum, (np.where(functools.reduce(
+        np.logical_or, (edges[..., c] == h[:, None] for h in hit.T), False),
+        -math.inf, vals[..., c]) for c in range(vals.shape[-1])))
 
 
 def _planar_ball(ball: np.ndarray):

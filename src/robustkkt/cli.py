@@ -304,6 +304,9 @@ def _strip_comment(line: str) -> str:
 
 
 _FUNCTIONS = ("objectives", "constraints")
+# the keys of the other sections but [options] ([omega] also reads h*)
+_KEYS = {"space": ("dim",), "cone": ("pattern",), "theta": ("value",),
+         "omega": ("kind", "bounds")}
 
 
 def _parse_polytope_set(text: str, lineno: int) -> PolytopeSet:
@@ -338,6 +341,8 @@ def load_problem(path) -> ProblemSpec:
         m = _SECTION_RE.match(line)
         if m:
             current = m.group(1).strip().lower()
+            if current not in (*_KEYS, *_FUNCTIONS, "options"):
+                raise LoadError(f"unknown section [{current}]", lineno)
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -345,6 +350,9 @@ def load_problem(path) -> ProblemSpec:
         if "=" not in line:
             raise LoadError("expected key = value", lineno)
         key, val = (t.strip() for t in line.split("=", 1))
+        if key not in _KEYS.get(current, (key,)) and not (
+                current == "omega" and key.startswith("h")):
+            raise LoadError(f"unknown key {key!r} in [{current}]", lineno)
         # objectives and constraints share one namespace of function names;
         # only fixtures and halfspaces may repeat
         space = _FUNCTIONS if current in _FUNCTIONS else current

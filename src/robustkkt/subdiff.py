@@ -115,15 +115,22 @@ def _sets(g0: np.ndarray, kap: dict, atoms: dict[str, _Atom], mode: str):
     keys, R = sorted(atoms), g0.shape[0]
     codes = np.array([np.where(kap[q] == 0.0, 0, np.where(kap[q] > 0.0, 1, 2))
                       for q in keys], dtype=int).reshape(-1, R)
-    patterns: dict[tuple, list[int]] = {}
-    for r, pattern in enumerate(codes.T.tolist()):
-        patterns.setdefault(tuple(pattern), []).append(r)
     out = []
-    for pattern, rows in patterns.items():
-        rows = np.array(rows)
+    for first, rows in _row_groups(codes.T):
         out.extend((rows[sub], comps) for sub, comps in _sums(
-            g0[rows], {q: kap[q][rows] for q in keys}, atoms, pattern, mode))
+            g0[rows], {q: kap[q][rows] for q in keys}, atoms,
+            codes[:, first].tolist(), mode))
     return out
+
+
+def _row_groups(A: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The distinct rows of A (R, w) in order of first occurrence: the
+    index of the first and the indices of every row equal to it."""
+    _, first, inverse = np.unique(A, axis=0, return_index=True,
+                                  return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return [(first[u], np.flatnonzero(inverse == u))
+            for u in np.argsort(first).tolist()]
 
 
 def _sums(g0: np.ndarray, kap: dict, atoms: dict[str, _Atom], pattern,
@@ -341,27 +348,62 @@ class Scalarization:
         them).  The rows of a group share one zero pattern of the weights,
         one set of weights whose constant comes to 1, one sign of each
         atom's coefficient and the shapes of their components."""
-        by_key, out = {}, []
-        for r, y in enumerate(np.asarray(Y, dtype=float).tolist()):
-            try:
-                key, cps = self._weights(y)
-            except Exception as exc:  # what a call for this y* raises
-                out.append((np.array([r]), exc))
-                continue
-            by_key.setdefault(key, []).append((r, cps))
-        for key, members in by_key.items():
-            rows = np.array([r for r, _ in members])
-            parts = self._terms(key, np.array([c for _, c in members]))
-            out.extend((rows[sub], comps)
-                       for sub, comps in _sets(*parts, self.mode))
+        out, keys = self._keys(np.asarray(Y, dtype=float))
+        for key, (rows, C) in keys.items():
+            out.extend((rows[sub], comps) for sub, comps in _sets(
+                *self._terms(key, C), self.mode))
         return out
 
-    def _weights(self, ys: list) -> tuple[tuple, list[float]]:
-        """The weights ys refused where the tree and its walk refuse them;
-        else the structure they give the tree (per objective 0 where its
-        term drops, 1 where its constant comes to 1, else 2; and whether
-        the constants sum to nonzero) and the float constants of the terms
-        marked 2."""
+    def _keys(self, Y: np.ndarray):
+        """The rows of Y whose weights a call refuses, with the exception,
+        and the others by structure key in order of first row: each key's
+        rows and constants (rows, terms marked 2).  Where every objective
+        is plain, the rows of finite weights fold in one array pass; the
+        refusals after the fold run once per key."""
+        fast = np.isfinite(Y).all(axis=1) & (Y.shape[1:] == (len(
+            self.objectives),) and all(ob.plain for ob in self.objectives))
+        refused, keys = [], {}
+        for r in np.flatnonzero(~fast).tolist():
+            try:
+                key, cps = self._weights(Y[r].tolist(), refuse=False)
+            except Exception as exc:  # what a call for this y* raises
+                refused.append((np.array([r]), exc))
+                continue
+            keys.setdefault(key, []).append((r, cps))
+        keys = {key: (np.array([r for r, _ in members]),
+                      np.array([c for _, c in members]))
+                for key, members in keys.items()}
+        rows = np.flatnonzero(fast)
+        # a weight 0 drops its term, 1 leaves it unit, else its constant is y
+        S = np.where(Y[rows] == 0, 0, np.where(Y[rows] == 1, 1, 2))
+        for first, sub in _row_groups(S):
+            try:  # the first row's constants, those of the key's unit terms
+                key, _ = self._weights(Y[rows[first]].tolist(), refuse=False)
+            except Exception as exc:
+                refused.append((rows[sub], exc))
+                continue
+            keys[key] = rows[sub], Y[np.ix_(rows[sub],
+                                            np.flatnonzero(S[first] == 2))]
+        for key, (rows, _) in list(keys.items()):
+            # the first row's refusal, but a refused product term names
+            # each row's constant
+            each = any(ob.rough for ob, state in zip(self.objectives, key[0])
+                       if state == 2)
+            for sub in np.split(rows, rows.size) if each else [rows]:
+                try:
+                    self._weights(Y[sub[0]].tolist())
+                except Exception as exc:  # what a call for these y* raises
+                    refused.append((sub, exc))
+                    keys.pop(key, None)
+        return refused, keys
+
+    def _weights(self, ys: list, refuse: bool = True) -> tuple[tuple,
+                                                              list[float]]:
+        """The weights ys refused where the tree and its walk refuse them
+        (refuse False: where its constants do); else the structure they
+        give the tree (per objective 0 where its term drops, 1 where its
+        constant comes to 1, else 2; and whether the constants sum to
+        nonzero) and the float constants of the terms marked 2."""
         if len(ys) != len(self.objectives):
             raise ValueError("weight/objective count mismatch")
         # the tree's constants, refused where mul and add refuse them
@@ -386,6 +428,8 @@ class Scalarization:
                 cps.append(float(cp))
         if csum:
             const(csum)
+        if not refuse:
+            return (tuple(states), csum != 0), cps
         # then limiting_subdiff's refusals, and the walk's in term order
         if self.mode not in ("limiting", "hull"):
             raise ValueError(f"unknown mode {self.mode!r}")

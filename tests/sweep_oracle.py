@@ -22,11 +22,25 @@ component and its margin as one HiGHS LP, which the sweep used off the
 plane before it refused dimensions other than 2.  They are kept verbatim
 as the HiGHS oracle of the planar margins (test_planar.py) and the margin
 of this loop off the plane.
+
+``SweepGeometry`` is the sweep's planar geometry as it merged a
+component's exact directions into the base polygon by sorting all of each
+row's vertices and rolling them, and reduced over short axes with numpy's
+reductions.  It is kept verbatim as the oracle of the batched margins
+(test_sweep_oracle.py and the layer benchmark test_sweep_bench.py), which
+must be bit-equal to it.
+
+``weights`` is ``Scalarization._weights`` as it ran once per y*: the
+tree's constants folded and then every refusal of the call, the structure
+key's too.  It is kept verbatim, a function of the Scalarization ``self``,
+as the oracle of ``Scalarization.groups``, which folds the weights of all
+its rows at once and refuses once per key (test_sweep_oracle.py).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,9 +55,10 @@ from robustkkt.certify import (
     primal_ball,
     ystar_grid,
 )
-from robustkkt.funcdsl import DEFAULT_KINK_TOL, eval_expr
+from robustkkt.funcdsl import DEFAULT_KINK_TOL, Expr, _check_scenario, \
+    const, eval_expr
 from robustkkt.lp import LPBuilder
-from robustkkt.setcalc import Polytope, normal_cone
+from robustkkt.setcalc import Polytope, _cross, normal_cone
 from robustkkt.subdiff import SubdiffResult, limiting_subdiff
 
 
@@ -311,3 +326,224 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
                                           len(active_y)))
     report = PseudoReport(verdicts, all(v.verified for v in verdicts))
     return report, set(margin_cache)
+
+
+def weights(self, ys: list) -> tuple[tuple, list[float]]:
+    """The weights ys refused where the tree and its walk refuse them;
+    else the structure they give the tree (per objective 0 where its
+    term drops, 1 where its constant comes to 1, else 2; and whether
+    the constants sum to nonzero) and the float constants of the terms
+    marked 2."""
+    if len(ys) != len(self.objectives):
+        raise ValueError("weight/objective count mismatch")
+    # the tree's constants, refused where mul and add refuse them
+    states, kept, cps, csum = [], [], [], Fraction(0)
+    for y, ob in zip(ys, self.objectives):
+        # Fraction(y) * 1 is y, and Fraction(y) refuses inf and NaN
+        cp = (y if ob.plain and math.isfinite(y)
+              else Fraction(y) * ob.const)
+        states.append(0)
+        if cp == 0:
+            continue
+        if not ob.factors or cp != 1 and ob.const != 1:
+            const(cp)  # a float y times 1 always fits
+        if not ob.factors:
+            csum += cp
+            continue
+        kept.append((ob, cp))
+        states[-1] = 1 if cp == 1 else 2
+        if cp == 1:
+            csum += ob.unit_const
+        else:
+            cps.append(float(cp))
+    if csum:
+        const(csum)
+    # then limiting_subdiff's refusals, and the walk's in term order
+    if self.mode not in ("limiting", "hull"):
+        raise ValueError(f"unknown mode {self.mode!r}")
+    for ob, _ in kept:
+        _check_scenario(ob.f, None)
+    for ob, cp in kept:
+        if ob.error is not None:
+            raise ob.error.with_traceback(None)
+        if ob.rough:  # refused as the walk of the term refuses it
+            self._walk().node(Expr("prod", children=(
+                (const(cp),) if cp != 1 else ()) + tuple(ob.factors)),
+                True)
+    for ob, _ in kept:
+        if ob.faults:
+            raise ob.faults[0].with_traceback(None)
+    return (tuple(states), csum != 0), cps
+
+
+class SweepGeometry:
+    """The planar witness margins of one sweep, for all y* at once.
+
+    w ranges over the witness ball clipped to the wedge of a mask's walls
+    <a, w> <= 0, and min_u -<u, w> is linear between the tie lines
+    <u_i - u_j, w> = 0, so the optimum is the origin or the boundary point
+    of a ball vertex, wall ray or tie ray.  The base polygon (the hull of
+    the primal ball), the cut tests of its vertices and wall rays for every
+    mask, and those rays' gauge terms on its edges, best first, are built
+    once.  A component's exact directions are merged into the base polygon
+    by angle (Preparata & Shamos, Computational Geometry, 1985, sec.
+    3.3.6), for every y* at once: each splits one edge in two, so a known
+    ray's gauge is its best edge not split, or a new edge.  Any other ray
+    leaves a convex polygon by the edge its angle falls in, so its gauge is
+    taken on the edges next to that angle.  A y* whose merge is not clearly
+    convex takes the hull of its ball.
+    """
+
+    def __init__(self, pball: Polytope, l2_dirs: bool, walls: list):
+        self.pball, self.l2_dirs = pball, l2_dirs
+        H, normals, heights = _planar_ball(pball.vertices)
+        # rows (vertex, normal and height of the edge it starts) by angle,
+        # which is a rotation of the counterclockwise H
+        ang = np.arctan2(H[:, 1], H[:, 0])
+        order = np.argsort(ang)
+        self.G, self.ang = np.column_stack([H, normals, heights])[order], \
+            ang[order]
+        # a mask's walls are its _witness_cuts
+        self.walls = np.vstack(walls)
+        self.wall_norms = np.linalg.norm(self.walls, axis=1)
+        owner = np.repeat(np.arange(len(walls)), [w.shape[0] for w in walls])
+        self.wall_owner = owner == np.arange(len(walls))[:, None]
+        live = np.any(self.walls != 0.0, axis=1)
+        perp = np.column_stack([-self.walls[live, 1], self.walls[live, 0]])
+        perp = np.vstack([perp, -perp])  # the rays along each wall
+        # a mask sees its own wall rays, those that pass its cut test
+        pown = np.tile(owner[live], 2)
+        perp_ok = (pown == np.arange(len(walls))[:, None]) & self.cut_ok(
+            perp)[pown, np.arange(pown.size)]
+        base = self.G[:, :2]
+        known = np.vstack([base, perp])
+        # each known ray's gauge terms <r, n>/h on the base polygon's
+        # edges, best first, and their edges
+        B = (known @ self.G[:, 2:4].T) / self.G[:, 4]
+        top = np.argsort(-B, axis=1, kind="stable")
+        self.known = (known, np.hstack([self.cut_ok(base), perp_ok]),
+                      np.take_along_axis(B, top, 1), top)
+        self.perp_known = (perp, perp_ok)
+
+    def cut_ok(self, rays: np.ndarray) -> np.ndarray:
+        """(masks, rays): does <a, r> <= _CUT_TOL |a| |r| for every wall a."""
+        slack = self.walls @ rays.T
+        bad = slack > _CUT_TOL * np.outer(self.wall_norms,
+                                          np.linalg.norm(rays, axis=1))
+        return ~(self.wall_owner @ bad)
+
+    def _near(self, rays: np.ndarray):
+        """The base polygon's edges next to each ray's angle (the edge the
+        ray leaves by and its neighbours), and <r, n>/h on each, rounded as
+        the product of many rays and the normals rounds (numpy takes one
+        row alone through a vector product, so each ray goes twice)."""
+        k = np.searchsorted(self.ang, np.arctan2(rays[..., 1], rays[..., 0]))
+        near = (k[..., None] + np.arange(-2, 1)) % self.ang.size
+        E = self.G[near]
+        twin = np.stack([rays, rays], axis=-2)
+        return near, (twin @ E[..., 2:4].swapaxes(-1, -2))[..., 0, :] \
+            / E[..., 4]
+
+    def margins(self, comps: list, ytheta: np.ndarray) -> np.ndarray:
+        """(rows, masks): the witness margin at ||x - xbar|| = 1 of every
+        mask for each row's set, given as component slots (rows, k, 2): the
+        least over the components of the largest delta >= 0 with
+        <u, w> + ytheta <= -delta for every vertex u, -inf if some
+        component has none.  w ranges over the witness ball clipped to the
+        mask's wedge; with l2_dirs the ball gains the exact unit directions
+        opposite the component's vertices (still on the sphere, so still
+        an inner approximation)."""
+        best = np.full((ytheta.size, self.wall_owner.shape[0]), math.inf)
+        for U in comps:
+            m = self._component(U, ytheta)
+            best = np.minimum(best, np.where(m < 0.0, -math.inf, m))
+        return best
+
+    def _component(self, U: np.ndarray, ytheta: np.ndarray) -> np.ndarray:
+        """The best value over each mask's admissible rays, per row, for
+        one component slot U (rows, k, 2)."""
+        R, k, _ = U.shape
+        i, j = np.triu_indices(k, 1)
+        t = U[:, i] - U[:, j]
+        ties = np.stack([-t[..., 1], t[..., 0]], axis=2)
+        fresh = np.concatenate([ties, -ties], axis=1)
+        hit, new = np.zeros((R, 0), dtype=int), np.zeros((R, 0, 3))
+        hull = np.zeros(R, dtype=bool)
+        if self.l2_dirs:  # the exact directions -u/|u| of nonzero u
+            nu = np.sqrt(U[..., None, :] @ U[..., None])[..., 0, 0]
+            has = nu > 1e-15
+            E = -U / np.where(has, nu, 1.0)[..., None]
+            convex, hit, new = self._insert(E)
+            hull = ~(convex & has.all(axis=1))
+            # a row taking the hull may have an edge of length 0 here
+            new[hull] = [0.0, 0.0, 1.0]
+            fresh = np.concatenate([E, fresh], axis=1)
+        # the gauges on each row's polygon: the base polygon's edges but
+        # the ones split, and the new ones
+        known, known_ok, best, at = self.known
+        top = hit.shape[1] + 1  # one of these edges is not split
+        old = np.where((at[:, :top, None] == hit[:, None, None]).any(axis=3),
+                       -math.inf, best[:, :top]).max(axis=2)
+        near, vals = self._near(fresh)
+        vals = np.where((near[..., None] == hit[:, None, None]).any(axis=3),
+                        -math.inf, vals)
+        rays = np.concatenate([np.broadcast_to(known, (R, *known.shape)),
+                               fresh], axis=1)
+        gauge = np.concatenate([old, vals.max(axis=2)], axis=1)
+        if new.shape[1]:
+            gauge = np.maximum(gauge, ((rays @ new[:, :, :2].transpose(
+                0, 2, 1)) / new[:, None, :, 2]).max(axis=2))
+        fresh_ok = self.cut_ok(fresh.reshape(-1, 2)).reshape(
+            known_ok.shape[0], *fresh.shape[:2]).transpose(1, 0, 2)
+        ok = np.concatenate([np.broadcast_to(known_ok, (R, *known_ok.shape)),
+                             fresh_ok], axis=2)
+        m = self._best(rays, gauge, ok, U, ytheta)
+        perp, perp_ok = self.perp_known
+        for r in np.flatnonzero(hull).tolist():
+            H, normals, heights = _planar_ball(np.vstack([
+                self.pball.vertices, E[r][has[r]]]))
+            extra = np.vstack([H, fresh[r, k:]])
+            rays = np.vstack([perp, extra])
+            ok = np.hstack([perp_ok, self.cut_ok(extra)])
+            gauge = np.max((rays @ normals.T) / heights, axis=1)
+            m[r] = self._best(rays[None], gauge[None], ok[None], U[[r]],
+                              ytheta[[r]])[0]
+        return m
+
+    def _insert(self, E: np.ndarray):
+        """Each row's directions E (rows, j, 2) merged into the base polygon
+        by angle: whether every turn next to them is clearly convex, the
+        base edges they split, and the edges that start or end at one
+        (normal, height), 2j per row (a spare one is an edge kept)."""
+        R, j, _ = E.shape
+        n = self.ang.size
+        a = np.arctan2(E[..., 1], E[..., 0])
+        order = np.argsort(np.concatenate([np.broadcast_to(
+            self.ang, (R, n)), a], axis=1), axis=1, kind="stable")
+        V = np.take_along_axis(np.concatenate([np.broadcast_to(
+            self.G[:, :2], (R, n, 2)), E], axis=1), order[..., None], 1)
+        ins = order >= n
+        p, q = np.roll(V, 1, axis=1), np.roll(V, -1, axis=1)
+        turn = _cross(p.T, V.T, q.T).T
+        near = ins | np.roll(ins, 1, axis=1) | np.roll(ins, -1, axis=1)
+        convex = ~np.any(near & (turn <= 1e-12), axis=1)
+        # the edge V[s] -> V[s + 1], as _planar_ball computes it
+        s = np.argsort(~(ins | np.roll(ins, -1, axis=1)), axis=1,
+                       kind="stable")[:, :2 * j, None]
+        start = np.take_along_axis(V, s, 1)
+        d = np.take_along_axis(q, s, 1) - start
+        normals = np.stack([d[..., 1], -d[..., 0]], axis=2)
+        heights = np.einsum("ij,ij->i", normals.reshape(-1, 2),
+                            start.reshape(-1, 2)).reshape(R, -1, 1)
+        return convex, (np.searchsorted(self.ang, a) - 1) % n, \
+            np.concatenate([normals, heights], axis=2)
+
+    @staticmethod
+    def _best(rays, gauge, ok, U, ytheta) -> np.ndarray:
+        """(rows, masks): the best margin over the rays each mask admits."""
+        # the ray along r leaves the ball at r / gauge(r)
+        vals = -np.max((rays / gauge[..., None]) @ U.transpose(0, 2, 1),
+                       axis=2) - ytheta[:, None]
+        # the origin, w = 0, is always admissible
+        return np.maximum(np.where(ok, vals[:, None], -math.inf).max(axis=2),
+                          -ytheta[:, None])

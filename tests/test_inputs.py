@@ -238,6 +238,47 @@ def test_duplicate_name_refused(capsys, tmp_path, case):
     assert error == f"{message} (line {lineno})"
 
 
+# each edit of example_3_2 puts in a section or key that no reader reads,
+# and the refusal names it and its line
+UNKNOWN = {
+    # a misspelt [options] would drop the norm it sets
+    "section": (("[options]\n", "[option]\nnorm = linf\n"),
+                "unknown section [option]", "[option]"),
+    # ... or the fixture under it
+    "fixture-section": (("[options]\n", "[optoins]\nfixture = f1 @ 0, 0 : "
+                         "{(1, 0)}\n[options]\n"),
+                        "unknown section [optoins]", "[optoins]"),
+    "space": (("dim = 2\n", "dim = 2\nfoo = 1\n"),
+              "unknown key 'foo' in [space]", "foo = 1"),
+    "cone": (("[cone]\n", "[cone]\nsigns = >=0\n"),
+             "unknown key 'signs' in [cone]", "signs = >=0"),
+    "theta": (("[theta]\n", "[theta]\ntheta = 0\n"),
+              "unknown key 'theta' in [theta]", "theta = 0"),
+    "omega": (("kind = whole\n", "kind = whole\nbound = 0..1, 0..1\n"),
+              "unknown key 'bound' in [omega]", "bound = 0..1, 0..1"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN)
+def test_unknown_section_or_key_refused(capsys, tmp_path, case):
+    (old, new), message, line = UNKNOWN[case]
+    text = resolve_problem_path("example_3_2").read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    path = tmp_path / "p.problem"
+    path.write_text(text)
+    lineno = text.splitlines().index(line) + 1
+    code, error = _run(capsys, ["feasible", "--problem", str(path),
+                                "--at", "0,0"])
+    assert code == 3
+    assert error == f"{message} (line {lineno})"
+
+
+def test_every_bundled_problem_loads():
+    for path in sorted(FIXTURES.glob("*.problem")):
+        assert load_problem(path).dim == 2
+
+
 def test_fixtures_and_halfspaces_may_repeat(tmp_path):
     text = resolve_problem_path("example_3_2").read_text().replace(
         "kind = whole", "kind = halfspaces\nh = 1, 0 : 1\nh = 0, 1 : 1")

@@ -159,7 +159,7 @@ def test_exception_from_the_first_reached_ystar(monkeypatch, ptype):
     met = G & ((first < 0) | (first >= np.arange(len(ys))[:, None]))
     assert G[11].any() and not met[11].any() and met[12].any()
 
-    weights, oracle = subdiff.Scalarization._weights, \
+    groups, oracle = subdiff.Scalarization.groups, \
         sweep_oracle.direct_subdiff
     for refused in ({11}, {11, 12}, {11, 12, 13}):
         bad = {tuple(ys[r].tolist()): r for r in refused}
@@ -168,8 +168,22 @@ def test_exception_from_the_first_reached_ystar(monkeypatch, ptype):
             if tuple(np.asarray(y, dtype=float).tolist()) in bad:
                 raise DomainError(f"refused y* {bad[tuple(y)]}")
 
-        monkeypatch.setattr(subdiff.Scalarization, "_weights",
-                            lambda self, y: refuse(y) or weights(self, y))
+        def refusing_groups(self, Y):
+            """groups with the rows of bad refused, each alone."""
+            out = []
+            for rows, comps in groups(self, Y):
+                keep = np.ones(rows.size, dtype=bool)
+                for i, r in enumerate(rows.tolist()):
+                    try:
+                        refuse(Y[r])
+                    except DomainError as exc:
+                        out.append((rows[i:i + 1], exc))
+                        keep[i] = False
+                out.append((rows[keep], comps if isinstance(comps, Exception)
+                            else [V[keep] for V in comps]))
+            return out
+
+        monkeypatch.setattr(subdiff.Scalarization, "groups", refusing_groups)
         monkeypatch.setattr(sweep_oracle, "direct_subdiff",
                             lambda y, *a: refuse(list(y)) or oracle(y, *a))
         got = _outcome(lambda: pseudoconvex_test(spec, np.zeros(2), ptype,
@@ -214,8 +228,9 @@ def _sweep_counts(monkeypatch, argv, names):
 def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     """On the README type I sweep: one hull, the base polygon, and no
     fallback; one _witness_cuts per premise mask; the y* scalarized in one
-    batch, one vertex pass per structure group (the zero pattern, the unit
-    constants and the coefficients' signs of the oracle's sets); one
+    batch, refused once per structure key (one scenario check per kept
+    objective), one vertex pass per structure group (the zero pattern, the
+    unit constants and the coefficients' signs of the oracle's sets); one
     stacked margin evaluation per group that needs margins; no Polytope
     per y* (as many as at a coarser y* grid: those of the constraint rows);
     and no LP.  Each objective is walked once per sweep:
@@ -249,14 +264,17 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
             "--type", "I", "--region", "-2,2,-2,2"]
     per_sweep = [(setcalc.Polytope, "__init__", "polytope")]
     coarse = _sweep_counts(monkeypatch, argv + ["--y-res", "8"], per_sweep)
-    vertex_groups, counts = [], Counter()
+    vertex_groups, counts, structures = [], Counter(), set()
     batch = subdiff.Scalarization.groups
 
     def spy_groups(self, Y):
-        before = counts["sums"]
+        before = counts["sums"], counts["scenario"]
         out = batch(self, Y)
-        counts["group_sums"] += counts["sums"] - before
+        counts["group_sums"] += counts["sums"] - before[0]
+        counts["group_scenario"] += counts["scenario"] - before[1]
         vertex_groups.extend(out)
+        structures.update(sweep_oracle.weights(self, y)[0]
+                          for y in Y.tolist())
         return out
 
     monkeypatch.setattr(subdiff.Scalarization, "groups", spy_groups)
@@ -283,6 +301,7 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
             (certify._SweepGeometry, "margins", "batch"),
             (subdiff.Scalarization, "groups", "groups"),
             (subdiff, "_sums", "sums"),
+            (subdiff, "_check_scenario", "scenario"),
             (subdiff.Scalarization, "__call__", "scalarize"),
             (funcdsl, "mul", "mul"),
             (lp.LPBuilder, "solve", "lp"), *per_sweep]:
@@ -296,6 +315,11 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     # the y* with kappa > 0 (segments) clear every sample by the candidate
     assert len(vertex_groups) == len(groups) == 2 and counts["batch"] == 1
     assert counts["group_sums"] == len(groups)  # one vertex pass each
+    # the refusals once per structure key, not per y*: one scenario check
+    # per kept objective
+    assert len(structures) == 1
+    assert counts["group_scenario"] == sum(
+        state != 0 for key in structures for state in key[0]) == 3
     assert counts["polytope"] == coarse["polytope"]
     assert counts["lp"] == 0
     assert len(walkers) == len(spec22.objectives) == 3
