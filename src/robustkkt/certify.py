@@ -555,14 +555,18 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     F = spec.fvec_grid(samples.T)          # (p, N)
     D = samples.T - xbar[:, None]
     norms = spec.primal_norm_grid(D)       # (N,)
+    ytheta_all = ys @ spec.theta
+    ynorms = np.outer(ytheta_all, norms)   # (M, N)
     # premise margins m(x, y) for the whole grid at once
-    G = ys @ (F - fbar[:, None]) + np.outer(ys @ spec.theta, norms)  # (M, N)
+    G = ys @ (F - fbar[:, None])
+    G += ynorms
     if ptype == "I":
         # the premise is a strict inequality; EPS_STRICT is the margin used
         # for strict inequalities throughout
         active = G < -EPS_STRICT
     else:
         active = G <= 1e-12
+    del G  # the blocks below read active and ynorms, not G
     active[:, norms <= 1e-12] = False
 
     con_rows = _constraint_rows(spec, xbar)
@@ -591,7 +595,6 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
 
     pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
     l2_dirs = spec.norm == "l2"
-    ytheta_all = ys @ spec.theta
     cand_ok = cand_g_ok & cone_ok
     # one id per distinct premise-row mask (column of con_prem)
     masks, mask_id = np.unique(con_prem.T, axis=0, return_inverse=True)
@@ -624,7 +627,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
             r = sub[lo:lo + _BLOCK]
             top = (V[lo:lo + _BLOCK] @ D).max(axis=1)
             left[r] = active[r] & ~(cand_ok & (
-                top + np.outer(ytheta_all[r], norms) <= -1e-12))
+                top + ynorms[r] <= -1e-12))
         need = left[sub].any(axis=1)
         if need.any():
             geometry = geometry or _SweepGeometry(pball, l2_dirs, walls)

@@ -85,6 +85,12 @@ class Expr:
         scenario of the array V (see ``_compile``)."""
         return _compile(self, SCAN)
 
+    @cached_property
+    def walk_fn(self):
+        """This tree compiled to ``f(x, v, tol, ctx)``, its walk at the
+        point x with its kinks within tol (see ``_compile``)."""
+        return _compile(self, WALK)
+
 
 # ---------------------------------------------------------------------------
 # Constructors with light canonicalization (constant folding, flattening).
@@ -252,8 +258,9 @@ def _tokenize(text: str) -> list[_Tok]:
 
 # Deepest nesting of parentheses, function arguments and sign prefixes the
 # parser accepts; each level costs several Python frames here and in the
-# recursive walks that remain (printing, the point walk, the structure
-# queries); the code generator and the code it writes do not recurse.
+# recursive walks that remain (printing and the structure queries); the
+# code generator and the code it writes, the point walk's too, do not
+# recurse.
 MAX_NESTING = 100
 
 
@@ -425,12 +432,7 @@ def format_expr(e: Expr) -> str:
                 parts.append(" + " + format_expr(t))
         return "".join(parts)
     if e.kind == "prod":
-        kids = e.children
-        lead = ""
-        if kids[0].kind == "const" and kids[0].value == -1 and len(kids) > 1:
-            lead = "-"
-            kids = kids[1:]
-        return lead + "*".join(_paren_factor(c) for c in kids)
+        return _fmt_prod(e.children)
     if e.kind == "pow":
         base = e.children[0]
         btxt = format_expr(base)
@@ -445,6 +447,15 @@ def format_expr(e: Expr) -> str:
     if e.kind == "max":
         return "max(" + ", ".join(format_expr(c) for c in e.children) + ")"
     raise ValueError(f"unknown node kind {e.kind}")
+
+
+def _fmt_prod(kids: tuple[Expr, ...]) -> str:
+    """A product node with the factors kids, printed."""
+    lead = ""
+    if kids[0].kind == "const" and kids[0].value == -1 and len(kids) > 1:
+        lead = "-"
+        kids = kids[1:]
+    return lead + "*".join(_paren_factor(c) for c in kids)
 
 
 def _split_negative(t: Expr) -> Expr | None:
@@ -532,7 +543,8 @@ def separable_branches(e: Expr) -> list | None:
 
 # ---------------------------------------------------------------------------
 # Evaluation: one code generator, a scalar target (strict), a grid target
-# (vectorized, NaN-tolerant) and a scan target (all scenarios at a point)
+# (vectorized, NaN-tolerant), a scan target (all scenarios at a point) and
+# a walk target (value, gradient and active atoms at a point)
 # ---------------------------------------------------------------------------
 
 def _check_scenario(e: Expr, v) -> None:
@@ -610,40 +622,234 @@ def _scan_power(a, n, e: Expr):
         raise DomainError(f"{e} overflows") from None
 
 
-# Each node kind's right-hand side in the scalar, the grid and the scan
-# code.  A scalar sum is the left fold from 0 (builtin ``sum`` before
-# Python 3.12 compensated it), a product starts from 1.0 and a max calls
-# the builtin on a tuple; on the grid they are left folds from the first
-# operand (0 + -0.0 is 0.0).  The scan code keeps the scalar rule where it
-# gives the same bits per scenario, keeps the first of equal maxima as the
-# builtin does (-0.0 before 0.0; np.maximum does not), and raises the
-# scalar error on a zero divisor or negative root anywhere.
+@dataclass
+class _Atom:
+    """An abs node at its kink or a max node at a tie, with the gradients
+    of its argument (or of its tied branches) at the point.  fault is the
+    first DomainError those gradients met; it counts only where a nonzero
+    coefficient needs them."""
+    key: str
+    kind: str                  # "abs" | "max"
+    node: Expr
+    tied: tuple[int, ...]
+    ctx_linear: bool           # constant coefficient context
+    x_relevant: bool
+    grads: list[np.ndarray]
+    fault: DomainError | None
+
+
+# A max branch within this of the winning one counts as tied (a kink).
+DEFAULT_KINK_TOL = 1e-9
+
+# A node's walk result: (value, x-gradient, coefficient of each active atom
+# below by key, rough: one of those atoms reads x, those atoms by key,
+# first gradient fault, first error, its operands' results).  The atoms are
+# kept first of each key, ctx_linear the and of all.  The max branches not
+# selected are walked too, so no helper raises: an error waits in the
+# result, and a fault (1/0, sqrt of a nonpositive value) lets the walk go
+# on with NaN.  The faults inside an atom are its own.
+
+def _failed(error: Exception, z: np.ndarray, parts=()):
+    return math.nan, z, {}, False, {}, None, error, parts
+
+
+def _gather(parts):
+    """The atoms, first fault and first error of the results parts."""
+    atoms, fault = {}, None
+    for p in parts:
+        if p[6] is not None:
+            return atoms, fault, p[6]
+        fault = p[5] if fault is None else fault
+        for q, atom in p[4].items():
+            first = atoms.setdefault(q, atom)
+            first.ctx_linear = first.ctx_linear and atom.ctx_linear
+    return atoms, fault, None
+
+
+def _w_fold(parts, z: np.ndarray, e: Expr):
+    """The sum or product node e from its operands' results parts."""
+    atoms, fault, error = _gather(parts)
+    if error is None and e.kind == "prod" and sum(p[3] for p in parts) > 1:
+        error = _rough_product(e.children)
+    if error is not None:
+        return _failed(error, z, parts)
+    rule = _sum_rule if e.kind == "sum" else _prod_rule
+    return *rule(parts, z), atoms, fault, None, parts
+
+
+def _rough_product(factors) -> UnsupportedStructureError:
+    return UnsupportedStructureError(
+        "product of two factors nonsmooth in x at this point: "
+        + _fmt_prod(factors))
+
+
+def _leaf(value: float, g: np.ndarray):
+    return value, g, {}, False, {}, None, None, ()
+
+
+def _scalars(parts, e: Expr, x, v, kids) -> list[float]:
+    """The scalar values of e's children: their results' values where
+    kids marks them plain, which the scalar code gives bit for bit, else
+    their scalar code's (DomainError where a child is undefined)."""
+    return [p[0] if plain else c.scalar_fn(x, v)
+            for p, c, (_, plain) in zip(parts, e.children, kids)]
+
+
+def _w_abs(a, z: np.ndarray, e: Expr, x, v, tol: float, ctx: bool, kids):
+    """The abs node e from its argument's result a: an atom where the
+    argument's scalar value is at the kink, else the chain rule."""
+    try:
+        [av] = _scalars([a], e, x, v, kids)
+    except DomainError as exc:
+        return _failed(exc, z)
+    if abs(av) <= tol:
+        return _w_kink(e, (), [a], kids[0][0], ctx, abs(av), z)
+    return _w_chain(a, z, e)
+
+
+def _w_chain(a, z: np.ndarray, e: Expr):
+    """The abs, pow, recip or sqrt node e from its argument's result a: g
+    times the slope, +-1, n u^(n-1), -1/u^2 or 0.5/sqrt(u)."""
+    cv, cg, ck, rough, atoms, fault, error, _ = a
+    if error is not None:
+        return _failed(error, z)
+    own, u = None, e.children[0]
+    if e.kind == "abs":
+        val, slope = abs(cv), 1.0 if cv > 0 else -1.0
+    elif e.kind == "pow":
+        try:
+            slope, val = (e.exponent * _power(cv, e.exponent - 1, e),
+                          _power(cv, e.exponent, e))
+        except DomainError as exc:
+            return _failed(exc, z)
+    elif e.kind == "recip":
+        if cv == 0.0:
+            cv, own = math.nan, DomainError(f"division by zero in 1/({u})")
+        square = cv * cv
+        if not square:
+            square, own = math.nan, DomainError(f"slope of 1/({u}) overflows")
+        val, slope = 1.0 / cv, -1.0 / square
+    else:
+        if cv <= 0.0:
+            cv, own = math.nan, DomainError(
+                f"sqrt argument not positive in sqrt({u})")
+        val = cv ** 0.5
+        slope = 0.5 / val
+    return (val, slope * cg, {q: slope * c for q, c in ck.items()}, rough,
+            atoms, own if fault is None else fault, None, ())
+
+
+def _w_max(parts, z: np.ndarray, e: Expr, x, v, tol: float, ctx: bool,
+           kids):
+    """The max node e from its branches' results parts: the winner's, or
+    an atom where the branches' scalar values tie."""
+    try:
+        vals = _scalars(parts, e, x, v, kids)
+        top = max(vals)
+        tied = tuple(i for i, cv in enumerate(vals) if top - cv <= tol)
+        winner = parts[tied[0]]  # an IndexError where the maximum is NaN
+    except (DomainError, IndexError) as exc:
+        return _failed(exc, z)
+    if len(tied) == 1:
+        return winner
+    return _w_kink(e, tied, [parts[i] for i in tied],
+                   any(kids[i][0] for i in tied), ctx, top, z)
+
+
+def _w_kink(e: Expr, tied: tuple[int, ...], branches, xrel: bool,
+            ctx: bool, value: float, z: np.ndarray):
+    """The active atom e from the results of its argument or tied
+    branches, whose atoms and faults stay inside it."""
+    key, grads, fault = format_expr(e), [], None
+    for b in branches:
+        if b[6] is not None:
+            return _failed(b[6], z)
+        if b[3]:
+            return _failed(UnsupportedStructureError(
+                f"active kink nested inside {key}"), z)
+        grads.append(b[1])
+        fault = b[5] if fault is None else fault
+    atom = _Atom(key, e.kind, e, tied, ctx, xrel, grads, fault)
+    return value, z, {key: 1.0}, xrel, {key: atom}, None, None, ()
+
+
+def _sum_rule(parts, zero: np.ndarray):
+    """The walk of a sum from the walks of its terms, in term order."""
+    total, g, kap = 0.0, zero, {}
+    for p in parts:
+        total += p[0]
+        g = g + p[1]
+        for q, a in p[2].items():
+            kap[q] = kap.get(q, 0.0) + a
+    return total, g, kap, any(p[3] for p in parts)
+
+
+def _prod_rule(parts, zero: np.ndarray):
+    """The walk of a product from the walks of its factors, in factor
+    order: each factor's gradient and coefficients times the product of
+    the other factors' values."""
+    total = 1.0
+    for p in parts:
+        total *= p[0]
+    g, kap = zero, {}
+    for j, p in enumerate(parts):
+        rest = 1.0
+        for i, o in enumerate(parts):
+            if i != j:
+                rest *= o[0]
+        g = g + rest * p[1]
+        for q, a in p[2].items():
+            kap[q] = kap.get(q, 0.0) + rest * a
+    return total, g, kap, any(p[3] for p in parts)
+
+
+# Each node kind's right-hand side in the scalar, the grid, the scan and
+# the walk code.  A scalar sum is the left fold from 0 (builtin ``sum``
+# before Python 3.12 compensated it), a product starts from 1.0 and a max
+# calls the builtin on a tuple; on the grid they are left folds from the
+# first operand (0 + -0.0 is 0.0).  The scan code keeps the scalar rule
+# where it gives the same bits per scenario, keeps the first of equal
+# maxima as the builtin does (-0.0 before 0.0; np.maximum does not), and
+# raises the scalar error on a zero divisor or negative root anywhere.
 # Fields: {a} the first operand; {args}, {plus} and {times} all
-# operands, joined by ", ", " + " and " * "; {i} a coordinate's 0-based
-# index; {n} a power's exponent; {node} the node, for error messages.
-# const and uvar nodes are operands, not assignments.
+# operands, joined by ", ", " + " and " * "; {c} a constant's float; {i} a
+# coordinate's 0-based index; {n} a power's exponent; {node} the node;
+# {ctx} its context in the walk; {kids} whether each child reads x and is
+# plain: constants, coordinates, v, sums and products only.  const and uvar
+# nodes are operands, not assignments, and so are coord nodes in the walk.
+_CHAIN = "_w_chain({a}, z, {node})"
 _RULES = {
-    "coord": ("x[{i}]", "X[{i}]", "x[{i}]"),
-    "sum": ("0 + {plus}", "{plus}", "0 + {plus}"),
-    "prod": ("1.0 * {times}", "{times}", "1.0 * {times}"),
+    "const": ("{c}",) * 3 + ("_leaf({c}, z)",),
+    "uvar": ("v",) * 3 + ("_leaf(_float(v), z)",),
+    "coord": ("x[{i}]", "X[{i}]", "x[{i}]", "_leaf(x[{i}], I[{i}])"),
+    "sum": ("0 + {plus}", "{plus}", "0 + {plus}",
+            "_w_fold(({args},), z, {node})"),
+    "prod": ("1.0 * {times}", "{times}", "1.0 * {times}",
+             "_w_fold(({args},), z, {node})"),
     "pow": ("_power({a}, {n}, {node})",) * 2
-    + ("_scan_power({a}, {n}, {node})",),
+    + ("_scan_power({a}, {n}, {node})", _CHAIN),
     "recip": ("_recip({a}, {node})", "_nan_recip({a})",
-              "1.0 / {a} if {a}.all() else _recip(0.0, {node})"),
+              "1.0 / {a} if {a}.all() else _recip(0.0, {node})", _CHAIN),
     "sqrt": ("_sqrt({a}, {node})", "_nan_sqrt({a})",
              "_sqrt(-1.0, {node}) if ({a} < 0.0).any() "
-             "else _scan_power({a}, 0.5, {node})"),
-    "abs": ("_abs({a})", "_np_abs({a})", "_abs({a})"),
+             "else _scan_power({a}, 0.5, {node})", _CHAIN),
+    "abs": ("_abs({a})", "_np_abs({a})", "_abs({a})",
+            "_w_abs({a}, z, {node}, x, v, tol, {ctx}, {kids})"),
     "max": ("_max(({args},))", "_reduce(_maximum, ({args},))",
-            "_reduce(_first_max, ({args},))"),
+            "_reduce(_first_max, ({args},))",
+            "_w_max(({args},), z, {node}, x, v, tol, {ctx}, {kids})"),
 }
 _HELPERS = {"_float": float, "_max": max, "_abs": abs,
             "_recip": _recip, "_sqrt": _sqrt, "_power": _power,
             "_nan_recip": _nan_recip, "_nan_sqrt": _nan_sqrt,
             "_np_abs": np.abs, "_reduce": reduce, "_maximum": np.maximum,
             "_scan_power": _scan_power,
-            "_first_max": lambda a, b: np.where(b > a, b, a)}
-SCALAR, GRID, SCAN = range(3)  # the targets of _compile
+            "_first_max": lambda a, b: np.where(b > a, b, a),
+            "_zeros": np.zeros, "_eye": np.eye, "_leaf": _leaf,
+            "_w_fold": _w_fold, "_w_abs": _w_abs, "_w_chain": _w_chain,
+            "_w_max": _w_max}
+SCALAR, GRID, SCAN, WALK = range(4)  # the targets of _compile
+_PLAIN = ("const", "coord", "uvar", "sum", "prod")  # total, without kinks
 
 
 @lru_cache(maxsize=1024)
@@ -668,15 +874,18 @@ def _compile(e: Expr, target: int = SCALAR):
     (compared by its bytes, not its id).  It raises DomainError where the
     scalar code would at some scenario, not always with its message, and is
     otherwise bit-equal to it per scenario; its caller falls back to the
-    scalar code on a DomainError or a value that is not finite.  Constants
-    and scenarios stay as given: a power of Python floats raises DomainError
-    where it overflows, one of a grid array or a numpy scalar gives inf.
-    Constants, exponents, power nodes and error messages reach the code as
+    scalar code on a DomainError or a value that is not finite.  The walk
+    code ``f(x, v, tol, ctx)`` gives the root's walk result at (x, v), its
+    kinks within tol, ctx whether the root's coefficient is constant; the
+    other nodes' contexts are decided here.  Constants and scenarios stay
+    as given: a power of Python floats raises DomainError where it
+    overflows, one of a grid array or a numpy scalar gives inf.
+    Constants, exponents, nodes and error messages reach the code as
     closure values, never as source text.  Neither this function nor the
     code it writes nests per tree level, so any parsed tree compiles.
     """
     values = dict(_HELPERS)
-    fixed: list[str] = []   # scalar; v-free grid; v-free scan with x
+    fixed: list[str] = []   # scalar; walk; v-free grid; v-free scan with x
     looped: list[str] = []  # grid with v; scan with x and v
     xfree: list[str] = []   # scan without x
 
@@ -685,52 +894,72 @@ def _compile(e: Expr, target: int = SCALAR):
         values[name] = value
         return name
 
-    def operand(node: Expr, args: list[str], varies: bool, xdep: bool):
+    def operand(node: Expr, args: list[tuple[str, bool, bool, bool]],
+                varies: bool, xdep: bool, lin: bool):
         k = node.kind
-        if k == "const":
-            return bind(float(node.value))
-        if k == "uvar":
-            return "v"
         if k not in _RULES:
             raise ValueError(f"unknown node kind {k}")
         rule = _RULES[k][SCALAR if target == SCAN and not varies else target]
-        fields = {"a": args[0] if args else None, "args": ", ".join(args),
-                  "plus": " + ".join(args), "times": " * ".join(args)}
+        names = [a[0] for a in args]
+        fields = {"a": names[0] if names else None, "args": ", ".join(names),
+                  "plus": " + ".join(names), "times": " * ".join(names),
+                  "ctx": "ctx" if lin else "False"}
+        if k == "const":
+            fields["c"] = bind(float(node.value))
         if k == "coord":
             fields["i"] = node.index - 1
-        if k == "pow":
+        if "{n}" in rule:
             fields["n"] = bind(node.exponent)
         if "{node}" in rule:
             fields["node"] = bind(node)
+        if "{kids}" in rule:
+            fields["kids"] = bind(tuple((a[2], a[3]) for a in args))
+        text = rule.format_map(fields)
+        if not node.children and (k != "coord" or target == WALK):
+            return text
         name = f"t{len(fixed) + len(looped) + len(xfree)}"
         (xfree if target == SCAN and not xdep else
-         looped if target != SCALAR and varies else fixed).append(
-            f"{name} = {rule.format_map(fields)}")
+         looped if target in (GRID, SCAN) and varies else fixed).append(
+            f"{name} = {text}")
         return name
 
     # Post-order without recursion: a node is visited again, marked ready,
-    # once its children's operands (and whether they use v, x) are stacked.
-    todo: list[tuple[Expr, bool]] = [(e, False)]
-    operands: list[tuple[str, bool, bool]] = []
+    # once its children's operands (and whether they use v, x, and are
+    # plain) are stacked; each entry carries whether its node is in the
+    # walk's context.
+    todo: list[tuple[Expr, bool, bool]] = [(e, False, target == WALK)]
+    operands: list[tuple[str, bool, bool, bool]] = []
     while todo:
-        node, ready = todo.pop()
+        node, ready, lin = todo.pop()
         if not ready:
-            todo.append((node, True))
-            todo.extend((c, False) for c in reversed(node.children))
+            kids = node.children
+            # a sum keeps the walk's context, a product for each factor
+            # whose other factors read no x
+            reads = ([contains_coord(c) for c in kids]
+                     if lin and node.kind == "prod" else [])
+            keep = [lin and (node.kind == "sum" or node.kind == "prod" and not
+                             any(r for o, r in zip(kids, reads) if o is not c))
+                    for c in kids]
+            todo.append((node, True, lin))
+            todo.extend(zip(reversed(kids), repeat(False), reversed(keep)))
             continue
         args = [operands.pop() for _ in node.children][::-1]
         varies = node.kind == "uvar" or any(a[1] for a in args)
         xdep = node.kind == "coord" or any(a[2] for a in args)
-        operands.append((operand(node, [a[0] for a in args], varies, xdep),
-                         varies, xdep))
+        plain = node.kind in _PLAIN and all(a[3] for a in args)
+        operands.append((operand(node, args, varies, xdep, lin), varies,
+                         xdep, plain))
 
-    [(root, has_v, _)] = operands
+    [(root, has_v, _, _)] = operands
     if target == GRID:
         body = ["def f(X, scenarios):", *fixed, "for v in scenarios:",
                 *("    " + line for line in looped), f"    yield {root}"]
     elif target == SCALAR:
         body = ["def f(x, v):", *(["v = _float(v)"] if has_v else []), *fixed,
                 f"return {root}"]
+    elif target == WALK:
+        body = ["def f(x, v, tol, ctx):", "z = _zeros(len(x))",
+                "I = _eye(len(x))", *fixed, f"return {root}"]
     else:
         names = "".join(line.split(" = ")[0] + ", " for line in xfree)
         memo = bind([(None, None)])  # the last V's bytes, its x-free values
@@ -739,6 +968,10 @@ def _compile(e: Expr, target: int = SCALAR):
                 *("    " + line for line in xfree),
                 f"    {memo}[0] = v.tobytes(), ({names})",
                 *fixed, *looped, f"return {root}"]
+    # each parameter costs compile time: drop the helpers the code does not
+    # name (a name inside a longer one stays, unread)
+    text = "\n".join(body)
+    values = {k: val for k, val in values.items() if k in text}
     src = "\n".join([f"def make({', '.join(values)}):", "    " + body[0],
                      *("        " + s for s in body[1:]), "    return f"])
     return _maker(src)(**values)
@@ -776,173 +1009,3 @@ def eval_scenarios(e: Expr, scenarios) -> np.ndarray:
     """An x-free tree at each scenario, as the grid code computes it."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.fromiter(e.grid_fn(None, map(float, scenarios)), float)
-
-
-# ---------------------------------------------------------------------------
-# Selection-aware walk at a point: value, gradient and active atoms
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Atom:
-    """An abs node at its kink or a max node at a tie, with the gradients
-    of its argument (or of its tied branches) at the point.  fault is the
-    first DomainError those gradients met; it counts only where a nonzero
-    coefficient needs them."""
-    key: str
-    kind: str                  # "abs" | "max"
-    node: Expr
-    tied: tuple[int, ...]
-    ctx_linear: bool           # constant coefficient context
-    x_relevant: bool
-    grads: list[np.ndarray]
-    fault: DomainError | None
-
-
-# A max branch within this of the winning one counts as tied (a kink).
-DEFAULT_KINK_TOL = 1e-9
-
-
-class _PointWalk:
-    """One walk of a tree at (x, v) that selects each abs/max branch once.
-
-    ``node`` returns the value, the x-gradient, the coefficient of each
-    active atom below (keyed by format_expr) and whether one of those atoms
-    is x-relevant; the atoms outside other atoms are recorded in ``atoms``.
-    An x-relevant kink nested in an active atom, or a product of two factors
-    nonsmooth in x, raises UnsupportedStructureError at once.  A gradient
-    domain fault (1/0, sqrt of a nonpositive value) is recorded in
-    ``faults`` and the walk goes on with NaN, so those refusals come first
-    and the faults inside an atom count only for a nonzero coefficient.
-    The reciprocal and square-root rules multiply g by the slope,
-    -1/u^2 and 0.5/sqrt(u).
-    """
-
-    def __init__(self, xl: list[float], v, tol: float):
-        self.xl, self.v, self.tol, self.d = xl, v, tol, len(xl)
-        self.atoms: dict[str, _Atom] = {}
-        self.faults: list[DomainError] = []
-
-    def fault(self, message: str) -> float:
-        self.faults.append(DomainError(message))
-        return math.nan
-
-    def atom(self, e: Expr, kind: str, tied: tuple[int, ...],
-             branches: tuple[Expr, ...], ctx_linear: bool):
-        """Record the active atom e; its coefficient map and x-relevance."""
-        key = format_expr(e)
-        outer = self.atoms, self.faults
-        self.atoms, self.faults = {}, []
-        grads = []
-        for b in branches:
-            _, g, _, nested = self.node(b, False)
-            if nested:
-                raise UnsupportedStructureError(
-                    f"active kink nested inside {key}")
-            grads.append(g)
-        fault = self.faults[0] if self.faults else None
-        self.atoms, self.faults = outer
-        xrel = any(contains_coord(b) for b in branches)
-        atom = self.atoms.setdefault(key, _Atom(key, kind, e, tied, ctx_linear,
-                                                xrel, grads, fault))
-        atom.ctx_linear = atom.ctx_linear and ctx_linear
-        return {key: 1.0}, atom.x_relevant
-
-    def node(self, e: Expr, ctx_linear: bool):
-        k = e.kind
-        zero = np.zeros(self.d)
-        if k == "const":
-            return float(e.value), zero, {}, False
-        if k == "coord":
-            zero[e.index - 1] = 1.0
-            return self.xl[e.index - 1], zero, {}, False
-        if k == "uvar":
-            return float(self.v), zero, {}, False
-        if k == "abs":
-            arg = e.children[0]
-            av = arg.scalar_fn(self.xl, self.v)
-            if abs(av) <= self.tol:
-                return abs(av), zero, *self.atom(e, "abs", (), (arg,),
-                                                 ctx_linear)
-            val, g, kap, rough = self.node(arg, False)
-            s = 1.0 if val > 0 else -1.0
-            return abs(val), s * g, {q: s * c for q, c in kap.items()}, rough
-        if k == "max":
-            vals = [c.scalar_fn(self.xl, self.v) for c in e.children]
-            top = max(vals)
-            tied = tuple(i for i, cv in enumerate(vals) if top - cv <= self.tol)
-            if len(tied) > 1:
-                branches = tuple(e.children[i] for i in tied)
-                return top, zero, *self.atom(e, "max", tied, branches,
-                                             ctx_linear)
-            return self.node(e.children[tied[0]], False)
-        if k == "sum":
-            return _sum_rule([self.node(c, ctx_linear) for c in e.children],
-                            zero)
-        if k == "prod":
-            parts = [self.node(c, ctx) for c, ctx
-                     in zip(e.children, _factor_contexts(e.children,
-                                                        ctx_linear))]
-            if sum(p[3] for p in parts) > 1:
-                raise UnsupportedStructureError(
-                    "product of two factors nonsmooth in x at this point: "
-                    + format_expr(e))
-            return _prod_rule(parts, zero)
-        if k not in ("pow", "recip", "sqrt"):
-            raise ValueError(f"unknown node kind {k}")
-        cv, cg, ck, rough = self.node(e.children[0], False)
-        if k == "pow":
-            n = e.exponent
-            slope = n * _power(cv, n - 1, e)
-            val = _power(cv, n, e)
-        elif k == "recip":
-            if cv == 0.0:
-                cv = self.fault(f"division by zero in 1/({e.children[0]})")
-            val = 1.0 / cv
-            square = cv * cv or self.fault(
-                f"slope of 1/({e.children[0]}) overflows")
-            slope = -1.0 / square
-        else:
-            if cv <= 0.0:
-                cv = self.fault(
-                    f"sqrt argument not positive in sqrt({e.children[0]})")
-            val = cv ** 0.5
-            slope = 0.5 / val
-        return val, slope * cg, {q: slope * a for q, a in ck.items()}, rough
-
-
-def _factor_contexts(children: tuple[Expr, ...], ctx_linear: bool):
-    """Whether each factor of a product sits in a constant-coefficient
-    context: the product's own context, and no other factor reads x."""
-    return [ctx_linear and all(not contains_coord(o) for o in children
-                               if o is not c) for c in children]
-
-
-def _sum_rule(parts, zero: np.ndarray):
-    """The walk of a sum from the walks of its terms, in term order."""
-    total, g, kap, rough = 0.0, zero, {}, False
-    for cv, cg, ck, cr in parts:
-        total += cv
-        g = g + cg
-        for q, a in ck.items():
-            kap[q] = kap.get(q, 0.0) + a
-        rough = rough or cr
-    return total, g, kap, rough
-
-
-def _prod_rule(parts, zero: np.ndarray):
-    """The walk of a product from the walks of its factors, in factor
-    order: each factor's gradient and coefficients times the product of
-    the other factors' values."""
-    total = 1.0
-    for p in parts:
-        total *= p[0]
-    g, kap = zero, {}
-    for j, (_, cg, ck, _) in enumerate(parts):
-        rest = 1.0
-        for i, p in enumerate(parts):
-            if i != j:
-                rest *= p[0]
-        g = g + rest * cg
-        for q, a in ck.items():
-            kap[q] = kap.get(q, 0.0) + rest * a
-    return total, g, kap, any(p[3] for p in parts)

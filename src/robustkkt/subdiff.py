@@ -2,7 +2,8 @@
 
 At a query point the expression is analyzed as smooth background plus a
 collection of active nonsmooth atoms (abs nodes at their kink, max nodes at
-a tie).  Textually identical atoms are merged and each distinct atom gets
+a tie), by the tree's compiled walk (``Expr.walk_fn``), one helper call per
+node.  Textually identical atoms are merged and each distinct atom gets
 the total first-order coefficient of the expression with respect to its
 value.  The assembled set is then
 
@@ -22,9 +23,10 @@ minkowski_sum and Polytope compute it (``_sets``); a point is one row.
 Scalarization rule.  The subdifferential of <y*, f> is that of the one
 expression add(mul(const(y_1), f_1), ...), not the sum of the objectives'
 sets.  Below the weights that tree is the same for every y*, so
-``Scalarization`` walks each objective once and repeats only the walk's
-product and sum rules above the objectives, merging their atoms by first
-occurrence, as mul and add canonicalize: a zero weight drops its term, a
+``Scalarization`` walks each objective once, reads its factors' and
+terms' results from that walk, and repeats only the walk's product and
+sum rules above the objectives, merging their atoms by first occurrence,
+as mul and add canonicalize: a zero weight drops its term, a
 product objective's constant c_j folds into float(Fraction(y_j) c_j), a
 term whose constant comes to 1 drops it and a lone sum factor then joins the
 outer sum, and all constants gather into one last term.  Those rules run on
@@ -47,9 +49,9 @@ from .funcdsl import (
     Expr,
     _Atom,
     _check_scenario,
-    _factor_contexts,
-    _PointWalk,
+    _gather,
     _prod_rule,
+    _rough_product,
     _sum_rule,
     const,
     coords_used,
@@ -80,12 +82,11 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
     if mode not in ("limiting", "hull"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_scenario(e, v)
-    xs = np.asarray(x, dtype=float).reshape(-1)
-    walk = _PointWalk(xs.tolist(), v, kink_tol)
-    _, g0, kappas, _ = walk.node(e, True)
-    if walk.faults:
-        raise walk.faults[0]
-    return _one(g0, kappas, walk.atoms, mode)
+    xl = np.asarray(x, dtype=float).reshape(-1).tolist()
+    _, g0, kappas, _, atoms, fault, error, _ = e.walk_fn(xl, v, kink_tol, True)
+    if error is not None or fault is not None:
+        raise fault if error is None else error
+    return _one(g0, kappas, atoms, mode)
 
 
 def _one(g0: np.ndarray, kappas: dict[str, float], atoms: dict[str, _Atom],
@@ -270,42 +271,32 @@ def sup_rule(con: UncertainConstraint, x, actives, mode: str = "hull",
 
 
 class _Objective:
-    """An objective f walked once at x and split as mul splits const(y)*f:
-    the product ``const`` of its constant factors, and its other factors
-    with their walks ``parts``.  When y*const is 1 the const factor drops
-    and the term puts ``unit`` in the outer sum: the walks of a lone sum
-    factor's terms, which add flattens (their constant ``unit_const`` joins
-    the outer one), or else the walk of the product of the factors."""
+    """An objective f split as mul splits const(y)*f, from the result
+    ``walked`` of its walk at x: the product ``const`` of its constant
+    factors, and its other factors with their results ``parts``.  When
+    y*const is 1 the const factor drops and the term puts ``unit`` in the
+    outer sum: the results of a lone sum factor's terms, which add flattens
+    (their constant ``unit_const`` joins the outer one), or else the walk
+    of the product of the factors."""
 
-    def __init__(self, f: Expr, walk: _PointWalk):
-        self.f, self.const, self.factors, ctxs = f, Fraction(1), [], []
-        factors = f.children if f.kind == "prod" else (f,)
-        for c, ctx in zip(factors, _factor_contexts(factors, True)):
+    def __init__(self, f: Expr, walked: tuple, zero: np.ndarray):
+        self.f, self.const, self.factors, self.parts = f, Fraction(1), [], []
+        for c, p in zip(*((f.children, walked[7]) if f.kind == "prod"
+                          else ((f,), (walked,)))):
             if c.kind == "const":
                 self.const *= c.value
             else:
                 self.factors.append(c)
-                ctxs.append(ctx)
+                self.parts.append(p)
         terms = (self.factors[0].children if len(self.factors) == 1
                  and self.factors[0].kind == "sum" else ())
         self.unit_const = sum((t.value for t in terms if t.kind == "const"),
                               Fraction(0))
-        zero = np.zeros(walk.d)
-        self.parts, self.unit, self.error = [], [], None
-        try:
-            if terms:
-                walked = [walk.node(t, True) for t in terms]
-                self.parts = [_sum_rule(walked, zero)]
-                self.unit = [p for t, p in zip(terms, walked)
-                             if t.kind != "const"]
-            else:
-                self.parts = [walk.node(c, ctx)
-                              for c, ctx in zip(self.factors, ctxs)]
-                self.unit = self.parts[:1] if len(self.parts) < 2 else [
-                    _prod_rule(self.parts, zero)]
-        except Exception as exc:  # raised by the calls that keep f
-            self.error = exc
-        self.atoms, self.faults = walk.atoms, walk.faults
+        walks = self.parts[0][7] if terms else self.parts
+        self.atoms, self.fault, self.error = _gather(walks)
+        self.unit = ([p for t, p in zip(terms, walks) if t.kind != "const"]
+                     if terms else self.parts if len(self.parts) < 2
+                     else [_prod_rule(self.parts, zero)])
         self.plain = self.const == 1 and bool(self.factors)
         # two factors nonsmooth in x: the walk of f's product term refuses
         self.rough = self.error is None and sum(p[3] for p in self.parts) > 1
@@ -329,10 +320,11 @@ class Scalarization:
         self.xl = np.asarray(x, dtype=float).reshape(-1).tolist()
         self.mode, self.kink_tol = mode, kink_tol
         self.zero = np.zeros(len(self.xl))
-        self.objectives = [_Objective(f, self._walk()) for f in fs]
-
-    def _walk(self) -> _PointWalk:
-        return _PointWalk(self.xl, None, self.kink_tol)
+        # an objective with v is walked at v = NaN: a call refuses it
+        # before it reads the walk
+        self.objectives = [_Objective(f, f.walk_fn(
+            self.xl, math.nan if f.has_v else None, kink_tol, True),
+            self.zero) for f in fs]
 
     def __call__(self, ystar) -> SubdiffResult:
         key, cps = self._weights(
@@ -439,12 +431,11 @@ class Scalarization:
             if ob.error is not None:
                 raise ob.error.with_traceback(None)
             if ob.rough:  # refused as the walk of the term refuses it
-                self._walk().node(Expr("prod", children=(
-                    (const(cp),) if cp != 1 else ()) + tuple(ob.factors)),
-                    True)
+                raise _rough_product(((const(cp),) if cp != 1 else ())
+                                     + tuple(ob.factors))
         for ob, _ in kept:
-            if ob.faults:
-                raise ob.faults[0].with_traceback(None)
+            if ob.fault is not None:
+                raise ob.fault.with_traceback(None)
         return (tuple(states), csum != 0), cps
 
     def _terms(self, key: tuple, C: np.ndarray):
@@ -468,8 +459,8 @@ class Scalarization:
         if nonzero or not rest:
             # the constants' term; no rule reads its value
             rest.append((0.0, self.zero, {}, False))
-        _, g, kap, _ = rest[0] if len(rest) == 1 else _sum_rule(rest,
-                                                                self.zero)
+        _, g, kap = (rest[0] if len(rest) == 1
+                     else _sum_rule(rest, self.zero))[:3]
         R = C.shape[0]
         return (np.broadcast_to(g, (R, self.zero.size)),
                 {q: np.broadcast_to(kap.get(q, 0.0), (R, 1))[:, 0]

@@ -34,7 +34,10 @@ must be bit-equal to it.
 tree's constants folded and then every refusal of the call, the structure
 key's too.  It is kept verbatim, a function of the Scalarization ``self``,
 as the oracle of ``Scalarization.groups``, which folds the weights of all
-its rows at once and refuses once per key (test_sweep_oracle.py).
+its rows at once and refuses once per key (test_sweep_oracle.py).  Since
+``Scalarization`` reads its objectives from the compiled walk, it walks
+the refused product with ``walker_oracle.PointWalk``, the walk the call
+made, and reads an objective's first fault as ``fault``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import walker_oracle
 from robustkkt.certify import (
     _CUT_TOL,
     CertifyError,
@@ -367,12 +371,12 @@ def weights(self, ys: list) -> tuple[tuple, list[float]]:
         if ob.error is not None:
             raise ob.error.with_traceback(None)
         if ob.rough:  # refused as the walk of the term refuses it
-            self._walk().node(Expr("prod", children=(
-                (const(cp),) if cp != 1 else ()) + tuple(ob.factors)),
-                True)
+            walker_oracle.PointWalk(self.xl, None, self.kink_tol).node(
+                Expr("prod", children=((const(cp),) if cp != 1 else ())
+                     + tuple(ob.factors)), True)
     for ob, _ in kept:
-        if ob.faults:
-            raise ob.faults[0].with_traceback(None)
+        if ob.fault is not None:
+            raise ob.fault.with_traceback(None)
     return (tuple(states), csum != 0), cps
 
 

@@ -1,9 +1,11 @@
 """tools/bench_pair.py reads a recorded ``verdictbench/run.py`` output
 (``tests/data/run_point_queries_seed1.txt``, one point-queries run of seed
-1) and summarizes pairs of such results."""
+1) and summarizes pairs of such results, and its cold block of one-shot
+command timings (``tests/data/cold_block.json``) summarizes its runs."""
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -71,3 +73,50 @@ def test_summary_digests_unequal(parent, change):
               "change": _run(1, 1, change)}] * 3
     summary = bench_pair.summarize(pairs, {"queries_per_s": "higher"})
     assert not summary["digests_equal"]
+
+
+COLD = json.loads((Path(__file__).parent / "data"
+                   / "cold_block.json").read_text())
+
+
+def test_recorded_cold_block():
+    """The cold block of a recorded run (that of BENCH_27.json) names
+    every README command of tests/test_golden.py and the floor, with equal
+    outputs on both sides, and its runs give the same summary again."""
+    from test_golden import COMMANDS
+
+    assert set(COLD["commands"]) == set(COMMANDS)
+    pairs = [{"first": first, "parent": {}, "change": {}}
+             for first in COLD["first"]]
+    assert len(pairs) == COLD["pairs"] == bench_pair.COLD_PAIRS
+    for name, entry in {**COLD["commands"],
+                        bench_pair.FLOOR: COLD["floor"]}.items():
+        assert entry["digests_equal"] and len(entry["digest"]) == 64
+        for side in ("parent", "change"):
+            assert len(entry[side]["runs"]) == len(pairs)
+            for pair, seconds in zip(pairs, entry[side]["runs"]):
+                pair[side][name] = [seconds, entry["digest"]]
+    assert bench_pair.summarize_cold(pairs) == COLD
+
+
+def test_cold_summary():
+    def pair(first, parent, change, digest="a"):
+        return {"first": first,
+                "parent": {"cmd": [parent, "a"], bench_pair.FLOOR: [1, "f"]},
+                "change": {"cmd": [change, digest],
+                           bench_pair.FLOOR: [1, "f"]}}
+
+    pairs = [pair("parent", 1.0, 0.9), pair("change", 2.0, 2.5),
+             pair("parent", 3.0, 3.0)]
+    block = bench_pair.summarize_cold(pairs)
+    cmd = block["commands"]["cmd"]
+    assert cmd["wins"] == 1 and cmd["digests_equal"] and cmd["digest"] == "a"
+    assert (cmd["parent"]["median"], cmd["change"]["median"]) == (2.0, 2.5)
+    # 0.5 slower, within the parent's interquartile range of 1.0
+    assert cmd["within_parent_iqr"]
+    assert block["floor"]["wins"] == 0 and block["first"][1] == "change"
+    assert cmd["over_floor"] == {"parent": 1.0, "change": 1.5}
+    pairs[1:] = [pair("change", 2.0, 4.0), pair("parent", 3.0, 9.0, "b")]
+    cmd = bench_pair.summarize_cold(pairs)["commands"]["cmd"]
+    assert not cmd["within_parent_iqr"] and not cmd["digests_equal"]
+    assert cmd["digest"] is None

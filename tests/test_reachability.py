@@ -46,9 +46,13 @@ KEPT = {
         "command meets one",
     "funcdsl.ParseError.__init__":
         "raised only on a malformed expression",
-    "funcdsl._PointWalk.fault":
-        "a gradient at 1/0 or at the square root of a nonpositive value; "
-        "no README command meets one",
+    "funcdsl._failed":
+        "the walk result of a node whose walk raises, such as a branch "
+        "undefined at the point or a refused kink; no README command "
+        "meets one",
+    "funcdsl._rough_product":
+        "refuses a product of two factors nonsmooth in x at the point; no "
+        "README command has one",
     "funcdsl.max_on_grid": "body of envelope_grid",
     "funcdsl._split_negative":
         "printing a sum with a negative term, for an error message or an "

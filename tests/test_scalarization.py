@@ -24,10 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sweep_oracle
+import test_walker
 from genexpr import random_convex_expr, random_point, random_supported_expr
 from robustkkt.certify import ystar_grid
 from robustkkt.funcdsl import DomainError, Expr, UnsupportedStructureError, \
-    parse_expr
+    add, const, mul, parse_expr
 from robustkkt.subdiff import Scalarization, direct_subdiff
 from test_walker import _TREES, _bits
 
@@ -363,3 +364,27 @@ def test_groups_with_refused_rows(texts, x, error):
         raised = [c for _, c in groups if isinstance(c, Exception)]
         assert raised and all(isinstance(c, error) for c in raised)
         assert len(raised) < len(groups)
+
+
+@pytest.mark.parametrize("texts, x", [
+    # a max branch not selected faults, raises or refuses at the point
+    (["max(x1 + 1, sqrt(x1))", "abs(x1)"], [0.0, 0.0]),
+    (["max(x2 + 5, abs(x1)*abs(x2))", "x1"], [0.0, 0.0]),
+    (["max(abs(abs(x1) - x2), x2 + 5)", "abs(x2)"], [0.0, 0.0]),
+    (["2*max(x2 + 1, 1/x1)*x2", "max(x1 + 1, x1^400)"], [0.0, 0.0]),
+    (["max(x1 + 1, x1^400)", "abs(x2)"], [1e10, 0.0]),
+    # a fault inside a kink whose coefficient comes to zero
+    (["abs(sqrt(x1)) + x2", "abs(sqrt(x1))"], [0.0, 0.0]),
+])
+def test_groups_where_branches_not_selected_fail(texts, x):
+    """Scalarization.groups against the oracle row by row, and the
+    oracle's tree against the recursive walk, on objectives whose compiled
+    walk evaluates max branches that the walk does not select."""
+    fs = _parse(texts, len(x))
+    grid = (0.0, 1.0, -1.0, 0.5)
+    Y = [[a, b] for a in grid for b in grid]
+    for mode in MODES:
+        assert_same_groups(fs, x, Y, mode)
+    for y in Y:
+        test_walker.assert_same(add(*(mul(const(Fraction(w)), f)
+                                      for w, f in zip(y, fs))), x)

@@ -233,9 +233,8 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     unit constants and the coefficients' signs of the oracle's sets); one
     stacked margin evaluation per group that needs margins; no Polytope
     per y* (as many as at a coarser y* grid: those of the constraint rows);
-    and no LP.  Each objective is walked once per sweep:
-    one walk per objective visits each of its operands once, and no tree
-    is built (no mul)."""
+    and no LP.  Each objective is walked once per sweep: its walk is
+    compiled once and called once, and no tree is built (no mul)."""
     counts = Counter()
     monkeypatch.setattr(sweep_oracle, "_planar_witness_margin", _counting(
         counts, "oracle", sweep_oracle._planar_witness_margin))
@@ -278,20 +277,24 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
         return out
 
     monkeypatch.setattr(subdiff.Scalarization, "groups", spy_groups)
-    # the objectives' operands: the terms of a sum, else the objective
-    operands = {id(t): t for f in spec22.objectives
-                for t in (f.children if f.kind == "sum" else (f,))}
-    walks, walkers = Counter(), []
-    node = funcdsl._PointWalk.node
+    # the objectives' compiled walks, compiled afresh and counted per call
+    walks, compiled = Counter(), Counter()
+    compile_ = funcdsl._compile
 
-    def spy_node(self, e, ctx_linear):
-        if id(e) in operands:
+    def spy_compile(e, target=funcdsl.SCALAR):
+        fn = compile_(e, target)
+        if target != funcdsl.WALK:
+            return fn
+        compiled[id(e)] += 1
+
+        def walk(*args):
             walks[id(e)] += 1
-            if self not in walkers:
-                walkers.append(self)
-        return node(self, e, ctx_linear)
+            return fn(*args)
+        return walk
 
-    monkeypatch.setattr(funcdsl._PointWalk, "node", spy_node)
+    for f in spec22.objectives:
+        monkeypatch.delitem(f.__dict__, "walk_fn", raising=False)
+    monkeypatch.setattr(funcdsl, "_compile", spy_compile)
     # the command runs on spec22's own objective trees
     monkeypatch.setattr(cli, "load_problem", lambda path: spec22)
     for owner, name, key in [
@@ -322,8 +325,10 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
         state != 0 for key in structures for state in key[0]) == 3
     assert counts["polytope"] == coarse["polytope"]
     assert counts["lp"] == 0
-    assert len(walkers) == len(spec22.objectives) == 3
-    assert walks == Counter(dict.fromkeys(operands, 1))
+    objectives = dict.fromkeys(map(id, spec22.objectives), 1)
+    assert len(objectives) == 3
+    assert {k: walks[k] for k in objectives} == objectives
+    assert {k: compiled[k] for k in objectives} == objectives
     assert counts["mul"] == 0
 
 

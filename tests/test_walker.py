@@ -1,20 +1,25 @@
-"""Differential tests of the point walker: ``limiting_subdiff``, one
-selection-aware walk per call, against the three walkers it replaced
-(walker_oracle.py).
+"""Differential tests of the point walker: ``limiting_subdiff``, which
+reads the compiled walk ``Expr.walk_fn``, against the recursive walk it
+replaced (``walker_oracle.PointWalk``) and against the three walkers that
+walk replaced (walker_oracle.py).
 
 Sets must be bit-equal, vertices compared as int64 views so that -0.0 and
-NaN count, with equal rules and exactness, in both modes; where the
-oracle raises, the walker raises the same
+NaN count, with equal rules and exactness, in both modes.  Where
+``PointWalk`` raises, the walker raises the same exception class with the
+same message; where the three walkers raise, the walker raises the same
 exception class, except that a reciprocal slope whose square underflows,
 a ZeroDivisionError in the oracle, and a float power that overflows, an
 OverflowError in the oracle, are DomainErrors of the walker.  Points
 sit on kinks, max ties and the sqrt(0) and 1/0 boundaries as well as at
-generic places.
+generic places.  The compiled walk evaluates every node, the max branches
+not selected too, so those branches' faults and refusals must stay there.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +37,8 @@ from robustkkt.funcdsl import (
     eval_expr,
     parse_expr,
 )
-from robustkkt.subdiff import limiting_subdiff
+from robustkkt.subdiff import Scalarization, direct_subdiff, \
+    limiting_subdiff
 from test_scalar_fn import _node
 
 
@@ -40,11 +46,15 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=float).view(np.int64).tobytes()
 
 
-def _outcome(fn):
+def _message(fn):
     try:
         return "value", fn()
-    except Exception as exc:  # the class is what must match
-        return "raised", type(exc)
+    except Exception as exc:  # the class and message are what must match
+        return "raised", type(exc), str(exc)
+
+
+def _outcome(fn):
+    return _message(fn)[:2]
 
 
 def _expected(outcome):
@@ -59,14 +69,18 @@ def _set_key(res):
 
 
 def assert_same(e: Expr, x, v=None):
-    """Walker and oracle agree at (x, v); returns the limiting outcomes."""
+    """Walker and oracles agree at (x, v); returns the limiting outcome of
+    the three walkers."""
     seen = []
-    with np.errstate(all="ignore"):  # 1/u^2 may overflow, in both
+    with np.errstate(all="ignore"):  # 1/u^2 may overflow, in all
         for mode in ("limiting", "hull"):
             want = _outcome(lambda: _set_key(
                 walker_oracle.limiting_subdiff(e, x, v, mode)))
-            got = _outcome(lambda: _set_key(limiting_subdiff(e, x, v, mode)))
-            assert got == _expected(want), (str(e), list(x), v, mode)
+            got = _message(lambda: _set_key(limiting_subdiff(e, x, v, mode)))
+            assert got == _message(lambda: _set_key(
+                walker_oracle.point_walk_subdiff(e, x, v, mode))), (
+                str(e), list(x), v, mode)
+            assert got[:2] == _expected(want), (str(e), list(x), v, mode)
             seen.append(want)
     return seen[0]
 
@@ -208,3 +222,87 @@ class TestEdgeCases:
             limiting_subdiff(e, [1e-200])
         # one square short of underflow, both roundings stay as they were
         assert assert_same(e, [1e-150])[0] == "value"
+
+
+# branches that fault, refuse or raise at many points of _AT
+_TROUBLE = st.sampled_from([
+    "sqrt(x1)", "1/(x1 - x1)", "1/x1 + x2", "abs(x1)*abs(x2)",
+    "abs(abs(x1) - x2)", "max(x1, -x1)*abs(x2)", "sqrt(x1 - x2)",
+    "x1^400", "abs(sqrt(x2))*x1"]).map(lambda text: parse_expr(text, 2))
+
+
+def _const(q) -> Expr:
+    return Expr("const", value=Fraction(q))
+
+
+class TestEagerWalk:
+    """The compiled walk evaluates the max branches it does not select;
+    what they meet stays with them."""
+
+    @pytest.mark.parametrize("text, x", [
+        ("max(x1 + 1, sqrt(x1))", [0.0]),
+        ("max(x1 + 1, 1/(x1 - x1))", [0.0]),
+        ("max(1/x1, x1 + 1) + abs(x1)", [0.0]),
+        ("max(x1 + 5, abs(x1)*abs(x2))", [0.0, 0.0]),
+        ("max(abs(abs(x1) - x2), x1 + 5) + abs(x2)", [0.0, 0.0]),
+        ("max(x1 + 5, abs(x1)*abs(x2), 5 + x1)", [0.0, 0.0]),
+        ("max(x1 + 1, x1^400)", [1e10]),
+        ("2*abs(sqrt(x1)) - 2*abs(sqrt(x1)) + x2", [0.0, 1.0]),
+    ])
+    def test_branch_not_selected(self, text, x):
+        assert_same(parse_expr(text, len(x)), x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES, _TROUBLE, st.sampled_from([-10, 0, 10]),
+           st.lists(_AT, min_size=2, max_size=2), _AT, st.integers(0, 2))
+    def test_trouble_in_a_branch(self, t, bad, shift, x, v, wrap):
+        """max(t + shift, bad), alone, in a sum or in a product: bad
+        loses, wins or ties."""
+        e = Expr("max", children=(Expr("sum", children=(t, _const(shift))),
+                                  bad))
+        e = [e, Expr("sum", children=(e, t)),
+             Expr("prod", children=(_const(2), e, t))][wrap]
+        assert_same(e, x, v if e.has_v else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TROUBLE, _TREES, st.sampled_from([0, 1, -0.5]),
+           st.lists(_AT, min_size=2, max_size=2), _AT)
+    def test_fault_inside_a_kink_of_zero_coefficient(self, bad, rest, c, x,
+                                                      v):
+        """c*abs(bad - bad(x)) - c*abs(bad - bad(x)) + rest: a kink at the
+        point whose coefficient is zero, its argument's faults inside."""
+        try:
+            level = eval_expr(bad, x)
+        except DomainError:
+            assume(False)
+        assume(math.isfinite(level))
+        kink = Expr("abs", children=(Expr("sum", children=(
+            bad, _const(-Fraction(level)))),))
+        e = Expr("sum", children=(Expr("prod", children=(_const(c), kink)),
+                                  Expr("prod", children=(_const(-c), kink)),
+                                  rest))
+        assert_same(e, x, v if e.has_v else None)
+
+
+def test_deep_tree_walks_without_recursion():
+    """Neither limiting_subdiff nor a Scalarization nests a Python frame
+    per tree level: a tree of 95 levels, parsed afresh, compiles and walks
+    with 40 frames to spare."""
+    text = "x1 + 1"
+    for _ in range(95):
+        text = f"sqrt({text}) + 1"
+    e = parse_expr.__wrapped__(text, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        got = limiting_subdiff(e, [0.5])
+        scal = Scalarization([e], [0.5])
+        one = scal([0.5])
+        groups = scal.groups(np.array([[0.5], [1.0]]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _set_key(got) == _set_key(
+        walker_oracle.point_walk_subdiff(e, [0.5]))
+    assert _set_key(one) == _set_key(direct_subdiff([0.5], [e], [0.5]))
+    assert sorted(rows.tolist() for rows, _ in groups) == [[0], [1]]
+    assert all(type(comps) is list for _, comps in groups)

@@ -9,10 +9,14 @@ coefficients, and ``gradient_x`` (``_grad``) took the gradient of each
 atom's argument or tied branch, only for atoms with a nonzero coefficient.
 The functions below are the removed code, unchanged apart from imports;
 ``NonsmoothPointError``, which the package no longer has, is defined here.
+
+``PointWalk``, at the end, is the one recursive walk that replaced them,
+kept as the oracle of the compiled walk that replaced it in turn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +29,13 @@ from robustkkt.funcdsl import (
     UnsupportedStructureError,
     _check_scenario,
     _floats,
+    _power,
     contains_coord,
     format_expr,
 )
+from robustkkt.funcdsl import _Atom as WalkAtom
 from robustkkt.setcalc import Polytope, PolytopeSet, hull, minkowski_sum
-from robustkkt.subdiff import SubdiffResult, _exactness
+from robustkkt.subdiff import SubdiffResult, _exactness, _one
 
 
 class NonsmoothPointError(ExprError):
@@ -313,3 +319,172 @@ def _grad(e: Expr, xl: list[float], v, tol: float, x_only: bool):
         _, cg = _grad(e.children[tied[0]], xl, v, tol, x_only)
         return top, cg
     raise ValueError(f"unknown node kind {k}")
+
+
+# ---------------------------------------------------------------------------
+# The one walk that merged the three above, kept as the oracle of the
+# compiled walk ``Expr.walk_fn``: ``PointWalk`` is ``funcdsl._PointWalk``,
+# and the three functions after it are funcdsl's, unchanged apart from the
+# class name and the name of funcdsl's ``_Atom``, which the walk builds.
+# ``point_walk_subdiff`` is ``limiting_subdiff`` as it called the walk.
+# ---------------------------------------------------------------------------
+
+class PointWalk:
+    """One walk of a tree at (x, v) that selects each abs/max branch once.
+
+    ``node`` returns the value, the x-gradient, the coefficient of each
+    active atom below (keyed by format_expr) and whether one of those atoms
+    is x-relevant; the atoms outside other atoms are recorded in ``atoms``.
+    An x-relevant kink nested in an active atom, or a product of two factors
+    nonsmooth in x, raises UnsupportedStructureError at once.  A gradient
+    domain fault (1/0, sqrt of a nonpositive value) is recorded in
+    ``faults`` and the walk goes on with NaN, so those refusals come first
+    and the faults inside an atom count only for a nonzero coefficient.
+    The reciprocal and square-root rules multiply g by the slope,
+    -1/u^2 and 0.5/sqrt(u).
+    """
+
+    def __init__(self, xl: list[float], v, tol: float):
+        self.xl, self.v, self.tol, self.d = xl, v, tol, len(xl)
+        self.atoms: dict[str, _Atom] = {}
+        self.faults: list[DomainError] = []
+
+    def fault(self, message: str) -> float:
+        self.faults.append(DomainError(message))
+        return math.nan
+
+    def atom(self, e: Expr, kind: str, tied: tuple[int, ...],
+             branches: tuple[Expr, ...], ctx_linear: bool):
+        """Record the active atom e; its coefficient map and x-relevance."""
+        key = format_expr(e)
+        outer = self.atoms, self.faults
+        self.atoms, self.faults = {}, []
+        grads = []
+        for b in branches:
+            _, g, _, nested = self.node(b, False)
+            if nested:
+                raise UnsupportedStructureError(
+                    f"active kink nested inside {key}")
+            grads.append(g)
+        fault = self.faults[0] if self.faults else None
+        self.atoms, self.faults = outer
+        xrel = any(contains_coord(b) for b in branches)
+        atom = self.atoms.setdefault(key, WalkAtom(key, kind, e, tied, ctx_linear,
+                                                xrel, grads, fault))
+        atom.ctx_linear = atom.ctx_linear and ctx_linear
+        return {key: 1.0}, atom.x_relevant
+
+    def node(self, e: Expr, ctx_linear: bool):
+        k = e.kind
+        zero = np.zeros(self.d)
+        if k == "const":
+            return float(e.value), zero, {}, False
+        if k == "coord":
+            zero[e.index - 1] = 1.0
+            return self.xl[e.index - 1], zero, {}, False
+        if k == "uvar":
+            return float(self.v), zero, {}, False
+        if k == "abs":
+            arg = e.children[0]
+            av = arg.scalar_fn(self.xl, self.v)
+            if abs(av) <= self.tol:
+                return abs(av), zero, *self.atom(e, "abs", (), (arg,),
+                                                 ctx_linear)
+            val, g, kap, rough = self.node(arg, False)
+            s = 1.0 if val > 0 else -1.0
+            return abs(val), s * g, {q: s * c for q, c in kap.items()}, rough
+        if k == "max":
+            vals = [c.scalar_fn(self.xl, self.v) for c in e.children]
+            top = max(vals)
+            tied = tuple(i for i, cv in enumerate(vals) if top - cv <= self.tol)
+            if len(tied) > 1:
+                branches = tuple(e.children[i] for i in tied)
+                return top, zero, *self.atom(e, "max", tied, branches,
+                                             ctx_linear)
+            return self.node(e.children[tied[0]], False)
+        if k == "sum":
+            return _sum_rule([self.node(c, ctx_linear) for c in e.children],
+                            zero)
+        if k == "prod":
+            parts = [self.node(c, ctx) for c, ctx
+                     in zip(e.children, _factor_contexts(e.children,
+                                                        ctx_linear))]
+            if sum(p[3] for p in parts) > 1:
+                raise UnsupportedStructureError(
+                    "product of two factors nonsmooth in x at this point: "
+                    + format_expr(e))
+            return _prod_rule(parts, zero)
+        if k not in ("pow", "recip", "sqrt"):
+            raise ValueError(f"unknown node kind {k}")
+        cv, cg, ck, rough = self.node(e.children[0], False)
+        if k == "pow":
+            n = e.exponent
+            slope = n * _power(cv, n - 1, e)
+            val = _power(cv, n, e)
+        elif k == "recip":
+            if cv == 0.0:
+                cv = self.fault(f"division by zero in 1/({e.children[0]})")
+            val = 1.0 / cv
+            square = cv * cv or self.fault(
+                f"slope of 1/({e.children[0]}) overflows")
+            slope = -1.0 / square
+        else:
+            if cv <= 0.0:
+                cv = self.fault(
+                    f"sqrt argument not positive in sqrt({e.children[0]})")
+            val = cv ** 0.5
+            slope = 0.5 / val
+        return val, slope * cg, {q: slope * a for q, a in ck.items()}, rough
+
+
+def _factor_contexts(children: tuple[Expr, ...], ctx_linear: bool):
+    """Whether each factor of a product sits in a constant-coefficient
+    context: the product's own context, and no other factor reads x."""
+    return [ctx_linear and all(not contains_coord(o) for o in children
+                               if o is not c) for c in children]
+
+
+def _sum_rule(parts, zero: np.ndarray):
+    """The walk of a sum from the walks of its terms, in term order."""
+    total, g, kap, rough = 0.0, zero, {}, False
+    for cv, cg, ck, cr in parts:
+        total += cv
+        g = g + cg
+        for q, a in ck.items():
+            kap[q] = kap.get(q, 0.0) + a
+        rough = rough or cr
+    return total, g, kap, rough
+
+
+def _prod_rule(parts, zero: np.ndarray):
+    """The walk of a product from the walks of its factors, in factor
+    order: each factor's gradient and coefficients times the product of
+    the other factors' values."""
+    total = 1.0
+    for p in parts:
+        total *= p[0]
+    g, kap = zero, {}
+    for j, (_, cg, ck, _) in enumerate(parts):
+        rest = 1.0
+        for i, p in enumerate(parts):
+            if i != j:
+                rest *= p[0]
+        g = g + rest * cg
+        for q, a in ck.items():
+            kap[q] = kap.get(q, 0.0) + rest * a
+    return total, g, kap, any(p[3] for p in parts)
+
+
+def point_walk_subdiff(e: Expr, x, v: float | None = None,
+                       mode: str = "limiting",
+                       kink_tol: float = DEFAULT_KINK_TOL) -> SubdiffResult:
+    """Limiting subdifferential (or its convex hull) of e at (x, v)."""
+    if mode not in ("limiting", "hull"):
+        raise ValueError(f"unknown mode {mode!r}")
+    _check_scenario(e, v)
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    walk = PointWalk(xs.tolist(), v, kink_tol)
+    _, g0, kappas, _ = walk.node(e, True)
+    if walk.faults:
+        raise walk.faults[0]
+    return _one(g0, kappas, walk.atoms, mode)

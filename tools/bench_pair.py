@@ -11,20 +11,32 @@ For each workload the script runs
     python3 verdictbench/run.py --workload W --seed N --seconds S --trace 0
 
 in both trees, with S the ``run_seconds`` of ``BENCHMARK.json``, one pair
-per seed, alternating which tree runs first.  Each run starts in its own
-tree, so each imports its own ``src/`` (``verdictbench/worker.py`` refuses
-any other).  The benchmark code of each tree is its own, so compare only
-commits whose ``verdictbench/`` agrees.
+per seed, alternating which tree runs first, after the bytecode of both
+trees' ``src/`` is compiled.  Each run starts in its own tree, so each
+imports its own ``src/`` (``verdictbench/worker.py`` refuses any other).
+The benchmark code of each tree is its own, so compare only commits whose
+``verdictbench/`` agrees.
 
 The JSON written holds, per workload and end-to-end metric, both sides'
 medians and quartiles and the change's win count (ties count for neither),
 and per workload whether every run was correct and whether the report
 digests of the two trees agree seed by seed.
+
+Its ``cold`` block times one-shot processes: each command line of
+``tests/test_golden.py`` (the README command set) runs as a fresh
+``python -m robustkkt.cli`` of each tree, and ``python -c "import numpy"``
+as the floor no command can go below, in 9 pairs alternating which tree
+runs first.  Per command it holds both sides' wall-time medians and
+quartiles in seconds, the change's win count, whether the change's median
+is within the parent's interquartile range of the parent's median or
+below, each side's median over its floor, and whether the stdout and exit
+code of every run, with each tree's path cut out, are the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -39,6 +51,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("point-queries", "sweep-rasters", "pseudoconvex-sweep")
 DIGEST = re.compile(r"^# (\S+) seed (\d+): .* report sha256 (.+)$")
+COLD_PAIRS = 9
+FLOOR = "import-numpy"  # the cold block's name of the floor process
 
 
 def parse_run(text: str) -> dict:
@@ -113,6 +127,77 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_run(proc.stdout)
 
 
+def golden_commands() -> dict[str, list[str]]:
+    """The README command lines of tests/test_golden.py, by name; their
+    file arguments are paths in this checkout."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from test_golden import COMMANDS
+    return COMMANDS
+
+
+def run_cold(tree: Path, argv: list[str] | None, cwd: str) -> list:
+    """Wall seconds and output digest of one fresh process in tree: the
+    CLI on argv, its paths in this checkout moved to tree, or the floor
+    (argv None)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(tree / "src")
+    cmd = (["-c", "import numpy"] if argv is None else
+           ["-m", "robustkkt.cli",
+            *(a.replace(str(ROOT), str(tree)) for a in argv)])
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *cmd], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    out = f"{proc.stdout.replace(str(tree), '<tree>')}exit {proc.returncode}"
+    return [seconds, hashlib.sha256(out.encode()).hexdigest()]
+
+
+def cold_pairs(parent_tree: Path) -> list[dict]:
+    """Each pair: which tree ran first, and per side each command's (and
+    the floor's) run_cold result."""
+    commands = {**golden_commands(), FLOOR: None}
+    out = []
+    with tempfile.TemporaryDirectory(prefix="bench-cold-") as tmp:
+        for i in range(COLD_PAIRS):
+            order = (("parent", parent_tree), ("change", ROOT))
+            order = order if i % 2 == 0 else order[::-1]
+            pair = {"first": order[0][0], "parent": {}, "change": {}}
+            for name, argv in commands.items():
+                for side, tree in order:
+                    pair[side][name] = run_cold(tree, argv, tmp)
+            print(f"cold pair {i + 1} of {COLD_PAIRS} done",
+                  file=sys.stderr, flush=True)
+            out.append(pair)
+    return out
+
+
+def summarize_cold(pairs: list[dict]) -> dict:
+    """The cold block from cold_pairs' pairs (see the module docstring)."""
+    entries = {}
+    for name in pairs[0]["parent"]:
+        times = {side: [p[side][name][0] for p in pairs]
+                 for side in ("parent", "change")}
+        digests = {p[side][name][1] for p in pairs
+                   for side in ("parent", "change")}
+        parent, change = quartiles(times["parent"]), quartiles(
+            times["change"])
+        entries[name] = {
+            "parent": parent, "change": change,
+            "wins": sum(c < p for p, c in zip(times["parent"],
+                                                times["change"])),
+            "within_parent_iqr": change["median"] - parent["median"]
+            <= parent["q3"] - parent["q1"],
+            "digests_equal": len(digests) == 1,
+            "digest": digests.pop() if len(digests) == 1 else None}
+    floor = entries.pop(FLOOR)
+    for entry in entries.values():
+        entry["over_floor"] = {side: entry[side]["median"]
+                               - floor[side]["median"]
+                               for side in ("parent", "change")}
+    return {"pairs": len(pairs), "first": [p["first"] for p in pairs],
+            "floor": floor, "commands": entries}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -149,6 +234,12 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
                        check=True)
+        # both trees start with their bytecode compiled, as an install
+        # does: PYTHONDONTWRITEBYTECODE=1 would leave only the checkout's
+        # old cache, and time its imports against the parent's compiles
+        for tree in (parent_tree, ROOT):
+            subprocess.run([sys.executable, "-m", "compileall", "-q",
+                            str(tree / "src")], check=True)
         for workload in args.workload or WORKLOADS:
             pairs = []
             for i in range(args.pairs):
@@ -168,6 +259,7 @@ def main(argv=None) -> int:
             record.setdefault("environment", {
                 k: v for k, v in pairs[0]["change"]["environment"].items()
                 if k != "commit"})
+        record["cold"] = summarize_cold(cold_pairs(parent_tree))
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
