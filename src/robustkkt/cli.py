@@ -98,14 +98,14 @@ def _integer(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 class Row(NamedTuple):
-    """One input rule.  ``kind``: ``cli`` (an option of the ``commands``
-    listed, ``!`` where required), ``space`` or ``options`` (a problem-file
-    key), ``count`` (a problem-file section's entries) or the JSON file
-    holding the field.  ``parse``: ``bool`` for a flag, a tuple of the
-    words allowed, None for text.  A number above ``most`` is refused as
-    over its limit, one below ``least`` or NaN by ``rule``.  ``size``: a
-    list's length per axis, per coordinate (d), objective (p), constraint
-    (n), or two per coordinate (2d)."""
+    """One input rule.  ``kind``: ``cli`` (an option of the verbs that
+    ``commands`` lists, ``!`` where required), ``space`` or ``options``
+    (a problem-file key), ``count`` (a problem-file section's entries) or
+    the JSON file holding the field.  ``parse``: ``bool`` for a flag, a
+    tuple of the words allowed, None for text.  A number above ``most`` is
+    refused as over its limit, one below ``least`` or NaN by ``rule``.
+    ``size``: a list's length per axis, per coordinate (d), objective (p),
+    constraint (n), or two per coordinate (2d)."""
     kind: str
     name: str
     parse: object = None
@@ -123,11 +123,14 @@ COMMANDS = {
     "raster": "feasibility raster to CSV",
     "subdiff": "subdifferential set of one function",
     "cq": "constraint qualification at a point",
-    "kkt": "KKT certificate check or search",
+    "kkt check": "check a KKT certificate",
+    "kkt search": "search for a KKT certificate",
     "fuzzy": "fuzzy necessary-condition demonstrator",
     "pseudoconvex": "type I/II pseudo-convexity test",
     "efficiency": "classify a candidate point",
-    "duality": "Mond-Weir duality checks",
+    "duality weak": "Mond-Weir weak duality over feasible samples",
+    "duality strong": "a Mond-Weir dual triple from a KKT point",
+    "duality converse": "Mond-Weir converse duality of a triple",
 }
 
 
@@ -140,48 +143,52 @@ def _param(fn, name: str):
 _SPEC = {f.name: f.default for f in dataclasses.fields(ProblemSpec)}
 _NUMBER = "must be a number >= {least} and <= {most}"
 _AT_LEAST = "must be at least {least}"
+_DUALITY = "duality weak, duality strong, duality converse"
 
 TABLE = [
     Row("cli", "--timings", bool, help="include wall-clock timing in the "
         "report (off by default to keep reports byte-deterministic)"),
-    Row("cli", "--problem", commands="! ".join(COMMANDS) + "!"),
-    Row("cli", "--fixtures", bool, commands="subdiff cq kkt pseudoconvex "
-        "duality", help="use problem-file fixture sets where declared"),
-    Row("cli", "--mode", ("limiting", "hull"),
-        commands="subdiff kkt fuzzy pseudoconvex duality"),
-    Row("cli", "action", ("check", "search"), commands="kkt"),
-    Row("cli", "action", ("weak", "strong", "converse"), commands="duality"),
-    Row("cli", "--at", size=("d",), commands="feasible! subdiff! cq! kkt! "
-        "fuzzy! pseudoconvex! efficiency! duality"),
+    Row("cli", "--problem", commands="!, ".join(COMMANDS) + "!"),
+    Row("cli", "--fixtures", bool, commands="subdiff, cq, kkt check, "
+        "kkt search, pseudoconvex, " + _DUALITY,
+        help="use problem-file fixture sets where declared"),
+    Row("cli", "--mode", ("limiting", "hull"), "hull",
+        commands="subdiff, kkt check"),
+    Row("cli", "--mode", ("limiting", "hull"), "limiting",
+        commands="kkt search, fuzzy, pseudoconvex, " + _DUALITY),
+    Row("cli", "--at", size=("d",), commands="feasible!, subdiff!, cq!, "
+        "kkt check!, kkt search!, fuzzy!, pseudoconvex!, efficiency!, "
+        "duality weak, duality strong!"),
     Row("cli", "--ystar", size=("p",), commands="fuzzy!"),
-    Row("cli", "--region", size=("2d",),
-        commands="raster! pseudoconvex efficiency! duality"),
+    Row("cli", "--region", size=("2d",), commands="raster!, pseudoconvex, "
+        "efficiency!, duality weak!, duality converse!"),
     # feasible's --tol defaults to the problem's feas_tol
     Row("cli", "--tol", _number, None, 0.0, 1.0, _NUMBER, commands="feasible"),
     Row("cli", "--tol", _number, _param(check_kkt, "tol"), 0.0, 1.0, _NUMBER,
-        commands="kkt"),
+        commands="kkt check, kkt search"),
     Row("cli", "--res", _integer, _param(classify_point, "resolution"), 0,
-        1001, commands="raster efficiency duality"),
+        1001, commands="raster, efficiency, duality converse"),
     Row("cli", "--out", commands="raster"),
     Row("cli", "--target", commands="subdiff!"),
     Row("cli", "--scenario", parse_scalar, commands="subdiff"),
-    Row("cli", "--cert", commands="kkt"),
+    Row("cli", "--cert", commands="kkt check!"),
     Row("cli", "--eta", _number, None, 1e-9, 1e9, _NUMBER, commands="fuzzy!"),
     # fuzzy's --radius defaults to --eta
     Row("cli", "--radius", _number, None, 0.0, 1e9, _NUMBER, commands="fuzzy"),
     Row("cli", "--grid-n", _integer, _param(fuzzy_kkt_demo, "grid_n"), 2, 401,
         commands="fuzzy"),
     Row("cli", "--type", ("I", "II"), commands="pseudoconvex!"),
-    Row("cli", "--grid", _integer, _param(pseudoconvex_test, "grid"), 0, 101,
-        commands="pseudoconvex"),
-    Row("cli", "--y-res", _integer, _param(pseudoconvex_test, "y_resolution"),
-        1, 48, commands="pseudoconvex"),
+    # absent unless given, for --witness to refuse; the sweep has defaults
+    Row("cli", "--grid", _integer, None, 0, 101, commands="pseudoconvex"),
+    Row("cli", "--y-res", _integer, None, 1, 48, commands="pseudoconvex"),
     Row("cli", "--witness", commands="pseudoconvex"),
     Row("cli", "--kind", verify.KINDS, commands="efficiency!"),
-    Row("cli", "--kind", ("I", "II"), "I", commands="duality"),
-    Row("cli", "--triple", commands="duality"),
-    Row("cli", "--triples", commands="duality"),
-    Row("cli", "--samples", _integer, 1000, 1, 100_000, commands="duality"),
+    Row("cli", "--kind", ("I", "II"), "I",
+        commands="duality weak, duality converse"),
+    Row("cli", "--triple", commands="duality converse!"),
+    Row("cli", "--triples", commands="duality weak"),
+    Row("cli", "--samples", _integer, 1000, 1, 100_000,
+        commands="duality weak"),
     # problem files; the section sizes are refused before any expression
     # is parsed, and an l1 norm's dual ball has 2^dim vertices
     Row("space", "dim", _integer, None, 1, 16, "must be >= {least}"),
@@ -212,10 +219,10 @@ TABLE = [
     Row("triple", "mu", size=("n",)),
 ]
 
-# the rows by command, and by kind for the rows outside the command line
+# the rows by verb ("" before the command), and by kind off the command line
 ROWS: dict[str, list[Row]] = {}
 for _row in TABLE:
-    for _key in (_row.commands.split() if _row.kind == "cli"
+    for _key in (_row.commands.split(", ") if _row.kind == "cli"
                  else [_row.kind]):
         ROWS.setdefault(_key.rstrip("!"), []).append(_row)
 
@@ -574,12 +581,21 @@ def build_parser() -> argparse.ArgumentParser:
     points are read once the problem is loaded (_read_points).  Built once
     per process and shared, so callers must not change it."""
     ap = argparse.ArgumentParser(
-        prog="robustkkt",
+        prog="robustkkt", allow_abbrev=False,
         description="Verification toolkit for nonsmooth robust "
                     "multiobjective optimization")
-    sub = ap.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=text)
-               for name, text in COMMANDS.items()}
+    subs = {"": ap.add_subparsers(dest="command", required=True)}
+    parsers = {"": ap}
+    for verb, text in COMMANDS.items():
+        command, _, action = verb.rpartition(" ")
+        if command not in subs:  # kkt and duality: a parser per verb
+            subs[command] = subs[""].add_parser(command, help=", ".join(
+                v.split()[1] for v in COMMANDS if v.startswith(command + " "))
+            ).add_subparsers(dest="action", required=True)
+        parsers[verb] = subs[command].add_parser(action, help=text,
+                                                 allow_abbrev=False)
+        # a report's config echoes these for a verb that reads no such flag
+        parsers[verb].set_defaults(verb=verb, mode="limiting", fixtures=False)
     for row in TABLE:
         if row.kind != "cli":
             continue
@@ -589,15 +605,14 @@ def build_parser() -> argparse.ArgumentParser:
         elif row.parse and not row.size:  # _read refuses a bad word first
             kw.update(type=partial(_read, row), default=row.default,
                       choices=row.parse if type(row.parse) is tuple else None)
-        for command in row.commands.split() or [""]:
-            if row.name.startswith("--") and command:
-                kw["required"] = command.endswith("!")
-            parsers.get(command.rstrip("!"), ap).add_argument(row.name, **kw)
+        for verb in row.commands.split(", "):
+            kw["required"] = verb.endswith("!")
+            parsers[verb.rstrip("!")].add_argument(row.name, **kw)
     return ap
 
 
-_VALUE_FLAGS = {row.name for row in TABLE if row.kind == "cli"
-                and row.name.startswith("--") and row.parse is not bool}
+_VALUE_FLAGS = {row.name for row in TABLE
+                if row.kind == "cli" and row.parse is not bool}
 
 
 def _merge_negative_values(argv):
@@ -643,7 +658,7 @@ def _read_points(args, spec: ProblemSpec) -> None:
     """Each point option given replaced by its entries, checked against
     the problem's sizes (the parser reads the other values)."""
     sizes = _sizes(spec)
-    for row in ROWS[args.command]:
+    for row in ROWS[args.verb]:
         text = getattr(args, row.name[2:]) if row.size else None
         if text is not None:
             setattr(args, row.name[2:], _array(
@@ -667,13 +682,10 @@ def _sampled(checked: int, ok: bool, yes: str, no: str, details: dict):
 def _dispatch(args) -> tuple[int, str, dict]:
     spec = load_problem(args.problem)
     _read_points(args, spec)
-    x = getattr(args, "at", None)
-    hull = args.command == "subdiff" or getattr(args, "action", "") == "check"
-    mode = args.mode = getattr(args, "mode", None) or (
-        "hull" if hull else "limiting")
-    use_fx = args.fixtures = getattr(args, "fixtures", False)
+    verb, mode, use_fx = args.verb, args.mode, args.fixtures
 
-    if args.command == "feasible":
+    if verb == "feasible":
+        x = args.at
         acts = compute_active_sets(spec, x) if spec.constraints else None
         tol = spec.feas_tol if args.tol is None else args.tol
         ok = spec.omega.contains(x) and (acts is None or acts.phi <= tol)
@@ -683,7 +695,7 @@ def _dispatch(args) -> tuple[int, str, dict]:
             details["phi_i"] = acts.phis
         return _settled(ok, "FEASIBLE", "INFEASIBLE", details)
 
-    if args.command == "raster":
+    if verb == "raster":
         r = raster(spec, args.region, args.res)
         csv_text = r.to_csv()
         details = {"region": args.region, "res": args.res,
@@ -696,39 +708,36 @@ def _dispatch(args) -> tuple[int, str, dict]:
             details["csv"] = csv_text
         return 0, "RASTER-WRITTEN", details
 
-    if args.command == "subdiff":
-        name = args.target
+    if verb == "subdiff":
+        name, x = args.target, args.at
+        con = None if name in spec.objective_names else spec.constraint(name)
+        if args.scenario is not None and not (con and con.has_uncertainty):
+            raise LoadError(f"--scenario fixes v, and {name} does not use v")
         fx = spec.fixture_for(name, x) if use_fx else None
         if fx is not None:
             return 0, "SET-COMPUTED", {"target": name, "set": fx,
                                        "provenance": "fixture"}
-        if name in spec.objective_names:
-            res = limiting_subdiff(spec.objective(name), x, None, mode,
-                                   spec.kink_tol)
+        expr = spec.objective(name) if con is None else con.expr
+        if con is None or args.scenario is not None:
+            res = limiting_subdiff(expr, x, args.scenario, mode, spec.kink_tol)
         else:
-            con = spec.constraint(name)
-            if con.has_uncertainty and args.scenario is not None:
-                res = limiting_subdiff(con.expr, x, args.scenario, mode,
-                                       spec.kink_tol)
-            else:
-                _, actives = scenario_envelope(con, x, spec.vgrid)
-                res = sup_rule(con, x, actives, mode, spec.kink_tol)
+            _, actives = scenario_envelope(con, x, spec.vgrid)
+            res = sup_rule(con, x, actives, mode, spec.kink_tol)
         details = {"target": name, "set": res.set, "exactness": res.exactness,
                    "rules": list(res.rules), "provenance": "engine"}
         return 0, "SET-COMPUTED", details
 
-    if args.command == "cq":
-        rep = check_cq(spec, x, use_fixtures=use_fx)
+    if verb == "cq":
+        rep = check_cq(spec, args.at, use_fixtures=use_fx)
         return _settled(rep.holds, "CQ-HOLDS", "CQ-FAILS", vars(rep))
 
-    if args.command == "kkt":
-        if args.action == "check":
-            if not args.cert:
-                raise LoadError("kkt check requires --cert")
-            cert = load_certificate(args.cert, spec)
-            rep = check_kkt(spec, x, cert, args.tol, mode, use_fx)
-            return _settled(rep.valid, "VALID", "INVALID", vars(rep))
-        rep = search_kkt(spec, x, mode, use_fx, tol=args.tol)
+    if verb == "kkt check":
+        cert = load_certificate(args.cert, spec)
+        rep = check_kkt(spec, args.at, cert, args.tol, mode, use_fx)
+        return _settled(rep.valid, "VALID", "INVALID", vars(rep))
+
+    if verb == "kkt search":
+        rep = search_kkt(spec, args.at, mode, use_fx, tol=args.tol)
         if rep.found:
             details = {"certificate": rep.certificate.to_jsonable(),
                        "recheck": vars(rep.recheck),
@@ -739,15 +748,21 @@ def _dispatch(args) -> tuple[int, str, dict]:
         return 1, "NONE-FOUND", {"active_indices": rep.active_indices,
                                  "selections_tried": rep.selections_tried}
 
-    if args.command == "fuzzy":
-        rep = fuzzy_kkt_demo(spec, x, args.ystar, args.eta,
+    if verb == "fuzzy":
+        rep = fuzzy_kkt_demo(spec, args.at, args.ystar, args.eta,
                              args.radius, args.grid_n, mode=mode)
         if rep.found:
             return 0, "WITNESS-FOUND", vars(rep.witness)
         return 2, "NONE-FOUND", {"diagnostic": rep.diagnostic}
 
-    if args.command == "pseudoconvex":
-        if args.witness:
+    if verb == "pseudoconvex":
+        x, sizes = args.at, {"grid": args.grid, "y_resolution": args.y_res}
+        if args.witness is not None:
+            for flag, value in [("--region", args.region),
+                                ("--grid", args.grid), ("--y-res", args.y_res)]:
+                if value is not None:
+                    raise LoadError(f"{flag} is an option of the sweep, "
+                                    "not of --witness")
             witness = _fields("witness",
                               json.loads(Path(args.witness).read_text()), spec)
             rep = witnessed_failure_check(spec, x, args.type, witness, mode,
@@ -757,8 +772,9 @@ def _dispatch(args) -> tuple[int, str, dict]:
                 certify.refuse_unread_fixtures(spec, x, [
                     *spec.objective_names, *(c.name for c in spec.constraints)
                 ], "the pseudo-convexity sweep")
-            rep = pseudoconvex_test(spec, x, args.type, args.region,
-                                    args.grid, args.y_res, mode)
+            rep = pseudoconvex_test(spec, x, args.type, args.region, mode=mode,
+                                    **{k: v for k, v in sizes.items()
+                                       if v is not None})
         counts = Counter(v.verdict for v in rep.verdicts)
         details = {"counts": counts, "lp_optimum": rep.lp_optimum,
                    "samples": len(rep.verdicts)}
@@ -768,50 +784,44 @@ def _dispatch(args) -> tuple[int, str, dict]:
             return 0, "VERIFIED", details
         return 2, "INCONCLUSIVE", details
 
-    if args.command == "efficiency":
-        rep = classify_point(spec, x, args.kind, args.region, args.res)
+    if verb == "efficiency":
+        rep = classify_point(spec, args.at, args.kind, args.region, args.res)
         return _sampled(rep.feasible_checked, rep.no_counterexample,
                         "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", vars(rep))
 
-    if args.command == "duality":
-        if args.action == "strong":
-            if x is None:
-                raise LoadError("duality strong requires --at")
-            rep = strong_duality_from(spec, x, mode, use_fx)
-            details = {"triple": rep.triple.to_jsonable(),
-                       "feasibility": vars(rep.feasibility)}
-            return _settled(rep.feasibility.feasible, "FEASIBLE", "INFEASIBLE",
-                            details)
-        if args.action == "weak":
-            if args.region is None:
-                raise LoadError("duality weak requires --region")
-            if args.triples:
-                docs = json.loads(Path(args.triples).read_text())
-                if not isinstance(docs, list):
-                    raise LoadError("triples file must be a list")
-                triples = [load_triple(doc, spec) for doc in docs]
-            elif x is None:
-                raise LoadError("duality weak needs --triples or --at")
-            else:
-                triples = [strong_duality_from(spec, x, mode, use_fx).triple]
-            samples = generate_feasible_samples(spec, args.region,
-                                                args.samples)
-            rep = weak_duality_check(spec, samples, triples, args.kind,
-                                     mode, use_fx)
-            details = {"pairs_checked": rep.pairs_checked,
-                       "violation": rep.violation}
-            return _settled(rep.no_violation, "NO-VIOLATION", "VIOLATION",
-                            details)
-        if not args.triple or args.region is None:
-            raise LoadError("duality converse requires --triple and --region")
-        triple = load_triple(json.loads(Path(args.triple).read_text()), spec)
-        rep = converse_duality_check(spec, triple, args.kind, args.region,
-                                     args.res, mode, use_fx)
-        details = {"kind": rep.kind, "efficiency": vars(rep.efficiency)}
-        return _sampled(rep.efficiency.feasible_checked, rep.consistent,
-                        "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", details)
+    if verb == "duality strong":
+        rep = strong_duality_from(spec, args.at, mode, use_fx)
+        details = {"triple": rep.triple.to_jsonable(),
+                   "feasibility": vars(rep.feasibility)}
+        return _settled(rep.feasibility.feasible, "FEASIBLE", "INFEASIBLE",
+                        details)
 
-    raise LoadError(f"unknown command {args.command}")
+    if verb == "duality weak":
+        if (args.at is None) == (args.triples is None):
+            raise LoadError("duality weak takes exactly one of --at and "
+                            "--triples")
+        if args.triples is not None:
+            docs = json.loads(Path(args.triples).read_text())
+            if not isinstance(docs, list):
+                raise LoadError("triples file must be a list")
+            triples = [load_triple(doc, spec) for doc in docs]
+        else:
+            triples = [strong_duality_from(spec, args.at, mode, use_fx).triple]
+        samples = generate_feasible_samples(spec, args.region, args.samples)
+        rep = weak_duality_check(spec, samples, triples, args.kind, mode,
+                                 use_fx)
+        details = {"pairs_checked": rep.pairs_checked,
+                   "violation": rep.violation}
+        return _settled(rep.no_violation, "NO-VIOLATION", "VIOLATION",
+                        details)
+
+    # duality converse
+    triple = load_triple(json.loads(Path(args.triple).read_text()), spec)
+    rep = converse_duality_check(spec, triple, args.kind, args.region,
+                                 args.res, mode, use_fx)
+    details = {"kind": rep.kind, "efficiency": vars(rep.efficiency)}
+    return _sampled(rep.efficiency.feasible_checked, rep.consistent,
+                    "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", details)
 
 
 def main(argv=None) -> int:

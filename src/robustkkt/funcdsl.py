@@ -463,7 +463,10 @@ def _split_negative(t: Expr) -> Expr | None:
     if t.kind == "const" and t.value < 0:
         return const(-t.value)
     if t.kind == "prod" and t.children[0].kind == "const" and t.children[0].value < 0:
-        return mul(const(-t.children[0].value), *t.children[1:])
+        # the factors as they stand: mul would fold a 0 among them away
+        lead = -t.children[0].value
+        kids = t.children[1:] if lead == 1 else (const(lead), *t.children[1:])
+        return kids[0] if len(kids) == 1 else Expr("prod", children=kids)
     return None
 
 

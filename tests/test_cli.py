@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -21,6 +22,12 @@ from robustkkt.cli import (
 )
 from robustkkt.funcdsl import MAX_NESTING
 from robustkkt.subdiff import direct_subdiff
+
+from helpers import Reached, _reach
+from test_inputs import BASE, CERT, TRIPLE, verbs
+
+WITNESS = str(resolve_problem_path("example_2_2").parent
+              / "example_2_2_witness.json")
 
 
 def run_json(capsys, argv):
@@ -338,7 +345,8 @@ fixture = f1 @ 0,0 : {(0,2)}
         argv = ["duality", action, "--problem", str(problem),
                 "--triple" if action == "converse" else "--triples",
                 str(path), "--kind", "I", "--region", "-1,1,-1,1",
-                "--res", "21", "--samples", "50"]
+                *(["--res", "21"] if action == "converse"
+                  else ["--samples", "50"])]
         code, doc = run_json(capsys, argv)
         assert code == 3 and "dual-feasible" in doc["error"]
         flags = ["--mode", "hull"] if flag == "--mode" else ["--fixtures"]
@@ -377,8 +385,9 @@ fixture = f1 @ 0,0 : {(0,2)}
         path.write_text(json.dumps(doc if action == "converse" else [doc]))
         code, out = run_json(capsys, [
             "duality", action, "--problem", "example_3_5", option, str(path),
-            "--kind", "I", "--region", "-3,3,-4,1", "--res", "21",
-            "--samples", "20"])
+            "--kind", "I", "--region", "-3,3,-4,1",
+            *(["--res", "21"] if action == "converse"
+              else ["--samples", "20"])])
         assert code == 3
         assert out["error"] == error
 
@@ -563,9 +572,29 @@ fixture = f1 @ 0,0 : {(0,2)}
         (["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
           "--type", "I", "--region", "-1,1,-1,1", "--y-res", "0"],
          "--y-res 0 is below 1"),
+        # options read alone but not together, and a --scenario that the
+        # target cannot read: each was dropped without a word, with the
+        # affirmative verdict of the rest (WITNESSED-FAILURE, NO-VIOLATION
+        # from the --triples, SET-COMPUTED); weak duality with neither
+        # --at nor --triples was refused before too
+        *[(["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+            "--type", "II", "--witness", WITNESS, flag, value],
+           f"{flag} is an option of the sweep, not of --witness")
+          for flag, value in [("--region", "-1,1,-1,1"), ("--grid", "21"),
+                              ("--y-res", "24")]],
+        *[(["duality", "weak", "--problem", "example_3_5", "--region",
+            "-3,3,-4,1", *given],
+           "duality weak takes exactly one of --at and --triples")
+          for given in [["--at", "0,0", "--triples", TRIPLE], []]],
+        *[(["subdiff", "--problem", problem, "--target", target, "--at",
+            "0,0", "--scenario", "0.5"],
+           f"--scenario fixes v, and {target} does not use v")
+          for problem, target in [("example_3_2", "f2"), ("V_FREE", "g1")]],
     ])
-    def test_bad_option_values_refused(self, capsys, argv, error):
-        code, doc = run_json(capsys, argv)
+    def test_bad_option_values_refused(self, capsys, tmp_path, argv, error):
+        v_free = _problem(tmp_path, '"x1 - 1"')
+        code, doc = run_json(capsys, [v_free if a == "V_FREE" else a
+                                      for a in argv])
         assert code == 3 and doc["error"] == error
 
     @pytest.mark.parametrize("argv, error", [
@@ -906,15 +935,6 @@ fixture = f1 @ 0,0 : {(0,2)}
         assert code == 0 and out["details"]["point"] == [0.0, 0.0]
 
 
-class Reached(BaseException):
-    """Raised by a stub in place of the command's allocating call; not an
-    Exception, so run_command's internal-fault exit 4 lets it through."""
-
-
-def _reach(*args, **kwargs):
-    raise Reached
-
-
 LIMITED = [
     ("res", "raster", ["raster", "--problem", "example_3_2",
                        "--region", "-5,1,-5,5", "--res"]),
@@ -1147,31 +1167,126 @@ class TestSizeLimits:
             capsys.readouterr()
 
 
-# commands that read neither flag, or only one: each refuses the other
-UNREAD_FLAGS = {
-    "feasible": (["--problem", "example_3_2", "--at", "0,0"],
-                 ["--mode", "--fixtures"]),
-    "raster": (["--problem", "example_3_2", "--region", "-1,1,-1,1",
-                "--res", "3"], ["--mode", "--fixtures"]),
-    "efficiency": (["--problem", "example_3_2", "--at", "0,0", "--kind",
-                    "weak", "--region", "-1,1,-1,1", "--res", "3"],
-                   ["--mode", "--fixtures"]),
-    "cq": (["--problem", "example_3_2", "--at", "0,0"], ["--mode"]),
-    "fuzzy": (["--problem", "example_3_2", "--at", "0,0", "--ystar",
-               "0.3535,0,0.3535", "--eta", "0.1"], ["--fixtures"]),
-}
+# ---------------------------------------------------------------------------
+# Every verb against every command-line option, generated from cli.TABLE
+# ---------------------------------------------------------------------------
+
+FLAGS = list(dict.fromkeys(row.name for row in cli.TABLE if row.kind == "cli"))
+SWITCHES = {row.name for row in cli.TABLE if row.parse is bool}
+READS = {(verb, row.name) for row in cli.TABLE if row.kind == "cli"
+         for verb in verbs(row)}
+# the files and names a text option is given
+TEXT = {"--out": "out.csv", "--target": "g2", "--cert": CERT,
+        "--witness": WITNESS, "--triple": TRIPLE, "--triples": "triples.json"}
+# options a verb reads, but not together: the option given drops the
+# others from the verb's base argv (test_bad_option_values_refused
+# refuses the pairs)
+APART = {("pseudoconvex", "--witness"): ("--region", "--grid", "--y-res"),
+         ("duality weak", "--triples"): ("--at",)}
+
+
+def _value(verb: str, flag: str, base: list[str]) -> tuple[list[str], object]:
+    """The tokens that give flag a value other than the verb's default
+    and its base argv's, and the value the parser reads from them."""
+    row = next(r for r in cli.ROWS[verb] if r.name == flag)
+    if row.parse is bool:
+        return [flag], True
+    if row.size:
+        text = {"d": "0.5,0", "p": "0.5,0,0.5", "2d": "-1,1,-1,1"}[
+            row.size[0]]
+        return [f"{flag}={text}"], np.array(
+            [float(t) for t in text.split(",")])
+    if isinstance(row.parse, tuple):
+        given = base[base.index(flag) + 1] if flag in base else None
+        text = next(w for w in row.parse if w not in (row.default, given))
+    elif row.parse:
+        text = "3" if row.parse is cli._integer else "0.5"
+    else:
+        text = base[base.index(flag) + 1] if flag == "--problem" \
+            else TEXT[flag]
+        return [f"{flag}={text}"], text
+    return [f"{flag}={text}"], cli._read(row, text)
+
+
+def _same(a, value) -> bool:
+    if isinstance(value, np.ndarray):
+        return isinstance(a, np.ndarray) and a.shape == value.shape \
+            and bool(np.all(a == value))
+    return type(a) is type(value) and a == value
+
+
+def _spy_calls(monkeypatch, value):
+    """Stand a spy in for every library function cli calls, and for Path:
+    it raises Reached when an argument is value, and else calls through."""
+    def spy(fn):
+        def call(*args, **kwargs):
+            if any(_same(a, value) for a in (*args, *kwargs.values())):
+                raise Reached
+            return fn(*args, **kwargs)
+        return call
+
+    for name, obj in vars(cli).items():
+        if name == "Path" or inspect.isfunction(obj) and obj.__module__ \
+                .startswith("robustkkt.") and obj.__module__ != cli.__name__:
+            monkeypatch.setattr(cli, name, spy(obj))
+
+
+def _without(argv: list[str], flags) -> list[str]:
+    """argv with each of flags and its value taken out."""
+    out = list(argv)
+    for flag in flags:
+        if flag in out:
+            at = out.index(flag)
+            del out[at:at + (1 if flag in SWITCHES else 2)]
+    return out
+
+
+def _report(capsys, argv) -> dict:
+    run_command(argv)
+    doc = json.loads(capsys.readouterr().out)
+    doc.pop("config", None)
+    return doc
+
+
+@pytest.mark.parametrize("verb, flag", sorted(READS), ids=[
+    f"{verb or 'before-the-command'}-{flag}" for verb, flag in sorted(READS)])
+def test_listed_flag_is_read(capsys, monkeypatch, tmp_path, verb, flag):
+    """A flag the verb lists reaches it: a spy on the library calls (or
+    on Path, for a file) sees its value, or else the report, config
+    aside, differs from the report without it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triples.json").write_text(
+        "[" + Path(TRIPLE).read_text() + "]")
+    base = BASE[verb or "feasible"][0]
+    tokens, value = _value(verb, flag, base)
+    argv = _without(base, [flag, *APART.get((verb, flag), ())])
+    argv = tokens + argv if not verb else argv + tokens
+    _spy_calls(monkeypatch, value)
+    try:
+        seen = _report(capsys, argv)
+    except Reached:
+        return
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)
+    assert seen != _report(capsys, _without(base, APART.get((verb, flag),
+                                                            ())))
 
 
 @pytest.mark.parametrize("command, flag", [
-    (c, f) for c, (_, flags) in UNREAD_FLAGS.items() for f in flags])
+    (verb, flag) for verb in cli.COMMANDS for flag in FLAGS
+    if (verb, flag) not in READS])
 def test_unread_flag_is_refused(capsys, command, flag):
-    """A flag the command would echo in its config but never read is a
-    usage error (exit 3, naming the flag); without it the config echoes
-    the defaults, as before."""
-    argv = [command, *UNREAD_FLAGS[command][0]]
-    value = ["hull"] if flag == "--mode" else []
+    """A flag the verb does not list is a usage error (exit 3, naming the
+    flag); without it, the config of a verb that does not read --mode or
+    --fixtures echoes the flag's default."""
+    argv = BASE[command][0]
+    row = next(r for r in cli.TABLE if r.name == flag)
+    value = [] if row.parse is bool else ["1"]
     assert run_command(argv + [flag, *value]) == 3
     assert flag in capsys.readouterr().err
-    code, doc = run_json(capsys, argv)
-    assert code in (0, 1, 2)
-    assert doc["config"] == {"fixtures": False, "mode": "limiting"}
+    if flag in ("--mode", "--fixtures"):
+        code, doc = run_json(capsys, argv)
+        assert code in (0, 1, 2)
+        assert doc["config"][flag[2:]] == {"--mode": "limiting",
+                                           "--fixtures": False}[flag]
+

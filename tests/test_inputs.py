@@ -24,36 +24,61 @@ from robustkkt import cli
 from robustkkt.cli import TABLE, load_problem, resolve_problem_path, \
     run_command
 
-from test_cli import Reached, _reach
+from helpers import Reached, _reach
 
 FIXTURES = resolve_problem_path("example_3_2").parent
 CERT = str(FIXTURES / "example_3_2.cert.json")
+TRIPLE = str(Path(__file__).parent / "golden" / "triple_3_5.json")
 
-# per command: an argv with every required option valid, and the call
-# that stands in for the command's work
+# per verb: an argv with every required option valid, and the call that
+# stands in for the verb's work
 BASE = {
-    "feasible": (["feasible", "--problem", "example_3_2", "--at", "0,0"],
+    "feasible": (["feasible", "--problem", "example_3_2", "--at", "0.01,0"],
                  "compute_active_sets"),
     "raster": (["raster", "--problem", "example_3_2",
                 "--region", "-5,1,-5,5"], "raster"),
     "subdiff": (["subdiff", "--problem", "example_3_2", "--target", "g1",
                  "--at", "0,0"], "limiting_subdiff"),
     "cq": (["cq", "--problem", "example_3_2", "--at", "0,0"], "check_cq"),
-    "kkt": (["kkt", "check", "--problem", "example_3_2", "--at", "0,0",
-             "--cert", CERT, "--fixtures"], "check_kkt"),
+    "kkt check": (["kkt", "check", "--problem", "example_3_2", "--at", "0,0",
+                   "--cert", CERT, "--fixtures"], "check_kkt"),
+    "kkt search": (["kkt", "search", "--problem", "example_3_5", "--at",
+                    "0,0"], "search_kkt"),
     "fuzzy": (["fuzzy", "--problem", "example_3_2", "--at", "0,0",
                "--ystar", "0.3535,0,0.3535", "--eta", "0.1"],
               "fuzzy_kkt_demo"),
-    "pseudoconvex": (["pseudoconvex", "--problem", "example_2_2", "--at",
+    "pseudoconvex": (["pseudoconvex", "--problem", "example_3_5", "--at",
                       "0,0", "--type", "I", "--region", "-2,2,-2,2"],
                      "pseudoconvex_test"),
     "efficiency": (["efficiency", "--problem", "example_3_2", "--at", "0,0",
                     "--kind", "weak-quasi", "--region", "-5,1,-5,5"],
                    "classify_point"),
-    "duality": (["duality", "weak", "--problem", "example_3_5", "--at",
-                 "0,0", "--region", "-3,3,-4,1"],
-                "generate_feasible_samples"),
+    "duality weak": (["duality", "weak", "--problem", "example_3_5", "--at",
+                      "0,0", "--region", "-3,3,-4,1"],
+                     "generate_feasible_samples"),
+    "duality strong": (["duality", "strong", "--problem", "example_3_5",
+                        "--at", "0,0"], "strong_duality_from"),
+    "duality converse": (["duality", "converse", "--problem", "example_3_5",
+                          "--triple", TRIPLE, "--region", "-3,3,-4,1"],
+                         "converse_duality_check"),
 }
+
+
+def verbs(row) -> list[str]:
+    """The verbs that read a command-line row, "" for an option given
+    before the command's name."""
+    return [verb.rstrip("!") for verb in row.commands.split(", ")]
+
+
+def per_command(rows):
+    """(row, verb) for the first verb of each command that reads the row:
+    a row reads its value alike for each verb."""
+    seen = set()
+    for row in rows:
+        for verb in verbs(row):
+            if verb and (row.name, verb.split()[0]) not in seen:
+                seen.add((row.name, verb.split()[0]))
+                yield row, verb
 
 
 def _numeric(row) -> bool:
@@ -76,15 +101,13 @@ def _bad_values(row) -> list[str]:
     return out
 
 
-def _cli_cases():
-    for row in TABLE:
-        if row.kind == "cli" and (_numeric(row) or row.size):
-            for command in row.commands.split():
-                yield row, command.rstrip("!")
+CLI_CASES = list(per_command(
+    row for row in TABLE if row.kind == "cli" and (_numeric(row) or row.size)))
+CLI_IDS = [f"{verb.split()[0]}{row.name}" for row, verb in CLI_CASES]
 
 
-def _argv(command: str, flag: str, value: str) -> list[str]:
-    argv = list(BASE[command][0])
+def _argv(verb: str, flag: str, value: str) -> list[str]:
+    argv = list(BASE[verb][0])
     if flag in argv:
         del argv[argv.index(flag):argv.index(flag) + 2]
     return argv + [f"{flag}={value}"]
@@ -96,12 +119,8 @@ def _run(capsys, argv):
     return code, (json.loads(out)["error"] if out else err)
 
 
-CLI_CASES = list(_cli_cases())
-CLI_IDS = [f"{command}{row.name}" for row, command in CLI_CASES]
-
-
-@pytest.mark.parametrize("row, command", CLI_CASES, ids=CLI_IDS)
-def test_option_refused(capsys, row, command):
+@pytest.mark.parametrize("row, verb", CLI_CASES, ids=CLI_IDS)
+def test_option_refused(capsys, row, verb):
     if row.size:
         base = {"d": ["0", "0"], "p": ["0.5", "0", "0.5"],
                 "2d": ["-1", "1", "-1", "1"]}[row.size[0]]
@@ -112,34 +131,40 @@ def test_option_refused(capsys, row, command):
     else:
         cases = [(value, row.name) for value in _bad_values(row)]
     for value, named in cases:
-        code, error = _run(capsys, _argv(command, row.name, value))
+        code, error = _run(capsys, _argv(verb, row.name, value))
         assert code == 3, (value, error)
         assert named in error, (value, error)
 
 
-@pytest.mark.parametrize("row, command", [
+@pytest.mark.parametrize("row, verb", [
     case for case in CLI_CASES if _bounded(case[0])],
     ids=[i for i, case in zip(CLI_IDS, CLI_CASES) if _bounded(case[0])])
-def test_option_bounds_reach_the_command(capsys, monkeypatch, row, command):
-    monkeypatch.setattr(cli, BASE[command][1], _reach)
+def test_option_bounds_reach_the_command(capsys, monkeypatch, row, verb):
+    monkeypatch.setattr(cli, BASE[verb][1], _reach)
     for bound in (row.least, row.most):
         with pytest.raises(Reached):
-            run_command(_argv(command, row.name, _text(bound)))
+            run_command(_argv(verb, row.name, _text(bound)))
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("row, command", [
-    (row, command.rstrip("!")) for row in TABLE
-    if row.kind == "cli" and isinstance(row.parse, tuple)
-    for command in row.commands.split()],
-    ids=lambda case: getattr(case, "name", case))
-def test_word_not_allowed(capsys, row, command):
-    if row.name == "action":
-        argv = [command, "bogus", *BASE[command][0][2:]]
+# each word row once per command, and for kkt and duality a verb that
+# the command does not have (argparse's dest for the verb is "action")
+WORD_CASES = [(row.name, verb) for row, verb in per_command(
+    r for r in TABLE if r.kind == "cli" and isinstance(r.parse, tuple))]
+WORD_CASES += [("action", command) for command in sorted(
+    {verb.split()[0] for verb in cli.COMMANDS if " " in verb})]
+
+
+@pytest.mark.parametrize("name, verb", WORD_CASES,
+                         ids=[f"{n}-{v.split()[0]}" for n, v in WORD_CASES])
+def test_word_not_allowed(capsys, name, verb):
+    if name == "action":
+        argv = [verb, "bogus", "--problem", "example_3_2"]
     else:
-        argv = _argv(command, row.name, "bogus")
+        argv = _argv(verb, name, "bogus")
     code, error = _run(capsys, argv)
-    assert code == 3 and row.name.lstrip("-") in error
+    assert code == 3 and name.lstrip("-") in error
+    assert "invalid choice: 'bogus'" in error or "must be one of" in error
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +393,10 @@ def readme_line(row) -> str:
     """The line of README's option tables for one row."""
     if row.kind == "cli":
         name = f"`{row.name}`"
-        commands = row.commands.split()
-        required = ", ".join(c[:-1] for c in commands if c.endswith("!"))
-        optional = ", ".join(c for c in commands if not c.endswith("!"))
-        where = f"{required or '—'} | {optional or '—'}" if commands \
+        listed = row.commands.split(", ") if row.commands else []
+        required = ", ".join(c[:-1] for c in listed if c.endswith("!"))
+        optional = ", ".join(c for c in listed if not c.endswith("!"))
+        where = f"{required or '—'} | {optional or '—'}" if listed \
             else "— | every command, before its name"
     else:
         name = f"`[{row.name}]` entries" if row.kind == "count" \

@@ -214,6 +214,24 @@ class TestEdgeCases:
         else:
             assert kind == "value"
 
+    def test_zero_factor_keeps_its_atom_apart(self):
+        """A hand-built product -1*0*x1 in a sum printed as "- 0", so the
+        kink max(1 - 0*x1, 1) shared the atom key of the x-free
+        max(1 - 0, 1): the recursive walk gave a set, the compiled walk
+        refused the product."""
+        x1, x2 = Expr("coord", index=1), Expr("coord", index=2)
+
+        def tied(*factors):
+            return Expr("max", children=(Expr("sum", children=(
+                _const(1), Expr("prod", children=(_const(-1), *factors)))),
+                _const(1)))
+
+        e = Expr("sum", children=(tied(_const(0)), Expr("prod", children=(
+            tied(_const(0), x1), Expr("abs", children=(x2,))))))
+        assert str(e) == "max(1 - 0, 1) + max(1 - 0*x1, 1)*abs(x2)"
+        assert assert_same(e, [0.0, 0.0]) == (
+            "raised", UnsupportedStructureError)
+
     def test_reciprocal_slope_overflow_is_a_domain_fault(self):
         e = parse_expr("1/x1 + x1", 1)
         # the oracle's outcome; assert_same holds the walker to DomainError
