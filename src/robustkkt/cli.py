@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -316,20 +317,27 @@ _KEYS = {"space": ("dim",), "cone": ("pattern",), "theta": ("value",),
          "omega": ("kind", "bounds")}
 
 
-def _parse_polytope_set(text: str, lineno: int) -> PolytopeSet:
+class _FixtureRefusal(Exception):
+    """Fixture text refused; load_problem names the line that holds it."""
+
+
+@lru_cache(maxsize=256)
+def _parse_polytope_set(text: str) -> PolytopeSet:
+    """The union a fixture's text declares, read once per text: its
+    polytopes are read-only, so every load of the text shares them."""
     comps = []
     for chunk in text.split("|"):
         chunk = chunk.strip()
         if not (chunk.startswith("{") and chunk.endswith("}")):
-            raise LoadError("fixture component must be {(..), (..)}", lineno)
+            raise _FixtureRefusal("fixture component must be {(..), (..)}")
         body = chunk[1:-1].strip()
         verts = []
         for m in re.finditer(r"\(([^()]*)\)", body):
             verts.append([parse_scalar(t) for t in m.group(1).split(",")])
         if not verts:
-            raise LoadError("fixture component has no vertices", lineno)
+            raise _FixtureRefusal("fixture component has no vertices")
         if len({len(v) for v in verts}) > 1:
-            raise LoadError("fixture vertices differ in length", lineno)
+            raise _FixtureRefusal("fixture vertices differ in length")
         comps.append(Polytope(np.array(verts)))
     return PolytopeSet(comps)
 
@@ -483,8 +491,12 @@ def load_problem(path) -> ProblemSpec:
         if name not in declared:
             raise LoadError(f"fixture references undeclared function {name!r}",
                             lineno)
-        fixtures.append(FixtureSet(name, parse_vector(m.group("pt")),
-                                   _parse_polytope_set(m.group("sets"), lineno)))
+        point = parse_vector(m.group("pt"))
+        try:
+            pset = _parse_polytope_set(m.group("sets"))
+        except _FixtureRefusal as exc:
+            raise LoadError(str(exc), lineno) from None
+        fixtures.append(FixtureSet(name, point, pset))
 
     # only the options the file gives: ProblemSpec holds the defaults
     rows = {row.name: row for row in ROWS["options"]}
@@ -576,26 +588,41 @@ def _hash_file(path) -> str:
 # ---------------------------------------------------------------------------
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """One argument per command-line row, each value read by its row; the
-    points are read once the problem is loaded (_read_points).  Built once
-    per process and shared, so callers must not change it."""
+    points are read once the problem is loaded (_read_points).  With a
+    verb, only that verb's parser is built, and the usage lines still name
+    every command, so texts and results on that verb's command lines are
+    the full parser's.  Built once per process and verb and shared, so
+    callers must not change it."""
+    verbs = list(COMMANDS) if verb is None else [verb]
+
+    def names(command: str) -> list[str]:
+        return list(dict.fromkeys(v.removeprefix(command).split()[0]
+                                  for v in COMMANDS if v.startswith(command)))
+
+    def add_subparsers(parser, command: str, dest: str):
+        # the full parser's usage shows the choices it holds
+        metavar = None if verb is None else "{%s}" % ",".join(names(command))
+        return parser.add_subparsers(dest=dest, required=True,
+                                     metavar=metavar)
+
     ap = argparse.ArgumentParser(
         prog="robustkkt", allow_abbrev=False,
         description="Verification toolkit for nonsmooth robust "
                     "multiobjective optimization")
-    subs = {"": ap.add_subparsers(dest="command", required=True)}
+    subs = {"": add_subparsers(ap, "", "command")}
     parsers = {"": ap}
-    for verb, text in COMMANDS.items():
-        command, _, action = verb.rpartition(" ")
+    for name in verbs:
+        command, _, action = name.rpartition(" ")
         if command not in subs:  # kkt and duality: a parser per verb
-            subs[command] = subs[""].add_parser(command, help=", ".join(
-                v.split()[1] for v in COMMANDS if v.startswith(command + " "))
-            ).add_subparsers(dest="action", required=True)
-        parsers[verb] = subs[command].add_parser(action, help=text,
+            subs[command] = add_subparsers(subs[""].add_parser(
+                command, help=", ".join(names(command + " "))),
+                command + " ", "action")
+        parsers[name] = subs[command].add_parser(action, help=COMMANDS[name],
                                                  allow_abbrev=False)
         # a report's config echoes these for a verb that reads no such flag
-        parsers[verb].set_defaults(verb=verb, mode="limiting", fixtures=False)
+        parsers[name].set_defaults(verb=name, mode="limiting", fixtures=False)
     for row in TABLE:
         if row.kind != "cli":
             continue
@@ -605,10 +632,24 @@ def build_parser() -> argparse.ArgumentParser:
         elif row.parse and not row.size:  # _read refuses a bad word first
             kw.update(type=partial(_read, row), default=row.default,
                       choices=row.parse if type(row.parse) is tuple else None)
-        for verb in row.commands.split(", "):
-            kw["required"] = verb.endswith("!")
-            parsers[verb.rstrip("!")].add_argument(row.name, **kw)
+        for name in row.commands.split(", "):
+            if name.rstrip("!") in parsers:
+                kw["required"] = name.endswith("!")
+                parsers[name.rstrip("!")].add_argument(row.name, **kw)
     return ap
+
+
+def _argv_verb(argv: list[str]) -> str | None:
+    """The verb of COMMANDS that argv's first one or two words after any
+    --timings name, or None (no verb, or a help flag anywhere), for which
+    build_parser builds every verb."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    words = list(itertools.dropwhile(lambda t: t == "--timings", argv))
+    for name in (" ".join(words[:1]), " ".join(words[:2])):
+        if name in COMMANDS:
+            return name
+    return None
 
 
 _VALUE_FLAGS = {row.name for row in TABLE
@@ -635,7 +676,8 @@ DATA_ERRORS = (LoadError, ProblemError, ExprError, SetCalcError,
 
 def run_command(argv) -> int:
     try:
-        args = build_parser().parse_args(_merge_negative_values(argv))
+        argv = _merge_negative_values(argv)
+        args = build_parser(_argv_verb(argv)).parse_args(argv)
         t0 = time.monotonic()
         code, verdict, details = _dispatch(args)
         timings = time.monotonic() - t0 if args.timings else None
@@ -710,6 +752,9 @@ def _dispatch(args) -> tuple[int, str, dict]:
 
     if verb == "subdiff":
         name, x = args.target, args.at
+        if use_fx and args.scenario is not None:  # a fixture holds no v
+            raise LoadError("subdiff takes at most one of --scenario and "
+                            "--fixtures")
         con = None if name in spec.objective_names else spec.constraint(name)
         if args.scenario is not None and not (con and con.has_uncertainty):
             raise LoadError(f"--scenario fixes v, and {name} does not use v")

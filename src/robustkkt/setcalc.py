@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +38,15 @@ class DimensionMismatch(SetCalcError):
 # ---------------------------------------------------------------------------
 
 def _dedup_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows in lexicographic order, less each row within VERTEX_TOL
+    (infinity norm) of the last row kept before it; a new array."""
+    if rows.shape[0] <= 1:
+        return rows.copy()
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
+    # no neighbour near (a NaN gap is near): the loop would keep every row
+    if np.all(np.max(np.abs(np.diff(rows, axis=0)), axis=1) > VERTEX_TOL):
+        return rows
     keep = [0]
     for i in range(1, rows.shape[0]):
         if np.max(np.abs(rows[i] - rows[keep[-1]])) > VERTEX_TOL:
@@ -47,15 +55,18 @@ def _dedup_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class Polytope:
-    """Convex polytope given by its vertices (rows of ``vertices``)."""
+    """Convex polytope given by its vertices (rows of ``vertices``), which
+    are read-only, so that one polytope can be shared."""
 
     def __init__(self, vertices, reduce: bool = False):
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
         if V.size == 0:
             raise SetCalcError("polytope needs at least one vertex")
-        self.vertices = _dedup_rows(V)
+        V = _dedup_rows(V)
         if reduce:
-            self.vertices = _extreme_points(self.vertices)
+            V = _extreme_points(V)
+        V.flags.writeable = False
+        self.vertices = V
 
     @property
     def dim(self) -> int:
@@ -262,10 +273,11 @@ def _planar_keep_mask(V: np.ndarray) -> np.ndarray:
 
 
 class PolytopeSet:
-    """Finite union of convex polytopes of a common dimension."""
+    """Finite union of convex polytopes of a common dimension, kept as
+    the tuple ``components``."""
 
     def __init__(self, components):
-        comps = list(components)
+        comps = tuple(components)
         if not comps:
             raise SetCalcError("empty polytope union")
         d = comps[0].dim
@@ -439,8 +451,10 @@ def normal_cone(omega: OmegaSpec, x) -> np.ndarray:
 # Dual-norm balls
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def dual_ball(norm: str, d: int, m: int = 64) -> Polytope:
-    """Unit ball of the dual norm as a polytope.
+    """Unit ball of the dual norm as a polytope, built once per process
+    for each (norm, d, m) and shared.
 
     l1 and linf primal norms give exact boxes/cross-polytopes.  The l2 dual
     ball is approximated by an inscribed polytope, so certificates found

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -24,7 +25,8 @@ from robustkkt.funcdsl import MAX_NESTING
 from robustkkt.subdiff import direct_subdiff
 
 from helpers import Reached, _reach
-from test_inputs import BASE, CERT, TRIPLE, verbs
+from test_inputs import BASE, CERT, TRIPLE, WORD_CASES, WORD_IDS, verbs, \
+    word_argv
 
 WITNESS = str(resolve_problem_path("example_2_2").parent
               / "example_2_2_witness.json")
@@ -590,6 +592,10 @@ fixture = f1 @ 0,0 : {(0,2)}
             "0,0", "--scenario", "0.5"],
            f"--scenario fixes v, and {target} does not use v")
           for problem, target in [("example_3_2", "f2"), ("V_FREE", "g1")]],
+        # the fixture's worst-case set came back, and --scenario was dropped
+        (["subdiff", "--problem", "example_3_2", "--target", "g1", "--at",
+          "0,0", "--fixtures", "--scenario", "0.5"],
+         "subdiff takes at most one of --scenario and --fixtures"),
     ])
     def test_bad_option_values_refused(self, capsys, tmp_path, argv, error):
         v_free = _problem(tmp_path, '"x1 - 1"')
@@ -1248,8 +1254,20 @@ def _report(capsys, argv) -> dict:
     return doc
 
 
-@pytest.mark.parametrize("verb, flag", sorted(READS), ids=[
-    f"{verb or 'before-the-command'}-{flag}" for verb, flag in sorted(READS)])
+def _listed_argv(verb: str, flag: str) -> tuple[list[str], object]:
+    """The verb's base argv with flag given a value (before the command
+    for verb ""), and the value the parser reads."""
+    base = BASE[verb or "feasible"][0]
+    tokens, value = _value(verb, flag, base)
+    argv = _without(base, [flag, *APART.get((verb, flag), ())])
+    return (tokens + argv if not verb else argv + tokens), value
+
+
+LISTED_IDS = [f"{verb or 'before-the-command'}-{flag}"
+              for verb, flag in sorted(READS)]
+
+
+@pytest.mark.parametrize("verb, flag", sorted(READS), ids=LISTED_IDS)
 def test_listed_flag_is_read(capsys, monkeypatch, tmp_path, verb, flag):
     """A flag the verb lists reaches it: a spy on the library calls (or
     on Path, for a file) sees its value, or else the report, config
@@ -1258,9 +1276,7 @@ def test_listed_flag_is_read(capsys, monkeypatch, tmp_path, verb, flag):
     (tmp_path / "triples.json").write_text(
         "[" + Path(TRIPLE).read_text() + "]")
     base = BASE[verb or "feasible"][0]
-    tokens, value = _value(verb, flag, base)
-    argv = _without(base, [flag, *APART.get((verb, flag), ())])
-    argv = tokens + argv if not verb else argv + tokens
+    argv, value = _listed_argv(verb, flag)
     _spy_calls(monkeypatch, value)
     try:
         seen = _report(capsys, argv)
@@ -1272,17 +1288,22 @@ def test_listed_flag_is_read(capsys, monkeypatch, tmp_path, verb, flag):
                                                             ())))
 
 
-@pytest.mark.parametrize("command, flag", [
-    (verb, flag) for verb in cli.COMMANDS for flag in FLAGS
-    if (verb, flag) not in READS])
+UNREAD = [(verb, flag) for verb in cli.COMMANDS for flag in FLAGS
+          if (verb, flag) not in READS]
+
+
+def _unread_argv(command: str, flag: str) -> list[str]:
+    row = next(r for r in cli.TABLE if r.name == flag)
+    return BASE[command][0] + [flag, *([] if row.parse is bool else ["1"])]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
 def test_unread_flag_is_refused(capsys, command, flag):
     """A flag the verb does not list is a usage error (exit 3, naming the
     flag); without it, the config of a verb that does not read --mode or
     --fixtures echoes the flag's default."""
     argv = BASE[command][0]
-    row = next(r for r in cli.TABLE if r.name == flag)
-    value = [] if row.parse is bool else ["1"]
-    assert run_command(argv + [flag, *value]) == 3
+    assert run_command(_unread_argv(command, flag)) == 3
     assert flag in capsys.readouterr().err
     if flag in ("--mode", "--fixtures"):
         code, doc = run_json(capsys, argv)
@@ -1290,3 +1311,68 @@ def test_unread_flag_is_refused(capsys, command, flag):
         assert doc["config"][flag[2:]] == {"--mode": "limiting",
                                            "--fixtures": False}[flag]
 
+
+
+def _parsed(capsys, parser, argv):
+    """parser's namespace for argv, its exit code and stderr, or the
+    message of a word that a row refused."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().err
+    except LoadError as exc:
+        return str(exc)
+
+
+PARSE_CASES = [*(_listed_argv(verb, flag)[0] for verb, flag in sorted(READS)),
+               *(_unread_argv(command, flag) for command, flag in UNREAD),
+               *(word_argv(name, verb) for name, verb in WORD_CASES)]
+PARSE_IDS = [*(f"listed-{i}" for i in LISTED_IDS),
+             *(f"unread-{c}{f}" for c, f in UNREAD),
+             *(f"word-{i}" for i in WORD_IDS)]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=PARSE_IDS)
+def test_verb_parser_is_the_full_parser(capsys, argv):
+    """run_command builds only the verb's parser: on each command line of
+    test_listed_flag_is_read, test_unread_flag_is_refused and
+    test_word_not_allowed it gives what the full parser gives.  An
+    unknown verb of kkt or duality builds the full parser."""
+    argv = cli._merge_negative_values(argv)
+    verb = cli._argv_verb(argv)
+    assert (verb is None) == (argv[1] == "bogus")
+    full = _parsed(capsys, cli.build_parser(), argv)
+    assert _parsed(capsys, cli.build_parser(verb), argv) == full
+
+
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("verb", cli.COMMANDS)
+def test_verb_parser_texts(verb):
+    """The usage of the program, and of kkt or duality, and the verb's own
+    help: the same texts as the full parser's."""
+    parsers = [cli.build_parser(verb), cli.build_parser()]
+    assert parsers[0] is not parsers[1]
+    for word in verb.split():
+        assert parsers[0].format_usage() == parsers[1].format_usage()
+        parsers = [_subparsers(p)[word] for p in parsers]
+    assert parsers[0].format_help() == parsers[1].format_help()
+
+
+@pytest.mark.parametrize("argv, verb", [
+    (["feasible", "--problem", "p"], "feasible"),
+    (["--timings", "--timings", "kkt", "search"], "kkt search"),
+    (["duality", "strong", "--at", "0,0"], "duality strong"),
+    (["kkt", "--timings", "check"], None),
+    (["--problem", "p", "feasible"], None),
+    (["-5", "feasible"], None),
+    (["feasible", "--problem", "p", "-h"], None),
+    (["--help", "cq"], None),
+    (["duality"], None),
+    ([], None),
+])
+def test_argv_verb(argv, verb):
+    assert cli._argv_verb(argv) == verb

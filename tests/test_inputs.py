@@ -155,14 +155,20 @@ WORD_CASES += [("action", command) for command in sorted(
     {verb.split()[0] for verb in cli.COMMANDS if " " in verb})]
 
 
-@pytest.mark.parametrize("name, verb", WORD_CASES,
-                         ids=[f"{n}-{v.split()[0]}" for n, v in WORD_CASES])
-def test_word_not_allowed(capsys, name, verb):
+WORD_IDS = [f"{n}-{v.split()[0]}" for n, v in WORD_CASES]
+
+
+def word_argv(name: str, verb: str) -> list[str]:
+    """A command line that gives the word option name (or the verb of
+    kkt or duality) the word bogus."""
     if name == "action":
-        argv = [verb, "bogus", "--problem", "example_3_2"]
-    else:
-        argv = _argv(verb, name, "bogus")
-    code, error = _run(capsys, argv)
+        return [verb, "bogus", "--problem", "example_3_2"]
+    return _argv(verb, name, "bogus")
+
+
+@pytest.mark.parametrize("name, verb", WORD_CASES, ids=WORD_IDS)
+def test_word_not_allowed(capsys, name, verb):
+    code, error = _run(capsys, word_argv(name, verb))
     assert code == 3 and name.lstrip("-") in error
     assert "invalid choice: 'bogus'" in error or "must be one of" in error
 

@@ -76,10 +76,14 @@ def test_equal_texts_share_one_tree_across_files():
 
 
 def test_problem_spec_is_built_fresh_on_every_load():
+    """The spec and its arrays are new on every load; its trees and its
+    read-only fixture sets are shared, as each is a function of its text."""
     a, b = load_problem("example_3_2"), load_problem("example_3_2")
     assert a is not b
     assert a.theta is not b.theta
-    assert a.fixtures[0].pset is not b.fixtures[0].pset
+    assert a.fixtures[0].pset is b.fixtures[0].pset
+    with pytest.raises(ValueError):
+        a.fixtures[0].pset.components[0].vertices[0, 0] = 1.0
     assert all(x is y for x, y in zip(a.objectives, b.objectives,
                                       strict=True))
 
