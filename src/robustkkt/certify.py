@@ -442,22 +442,10 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SampleVerdict:
-    x: np.ndarray
-    verdict: str                # VERIFIED-CANDIDATE-W | VERIFIED-COMMON-W |
-    #                             INCONCLUSIVE | WITNESSED-FAILURE
-    premise_active: int = 0
-    detail: str = ""
-
-    @property
-    def verified(self) -> bool:
-        return self.verdict in ("VERIFIED-CANDIDATE-W", "VERIFIED-COMMON-W")
-
-
-@dataclass
 class PseudoReport:
-    verdicts: list[SampleVerdict]
-    all_verified: bool
+    # one per sample, in sample order: VERIFIED-CANDIDATE-W |
+    # VERIFIED-COMMON-W | INCONCLUSIVE | WITNESSED-FAILURE
+    verdicts: np.ndarray
     lp_optimum: float | None = None   # explicit-witness path only
 
 
@@ -571,7 +559,6 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
 
     con_rows = _constraint_rows(spec, xbar)
     T = len(con_rows)
-    con_base = {t: (row[2], row[3]) for t, row in enumerate(con_rows)}
     con_prem = np.zeros((T, samples.shape[0]), dtype=bool)
     row_cand_ok = np.ones((T, samples.shape[0]), dtype=bool)
     for t, (i, vsc, base, verts) in enumerate(con_rows):
@@ -599,7 +586,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     # one id per distinct premise-row mask (column of con_prem)
     masks, mask_id = np.unique(con_prem.T, axis=0, return_inverse=True)
     mask_id = mask_id.reshape(-1)
-    walls = [_witness_cuts(spec.dim, np.flatnonzero(m).tolist(), con_base, N)
+    walls = [_witness_cuts(spec.dim, np.flatnonzero(m).tolist(), con_rows, N)
              for m in masks]
     geometry = None  # the planar geometry, built when a margin first needs it
     scalarize = Scalarization(spec.objectives, xbar, mode, spec.kink_tol)
@@ -644,31 +631,16 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     for r in sorted(refused):
         if (active[r] & (first > r)).any():  # not failed before y* r
             raise refused[r]
-    needs_margin = (left & (np.arange(M)[:, None] <= first)).any(axis=0)
-    first_fail = np.where(first < M, first, -1)
-    fail_detail = {r: f"no witness margin >= {EPS_STRICT:g} at "
-                      f"y*={np.round(ys[r], 6).tolist()}"
-                   for r in set(first_fail.tolist()) - {-1}}
-
-    verdicts: list[SampleVerdict] = []
-    for x, fail, common, n_active in zip(samples, first_fail.tolist(),
-                                         needs_margin.tolist(),
-                                         active.sum(axis=0).tolist()):
-        if fail >= 0:
-            verdicts.append(SampleVerdict(x, "INCONCLUSIVE", n_active,
-                                          fail_detail[fail]))
-        else:
-            verdicts.append(SampleVerdict(
-                x, "VERIFIED-COMMON-W" if common else "VERIFIED-CANDIDATE-W",
-                n_active))
-    return PseudoReport(verdicts, all(v.verified for v in verdicts))
+    common = (left & (np.arange(M)[:, None] <= first)).any(axis=0)
+    return PseudoReport(np.where(first < M, "INCONCLUSIVE", np.where(
+        common, "VERIFIED-COMMON-W", "VERIFIED-CANDIDATE-W")))
 
 
-def _witness_cuts(d: int, rows_here, con_base, N: np.ndarray) -> np.ndarray:
+def _witness_cuts(d: int, rows_here, con_rows, N: np.ndarray) -> np.ndarray:
     """The rows a with <a, w> <= 0 for an admissible w: the nonzero vertices
-    of the premise-holding constraint rows, then the normal cone's
+    of the premise-holding rows of _constraint_rows, then the normal cone's
     generators N."""
-    cuts = [vert for t in rows_here for vert in con_base[t][1]
+    cuts = [vert for t in rows_here for vert in con_rows[t][3]
             if np.any(vert != 0.0)]
     cuts.extend(N)
     return np.array(cuts).reshape(-1, d)
@@ -938,18 +910,16 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
         premise = margin <= 1e-12 and nrm > 1e-12 and float(
             np.max(np.abs(yv))) > 1e-12
     if not premise:
-        return PseudoReport([SampleVerdict(x, "INCONCLUSIVE", 0,
-                                           "premise not active")], False)
+        return PseudoReport(np.array(["INCONCLUSIVE"]))
     ustar = np.zeros(spec.dim)
     for yj, uj in zip(yv, umat):
         ustar = ustar + float(yj) * uj
     ytheta = float(np.dot(yv, spec.theta))
     rows = _constraint_rows(spec, xbar)
-    con_base = {t: (base, verts) for t, (_, _, base, verts) in enumerate(rows)}
     rows_here = [t for t, (i, vsc, base, _) in enumerate(rows)
                  if eval_expr(spec.constraints[i - 1].expr, x, vsc)
                  <= base + 1e-12]
-    cuts = _witness_cuts(spec.dim, rows_here, con_base,
+    cuts = _witness_cuts(spec.dim, rows_here, rows,
                          normal_cone(spec.omega, xbar))
     pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
     # minimize <u*, w> over all admissible w; failure iff optimum + r >= 0
@@ -970,10 +940,5 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     if not res.feasible:
         raise CertifyError("admissible witness region empty")
     best = res.objective + nrm * ytheta
-    if best >= -1e-12:
-        v = SampleVerdict(x, "WITNESSED-FAILURE", 1,
-                          f"min <u*,w> + r = {best:.3g} >= 0 for all w")
-        return PseudoReport([v], False, lp_optimum=best)
-    v = SampleVerdict(x, "INCONCLUSIVE", 1,
-                      "a witness direction exists for this tuple")
-    return PseudoReport([v], False, lp_optimum=best)
+    return PseudoReport(np.array(["WITNESSED-FAILURE" if best >= -1e-12
+                                  else "INCONCLUSIVE"]), lp_optimum=best)

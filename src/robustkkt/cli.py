@@ -814,18 +814,17 @@ def _dispatch(args) -> tuple[int, str, dict]:
                                           use_fx)
         else:
             if use_fx:
-                certify.refuse_unread_fixtures(spec, x, [
-                    *spec.objective_names, *(c.name for c in spec.constraints)
-                ], "the pseudo-convexity sweep")
+                raise LoadError("--fixtures is an option of --witness, not "
+                                "of the sweep")
             rep = pseudoconvex_test(spec, x, args.type, args.region, mode=mode,
                                     **{k: v for k, v in sizes.items()
                                        if v is not None})
-        counts = Counter(v.verdict for v in rep.verdicts)
+        counts = Counter(rep.verdicts.tolist())
         details = {"counts": counts, "lp_optimum": rep.lp_optimum,
-                   "samples": len(rep.verdicts)}
+                   "samples": rep.verdicts.size}
         if counts["WITNESSED-FAILURE"]:
             return 1, "WITNESSED-FAILURE", details
-        if rep.all_verified and rep.verdicts:
+        if rep.verdicts.size and not counts["INCONCLUSIVE"]:
             return 0, "VERIFIED", details
         return 2, "INCONCLUSIVE", details
 

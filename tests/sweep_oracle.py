@@ -4,8 +4,11 @@ differential tests in test_sweep.py.
 
 ``loop_pseudoconvex_test`` visits each sample, then each y* whose premise
 holds there, in index order, and stops at the first y* without a witness.
-Besides the report it returns the (y* index, premise mask) pairs whose
-normalized margin it solved.
+It returns one ``SampleVerdict`` per sample, the per-sample report the
+sweep gave before its verdicts became one array (the sample, the verdict,
+the number of y* whose premise holds there and, for an INCONCLUSIVE
+sample, the first y* without a witness), and the (y* index, premise mask)
+pairs whose normalized margin it solved.
 
 ``_normalized_margin`` and ``_planar_witness_margin`` are the planar margin
 as the sweep computed it before its geometry was built once per sweep: one
@@ -43,6 +46,7 @@ made, and reads an objective's first fault as ``fault``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -51,8 +55,6 @@ import walker_oracle
 from robustkkt.certify import (
     _CUT_TOL,
     CertifyError,
-    PseudoReport,
-    SampleVerdict,
     _constraint_rows,
     _planar_ball,
     _witness_cuts,
@@ -64,6 +66,19 @@ from robustkkt.funcdsl import DEFAULT_KINK_TOL, Expr, _check_scenario, \
 from robustkkt.lp import LPBuilder
 from robustkkt.setcalc import Polytope, _cross, normal_cone
 from robustkkt.subdiff import SubdiffResult, limiting_subdiff
+
+
+@dataclass
+class SampleVerdict:
+    x: np.ndarray
+    verdict: str                # VERIFIED-CANDIDATE-W | VERIFIED-COMMON-W |
+    #                             INCONCLUSIVE | WITNESSED-FAILURE
+    premise_active: int = 0
+    detail: str = ""
+
+    @property
+    def verified(self) -> bool:
+        return self.verdict in ("VERIFIED-CANDIDATE-W", "VERIFIED-COMMON-W")
 
 
 def direct_subdiff(ystar, fs, x, mode: str = "limiting",
@@ -205,14 +220,14 @@ def _planar_witness_margin(U: np.ndarray, offset: float, nrm: float,
     return float(vals[k]), W[k]
 
 
-def component_witness_margin(comp, nrm, ytheta, rows_here, con_base, N,
+def component_witness_margin(comp, nrm, ytheta, rows_here, con_rows, N,
                              pball, l2_exact_dirs=False, polygon=None):
     """Max margin delta >= 0 with <u, w> + nrm*ytheta <= -delta for every
     vertex u of the component, and the maximising w; None if no w has a
     nonnegative margin.  w ranges over nrm times the witness ball, cut by
     the premise-holding rows and the normal cone; in the plane by the
     closed-form path, otherwise by HiGHS."""
-    cuts = _witness_cuts(comp.dim, rows_here, con_base, N)
+    cuts = _witness_cuts(comp.dim, rows_here, con_rows, N)
     if comp.dim != 2:
         ball = _witness_ball(comp.vertices, pball, l2_exact_dirs)
         return _lp_witness_margin(comp.vertices, nrm * ytheta, nrm * ball,
@@ -251,7 +266,6 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
 
     con_rows = _constraint_rows(spec, xbar)
     T = len(con_rows)
-    con_base = {t: (row[2], row[3]) for t, row in enumerate(con_rows)}
     con_prem = np.zeros((T, samples.shape[0]), dtype=bool)
     row_cand_ok = np.ones((T, samples.shape[0]), dtype=bool)
     for t, (i, vsc, base, verts) in enumerate(con_rows):
@@ -289,7 +303,7 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
             sset, _ = scal_set(myi)
             for comp in sset.components:
                 found = component_witness_margin(
-                    comp, 1.0, float(ytheta_all[myi]), rows_here, con_base,
+                    comp, 1.0, float(ytheta_all[myi]), rows_here, con_rows,
                     N, pball, l2_dirs)
                 if found is None:
                     best = None
@@ -328,8 +342,7 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
         else:
             verdicts.append(SampleVerdict(x, "VERIFIED-CANDIDATE-W",
                                           len(active_y)))
-    report = PseudoReport(verdicts, all(v.verified for v in verdicts))
-    return report, set(margin_cache)
+    return verdicts, set(margin_cache)
 
 
 def weights(self, ys: list) -> tuple[tuple, list[float]]:

@@ -185,6 +185,19 @@ class TestCommands:
         assert code == 1 and doc["verdict"] == "WITNESSED-FAILURE"
         assert abs(doc["details"]["lp_optimum"]) <= 1e-12
 
+    def test_pseudoconvex_mixed_sweep(self, capsys):
+        """A sweep with some samples INCONCLUSIVE is INCONCLUSIVE (exit 2),
+        and counts every sample's verdict."""
+        code, doc = run_json(capsys, [
+            "pseudoconvex", "--problem", "example_3_2", "--at", "0,0",
+            "--type", "I", "--region", "-2,2,-2,2", "--grid", "5",
+            "--y-res", "4"])
+        assert code == 2 and doc["verdict"] == "INCONCLUSIVE"
+        assert doc["details"] == {
+            "counts": {"INCONCLUSIVE": 3, "VERIFIED-CANDIDATE-W": 8,
+                       "VERIFIED-COMMON-W": 14},
+            "lp_optimum": None, "samples": 25}
+
     def test_pseudoconvex_off_the_plane(self, capsys, tmp_path):
         """In three dimensions the sweep is refused and a witness is
         checked: the cuts <(1, 1, 1), w> <= 0 and >= 0 of g1's limiting
@@ -263,15 +276,20 @@ fixture = f1 @ 0,0 : {(0,2)}
         assert code == 2 and doc["verdict"] == "INCONCLUSIVE"
 
     def test_sweep_refuses_fixtures(self, capsys, tmp_path):
-        argv = self._kink(tmp_path, [[0, 2]])[:-2] + ["--region",
+        """The sweep reads no fixture, so it refuses --fixtures whether a
+        fixture sits at the point (f1 here) or none does (example_2_2,
+        which gave VERIFIED with fixtures asked for and none read)."""
+        kink = self._kink(tmp_path, [[0, 2]])[:-2] + ["--region",
                                                       "-1,1,-1,1"]
-        code, doc = run_json(capsys, argv)
-        assert code == 0 and doc["verdict"] == "VERIFIED"
-        code, doc = run_json(capsys, argv + ["--fixtures"])
-        assert code == 3
-        assert doc["error"] == (
-            "the pseudo-convexity sweep reads no fixture, but fixtures are "
-            "asked for and f1 has one at this point")
+        bare = ["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+                "--type", "I", "--region", "-2,2,-2,2"]
+        for argv in (kink, bare):
+            code, doc = run_json(capsys, argv)
+            assert code == 0 and doc["verdict"] == "VERIFIED"
+            code, doc = run_json(capsys, argv + ["--fixtures"])
+            assert code == 3
+            assert doc["error"] == ("--fixtures is an option of --witness, "
+                                    "not of the sweep")
 
     def test_duality_strong(self, capsys):
         code, doc = run_json(capsys, ["duality", "strong",
@@ -596,6 +614,10 @@ fixture = f1 @ 0,0 : {(0,2)}
         (["subdiff", "--problem", "example_3_2", "--target", "g1", "--at",
           "0,0", "--fixtures", "--scenario", "0.5"],
          "subdiff takes at most one of --scenario and --fixtures"),
+        # VERIFIED, with fixtures asked for and none read
+        (["pseudoconvex", "--problem", "example_2_2", "--at", "0,0",
+          "--type", "I", "--region", "-2,2,-2,2", "--fixtures"],
+         "--fixtures is an option of --witness, not of the sweep"),
     ])
     def test_bad_option_values_refused(self, capsys, tmp_path, argv, error):
         v_free = _problem(tmp_path, '"x1 - 1"')
@@ -1189,6 +1211,15 @@ TEXT = {"--out": "out.csv", "--target": "g2", "--cert": CERT,
 # refuses the pairs)
 APART = {("pseudoconvex", "--witness"): ("--region", "--grid", "--y-res"),
          ("duality weak", "--triples"): ("--at",)}
+# options a verb reads only beside another: the base argv they are given in
+# place of the verb's
+VIA = {("pseudoconvex", "--fixtures"): [
+    "pseudoconvex", "--problem", "example_2_2", "--at", "0,0", "--type",
+    "II", "--witness", WITNESS]}
+
+
+def _base(verb: str, flag: str) -> list[str]:
+    return VIA.get((verb, flag)) or BASE[verb or "feasible"][0]
 
 
 def _value(verb: str, flag: str, base: list[str]) -> tuple[list[str], object]:
@@ -1257,7 +1288,7 @@ def _report(capsys, argv) -> dict:
 def _listed_argv(verb: str, flag: str) -> tuple[list[str], object]:
     """The verb's base argv with flag given a value (before the command
     for verb ""), and the value the parser reads."""
-    base = BASE[verb or "feasible"][0]
+    base = _base(verb, flag)
     tokens, value = _value(verb, flag, base)
     argv = _without(base, [flag, *APART.get((verb, flag), ())])
     return (tokens + argv if not verb else argv + tokens), value
@@ -1275,7 +1306,7 @@ def test_listed_flag_is_read(capsys, monkeypatch, tmp_path, verb, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "triples.json").write_text(
         "[" + Path(TRIPLE).read_text() + "]")
-    base = BASE[verb or "feasible"][0]
+    base = _base(verb, flag)
     argv, value = _listed_argv(verb, flag)
     _spy_calls(monkeypatch, value)
     try:

@@ -204,8 +204,10 @@ def _random_margin_case(rng, norm):
     comp = Polytope(rng.normal(size=(int(rng.integers(1, 6)), 2)))
     pball = certify.primal_ball(norm, 2, 64)
     T = int(rng.integers(0, 3))
-    con_base = {t: (0.0, rng.normal(size=(int(rng.integers(1, 3)), 2)))
-                for t in range(T)}
+    # rows of _constraint_rows: (constraint, scenario, base, vertex rows)
+    con_rows = [(t + 1, None, 0.0,
+                 rng.normal(size=(int(rng.integers(1, 3)), 2)))
+                for t in range(T)]
     rows = [t for t in range(T) if rng.random() < 0.7]
     ngen = int(rng.integers(0, 3))
     N = np.zeros((0, 2))
@@ -215,7 +217,7 @@ def _random_margin_case(rng, norm):
         N = np.vstack([G, -G[rng.random(ngen) < 0.35]])
     nrm = float(rng.uniform(0.1, 3.0))
     ytheta = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.0))
-    return comp, nrm, ytheta, rows, con_base, N, pball
+    return comp, nrm, ytheta, rows, con_rows, N, pball
 
 
 class TestPlanarMargin:
@@ -224,12 +226,12 @@ class TestPlanarMargin:
         rng = np.random.default_rng({"l1": 11, "l2": 12, "linf": 13}[norm])
         agreed = 0
         for _ in range(150):
-            comp, nrm, ytheta, rows, con_base, N, pball = \
+            comp, nrm, ytheta, rows, con_rows, N, pball = \
                 _random_margin_case(rng, norm)
-            args = (comp, nrm, ytheta, rows, con_base, N, pball, norm == "l2")
+            args = (comp, nrm, ytheta, rows, con_rows, N, pball, norm == "l2")
             planar = component_witness_margin(*args)
             ball = _witness_ball(comp.vertices, pball, norm == "l2")
-            cuts = certify._witness_cuts(2, rows, con_base, N)
+            cuts = certify._witness_cuts(2, rows, con_rows, N)
             highs = _lp_witness_margin(comp.vertices, nrm * ytheta,
                                        nrm * ball, cuts)
             if planar is None or highs is None:
@@ -243,11 +245,11 @@ class TestPlanarMargin:
         assert agreed >= 60
 
     @staticmethod
-    def _assert_witness(found, comp, nrm, ytheta, rows, con_base, N, pball,
+    def _assert_witness(found, comp, nrm, ytheta, rows, con_rows, N, pball,
                         l2_exact_dirs):
         delta, w = found
         for t in rows:
-            assert np.all(con_base[t][1] @ w <= 1e-9)
+            assert np.all(con_rows[t][3] @ w <= 1e-9)
         for g in N:
             assert g @ w <= 1e-9
         assert np.max(comp.vertices @ w) + nrm * ytheta <= -delta + 1e-9

@@ -32,8 +32,8 @@ SRC = Path(robustkkt.__file__).resolve().parent
 
 KEPT = {
     "certify.refuse_unread_fixtures":
-        "pseudoconvex under --fixtures; no README command asks for fixtures "
-        "there",
+        "pseudoconvex --witness under --fixtures; no README command asks "
+        "for fixtures there",
     "cli.LoadError.__init__":
         "raised only on refused input; tests/test_cli.py covers the refusals",
     "cli._fmt": "formats a bound in a refusal; no README command is refused",

@@ -26,23 +26,19 @@ VERDICTS = {"VERIFIED-CANDIDATE-W", "VERIFIED-COMMON-W", "INCONCLUSIVE"}
 _YSTAR = re.compile(r"y\*=(\[.*\])$")
 
 
-def _rows(report):
-    return [(v.verdict, v.premise_active, v.detail) for v in report.verdicts]
+def _verdicts(samples):
+    """The oracle's verdict per sample, in sample order."""
+    return [v.verdict for v in samples]
 
 
 def assert_same_sweep(spec, xbar, ptype, **kw):
-    """The two sweeps agree sample for sample; returns the oracle's rows."""
+    """The sweep's verdict array is the oracle's verdicts, sample for
+    sample; returns them."""
     expected, _ = loop_pseudoconvex_test(spec, xbar, ptype, **kw)
-    got = pseudoconvex_test(spec, xbar, ptype, **kw)
-    assert _rows(got) == _rows(expected)
-    assert got.all_verified == expected.all_verified
-    assert all(np.array_equal(a.x, b.x)
-               for a, b in zip(got.verdicts, expected.verdicts))
-    # the first y* without a witness, as each detail names it
-    first = [[_YSTAR.search(v.detail).group(1) for v in r.verdicts
-              if v.verdict == "INCONCLUSIVE"] for r in (got, expected)]
-    assert first[0] == first[1]
-    return _rows(expected)
+    got = pseudoconvex_test(spec, xbar, ptype, **kw).verdicts
+    assert isinstance(got, np.ndarray) and got.shape == (len(expected),)
+    assert got.tolist() == _verdicts(expected)
+    return _verdicts(expected)
 
 
 def _random_case(rng, spec):
@@ -80,10 +76,10 @@ def test_matches_loop_in_hull_mode(name, ptype):
 
 @pytest.mark.parametrize("ptype", ["I", "II"])
 def test_matches_loop_in_hull_mode_on_inconclusive_samples(ptype):
-    rows = assert_same_sweep(load_problem("example_3_2"), np.zeros(2), ptype,
-                             region=[-2.33, -0.12, -1.87, 2.36], grid=11,
-                             y_resolution=9, mode="hull")
-    assert "INCONCLUSIVE" in {r[0] for r in rows}
+    found = assert_same_sweep(load_problem("example_3_2"), np.zeros(2),
+                              ptype, region=[-2.33, -0.12, -1.87, 2.36],
+                              grid=11, y_resolution=9, mode="hull")
+    assert "INCONCLUSIVE" in found
 
 
 @pytest.mark.parametrize("ptype", ["I", "II"])
@@ -94,9 +90,9 @@ def test_matches_loop_on_inconclusive_samples(ptype):
     for xbar, region in (([0.0, 0.0], [-2.33, -0.12, -1.87, 2.36]),
                          ([0.0, 0.0], [0.74, 1.91, -2.4, 1.59]),
                          ([0.24, 0.99], [-1.83, 1.47, -0.08, 2.81])):
-        rows = assert_same_sweep(spec, np.array(xbar), ptype, region=region,
-                                 grid=11, y_resolution=9)
-        verdicts |= {r[0] for r in rows}
+        found = assert_same_sweep(spec, np.array(xbar), ptype,
+                                  region=region, grid=11, y_resolution=9)
+        verdicts |= set(found)
     assert verdicts == VERDICTS
 
 
@@ -127,14 +123,14 @@ def _variant(tmp_path, variant):
 def test_matches_loop_with_cuts(tmp_path, variant):
     spec, region = _variant(tmp_path, variant)
     for ptype in ("I", "II"):
-        rows = assert_same_sweep(spec, np.zeros(2), ptype, region=region,
-                                 grid=9, y_resolution=6)
-        assert {r[0] for r in rows} == VERDICTS
+        found = assert_same_sweep(spec, np.zeros(2), ptype, region=region,
+                                  grid=9, y_resolution=6)
+        assert set(found) == VERDICTS
 
 
 def _outcome(fn):
     try:
-        return _rows(fn())
+        return fn()
     except DomainError as exc:
         return str(exc)
 
@@ -155,7 +151,7 @@ def test_exception_from_the_first_reached_ystar(monkeypatch, ptype):
     index = {str(np.round(y, 6).tolist()): i for i, y in enumerate(ys)}
     first = np.array([index[_YSTAR.search(v.detail).group(1)]
                       if v.verdict == "INCONCLUSIVE" else -1
-                      for v in want.verdicts])
+                      for v in want])
     met = G & ((first < 0) | (first >= np.arange(len(ys))[:, None]))
     assert G[11].any() and not met[11].any() and met[12].any()
 
@@ -187,17 +183,17 @@ def test_exception_from_the_first_reached_ystar(monkeypatch, ptype):
         monkeypatch.setattr(sweep_oracle, "direct_subdiff",
                             lambda y, *a: refuse(list(y)) or oracle(y, *a))
         got = _outcome(lambda: pseudoconvex_test(spec, np.zeros(2), ptype,
-                                                 **kw))
+                                                 **kw).verdicts.tolist())
         if refused == {11}:
-            assert got == _outcome(lambda: loop_pseudoconvex_test(
-                spec, np.zeros(2), ptype, **kw)[0]) == _rows(want)
+            assert got == _outcome(lambda: _verdicts(loop_pseudoconvex_test(
+                spec, np.zeros(2), ptype, **kw)[0])) == _verdicts(want)
         else:
             assert got == "refused y* 12"
 
 
 def test_no_samples(spec22):
     rep = pseudoconvex_test(spec22, np.zeros(2), "I", [-2, 2, -2, 2], grid=0)
-    assert rep.verdicts == [] and rep.all_verified
+    assert isinstance(rep.verdicts, np.ndarray) and rep.verdicts.shape == (0,)
 
 
 def test_type_two_at_benchmark_size(spec23):

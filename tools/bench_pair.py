@@ -23,14 +23,15 @@ and per workload whether every run was correct and whether the report
 digests of the two trees agree seed by seed.
 
 Its ``cold`` block times one-shot processes: each command line of
-``tests/test_golden.py`` (the README command set) runs as a fresh
-``python -m robustkkt.cli`` of each tree, and ``python -c "import numpy"``
-as the floor no command can go below, in 9 pairs alternating which tree
-runs first.  Per command it holds both sides' wall-time medians and
-quartiles in seconds, the change's win count, whether the change's median
-is within the parent's interquartile range of the parent's median or
-below, each side's median over its floor, and whether the stdout and exit
-code of every run, with each tree's path cut out, are the same.
+``tests/test_golden.py`` (the README command set) runs as a fresh process
+of each tree that calls ``robustkkt.cli.main``, as the ``robustkkt``
+console script does, and ``python -c "import numpy"`` as the floor no
+command can go below, in 9 pairs alternating which tree runs first.  Per
+command it holds both sides' wall-time medians and quartiles in seconds,
+the change's win count, whether the change's median is within the
+parent's interquartile range of the parent's median or below, each side's
+median over its floor, and whether the stdout and exit code of every run,
+with each tree's path cut out, are the same.
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ def run_cold(tree: Path, argv: list[str] | None, cwd: str) -> list:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(tree / "src")
     cmd = (["-c", "import numpy"] if argv is None else
-           ["-m", "robustkkt.cli",
+           ["-c", "import sys; from robustkkt.cli import main; "
+            "sys.exit(main())",
             *(a.replace(str(ROOT), str(tree)) for a in argv)])
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *cmd], cwd=cwd, env=env,
