@@ -258,9 +258,9 @@ def _tokenize(text: str) -> list[_Tok]:
 
 # Deepest nesting of parentheses, function arguments and sign prefixes the
 # parser accepts; each level costs several Python frames here and in the
-# recursive walks that remain (printing and the structure queries); the
-# code generator and the code it writes, the point walk's too, do not
-# recurse.
+# recursive walks that remain (printing and the structure queries), and
+# about two in the point walk per nested abs or max; the code generator
+# and the scalar, grid and scan code do not recurse.
 MAX_NESTING = 100
 
 
@@ -646,38 +646,30 @@ DEFAULT_KINK_TOL = 1e-9
 
 # A node's walk result: (value, x-gradient, coefficient of each active atom
 # below by key, rough: one of those atoms reads x, those atoms by key,
-# first gradient fault, first error, its operands' results).  The atoms are
-# kept first of each key, ctx_linear the and of all.  The max branches not
-# selected are walked too, so no helper raises: an error waits in the
-# result, and a fault (1/0, sqrt of a nonpositive value) lets the walk go
-# on with NaN.  The faults inside an atom are its own.
-
-def _failed(error: Exception, z: np.ndarray, parts=()):
-    return math.nan, z, {}, False, {}, None, error, parts
-
+# first gradient fault, its operands' results).  The atoms are kept first
+# of each key, ctx_linear the and of all.  An abs or max node walks only
+# what its children's scalar values select, so a refusal raises at once,
+# as in a recursive walk; a fault (1/0, sqrt of a nonpositive value) lets
+# the walk go on with NaN.  The faults inside an atom are its own.
 
 def _gather(parts):
-    """The atoms, first fault and first error of the results parts."""
+    """The atoms and first fault of the results parts."""
     atoms, fault = {}, None
     for p in parts:
-        if p[6] is not None:
-            return atoms, fault, p[6]
         fault = p[5] if fault is None else fault
         for q, atom in p[4].items():
             first = atoms.setdefault(q, atom)
             first.ctx_linear = first.ctx_linear and atom.ctx_linear
-    return atoms, fault, None
+    return atoms, fault
 
 
 def _w_fold(parts, z: np.ndarray, e: Expr):
     """The sum or product node e from its operands' results parts."""
-    atoms, fault, error = _gather(parts)
-    if error is None and e.kind == "prod" and sum(p[3] for p in parts) > 1:
-        error = _rough_product(e.children)
-    if error is not None:
-        return _failed(error, z, parts)
+    atoms, fault = _gather(parts)
+    if e.kind == "prod" and sum(p[3] for p in parts) > 1:
+        raise _rough_product(e.children)
     rule = _sum_rule if e.kind == "sum" else _prod_rule
-    return *rule(parts, z), atoms, fault, None, parts
+    return *rule(parts, z), atoms, fault, parts
 
 
 def _rough_product(factors) -> UnsupportedStructureError:
@@ -686,45 +678,29 @@ def _rough_product(factors) -> UnsupportedStructureError:
         + _fmt_prod(factors))
 
 
-def _leaf(value: float, g: np.ndarray):
-    return value, g, {}, False, {}, None, None, ()
+def _leaf_code(e: Expr, x, v, *walk):
+    """The scalar code of the leaf e, or with walk (tol, ctx) its walk
+    code, with no source to compile."""
+    value = (float(e.value) if e.kind == "const" else
+             x[e.index - 1] if e.kind == "coord" else float(v))
+    if not walk:
+        return value
+    g = np.zeros(len(x))
+    if e.kind == "coord":
+        g[e.index - 1] = 1.0
+    return value, g, {}, False, {}, None, ()
 
 
-def _scalars(parts, e: Expr, x, v, kids) -> list[float]:
-    """The scalar values of e's children: their results' values where
-    kids marks them plain, which the scalar code gives bit for bit, else
-    their scalar code's (DomainError where a child is undefined)."""
-    return [p[0] if plain else c.scalar_fn(x, v)
-            for p, c, (_, plain) in zip(parts, e.children, kids)]
-
-
-def _w_abs(a, z: np.ndarray, e: Expr, x, v, tol: float, ctx: bool, kids):
-    """The abs node e from its argument's result a: an atom where the
-    argument's scalar value is at the kink, else the chain rule."""
-    try:
-        [av] = _scalars([a], e, x, v, kids)
-    except DomainError as exc:
-        return _failed(exc, z)
-    if abs(av) <= tol:
-        return _w_kink(e, (), [a], kids[0][0], ctx, abs(av), z)
-    return _w_chain(a, z, e)
-
-
-def _w_chain(a, z: np.ndarray, e: Expr):
+def _w_chain(a, e: Expr):
     """The abs, pow, recip or sqrt node e from its argument's result a: g
     times the slope, +-1, n u^(n-1), -1/u^2 or 0.5/sqrt(u)."""
-    cv, cg, ck, rough, atoms, fault, error, _ = a
-    if error is not None:
-        return _failed(error, z)
+    cv, cg, ck, rough, atoms, fault, _ = a
     own, u = None, e.children[0]
     if e.kind == "abs":
         val, slope = abs(cv), 1.0 if cv > 0 else -1.0
     elif e.kind == "pow":
-        try:
-            slope, val = (e.exponent * _power(cv, e.exponent - 1, e),
-                          _power(cv, e.exponent, e))
-        except DomainError as exc:
-            return _failed(exc, z)
+        slope, val = (e.exponent * _power(cv, e.exponent - 1, e),
+                      _power(cv, e.exponent, e))
     elif e.kind == "recip":
         if cv == 0.0:
             cv, own = math.nan, DomainError(f"division by zero in 1/({u})")
@@ -739,41 +715,41 @@ def _w_chain(a, z: np.ndarray, e: Expr):
         val = cv ** 0.5
         slope = 0.5 / val
     return (val, slope * cg, {q: slope * c for q, c in ck.items()}, rough,
-            atoms, own if fault is None else fault, None, ())
+            atoms, own if fault is None else fault, ())
 
 
-def _w_max(parts, z: np.ndarray, e: Expr, x, v, tol: float, ctx: bool,
-           kids):
-    """The max node e from its branches' results parts: the winner's, or
-    an atom where the branches' scalar values tie."""
-    try:
-        vals = _scalars(parts, e, x, v, kids)
-        top = max(vals)
-        tied = tuple(i for i, cv in enumerate(vals) if top - cv <= tol)
-        winner = parts[tied[0]]  # an IndexError where the maximum is NaN
-    except (DomainError, IndexError) as exc:
-        return _failed(exc, z)
+def _w_select(e: Expr, x, v, tol: float, ctx: bool):
+    """The abs or max node e, selected by its children's scalar values: an
+    atom at a kink or a tie within tol, else the chain rule on the
+    argument's walk or the winning branch's walk."""
+    vals = [c.scalar_fn(x, v) for c in e.children]
+    if e.kind == "abs":
+        if abs(vals[0]) <= tol:
+            return _w_kink(e, (), x, v, tol, ctx, abs(vals[0]))
+        return _w_chain(e.children[0].walk_fn(x, v, tol, False), e)
+    top = max(vals)
+    tied = tuple(i for i, cv in enumerate(vals) if top - cv <= tol)
+    if not tied:
+        raise DomainError(f"NaN maximum in {e}")
     if len(tied) == 1:
-        return winner
-    return _w_kink(e, tied, [parts[i] for i in tied],
-                   any(kids[i][0] for i in tied), ctx, top, z)
+        return e.children[tied[0]].walk_fn(x, v, tol, False)
+    return _w_kink(e, tied, x, v, tol, ctx, top)
 
 
-def _w_kink(e: Expr, tied: tuple[int, ...], branches, xrel: bool,
-            ctx: bool, value: float, z: np.ndarray):
-    """The active atom e from the results of its argument or tied
-    branches, whose atoms and faults stay inside it."""
+def _w_kink(e: Expr, tied: tuple, x, v, tol: float, ctx: bool, value):
+    """The active atom e from the walks of its argument or tied branches,
+    whose atoms and faults stay inside it."""
     key, grads, fault = format_expr(e), [], None
+    branches = [e.children[i] for i in tied] or e.children
     for b in branches:
-        if b[6] is not None:
-            return _failed(b[6], z)
-        if b[3]:
-            return _failed(UnsupportedStructureError(
-                f"active kink nested inside {key}"), z)
-        grads.append(b[1])
-        fault = b[5] if fault is None else fault
+        _, g, _, nested, _, f, _ = b.walk_fn(x, v, tol, False)
+        if nested:
+            raise UnsupportedStructureError(f"active kink nested inside {key}")
+        grads.append(g)
+        fault = f if fault is None else fault
+    xrel = any(map(contains_coord, branches))
     atom = _Atom(key, e.kind, e, tied, ctx, xrel, grads, fault)
-    return value, z, {key: 1.0}, xrel, {key: atom}, None, None, ()
+    return value, np.zeros(len(x)), {key: 1.0}, xrel, {key: atom}, None, ()
 
 
 def _sum_rule(parts, zero: np.ndarray):
@@ -817,14 +793,14 @@ def _prod_rule(parts, zero: np.ndarray):
 # Fields: {a} the first operand; {args}, {plus} and {times} all
 # operands, joined by ", ", " + " and " * "; {c} a constant's float; {i} a
 # coordinate's 0-based index; {n} a power's exponent; {node} the node;
-# {ctx} its context in the walk; {kids} whether each child reads x and is
-# plain: constants, coordinates, v, sums and products only.  const and uvar
-# nodes are operands, not assignments, and so are coord nodes in the walk.
-_CHAIN = "_w_chain({a}, z, {node})"
+# {ctx} its context in the walk, where an abs or max node is one helper
+# call that walks what it selects.  const and uvar nodes are operands, not
+# assignments, and so are coord nodes in the walk.
+_CHAIN, _LEAF = "_w_chain({a}, {node})", "_leaf_code({node}, x, v, tol, ctx)"
 _RULES = {
-    "const": ("{c}",) * 3 + ("_leaf({c}, z)",),
-    "uvar": ("v",) * 3 + ("_leaf(_float(v), z)",),
-    "coord": ("x[{i}]", "X[{i}]", "x[{i}]", "_leaf(x[{i}], I[{i}])"),
+    "const": ("{c}",) * 3 + ("({c}, z, {{}}, False, {{}}, None, ())",),
+    "uvar": ("v",) * 3 + ("(_float(v), z, {{}}, False, {{}}, None, ())",),
+    "coord": ("x[{i}]", "X[{i}]", "x[{i}]", _LEAF),
     "sum": ("0 + {plus}", "{plus}", "0 + {plus}",
             "_w_fold(({args},), z, {node})"),
     "prod": ("1.0 * {times}", "{times}", "1.0 * {times}",
@@ -837,10 +813,10 @@ _RULES = {
              "_sqrt(-1.0, {node}) if ({a} < 0.0).any() "
              "else _scan_power({a}, 0.5, {node})", _CHAIN),
     "abs": ("_abs({a})", "_np_abs({a})", "_abs({a})",
-            "_w_abs({a}, z, {node}, x, v, tol, {ctx}, {kids})"),
+            "_w_select({node}, x, v, tol, {ctx})"),
     "max": ("_max(({args},))", "_reduce(_maximum, ({args},))",
             "_reduce(_first_max, ({args},))",
-            "_w_max(({args},), z, {node}, x, v, tol, {ctx}, {kids})"),
+            "_w_select({node}, x, v, tol, {ctx})"),
 }
 _HELPERS = {"_float": float, "_max": max, "_abs": abs,
             "_recip": _recip, "_sqrt": _sqrt, "_power": _power,
@@ -848,11 +824,10 @@ _HELPERS = {"_float": float, "_max": max, "_abs": abs,
             "_np_abs": np.abs, "_reduce": reduce, "_maximum": np.maximum,
             "_scan_power": _scan_power,
             "_first_max": lambda a, b: np.where(b > a, b, a),
-            "_zeros": np.zeros, "_eye": np.eye, "_leaf": _leaf,
-            "_w_fold": _w_fold, "_w_abs": _w_abs, "_w_chain": _w_chain,
-            "_w_max": _w_max}
+            "_zeros": np.zeros, "_leaf_code": _leaf_code,
+            "_w_fold": _w_fold, "_w_select": _w_select,
+            "_w_chain": _w_chain}
 SCALAR, GRID, SCAN, WALK = range(4)  # the targets of _compile
-_PLAIN = ("const", "coord", "uvar", "sum", "prod")  # total, without kinks
 
 
 @lru_cache(maxsize=1024)
@@ -884,9 +859,13 @@ def _compile(e: Expr, target: int = SCALAR):
     as given: a power of Python floats raises DomainError where it
     overflows, one of a grid array or a numpy scalar gives inf.
     Constants, exponents, nodes and error messages reach the code as
-    closure values, never as source text.  Neither this function nor the
-    code it writes nests per tree level, so any parsed tree compiles.
+    closure values, never as source text.  A leaf's scalar and walk code
+    is ``_leaf_code``, with nothing to compile.  This function does not
+    nest per tree level; the walk code of an abs or max calls that of the
+    children it selects, about two frames per nesting (see MAX_NESTING).
     """
+    if e.kind in ("const", "coord", "uvar") and target in (SCALAR, WALK):
+        return partial(_leaf_code, e)
     values = dict(_HELPERS)
     fixed: list[str] = []   # scalar; walk; v-free grid; v-free scan with x
     looped: list[str] = []  # grid with v; scan with x and v
@@ -897,7 +876,7 @@ def _compile(e: Expr, target: int = SCALAR):
         values[name] = value
         return name
 
-    def operand(node: Expr, args: list[tuple[str, bool, bool, bool]],
+    def operand(node: Expr, args: list[tuple[str, bool, bool]],
                 varies: bool, xdep: bool, lin: bool):
         k = node.kind
         if k not in _RULES:
@@ -915,8 +894,6 @@ def _compile(e: Expr, target: int = SCALAR):
             fields["n"] = bind(node.exponent)
         if "{node}" in rule:
             fields["node"] = bind(node)
-        if "{kids}" in rule:
-            fields["kids"] = bind(tuple((a[2], a[3]) for a in args))
         text = rule.format_map(fields)
         if not node.children and (k != "coord" or target == WALK):
             return text
@@ -926,16 +903,17 @@ def _compile(e: Expr, target: int = SCALAR):
             f"{name} = {text}")
         return name
 
-    # Post-order without recursion: a node is visited again, marked ready,
-    # once its children's operands (and whether they use v, x, and are
-    # plain) are stacked; each entry carries whether its node is in the
-    # walk's context.
-    todo: list[tuple[Expr, bool, bool]] = [(e, False, target == WALK)]
-    operands: list[tuple[str, bool, bool, bool]] = []
+    # Post-order without recursion: a node is visited again, with the count
+    # of its children, once their operands (and whether they use v and x)
+    # are stacked; each entry carries whether its node is in the walk's
+    # context.  In the walk an abs or max node stacks no child.
+    todo: list[tuple[Expr, int | None, bool]] = [(e, None, target == WALK)]
+    operands: list[tuple[str, bool, bool]] = []
     while todo:
-        node, ready, lin = todo.pop()
-        if not ready:
-            kids = node.children
+        node, n, lin = todo.pop()
+        if n is None:
+            kids = () if target == WALK and node.kind in ("abs", "max") \
+                else node.children
             # a sum keeps the walk's context, a product for each factor
             # whose other factors read no x
             reads = ([contains_coord(c) for c in kids]
@@ -943,17 +921,16 @@ def _compile(e: Expr, target: int = SCALAR):
             keep = [lin and (node.kind == "sum" or node.kind == "prod" and not
                              any(r for o, r in zip(kids, reads) if o is not c))
                     for c in kids]
-            todo.append((node, True, lin))
-            todo.extend(zip(reversed(kids), repeat(False), reversed(keep)))
+            todo.append((node, len(kids), lin))
+            todo.extend(zip(reversed(kids), repeat(None), reversed(keep)))
             continue
-        args = [operands.pop() for _ in node.children][::-1]
+        args = [operands.pop() for _ in range(n)][::-1]
         varies = node.kind == "uvar" or any(a[1] for a in args)
         xdep = node.kind == "coord" or any(a[2] for a in args)
-        plain = node.kind in _PLAIN and all(a[3] for a in args)
         operands.append((operand(node, args, varies, xdep, lin), varies,
-                         xdep, plain))
+                         xdep))
 
-    [(root, has_v, _, _)] = operands
+    [(root, has_v, _)] = operands
     if target == GRID:
         body = ["def f(X, scenarios):", *fixed, "for v in scenarios:",
                 *("    " + line for line in looped), f"    yield {root}"]
@@ -961,8 +938,8 @@ def _compile(e: Expr, target: int = SCALAR):
         body = ["def f(x, v):", *(["v = _float(v)"] if has_v else []), *fixed,
                 f"return {root}"]
     elif target == WALK:
-        body = ["def f(x, v, tol, ctx):", "z = _zeros(len(x))",
-                "I = _eye(len(x))", *fixed, f"return {root}"]
+        body = ["def f(x, v, tol, ctx):", "z = _zeros(len(x))", *fixed,
+                f"return {root}"]
     else:
         names = "".join(line.split(" = ")[0] + ", " for line in xfree)
         memo = bind([(None, None)])  # the last V's bytes, its x-free values

@@ -3,9 +3,10 @@
 At a query point the expression is analyzed as smooth background plus a
 collection of active nonsmooth atoms (abs nodes at their kink, max nodes at
 a tie), by the tree's compiled walk (``Expr.walk_fn``), one helper call per
-node.  Textually identical atoms are merged and each distinct atom gets
-the total first-order coefficient of the expression with respect to its
-value.  The assembled set is then
+node; an abs or max walks only what its children's scalar values select.
+Textually identical atoms are merged and each distinct atom gets the total
+first-order coefficient of the expression with respect to its value.  The
+assembled set is then
 
     {smooth gradient} + sum over atoms of the atom's contribution,
 
@@ -23,7 +24,8 @@ minkowski_sum and Polytope compute it (``_sets``); a point is one row.
 Scalarization rule.  The subdifferential of <y*, f> is that of the one
 expression add(mul(const(y_1), f_1), ...), not the sum of the objectives'
 sets.  Below the weights that tree is the same for every y*, so
-``Scalarization`` walks each objective once, reads its factors' and
+``Scalarization`` walks each objective once (a product objective's
+factors one by one, in their product contexts), reads its factors' and
 terms' results from that walk, and repeats only the walk's product and
 sum rules above the objectives, merging their atoms by first occurrence,
 as mul and add canonicalize: a zero weight drops its term, a
@@ -47,6 +49,7 @@ import numpy as np
 from .funcdsl import (
     DEFAULT_KINK_TOL,
     Expr,
+    ExprError,
     _Atom,
     _check_scenario,
     _gather,
@@ -54,6 +57,7 @@ from .funcdsl import (
     _rough_product,
     _sum_rule,
     const,
+    contains_coord,
     coords_used,
     is_affine,
 )
@@ -83,9 +87,9 @@ def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
         raise ValueError(f"unknown mode {mode!r}")
     _check_scenario(e, v)
     xl = np.asarray(x, dtype=float).reshape(-1).tolist()
-    _, g0, kappas, _, atoms, fault, error, _ = e.walk_fn(xl, v, kink_tol, True)
-    if error is not None or fault is not None:
-        raise fault if error is None else error
+    _, g0, kappas, _, atoms, fault, _ = e.walk_fn(xl, v, kink_tol, True)
+    if fault is not None:
+        raise fault
     return _one(g0, kappas, atoms, mode)
 
 
@@ -271,35 +275,42 @@ def sup_rule(con: UncertainConstraint, x, actives, mode: str = "hull",
 
 
 class _Objective:
-    """An objective f split as mul splits const(y)*f, from the result
-    ``walked`` of its walk at x: the product ``const`` of its constant
-    factors, and its other factors with their results ``parts``.  When
-    y*const is 1 the const factor drops and the term puts ``unit`` in the
-    outer sum: the results of a lone sum factor's terms, which add flattens
-    (their constant ``unit_const`` joins the outer one), or else the walk
-    of the product of the factors."""
+    """An objective f split as mul splits const(y)*f, walked at (x, v):
+    the product ``const`` of its constant factors, and its other factors
+    with the results ``parts`` of their walks, in their product contexts
+    (f itself where it is no product), or ``error``, what the first walk
+    raised.  When y*const is 1 the const factor drops and the term puts
+    ``unit`` in the outer sum: the results of a lone sum factor's terms,
+    which add flattens (their constant ``unit_const`` joins the outer one),
+    or else the walk of the product of the factors."""
 
-    def __init__(self, f: Expr, walked: tuple, zero: np.ndarray):
-        self.f, self.const, self.factors, self.parts = f, Fraction(1), [], []
-        for c, p in zip(*((f.children, walked[7]) if f.kind == "prod"
-                          else ((f,), (walked,)))):
+    def __init__(self, f: Expr, xl: list, v, tol: float, zero: np.ndarray):
+        self.f, self.const, self.factors = f, Fraction(1), []
+        for c in f.children if f.kind == "prod" else (f,):
             if c.kind == "const":
                 self.const *= c.value
             else:
                 self.factors.append(c)
-                self.parts.append(p)
         terms = (self.factors[0].children if len(self.factors) == 1
                  and self.factors[0].kind == "sum" else ())
         self.unit_const = sum((t.value for t in terms if t.kind == "const"),
                               Fraction(0))
-        walks = self.parts[0][7] if terms else self.parts
-        self.atoms, self.fault, self.error = _gather(walks)
+        self.plain = self.const == 1 and bool(self.factors)
+        self.error, self.rough = None, False
+        try:  # not f's own walk: it refuses two rough factors unweighted
+            self.parts = [c.walk_fn(xl, v, tol, f.kind != "prod" or not any(
+                contains_coord(o) for o in f.children if o is not c))
+                for c in self.factors]
+        except ExprError as exc:  # what the tree's walk raises, in order
+            self.error = exc
+            return
+        walks = self.parts[0][6] if terms else self.parts
+        self.atoms, self.fault = _gather(walks)
         self.unit = ([p for t, p in zip(terms, walks) if t.kind != "const"]
                      if terms else self.parts if len(self.parts) < 2
                      else [_prod_rule(self.parts, zero)])
-        self.plain = self.const == 1 and bool(self.factors)
         # two factors nonsmooth in x: the walk of f's product term refuses
-        self.rough = self.error is None and sum(p[3] for p in self.parts) > 1
+        self.rough = sum(p[3] for p in self.parts) > 1
 
 
 class Scalarization:
@@ -322,9 +333,9 @@ class Scalarization:
         self.zero = np.zeros(len(self.xl))
         # an objective with v is walked at v = NaN: a call refuses it
         # before it reads the walk
-        self.objectives = [_Objective(f, f.walk_fn(
-            self.xl, math.nan if f.has_v else None, kink_tol, True),
-            self.zero) for f in fs]
+        self.objectives = [_Objective(f, self.xl, math.nan if f.has_v
+                                      else None, kink_tol, self.zero)
+                           for f in fs]
 
     def __call__(self, ystar) -> SubdiffResult:
         key, cps = self._weights(

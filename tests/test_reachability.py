@@ -46,10 +46,6 @@ KEPT = {
         "command meets one",
     "funcdsl.ParseError.__init__":
         "raised only on a malformed expression",
-    "funcdsl._failed":
-        "the walk result of a node whose walk raises, such as a branch "
-        "undefined at the point or a refused kink; no README command "
-        "meets one",
     "funcdsl._rough_product":
         "refuses a product of two factors nonsmooth in x at the point; no "
         "README command has one",

@@ -378,8 +378,9 @@ def test_groups_with_refused_rows(texts, x, error):
 ])
 def test_groups_where_branches_not_selected_fail(texts, x):
     """Scalarization.groups against the oracle row by row, and the
-    oracle's tree against the recursive walk, on objectives whose compiled
-    walk evaluates max branches that the walk does not select."""
+    oracle's tree against the recursive walk, on objectives with max
+    branches that would fault, raise or refuse, where the walk does not
+    select them and so never walks them."""
     fs = _parse(texts, len(x))
     grid = (0.0, 1.0, -1.0, 0.5)
     Y = [[a, b] for a in grid for b in grid]

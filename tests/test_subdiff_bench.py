@@ -6,7 +6,10 @@ generic points of the bundled problems:
 - example 3.2 ``f2`` at the origin, an abs kink inside a quotient;
 - example 3.5 ``f1`` at the origin, an abs kink under a coefficient 5;
 - example 3.2 ``g1`` at (0.3, 0.2) with v = 0.5, smooth in x there;
-- example 3.5 ``f1`` at (0.7, 0.3), smooth.
+- example 3.5 ``f1`` at (0.7, 0.3), smooth;
+- example 3.2 ``g2`` at the origin with v = 1, a max whose winning branch
+  v - 2 is all the walk visits: the losing branch, with its abs, is only
+  evaluated.
 
 It asserts nothing about speed, only that each set is bit-equal to the
 ``Polytope``/``minkowski_sum`` chain of ``walker_oracle``; a few fixed
@@ -30,6 +33,7 @@ CASES = {
     "3.5-f1-kink": ("spec35", "f1", [0.0, 0.0], None),
     "3.2-g1-smooth": ("spec32", "g1", [0.3, 0.2], 0.5),
     "3.5-f1-smooth": ("spec35", "f1", [0.7, 0.3], None),
+    "3.2-g2-select": ("spec32", "g2", [0.0, 0.0], 1.0),
 }
 
 

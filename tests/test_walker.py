@@ -9,10 +9,12 @@ NaN count, with equal rules and exactness, in both modes.  Where
 same message; where the three walkers raise, the walker raises the same
 exception class, except that a reciprocal slope whose square underflows,
 a ZeroDivisionError in the oracle, and a float power that overflows, an
-OverflowError in the oracle, are DomainErrors of the walker.  Points
-sit on kinks, max ties and the sqrt(0) and 1/0 boundaries as well as at
-generic places.  The compiled walk evaluates every node, the max branches
-not selected too, so those branches' faults and refusals must stay there.
+OverflowError in the oracle, are DomainErrors of the walker.  A max whose
+maximum is NaN, an IndexError of every oracle, is a DomainError of the
+walker that names the node.  Points sit on kinks, max ties and the
+sqrt(0) and 1/0 boundaries as well as at generic places.  The compiled
+walk of an abs or max walks only what it selects, as the oracles do, so
+the faults and refusals of the branches it does not select never show.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import walker_oracle
 from genexpr import _affine, random_convex_expr, random_point, \
     random_supported_expr
 from robustkkt.funcdsl import (
+    MAX_NESTING,
     DomainError,
     Expr,
     UnsupportedStructureError,
@@ -60,7 +63,8 @@ def _outcome(fn):
 def _expected(outcome):
     """The walker's outcome where the oracle's is ``outcome``."""
     return ("raised", DomainError) if outcome in (
-        ("raised", ZeroDivisionError), ("raised", OverflowError)) else outcome
+        ("raised", ZeroDivisionError), ("raised", OverflowError),
+        ("raised", IndexError)) else outcome
 
 
 def _set_key(res):
@@ -77,9 +81,13 @@ def assert_same(e: Expr, x, v=None):
             want = _outcome(lambda: _set_key(
                 walker_oracle.limiting_subdiff(e, x, v, mode)))
             got = _message(lambda: _set_key(limiting_subdiff(e, x, v, mode)))
-            assert got == _message(lambda: _set_key(
-                walker_oracle.point_walk_subdiff(e, x, v, mode))), (
-                str(e), list(x), v, mode)
+            walked = _message(lambda: _set_key(
+                walker_oracle.point_walk_subdiff(e, x, v, mode)))
+            if walked[:2] == ("raised", IndexError):  # a NaN maximum
+                assert got[:2] == ("raised", DomainError), (str(e), list(x))
+                assert got[2].startswith("NaN maximum in max("), got[2]
+            else:
+                assert got == walked, (str(e), list(x), v, mode)
             assert got[:2] == _expected(want), (str(e), list(x), v, mode)
             seen.append(want)
     return seen[0]
@@ -254,8 +262,8 @@ def _const(q) -> Expr:
 
 
 class TestEagerWalk:
-    """The compiled walk evaluates the max branches it does not select;
-    what they meet stays with them."""
+    """The max branches that the walk does not select fault, refuse or
+    raise at the point; the walk never meets that, as the oracles do not."""
 
     @pytest.mark.parametrize("text, x", [
         ("max(x1 + 1, sqrt(x1))", [0.0]),
@@ -324,3 +332,49 @@ def test_deep_tree_walks_without_recursion():
     assert _set_key(one) == _set_key(direct_subdiff([0.5], [e], [0.5]))
     assert sorted(rows.tolist() for rows, _ in groups) == [[0], [1]]
     assert all(type(comps) is list for _, comps in groups)
+
+
+@pytest.mark.parametrize("level", ["abs({}) + 1", "max({}, x1) + 1"],
+                         ids=["abs", "max"])
+def test_nested_selections_walk_within_300_frames(level):
+    """The walk of an abs or max calls its selected child's walk code, so
+    it nests a few frames per nested abs or max: a tree of MAX_NESTING - 2
+    of them, parsed afresh, compiles and walks with 300 frames to spare."""
+    text = "x1 + 1"
+    for _ in range(MAX_NESTING - 2):
+        text = level.format(text)
+    e = parse_expr.__wrapped__(text, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 300)
+    try:
+        got = limiting_subdiff(e, [0.5])
+        one = Scalarization([e], [0.5])([0.5])
+        groups = Scalarization([e], [0.5]).groups(np.array([[0.5], [1.0]]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _set_key(got) == _set_key(
+        walker_oracle.point_walk_subdiff(e, [0.5]))
+    assert _set_key(one) == _set_key(direct_subdiff([0.5], [e], [0.5]))
+    assert sorted(rows.tolist() for rows, _ in groups) == [[0], [1]]
+
+
+def test_branch_not_selected_is_not_walked():
+    """At ex 3.2's g2, x = (0, 0), v = 1, the branch v - 2 wins: the
+    losing branch's scalar code runs, its walk code is neither compiled
+    nor called (``walk_fn`` is built on first access)."""
+    e = parse_expr.__wrapped__("max(-3*abs(x1) + v*x2 - 2, v - 2)", 2)
+    lose, win = e.children
+    got = limiting_subdiff(e, [0.0, 0.0], 1.0)
+    assert _set_key(got) == _set_key(
+        walker_oracle.point_walk_subdiff(e, [0.0, 0.0], 1.0))
+    assert "walk_fn" in win.__dict__ and "scalar_fn" in lose.__dict__
+    assert "walk_fn" not in lose.__dict__
+
+
+def test_nan_maximum_is_a_domain_error():
+    """inf - inf at x1 = 1e-320: the walk refuses the NaN maximum, naming
+    the node, where the recursive walk raised an IndexError."""
+    e = parse_expr("max(1/x1 - 1/x1, x2)", 2)
+    with pytest.raises(DomainError, match=r"^NaN maximum in max\(1/x1 - "):
+        limiting_subdiff(e, [1e-320, 0.0])
+    assert assert_same(e, [1e-320, 0.0]) == ("raised", IndexError)
