@@ -344,8 +344,7 @@ def _parse_polytope_set(text: str) -> PolytopeSet:
 
 def load_problem(path) -> ProblemSpec:
     """Parse and validate a .problem file into a ProblemSpec."""
-    path = resolve_problem_path(path)
-    text = Path(path).read_text()
+    text = resolve_problem_path(path).read_text()
     sections: dict[str, list[tuple[int, str, str]]] = {}
     seen: set[tuple] = set()
     current = None
@@ -679,9 +678,10 @@ def run_command(argv) -> int:
         argv = _merge_negative_values(argv)
         args = build_parser(_argv_verb(argv)).parse_args(argv)
         t0 = time.monotonic()
-        code, verdict, details = _dispatch(args)
-        timings = time.monotonic() - t0 if args.timings else None
+        # resolved once: load_problem takes an existing path as it is
         path = resolve_problem_path(args.problem)
+        code, verdict, details = _dispatch(args, load_problem(path))
+        timings = time.monotonic() - t0 if args.timings else None
         config = {"mode": args.mode, "fixtures": args.fixtures}
         emit_report(args.command, path, _hash_file(path), config, verdict,
                     details, timings)
@@ -721,8 +721,7 @@ def _sampled(checked: int, ok: bool, yes: str, no: str, details: dict):
     return _settled(ok, yes, no, details)
 
 
-def _dispatch(args) -> tuple[int, str, dict]:
-    spec = load_problem(args.problem)
+def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
     _read_points(args, spec)
     verb, mode, use_fx = args.verb, args.mode, args.fixtures
 

@@ -19,22 +19,25 @@ refinement.  A max branch c(x) + a(v)*h(x) + b(v), a sum of products of pure
 factors with one feature a, is linear in each scenario's point (a_j, b_j),
 so its maximum lies on the upper hull of those points (de Berg et al.,
 Computational Geometry, 3rd ed., 8.2 and 11.4), kept per constraint in the
-process: P = c + max_j (a_j*h + b_j) is one searchsorted on the hull's edge
-slopes per cell, and on a raster's open mesh an x factor costs one pass
-over the axis it reads.  With N the branch's terms plus its most factors in
-one term, u = 2^-53, and C(x) the sum over terms of the product of
-max(1, |factor|), which bounds every partial product and so every
-underflow, the sum-of-products error bound (Higham, Accuracy and Stability
-of Numerical Algorithms, 3.1) applied to the scan, to c, h, a, b and to P
-gives |F - P| <= delta = (4N + 8) u C(x) plus what a vertex picked by
-rounded slopes can lose.  feasibility_mask decides a cell by P when
-|P - tol| > delta, and rescans the others (delta is infinite where
-C(x) > 2^1000) with envelope_grid: its mask is exactly the full scan's.
-Other branches, or two or more features, take the full scan.
+process: P = c + max_j (a_j*h + b_j) is a searchsorted on the hull's edge
+slopes where h lies between them, and on a raster's open mesh an x factor
+costs one pass over the axis it reads.  With N the branch's terms plus its
+most factors in one term, u = 2^-53, and C(x) the sum over terms of the
+product of max(1, |factor|), which bounds every partial product and so
+every underflow, the sum-of-products error bound (Higham, Accuracy and
+Stability of Numerical Algorithms, 3.1) applied to the scan, to c, h, a, b
+and to P gives |F - P| <= delta(x) = (4N + 8) u C(x) plus what a vertex
+picked by rounded slopes can lose (delta is infinite where C(x) > 2^1000).
+Rounding is monotone, so delta_max, the same formula on each factor's largest
+max(1, |factor|) over the grid, is at least delta(x) wherever P is a
+number.  feasibility_mask decides a cell by P when |P - tol| > delta_max,
+then, at the cells left, when |P - tol| > delta(x), and rescans the others
+with envelope_grid: its mask is exactly the full scan's.  Other branches,
+or two or more features, take the full scan.
 
 fuzzy minimises the key np.round(psi, 12) of the merit function psi over a
 grid.  Per cell, L <= psi <= U for L and U the objective branch maxed with
-each P - delta and P + delta (a constraint without a bound enters exactly).
+each P - delta(x) and P + delta(x); a constraint with no bound enters exactly.
 np.round(., 12), a multiply, a rint and a divide by positive constants, is
 monotone: round(L) <= key <= round(U).
 So a cell whose round(L) exceeds the least round(U) cannot hold the least
@@ -365,14 +368,16 @@ _U, _CAP = 2.0 ** -53, 2.0 ** 1000
 
 
 def _hull_bound(spec: ProblemSpec, con: UncertainConstraint, X):
-    """(P, delta) over the cells of the grid X with |P - envelope_grid| <=
-    delta where delta is finite, or None."""
+    """(P, delta_max, band) over the cells of the grid X, or None;
+    band(cells) is delta at an index tuple's cells, every cell by default."""
     sides = con.has_uncertainty and _scenario_sides(con, spec.vgrid)
     if not sides:
         return None
-    grid = {}
-    P, delta = zip(*[_branch_bound(*side, X, grid) for side in sides])
-    return reduce(np.maximum, P), reduce(np.maximum, delta)
+    grid, shape = {}, np.broadcast_shapes(*map(np.shape, X))
+    P, widest, bands = zip(*[_branch_bound(*side, X, grid, shape)
+                             for side in sides])
+    return reduce(np.maximum, P), reduce(np.maximum, widest), \
+        lambda cells=...: reduce(np.maximum, [b(cells) for b in bands])
 
 
 @lru_cache(maxsize=64)
@@ -413,45 +418,72 @@ def _scenario_sides(con: UncertainConstraint, vgrid: int):
     return sides
 
 
-def _branch_bound(terms, caps, hull, X, grid):
+def _branch_bound(terms, caps, hull, X, grid, shape):
     """P = c + max_j (a_j*h + b_j) by a tangent query on the upper hull of
-    the scenario points (a_j, b_j), and the band delta around P."""
-    c = h = cap = 0.0
+    the scenario points (a_j, b_j), delta_max, and delta at cells."""
+    c = h = 0.0
     for withv, rest in terms:
-        xpart = term_cap = 1.0
+        xpart = 1.0
         for f in rest:
             if f not in grid:
                 grid[f] = _on_grid(f, X) if contains_coord(f) else \
                     eval_scenarios(f, [0.0])[0]
             xpart = xpart * grid[f]
-            term_cap = term_cap * np.maximum(1.0, np.abs(grid[f]))
-        cap = cap + reduce(mul, map(caps.get, withv), term_cap)
         if not withv:
             c = c + xpart
         elif any(contains_coord(f) for f in rest):
             h = h + xpart
     if hull is None:
-        return np.nan, np.inf  # a product overflows: rescan every cell
+        return np.nan, np.inf, lambda cells: np.inf  # a product overflows
     ak, bk, steps, slack = hull
-    j = np.searchsorted(steps, h)
     n_ops = len(terms) + max(len(w) + len(r) for w, r in terms)
-    return c + (ak[j] * h + bk[j]), np.where(
-        cap <= _CAP, _U * ((4 * n_ops + 8) * cap + 4 * slack), np.inf)
+
+    def delta(cap):
+        C = sum(reduce(mul, map(caps.get, withv), reduce(
+            mul, [cap(grid[f]) for f in rest], 1.0)) for withv, rest in terms)
+        return np.where(C <= _CAP, _U * ((4 * n_ops + 8) * C + 4 * slack),
+                        np.inf)
+
+    return c + _tangent(ak, bk, steps, h), delta(lambda f: np.fmax.reduce(
+        np.abs(f), axis=None, initial=1.0)), lambda cells: delta(
+        lambda f: np.maximum(1.0, np.abs(np.broadcast_to(f, shape)[cells])))
+
+
+def _tangent(ak, bk, steps, h):
+    """ak[j]*h + bk[j] for j = np.searchsorted(steps, h).  Only the cells
+    between the first and the last step are searched; the others take the
+    first or (above, or NaN) the last vertex."""
+    if not (steps.size and np.ndim(h) and steps[-1] >= steps[0]):  # NaN step
+        j = np.searchsorted(steps, h)
+        return ak[j] * h + bk[j]
+    top, inner = ~(h <= steps[-1]), (h > steps[0]) & (h <= steps[-1])
+    T = ak[0] * h + bk[0]
+    T[top] = ak[-1] * h[top] + bk[-1]
+    j = np.searchsorted(steps, h[inner])
+    T[inner] = ak[j] * h[inner] + bk[j]
+    return T
 
 
 def feasibility_mask(spec: ProblemSpec, X) -> np.ndarray:
     """Boolean feasibility over the cells of X, coordinate arrays that
     broadcast together (a dense (d, N) array or a raster's open mesh), in
     their shape (envelopes <= spec.feas_tol); NaN envelopes mean
-    infeasible.  Cells outside each hull bound's band are decided by it,
-    the rest, while still feasible, by envelope_grid on dense columns."""
+    infeasible.  Cells outside each hull bound's widest band are decided
+    by it, then those outside their own band; the rest, while still
+    feasible, by envelope_grid on dense columns."""
     X, tol = [np.asarray(x, dtype=float) for x in X], spec.feas_tol
     ok = spec.omega.contains_grid(X)
     for con in spec.constraints:
-        P, delta = _hull_bound(spec, con, X) or (np.nan, np.inf)
-        decided = np.abs(P - tol) > delta
-        ok &= ~(decided & (P > tol))
-        cells = np.nonzero(ok & ~decided)
+        P, delta, band = _hull_bound(spec, con, X) or (np.nan, np.inf, None)
+        over = np.subtract(P, tol)
+        ok &= ~(over > delta)
+        cells = np.unravel_index(np.flatnonzero(ok & ~(over < -delta)),
+                                 ok.shape)
+        if band and cells[0].size:
+            over = np.broadcast_to(over, ok.shape)[cells]
+            delta = band(cells)
+            ok[tuple(i[over > delta] for i in cells)] = False
+            cells = tuple(i[~(np.abs(over) > delta)] for i in cells)
         if cells[0].size:
             env = envelope_grid(spec, con, np.array(
                 [np.broadcast_to(x, ok.shape)[cells] for x in X]))
@@ -467,13 +499,20 @@ class Raster:
 
     def to_csv(self) -> str:
         # Each axis value is formatted once, with either flag; an x1 row is
-        # its head, then the tails its flags pick joined by that head.
-        rows = ["x1,x2,feasible\n"]
-        zeros, ones = [np.array([f",{float(b)!r},{f}\n" for b in self.x2],
-                                dtype=object) for f in (0, 1)]
-        for a, flags in zip(self.x1, self.feasible if self.x2.size else ()):
+        # its head, then slices of the 0- or 1-tails cut at flag changes,
+        # joined by that head.
+        tails = [[f",{float(b)!r},{f}\n" for b in self.x2] for f in (0, 1)]
+        rows, n2, F = ["x1,x2,feasible\n"], self.x2.size, self.feasible
+        row, col = np.divmod(np.flatnonzero(F[:, 1:] != F[:, :-1]),
+                             max(n2 - 1, 1))
+        for a, flags, changes in zip(self.x1, F if n2 else (), np.split(
+                col + 1, np.searchsorted(row, range(1, len(F))))):
+            flag, parts, cuts = int(flags[0]), [], [0, *changes.tolist(), n2]
+            for start, stop in zip(cuts, cuts[1:]):
+                parts += tails[flag][start:stop]
+                flag = 1 - flag
             head = repr(float(a))
-            rows += [head, head.join(np.where(flags, ones, zeros))]
+            rows += [head, head.join(parts)]
         return "".join(rows)
 
 
@@ -526,8 +565,9 @@ class Psi:
         opened = np.isnan(first)
         with np.errstate(invalid="ignore", over="ignore"):
             for con in spec.constraints:
-                P, delta = _hull_bound(spec, con, X) or (
-                    envelope_grid(spec, con, X), 0.0)
+                P, _, band = _hull_bound(spec, con, X) or (
+                    envelope_grid(spec, con, X), 0.0, lambda: 0.0)
+                delta = band()
                 opened = opened | np.isnan(P) | ~np.isfinite(delta)
                 lo, hi = np.fmax(lo, P - delta), np.fmax(hi, P + delta)
             keys = np.round(np.fmax(first, lo), 12)

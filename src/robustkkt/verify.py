@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import CertifyError, search_kkt
+from .funcdsl import _on_grid
 from .robustfeas import (
     CELLS_LIMIT,
     ProblemSpec,
@@ -100,8 +101,13 @@ def classify_point(spec: ProblemSpec, xbar, kind: str, region,
         raise VerifyError("classification point must be robust-feasible")
     if spec.dim == 2:
         r = raster(spec, region, resolution)
-        i1, i2 = np.nonzero(r.feasible)  # row-major, as the raster's CSV
-        Xf = np.vstack([r.x1[i1], r.x2[i2]])
+        mesh = np.meshgrid(r.x1, r.x2, indexing="ij", sparse=True)
+
+        def feasible(values):  # row-major, as the raster's CSV
+            return np.broadcast_to(values, r.feasible.shape)[r.feasible]
+
+        Xf = np.array([feasible(x) for x in mesh])
+        F = np.array([feasible(_on_grid(f, mesh)) for f in spec.objectives])
     else:
         if resolution > CELLS_LIMIT:
             raise VerifyError(
@@ -112,16 +118,13 @@ def classify_point(spec: ProblemSpec, xbar, kind: str, region,
         X = (lo[:, None] + (hi - lo)[:, None]
              * rng.random((spec.dim, resolution)))
         Xf = X[:, feasibility_mask(spec, X)]
+        F = spec.fvec_grid(Xf)
     if Xf.shape[1] == 0:
         return EfficiencyVerdict(kind, True, None, None, tuple(region),
                                  resolution, 0)
-    F = spec.fvec_grid(Xf)
-    fbar = spec.fvec(xbar)
-    if quasi:
-        c = spec.primal_norm_grid(Xf - xbar[:, None])
-    else:
-        c = np.ones(Xf.shape[1])
-    D = F - fbar[:, None] + np.outer(spec.theta, c)
+    D = F - spec.fvec(xbar)[:, None]
+    D += spec.theta[:, None] * (spec.primal_norm_grid(Xf - xbar[:, None])
+                                if quasi else 1.0)
     bad = _membership_mask(D, spec.cone, memb_region)
     if not np.any(bad):
         return EfficiencyVerdict(kind, True, None, None, tuple(region),

@@ -8,6 +8,13 @@ bit-equal envelopes and equal masks.  ``hull_bound`` is the hull bound
 upper hull on every call.  ``psi_on_grid`` is the merit function
 ``Psi.on_grid`` that ``fuzzy`` minimised over every cell before it read
 only the cells its hull bound leaves in play (``Psi.candidate_keys``).
+``classify_point`` (with ``_kind_params``) is the efficiency sweep as it
+stood before it read the objectives on the raster's open mesh: it
+evaluates them on the dense columns of the feasible cells (its d != 2
+samples are masked by ``robustfeas.feasibility_mask``, as this module's
+mask is the full scan).  ``to_csv`` is ``Raster.to_csv`` as it stood
+before it joined slices of runs of equal flags: it picks each cell's tail
+by ``np.where`` over object arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from functools import reduce
 
 import numpy as np
 
+from robustkkt import robustfeas
 from robustkkt.funcdsl import (
     Expr,
     _check_scenario,
@@ -23,9 +31,11 @@ from robustkkt.funcdsl import (
     eval_scenarios,
     separable_branches,
 )
-from robustkkt.robustfeas import _CAP, _U, Psi, ProblemSpec, \
-    UncertainConstraint
+from robustkkt.robustfeas import _CAP, _U, CELLS_LIMIT, Psi, ProblemSpec, \
+    Raster, UncertainConstraint, feasible_active_sets, raster
 from robustkkt.setcalc import upper_hull
+from robustkkt.verify import EfficiencyVerdict, VerifyError, \
+    _membership_mask
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
@@ -166,3 +176,71 @@ def _branch_bound(terms, feature, X, vals, grid):
     n_ops = len(terms) + max(len(w) + len(r) for w, r in terms)
     return c + (ak[j] * h + bk[j]), np.where(
         cap <= _CAP, _U * ((4 * n_ops + 8) * cap + 4 * slack), np.inf)
+
+
+def _kind_params(kind: str) -> tuple[bool, str]:
+    if kind == "efficient":
+        return False, "minus-K-minus-0"
+    if kind == "weak":
+        return False, "minus-int-K"
+    if kind == "quasi":
+        return True, "minus-K-minus-0"
+    if kind == "weak-quasi":
+        return True, "minus-int-K"
+    raise VerifyError(f"unknown efficiency kind {kind!r}")
+
+
+def classify_point(spec: ProblemSpec, xbar, kind: str, region,
+                   resolution: int = 401) -> EfficiencyVerdict:
+    """Scan feasible samples for a violation of the chosen solution notion.
+
+    In dimension 2 samples form a raster over ``region``; other dimensions
+    draw ``resolution`` uniform samples from the region box (seeded).
+    """
+    quasi, memb_region = _kind_params(kind)
+    xbar = np.asarray(xbar, dtype=float).reshape(-1)
+    if feasible_active_sets(spec, xbar) is None:
+        raise VerifyError("classification point must be robust-feasible")
+    if spec.dim == 2:
+        r = raster(spec, region, resolution)
+        i1, i2 = np.nonzero(r.feasible)  # row-major, as the raster's CSV
+        Xf = np.vstack([r.x1[i1], r.x2[i2]])
+    else:
+        if resolution > CELLS_LIMIT:
+            raise VerifyError(
+                f"{resolution} samples exceed the limit {CELLS_LIMIT}")
+        lo = np.asarray(region[0::2], dtype=float)
+        hi = np.asarray(region[1::2], dtype=float)
+        rng = np.random.default_rng(spec.seed)
+        X = (lo[:, None] + (hi - lo)[:, None]
+             * rng.random((spec.dim, resolution)))
+        Xf = X[:, robustfeas.feasibility_mask(spec, X)]
+    if Xf.shape[1] == 0:
+        return EfficiencyVerdict(kind, True, None, None, tuple(region),
+                                 resolution, 0)
+    F = spec.fvec_grid(Xf)
+    fbar = spec.fvec(xbar)
+    if quasi:
+        c = spec.primal_norm_grid(Xf - xbar[:, None])
+    else:
+        c = np.ones(Xf.shape[1])
+    D = F - fbar[:, None] + np.outer(spec.theta, c)
+    bad = _membership_mask(D, spec.cone, memb_region)
+    if not np.any(bad):
+        return EfficiencyVerdict(kind, True, None, None, tuple(region),
+                                 resolution, int(Xf.shape[1]))
+    t = int(np.argmax(bad))  # first violation in deterministic scan order
+    return EfficiencyVerdict(kind, False, Xf[:, t].copy(), D[:, t].copy(),
+                             tuple(region), resolution, int(Xf.shape[1]))
+
+
+def to_csv(self: Raster) -> str:
+    # Each axis value is formatted once, with either flag; an x1 row is
+    # its head, then the tails its flags pick joined by that head.
+    rows = ["x1,x2,feasible\n"]
+    zeros, ones = [np.array([f",{float(b)!r},{f}\n" for b in self.x2],
+                            dtype=object) for f in (0, 1)]
+    for a, flags in zip(self.x1, self.feasible if self.x2.size else ()):
+        head = repr(float(a))
+        rows += [head, head.join(np.where(flags, ones, zeros))]
+    return "".join(rows)

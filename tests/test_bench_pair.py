@@ -1,7 +1,8 @@
 """tools/bench_pair.py reads a recorded ``verdictbench/run.py`` output
 (``tests/data/run_point_queries_seed1.txt``, one point-queries run of seed
-1) and summarizes pairs of such results, and its cold block of one-shot
-command timings (``tests/data/cold_block.json``) summarizes its runs."""
+1) and summarizes pairs of such results; its layers block of traced runs
+(``tests/data/layers_block.json``) and its cold block of one-shot command
+timings (``tests/data/cold_block.json``) summarize their runs."""
 
 from __future__ import annotations
 
@@ -120,3 +121,47 @@ def test_cold_summary():
     cmd = bench_pair.summarize_cold(pairs)["commands"]["cmd"]
     assert not cmd["within_parent_iqr"] and not cmd["digests_equal"]
     assert cmd["digest"] is None
+
+
+LAYERS = json.loads((Path(__file__).parent / "data"
+                     / "layers_block.json").read_text())
+PER_LAYER = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+
+
+def test_recorded_layers_block():
+    """The layers block of a recorded run (that of BENCH_32.json) holds,
+    for every workload and both sides, a correct traced run and every
+    per-layer metric of BENCHMARK.json, and its values give the same block
+    again."""
+    assert set(LAYERS["workloads"]) == set(bench_pair.WORKLOADS)
+    pairs = {}
+    for workload, entry in LAYERS["workloads"].items():
+        assert entry["correct"] == {"parent": True, "change": True}
+        assert list(entry["metrics"]) == [m["name"] for m in PER_LAYER]
+        pairs[workload] = {"first": entry["first"], **{
+            side: {"correct": True, "metrics": {
+                name: m[side] for name, m in entry["metrics"].items()}}
+            for side in ("parent", "change")}}
+    assert bench_pair.summarize_layers(pairs, PER_LAYER,
+                                       LAYERS["seed"]) == LAYERS
+
+
+def test_layers_summary():
+    per_layer = [{"name": "a.calls", "unit": "count", "better": "lower"},
+                 {"name": "b.self_s", "unit": "s", "better": "lower"}]
+    parent, change = _run(1, 1), _run(1, 1)
+    parent["metrics"] = {"a.calls": 4.0, "b.self_s": 0.0}
+    change["metrics"] = {"a.calls": 3.0}
+    block = bench_pair.summarize_layers(
+        {"w": {"first": "change", "parent": parent, "change": change}},
+        per_layer, 7)
+    assert (block["seed"], block["trace"]) == (7, 1)
+    entry = block["workloads"]["w"]
+    assert entry["first"] == "change"
+    assert entry["correct"] == {"parent": True, "change": True}
+    assert entry["metrics"]["a.calls"] == {
+        "unit": "count", "better": "lower", "parent": 4.0, "change": 3.0,
+        "change_pct": -25.0}
+    # a metric the parent reads as 0, or the change does not report
+    assert entry["metrics"]["b.self_s"]["change_pct"] is None
+    assert entry["metrics"]["b.self_s"]["change"] is None

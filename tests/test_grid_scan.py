@@ -126,7 +126,7 @@ class TestBundled:
         for con in spec.constraints:
             one = replace(spec, constraints=(con,))
             F = grid_oracle.envelope_grid(one, con, X)
-            P, _ = robustfeas._hull_bound(one, con, X)
+            P, _, _ = robustfeas._hull_bound(one, con, X)
             for t in np.flatnonzero(P > F)[:2]:
                 assert assert_same(one, X, tol=float(F[t])) > 0
                 checked += 1

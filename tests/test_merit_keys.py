@@ -258,8 +258,8 @@ class TestWideBounds:
         hull_bound = robustfeas._hull_bound
 
         def wide(spec, con, X):
-            P, delta = hull_bound(spec, con, X)
-            return P, delta * widen
+            P, widest, band = hull_bound(spec, con, X)
+            return P, widest * widen, lambda *cells: band(*cells) * widen
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(robustfeas, "_hull_bound", wide)

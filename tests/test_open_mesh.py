@@ -183,7 +183,7 @@ class TestFeasibilityMask:
         for con in spec22.constraints:
             one = replace(spec22, constraints=(con,))
             F = grid_oracle.envelope_grid(one, con, dense)
-            P, _ = robustfeas._hull_bound(one, con, dense)
+            P, _, _ = robustfeas._hull_bound(one, con, dense)
             for t in np.flatnonzero(P > F)[:2]:
                 assert_same_mask(one, x1, x2, tol=float(F[t]))
                 checked += 1
@@ -248,14 +248,22 @@ class TestScenarioSideCache:
                 if want is None:
                     continue
                 robustfeas._scenario_sides.cache_clear()
-                # a miss, then two hits
+                # a miss, then two hits; the band at every cell, read at
+                # once and gathered cell by cell
                 for X, cells in ((dense, (713,)), (mesh, (31, 23)),
                                  (dense, (713,))):
-                    P, delta = robustfeas._hull_bound(spec, con, X)
-                    for got, ref in ((P, want[0]), (delta, want[1])):
+                    P, widest, band = robustfeas._hull_bound(spec, con, X)
+                    every = np.unravel_index(np.arange(713), cells)
+                    for got, ref in ((P, want[0]), (band(), want[1])):
                         assert bits(lambda: np.broadcast_to(got, cells)) == \
                             bits(lambda: np.broadcast_to(ref, (713,))), \
                             str(con.expr)
+                    assert bits(lambda: band(every)) == bits(
+                        lambda: np.broadcast_to(want[1], (713,)))
+                    # wider only where a factor is NaN, and so is P
+                    wider = band(every) > widest
+                    assert np.isnan(np.broadcast_to(P, cells)[every][
+                        wider]).all(), str(con.expr)
                 info = robustfeas._scenario_sides.cache_info()
                 assert (info.misses, info.hits) == (1, 2)
             checked += 1

@@ -22,6 +22,17 @@ medians and quartiles and the change's win count (ties count for neither),
 and per workload whether every run was correct and whether the report
 digests of the two trees agree seed by seed.
 
+Its ``layers`` block traces where the time goes: for each workload, one
+
+    python3 verdictbench/run.py --workload W --seed N --seconds S --trace 1
+
+per tree, with N the first seed, alternating which tree runs first from
+one workload to the next.  Per workload it holds whether each side's run
+was correct and, for each per-layer metric of ``BENCHMARK.json``, its
+unit and direction, both sides' values and the change in percent.  One
+traced run per side shows where a change moves time or calls; it does not
+rank small differences, which the timed pairs above do.
+
 Its ``cold`` block times one-shot processes: each command line of
 ``tests/test_golden.py`` (the README command set) runs as a fresh process
 of each tree that calls ``robustkkt.cli.main``, as the ``robustkkt``
@@ -119,13 +130,54 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "verdictbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         str(trace)],
         cwd=tree, env=env, capture_output=True, text=True, check=True)
     return parse_run(proc.stdout)
+
+
+def layer_pairs(parent_tree: Path, workloads, seed: int,
+                seconds: float) -> dict:
+    """Per workload: which tree ran first, and each side's parse_run
+    result of one traced run."""
+    out = {}
+    for i, workload in enumerate(workloads):
+        order = (("parent", parent_tree), ("change", ROOT))
+        order = order if i % 2 == 0 else order[::-1]
+        pair = {"first": order[0][0]}
+        for side, tree in order:
+            pair[side] = run_once(tree, workload, seed, seconds, trace=1)
+            print(f"layers {workload} {side} done", file=sys.stderr,
+                  flush=True)
+        out[workload] = pair
+    return out
+
+
+def summarize_layers(pairs: dict, per_layer: list[dict], seed: int) -> dict:
+    """The layers block from layer_pairs' pairs and the per_layer list of
+    BENCHMARK.json (see the module docstring)."""
+    workloads = {}
+    for workload, pair in pairs.items():
+        metrics = {}
+        for m in per_layer:
+            parent, change = (pair[side]["metrics"].get(m["name"])
+                              for side in ("parent", "change"))
+            metrics[m["name"]] = {
+                "unit": m["unit"], "better": m["better"], "parent": parent,
+                "change": change,
+                "change_pct": (100.0 * (change / parent - 1) if parent
+                               and change is not None else None)}
+        workloads[workload] = {
+            "first": pair["first"],
+            "correct": {side: pair[side]["correct"]
+                        for side in ("parent", "change")},
+            "metrics": metrics}
+    return {"seed": seed, "trace": 1, "workloads": workloads}
 
 
 def golden_commands() -> dict[str, list[str]]:
@@ -261,6 +313,9 @@ def main(argv=None) -> int:
             record.setdefault("environment", {
                 k: v for k, v in pairs[0]["change"]["environment"].items()
                 if k != "commit"})
+        record["layers"] = summarize_layers(layer_pairs(
+            parent_tree, args.workload or WORKLOADS, args.first_seed,
+            spec["run_seconds"]), spec["per_layer"], args.first_seed)
         record["cold"] = summarize_cold(cold_pairs(parent_tree))
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
