@@ -27,6 +27,7 @@ from .robustfeas import (
     feasible_active_sets,
 )
 from .setcalc import (
+    DUAL_NORM,
     MEMBERSHIP_TOL,
     Polytope,
     STATIONARITY,
@@ -36,6 +37,8 @@ from .setcalc import (
     check_selections,
     dual_ball,
     hull,
+    norm_grid,
+    norm_value,
     normal_cone,
     point_in_cone_residual,
     scale,
@@ -55,26 +58,6 @@ _BLOCK = 64
 
 class CertifyError(Exception):
     pass
-
-
-def primal_ball(norm: str, d: int, m: int) -> Polytope:
-    """Polyhedral inner approximation of the primal-norm unit ball."""
-    if norm == "l2":
-        return dual_ball("l2", d, m)
-    if norm == "l1":
-        return dual_ball("linf", d)
-    if norm == "linf":
-        return dual_ball("l1", d)
-    raise CertifyError(f"unsupported norm {norm!r}")
-
-
-def dual_norm_value(norm: str, b) -> float:
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if norm == "l2":
-        return float(np.linalg.norm(b))
-    if norm == "l1":  # dual of l1 is linf
-        return float(np.max(np.abs(b), initial=0.0))
-    return float(np.sum(np.abs(b)))  # dual of linf is l1
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +155,7 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
     checks: list[dict] = []
     prov: dict[str, str] = {}
 
-    kplus = spec.cone.dual()
-    ok_y = kplus.contains(cert.ystar) and float(
+    ok_y = spec.cone.contains(cert.ystar) and float(
         np.max(np.abs(cert.ystar))) > 1e-12
     checks.append({"name": "ystar_in_Kplus_nonzero", "ok": bool(ok_y)})
 
@@ -204,7 +186,7 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
         checks.append({"name": f"v_in_suprule_{spec.constraints[i-1].name}",
                        "ok": bool(inside), "residual": res})
 
-    bnorm = dual_norm_value(spec.norm, cert.bstar)
+    bnorm = norm_value(DUAL_NORM[spec.norm], cert.bstar)
     ok_b = bnorm <= 1.0 + 1e-12
     checks.append({"name": "bstar_in_dual_ball", "ok": bool(ok_b),
                    "dual_norm": bnorm})
@@ -262,7 +244,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         prov[spec.objective_names[j - 1]] = origin
         obj_sets.append(S)
     check_selections(obj_sets, CertifyError)
-    sigma = np.asarray(spec.cone.dual().pattern, dtype=float)
+    sigma = np.asarray(spec.cone.pattern, dtype=float)
     parts = [scale(S, s) for S, s in zip(obj_sets, sigma)]
     for i in actives:
         S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
@@ -364,7 +346,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
             for k in range(spec.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.vstack([m.ravel() for m in mesh])
-    dist = spec.primal_norm_grid(X - xbar[:, None])
+    dist = norm_grid(spec.norm, X - xbar[:, None])
     keep = (dist <= eta + 1e-12) & spec.omega.contains_grid(X)
     if not np.any(keep):
         return FuzzyReport(False, None, "no admissible grid point within eta")
@@ -425,7 +407,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     comp2 = 0.0
     for i in idx:
         gi = eval_expr(spec.constraints[i - 1].expr, x_eta,
-                       scen_used[i] if spec.constraints[i - 1].has_uncertainty
+                       scen_used[i] if spec.constraints[i - 1].expr.has_v
                        else None)
         comp2 = max(comp2, abs((1.0 - lam1) * mu[i - 1] * (gi - psi_val)))
     normalization = (lam1 / lam2) * float(np.sum(np.abs(ystar))) + float(
@@ -458,7 +440,7 @@ def ystar_grid(spec: ProblemSpec, resolution: int) -> np.ndarray:
     grid over the simplex, on the cone's generators, the signed unit
     vectors.
     """
-    sign = np.asarray(spec.cone.dual().pattern, dtype=float)
+    sign = np.asarray(spec.cone.pattern, dtype=float)
     m = sign.size
     if m == 1:
         return sign[None] / np.abs(sign[0])
@@ -488,7 +470,7 @@ def _constraint_rows(spec: ProblemSpec, xbar):
     rows = []
     for i in range(1, spec.n_constraints + 1):
         con = spec.constraints[i - 1]
-        scens = acts.scenarios[i - 1] if con.has_uncertainty else [None]
+        scens = acts.scenarios[i - 1] if con.expr.has_v else [None]
         for vsc in scens:
             base = eval_expr(con.expr, xbar, vsc)
             sd = limiting_subdiff(con.expr, xbar, vsc, "limiting",
@@ -542,7 +524,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     fbar = spec.fvec(xbar)
     F = spec.fvec_grid(samples.T)          # (p, N)
     D = samples.T - xbar[:, None]
-    norms = spec.primal_norm_grid(D)       # (N,)
+    norms = norm_grid(spec.norm, D)        # (N,)
     ytheta_all = ys @ spec.theta
     ynorms = np.outer(ytheta_all, norms)   # (M, N)
     # premise margins m(x, y) for the whole grid at once
@@ -580,7 +562,7 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     for g in N:
         cone_ok &= g @ D <= 1e-12
 
-    pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
+    pball = dual_ball(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
     l2_dirs = spec.norm == "l2"
     cand_ok = cand_g_ok & cone_ok
     # one id per distinct premise-row mask (column of con_prem)
@@ -859,21 +841,13 @@ def _unsplit_max(edges: np.ndarray, vals: np.ndarray, hit: np.ndarray):
 def _planar_ball(ball: np.ndarray):
     """(vertices, outward edge normals, edge heights) of the convex hull of
     the (n, 2) rows of ball, vertices counterclockwise.  The ball holds the
-    origin in its interior, as every primal_ball does, so every height is
-    positive."""
+    origin in its interior, as every primal-norm ball does, so every height
+    is positive."""
     P = list(map(tuple, ball.tolist()))
     H = np.array([P[k] for k in _monotone_chain(P, range(len(P)))])
     edges = np.roll(H, -1, axis=0) - H
     normals = np.column_stack([edges[:, 1], -edges[:, 0]])
     return H, normals, np.einsum("ij,ij->i", normals, H)
-
-
-def refuse_unread_fixtures(spec: ProblemSpec, xbar, names, path: str) -> None:
-    """Refuse a fixture at xbar for one of names, which path does not read."""
-    for name in names:
-        if spec.fixture_for(name, xbar) is not None:
-            raise CertifyError(f"{path} reads no fixture, but fixtures are "
-                               f"asked for and {name} has one at this point")
 
 
 def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
@@ -883,9 +857,11 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     any dimension: does no admissible w have <u*, w> + r < 0?  Each u_j
     must lie in objective j's set of the given mode, or its fixture."""
     xbar = _checked_point(spec, xbar, ptype)
-    if use_fixtures:
-        refuse_unread_fixtures(spec, xbar, [c.name for c in spec.constraints],
-                               "the witness check of the constraints")
+    for con in spec.constraints if use_fixtures else ():
+        if spec.fixture_for(con.name, xbar) is not None:  # not read here
+            raise CertifyError("the witness check of the constraints reads no"
+                               " fixture, but fixtures are asked for and "
+                               f"{con.name} has one at this point")
     x = np.asarray(witness["x"], dtype=float).reshape(-1)
     yv = np.asarray(witness["ystar"], dtype=float).reshape(-1)
     umat = [np.asarray(u, dtype=float).reshape(-1) for u in witness["u"]]
@@ -898,9 +874,9 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
             raise CertifyError(
                 f"witness u[{j}] outside the subdifferential "
                 f"(residual {res:.3g})")
-    if not spec.cone.dual().contains(yv):
+    if not spec.cone.contains(yv):
         raise CertifyError("witness ystar outside K+")
-    nrm = spec.primal_norm(x - xbar)
+    nrm = norm_value(spec.norm, x - xbar)
     fbar = spec.fvec(xbar)
     margin = float(np.dot(yv, spec.fvec(x) - fbar)) + nrm * float(
         np.dot(yv, spec.theta))
@@ -921,7 +897,7 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
                  <= base + 1e-12]
     cuts = _witness_cuts(spec.dim, rows_here, rows,
                          normal_cone(spec.omega, xbar))
-    pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
+    pball = dual_ball(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
     # minimize <u*, w> over all admissible w; failure iff optimum + r >= 0
     lp = LPBuilder()
     w_ids = lp.add_vars(spec.dim, free=True)

@@ -33,10 +33,9 @@ import numpy as np
 from . import certify, verify
 from .certify import KKTCertificate, check_cq, check_kkt, fuzzy_kkt_demo, \
     pseudoconvex_test, search_kkt, witnessed_failure_check
-from .funcdsl import DomainError, ExprError, contains_uncertainty, \
-    decimal_fraction, eval_expr, parse_expr
+from .funcdsl import DomainError, ExprError, decimal_fraction, eval_expr, \
+    parse_expr
 from .robustfeas import (
-    NORMS,
     ProblemError,
     ProblemSpec,
     UncertainConstraint,
@@ -45,7 +44,8 @@ from .robustfeas import (
     raster,
     scenario_envelope,
 )
-from .setcalc import ConeSpec, OmegaSpec, Polytope, PolytopeSet, SetCalcError
+from .setcalc import NORMS, ConeSpec, OmegaSpec, Polytope, PolytopeSet, \
+    SetCalcError
 from .subdiff import limiting_subdiff, sup_rule
 from .verify import DualTriple, classify_point, converse_duality_check, \
     generate_feasible_samples, strong_duality_from, weak_duality_check
@@ -449,7 +449,7 @@ def load_problem(path) -> ProblemSpec:
         expr, dom = expression("objective", lineno, k, v)
         if dom:
             raise LoadError("objective must be a quoted expression", lineno)
-        if contains_uncertainty(expr):
+        if expr.has_v:
             raise LoadError(f"objective {k} must not use v", lineno)
         obj_names.append(k)
         objs.append(expr)
@@ -470,7 +470,7 @@ def load_problem(path) -> ProblemSpec:
                 lo, hi = values
             else:
                 raise LoadError("scenario interval must be [lo, hi]", lineno)
-        elif contains_uncertainty(expr):
+        elif expr.has_v:
             raise LoadError(f"constraint {k} uses v but has no domain", lineno)
         try:
             constraints.append(UncertainConstraint(k, expr, lo, hi, scenarios))
@@ -755,7 +755,7 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
             raise LoadError("subdiff takes at most one of --scenario and "
                             "--fixtures")
         con = None if name in spec.objective_names else spec.constraint(name)
-        if args.scenario is not None and not (con and con.has_uncertainty):
+        if args.scenario is not None and not (con and con.expr.has_v):
             raise LoadError(f"--scenario fixes v, and {name} does not use v")
         fx = spec.fixture_for(name, x) if use_fx else None
         if fx is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
@@ -53,7 +53,6 @@ class Expr:
     value: Fraction | None = None  # const only
     index: int | None = None       # coord only, 1-based
     exponent: int | None = None    # pow only, >= 1
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -97,13 +96,13 @@ class Expr:
 # Folding keeps parse(print(parse(s))) structurally stable.
 # ---------------------------------------------------------------------------
 
-def const(q, span=(0, 0)) -> Expr:
+def const(q) -> Expr:
     q = Fraction(q)
     try:
         float(q)
     except OverflowError:
         raise DomainError("constant too large for a float") from None
-    return Expr("const", value=q, span=span)
+    return Expr("const", value=q)
 
 
 def decimal_fraction(text: str) -> Fraction:
@@ -118,17 +117,17 @@ def decimal_fraction(text: str) -> Fraction:
     return Fraction(d)
 
 
-def coord(k: int, span=(0, 0)) -> Expr:
+def coord(k: int) -> Expr:
     if k < 1:
         raise ValueError("coordinate index must be >= 1")
-    return Expr("coord", index=k, span=span)
+    return Expr("coord", index=k)
 
 
-def uvar(span=(0, 0)) -> Expr:
-    return Expr("uvar", span=span)
+def uvar() -> Expr:
+    return Expr("uvar")
 
 
-def add(*terms: Expr, span=(0, 0)) -> Expr:
+def add(*terms: Expr) -> Expr:
     flat: list[Expr] = []
     csum = Fraction(0)
     for t in terms:
@@ -146,10 +145,10 @@ def add(*terms: Expr, span=(0, 0)) -> Expr:
         rest = rest + [const(csum)]
     if len(rest) == 1:
         return rest[0]
-    return Expr("sum", children=tuple(rest), span=span)
+    return Expr("sum", children=tuple(rest))
 
 
-def mul(*factors: Expr, span=(0, 0)) -> Expr:
+def mul(*factors: Expr) -> Expr:
     flat: list[Expr] = []
     cprod = Fraction(1)
     for f in factors:
@@ -164,58 +163,59 @@ def mul(*factors: Expr, span=(0, 0)) -> Expr:
         else:
             rest.append(f)
     if cprod == 0:
-        return const(0, span=span)
+        return const(0)
     if not rest:
-        return const(cprod, span=span)
+        return const(cprod)
     if cprod != 1:
         rest = [const(cprod)] + rest
     if len(rest) == 1:
         return rest[0]
-    return Expr("prod", children=tuple(rest), span=span)
+    return Expr("prod", children=tuple(rest))
 
 
 def negate(e: Expr) -> Expr:
     return mul(const(-1), e)
 
 
-def pow_(base: Expr, n: int, span=(0, 0)) -> Expr:
+def pow_(base: Expr, n: int) -> Expr:
     if n < 1:
         raise ValueError("integer power must be >= 1")
     if n == 1:
         return base
     if base.kind == "const":
-        return const(base.value ** n, span=span)
+        return const(base.value ** n)
     if base.kind == "pow":
-        return pow_(base.children[0], base.exponent * n, span=span)
-    return Expr("pow", children=(base,), exponent=n, span=span)
+        return pow_(base.children[0], base.exponent * n)
+    return Expr("pow", children=(base,), exponent=n)
 
 
-def recip(e: Expr, span=(0, 0)) -> Expr:
+def recip(e: Expr, pos: int = 0) -> Expr:
+    """1/e; pos is where a parse error places a constant zero e."""
     if e.kind == "const":
         if e.value == 0:
-            raise ParseError("division by constant zero", span[0])
-        return const(Fraction(1) / e.value, span=span)
-    return Expr("recip", children=(e,), span=span)
+            raise ParseError("division by constant zero", pos)
+        return const(Fraction(1) / e.value)
+    return Expr("recip", children=(e,))
 
 
-def sqrt_(e: Expr, span=(0, 0)) -> Expr:
-    return Expr("sqrt", children=(e,), span=span)
+def sqrt_(e: Expr) -> Expr:
+    return Expr("sqrt", children=(e,))
 
 
-def abs_(e: Expr, span=(0, 0)) -> Expr:
+def abs_(e: Expr) -> Expr:
     if e.kind == "const":
-        return const(abs(e.value), span=span)
-    return Expr("abs", children=(e,), span=span)
+        return const(abs(e.value))
+    return Expr("abs", children=(e,))
 
 
-def max_(*branches: Expr, span=(0, 0)) -> Expr:
+def max_(*branches: Expr) -> Expr:
     if len(branches) < 1:
         raise ValueError("max needs at least one branch")
     if len(branches) == 1:
         return branches[0]
     if all(b.kind == "const" for b in branches):
-        return const(max(b.value for b in branches), span=span)
-    return Expr("max", children=tuple(branches), span=span)
+        return const(max(b.value for b in branches))
+    return Expr("max", children=tuple(branches))
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +302,20 @@ class _Parser:
 
     def expr(self) -> Expr:
         self.nest()
-        start = self.peek().pos
         e = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take().text
             rhs = self.term()
-            e = add(e, rhs if op == "+" else negate(rhs), span=(start, self._end()))
+            e = add(e, rhs if op == "+" else negate(rhs))
         self.depth -= 1
         return e
 
     def term(self) -> Expr:
-        start = self.peek().pos
         e = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.take()
             rhs = self.unary()
-            if op.text == "*":
-                e = mul(e, rhs, span=(start, self._end()))
-            else:
-                e = mul(e, recip(rhs, span=(op.pos, self._end())),
-                        span=(start, self._end()))
+            e = mul(e, rhs if op.text == "*" else recip(rhs, op.pos))
         return e
 
     def unary(self) -> Expr:
@@ -337,14 +331,14 @@ class _Parser:
     def power(self) -> Expr:
         base = self.atom()
         while self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.take()
+            self.take()
             t = self.take()
             if t.kind != "num" or not re.fullmatch(r"\d+", t.text):
                 raise ParseError("exponent must be a positive integer literal", t.pos)
             n = int(t.text)
             if n < 1:
                 raise ParseError("exponent must be >= 1", t.pos)
-            base = pow_(base, n, span=(base.span[0], caret.pos + len(t.text)))
+            base = pow_(base, n)
         return base
 
     def atom(self) -> Expr:
@@ -354,7 +348,7 @@ class _Parser:
                 q = decimal_fraction(t.text)
             except InvalidOperation:
                 raise ParseError(f"bad numeric literal {t.text!r}", t.pos)
-            return const(q, span=(t.pos, t.pos + len(t.text)))
+            return const(q)
         if t.kind == "op" and t.text == "(":
             e = self.expr()
             self.expect_op(")")
@@ -363,33 +357,29 @@ class _Parser:
             if t.text in ("abs", "sqrt"):
                 self.expect_op("(")
                 arg = self.expr()
-                close = self.expect_op(")")
-                f = abs_ if t.text == "abs" else sqrt_
-                return f(arg, span=(t.pos, close.pos + 1))
+                self.expect_op(")")
+                return abs_(arg) if t.text == "abs" else sqrt_(arg)
             if t.text == "max":
                 self.expect_op("(")
                 args = [self.expr()]
                 while self.peek().kind == "op" and self.peek().text == ",":
                     self.take()
                     args.append(self.expr())
-                close = self.expect_op(")")
+                self.expect_op(")")
                 if len(args) < 2:
                     raise ParseError("max needs at least two arguments", t.pos)
-                return max_(*args, span=(t.pos, close.pos + 1))
+                return max_(*args)
             if t.text == "v":
-                return uvar(span=(t.pos, t.pos + 1))
+                return uvar()
             m = re.fullmatch(r"x(\d+)", t.text)
             if m:
                 k = int(m.group(1))
                 if not (1 <= k <= self.dim):
                     raise ParseError(
                         f"coordinate x{k} out of range 1..{self.dim}", t.pos)
-                return coord(k, span=(t.pos, t.pos + len(t.text)))
+                return coord(k)
             raise ParseError(f"unknown identifier {t.text!r}", t.pos)
         raise ParseError(f"unexpected token {t.text!r}", t.pos)
-
-    def _end(self) -> int:
-        return self.toks[self.i - 1].pos if self.i else 0
 
 
 @lru_cache(maxsize=1024)
@@ -491,10 +481,6 @@ def _nodes(e: Expr):
         stack.extend(node.children)
 
 
-def contains_uncertainty(e: Expr) -> bool:
-    return e.has_v
-
-
 def contains_coord(e: Expr) -> bool:
     return any(n.kind == "coord" for n in _nodes(e))
 
@@ -566,22 +552,6 @@ def eval_expr(e: Expr, x, v: float | None = None) -> float:
     """Evaluate at a point, raising DomainError on 1/0 or sqrt(negative)."""
     _check_scenario(e, v)
     return e.scalar_fn(_floats(x), v)
-
-
-def scenario_fn(e: Expr, x):
-    """``v -> eval_expr(e, x, v)`` for a scenario scan at one point x.
-
-    x is converted and the scenario use of e checked once, not per call.
-    """
-    _check_scenario(e, 0.0)
-    return partial(e.scalar_fn, _floats(x))
-
-
-def scenario_scan(e: Expr, x):
-    """``V -> e at x for every scenario of the float64 array V`` by one
-    array pass (``Expr.scan_fn``), for a scan at one point x."""
-    _check_scenario(e, 0.0)
-    return partial(e.scan_fn, _floats(x))
 
 
 def _recip(d: float, e: Expr) -> float:
@@ -721,7 +691,8 @@ def _w_chain(a, e: Expr):
 def _w_select(e: Expr, x, v, tol: float, ctx: bool):
     """The abs or max node e, selected by its children's scalar values: an
     atom at a kink or a tie within tol, else the chain rule on the
-    argument's walk or the winning branch's walk."""
+    argument's walk or the winning branch's walk.  A max with a NaN branch,
+    wherever it stands, or none within tol of its top, raises."""
     vals = [c.scalar_fn(x, v) for c in e.children]
     if e.kind == "abs":
         if abs(vals[0]) <= tol:
@@ -729,7 +700,7 @@ def _w_select(e: Expr, x, v, tol: float, ctx: bool):
         return _w_chain(e.children[0].walk_fn(x, v, tol, False), e)
     top = max(vals)
     tied = tuple(i for i, cv in enumerate(vals) if top - cv <= tol)
-    if not tied:
+    if not tied or any(map(math.isnan, vals)):
         raise DomainError(f"NaN maximum in {e}")
     if len(tied) == 1:
         return e.children[tied[0]].walk_fn(x, v, tol, False)
@@ -975,14 +946,6 @@ def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     out = _on_grid(e, X, v)
     return np.broadcast_to(out, X.shape[1:]).copy() if np.ndim(out) == 0 else out
-
-
-def max_on_grid(e: Expr, X: np.ndarray, scenarios) -> np.ndarray:
-    """np.fmax from -inf of eval_on_grid(e, X, v) over the scenarios."""
-    X = np.asarray(X, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return reduce(np.fmax, e.grid_fn(X, map(float, scenarios)),
-                      np.full(X.shape[1], -np.inf))
 
 
 def eval_scenarios(e: Expr, scenarios) -> np.ndarray:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache, partial, reduce
 from operator import mul
 
 import numpy as np
@@ -58,25 +58,21 @@ from .funcdsl import (
     DEFAULT_KINK_TOL,
     DomainError,
     Expr,
+    _floats,
     _on_grid,
     contains_coord,
-    contains_uncertainty,
     eval_expr,
     eval_on_grid,
     eval_scenarios,
-    max_on_grid,
-    scenario_fn,
-    scenario_scan,
     separable_branches,
 )
-from .setcalc import ConeSpec, OmegaSpec, PolytopeSet, upper_hull
+from .setcalc import NORMS, ConeSpec, OmegaSpec, PolytopeSet, upper_hull
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_TOL = 1e-10  # golden_max stops at a bracket this wide
 
 DEFAULT_VGRID = 1001
 DEFAULT_FEAS_TOL = 1e-8
-NORMS = ("l1", "l2", "linf")
 # Scenarios whose value is within SCENARIO_TOL of the envelope are active.
 SCENARIO_TOL = 1e-6
 # A fixture declared within FIXTURE_TOL of a point (max norm) applies there.
@@ -100,7 +96,7 @@ class UncertainConstraint:
     def __post_init__(self):
         if self.scenarios is not None:  # hashable: keys _scenario_sides
             object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        if contains_uncertainty(self.expr):
+        if self.expr.has_v:
             interval = self.lo is not None and self.hi is not None
             if not interval and not self.scenarios:
                 raise ProblemError(
@@ -108,10 +104,6 @@ class UncertainConstraint:
             if interval and self.lo > self.hi:
                 raise ProblemError(f"constraint {self.name}: empty interval")
         # v-free constraints are treated as a single dummy scenario
-
-    @property
-    def has_uncertainty(self) -> bool:
-        return contains_uncertainty(self.expr)
 
 
 @dataclass(frozen=True)
@@ -154,7 +146,7 @@ class ProblemSpec:
             raise ProblemError("theta dimension must match objective count")
         object.__setattr__(self, "theta", th)
         for name, f in zip(self.objective_names, self.objectives):
-            if contains_uncertainty(f):
+            if f.has_v:
                 raise ProblemError(f"objective {name} must not use v")
         if not self.cone.contains(th):
             raise ProblemError("theta must lie in the ordering cone K")
@@ -191,21 +183,6 @@ class ProblemSpec:
 
     def fvec_grid(self, X: np.ndarray) -> np.ndarray:
         return np.stack([eval_on_grid(f, X) for f in self.objectives])
-
-    def primal_norm(self, w) -> float:
-        w = np.asarray(w, dtype=float).reshape(-1)
-        if self.norm == "l1":
-            return float(np.sum(np.abs(w)))
-        if self.norm == "linf":
-            return float(np.max(np.abs(w), initial=0.0))
-        return float(np.linalg.norm(w))
-
-    def primal_norm_grid(self, D: np.ndarray) -> np.ndarray:
-        if self.norm == "l1":
-            return np.sum(np.abs(D), axis=0)
-        if self.norm == "linf":
-            return np.max(np.abs(D), axis=0)
-        return np.sqrt(np.sum(D * D, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +283,10 @@ def scenario_envelope(con: UncertainConstraint, x,
     """phi_i(x) = max_v g_i(x, v) and the scenarios attaining it within
     SCENARIO_TOL, from one scan of the declared scenario list or interval.
     A v-free constraint has the single dummy scenario 0."""
-    if not con.has_uncertainty:
+    if not con.expr.has_v:
         return eval_expr(con.expr, x), [0.0]
-    fn, scan = scenario_fn(con.expr, x), scenario_scan(con.expr, x)
+    xl = _floats(x)
+    fn, scan = partial(con.expr.scalar_fn, xl), partial(con.expr.scan_fn, xl)
     if con.scenarios is not None:
         vals = _scan(fn, scan, np.array(con.scenarios, dtype=float)).tolist()
         top = max(vals)
@@ -357,10 +335,15 @@ def _scenario_grid(con: UncertainConstraint, vgrid: int) -> np.ndarray:
 
 def envelope_grid(spec: ProblemSpec, con: UncertainConstraint,
                   X: np.ndarray) -> np.ndarray:
-    """phi_i over grid columns, by running max across the scenario grid."""
-    if not con.has_uncertainty:
+    """phi_i over grid columns: np.fmax from -inf of the grid code's
+    values at each scenario of the scenario grid."""
+    if not con.expr.has_v:
         return eval_on_grid(con.expr, X)
-    return max_on_grid(con.expr, X, _scenario_grid(con, spec.vgrid))
+    X = np.asarray(X, dtype=float)
+    scenarios = map(float, _scenario_grid(con, spec.vgrid))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return reduce(np.fmax, con.expr.grid_fn(X, scenarios),
+                      np.full(X.shape[1], -np.inf))
 
 
 # Unit roundoff; below _CAP no product of a branch overflows.
@@ -370,7 +353,7 @@ _U, _CAP = 2.0 ** -53, 2.0 ** 1000
 def _hull_bound(spec: ProblemSpec, con: UncertainConstraint, X):
     """(P, delta_max, band) over the cells of the grid X, or None;
     band(cells) is delta at an index tuple's cells, every cell by default."""
-    sides = con.has_uncertainty and _scenario_sides(con, spec.vgrid)
+    sides = con.expr.has_v and _scenario_sides(con, spec.vgrid)
     if not sides:
         return None
     grid, shape = {}, np.broadcast_shapes(*map(np.shape, X))
@@ -545,7 +528,7 @@ class Psi:
 
     def __init__(self, spec: ProblemSpec, ystar, xbar):
         ystar = np.asarray(ystar, dtype=float).reshape(-1)
-        if not spec.cone.dual().contains(ystar):
+        if not spec.cone.contains(ystar):
             raise ProblemError("ystar must lie in the dual cone K+")
         self.spec = spec
         self.ystar = ystar

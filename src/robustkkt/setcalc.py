@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import _EXACT_COL_LIMIT, LPBuilder
+from .lp import LPBuilder
 
 VERTEX_TOL = 1e-12
 # component selections that zero_in_sum or search_kkt try, one exact LP each
@@ -82,10 +82,8 @@ class Polytope:
         p = np.asarray(p, dtype=float).reshape(-1)
         if p.shape[0] != self.dim:
             raise DimensionMismatch("point/polytope dimension mismatch")
-        if self.dim == 2 and self.nverts <= _PLANAR_MEMBERSHIP_VERTS:
-            res = _planar_residual(p, self.vertices)
-        else:
-            res = _membership_residual(p, self.vertices)
+        res = (_planar_residual if self.dim == 2 else _membership_residual)(
+            p, self.vertices)
         return res <= MEMBERSHIP_TOL, res
 
     def __repr__(self):
@@ -110,14 +108,9 @@ def _membership_residual(p: np.ndarray, V: np.ndarray,
     return max(res.objective, 0.0) if res.feasible else math.inf
 
 
-# The planar membership LP has one column per vertex, its t column and four
-# slack columns; up to this many vertices LPBuilder.solve picks the exact
-# engine, whose residual _planar_residual reproduces.
-_PLANAR_MEMBERSHIP_VERTS = _EXACT_COL_LIMIT - 5
-
-
 def _planar_residual(p: np.ndarray, V: np.ndarray) -> float:
-    """_membership_residual in the plane, exactly and without an LP."""
+    """_membership_residual in the plane, exactly and without an LP: the
+    float of the exact optimum, at any number of vertices."""
     P, scale = _integer_plane(np.vstack([p, V]))
     num, den = _hull_distance(
         P[0], [P[k] for k in _monotone_chain(P, range(1, len(P)))])
@@ -342,7 +335,8 @@ class ConeSpec:
     """The ordering cone K, a per-axis sign orthant.
 
     A sign pattern entry +1 means the axis is constrained >= 0, -1 means
-    <= 0.  Sign-orthant cones are pointed and closed by construction.
+    <= 0.  Sign-orthant cones are pointed and closed by construction, and
+    each is its own dual cone: K+ = K.
     """
     pattern: tuple[int, ...]
 
@@ -358,10 +352,6 @@ class ConeSpec:
         y = np.asarray(y, dtype=float).reshape(-1)
         s = np.asarray(self.pattern, dtype=float)
         return bool(np.all(s * y >= -1e-12))
-
-    def dual(self) -> "ConeSpec":
-        # dual of a sign orthant is the same sign orthant
-        return ConeSpec(pattern=self.pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +438,32 @@ def normal_cone(omega: OmegaSpec, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dual-norm balls
+# Norms and dual-norm balls
 # ---------------------------------------------------------------------------
+
+# The norms of x - xbar a problem may choose, each with its dual norm
+DUAL_NORM = {"l1": "linf", "l2": "l2", "linf": "l1"}
+NORMS = tuple(DUAL_NORM)
+
+
+def norm_value(norm: str, w) -> float:
+    """The norm of the vector w."""
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if norm == "l1":
+        return float(np.sum(np.abs(w)))
+    if norm == "linf":
+        return float(np.max(np.abs(w), initial=0.0))
+    return float(np.linalg.norm(w))
+
+
+def norm_grid(norm: str, D: np.ndarray) -> np.ndarray:
+    """The norm of each column of D."""
+    if norm == "l1":
+        return np.sum(np.abs(D), axis=0)
+    if norm == "linf":
+        return np.max(np.abs(D), axis=0)
+    return np.sqrt(np.sum(D * D, axis=0))
+
 
 @lru_cache(maxsize=16)
 def dual_ball(norm: str, d: int, m: int = 64) -> Polytope:

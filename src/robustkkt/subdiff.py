@@ -75,10 +75,6 @@ class SubdiffResult:
     exactness: str       # "exact" | "outer-estimate"
     rules: tuple[str, ...]
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exactness == "exact"
-
 
 def limiting_subdiff(e: Expr, x, v: float | None = None, mode: str = "limiting",
                      kink_tol: float = DEFAULT_KINK_TOL) -> SubdiffResult:
@@ -263,7 +259,7 @@ def sup_rule(con: UncertainConstraint, x, actives, mode: str = "hull",
     pieces = [limiting_subdiff(g, x, v, "limiting", kink_tol) for v in actives]
     comps = [c for r in pieces for c in r.set.components]
     union = PolytopeSet(comps)
-    exact = (len(actives) == 1 and pieces[0].is_exact
+    exact = (len(actives) == 1 and pieces[0].exactness == "exact"
              and (mode == "limiting" or union.ncomponents == 1))
     rules = tuple(f"sup-rule(v={v:.9g})" for v in actives)
     if mode == "hull":

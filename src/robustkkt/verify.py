@@ -30,6 +30,7 @@ from .setcalc import (
     check_selections,
     dual_ball,
     minkowski_sum,
+    norm_grid,
     normal_cone,
     scale,
     zero_in_sum,
@@ -123,7 +124,7 @@ def classify_point(spec: ProblemSpec, xbar, kind: str, region,
         return EfficiencyVerdict(kind, True, None, None, tuple(region),
                                  resolution, 0)
     D = F - spec.fvec(xbar)[:, None]
-    D += spec.theta[:, None] * (spec.primal_norm_grid(Xf - xbar[:, None])
+    D += spec.theta[:, None] * (norm_grid(spec.norm, Xf - xbar[:, None])
                                 if quasi else 1.0)
     bad = _membership_mask(D, spec.cone, memb_region)
     if not np.any(bad):
@@ -170,8 +171,7 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
     ystar = np.asarray(triple.ystar, dtype=float).reshape(-1)
     mu = np.asarray(triple.mu, dtype=float).reshape(-1)
     checks: list[dict] = []
-    kplus = spec.cone.dual()
-    ok_y = kplus.contains(ystar) and float(np.max(np.abs(ystar))) > 1e-12
+    ok_y = spec.cone.contains(ystar) and float(np.max(np.abs(ystar))) > 1e-12
     checks.append({"name": "ystar_in_Kplus_nonzero", "ok": bool(ok_y)})
     ok_mu = bool(np.all(mu >= -1e-12))
     checks.append({"name": "mu_nonnegative", "ok": ok_mu})
@@ -244,7 +244,7 @@ def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
     pairs = 0
     for tr in triples:
         fz = spec.fvec(tr.z)
-        dist = spec.primal_norm_grid(samples.T - tr.z[:, None])
+        dist = norm_grid(spec.norm, samples.T - tr.z[:, None])
         D = F - fz[:, None] + np.outer(spec.theta, dist)
         bad = _membership_mask(D, spec.cone, memb_region)
         pairs += samples.shape[0]

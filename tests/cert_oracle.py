@@ -40,6 +40,7 @@ from robustkkt.setcalc import (
     ZeroInSumResult,
     check_selections,
     dual_ball,
+    norm_grid,
     normal_cone,
 )
 from robustkkt.subdiff import constraint_set, direct_subdiff, objective_set
@@ -130,7 +131,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
     ball = dual_ball(spec.norm, d, spec.ball_facets)
     N = normal_cone(spec.omega, xbar)
 
-    sigma = np.asarray(spec.cone.dual().pattern, dtype=float)
+    sigma = np.asarray(spec.cone.pattern, dtype=float)
     tried = 0
     for selection in itertools.product(*(range(s.ncomponents) for s in obj_sets)):
         tried += 1
@@ -230,7 +231,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
             for k in range(spec.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.vstack([m.ravel() for m in mesh])
-    dist = spec.primal_norm_grid(X - xbar[:, None])
+    dist = norm_grid(spec.norm, X - xbar[:, None])
     keep = (dist <= eta + 1e-12) & spec.omega.contains_grid(X)
     if not np.any(keep):
         return FuzzyReport(False, None, "no admissible grid point within eta")
@@ -316,7 +317,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
         comp2 = 0.0
         for i in idx:
             gi = eval_expr(spec.constraints[i - 1].expr, x_eta,
-                           scen_used[i] if spec.constraints[i - 1].has_uncertainty
+                           scen_used[i] if spec.constraints[i - 1].expr.has_v
                            else None)
             comp2 = max(comp2, abs((1.0 - lam1) * mu[i - 1] * (gi - psi_val)))
         normalization = (lam1 / lam2) * float(np.sum(np.abs(ystar))) + float(

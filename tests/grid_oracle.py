@@ -33,7 +33,7 @@ from robustkkt.funcdsl import (
 )
 from robustkkt.robustfeas import _CAP, _U, CELLS_LIMIT, Psi, ProblemSpec, \
     Raster, UncertainConstraint, feasible_active_sets, raster
-from robustkkt.setcalc import upper_hull
+from robustkkt.setcalc import norm_grid, upper_hull
 from robustkkt.verify import EfficiencyVerdict, VerifyError, \
     _membership_mask
 
@@ -90,7 +90,7 @@ def _eval_grid(e: Expr, X: np.ndarray, v):
 def envelope_grid(spec: ProblemSpec, con: UncertainConstraint,
                   X: np.ndarray) -> np.ndarray:
     """phi_i over grid columns, by running max across the scenario grid."""
-    if not con.has_uncertainty:
+    if not con.expr.has_v:
         return eval_on_grid(con.expr, X)
     if con.scenarios is not None:
         vgrid = np.asarray(con.scenarios, dtype=float)
@@ -128,7 +128,7 @@ def psi_on_grid(self: Psi, X: np.ndarray) -> np.ndarray:
 def hull_bound(spec: ProblemSpec, con: UncertainConstraint, X: np.ndarray):
     """(P, delta) with |P - envelope_grid| <= delta where delta is finite,
     or None, over the columns of X."""
-    branches = separable_branches(con.expr) if con.has_uncertainty else None
+    branches = separable_branches(con.expr) if con.expr.has_v else None
     if branches is None:
         return None
     vals = {f: None for terms, _ in branches for withv, _ in terms
@@ -221,7 +221,7 @@ def classify_point(spec: ProblemSpec, xbar, kind: str, region,
     F = spec.fvec_grid(Xf)
     fbar = spec.fvec(xbar)
     if quasi:
-        c = spec.primal_norm_grid(Xf - xbar[:, None])
+        c = norm_grid(spec.norm, Xf - xbar[:, None])
     else:
         c = np.ones(Xf.shape[1])
     D = F - fbar[:, None] + np.outer(spec.theta, c)

@@ -10,9 +10,11 @@ tolerance that is now ``golden_max``'s constant, as the oracle of
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from robustkkt.funcdsl import eval_expr, scenario_fn
+from robustkkt.funcdsl import eval_expr
 from robustkkt.robustfeas import DEFAULT_VGRID, ProblemSpec, golden_max
 
 
@@ -47,9 +49,10 @@ def _refine_max(fn, grid: np.ndarray,
 def phi_i(spec: ProblemSpec, i: int, x) -> float:
     """Worst-case envelope of constraint i (1-based) at x."""
     con = spec.constraints[i - 1]
-    if not con.has_uncertainty:
+    if not con.expr.has_v:
         return eval_expr(con.expr, x)
-    fn = scenario_fn(con.expr, x)
+    fn = partial(con.expr.scalar_fn,
+                 np.asarray(x, dtype=float).reshape(-1).tolist())
     if con.scenarios is not None:
         return max(fn(v) for v in con.scenarios)
     phi, _ = maximize_scenario(fn, con.lo, con.hi, spec.vgrid)

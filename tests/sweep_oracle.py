@@ -58,13 +58,13 @@ from robustkkt.certify import (
     _constraint_rows,
     _planar_ball,
     _witness_cuts,
-    primal_ball,
     ystar_grid,
 )
 from robustkkt.funcdsl import DEFAULT_KINK_TOL, Expr, _check_scenario, \
     const, eval_expr
 from robustkkt.lp import LPBuilder
-from robustkkt.setcalc import Polytope, _cross, normal_cone
+from robustkkt.setcalc import DUAL_NORM, Polytope, _cross, dual_ball, \
+    norm_grid, normal_cone
 from robustkkt.subdiff import SubdiffResult, limiting_subdiff
 
 
@@ -256,7 +256,7 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
     fbar = spec.fvec(xbar)
     F = spec.fvec_grid(samples.T)
     D = samples.T - xbar[:, None]
-    norms = spec.primal_norm_grid(D)
+    norms = norm_grid(spec.norm, D)
     G = ys @ (F - fbar[:, None]) + np.outer(ys @ spec.theta, norms)
     if ptype == "I":
         active = G < -eps_strict
@@ -281,7 +281,7 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
     for g in N:
         cone_ok &= g @ D <= 1e-12
 
-    pball = primal_ball(spec.norm, spec.dim, spec.ball_facets)
+    pball = dual_ball(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
     ytheta_all = ys @ spec.theta
     l2_dirs = spec.norm == "l2"
     scal_cache = {}

@@ -13,6 +13,8 @@ lists, the bundled constraints, and planted faults.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +22,7 @@ from hypothesis import strategies as st
 
 from robustkkt import robustfeas
 from robustkkt.cli import load_problem
-from robustkkt.funcdsl import (
-    ExprError,
-    parse_expr,
-    scenario_fn,
-    scenario_scan,
-)
+from robustkkt.funcdsl import ExprError, parse_expr
 from scenario_oracle import scan_each
 from test_scalar_fn import _COORD, _TREES
 
@@ -40,7 +37,9 @@ def _outcome(run):
 def assert_same(e, x, grid):
     """The outcome of the array scan, equal to the oracle's, and whether
     it came from the array pass (no scalar call)."""
-    fn, scan, calls = scenario_fn(e, x), scenario_scan(e, x), []
+    xl = np.asarray(x, dtype=float).reshape(-1).tolist()
+    fn, scan = partial(e.scalar_fn, xl), partial(e.scan_fn, xl)
+    calls = []
 
     def counted(t):
         calls.append(t)
@@ -99,7 +98,7 @@ class TestBundled:
         spec = load_problem(name)
         rng = np.random.default_rng(3)
         for con in spec.constraints:
-            if not con.has_uncertainty:
+            if not con.expr.has_v:
                 continue
             grid = np.linspace(con.lo, con.hi, spec.vgrid)
             for x in [np.zeros(2), *rng.uniform(-3, 3, size=(4, 2))]:

@@ -2,7 +2,8 @@
 (``tests/data/run_point_queries_seed1.txt``, one point-queries run of seed
 1) and summarizes pairs of such results; its layers block of traced runs
 (``tests/data/layers_block.json``) and its cold block of one-shot command
-timings (``tests/data/cold_block.json``) summarize their runs."""
+timings (``tests/data/cold_block.json``) summarize their runs; its lines
+block counts two trees' module lines."""
 
 from __future__ import annotations
 
@@ -165,3 +166,20 @@ def test_layers_summary():
     # a metric the parent reads as 0, or the change does not report
     assert entry["metrics"]["b.self_s"]["change_pct"] is None
     assert entry["metrics"]["b.self_s"]["change"] is None
+
+
+def test_lines_block(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree, files in ((parent, {"a.py": "x = 1\ny = 2\n", "gone.py": "\n"}),
+                        (change, {"a.py": "x = 1\n", "new.py": "a\nb\nc"})):
+        pkg = tree / "src" / "robustkkt"
+        pkg.mkdir(parents=True)
+        for name, text in files.items():
+            (pkg / name).write_text(text)
+        (pkg / "notes.txt").write_text("not a module\n")
+    # wc -l counts newlines: a last line without one does not count
+    assert bench_pair.summarize_lines(parent, change) == {
+        "modules": {"a.py": {"parent": 2, "change": 1},
+                    "gone.py": {"parent": 1, "change": 0},
+                    "new.py": {"parent": 0, "change": 2}},
+        "total": {"parent": 3, "change": 3}}

@@ -74,7 +74,7 @@ def test_search_kkt(name):
 def test_fuzzy(name):
     spec = load_problem(name)
     rng = np.random.default_rng(sum(map(ord, name)))
-    sigma = np.asarray(spec.cone.dual().pattern, dtype=float)
+    sigma = np.asarray(spec.cone.pattern, dtype=float)
     found = 0
     for k, x in points(spec, rng, 10):
         ystar = sigma * rng.uniform(0, 1, spec.n_objectives)

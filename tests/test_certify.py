@@ -20,7 +20,8 @@ from robustkkt.certify import (
 from robustkkt.cli import load_certificate, resolve_problem_path
 from robustkkt.funcdsl import parse_expr
 from robustkkt.robustfeas import ProblemSpec, UncertainConstraint
-from robustkkt.setcalc import ConeSpec, OmegaSpec
+from robustkkt.setcalc import DUAL_NORM, ConeSpec, OmegaSpec, dual_ball, \
+    norm_value
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,7 @@ class TestPseudoConvex:
         assert np.allclose(np.sum(np.abs(ys), axis=1), 1.0)
         # midpoint grid keeps degenerate rays like (0, 1, 0) off the grid
         assert np.min(np.max(np.abs(ys), axis=1)) < 1.0
-        s = np.asarray(spec22.cone.dual().pattern, dtype=float)
+        s = np.asarray(spec22.cone.pattern, dtype=float)
         assert np.all(ys * s >= 0)
 
     @pytest.mark.parametrize("pattern", [(1,), (-1,), (-1, 1), (-1, 1, 1),
@@ -244,8 +245,8 @@ def _highs_witness_optimum(spec, xbar, x, ystar, u, cuts):
     <a, w> <= 0 for the rows a of cuts, by HiGHS with w free."""
     from scipy.optimize import linprog
 
-    nrm = spec.primal_norm(x - xbar)
-    B = certify.primal_ball(spec.norm, 2, spec.ball_facets).vertices
+    nrm = norm_value(spec.norm, x - xbar)
+    B = dual_ball(DUAL_NORM[spec.norm], 2, spec.ball_facets).vertices
     m = B.shape[0]
     A_ub = np.vstack([np.r_[0.0, 0.0, np.ones(m)],
                       np.hstack([cuts, np.zeros((len(cuts), m))])])

@@ -6,10 +6,12 @@ from robustkkt.funcdsl import (
     DomainError,
     ParseError,
     ScenarioMismatchError,
+    const,
     eval_expr,
     eval_on_grid,
     format_expr,
     parse_expr,
+    recip,
 )
 
 from genexpr import random_point, random_supported_expr
@@ -57,6 +59,24 @@ class TestParse:
             parse_expr("x1^0", 2)
         with pytest.raises(ParseError):
             parse_expr("x1^(2)", 2)
+
+    @pytest.mark.parametrize("text, pos", [
+        ("1/0", 1), ("x1/(2-2)", 2), ("1 + 2/0", 5), ("x1*(1/0)", 5),
+        ("x1^0", 3), ("x1^a", 3), ("x3", 0), ("max(x1)", 0), ("abs(x1", 6),
+        ("x1 x2", 3), ("x1 # 2", 2),
+        ("(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1),
+         MAX_NESTING),
+        ("-" * (MAX_NESTING + 1) + "x1", MAX_NESTING),
+    ])
+    def test_error_position(self, text, pos):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, 2)
+        assert exc.value.pos == pos
+
+    def test_library_division_by_zero_at_position_zero(self):
+        with pytest.raises(ParseError) as exc:
+            recip(const(0))
+        assert exc.value.pos == 0
 
     def test_rational_and_decimal_literals(self):
         assert eval_expr(parse_expr("2/5 + 0.25", 1), [0.0]) == pytest.approx(0.65)

@@ -30,9 +30,9 @@ from robustkkt.funcdsl import (
     eval_expr,
     eval_on_grid,
     eval_scenarios,
-    max_on_grid,
     parse_expr,
 )
+from robustkkt.robustfeas import UncertainConstraint, envelope_grid
 from test_grid_scan import _VTREES
 from test_scalar_fn import _COORD, _TREES
 
@@ -121,7 +121,7 @@ class TestEdgeCases:
         for text in ("sqrt(2)*v", "sqrt(10)^800*v", "max(sqrt(2), v)"):
             assert_same_scenarios(parse_expr(text, 0), [-1.0, 0.0, 2.0])
 
-    def test_power_of_v_raises_power_of_abs_v_overflows(self):
+    def test_power_of_v_raises_power_of_abs_v_overflows(self, spec32):
         X = np.array([[1.0, -2.0]])
         assert assert_same_grid(parse_expr("v^400*x1", 1), X, 10.0) == \
             ("raised", DomainError)
@@ -135,7 +135,8 @@ class TestEdgeCases:
                        .tolist())
         # the envelope raises too: the grid code keeps v a Python float
         with pytest.raises(DomainError):
-            max_on_grid(parse_expr("v^400*x1", 1), X, [1.0, 10.0])
+            envelope_grid(spec32, UncertainConstraint(
+                "g", parse_expr("v^400*x1", 1), scenarios=(1.0, 10.0)), X)
 
     def test_sums_to_negative_zero(self):
         # a left fold with no leading 0: -0.0 + -0.0 is -0.0
@@ -181,7 +182,7 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("opener, closer", [("abs(", ")"),
                                                 ("x1 + 2/(", ")^3")])
-    def test_deep_tree_does_not_recurse(self, opener, closer):
+    def test_deep_tree_does_not_recurse(self, opener, closer, spec32):
         # The second pattern adds four tree levels per nesting level.
         depth = MAX_NESTING - 1
         e = parse_expr(opener * depth + "x1 - v" + closer * depth, 1)
@@ -196,7 +197,8 @@ class TestEdgeCases:
         try:
             with np.errstate(all="ignore"):
                 got = [eval_on_grid(e, X, 0.5),
-                       max_on_grid(e, X, [0.5, -1.0]),
+                       envelope_grid(spec32, UncertainConstraint(
+                           "g", e, scenarios=(0.5, -1.0)), X),
                        eval_scenarios(x_free, [0.5, 2.0])]
         finally:
             sys.setrecursionlimit(limit)

@@ -30,7 +30,7 @@ from robustkkt.robustfeas import (
     compute_active_sets,
     feasible_active_sets,
 )
-from robustkkt.setcalc import ConeSpec, OmegaSpec
+from robustkkt.setcalc import ConeSpec, OmegaSpec, norm_grid
 from test_grid_scan import FEATURES, NOT_SEPARABLE, OFFSETS, SEPARABLE
 
 BUNDLED = ("example_2_2", "example_2_3", "example_3_2", "example_3_5")
@@ -119,7 +119,7 @@ def _keys_on_disc(spec, xbar, ystar, eta, grid_n=81):
     axes = [np.linspace(xbar[k] - eta, xbar[k] + eta, grid_n)
             for k in range(spec.dim)]
     X = np.vstack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-    X = X[:, spec.primal_norm_grid(X - xbar[:, None]) <= eta + 1e-12]
+    X = X[:, norm_grid(spec.norm, X - xbar[:, None]) <= eta + 1e-12]
     return Psi(spec, ystar, xbar).candidate_keys(X)
 
 

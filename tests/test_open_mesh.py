@@ -36,7 +36,7 @@ from robustkkt.cli import load_problem
 from robustkkt.funcdsl import DomainError, _on_grid, eval_on_grid, \
     parse_expr
 from robustkkt.robustfeas import UncertainConstraint, feasibility_mask
-from robustkkt.setcalc import OmegaSpec
+from robustkkt.setcalc import OmegaSpec, norm_grid
 from robustkkt.verify import KINDS, _kind_params, _membership_mask, \
     classify_point
 from test_grid_scan import FEATURES, NOT_SEPARABLE, OFFSETS, SEPARABLE, \
@@ -317,7 +317,7 @@ def dense_classify(spec, xbar, kind, region, resolution):
     X = np.vstack([g1.ravel(), g2.ravel()])
     Xf = X[:, feasibility_mask(spec, X)]
     F = spec.fvec_grid(Xf)
-    c = spec.primal_norm_grid(Xf - xbar[:, None]) if quasi else \
+    c = norm_grid(spec.norm, Xf - xbar[:, None]) if quasi else \
         np.ones(Xf.shape[1])
     D = F - spec.fvec(xbar)[:, None] + np.outer(spec.theta, c)
     bad = _membership_mask(D, spec.cone, memb_region)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from genexpr import random_convex_expr, random_point, random_supported_expr
 from robustkkt import certify, lp, setcalc
 from robustkkt.cli import run_command
-from robustkkt.setcalc import Polytope, PolytopeSet, minkowski_sum
+from robustkkt.setcalc import DUAL_NORM, Polytope, PolytopeSet, dual_ball, \
+    minkowski_sum
 from robustkkt.subdiff import limiting_subdiff
 from sweep_oracle import _lp_witness_margin, _witness_ball, \
     component_witness_margin
@@ -192,17 +193,24 @@ class TestPlanarMembership:
         assert square.contains([0.5, 0.5]) == (True, 0.0)
         assert square.contains([2.0, 0.5]) == (False, 1.0)
         assert calls == []
-        # past the exact LP's size the residual stays the LP's
-        angles = np.linspace(0, 2 * np.pi, setcalc._PLANAR_MEMBERSHIP_VERTS + 2)
-        ring = Polytope(np.column_stack([np.cos(angles[:-1]),
-                                         np.sin(angles[:-1])]))
-        ring.contains([2.0, 0.0])
-        assert calls == [1]
+        # past the exact LP's size too, the residual is the exact distance
+        angles = np.linspace(0, 2 * np.pi, 158)[:-1]
+        ring = Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
+        assert ring.nverts == 157
+        p = np.array([2.0, 0.3])
+        _, res = ring.contains(p)
+        assert calls == []
+        P, scale = setcalc._integer_plane(np.vstack([p, ring.vertices]))
+        num, den = setcalc._hull_distance(P[0], [
+            P[k] for k in setcalc._monotone_chain(P, range(1, len(P)))])
+        assert res == num / (den * scale)
+        assert res == pytest.approx(
+            setcalc._membership_residual(p, ring.vertices), rel=1e-9)
 
 
 def _random_margin_case(rng, norm):
     comp = Polytope(rng.normal(size=(int(rng.integers(1, 6)), 2)))
-    pball = certify.primal_ball(norm, 2, 64)
+    pball = dual_ball(DUAL_NORM[norm], 2, 64)
     T = int(rng.integers(0, 3))
     # rows of _constraint_rows: (constraint, scenario, base, vertex rows)
     con_rows = [(t + 1, None, 0.0,
@@ -265,7 +273,7 @@ class TestPlanarMargin:
         comp = Polytope([[1.0, 0.0]])
         # the line through (1, 0) in the normal cone, as the pair g, -g
         N = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        pball = certify.primal_ball("linf", 2, 64)
+        pball = dual_ball(DUAL_NORM["linf"], 2, 64)
         delta, w = component_witness_margin(
             comp, 1.0, 0.0, [], {}, N, pball)
         # w = (0, t): <u, w> = 0 whatever t, so the margin is 0
@@ -274,7 +282,7 @@ class TestPlanarMargin:
 
     def test_no_nonnegative_margin(self):
         comp = Polytope([[1.0, 0.0], [-1.0, 0.0]])
-        pball = certify.primal_ball("l2", 2, 64)
+        pball = dual_ball("l2", 2, 64)
         # min_u -<u, w> <= 0 everywhere, and the offset makes it negative
         assert component_witness_margin(
             comp, 1.0, 0.5, [], {}, np.zeros((0, 2)), pball) is None
@@ -306,13 +314,13 @@ def test_bundled_sweeps_solve_no_lp(monkeypatch, argv):
 
 def _exact_dirs(U):
     """The directions -u/|u| the l2 witness ball adds for the rows u of U."""
-    pball = certify.primal_ball("l2", 2, 64)
+    pball = dual_ball("l2", 2, 64)
     return _witness_ball(np.asarray(U, dtype=float), pball,
                          True)[pball.nverts:]
 
 
 def _geometry(norm):
-    return certify._SweepGeometry(certify.primal_ball(norm, 2, 64),
+    return certify._SweepGeometry(dual_ball(DUAL_NORM[norm], 2, 64),
                                   norm == "l2",
                                   [np.zeros((0, 2))])
 

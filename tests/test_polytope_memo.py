@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from robustkkt import certify, cli
+from robustkkt import cli
 from robustkkt.cli import LoadError, load_problem, resolve_problem_path
-from robustkkt.setcalc import SetCalcError, dual_ball
+from robustkkt.setcalc import DUAL_NORM, SetCalcError, dual_ball
 
 NORMS = [("l2", 2, 64), ("l2", 2, 400), ("l2", 1, 64), ("l2", 3, 64),
          ("l1", 3, 64), ("linf", 2, 64)]
@@ -31,9 +31,10 @@ def test_dual_ball_is_built_once_and_read_only(norm, d, m):
 
 
 def test_primal_ball_shares_the_dual_ball():
-    assert certify.primal_ball("l2", 2, 64) is dual_ball("l2", 2, 64)
-    assert certify.primal_ball("l1", 2, 64) is certify.primal_ball(
-        "l1", 2, 8)
+    assert dual_ball(DUAL_NORM["l2"], 2, 64) is dual_ball("l2", 2, 64)
+    # the l1 ball is exact, whatever the facet count
+    assert dual_ball(DUAL_NORM["l1"], 2, 64).vertices.tobytes() == \
+        dual_ball(DUAL_NORM["l1"], 2, 8).vertices.tobytes()
 
 
 def test_bad_ball_is_refused_every_time():

@@ -31,9 +31,6 @@ from test_golden import COMMANDS, report
 SRC = Path(robustkkt.__file__).resolve().parent
 
 KEPT = {
-    "certify.refuse_unread_fixtures":
-        "pseudoconvex --witness under --fixtures; no README command asks "
-        "for fixtures there",
     "cli.LoadError.__init__":
         "raised only on refused input; tests/test_cli.py covers the refusals",
     "cli._fmt": "formats a bound in a refusal; no README command is refused",
@@ -49,14 +46,12 @@ KEPT = {
     "funcdsl._rough_product":
         "refuses a product of two factors nonsmooth in x at the point; no "
         "README command has one",
-    "funcdsl.max_on_grid": "body of envelope_grid",
     "funcdsl._split_negative":
         "printing a sum with a negative term, for an error message or an "
         "atom key; no README command prints one",
     "lp.LPBuilder._solve_float":
-        "LPs over 160 columns or 80 rows, such as memberships in polygons "
-        "of more than 155 vertices or a witness check off the plane; no "
-        "bundled problem has one",
+        "LPs over 160 columns or 80 rows, such as a witness check off the "
+        "plane; no bundled problem has one",
     "robustfeas.ProblemSpec.constraint":
         "subdiff --target naming a constraint",
     "robustfeas.envelope_grid":
@@ -70,7 +65,7 @@ KEPT = {
     "setcalc.PolytopeSet.__repr__": "debugging representation",
     "setcalc._lp_extreme_points": "hull reduction for d != 2",
     "setcalc._membership_residual":
-        "membership for d != 2 or in polygons of more than 155 vertices",
+        "membership for d != 2, and point_in_cone_residual",
     "setcalc._planar_keep_mask":
         "planar reduction of three or more points, such as the sum rule "
         "where abs(x1) + abs(x2) kinks; the bundled problems reduce at "
@@ -83,12 +78,6 @@ KEPT = {
 KEPT_PARAMS = {
     "cli.main(argv)":
         "the console script calls main() bare; tests pass their argv",
-    "funcdsl.abs_(span)":
-        "_Parser.atom passes it through f = abs_ or sqrt_, a call by "
-        "another name",
-    "funcdsl.sqrt_(span)":
-        "_Parser.atom passes it through f = abs_ or sqrt_, a call by "
-        "another name",
 }
 
 def _key(code: CodeType) -> tuple[str, int, str]:

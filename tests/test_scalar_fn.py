@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from robustkkt.funcdsl import (
     ScenarioMismatchError,
     eval_expr,
     parse_expr,
-    scenario_fn,
 )
 
 
@@ -100,10 +100,11 @@ class TestGeneratedExpressions:
         rng = np.random.default_rng(5)
         for spec in (spec22, spec32, spec35):
             for con in spec.constraints:
-                if not con.has_uncertainty:
+                if not con.expr.has_v:
                     continue
                 x = random_point(rng, spec.dim)
-                fn = scenario_fn(con.expr, x)
+                fn = partial(con.expr.scalar_fn,
+                             np.asarray(x, dtype=float).tolist())
                 for v in np.linspace(con.lo, con.hi, 41).tolist():
                     want = _eval_scalar(con.expr, np.asarray(x), v)
                     assert struct.pack("d", fn(v)) == struct.pack("d", want)

@@ -12,11 +12,12 @@ by side, in the group ``scenario-scan``:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from robustkkt import robustfeas
-from robustkkt.funcdsl import scenario_fn, scenario_scan
 from scenario_oracle import scan_each
 
 
@@ -24,7 +25,7 @@ from scenario_oracle import scan_each
 @pytest.mark.parametrize("path", ["array", "oracle"])
 def test_one_scan(benchmark, spec35, path):
     con, x = spec35.constraints[0], [0.3, -0.2]
-    fn, scan = scenario_fn(con.expr, x), scenario_scan(con.expr, x)
+    fn, scan = partial(con.expr.scalar_fn, x), partial(con.expr.scan_fn, x)
     grid = np.linspace(con.lo, con.hi, spec35.vgrid)
     run = {"array": lambda: robustfeas._scan(fn, scan, grid),
            "oracle": lambda: scan_each(fn, grid)}[path]

@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -252,18 +251,6 @@ class TestNormalCone:
         omega = OmegaSpec.halfspaces([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
         N = normal_cone(omega, [1.0, 0.0])
         assert np.array_equal(N, [[1, 0]])
-
-
-class TestDualCone:
-    def test_orthant_patterns_fixed(self):
-        k = ConeSpec(pattern=(-1, 1, 1))
-        assert k.dual().pattern == (-1, 1, 1)
-        assert ConeSpec(pattern=(1, 1, 1)).dual().pattern == (1, 1, 1)
-
-    def test_involution_for_orthants(self):
-        for pattern in itertools.product((-1, 1), repeat=3):
-            k = ConeSpec(pattern=pattern)
-            assert k.dual().dual().pattern == k.pattern
 
 
 class TestConeSpec:

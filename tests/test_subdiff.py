@@ -39,7 +39,7 @@ class TestWorkedExampleSets:
     def test_convex_kink_interval(self, spec22, origin):
         res = limiting_subdiff(spec22.objective("f1"), origin, mode="hull")
         assert polytope_equal(_single(res), Polytope([[-5, -0.4], [5, -0.4]]))
-        assert res.is_exact
+        assert res.exactness == "exact"
 
     def test_g2_hull_example_3_2(self, spec32, origin):
         g2 = parse_expr("-3*abs(x1) + v*x2 - 2", 2)
@@ -70,7 +70,7 @@ class TestWorkedExampleSets:
             comp = _single(res)
             assert comp.nverts == 1
             assert np.allclose(comp.vertices[0], [-2.0, 1.0])
-            assert res.is_exact
+            assert res.exactness == "exact"
 
 
 class TestStructureRules:
@@ -105,7 +105,7 @@ class TestStructureRules:
         e = parse_expr("max(x1, 2*x1)", 2)
         res = limiting_subdiff(e, [0, 0.5])
         assert polytope_equal(_single(res), Polytope([[1, 0], [2, 0]]))
-        assert res.is_exact
+        assert res.exactness == "exact"
 
     def test_negative_coefficient_max_union(self):
         e = parse_expr("-max(x1, 2*x1)", 2)

@@ -335,7 +335,7 @@ def _premises(spec, ptype, region=(-2, 2, -2, 2), grid=21, y_res=24):
                          np.linspace(region[2], region[3], grid),
                          indexing="ij")
     X = np.vstack([g1.ravel(), g2.ravel()])
-    norms = spec.primal_norm_grid(X)
+    norms = setcalc.norm_grid(spec.norm, X)
     G = ys @ (spec.fvec_grid(X) - spec.fvec(np.zeros(2))[:, None]) \
         + np.outer(ys @ spec.theta, norms)
     G = G < -1e-7 if ptype == "I" else G <= 1e-12

@@ -28,9 +28,10 @@ from hypothesis import strategies as st
 
 import sweep_oracle
 from robustkkt import certify
-from robustkkt.certify import primal_ball, ystar_grid
+from robustkkt.certify import ystar_grid
 from robustkkt.cli import load_problem, run_command
 from robustkkt.funcdsl import parse_expr
+from robustkkt.setcalc import DUAL_NORM, dual_ball
 from robustkkt.subdiff import Scalarization
 from test_sweep import VARIANTS, _variant
 
@@ -79,7 +80,7 @@ def wall_sets(tmp_path_factory):
 
 def assert_same_margins(ball, walls, comps, ytheta):
     norm, facets, l2_dirs = ball
-    pball = primal_ball(norm, 2, facets)
+    pball = dual_ball(DUAL_NORM[norm], 2, facets)
     new = certify._SweepGeometry(pball, l2_dirs, walls)
     old = sweep_oracle.SweepGeometry(pball, l2_dirs, walls)
     with np.errstate(all="ignore"):
@@ -106,7 +107,7 @@ def _vertex(ball):
     on either side of +-pi; or a base vertex turned by a small angle, so
     that several land in one gap."""
     norm, facets, _ = ball
-    V = primal_ball(norm, 2, facets).vertices
+    V = dual_ball(DUAL_NORM[norm], 2, facets).vertices
     on_base = st.tuples(st.integers(0, len(V) - 1), st.integers(-2, 2)).map(
         lambda t: -V[t[0]] * 2.0 ** t[1])
     near_pi = st.tuples(st.sampled_from([1e-300, 1e-12, 1e-3, 0.0, -0.0]),

@@ -43,6 +43,10 @@ the change's win count, whether the change's median is within the
 parent's interquartile range of the parent's median or below, each side's
 median over its floor, and whether the stdout and exit code of every run,
 with each tree's path cut out, are the same.
+
+Its ``lines`` block holds both trees' line counts of
+``src/robustkkt/*.py``, counted as ``wc -l`` counts (newline characters),
+per module and in total; a module missing from one tree counts 0 there.
 """
 
 from __future__ import annotations
@@ -252,6 +256,23 @@ def summarize_cold(pairs: list[dict]) -> dict:
             "floor": floor, "commands": entries}
 
 
+def count_lines(tree: Path) -> dict[str, int]:
+    """Newline characters per module of tree's src/robustkkt, as wc -l."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((tree / "src" / "robustkkt").glob("*.py"))}
+
+
+def summarize_lines(parent_tree: Path, change_tree: Path) -> dict:
+    """The lines block: per module and in total, both trees' counts."""
+    counts = {"parent": count_lines(parent_tree),
+              "change": count_lines(change_tree)}
+    names = sorted(set(counts["parent"]) | set(counts["change"]))
+    return {
+        "modules": {name: {side: counts[side].get(name, 0) for side in counts}
+                    for name in names},
+        "total": {side: sum(c.values()) for side, c in counts.items()}}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -288,6 +309,7 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
                        check=True)
+        record["lines"] = summarize_lines(parent_tree, ROOT)
         # both trees start with their bytecode compiled, as an install
         # does: PYTHONDONTWRITEBYTECODE=1 would leave only the checkout's
         # old cache, and time its imports against the parent's compiles
