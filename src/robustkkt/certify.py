@@ -90,7 +90,7 @@ def check_cq(spec: ProblemSpec, xbar, use_fixtures: bool = False) -> CQReport:
         holds = holds and ok
         entry = {"i": i, "zero_excluded": ok}
         if res.sat:
-            entry["witness"] = [w.tolist() for w in res.witness_points([S])]
+            entry["witness"] = res.witness_points([S])
         per.append(entry)
     return CQReport(holds, acts.index_set, per, prov)
 
@@ -122,17 +122,6 @@ class KKTCertificate:
 
     def residual(self, theta) -> float:
         return float(np.linalg.norm(self.residual_vector(theta)))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ystar": self.ystar.tolist(),
-            "mu": self.mu.tolist(),
-            "u": [np.asarray(u).tolist() for u in self.u],
-            "v": [np.asarray(v).tolist() for v in self.v],
-            "vbar": list(self.vbar),
-            "bstar": self.bstar.tolist(),
-            "astar": self.astar.tolist(),
-        }
 
 
 @dataclass

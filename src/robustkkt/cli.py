@@ -16,6 +16,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import locale
 import math
 import os
 import re
@@ -342,9 +343,12 @@ def _parse_polytope_set(text: str) -> PolytopeSet:
     return PolytopeSet(comps)
 
 
-def load_problem(path) -> ProblemSpec:
-    """Parse and validate a .problem file into a ProblemSpec."""
-    text = resolve_problem_path(path).read_text()
+def load_problem(source) -> ProblemSpec:
+    """Parse and validate a .problem file, given by its path or its bytes
+    (decoded as Path.read_text decodes them), into a ProblemSpec."""
+    if not isinstance(source, bytes):
+        source = resolve_problem_path(source).read_bytes()
+    text = source.decode(locale.getpreferredencoding(False))
     sections: dict[str, list[tuple[int, str, str]]] = {}
     seen: set[tuple] = set()
     current = None
@@ -495,6 +499,10 @@ def load_problem(path) -> ProblemSpec:
             pset = _parse_polytope_set(m.group("sets"))
         except _FixtureRefusal as exc:
             raise LoadError(str(exc), lineno) from None
+        for what, size in (("point", point.size), ("set", pset.dim)):
+            if size != dim:
+                raise LoadError(f"fixture {what} has dimension {size}, the "
+                                f"problem has dim {dim}", lineno)
         fixtures.append(FixtureSet(name, point, pset))
 
     # only the options the file gives: ProblemSpec holds the defaults
@@ -546,14 +554,20 @@ def load_triple(doc: dict, spec: ProblemSpec) -> DualTriple:
 # ---------------------------------------------------------------------------
 
 def to_jsonable(obj):
+    """obj as JSON data: arrays as lists, dataclasses as dicts, and a
+    non-finite float as the word float() reads back ("nan", "inf",
+    "-inf"), since JSON has no such number."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     if isinstance(obj, np.ndarray):
         return [to_jsonable(t) for t in obj.tolist()]
     if isinstance(obj, np.generic):
-        return obj.item()
+        return to_jsonable(obj.item())
     if isinstance(obj, Polytope):
-        return {"vertices": obj.vertices.tolist()}
+        return {"vertices": to_jsonable(obj.vertices)}
     if isinstance(obj, PolytopeSet):
-        return {"components": [c.vertices.tolist() for c in obj.components]}
+        return {"components": [to_jsonable(c.vertices)
+                               for c in obj.components]}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -575,11 +589,7 @@ def emit_report(command: str, problem_path, spec_hash: str, config: dict,
     }
     if timings is not None:
         doc["timings_sec"] = timings
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _hash_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +688,14 @@ def run_command(argv) -> int:
         argv = _merge_negative_values(argv)
         args = build_parser(_argv_verb(argv)).parse_args(argv)
         t0 = time.monotonic()
-        # resolved once: load_problem takes an existing path as it is
+        # resolved and read once: the hash and the parse see the same bytes
         path = resolve_problem_path(args.problem)
-        code, verdict, details = _dispatch(args, load_problem(path))
+        data = path.read_bytes()
+        code, verdict, details = _dispatch(args, load_problem(data))
         timings = time.monotonic() - t0 if args.timings else None
         config = {"mode": args.mode, "fixtures": args.fixtures}
-        emit_report(args.command, path, _hash_file(path), config, verdict,
-                    details, timings)
+        emit_report(args.command, path, hashlib.sha256(data).hexdigest(),
+                    config, verdict, details, timings)
         return code
     except SystemExit as exc:  # argparse's usage errors, and --help
         return 3 if exc.code not in (0, None) else 0
@@ -692,7 +703,8 @@ def run_command(argv) -> int:
         raise
     except Exception as exc:
         print(json.dumps({"report_version": REPORT_VERSION,
-                          "error": str(exc)}, indent=2, sort_keys=True))
+                          "error": str(exc)}, indent=2, sort_keys=True,
+                         allow_nan=False))
         return 3 if isinstance(exc, DATA_ERRORS) else 4
 
 
@@ -783,8 +795,8 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
     if verb == "kkt search":
         rep = search_kkt(spec, args.at, mode, use_fx, tol=args.tol)
         if rep.found:
-            details = {"certificate": rep.certificate.to_jsonable(),
-                       "recheck": vars(rep.recheck),
+            details = {"certificate": rep.certificate,
+                       "recheck": rep.recheck,
                        "active_indices": rep.active_indices,
                        "heuristic": False,
                        "provenance": rep.provenance}
@@ -834,8 +846,7 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
 
     if verb == "duality strong":
         rep = strong_duality_from(spec, args.at, mode, use_fx)
-        details = {"triple": rep.triple.to_jsonable(),
-                   "feasibility": vars(rep.feasibility)}
+        details = {"triple": rep.triple, "feasibility": rep.feasibility}
         return _settled(rep.feasibility.feasible, "FEASIBLE", "INFEASIBLE",
                         details)
 
@@ -862,9 +873,9 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
     triple = load_triple(json.loads(Path(args.triple).read_text()), spec)
     rep = converse_duality_check(spec, triple, args.kind, args.region,
                                  args.res, mode, use_fx)
-    details = {"kind": rep.kind, "efficiency": vars(rep.efficiency)}
-    return _sampled(rep.efficiency.feasible_checked, rep.consistent,
-                    "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", details)
+    return _sampled(rep.feasible_checked, rep.no_counterexample,
+                    "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE",
+                    {"kind": args.kind, "efficiency": rep})
 
 
 def main(argv=None) -> int:

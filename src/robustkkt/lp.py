@@ -8,8 +8,11 @@ Two engines are provided:
   feasibility verdicts on the small equality-form certificate LPs carry no
   floating point doubt (binary floats convert to integer ratios
   losslessly), and
-* scipy's HiGHS for the larger inequality systems, with feasibility
-  tolerance 1e-9.
+* scipy's HiGHS for the larger systems, with feasibility tolerance 1e-9.
+
+Both solve one standard form, min c.x subject to A x = b, x >= 0, which
+``LPBuilder`` builds once: a free variable is the difference of two
+columns, and each ``<=`` row gets a slack column.
 
 The exact simplex scales ``[A | b]`` once by the lcm L of its entries'
 denominators, which gives the integer start ``T0 = [A' | b' | I]``.  Every
@@ -48,6 +51,7 @@ _MAX_PIVOTS = 20000
 _EXACT_COL_LIMIT = 160
 _EXACT_ROW_LIMIT = 80
 FLOAT_FEAS_TOL = 1e-9
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 class LPError(Exception):
@@ -251,27 +255,18 @@ class LPBuilder:
             return self._solve_exact()
         return self._solve_float()
 
-    def _split_map(self):
-        # variable i -> (pos column, neg column or None)
-        cols = []
-        nxt = 0
-        for i in range(self.n):
-            if self.free[i]:
-                cols.append((nxt, nxt + 1))
-                nxt += 2
-            else:
-                cols.append((nxt, None))
-                nxt += 1
-        return cols, nxt
-
-    def _solve_exact(self) -> LPResult:
-        cols, base = self._split_map()
-        nslack = len(self.ubs)
-        total = base + nslack
-        A, b = [], []
+    def _standard_form(self):
+        """(A, b, c, cols): min c.x subject to A x = b, x >= 0, the one form
+        both engines solve.  Variable i is column cols[i][0], less column
+        cols[i][1] where it is free (else None); each ``<=`` row adds a
+        slack column after them all."""
+        cols, base = [], 0
+        for free in self.free:
+            cols.append((base, base + 1 if free else None))
+            base += 1 + free
 
         def expand(coeffs):
-            row = [0] * total
+            row = [0] * (base + len(self.ubs))
             for i, a in coeffs.items():
                 fa = _rational(a)
                 p, q = cols[i]
@@ -280,60 +275,36 @@ class LPBuilder:
                     row[q] -= fa
             return row
 
-        for coeffs, rhs in self.eqs:
-            A.append(expand(coeffs))
-            b.append(_rational(rhs))
-        for s, (coeffs, rhs) in enumerate(self.ubs):
-            row = expand(coeffs)
-            row[base + s] = 1
-            A.append(row)
-            b.append(_rational(rhs))
-        c = [0] * total
-        for i, a in self.obj.items():
-            fa = _rational(a)
-            p, q = cols[i]
-            c[p] += fa
-            if q is not None:
-                c[q] -= fa
-        status, x, obj = simplex_standard(A, b, c)
-        if status != "optimal":
-            return LPResult(status, engine="exact")
-        vals = np.zeros(self.n)
-        for i in range(self.n):
-            p, q = cols[i]
-            vals[i] = float(x[p] if q is None else x[p] - x[q])
-        return LPResult("optimal", vals, float(obj), engine="exact")
+        A = [expand(coeffs) for coeffs, _ in self.eqs + self.ubs]
+        for s in range(len(self.ubs)):
+            A[len(self.eqs) + s][base + s] = 1
+        b = [_rational(rhs) for _, rhs in self.eqs + self.ubs]
+        return A, b, expand(self.obj), cols
+
+    def _solve_exact(self) -> LPResult:
+        A, b, c, cols = self._standard_form()
+        return _result(*simplex_standard(A, b, c), cols, "exact")
 
     def _solve_float(self) -> LPResult:
         from scipy.optimize import linprog
 
-        c = np.zeros(self.n)
-        for i, a in self.obj.items():
-            c[i] = float(a)
-        A_eq = b_eq = A_ub = b_ub = None
-        if self.eqs:
-            A_eq = np.zeros((len(self.eqs), self.n))
-            b_eq = np.zeros(len(self.eqs))
-            for r, (coeffs, rhs) in enumerate(self.eqs):
-                for i, a in coeffs.items():
-                    A_eq[r, i] = float(a)
-                b_eq[r] = float(rhs)
-        if self.ubs:
-            A_ub = np.zeros((len(self.ubs), self.n))
-            b_ub = np.zeros(len(self.ubs))
-            for r, (coeffs, rhs) in enumerate(self.ubs):
-                for i, a in coeffs.items():
-                    A_ub[r, i] = float(a)
-                b_ub[r] = float(rhs)
-        bounds = [(None, None) if f else (0, None) for f in self.free]
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs",
+        A, b, c, cols = self._standard_form()
+        res = linprog(np.array(c, dtype=float),
+                      A_eq=np.array(A, dtype=float).reshape(len(A), len(c)),
+                      b_eq=np.array(b, dtype=float), bounds=(0, None),
+                      method="highs",
                       options={"primal_feasibility_tolerance": FLOAT_FEAS_TOL})
-        if res.status == 2:
-            return LPResult("infeasible", engine="float")
-        if res.status == 3:
-            return LPResult("unbounded", engine="float")
-        if not res.success:
+        if res.status not in _HIGHS_STATUS:
             raise LPError(f"HiGHS failed: {res.message}")
-        return LPResult("optimal", np.asarray(res.x), float(res.fun),
-                        engine="float")
+        return _result(_HIGHS_STATUS[res.status], res.x, res.fun, cols,
+                       "float")
+
+
+def _result(status: str, x, objective, cols, engine: str) -> LPResult:
+    """An engine's answer over the standard form's columns x as the
+    declared variables' values."""
+    if status != "optimal":
+        return LPResult(status, engine=engine)
+    values = np.array([float(x[p] if q is None else x[p] - x[q])
+                       for p, q in cols])
+    return LPResult(status, values, float(objective), engine)

@@ -360,25 +360,36 @@ class ConeSpec:
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Ground set: whole space, a box, or an intersection of halfspaces."""
-    kind: str                       # "whole" | "box" | "halfspaces"
-    dim: int
-    lo: np.ndarray | None = None    # box
-    hi: np.ndarray | None = None
-    normals: np.ndarray | None = None  # halfspaces a.x <= b, rows of normals
-    offsets: np.ndarray | None = None
+    """Ground set: the points x with normals @ x <= offsets, a (k, d)
+    array of rows and its k offsets; the whole space has no rows."""
+    normals: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.normals.shape[1]
 
     @classmethod
     def whole(cls, dim: int) -> "OmegaSpec":
-        return cls("whole", dim)
+        return cls(np.zeros((0, dim)), np.zeros(0))
 
     @classmethod
     def box(cls, lo, hi) -> "OmegaSpec":
+        """lo <= x <= hi: one row per finite bound, each coordinate's lower
+        bound before its upper one."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or np.any(lo > hi):
             raise SetCalcError("invalid box bounds")
-        return cls("box", lo.shape[0], lo=lo, hi=hi)
+        d = lo.shape[0]
+        rows, offsets = [], []
+        for j in range(d):
+            for sign, bound in ((-1.0, lo[j]), (1.0, hi[j])):
+                if np.isfinite(bound):
+                    rows.append(np.zeros(d))  # -eye[j] would hold -0.0
+                    rows[-1][j] = sign
+                    offsets.append(sign * bound)
+        return cls(np.array(rows).reshape(-1, d), np.array(offsets))
 
     @classmethod
     def halfspaces(cls, normals, offsets) -> "OmegaSpec":
@@ -386,52 +397,31 @@ class OmegaSpec:
         b = np.asarray(offsets, dtype=float).reshape(-1)
         if A.shape[0] != b.shape[0]:
             raise SetCalcError("halfspace normals/offsets mismatch")
-        return cls("halfspaces", A.shape[1], normals=A, offsets=b)
+        return cls(A, b)
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
-        tol = OMEGA_TOL
-        if self.kind == "whole":
-            return True
-        if self.kind == "box":
-            return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-        return bool(np.all(self.normals @ x <= self.offsets + tol))
+        return bool(np.all(self.normals @ x <= self.offsets + OMEGA_TOL))
 
     def contains_grid(self, X) -> np.ndarray:
-        tol = OMEGA_TOL
-        ok = np.ones(np.broadcast_shapes(*map(np.shape, X)), dtype=bool)
-        if self.kind == "box":
-            for j in range(self.dim):
-                ok &= (X[j] >= self.lo[j] - tol) & (X[j] <= self.hi[j] + tol)
-        elif self.kind == "halfspaces":
-            D = np.array(np.broadcast_arrays(*X)).reshape(self.dim, -1)
-            ok = np.all(self.normals @ D <= self.offsets[:, None] + tol,
-                        axis=0).reshape(ok.shape)
-        return ok
+        shape = np.broadcast_shapes(*map(np.shape, X))
+        if not self.offsets.size:  # an open mesh stays open
+            return np.ones(shape, dtype=bool)
+        D = np.array(np.broadcast_arrays(*X)).reshape(self.dim, -1)
+        return np.all(self.normals @ D <= self.offsets[:, None] + OMEGA_TOL,
+                      axis=0).reshape(shape)
 
 
 def normal_cone(omega: OmegaSpec, x) -> np.ndarray:
     """Normal cone to omega at x: the (k, d) array of its generators, the
-    active outward normals; (0, d) where none is active."""
+    normals of the rows active at x, |a.x - b| <= tol max(1, |b|) + tol;
+    (0, d) where none is active."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    tol = OMEGA_TOL
     if not omega.contains(x):
         raise SetCalcError("point lies outside the ground set")
-    d = omega.dim
-    gens = []
-    if omega.kind == "box":
-        lo = np.isfinite(omega.lo) & (x <= omega.lo + tol)
-        hi = np.isfinite(omega.hi) & (x >= omega.hi - tol)
-        for j in range(d):
-            for sign, active in ((-1.0, lo[j]), (1.0, hi[j])):
-                if active:
-                    gens.append(np.zeros(d))
-                    gens[-1][j] = sign
-    elif omega.kind == "halfspaces":
-        for a, b in zip(omega.normals, omega.offsets):
-            if abs(float(np.dot(a, x)) - float(b)) <= tol * max(1.0, abs(b)) + tol:
-                gens.append(np.asarray(a, dtype=float))
-    G = np.array(gens).reshape(-1, d)
+    b = omega.offsets
+    G = omega.normals[np.abs(omega.normals @ x - b)
+                      <= OMEGA_TOL * np.maximum(1.0, np.abs(b)) + OMEGA_TOL]
     if np.any(np.linalg.norm(G, axis=1) == 0):
         raise SetCalcError("cone generators must be nonzero")
     return G

@@ -145,10 +145,6 @@ class DualTriple:
     ystar: np.ndarray
     mu: np.ndarray
 
-    def to_jsonable(self) -> dict:
-        return {"z": self.z.tolist(), "ystar": self.ystar.tolist(),
-                "mu": self.mu.tolist()}
-
 
 @dataclass
 class DualFeasReport:
@@ -207,16 +203,13 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
     res = zero_in_sum(parts, N)
     checks.append({"name": "stationarity_inclusion", "ok": bool(res.sat)})
     feas = bool(ok_y and ok_mu and comp_ok and res.sat)
-    witness = None
-    if res.sat:
-        witness = [w.tolist() for w in res.witness_points(parts)]
+    witness = res.witness_points(parts) if res.sat else None
     return DualFeasReport(feas, checks, witness)
 
 
 @dataclass
 class WeakDualityReport:
     no_violation: bool
-    kind: str
     pairs_checked: int
     violation: dict | None = None
 
@@ -250,10 +243,9 @@ def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
         pairs += samples.shape[0]
         if np.any(bad):
             t = int(np.argmax(bad))
-            return WeakDualityReport(False, kind, pairs, {
-                "x": samples[t].tolist(), "triple": tr.to_jsonable(),
-                "relation_value": D[:, t].tolist()})
-    return WeakDualityReport(True, kind, pairs)
+            return WeakDualityReport(False, pairs, {
+                "x": samples[t], "triple": tr, "relation_value": D[:, t]})
+    return WeakDualityReport(True, pairs)
 
 
 def generate_feasible_samples(spec: ProblemSpec, region,
@@ -296,17 +288,9 @@ def strong_duality_from(spec: ProblemSpec, xbar, mode: str = "limiting",
     return StrongDualityReport(triple, feas)
 
 
-@dataclass
-class ConverseDualityReport:
-    consistent: bool
-    kind: str
-    efficiency: EfficiencyVerdict
-
-
 def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,
                            region, resolution: int, mode: str = "limiting",
-                           use_fixtures: bool = False
-                           ) -> ConverseDualityReport:
+                           use_fixtures: bool = False) -> EfficiencyVerdict:
     """Check the converse-duality conclusion at a primal-feasible dual point.
 
     Kind I (type-I pseudo convexity) implies weak quasi-efficiency of z,
@@ -319,6 +303,5 @@ def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,
         raise VerifyError("converse duality requires a robust-feasible z")
     if not dual_feasible(spec, triple, mode, use_fixtures).feasible:
         raise VerifyError("converse duality requires a dual-feasible triple")
-    eff_kind = "weak-quasi" if kind == "I" else "quasi"
-    verdict = classify_point(spec, z, eff_kind, region, resolution)
-    return ConverseDualityReport(verdict.no_counterexample, kind, verdict)
+    return classify_point(spec, z, "weak-quasi" if kind == "I" else "quasi",
+                          region, resolution)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -480,6 +481,64 @@ g1 = "x1 - 5" with v in [-1, 1]
         assert code == 3
         assert doc["error"] == f"NaN maximum in {f1}"
 
+    @pytest.mark.parametrize("fixture, error", [
+        ("f1 @ 0,0,0 : {(-2,-1), (-2,1)}", "fixture point has dimension 3"),
+        ("f1 @ 0,0 : {(-2,-1,0), (-2,1,0)}", "fixture set has dimension 3"),
+    ], ids=["point", "set"])
+    @pytest.mark.parametrize("argv", [
+        ["subdiff", "--target", "f1", "--at", "0,0", "--fixtures"],
+        ["kkt", "search", "--at", "0,0", "--fixtures"],
+        ["duality", "strong", "--at", "0,0", "--fixtures"],
+    ], ids=["subdiff", "kkt-search", "duality-strong"])
+    def test_fixture_of_another_dimension_refused(self, capsys, tmp_path,
+                                                  fixtures_dir, argv,
+                                                  fixture, error):
+        """A 3-D fixture in a 2-D problem is refused with its line; the
+        point exited 4 ("operands could not be broadcast"), the set gave a
+        3-D SET-COMPUTED or "zero_in_sum dimension mismatch"."""
+        text = (fixtures_dir / "example_3_2.problem").read_text().replace(
+            "f1 @ 0,0 : {(-2,-1), (-2,1)}", fixture)
+        line = text.splitlines().index(f"fixture = {fixture}") + 1
+        path = tmp_path / "fx.problem"
+        path.write_text(text)
+        code, doc = run_json(capsys, argv + ["--problem", str(path)])
+        assert code == 3
+        assert doc["error"] == f"{error}, the problem has dim 2 (line {line})"
+
+    @pytest.mark.parametrize("objectives, g1, argv, key, value", [
+        (("x1^2", "x2^2"), "max(1/x1 - 1/x1, x2 - 5)",
+         ["feasible", "--at", "1e-320,0"], "phi", "nan"),
+        (("-x1^400", "-x1^2"), "x2 - 5",
+         ["efficiency", "--at", "0,0", "--kind", "weak", "--region",
+          "-10,10,-1,1", "--res", "5"], "violation", ["-inf", -100.0]),
+    ], ids=["nan", "-inf"])
+    def test_reports_hold_no_nonfinite_token(self, capsys, tmp_path,
+                                             objectives, g1, argv, key,
+                                             value):
+        """JSON has no NaN or Infinity: a non-finite number is written as
+        the word float() reads back.  Both reports held a bare token."""
+        path = tmp_path / "p.problem"
+        path.write_text(f"""
+[space]
+dim = 2
+[cone]
+pattern = >=0, >=0
+[theta]
+value = 0, 0
+[objectives]
+f1 = "{objectives[0]}"
+f2 = "{objectives[1]}"
+[constraints]
+g1 = "{g1}" with v in [-1, 1]
+""")
+        code = run_command(argv + ["--problem", str(path)])
+
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == 1 and doc["details"][key] == value
+
     def test_unknown_subdiff_target_refused(self, capsys):
         code, out = run_json(capsys, ["subdiff", "--problem", "example_3_2",
                                       "--target", "g9", "--at", "0,0"])
@@ -598,6 +657,31 @@ g1 = "x1 - 5" with v in [-1, 1]
         line = len(text.splitlines()) + 1
         assert code == 3
         assert doc["error"] == f"unknown option 'feas_tols' (line {line})"
+
+    def test_problem_file_read_once(self, capsys, monkeypatch):
+        """The hash and the parse come from one read of the file."""
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self.name)
+                            or read_bytes(self))
+        monkeypatch.setattr(Path, "read_text", None)
+        code, _ = run_json(capsys, ["feasible", "--problem", "example_3_2",
+                                    "--at", "0,0"])
+        assert code == 0 and reads == ["example_3_2.problem"]
+
+    def test_crlf_problem_file(self, capsys, tmp_path, fixtures_dir):
+        """Lines end at \\r\\n and \\r as at \\n; the hash is of the bytes."""
+        data = (fixtures_dir / "example_3_2.problem").read_bytes()
+        argv = ["kkt", "search", "--at", "0,0", "--problem"]
+        _, want = run_json(capsys, argv + ["example_3_2"])
+        for end in (b"\r\n", b"\r"):
+            path = tmp_path / "crlf.problem"
+            path.write_bytes(data.replace(b"\n", end))
+            code, doc = run_json(capsys, argv + [str(path)])
+            assert code == 0 and doc["details"] == want["details"]
+            assert doc["problem"]["sha256"] == hashlib.sha256(
+                path.read_bytes()).hexdigest()
 
     def test_problem_file_not_text_refused(self, capsys, tmp_path):
         path = tmp_path / "p.problem"

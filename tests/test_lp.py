@@ -85,21 +85,47 @@ class TestLPBuilder:
             assert not solve().feasible
 
     def test_engines_agree_on_random_feasibility(self):
+        """Nonnegative and free variables, equality and <= rows and an
+        objective: both engines solve the one standard form, to the same
+        status and optimum."""
         rng = np.random.default_rng(11)
-        agree = 0
+        statuses = []
         for _ in range(60):
             lp = LPBuilder()
             ids = lp.add_vars(4)
+            w = lp.add_var(free=True)
             lp.add_eq({i: 1.0 for i in ids}, 1.0)
-            A = rng.uniform(-1, 1, size=(2, 4))
+            A = rng.uniform(-1, 1, size=(2, 5))
             rhs = rng.uniform(-0.3, 0.3, size=2)
             for r in range(2):
-                lp.add_eq({ids[k]: A[r, k] for k in range(4)}, rhs[r])
+                lp.add_eq({k: A[r, k] for k in range(5)}, rhs[r])
+            G = rng.uniform(-1, 1, size=(2, 5))
+            for r in range(2):
+                lp.add_ub({k: G[r, k] for k in range(5)}, rng.uniform(0, 0.2))
+            lp.add_ub({w: 1.0}, 2.0)
+            lp.add_ub({w: -1.0}, 2.0)
+            lp.set_objective(dict(enumerate(rng.uniform(-1, 1, size=5))))
             r1 = lp._solve_exact()
             r2 = lp._solve_float()
-            assert r1.feasible == r2.feasible
-            agree += 1
-        assert agree == 60
+            assert (r1.engine, r2.engine) == ("exact", "float")
+            assert r1.status == r2.status
+            if r1.feasible:
+                assert r2.objective == pytest.approx(r1.objective, abs=1e-9)
+            statuses.append(r1.status)
+        assert set(statuses) == {"optimal", "infeasible"}
+
+    @pytest.mark.parametrize("objective, status", [
+        ({0: 1.0}, "optimal"), ({1: 1.0}, "unbounded")])
+    def test_no_rows(self, objective, status):
+        lp = LPBuilder()
+        lp.add_var()
+        lp.add_var(free=True)
+        lp.set_objective(objective)
+        for solve in (lp._solve_exact, lp._solve_float):
+            res = solve()
+            assert res.status == status
+            if res.feasible:
+                assert res.objective == 0 and res.values.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,71 @@ class TestNormalCone:
         assert np.array_equal(N, [[1, 0]])
 
 
+# (lo, hi) of boxes with finite and infinite bounds, and the rows each is
+BOXES = {
+    "finite": (([-1.5, 0.0], [1.0, 2.0]),
+               [[-1, 0], [1, 0], [0, -1], [0, 1]], [1.5, 1.0, 0.0, 2.0]),
+    "half-infinite": (([-5.0, -np.inf], [np.inf, 0.5]),
+                      [[-1, 0], [0, 1]], [5.0, 0.5]),
+    "no-bound": (([-np.inf, 0.0], [np.inf, 0.0]),
+                 [[0, -1], [0, 1]], [0.0, 0.0]),
+}
+
+
+class TestBoxIsItsHalfspaces:
+    """A box is shorthand for its halfspaces: one row per finite bound,
+    each coordinate's lower bound first, zeros with +-1 (no -0.0)."""
+
+    @pytest.mark.parametrize("name", BOXES)
+    def test_rows(self, name):
+        (lo, hi), rows, offsets = BOXES[name]
+        omega = OmegaSpec.box(lo, hi)
+        assert omega.normals.tolist() == rows and omega.dim == 2
+        assert omega.offsets.tolist() == offsets
+        assert not np.any(np.signbit(omega.normals) & (omega.normals == 0))
+
+    @pytest.mark.parametrize("name", BOXES)
+    def test_same_answers_as_halfspaces(self, name):
+        (lo, hi), rows, offsets = BOXES[name]
+        box = OmegaSpec.box(lo, hi)
+        half = OmegaSpec.halfspaces(rows, offsets)
+        rng = np.random.default_rng(7)
+        # the faces, the corners and points off them by about the tolerance
+        edges = np.array([-5.0, -1.5, 0.0, 0.5, 1.0, 2.0])
+        xs = np.concatenate([edges + t for t in (-3e-9, 0.0, 3e-9)]
+                            + [rng.uniform(-6, 3, 40)])
+        ys = np.concatenate([edges, rng.uniform(-1, 3, 20)])
+        for X in (np.ix_(xs, ys), np.meshgrid(xs, ys, indexing="ij")):
+            assert np.array_equal(box.contains_grid(X), half.contains_grid(X))
+        inside = 0
+        for x in xs:
+            for y in ys:
+                assert box.contains([x, y]) == half.contains([x, y])
+                if box.contains([x, y]):
+                    inside += 1
+                    N = normal_cone(box, [x, y])
+                    assert np.array_equal(N, normal_cone(half, [x, y]))
+                    assert not np.any(np.signbit(N) & (N == 0))
+        assert inside
+
+    def test_face_active_by_the_halfspace_rule(self):
+        """|a.x - b| <= 1e-9 max(1, |b|) + 1e-9: with lo = -5, x1 = -5 +
+        3e-9 lies on the face (the former rule, x1 <= lo + 1e-9, left it
+        off)."""
+        omega = OmegaSpec.box([-5.0, 0.0], [5.0, 1.0])
+        assert normal_cone(omega, [-5 + 3e-9, 0.5]).tolist() == [[-1, 0]]
+        assert normal_cone(omega, [-5 + 7e-9, 0.5]).shape == (0, 2)
+
+    def test_whole_space_grid_stays_open(self):
+        X = np.ix_(np.arange(3.0), np.arange(4.0))
+        ok = OmegaSpec.whole(2).contains_grid(X)
+        assert ok.shape == (3, 4) and ok.all()
+
+    def test_invalid_bounds_refused(self):
+        with pytest.raises(SetCalcError, match="invalid box bounds"):
+            OmegaSpec.box([1.0, 0.0], [0.0, 1.0])
+
+
 class TestConeSpec:
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)

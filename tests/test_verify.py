@@ -165,14 +165,14 @@ class TestConverseDuality:
         rep = strong_duality_from(spec35, origin)
         out = converse_duality_check(spec35, rep.triple, "I",
                                      (-3, 3, -4, 1), 101)
-        assert out.consistent
-        assert out.efficiency.kind == "weak-quasi"
+        assert out.no_counterexample
+        assert out.kind == "weak-quasi"
 
     def test_kind_II_2_3(self, spec23, origin):
         rep = strong_duality_from(spec23, origin)
         out = converse_duality_check(spec23, rep.triple, "II",
                                      (-3, 3, -4, 1), 101)
-        assert out.consistent and out.efficiency.kind == "quasi"
+        assert out.no_counterexample and out.kind == "quasi"
 
     def test_infeasible_z_rejected(self, spec35):
         triple = DualTriple(np.array([2.0, 2.0]),
