@@ -25,7 +25,6 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -340,6 +339,8 @@ def _parse_polytope_set(text: str) -> PolytopeSet:
         if len({len(v) for v in verts}) > 1:
             raise _FixtureRefusal("fixture vertices differ in length")
         comps.append(Polytope(np.array(verts)))
+    if len({p.dim for p in comps}) > 1:
+        raise _FixtureRefusal("fixture components differ in dimension")
     return PolytopeSet(comps)
 
 
@@ -432,6 +433,10 @@ def load_problem(source) -> ProblemSpec:
                 offsets.append(parse_scalar(rhs))
             except ValueError:
                 raise LoadError("halfspace must be 'a1,a2 : b'", lineno)
+            if len(normals[-1]) != dim:
+                raise LoadError(f"halfspace {k} has dimension "
+                                f"{len(normals[-1])}, the problem has dim "
+                                f"{dim}", lineno)
         if not normals:
             raise LoadError("halfspaces omega needs h* entries")
         omega = OmegaSpec.halfspaces(normals, offsets)
@@ -533,9 +538,9 @@ def resolve_problem_path(path) -> Path:
     if p.exists():
         return p
     name = p.name if p.name.endswith(".problem") else p.name + ".problem"
-    bundled = resources.files("robustkkt") / "fixtures" / name
+    bundled = Path(__file__).parent / "fixtures" / name
     if bundled.is_file():
-        return Path(str(bundled))
+        return bundled
     raise LoadError(f"problem file not found: {path}")
 
 

@@ -14,10 +14,11 @@ Both solve one standard form, min c.x subject to A x = b, x >= 0, which
 ``LPBuilder`` builds once: a free variable is the difference of two
 columns, and each ``<=`` row gets a slack column.
 
-The exact simplex scales ``[A | b]`` once by the lcm L of its entries'
-denominators, which gives the integer start ``T0 = [A' | b' | I]``.  Every
-later tableau is ``M·T0`` over one positive common denominator D, with M
-the integer m×m block in the artificial columns, so the engine is a
+The exact simplex scales each row ``[A_i | b_i]`` by s_i, the lcm of the
+denominators of its nonzero entries, which gives the integer start
+``T0 = [A' | b' | I]``.  Every later tableau is ``M·T0`` over one
+positive common denominator D, with M the integer m×m block in the
+artificial columns, so the engine is a
 revised simplex (Azulay & Pique, ACM TOMS 27, 2001) that keeps only M,
 the right-hand side, the basis and D.  Column j is ``M·A'_j``, and its
 reduced cost times D is ``D·c_j − y·A'_j`` with ``y = Σ_i c_basis[i]·M_i``,
@@ -29,11 +30,16 @@ Comp. 22, 1968): it keeps the pivot row, replaces each other entry a by
 that of the pivot row in a's column, which divides exactly, and makes p
 the new D; a negative p (only when a leftover artificial is driven out)
 negates M and the right-hand side, so D stays positive.  The artificial
-columns start as the identity, which rescales the artificial variables
-and the phase-1 cost by L > 0, so every reduced-cost sign and every
-ratio-test order, and with them the pivots, are those of the same simplex
-over ``Fraction`` entries.  (Scaling each row by its own factor would
-weight the phase-1 cost row by row and change its pricing.)
+columns start as the identity, so artificial i stands for s_i times the
+artificial of the unscaled LP; its phase-1 cost is L // s_i, with L the
+lcm of all s_i, which makes the phase-1 objective L times the unscaled
+one.  Every reduced cost is then that of the same simplex over
+``Fraction`` entries times a positive factor (L for a column of A,
+L / s_i for artificial i), every ratio of the ratio test is its ratio
+(times s_i in every row when artificial i enters), and Bland's rule
+takes the same pivots.  A row of plain integers keeps s_i = 1, so the
+2^55 of the l2 ball's coordinates stays in the rows that hold them and
+out of the integers every pivot multiplies.
 
 ``LPBuilder.solve`` takes the exact engine for systems of at most 160
 columns and 80 rows, HiGHS above.
@@ -63,15 +69,6 @@ def _rational(x):
     anything else converts to float (infinity raises OverflowError, NaN
     ValueError, when the simplex takes its integer ratio)."""
     return x if isinstance(x, Fraction) else float(x)
-
-
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """The rows times L, the lcm of their entries' denominators, as ints;
-    and L.  Entries are ints, Fractions or floats."""
-    ratios = [[a.as_integer_ratio() for a in row] for row in rows]
-    scale = math.lcm(*(den for row in ratios for _, den in row))
-    return [[num * (scale // den) for num, den in row]
-            for row in ratios], scale
 
 
 def _pivot(inverse, rhs, basis, r, col, column, d) -> int:
@@ -111,19 +108,23 @@ def simplex_standard(A, b, c):
     """
     m = len(A)
     n = len(c)
-    rows, _ = _integer_rows([[*A[i], b[i]] for i in range(m)])
-    (cost,), cost_scale = _integer_rows([c])
-    rhs = []
-    for i, row in enumerate(rows):
-        bi = row.pop()
-        if bi < 0:
-            row = [-a for a in row]
-            bi = -bi
-        rows[i] = row
-        rhs.append(bi)
-    # The sparse columns of [A' | I]: (row, entry) pairs.
-    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]]
-               for j in range(n)] + [[(i, 1)] for i in range(m)]
+    # Row i of [A | b] times s_i, the lcm of its own denominators, with
+    # b_i >= 0: the sparse columns of [A' | I] as (row, entry) pairs.
+    columns = [[] for _ in range(n)]
+    rhs, scales = [], []
+    for i in range(m):
+        nonzero = [(j, a.as_integer_ratio()) for j, a in enumerate(A[i]) if a]
+        bnum, bden = b[i].as_integer_ratio()
+        s = math.lcm(bden, *(den for _, (_, den) in nonzero))
+        sign = -1 if bnum < 0 else 1
+        for j, (num, den) in nonzero:
+            columns[j].append((i, sign * num * (s // den)))
+        rhs.append(abs(bnum) * (s // bden))
+        scales.append(s)
+    columns += [[(i, 1)] for i in range(m)]
+    ratios = [a.as_integer_ratio() for a in c]
+    cost_scale = math.lcm(*(den for _, den in ratios))
+    cost = [num * (cost_scale // den) for num, den in ratios]
     inverse = [[int(i == k) for k in range(m)] for i in range(m)]
     basis = [n + i for i in range(m)]
     d = 1
@@ -177,7 +178,11 @@ def simplex_standard(A, b, c):
             d = _pivot(inverse, rhs, basis, leaving, entering, column, d)
 
     total = n + m
-    status = solve_phase([0] * n + [1] * m, range(total))
+    # Artificial i stands for s_i times the unscaled one, so its phase-1
+    # cost is L // s_i, with L the lcm of all s_i.
+    scale = math.lcm(*scales)
+    status = solve_phase([0] * n + [scale // s for s in scales],
+                         range(total))
     if status != "optimal":  # phase 1 cannot be unbounded, defensive
         return "infeasible", None, None
     art_value = sum(rhs[i] for i in range(m) if basis[i] >= n)

@@ -505,6 +505,30 @@ g1 = "x1 - 5" with v in [-1, 1]
         assert code == 3
         assert doc["error"] == f"{error}, the problem has dim 2 (line {line})"
 
+    @pytest.mark.parametrize("rows, bad", [
+        (("1,0 : 2", "1,0,0 : 2"), 2),
+        (("1,0,0 : 2",), 1),
+        (("1 : 2", "0,1 : 2"), 1),
+    ], ids=["mixed", "lone-long", "short"])
+    def test_halfspace_of_another_dimension_refused(self, capsys, tmp_path,
+                                                    rows, bad):
+        """A halfspace row whose length is not dim is refused with its
+        line; rows of mixed lengths exited 4 ("setting an array element
+        with a sequence"), a lone row of dim + 1 entries exited 3 with
+        "ground-set dimension mismatch" and no line."""
+        path = _problem(tmp_path, '"x1 - 1"')
+        hs = [f"h{k} = {row}" for k, row in enumerate(rows, start=1)]
+        text = Path(path).read_text().replace(
+            "kind = whole", "\n".join(["kind = halfspaces", *hs]))
+        Path(path).write_text(text)
+        line = text.splitlines().index(hs[bad - 1]) + 1
+        size = len(rows[bad - 1].split(":")[0].split(","))
+        code, doc = run_json(capsys, ["feasible", "--problem", path,
+                                      "--at", "0,0"])
+        assert code == 3
+        assert doc["error"] == (f"halfspace h{bad} has dimension {size}, "
+                                f"the problem has dim 2 (line {line})")
+
     @pytest.mark.parametrize("objectives, g1, argv, key, value", [
         (("x1^2", "x2^2"), "max(1/x1 - 1/x1, x2 - 5)",
          ["feasible", "--at", "1e-320,0"], "phi", "nan"),

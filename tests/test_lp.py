@@ -152,20 +152,27 @@ def oracle(A, b, c):
 
 @pytest.fixture
 def engine(monkeypatch):
-    """simplex_standard returning its result and its (row, column) pivots."""
-    pivots = []
+    """simplex_standard returning its result and its (row, column) pivots;
+    after a run, ``run.bits`` holds the bit lengths of the largest
+    basis-inverse entry and of the denominator after each pivot."""
+    pivots, bits = [], []
     pivot = lp._pivot
 
     def recording(inverse, rhs, basis, r, col, column, d):
         pivots.append((r, col))
-        return pivot(inverse, rhs, basis, r, col, column, d)
+        d = pivot(inverse, rhs, basis, r, col, column, d)
+        bits.append((max(a.bit_length() for row in inverse for a in row),
+                     d.bit_length()))
+        return d
 
     monkeypatch.setattr(lp, "_pivot", recording)
 
     def run(A, b, c):
         pivots.clear()
+        bits.clear()
         return simplex_standard(A, b, c), list(pivots)
 
+    run.bits = bits
     return run
 
 
@@ -308,6 +315,21 @@ class TestAgainstOracle:
         rng = np.random.default_rng(23)
         statuses = {assert_same(engine, *ball_lp(rng))[0] for _ in range(10)}
         assert statuses == {"optimal", "infeasible"}
+
+
+class TestIntegerSize:
+    """Each row is scaled by the lcm of its own denominators, so the rows
+    of plain integers (part totals, the ball total, the normalisation)
+    do not carry the 2^55 of the ball's coordinates into every pivot.
+    Over one common lcm the README LPs reached 331-364 bits."""
+
+    @pytest.mark.parametrize("name", ["fuzzy", "kkt_search",
+                                      "duality_strong"])
+    def test_readme_lps_stay_small(self, name, readme_lps, engine):
+        for A, b, c in readme_lps[name]:
+            engine(A, b, c)
+            assert engine.bits
+            assert max(max(pair) for pair in engine.bits) <= 200
 
 
 class TestEngineEdges:

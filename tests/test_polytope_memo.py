@@ -82,6 +82,7 @@ def test_same_text_is_one_set_in_any_file(tmp_path):
     ("(1,2)", "fixture component must be {(..), (..)}"),
     ("{}", "fixture component has no vertices"),
     ("{(1,2), (3)}", "fixture vertices differ in length"),
+    ("{(1,2)} | {(1,2,3)}", "fixture components differ in dimension"),
 ])
 def test_refused_fixture_names_its_line_every_time(tmp_path, sets, error):
     info = cli._parse_polytope_set.cache_info()
