@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ class CertifyError(Exception):
 # Constraint qualification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CQReport:
+class CQReport(NamedTuple):
     holds: bool
     index_set: tuple[int, ...]
     per_index: list[dict]
@@ -99,8 +98,7 @@ def check_cq(spec: ProblemSpec, xbar, use_fixtures: bool = False) -> CQReport:
 # KKT certificates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KKTCertificate:
+class KKTCertificate(NamedTuple):
     ystar: np.ndarray                  # in K+ \ {0}
     mu: np.ndarray                     # nonnegative multipliers
     u: list[np.ndarray]                # per-objective subgradient choices
@@ -124,12 +122,11 @@ class KKTCertificate:
         return float(np.linalg.norm(self.residual_vector(theta)))
 
 
-@dataclass
-class KKTCheckReport:
+class KKTCheckReport(NamedTuple):
     valid: bool
     residual: float
-    checks: list[dict] = field(default_factory=list)
-    provenance: dict[str, str] = field(default_factory=dict)
+    checks: list[dict]
+    provenance: dict[str, str]
 
 
 def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
@@ -195,14 +192,12 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
     return KKTCheckReport(valid, resid, checks, prov)
 
 
-@dataclass
-class KKTSearchReport:
-    found: bool
-    certificate: KKTCertificate | None
+class KKTSearchReport(NamedTuple):
+    certificate: KKTCertificate | None  # None: no certificate found
     recheck: KKTCheckReport | None
     active_indices: tuple[int, ...]
     selections_tried: int
-    provenance: dict[str, str] = field(default_factory=dict)
+    provenance: dict[str, str]
 
 
 def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
@@ -250,8 +245,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         (dict.fromkeys(range(len(parts) - 1), 1.0), 1)],
         floor=(dict.fromkeys(range(p), 1.0), EPS_YSTAR_MIN))
     if not res.sat:
-        return KKTSearchReport(False, None, None, tuple(actives), res.tried,
-                               provenance=prov)
+        return KKTSearchReport(None, None, tuple(actives), res.tried, prov)
 
     # the certificate from the group totals and weighted vertices; the
     # objective parts are scaled by sigma_j, so u_j divides by y*_j
@@ -281,16 +275,14 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
     astar = res.cone_weights @ N
     cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
     recheck = check_kkt(spec, xbar, cert, tol, mode, use_fixtures)
-    return KKTSearchReport(True, cert, recheck, tuple(actives), res.tried,
-                           provenance=prov)
+    return KKTSearchReport(cert, recheck, tuple(actives), res.tried, prov)
 
 
 # ---------------------------------------------------------------------------
 # Fuzzy condition demonstrator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FuzzyKKTWitness:
+class FuzzyKKTWitness(NamedTuple):
     x_eta: np.ndarray
     lam: tuple[float, float]
     mu: np.ndarray
@@ -301,10 +293,8 @@ class FuzzyKKTWitness:
     normalization: float
 
 
-@dataclass
-class FuzzyReport:
-    found: bool
-    witness: FuzzyKKTWitness | None
+class FuzzyReport(NamedTuple):
+    witness: FuzzyKKTWitness | None  # None: no witness found
     diagnostic: str = ""
 
 
@@ -328,8 +318,8 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     R = eta if radius is None else float(radius)
     step = 2.0 * R / (grid_n - 1)
     if step > eta:
-        return FuzzyReport(False, None,
-                           "grid resolution coarser than eta; no search point")
+        return FuzzyReport(None, "grid resolution coarser than eta; no "
+                           "search point")
     merit = Psi(spec, ystar, xbar)
     axes = [np.linspace(xbar[k] - R, xbar[k] + R, grid_n)
             for k in range(spec.dim)]
@@ -338,7 +328,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     dist = norm_grid(spec.norm, X - xbar[:, None])
     keep = (dist <= eta + 1e-12) & spec.omega.contains_grid(X)
     if not np.any(keep):
-        return FuzzyReport(False, None, "no admissible grid point within eta")
+        return FuzzyReport(None, "no admissible grid point within eta")
     cells, keys = merit.candidate_keys(X[:, keep])
     Xc, dc = X[:, keep][:, cells], dist[keep][cells]
     order = np.lexsort((*(Xc[k] for k in reversed(range(spec.dim))), dc,
@@ -380,7 +370,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
         rows.append(({1: 1.0}, 0))
     res = zero_in_sum(parts, N, rows)
     if not res.sat:
-        return FuzzyReport(False, None, "inclusion LP unsatisfiable at x_eta")
+        return FuzzyReport(None, "inclusion LP unsatisfiable at x_eta")
     lam1, a2, _, *con_totals = (float(np.sum(w)) for w in res.weights[:-1])
     mu_bar = np.zeros(spec.n_constraints)
     if a2 > 1e-15:
@@ -405,15 +395,14 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
         x_eta, (lam1, lam2), mu,
         tuple(scen_used.get(i, 0.0) for i in range(1, spec.n_constraints + 1)),
         incl_res, comp1, comp2, normalization)
-    return FuzzyReport(True, witness)
+    return FuzzyReport(witness)
 
 
 # ---------------------------------------------------------------------------
 # Generalized pseudo-convexity testing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PseudoReport:
+class PseudoReport(NamedTuple):
     # one per sample, in sample order: VERIFIED-CANDIDATE-W |
     # VERIFIED-COMMON-W | INCONCLUSIVE | WITNESSED-FAILURE
     verdicts: np.ndarray

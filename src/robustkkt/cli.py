@@ -559,9 +559,9 @@ def load_triple(doc: dict, spec: ProblemSpec) -> DualTriple:
 # ---------------------------------------------------------------------------
 
 def to_jsonable(obj):
-    """obj as JSON data: arrays as lists, dataclasses as dicts, and a
-    non-finite float as the word float() reads back ("nan", "inf",
-    "-inf"), since JSON has no such number."""
+    """obj as JSON data: arrays as lists, records as objects of their
+    fields, and a non-finite float as the word float() reads back ("nan",
+    "inf", "-inf"), since JSON has no such number."""
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
     if isinstance(obj, np.ndarray):
@@ -575,10 +575,10 @@ def to_jsonable(obj):
                                for c in obj.components]}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "_asdict"):  # a record, before the tuple it also is
+        return to_jsonable(obj._asdict())
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(t) for t in obj]
-    if hasattr(obj, "__dict__") and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in vars(obj).items()}
     return obj
 
 
@@ -790,16 +790,16 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
 
     if verb == "cq":
         rep = check_cq(spec, args.at, use_fixtures=use_fx)
-        return _settled(rep.holds, "CQ-HOLDS", "CQ-FAILS", vars(rep))
+        return _settled(rep.holds, "CQ-HOLDS", "CQ-FAILS", rep._asdict())
 
     if verb == "kkt check":
         cert = load_certificate(args.cert, spec)
         rep = check_kkt(spec, args.at, cert, args.tol, mode, use_fx)
-        return _settled(rep.valid, "VALID", "INVALID", vars(rep))
+        return _settled(rep.valid, "VALID", "INVALID", rep._asdict())
 
     if verb == "kkt search":
         rep = search_kkt(spec, args.at, mode, use_fx, tol=args.tol)
-        if rep.found:
+        if rep.certificate is not None:
             details = {"certificate": rep.certificate,
                        "recheck": rep.recheck,
                        "active_indices": rep.active_indices,
@@ -812,8 +812,8 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
     if verb == "fuzzy":
         rep = fuzzy_kkt_demo(spec, args.at, args.ystar, args.eta,
                              args.radius, args.grid_n, mode=mode)
-        if rep.found:
-            return 0, "WITNESS-FOUND", vars(rep.witness)
+        if rep.witness is not None:
+            return 0, "WITNESS-FOUND", rep.witness._asdict()
         return 2, "NONE-FOUND", {"diagnostic": rep.diagnostic}
 
     if verb == "pseudoconvex":
@@ -847,7 +847,7 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
     if verb == "efficiency":
         rep = classify_point(spec, args.at, args.kind, args.region, args.res)
         return _sampled(rep.feasible_checked, rep.no_counterexample,
-                        "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", vars(rep))
+                        "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", rep._asdict())
 
     if verb == "duality strong":
         rep = strong_duality_from(spec, args.at, mode, use_fx)
@@ -871,7 +871,7 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
                                  use_fx)
         details = {"pairs_checked": rep.pairs_checked,
                    "violation": rep.violation}
-        return _settled(rep.no_violation, "NO-VIOLATION", "VIOLATION",
+        return _settled(rep.violation is None, "NO-VIOLATION", "VIOLATION",
                         details)
 
     # duality converse

@@ -18,6 +18,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,8 +230,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # num | name | op | end
     text: str
     pos: int
@@ -595,8 +595,7 @@ def _scan_power(a, n, e: Expr):
         raise DomainError(f"{e} overflows") from None
 
 
-@dataclass
-class _Atom:
+class _Atom(NamedTuple):
     """An abs node at its kink or a max node at a tie, with the gradients
     of its argument (or of its tied branches) at the point.  fault is the
     first DomainError those gradients met; it counts only where a nonzero
@@ -616,20 +615,28 @@ DEFAULT_KINK_TOL = 1e-9
 
 # A node's walk result: (value, x-gradient, coefficient of each active atom
 # below by key, rough: one of those atoms reads x, those atoms by key,
-# first gradient fault, its operands' results).  The atoms are kept first
-# of each key, ctx_linear the and of all.  An abs or max node walks only
-# what its children's scalar values select, so a refusal raises at once,
-# as in a recursive walk; a fault (1/0, sqrt of a nonpositive value) lets
-# the walk go on with NaN.  The faults inside an atom are its own.
+# first gradient fault, its operands' results), the atoms merged by
+# _merge.  An abs or max node walks only what its children's scalar values
+# select, so a refusal raises at once, as in a recursive walk; a fault
+# (1/0, sqrt of a nonpositive value) lets the walk go on with NaN.  The
+# faults inside an atom are its own.
+
+def _merge(atoms: dict, more: dict) -> None:
+    """Merge the atoms of more into atoms by key: the first of each key,
+    with ctx_linear the and of all.  A merged atom is a new one, as the
+    result it came from still holds the first."""
+    for q, atom in more.items():
+        first = atoms.setdefault(q, atom)
+        if first.ctx_linear and not atom.ctx_linear:
+            atoms[q] = first._replace(ctx_linear=False)
+
 
 def _gather(parts):
     """The atoms and first fault of the results parts."""
     atoms, fault = {}, None
     for p in parts:
         fault = p[5] if fault is None else fault
-        for q, atom in p[4].items():
-            first = atoms.setdefault(q, atom)
-            first.ctx_linear = first.ctx_linear and atom.ctx_linear
+        _merge(atoms, p[4])
     return atoms, fault
 
 

@@ -48,8 +48,8 @@ columns and 80 rows, HiGHS above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,8 +209,7 @@ def simplex_standard(A, b, c):
     return "optimal", x, Fraction(obj, cost_scale * d)
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str                       # optimal | infeasible | unbounded
     values: np.ndarray | None = None  # per declared variable
     objective: float | None = None
@@ -221,18 +220,19 @@ class LPResult:
         return self.status == "optimal"
 
 
-@dataclass
 class LPBuilder:
     """Incremental LP in user variables; handles free-variable splitting.
 
     Variables are nonnegative unless declared free.  Constraints are either
     equalities or ``<=`` inequalities over the declared variables.
     """
-    n: int = 0
-    free: list[bool] = field(default_factory=list)
-    eqs: list[tuple[dict, float]] = field(default_factory=list)
-    ubs: list[tuple[dict, float]] = field(default_factory=list)
-    obj: dict = field(default_factory=dict)
+
+    def __init__(self):
+        self.n = 0
+        self.free: list[bool] = []
+        self.eqs: list[tuple[dict, float]] = []
+        self.ubs: list[tuple[dict, float]] = []
+        self.obj: dict = {}
 
     def add_var(self, free: bool = False) -> int:
         self.free.append(free)

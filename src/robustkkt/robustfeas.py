@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,7 @@ class UncertainConstraint:
         # v-free constraints are treated as a single dummy scenario
 
 
-@dataclass(frozen=True)
-class FixtureSet:
+class FixtureSet(NamedTuple):
     """A subdifferential set pinned by a problem file for (name, point)."""
     name: str
     point: np.ndarray
@@ -295,8 +295,7 @@ def scenario_envelope(con: UncertainConstraint, x,
     return active_scenarios_interval(fn, scan, con.lo, con.hi, vgrid)
 
 
-@dataclass(frozen=True)
-class ActiveSets:
+class ActiveSets(NamedTuple):
     phis: tuple[float, ...]          # phi_i(x)
     phi: float                       # max_i phi_i(x)
     scenarios: tuple[tuple[float, ...], ...]  # V_i(x) representatives
@@ -474,8 +473,7 @@ def feasibility_mask(spec: ProblemSpec, X) -> np.ndarray:
     return ok
 
 
-@dataclass
-class Raster:
+class Raster(NamedTuple):
     x1: np.ndarray          # axis values, length n1
     x2: np.ndarray          # axis values, length n2
     feasible: np.ndarray    # shape (n1, n2), row-major over (x1, x2)

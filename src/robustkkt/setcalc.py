@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -358,8 +359,7 @@ class ConeSpec:
 # Ground sets and normal cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaSpec:
+class OmegaSpec(NamedTuple):
     """Ground set: the points x with normals @ x <= offsets, a (k, d)
     array of rows and its k offsets; the whole space has no rows."""
     normals: np.ndarray
@@ -525,8 +525,7 @@ def _regular_polygon(m: int) -> np.ndarray:
 # Zero membership in a sum of unions plus a cone
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ZeroInSumResult:
+class ZeroInSumResult(NamedTuple):
     sat: bool
     selection: tuple[int, ...] | None = None
     weights: list[np.ndarray] | None = None   # per part, per vertex

@@ -41,8 +41,8 @@ so their sets come from one call of ``_sets``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .funcdsl import (
     _Atom,
     _check_scenario,
     _gather,
+    _merge,
     _prod_rule,
     _rough_product,
     _sum_rule,
@@ -68,8 +69,7 @@ from .setcalc import VERTEX_TOL, Polytope, PolytopeSet, hull, \
     minkowski_sum  # noqa: F401
 
 
-@dataclass(frozen=True)
-class SubdiffResult:
+class SubdiffResult(NamedTuple):
     set: PolytopeSet
     mode: str            # "limiting" | "hull"
     exactness: str       # "exact" | "outer-estimate"
@@ -459,10 +459,8 @@ class Scalarization:
             elif state == 2:
                 rest.append(_prod_rule([(next(cols), self.zero, {}, False)]
                                        + ob.parts, self.zero))
-            for q, atom in ob.atoms.items() if state else ():
-                first = atoms.setdefault(q, atom)
-                if first.ctx_linear and not atom.ctx_linear:
-                    atoms[q] = replace(first, ctx_linear=False)
+            if state:
+                _merge(atoms, ob.atoms)
         if nonzero or not rest:
             # the constants' term; no rule reads its value
             rest.append((0.0, self.zero, {}, False))

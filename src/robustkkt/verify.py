@@ -10,7 +10,7 @@ sampled feasible points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ def _membership_mask(D: np.ndarray, cone: ConeSpec,
 # Efficiency classification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EfficiencyVerdict:
+class EfficiencyVerdict(NamedTuple):
     kind: str
     no_counterexample: bool
     counterexample: np.ndarray | None
@@ -139,17 +138,15 @@ def classify_point(spec: ProblemSpec, xbar, kind: str, region,
 # Mond-Weir duality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DualTriple:
+class DualTriple(NamedTuple):
     z: np.ndarray
     ystar: np.ndarray
     mu: np.ndarray
 
 
-@dataclass
-class DualFeasReport:
+class DualFeasReport(NamedTuple):
     feasible: bool
-    checks: list[dict] = field(default_factory=list)
+    checks: list[dict]
     witness: list | None = None
 
 
@@ -207,11 +204,9 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
     return DualFeasReport(feas, checks, witness)
 
 
-@dataclass
-class WeakDualityReport:
-    no_violation: bool
+class WeakDualityReport(NamedTuple):
     pairs_checked: int
-    violation: dict | None = None
+    violation: dict | None = None  # None: no violation found
 
 
 def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
@@ -243,9 +238,9 @@ def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
         pairs += samples.shape[0]
         if np.any(bad):
             t = int(np.argmax(bad))
-            return WeakDualityReport(False, pairs, {
+            return WeakDualityReport(pairs, {
                 "x": samples[t], "triple": tr, "relation_value": D[:, t]})
-    return WeakDualityReport(True, pairs)
+    return WeakDualityReport(pairs)
 
 
 def generate_feasible_samples(spec: ProblemSpec, region,
@@ -268,8 +263,7 @@ def generate_feasible_samples(spec: ProblemSpec, region,
     raise VerifyError("could not sample enough feasible points in region")
 
 
-@dataclass
-class StrongDualityReport:
+class StrongDualityReport(NamedTuple):
     triple: DualTriple
     feasibility: DualFeasReport
 
@@ -279,7 +273,7 @@ def strong_duality_from(spec: ProblemSpec, xbar, mode: str = "limiting",
     """Assemble a dual-feasible triple at xbar from a found KKT certificate."""
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     rep = search_kkt(spec, xbar, mode=mode, use_fixtures=use_fixtures)
-    if not rep.found:
+    if rep.certificate is None:
         raise CertifyError("no KKT certificate found; strong duality "
                            "construction unavailable")
     cert = rep.certificate

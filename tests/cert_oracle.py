@@ -199,10 +199,8 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
             astar = res.values[np.asarray(cone_ids)] @ N
         cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
         recheck = check_kkt(spec, xbar, cert, tol, mode, use_fixtures)
-        return KKTSearchReport(True, cert, recheck, tuple(actives), tried,
-                               provenance=prov)
-    return KKTSearchReport(False, None, None, tuple(actives), tried,
-                           provenance=prov)
+        return KKTSearchReport(cert, recheck, tuple(actives), tried, prov)
+    return KKTSearchReport(None, None, tuple(actives), tried, prov)
 
 
 def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
@@ -224,7 +222,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     R = eta if radius is None else float(radius)
     step = 2.0 * R / (grid_n - 1)
     if step > eta:
-        return FuzzyReport(False, None,
+        return FuzzyReport(None,
                            "grid resolution coarser than eta; no search point")
     merit = Psi(spec, ystar, xbar)
     axes = [np.linspace(xbar[k] - R, xbar[k] + R, grid_n)
@@ -234,7 +232,7 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     dist = norm_grid(spec.norm, X - xbar[:, None])
     keep = (dist <= eta + 1e-12) & spec.omega.contains_grid(X)
     if not np.any(keep):
-        return FuzzyReport(False, None, "no admissible grid point within eta")
+        return FuzzyReport(None, "no admissible grid point within eta")
     cells, keys = merit.candidate_keys(X[:, keep])
     Xc, dc = X[:, keep][:, cells], dist[keep][cells]
     order = np.lexsort((*(Xc[k] for k in reversed(range(spec.dim))), dc,
@@ -326,8 +324,8 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
             x_eta, (lam1, lam2), mu,
             tuple(scen_used.get(i, 0.0) for i in range(1, spec.n_constraints + 1)),
             incl_res, comp1, comp2, normalization)
-        return FuzzyReport(True, witness)
-    return FuzzyReport(False, None, "inclusion LP unsatisfiable at x_eta")
+        return FuzzyReport(witness)
+    return FuzzyReport(None, "inclusion LP unsatisfiable at x_eta")
 
 
 def _membership_residual(p: np.ndarray, V: np.ndarray) -> float:

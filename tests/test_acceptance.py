@@ -83,7 +83,7 @@ def test_criterion_2_example_3_2_pipeline(spec32, origin):
     ok = ok and len(v2) == 1 and abs(v2[0] - 1.0) <= 1e-6
     ok = ok and check_cq(spec32, origin).holds
     srep = search_kkt(spec32, origin)
-    ok = ok and srep.found
+    ok = ok and srep.certificate is not None
     c = srep.certificate
     ok = ok and abs(np.sum(np.abs(c.ystar)) + np.sum(np.abs(c.mu)) - 1.0) \
         <= 1e-12
@@ -112,7 +112,7 @@ def test_criterion_3_example_3_5_pipeline(spec35, origin):
     rep = check_kkt(spec35, origin, cert, tol=1e-9, mode="hull")
     ok = ok and rep.valid and rep.residual <= 1e-9
     srep = search_kkt(spec35, origin)
-    ok = ok and srep.found and srep.recheck.valid
+    ok = ok and srep.certificate is not None and srep.recheck.valid
     dt = time.monotonic() - t0
     _crit("criterion 3: example 3.5 pipeline (V, sup-rule set, corrected "
           "cert, search)", ok and dt < 5.0, f"{dt:.2f}s")
@@ -206,7 +206,7 @@ def test_criterion_7_duality(spec32, spec35, spec23, origin):
         ok = ok and srep.feasibility.feasible
         samples = generate_feasible_samples(spec, region, 1000)
         wrep = weak_duality_check(spec, samples, [srep.triple], kind)
-        ok = ok and wrep.no_violation and wrep.pairs_checked == 1000
+        ok = ok and wrep.violation is None and wrep.pairs_checked == 1000
     dt = time.monotonic() - t0
     _crit("criterion 7: strong duality triples feasible, weak duality over "
           "10^3 samples", ok and dt < 60.0, f"{dt:.1f}s")

@@ -1,6 +1,7 @@
 """tools/bench_pair.py reads a recorded ``verdictbench/run.py`` output
 (``tests/data/run_point_queries_seed1.txt``, one point-queries run of seed
-1) and summarizes pairs of such results; its layers block of traced runs
+1), with the raw set-up seconds of run.py's record, and summarizes pairs
+of such results; its layers block of traced runs
 (``tests/data/layers_block.json``) and its cold block of one-shot command
 timings (``tests/data/cold_block.json``) summarize their runs; its lines
 block counts two trees' module lines."""
@@ -34,6 +35,29 @@ def test_parse_recorded_run():
         "sweep_cells_per_s", "pc_samples_per_s", "peak_rss_mb", "ok_ratio"}
     assert run["digests"] == {1: SHA}
     assert run["environment"]["nproc"] == 2
+
+
+def test_run_once_reads_the_raw_setup_seconds(tmp_path):
+    """An untraced run's metrics gain the median of the raw set-up seconds
+    that run.py records in its tree, beside the scaled setup_s; a traced
+    run records none."""
+    bench = tmp_path / "verdictbench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "out = pathlib.Path('.bench_out')\n"
+        "out.mkdir(exist_ok=True)\n"
+        "(out / 'result-{}-seed{}-trace{}.json'.format(args['--workload'],"
+        " args['--seed'], args['--trace'])).write_text(json.dumps("
+        "{'notes': {'setup_runs_s': [0.09, 0.07, 0.2, 0.08]}}))\n"
+        f"print({RECORDED!r})\n")
+    run = bench_pair.run_once(tmp_path, "point-queries", 1, 0.5)
+    assert run["metrics"]["setup_raw_s"] == pytest.approx(0.085)
+    assert run["metrics"]["setup_s"] == bench_pair.parse_run(
+        RECORDED)["metrics"]["setup_s"]
+    traced = bench_pair.run_once(tmp_path, "point-queries", 1, 0.5, trace=1)
+    assert bench_pair.RAW_SETUP not in traced["metrics"]
 
 
 def test_unfinished_worker_has_no_digest():

@@ -30,12 +30,12 @@ def plain(x):
     its hex form, so == compares bits."""
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.shape, x.tobytes()
+    if hasattr(x, "_asdict"):  # a record, before the tuple it also is
+        return plain(x._asdict())
     if isinstance(x, (list, tuple)):
         return [plain(v) for v in x]
     if isinstance(x, dict):
         return {k: plain(v) for k, v in x.items()}
-    if hasattr(x, "__dataclass_fields__"):
-        return {k: plain(getattr(x, k)) for k in x.__dataclass_fields__}
     if isinstance(x, float):
         return x.hex()
     return x
@@ -66,7 +66,7 @@ def test_search_kkt(name):
             got = outcome(certify.search_kkt, spec, x, mode)
             assert got == outcome(cert_oracle.search_kkt, spec, x, mode), \
                 (x, mode)
-            found += isinstance(got, dict) and got["found"]
+            found += isinstance(got, dict) and got["certificate"] is not None
     assert found
 
 
@@ -84,7 +84,7 @@ def test_fuzzy(name):
         got = outcome(certify.fuzzy_kkt_demo, spec, x, ystar, eta, grid_n=21)
         assert got == outcome(cert_oracle.fuzzy_kkt_demo, spec, x, ystar,
                               eta, grid_n=21), (x, ystar, eta)
-        found += isinstance(got, dict) and got["found"]
+        found += isinstance(got, dict) and got["witness"] is not None
     assert found
 
 

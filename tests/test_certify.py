@@ -97,22 +97,22 @@ class TestCheckKKT:
 class TestSearchKKT:
     def test_finds_certificate_3_2(self, spec32, origin):
         rep = search_kkt(spec32, origin)
-        assert rep.found
         c = rep.certificate
+        assert c is not None
         assert np.max(np.abs(c.ystar)) > 0
         assert abs(np.sum(np.abs(c.ystar)) + np.sum(np.abs(c.mu)) - 1) <= 1e-12
         assert rep.recheck.valid and rep.recheck.residual <= 1e-9
 
     def test_finds_certificate_3_5(self, spec35, origin):
         rep = search_kkt(spec35, origin)
-        assert rep.found and rep.recheck.valid
+        assert rep.certificate is not None and rep.recheck.valid
         assert abs(np.sum(np.abs(rep.certificate.ystar))
                    + np.sum(np.abs(rep.certificate.mu)) - 1) <= 1e-12
 
     def test_none_found_for_plain_descent(self):
         spec = _toy()  # minimize x over R, no constraints, theta = 0
         rep = search_kkt(spec, np.array([0.7]))
-        assert not rep.found
+        assert rep.certificate is None
 
     def test_cq_blocks_multiplier_only_certificates(self, spec32, spec35,
                                                     origin):
@@ -128,8 +128,8 @@ class TestFuzzy:
     def test_example_3_2_witness(self, spec32, origin):
         y = np.array([2 ** 0.5 / 4, 0.0, 2 ** 0.5 / 4])
         rep = fuzzy_kkt_demo(spec32, origin, y, eta=0.1)
-        assert rep.found
         w = rep.witness
+        assert w is not None
         assert np.linalg.norm(w.x_eta - origin) <= 0.1
         assert w.lam[1] != 0.0
         assert abs(w.normalization - 1.0) <= 1e-8
@@ -140,14 +140,14 @@ class TestFuzzy:
     def test_convex_stationary_point_reduces_to_exact(self):
         spec = _toy(objective="x1^2")
         rep = fuzzy_kkt_demo(spec, np.zeros(1), np.array([1.0]), eta=0.05)
-        assert rep.found
+        assert rep.witness is not None
         assert np.allclose(rep.witness.x_eta, 0.0, atol=1e-12)
         assert rep.witness.inclusion_residual <= 1e-9
 
     def test_degenerate_grid_diagnostic(self, spec32, origin):
         rep = fuzzy_kkt_demo(spec32, origin, np.array([0.5, 0, 0.5]),
                              eta=1e-6, radius=1.0, grid_n=41)
-        assert not rep.found and "resolution" in rep.diagnostic
+        assert rep.witness is None and "resolution" in rep.diagnostic
 
 
 class TestPseudoConvex:

@@ -376,6 +376,17 @@ fixture = f1 @ 0,0 : {(0,2)}
         # conclusion fails on this problem, which is not pseudo-convex
         assert code == 1 and doc["verdict"] == (
             "COUNTEREXAMPLE" if action == "converse" else "VIOLATION")
+        # the nested records are objects of their fields, as no golden shows
+        if action == "converse":
+            assert set(doc["details"]["efficiency"]) == {
+                "kind", "no_counterexample", "counterexample", "violation",
+                "region", "resolution", "feasible_checked"}
+        else:
+            violation = doc["details"]["violation"]
+            assert set(violation["triple"]) == {"z", "ystar", "mu"}
+            for key in ("x", "relation_value"):
+                assert isinstance(violation[key], list) and all(
+                    isinstance(t, (int, float)) for t in violation[key])
         assert doc["config"] == {"fixtures": flag == "--fixtures",
                                  "mode": "hull" if flag == "--mode"
                                  else "limiting"}
@@ -1286,7 +1297,8 @@ class TestSizeLimits:
         ystar = np.array([0.3535, 0.0, 0.3535])
         assert direct_subdiff(ystar, spec.objectives, np.zeros(2),
                               "limiting").set.ncomponents == 2
-        assert certify.fuzzy_kkt_demo(spec, np.zeros(2), ystar, 0.1).found
+        assert certify.fuzzy_kkt_demo(spec, np.zeros(2), ystar,
+                                      0.1).witness is not None
         monkeypatch.setattr(setcalc, "SELECTIONS_LIMIT", 1)
         with pytest.raises(setcalc.SetCalcError, match="2 component "
                            "selections, over the limit 1"):

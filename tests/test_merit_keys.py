@@ -52,8 +52,8 @@ def _oracle_keys(self, X):
 
 def _plain(report):
     w = report.witness
-    return repr((report.found, report.diagnostic, w and {
-        k: np.asarray(v).tolist() for k, v in vars(w).items()}))
+    return repr((report.diagnostic, w and {
+        k: np.asarray(v).tolist() for k, v in w._asdict().items()}))
 
 
 def run(spec, xbar, ystar, eta, mode="limiting", oracle=False, full=True,

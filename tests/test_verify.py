@@ -139,19 +139,19 @@ class TestWeakDuality:
         rep = strong_duality_from(spec35, origin)
         samples = generate_feasible_samples(spec35, (-3, 3, -4, 1), 200)
         out = weak_duality_check(spec35, samples, [rep.triple], "I")
-        assert out.no_violation and out.pairs_checked == 200
+        assert out.violation is None and out.pairs_checked == 200
 
     def test_no_violation_2_3_kind_II(self, spec23, origin):
         rep = strong_duality_from(spec23, origin)
         samples = generate_feasible_samples(spec23, (-3, 3, -4, 1), 200)
         out = weak_duality_check(spec23, samples, [rep.triple], "II")
-        assert out.no_violation
+        assert out.violation is None
 
     def test_reflexive_theta_zero(self):
         spec = _parabola_problem()
         triple = DualTriple(np.zeros(1), np.array([1.0]), np.zeros(0))
         out = weak_duality_check(spec, np.array([[0.0]]), [triple], "I")
-        assert out.no_violation  # f(x) not< f(x) by irreflexivity
+        assert out.violation is None  # f(x) not< f(x) by irreflexivity
 
     def test_infeasible_sample_rejected(self, spec35, origin):
         rep = strong_duality_from(spec35, origin)

@@ -33,6 +33,8 @@ from hypothesis import strategies as st
 import walker_oracle
 from genexpr import _affine, random_convex_expr, random_point, \
     random_supported_expr
+from robustkkt.certify import ystar_grid
+from robustkkt.cli import load_problem
 from robustkkt.funcdsl import (
     MAX_NESTING,
     DomainError,
@@ -42,8 +44,9 @@ from robustkkt.funcdsl import (
     eval_expr,
     parse_expr,
 )
+from robustkkt.robustfeas import scenario_envelope
 from robustkkt.subdiff import Scalarization, direct_subdiff, \
-    limiting_subdiff
+    limiting_subdiff, sup_rule
 from test_scalar_fn import _node
 
 
@@ -404,3 +407,43 @@ def test_nan_branch_after_the_first_is_a_domain_error():
     with pytest.raises(DomainError, match=r"^NaN maximum in max\(x2, "):
         limiting_subdiff(e, [1e-320, 0.0])
     assert assert_same(e, [1e-320, 0.0])[0] == "value"
+
+
+def test_merged_atom_leaves_the_operand_walks_as_they_were():
+    """Merging the atoms of one key makes a new atom: the lone abs(x1), in
+    a linear context, keeps ctx_linear in its own walk, while the sum's
+    merged atom reads False from x2*abs(x1)."""
+    top = parse_expr("abs(x1) + x2*abs(x1)", 2).walk_fn([0.0, 0.0], None,
+                                                          1e-9, True)
+    assert top[6][0][4]["abs(x1)"].ctx_linear
+    assert not top[4]["abs(x1)"].ctx_linear
+
+
+# Exactness of each bundled problem at the origin: each objective, then
+# each constraint's sup rule over its active scenarios, in limiting and
+# then hull mode, then the scalarization at each y* of ystar_grid(spec, 3);
+# "e" for exact, "o" for outer-estimate.
+EXACTNESS = {
+    "example_2_2": "e" * 19,
+    "example_2_3": "e" * 19,
+    "example_3_2": "eeooooeoeeooooooooo",
+    "example_3_2_printedg2": "eeooooeoooooooooooo",
+    "example_3_5": "e" * 19,
+}
+
+
+@pytest.mark.parametrize("name", EXACTNESS)
+def test_bundled_exactness_labels(name):
+    spec = load_problem(name)
+    x = np.zeros(spec.dim)
+    labels = []
+    for f in spec.objectives:
+        labels += [limiting_subdiff(f, x, None, mode, spec.kink_tol).exactness
+                   for mode in ("limiting", "hull")]
+    for con in spec.constraints:
+        _, actives = scenario_envelope(con, x, spec.vgrid)
+        labels += [sup_rule(con, x, actives, mode, spec.kink_tol).exactness
+                   for mode in ("limiting", "hull")]
+    labels += [direct_subdiff(y, spec.objectives, x).exactness
+               for y in ystar_grid(spec, 3)]
+    assert "".join(t[0] for t in labels) == EXACTNESS[name]

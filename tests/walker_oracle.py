@@ -371,7 +371,8 @@ class PointWalk:
         xrel = any(contains_coord(b) for b in branches)
         atom = self.atoms.setdefault(key, WalkAtom(key, kind, e, tied, ctx_linear,
                                                 xrel, grads, fault))
-        atom.ctx_linear = atom.ctx_linear and ctx_linear
+        if atom.ctx_linear and not ctx_linear:
+            atom = self.atoms[key] = atom._replace(ctx_linear=False)
         return {key: 1.0}, atom.x_relevant
 
     def node(self, e: Expr, ctx_linear: bool):

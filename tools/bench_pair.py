@@ -20,7 +20,11 @@ The benchmark code of each tree is its own, so compare only commits whose
 The JSON written holds, per workload and end-to-end metric, both sides'
 medians and quartiles and the change's win count (ties count for neither),
 and per workload whether every run was correct and whether the report
-digests of the two trees agree seed by seed.
+digests of the two trees agree seed by seed.  Beside ``setup_s``, which
+run.py scales by its speed probe's factor, the metrics hold
+``setup_raw_s`` the same way: per run, the median of the raw set-up
+seconds that run.py records in its tree's
+``.bench_out/result-W-seedN-trace0.json``.
 
 Its ``layers`` block traces where the time goes: for each workload, one
 
@@ -69,6 +73,7 @@ WORKLOADS = ("point-queries", "sweep-rasters", "pseudoconvex-sweep")
 DIGEST = re.compile(r"^# (\S+) seed (\d+): .* report sha256 (.+)$")
 COLD_PAIRS = 9
 FLOOR = "import-numpy"  # the cold block's name of the floor process
+RAW_SETUP = "setup_raw_s"
 
 
 def parse_run(text: str) -> dict:
@@ -136,13 +141,21 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
+    """parse_run of one run.py run in tree, with RAW_SETUP among the
+    metrics of an untraced run."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "verdictbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace",
          str(trace)],
         cwd=tree, env=env, capture_output=True, text=True, check=True)
-    return parse_run(proc.stdout)
+    run = parse_run(proc.stdout)
+    if not trace:  # the raw set-up seconds are in run.py's record only
+        record = json.loads((tree / ".bench_out" / (
+            f"result-{workload}-seed{seed}-trace0.json")).read_text())
+        run["metrics"][RAW_SETUP] = statistics.median(
+            record["notes"]["setup_runs_s"])
+    return run
 
 
 def layer_pairs(parent_tree: Path, workloads, seed: int,
@@ -292,6 +305,7 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better[RAW_SETUP] = "lower"
     parent_sha = git("rev-parse", args.parent)
     record = {
         "parent": {"ref": args.parent, "commit": parent_sha},
