@@ -615,18 +615,23 @@ class _SweepGeometry:
     w ranges over the witness ball clipped to the wedge of a mask's walls
     <a, w> <= 0, and min_u -<u, w> is linear between the tie lines
     <u_i - u_j, w> = 0, so the optimum is the origin or the boundary point
-    of a ball vertex, wall ray or tie ray.  The base polygon (the hull of
-    the primal ball), the cut tests of its vertices and wall rays for every
-    mask, and those rays' gauge terms on its edges, best first, are built
-    once.  A component's exact directions are merged into the base polygon
-    by angle (Preparata & Shamos, Computational Geometry, 1985, sec.
-    3.3.6), for every y* at once and locally: a binary search places each
-    among the base angles, and only it and its neighbours are looked at.
-    Each splits one edge in two, so a known ray's gauge is its best edge
-    not split, or a new edge.  Any other ray leaves a convex polygon by the
-    edge its angle falls in, so its gauge is taken on the edges next to
-    that angle.  A y* whose merge is not clearly convex takes the hull of
-    its ball.
+    of a ball vertex, wall ray or tie ray.  With l2_dirs the ball holds
+    each exact direction -u/|u|, and no ball vertex decides a margin:
+    between neighbouring exact directions, tie and wall rays the objective
+    is one -<u_i, w>, which peaks on that arc of the boundary at an end or
+    at its support point -u_i/|u_i|, as every vertex lies in the unit disk
+    (but for an ulp).  So the known rays, those of every row, are the wall
+    rays, and the l1 and linf balls' vertices.  The base polygon (the hull
+    of the primal ball), the known rays' cut tests for every mask and their
+    gauge terms on its edges, best first, are built once.  A component's
+    exact directions are merged into the base polygon by angle (Preparata &
+    Shamos, Computational Geometry, 1985, sec. 3.3.6), for every y* at once
+    and locally: a binary search places each among the base angles, and
+    only it and its neighbours are looked at.  Each splits one edge in two,
+    so a known ray's gauge is its best edge not split, or a new edge.  Any
+    other ray leaves a convex polygon by the edge its angle falls in, so
+    its gauge is taken on the edges next to that angle.  A y* whose merge
+    is not clearly convex takes the hull of its ball, and its vertices.
     """
 
     def __init__(self, pball: Polytope, l2_dirs: bool, walls: list):
@@ -650,15 +655,14 @@ class _SweepGeometry:
         pown = np.tile(owner[live], 2)
         perp_ok = (pown == np.arange(len(walls))[:, None]) & self.cut_ok(
             perp)[pown, np.arange(pown.size)]
-        base = self.G[:, :2]
+        base = np.zeros((0, 2)) if l2_dirs else self.G[:, :2]
         known = np.vstack([base, perp])
+        known_ok = np.hstack([self.cut_ok(base), perp_ok])
         # each known ray's gauge terms <r, n>/h on the base polygon's
         # edges, best first, and their edges
         B = (known @ self.G[:, 2:4].T) / self.G[:, 4]
         top = np.argsort(-B, axis=1, kind="stable")
-        self.known = (known, np.hstack([self.cut_ok(base), perp_ok]),
-                      np.take_along_axis(B, top, 1), top)
-        self.perp_known = (perp, perp_ok)
+        self.known = (known, known_ok, np.take_along_axis(B, top, 1), top)
 
     def cut_ok(self, rays: np.ndarray) -> np.ndarray:
         """(masks, rays): does <a, r> <= _CUT_TOL |a| |r| for every wall a."""
@@ -674,7 +678,7 @@ class _SweepGeometry:
         row alone through a vector product, so each ray goes twice)."""
         k = np.searchsorted(self.ang, np.arctan2(rays[..., 1], rays[..., 0]))
         near = (k[..., None] + np.arange(-2, 1)) % self.ang.size
-        E = self.G[near]
+        E = self.G.take(near, axis=0)
         twin = np.stack([rays, rays], axis=-2)
         return near, (twin @ E[..., 2:4].swapaxes(-1, -2))[..., 0, :] \
             / E[..., 4]
@@ -729,13 +733,13 @@ class _SweepGeometry:
         fresh_ok = self.cut_ok(fresh.reshape(-1, 2)).reshape(
             known_ok.shape[0], *fresh.shape[:2]).transpose(1, 0, 2)
         m = self._best(rays, gauge, U, ytheta, known_ok, fresh_ok)
-        perp, perp_ok = self.perp_known
+        # a row takes the hull only with l2_dirs: known are the wall rays
         for r in np.flatnonzero(hull).tolist():
             H, normals, heights = _planar_ball(np.vstack([
                 self.pball.vertices, E[r][has[r]]]))
             extra = np.vstack([H, fresh[r, k:]])
-            rays = np.vstack([perp, extra])
-            ok = np.hstack([perp_ok, self.cut_ok(extra)])
+            rays = np.vstack([known, extra])
+            ok = np.hstack([known_ok, self.cut_ok(extra)])
             gauge = np.max((rays @ normals.T) / heights, axis=1)
             m[r] = self._best(rays[None], gauge[None], U[[r]], ytheta[[r]],
                               ok, ok[None, :, :0])[0]
@@ -745,35 +749,29 @@ class _SweepGeometry:
         """Each row's directions E (rows, j, 2) merged into the base polygon
         by angle, each after a base vertex of its angle, looking only at
         them and their neighbours: whether every turn next to them is
-        clearly convex, the base edges they split, and the edges that start
-        or end at one (normal, height), 2j per row in the merged order (a
-        spare one is an edge kept, the first of the polygon)."""
+        clearly convex, the base edges they split, and the edges into and
+        out of each (normal, height), 2j per row (an edge between two of
+        them comes twice)."""
         R, j, _ = E.shape
-        N = self.ang.size + j
         a = np.arctan2(E[..., 1], E[..., 0])
-        order = np.argsort(a, axis=1, kind="stable")
-        E = np.take_along_axis(E, order[..., None], 1)
-        gap = np.searchsorted(self.ang, np.take_along_axis(a, order, 1),
-                              side="right")
+        flat = np.argsort(a, axis=1, kind="stable") + np.arange(0, a.size,
+                                                                j)[:, None]
+        E = E.reshape(-1, 2).take(flat, axis=0)
+        gap = np.searchsorted(self.ang, a.take(flat), side="right")
         P = gap + np.arange(j)  # their places in the merged polygon
         W = np.moveaxis(self._merged(P, E, P + np.arange(-2, 3)[:, None,
                                                                 None]), -1, 0)
         convex = ~(_cross(W[:, :3], W[:, 1:4], W[:, 2:]) <= 1e-12).any(
             axis=(0, 2))
-        # the edge V[s] -> V[s + 1], as _planar_ball computes it: those at
-        # an inserted vertex by place, then the first others
-        c = np.hstack([P - 1, P, np.tile(np.arange(2 * j), (R, 1))]) % N
-        at = sum((c == p[:, None]) | ((c + 1) % N == p[:, None]) for p in P.T)
-        s = np.sort(np.where(at, c, N + c), axis=1)
-        s[:, 1:][s[:, 1:] == s[:, :-1]] = 3 * N
-        s = np.sort(s, axis=1)[:, :2 * j] % N
-        start = self._merged(P, E, s)
-        d = self._merged(P, E, s + 1) - start
-        normals = np.stack([d[..., 1], -d[..., 0]], axis=2)
-        heights = np.einsum("ij,ij->i", normals.reshape(-1, 2),
-                            start.reshape(-1, 2)).reshape(R, -1, 1)
+        # the edges V[s] -> V[s + 1] at s = P - 1 and P, as _planar_ball
+        # computes them
+        start = np.moveaxis(W[:, 1:3], 0, -1)
+        d = np.moveaxis(W[:, 2:4], 0, -1) - start
+        normals = np.stack([d[..., 1], -d[..., 0]], axis=-1)
+        heights = np.einsum("...i,...i", normals, start)
         return convex, (gap - 1) % self.ang.size, np.concatenate(
-            [normals, heights], axis=2)
+            [normals, heights[..., None]], axis=-1).swapaxes(0, 1).reshape(
+                R, 2 * j, 3)
 
     def _merged(self, P: np.ndarray, E: np.ndarray, c: np.ndarray):
         """The vertices at places c (..., rows, m), cyclic, of the base
@@ -781,11 +779,11 @@ class _SweepGeometry:
         n, j = self.ang.size, P.shape[1]
         c = c % (n + j)
         before = sum(P[:, t, None] < c for t in range(j))
-        t, rows = np.minimum(before, j - 1), np.arange(P.shape[0])[:, None]
-        V = self.G[(c - before) % n, :2]
-        ins = P[rows, t] == c
-        V[ins] = E[rows, t][ins]
-        return V
+        # the flat index of each place's last direction before it (take is
+        # many times faster than fancy indexing here)
+        t = np.minimum(before, j - 1) + np.arange(0, P.size, j)[:, None]
+        return np.where((P.take(t) == c)[..., None], E.reshape(-1, 2).take(
+            t, axis=0), self.G[:, :2].take((c - before) % n, axis=0))
 
     @staticmethod
     def _best(rays, gauge, U, ytheta, shared, own) -> np.ndarray:

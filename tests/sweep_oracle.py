@@ -29,9 +29,12 @@ of this loop off the plane.
 ``SweepGeometry`` is the sweep's planar geometry as it merged a
 component's exact directions into the base polygon by sorting all of each
 row's vertices and rolling them, and reduced over short axes with numpy's
-reductions.  It is kept verbatim as the oracle of the batched margins
-(test_sweep_oracle.py and the layer benchmark test_sweep_bench.py), which
-must be bit-equal to it.
+reductions.  It is the oracle of the batched margins (test_sweep_oracle.py
+and the layer benchmark test_sweep_bench.py), which must be bit-equal to
+it, and follows their candidate rule: with the exact directions on, no
+base-polygon vertex is a candidate ray of a row outside the hull fallback.
+``full=True`` keeps the rule before that, every base vertex a candidate of
+every row, as the reference of the differential tests of the rule change.
 
 ``weights`` is ``Scalarization._weights`` as it ran once per y*: the
 tree's constants folded and then every refusal of the call, the structure
@@ -408,10 +411,14 @@ class SweepGeometry:
     ray's gauge is its best edge not split, or a new edge.  Any other ray
     leaves a convex polygon by the edge its angle falls in, so its gauge is
     taken on the edges next to that angle.  A y* whose merge is not clearly
-    convex takes the hull of its ball.
+    convex takes the hull of its ball.  With l2_dirs the known rays are the
+    wall rays alone, unless full: the optimum on an arc between neighbouring
+    exact directions, tie and wall rays is at an end or at the support point
+    of its one linear piece, an exact direction.
     """
 
-    def __init__(self, pball: Polytope, l2_dirs: bool, walls: list):
+    def __init__(self, pball: Polytope, l2_dirs: bool, walls: list,
+                 full: bool = False):
         self.pball, self.l2_dirs = pball, l2_dirs
         H, normals, heights = _planar_ball(pball.vertices)
         # rows (vertex, normal and height of the edge it starts) by angle,
@@ -432,7 +439,7 @@ class SweepGeometry:
         pown = np.tile(owner[live], 2)
         perp_ok = (pown == np.arange(len(walls))[:, None]) & self.cut_ok(
             perp)[pown, np.arange(pown.size)]
-        base = self.G[:, :2]
+        base = self.G[:, :2] if full or not l2_dirs else np.zeros((0, 2))
         known = np.vstack([base, perp])
         # each known ray's gauge terms <r, n>/h on the base polygon's
         # edges, best first, and their edges

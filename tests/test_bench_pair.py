@@ -1,10 +1,10 @@
 """tools/bench_pair.py reads a recorded ``verdictbench/run.py`` output
 (``tests/data/run_point_queries_seed1.txt``, one point-queries run of seed
 1), with the raw set-up seconds of run.py's record, and summarizes pairs
-of such results; its layers block of traced runs
-(``tests/data/layers_block.json``) and its cold block of one-shot command
-timings (``tests/data/cold_block.json``) summarize their runs; its lines
-block counts two trees' module lines."""
+of such results; its layers block of traced pairs
+(``tests/data/layers_block.json``, LAYER_PAIRS pairs per workload) and
+its cold block of one-shot command timings (``tests/data/cold_block.json``)
+summarize their runs; its lines block counts two trees' module lines."""
 
 from __future__ import annotations
 
@@ -154,42 +154,86 @@ PER_LAYER = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
 
 
 def test_recorded_layers_block():
-    """The layers block of a recorded run (that of BENCH_32.json) holds,
-    for every workload and both sides, a correct traced run and every
-    per-layer metric of BENCHMARK.json, and its values give the same block
+    """The layers block of a recorded run (that of BENCH_37.json) holds,
+    for every workload, LAYER_PAIRS traced pairs alternating which side
+    runs first, both sides correct, every per-layer metric of
+    BENCHMARK.json with each side's runs, and its runs give the same block
     again."""
     assert set(LAYERS["workloads"]) == set(bench_pair.WORKLOADS)
     pairs = {}
     for workload, entry in LAYERS["workloads"].items():
         assert entry["correct"] == {"parent": True, "change": True}
+        assert len(entry["first"]) == bench_pair.LAYER_PAIRS
+        assert set(entry["first"][:2]) == {"parent", "change"}
         assert list(entry["metrics"]) == [m["name"] for m in PER_LAYER]
-        pairs[workload] = {"first": entry["first"], **{
+        pairs[workload] = [{"first": first, **{
             side: {"correct": True, "metrics": {
-                name: m[side] for name, m in entry["metrics"].items()}}
+                name: m[side]["runs"][i] for name, m in entry[
+                    "metrics"].items() if m[side] is not None}}
             for side in ("parent", "change")}}
+            for i, first in enumerate(entry["first"])]
     assert bench_pair.summarize_layers(pairs, PER_LAYER,
                                        LAYERS["seed"]) == LAYERS
 
 
 def test_layers_summary():
     per_layer = [{"name": "a.calls", "unit": "count", "better": "lower"},
-                 {"name": "b.self_s", "unit": "s", "better": "lower"}]
-    parent, change = _run(1, 1), _run(1, 1)
-    parent["metrics"] = {"a.calls": 4.0, "b.self_s": 0.0}
-    change["metrics"] = {"a.calls": 3.0}
-    block = bench_pair.summarize_layers(
-        {"w": {"first": "change", "parent": parent, "change": change}},
-        per_layer, 7)
+                 {"name": "b.self_s", "unit": "s", "better": "lower"},
+                 {"name": "c.self_s", "unit": "s", "better": "lower"}]
+
+    def pair(first, parent, change, correct=True):
+        runs = {"parent": _run(1, 1), "change": _run(1, 1)}
+        for side, metrics in (("parent", parent), ("change", change)):
+            runs[side]["metrics"] = metrics
+        runs["change"]["correct"] = correct
+        return {"first": first, **runs}
+
+    pairs = [pair("parent", {"a.calls": 4.0, "b.self_s": 0.0, "c.self_s": 1},
+                  {"a.calls": 3.0, "c.self_s": 2}),
+             pair("change", {"a.calls": 8.0, "b.self_s": 0.0, "c.self_s": 3},
+                  {"a.calls": 2.0, "b.self_s": 1.0, "c.self_s": 4}),
+             pair("parent", {"a.calls": 6.0, "b.self_s": 0.0, "c.self_s": 5},
+                  {"a.calls": 1.0, "b.self_s": 1.0, "c.self_s": 6}, False)]
+    block = bench_pair.summarize_layers({"w": pairs}, per_layer, 7)
     assert (block["seed"], block["trace"]) == (7, 1)
     entry = block["workloads"]["w"]
-    assert entry["first"] == "change"
-    assert entry["correct"] == {"parent": True, "change": True}
-    assert entry["metrics"]["a.calls"] == {
-        "unit": "count", "better": "lower", "parent": 4.0, "change": 3.0,
-        "change_pct": -25.0}
-    # a metric the parent reads as 0, or the change does not report
-    assert entry["metrics"]["b.self_s"]["change_pct"] is None
+    assert entry["first"] == ["parent", "change", "parent"]
+    assert entry["correct"] == {"parent": True, "change": False}
+    # each side's median and quartiles over its runs, in pair order
+    calls = entry["metrics"]["a.calls"]
+    assert (calls["unit"], calls["better"]) == ("count", "lower")
+    assert calls["parent"] == {"median": 6.0, "q1": 5.0, "q3": 7.0,
+                               "runs": [4.0, 8.0, 6.0]}
+    assert calls["change"] == {"median": 2.0, "q1": 1.5, "q3": 2.5,
+                               "runs": [3.0, 2.0, 1.0]}
+    assert calls["change_pct"] == pytest.approx(-200 / 3)
+    # the parent's median is 0, and one change run does not report it
     assert entry["metrics"]["b.self_s"]["change"] is None
+    assert entry["metrics"]["b.self_s"]["parent"]["median"] == 0.0
+    assert entry["metrics"]["b.self_s"]["change_pct"] is None
+    assert entry["metrics"]["c.self_s"]["change_pct"] == pytest.approx(
+        100 * (4 / 3 - 1))
+
+
+def test_layer_pairs_alternate(monkeypatch, tmp_path):
+    """LAYER_PAIRS traced runs per side and workload, of the first seed,
+    the side that runs first alternating from pair to pair and from one
+    workload to the next."""
+    calls = []
+
+    def fake(tree, workload, seed, seconds, trace=0):
+        calls.append((tree, workload, seed, seconds, trace))
+        return {"correct": True, "metrics": {}}
+
+    monkeypatch.setattr(bench_pair, "run_once", fake)
+    out = bench_pair.layer_pairs(tmp_path, ["w1", "w2"], 5, 0.5)
+    assert [[p["first"] for p in out[w]] for w in ("w1", "w2")] == [
+        ["parent", "change", "parent"], ["change", "parent", "change"]]
+    assert len(calls) == 2 * 2 * bench_pair.LAYER_PAIRS
+    assert {c[2:] for c in calls} == {(5, 0.5, 1)}
+    trees = [c[0] for c in calls if c[1] == "w1"]
+    assert trees == [tmp_path, bench_pair.ROOT, bench_pair.ROOT, tmp_path,
+                     tmp_path, bench_pair.ROOT]
 
 
 def test_lines_block(tmp_path):

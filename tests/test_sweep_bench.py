@@ -7,9 +7,11 @@ the benchmark's pseudoconvex-sweep workload that grows with the y* grid:
 - ``Scalarization.groups`` on those problems' 576-row y* grid.
 
 It asserts nothing about speed, only that the margins are bit-equal to
-``sweep_oracle.SweepGeometry`` and that the groups cover every row as the
-per-row ``sweep_oracle.weights`` keys them; a few fixed rounds keep it
-short.  pytest-benchmark prints the timings side by side, in the group
+``sweep_oracle.SweepGeometry``, which scores the same candidate rays (with
+the l2 ball's exact directions, no base-polygon vertex outside the hull
+fallback), and that the groups cover every row as the per-row
+``sweep_oracle.weights`` keys them; a few fixed rounds keep it short.
+pytest-benchmark prints the timings side by side, in the group
 ``sweep-margins``:
 
     PYTHONPATH=src python -m pytest tests/test_sweep_bench.py

@@ -2,13 +2,28 @@
 weights against the code they replaced, kept in sweep_oracle.py.
 
 ``certify._SweepGeometry`` merges each row's exact directions into the base
-polygon at their places only, and folds its short axes in loops; its
-margins must be bit-equal to ``sweep_oracle.SweepGeometry``, which sorts
-all of each row's vertices and reduces with numpy, on every wall set the
-sweeps meet, with the exact directions on and off.  Component slots come
-from hypothesis with 1-4 vertices, among them directions exactly on base
-angles, on either side of +-pi, several in one gap, and coincident or zero
-vertices, which take the hull fallback.
+polygon at their places only, takes the edges into and out of each, and
+folds its short axes in loops; its margins must be bit-equal to
+``sweep_oracle.SweepGeometry``, which sorts all of each row's vertices and
+reduces with numpy, on every wall set the sweeps meet, with the exact
+directions on and off, and the merged polygons must have the same edges.
+Both score the same rays: with the exact directions, a row outside the
+hull fallback scores its exact directions, tie rays and wall rays, and no
+base-polygon vertex.  Component slots come from hypothesis with 1-4
+vertices, among them directions exactly on base angles, on either side of
++-pi, several in one gap, and coincident or zero vertices, which take the
+hull fallback.
+
+The rule change that dropped the base vertices is checked three ways:
+against the oracle with ``full=True`` (every base vertex a candidate of
+every row), the same finite, -inf and NaN entries and each margin within
+4 ulps of max(1, |old|), for a base vertex wins only by its excess over
+the unit circle and BLAS rounds the batched 2-term products by the batch's
+width (bit for bit without the exact directions); against the HiGHS LP
+``sweep_oracle._lp_witness_margin`` over the ball with the exact
+directions, within 1e-9; and by the per-sample verdicts of every bundled
+problem's type I and II sweep over the README region at y-res 6, 12, 24
+and 48, which the full rule gives alike.
 
 ``Scalarization`` folds the weights of a whole y* grid at once and runs a
 structure key's refusals once; per row it must agree with
@@ -45,6 +60,13 @@ def _bits(a):
     follows the order numpy reduces in; no sweep's sets have them)."""
     a = np.asarray(a, dtype=float)
     return np.where(np.isnan(a), np.nan, a).view(np.int64)
+
+
+def _polygon_edges(geometry, hit, new):
+    """A merged polygon's edges (normal, height) as a set, bit for bit: the
+    base edges its directions do not split, and the new ones."""
+    kept = np.delete(geometry.G[:, 2:], hit, axis=0)
+    return set(map(tuple, _bits(np.vstack([kept, new])).tolist()))
 
 
 def _sweep_walls(spec, region, **kw):
@@ -91,8 +113,10 @@ def assert_same_margins(ball, walls, comps, ytheta):
                 E = -U / np.where(nu > 1e-15, nu, 1.0)
                 (c1, h1, n1), (c2, h2, n2) = new._insert(E), old._insert(E)
                 assert np.array_equal(c1, c2)
-                assert np.array_equal(_bits(n1[c1]), _bits(n2[c2]))
                 assert np.array_equal(np.sort(h1[c1]), np.sort(h2[c2]))
+                for r in np.flatnonzero(c1).tolist():
+                    assert _polygon_edges(new, h1[r], n1[r]) == \
+                        _polygon_edges(old, h2[r], n2[r])
     assert got.shape == want.shape
     assert np.array_equal(_bits(got), _bits(want)), (got, want)
 
@@ -271,3 +295,103 @@ def test_groups_refuse_once_per_key(monkeypatch):
     groups = scal.groups(ystar_grid(spec, 24))
     assert sum(rows.size for rows, _ in groups) == 576
     assert calls == [False, True]
+
+
+@pytest.mark.parametrize("ball", BALLS)
+def test_known_rays(wall_sets, ball):
+    """The rays every row outside the hull fallback scores: each mask's
+    wall rays, after the base polygon's vertices unless the ball holds
+    the exact directions."""
+    norm, facets, l2_dirs = ball
+    pball = dual_ball(DUAL_NORM[norm], 2, facets)
+    for walls in wall_sets.values():
+        geometry = certify._SweepGeometry(pball, l2_dirs, walls)
+        live = np.vstack(walls)
+        live = live[np.any(live != 0.0, axis=1)]
+        perp = np.column_stack([-live[:, 1], live[:, 0]])
+        want = np.vstack([perp, -perp])
+        if not l2_dirs:
+            want = np.vstack([geometry.G[:, :2], want])
+        assert np.array_equal(_bits(geometry.known[0]), _bits(want))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(BALLS),
+       st.sampled_from(["none", "example_2_2", *VARIANTS]))
+def test_margins_near_the_full_rule(wall_sets, data, ball, walls):
+    comps, ytheta = data.draw(_slots(ball))
+    norm, facets, l2_dirs = ball
+    pball = dual_ball(DUAL_NORM[norm], 2, facets)
+    with np.errstate(all="ignore"):
+        got = certify._SweepGeometry(pball, l2_dirs, wall_sets[walls]).margins(
+            comps, ytheta)
+        old = sweep_oracle.SweepGeometry(pball, l2_dirs, wall_sets[walls],
+                                         full=True).margins(comps, ytheta)
+    if not l2_dirs:
+        assert np.array_equal(_bits(got), _bits(old))
+        return
+    fin = np.isfinite(old)
+    assert np.array_equal(np.where(fin, 0.0, got), np.where(fin, 0.0, old),
+                          equal_nan=True), (got, old)
+    assert np.all(np.abs(got[fin] - old[fin]) <= 4 * np.spacing(1.0)
+                  * np.maximum(1.0, np.abs(old[fin]))), (got, old)
+
+
+def _highs(U, ytheta, pball, cuts):
+    """The margin of one component as the HiGHS LP over the l2 ball with
+    its exact directions; -inf where no w has a nonnegative margin."""
+    found = sweep_oracle._lp_witness_margin(
+        U, ytheta, sweep_oracle._witness_ball(U, pball, True), cuts)
+    return -np.inf if found is None else found[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["none", "example_2_2", *VARIANTS]))
+def test_margins_match_highs(wall_sets, data, walls):
+    ball = ("l2", 64, True)
+    comps, ytheta = data.draw(_slots(ball))
+    pball = dual_ball("l2", 2, 64)
+    walls = wall_sets[walls]
+    with np.errstate(all="ignore"):
+        got = certify._SweepGeometry(pball, True, walls).margins(comps,
+                                                                 ytheta)
+    for r, row in enumerate(got.tolist()):
+        if np.isnan(row).any():
+            assert any(len({tuple(u) for u in U[r].tolist()}) < len(U[r])
+                       for U in comps)
+            continue
+        for cuts, margin in zip(walls, row):
+            want = min(_highs(U[r], ytheta[r], pball, cuts) for U in comps)
+            if min(margin, want) < 1e-9:
+                assert max(margin, want) < 1e-9, (margin, want)
+            else:
+                assert margin == pytest.approx(want, abs=1e-9)
+
+
+BUNDLED = ["example_2_2", "example_2_3", "example_3_2",
+           "example_3_2_printedg2", "example_3_5"]
+
+
+def _verdicts(spec, ptype, y_resolution):
+    try:
+        return certify.pseudoconvex_test(
+            spec, np.zeros(2), ptype, [-2, 2, -2, 2],
+            y_resolution=y_resolution).verdicts.tolist()
+    except Exception as exc:  # the class and message are what must match
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_verdicts_of_the_full_rule(monkeypatch, name):
+    spec = load_problem(name)
+    cases = [(ptype, y) for ptype in ("I", "II") for y in (6, 12, 24, 48)]
+    got = [_verdicts(spec, *case) for case in cases]
+    built = []
+
+    def full(pball, l2_dirs, walls):
+        built.append(l2_dirs)
+        return sweep_oracle.SweepGeometry(pball, l2_dirs, walls, full=True)
+
+    monkeypatch.setattr(certify, "_SweepGeometry", full)
+    assert [_verdicts(spec, *case) for case in cases] == got
+    assert built and all(built)

@@ -26,16 +26,20 @@ run.py scales by its speed probe's factor, the metrics hold
 seconds that run.py records in its tree's
 ``.bench_out/result-W-seedN-trace0.json``.
 
-Its ``layers`` block traces where the time goes: for each workload, one
+Its ``layers`` block traces where the time goes: for each workload,
+``LAYER_PAIRS`` (3) pairs of
 
     python3 verdictbench/run.py --workload W --seed N --seconds S --trace 1
 
-per tree, with N the first seed, alternating which tree runs first from
-one workload to the next.  Per workload it holds whether each side's run
-was correct and, for each per-layer metric of ``BENCHMARK.json``, its
-unit and direction, both sides' values and the change in percent.  One
-traced run per side shows where a change moves time or calls; it does not
-rank small differences, which the timed pairs above do.
+one per tree, with N the first seed, alternating which tree runs first
+from one pair to the next (and from one workload to the next).  Per
+workload it holds which tree ran first in each pair, whether each side's
+runs were all correct and, for each per-layer metric of
+``BENCHMARK.json``, its unit and direction, both sides' medians and
+quartiles over their runs (None where a run does not report it), and the
+change of the median in percent.  One traced run of a layer varies by a
+third from run to run; the median of three shows where a change moves
+time or calls, while the timed pairs above rank end-to-end differences.
 
 Its ``cold`` block times one-shot processes: each command line of
 ``tests/test_golden.py`` (the README command set) runs as a fresh process
@@ -72,6 +76,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("point-queries", "sweep-rasters", "pseudoconvex-sweep")
 DIGEST = re.compile(r"^# (\S+) seed (\d+): .* report sha256 (.+)$")
 COLD_PAIRS = 9
+LAYER_PAIRS = 3
 FLOOR = "import-numpy"  # the cold block's name of the floor process
 RAW_SETUP = "setup_raw_s"
 
@@ -160,18 +165,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
 
 def layer_pairs(parent_tree: Path, workloads, seed: int,
                 seconds: float) -> dict:
-    """Per workload: which tree ran first, and each side's parse_run
-    result of one traced run."""
+    """Per workload, LAYER_PAIRS pairs: which tree ran first, and each
+    side's parse_run result of one traced run."""
     out = {}
-    for i, workload in enumerate(workloads):
-        order = (("parent", parent_tree), ("change", ROOT))
-        order = order if i % 2 == 0 else order[::-1]
-        pair = {"first": order[0][0]}
-        for side, tree in order:
-            pair[side] = run_once(tree, workload, seed, seconds, trace=1)
-            print(f"layers {workload} {side} done", file=sys.stderr,
-                  flush=True)
-        out[workload] = pair
+    for w, workload in enumerate(workloads):
+        out[workload] = []
+        for i in range(LAYER_PAIRS):
+            order = (("parent", parent_tree), ("change", ROOT))
+            order = order if (w + i) % 2 == 0 else order[::-1]
+            pair = {"first": order[0][0]}
+            for side, tree in order:
+                pair[side] = run_once(tree, workload, seed, seconds, trace=1)
+            print(f"layers {workload} pair {i + 1} of {LAYER_PAIRS} done",
+                  file=sys.stderr, flush=True)
+            out[workload].append(pair)
     return out
 
 
@@ -179,19 +186,22 @@ def summarize_layers(pairs: dict, per_layer: list[dict], seed: int) -> dict:
     """The layers block from layer_pairs' pairs and the per_layer list of
     BENCHMARK.json (see the module docstring)."""
     workloads = {}
-    for workload, pair in pairs.items():
+    for workload, runs in pairs.items():
         metrics = {}
         for m in per_layer:
-            parent, change = (pair[side]["metrics"].get(m["name"])
-                              for side in ("parent", "change"))
+            sides = {}
+            for side in ("parent", "change"):
+                values = [p[side]["metrics"].get(m["name"]) for p in runs]
+                sides[side] = None if None in values else quartiles(values)
+            parent, change = sides["parent"], sides["change"]
             metrics[m["name"]] = {
-                "unit": m["unit"], "better": m["better"], "parent": parent,
-                "change": change,
-                "change_pct": (100.0 * (change / parent - 1) if parent
-                               and change is not None else None)}
+                "unit": m["unit"], "better": m["better"], **sides,
+                "change_pct": (
+                    100.0 * (change["median"] / parent["median"] - 1)
+                    if parent and parent["median"] and change else None)}
         workloads[workload] = {
-            "first": pair["first"],
-            "correct": {side: pair[side]["correct"]
+            "first": [p["first"] for p in runs],
+            "correct": {side: all(p[side]["correct"] for p in runs)
                         for side in ("parent", "change")},
             "metrics": metrics}
     return {"seed": seed, "trace": 1, "workloads": workloads}
