@@ -29,11 +29,8 @@ from .robustfeas import (
 from .setcalc import (
     DUAL_NORM,
     MEMBERSHIP_TOL,
-    Polytope,
     STATIONARITY,
     PolytopeSet,
-    _cross,
-    _monotone_chain,
     check_selections,
     dual_ball,
     hull,
@@ -129,6 +126,17 @@ class KKTCheckReport(NamedTuple):
     provenance: dict[str, str]
 
 
+def multiplier_checks(spec: ProblemSpec, ystar: np.ndarray,
+                      mu: np.ndarray) -> tuple[bool, list[dict]]:
+    """Whether y* lies in K+ \\ {0} and mu >= 0, and those two report
+    checks."""
+    ok_y = bool(spec.cone.contains(ystar)
+                and float(np.max(np.abs(ystar))) > 1e-12)
+    ok_mu = bool(np.all(mu >= -1e-12))
+    return ok_y and ok_mu, [{"name": "ystar_in_Kplus_nonzero", "ok": ok_y},
+                            {"name": "mu_nonnegative", "ok": ok_mu}]
+
+
 def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
               tol: float = KKT_TOL, mode: str = "hull",
               use_fixtures: bool = False) -> KKTCheckReport:
@@ -138,15 +146,8 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
     if (len(cert.u) != p or len(cert.v) != n or cert.ystar.shape[0] != p
             or cert.mu.shape[0] != n or cert.bstar.shape[0] != d):
         raise CertifyError("certificate fields dimensionally inconsistent")
-    checks: list[dict] = []
+    mult_ok, checks = multiplier_checks(spec, cert.ystar, cert.mu)
     prov: dict[str, str] = {}
-
-    ok_y = spec.cone.contains(cert.ystar) and float(
-        np.max(np.abs(cert.ystar))) > 1e-12
-    checks.append({"name": "ystar_in_Kplus_nonzero", "ok": bool(ok_y)})
-
-    ok_mu = bool(np.all(cert.mu >= -1e-12))
-    checks.append({"name": "mu_nonnegative", "ok": ok_mu})
 
     acts = compute_active_sets(spec, xbar)
     comp_ok = True
@@ -188,7 +189,7 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
     checks.append({"name": "stationarity_residual", "ok": bool(ok_r),
                    "residual": resid, "tol": tol})
 
-    valid = bool(ok_y and ok_mu and comp_ok and memb_ok and ok_b and ok_a and ok_r)
+    valid = bool(mult_ok and comp_ok and memb_ok and ok_b and ok_a and ok_r)
     return KKTCheckReport(valid, resid, checks, prov)
 
 
@@ -504,17 +505,18 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     D = samples.T - xbar[:, None]
     norms = norm_grid(spec.norm, D)        # (N,)
     ytheta_all = ys @ spec.theta
-    ynorms = np.outer(ytheta_all, norms)   # (M, N)
-    # premise margins m(x, y) for the whole grid at once
+    # premise margins m(x, y) for the whole grid at once, the norm term
+    # added a block of y* at a time, so that no (M, N) array of it is kept
     G = ys @ (F - fbar[:, None])
-    G += ynorms
+    for lo in range(0, G.shape[0], _BLOCK):
+        G[lo:lo + _BLOCK] += ytheta_all[lo:lo + _BLOCK, None] * norms
     if ptype == "I":
         # the premise is a strict inequality; EPS_STRICT is the margin used
         # for strict inequalities throughout
         active = G < -EPS_STRICT
     else:
         active = G <= 1e-12
-    del G  # the blocks below read active and ynorms, not G
+    del G  # the blocks below read active, not G
     active[:, norms <= 1e-12] = False
 
     con_rows = _constraint_rows(spec, xbar)
@@ -540,8 +542,6 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     for g in N:
         cone_ok &= g @ D <= 1e-12
 
-    pball = dual_ball(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
-    l2_dirs = spec.norm == "l2"
     cand_ok = cand_g_ok & cone_ok
     # one id per distinct premise-row mask (column of con_prem)
     masks, mask_id = np.unique(con_prem.T, axis=0, return_inverse=True)
@@ -574,10 +574,10 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
             r = sub[lo:lo + _BLOCK]
             top = (V[lo:lo + _BLOCK] @ D).max(axis=1)
             left[r] = active[r] & ~(cand_ok & (
-                top + ynorms[r] <= -1e-12))
+                top + ytheta_all[r, None] * norms <= -1e-12))
         need = left[sub].any(axis=1)
         if need.any():
-            geometry = geometry or _SweepGeometry(pball, l2_dirs, walls)
+            geometry = geometry or _SweepGeometry(spec.norm, walls)
             margin[sub[need]] = geometry.margins([U[need] for U in comps],
                                                  ytheta_all[sub[need]])
     fail = np.zeros_like(active)
@@ -612,37 +612,19 @@ _CUT_TOL = 1e-12
 class _SweepGeometry:
     """The planar witness margins of one sweep, for all y* at once.
 
-    w ranges over the witness ball clipped to the wedge of a mask's walls
-    <a, w> <= 0, and min_u -<u, w> is linear between the tie lines
-    <u_i - u_j, w> = 0, so the optimum is the origin or the boundary point
-    of a ball vertex, wall ray or tie ray.  With l2_dirs the ball holds
-    each exact direction -u/|u|, and no ball vertex decides a margin:
-    between neighbouring exact directions, tie and wall rays the objective
-    is one -<u_i, w>, which peaks on that arc of the boundary at an end or
-    at its support point -u_i/|u_i|, as every vertex lies in the unit disk
-    (but for an ulp).  So the known rays, those of every row, are the wall
-    rays, and the l1 and linf balls' vertices.  The base polygon (the hull
-    of the primal ball), the known rays' cut tests for every mask and their
-    gauge terms on its edges, best first, are built once.  A component's
-    exact directions are merged into the base polygon by angle (Preparata &
-    Shamos, Computational Geometry, 1985, sec. 3.3.6), for every y* at once
-    and locally: a binary search places each among the base angles, and
-    only it and its neighbours are looked at.  Each splits one edge in two,
-    so a known ray's gauge is its best edge not split, or a new edge.  Any
-    other ray leaves a convex polygon by the edge its angle falls in, so
-    its gauge is taken on the edges next to that angle.  A y* whose merge
-    is not clearly convex takes the hull of its ball, and its vertices.
+    w ranges over the unit ball of the norm clipped to the wedge of a
+    mask's walls <a, w> <= 0, and min_u -<u, w> is linear between the tie
+    lines <u_i - u_j, w> = 0, so the optimum is the origin or the boundary
+    point of a ball vertex, wall ray or tie ray.  A norm is the gauge of
+    its unit ball (Rockafellar, Convex Analysis, 1970, sec. 15): the ray
+    along r leaves the ball at r/||r||.  The l2 ball has no vertex, and
+    its candidates add the exact directions -u of the vertices u: between
+    neighbouring candidates the objective is one -<u_i, w>, which peaks on
+    that arc at an end or at -u_i/|u_i|, so the best is the disk's margin.
     """
 
-    def __init__(self, pball: Polytope, l2_dirs: bool, walls: list):
-        self.pball, self.l2_dirs = pball, l2_dirs
-        H, normals, heights = _planar_ball(pball.vertices)
-        # rows (vertex, normal and height of the edge it starts) by angle,
-        # which is a rotation of the counterclockwise H
-        ang = np.arctan2(H[:, 1], H[:, 0])
-        order = np.argsort(ang)
-        self.G, self.ang = np.column_stack([H, normals, heights])[order], \
-            ang[order]
+    def __init__(self, norm: str, walls: list):
+        self.norm = norm
         # a mask's walls are its _witness_cuts
         self.walls = np.vstack(walls)
         self.wall_norms = np.linalg.norm(self.walls, axis=1)
@@ -655,14 +637,19 @@ class _SweepGeometry:
         pown = np.tile(owner[live], 2)
         perp_ok = (pown == np.arange(len(walls))[:, None]) & self.cut_ok(
             perp)[pown, np.arange(pown.size)]
-        base = np.zeros((0, 2)) if l2_dirs else self.G[:, :2]
+        # the rays of every row: the ball's vertices, by angle, and walls'
+        base = dual_ball(DUAL_NORM[norm], 2).vertices if norm != "l2" \
+            else np.zeros((0, 2))
+        base = base[np.argsort(np.arctan2(base[:, 1], base[:, 0]))]
         known = np.vstack([base, perp])
-        known_ok = np.hstack([self.cut_ok(base), perp_ok])
-        # each known ray's gauge terms <r, n>/h on the base polygon's
-        # edges, best first, and their edges
-        B = (known @ self.G[:, 2:4].T) / self.G[:, 4]
-        top = np.argsort(-B, axis=1, kind="stable")
-        self.known = (known, known_ok, np.take_along_axis(B, top, 1), top)
+        self.known = (known, np.hstack([self.cut_ok(base), perp_ok]),
+                      self.gauge(known))
+
+    def gauge(self, rays: np.ndarray) -> np.ndarray:
+        """||r|| of the rays r along the last axis, in l2 by np.hypot: the
+        square of a tiny tie ray underflows."""
+        D = np.moveaxis(rays, -1, 0)
+        return np.hypot(*D) if self.norm == "l2" else norm_grid(self.norm, D)
 
     def cut_ok(self, rays: np.ndarray) -> np.ndarray:
         """(masks, rays): does <a, r> <= _CUT_TOL |a| |r| for every wall a."""
@@ -671,27 +658,11 @@ class _SweepGeometry:
                                           np.linalg.norm(rays, axis=1))
         return ~(self.wall_owner @ bad)
 
-    def _near(self, rays: np.ndarray):
-        """The base polygon's edges next to each ray's angle (the edge the
-        ray leaves by and its neighbours), and <r, n>/h on each, rounded as
-        the product of many rays and the normals rounds (numpy takes one
-        row alone through a vector product, so each ray goes twice)."""
-        k = np.searchsorted(self.ang, np.arctan2(rays[..., 1], rays[..., 0]))
-        near = (k[..., None] + np.arange(-2, 1)) % self.ang.size
-        E = self.G.take(near, axis=0)
-        twin = np.stack([rays, rays], axis=-2)
-        return near, (twin @ E[..., 2:4].swapaxes(-1, -2))[..., 0, :] \
-            / E[..., 4]
-
     def margins(self, comps: list, ytheta: np.ndarray) -> np.ndarray:
-        """(rows, masks): the witness margin at ||x - xbar|| = 1 of every
-        mask for each row's set, given as component slots (rows, k, 2): the
-        least over the components of the largest delta >= 0 with
-        <u, w> + ytheta <= -delta for every vertex u, -inf if some
-        component has none.  w ranges over the witness ball clipped to the
-        mask's wedge; with l2_dirs the ball gains the exact unit directions
-        opposite the component's vertices (still on the sphere, so still
-        an inner approximation)."""
+        """(rows, masks): each mask's witness margin at ||x - xbar|| = 1 for
+        each row's component slots (rows, k, 2): the least over them of the
+        largest delta >= 0 with <u, w> + ytheta <= -delta for every vertex
+        u, -inf if one has none."""
         best = np.full((ytheta.size, self.wall_owner.shape[0]), math.inf)
         for U in comps:
             m = self._component(U, ytheta)
@@ -699,91 +670,25 @@ class _SweepGeometry:
         return best
 
     def _component(self, U: np.ndarray, ytheta: np.ndarray) -> np.ndarray:
-        """The best value over each mask's admissible rays, per row, for
-        one component slot U (rows, k, 2)."""
+        """Each mask's best value over its rays, per row of one slot U."""
         R, k, _ = U.shape
         i, j = np.triu_indices(k, 1)
         t = U[:, i] - U[:, j]
         ties = np.stack([-t[..., 1], t[..., 0]], axis=2)
         fresh = np.concatenate([ties, -ties], axis=1)
-        hit, new = np.zeros((R, 0), dtype=int), np.zeros((R, 0, 3))
-        hull = np.zeros(R, dtype=bool)
-        if self.l2_dirs:  # the exact directions -u/|u| of nonzero u
-            nu = np.sqrt(U[..., None, :] @ U[..., None])[..., 0, 0]
-            has = nu > 1e-15
-            E = -U / np.where(has, nu, 1.0)[..., None]
-            convex, hit, new = self._insert(E)
-            hull = ~(convex & has.all(axis=1))
-            # a row taking the hull may have an edge of length 0 here
-            new[hull] = [0.0, 0.0, 1.0]
-            fresh = np.concatenate([E, fresh], axis=1)
-        # the gauges on each row's polygon: the base polygon's edges but
-        # the ones split, and the new ones
-        known, known_ok, best, at = self.known
-        top = hit.shape[1] + 1  # one of these edges is not split
-        old = _unsplit_max(at[:, :top], np.broadcast_to(
-            best[:, :top], (R, *best[:, :top].shape)), hit)
-        near, vals = self._near(fresh)
-        rays = np.empty((R, known.shape[0] + fresh.shape[1], 2))
-        rays[:, :known.shape[0]], rays[:, known.shape[0]:] = known, fresh
-        gauge = np.concatenate([old, _unsplit_max(near, vals, hit)], axis=1)
-        T = rays @ new[:, :, :2].transpose(0, 2, 1)
-        for c in range(T.shape[2]):
-            gauge = np.maximum(gauge, T[..., c] / new[:, c, None, 2])
+        gauge = self.gauge(fresh)
+        if self.norm == "l2":  # the directions -u; a zero u's is the origin
+            fresh = np.concatenate([-U, fresh], axis=1)
+            nu = self.gauge(U)
+            gauge = np.concatenate([np.where(nu > 0.0, nu, 1.0), gauge], 1)
+        known, known_ok, known_gauge = self.known
+        rays = np.concatenate([np.broadcast_to(known, (R, *known.shape)),
+                               fresh], axis=1)
+        gauge = np.concatenate([np.broadcast_to(known_gauge, (
+            R, known_gauge.size)), gauge], axis=1)
         fresh_ok = self.cut_ok(fresh.reshape(-1, 2)).reshape(
             known_ok.shape[0], *fresh.shape[:2]).transpose(1, 0, 2)
-        m = self._best(rays, gauge, U, ytheta, known_ok, fresh_ok)
-        # a row takes the hull only with l2_dirs: known are the wall rays
-        for r in np.flatnonzero(hull).tolist():
-            H, normals, heights = _planar_ball(np.vstack([
-                self.pball.vertices, E[r][has[r]]]))
-            extra = np.vstack([H, fresh[r, k:]])
-            rays = np.vstack([known, extra])
-            ok = np.hstack([known_ok, self.cut_ok(extra)])
-            gauge = np.max((rays @ normals.T) / heights, axis=1)
-            m[r] = self._best(rays[None], gauge[None], U[[r]], ytheta[[r]],
-                              ok, ok[None, :, :0])[0]
-        return m
-
-    def _insert(self, E: np.ndarray):
-        """Each row's directions E (rows, j, 2) merged into the base polygon
-        by angle, each after a base vertex of its angle, looking only at
-        them and their neighbours: whether every turn next to them is
-        clearly convex, the base edges they split, and the edges into and
-        out of each (normal, height), 2j per row (an edge between two of
-        them comes twice)."""
-        R, j, _ = E.shape
-        a = np.arctan2(E[..., 1], E[..., 0])
-        flat = np.argsort(a, axis=1, kind="stable") + np.arange(0, a.size,
-                                                                j)[:, None]
-        E = E.reshape(-1, 2).take(flat, axis=0)
-        gap = np.searchsorted(self.ang, a.take(flat), side="right")
-        P = gap + np.arange(j)  # their places in the merged polygon
-        W = np.moveaxis(self._merged(P, E, P + np.arange(-2, 3)[:, None,
-                                                                None]), -1, 0)
-        convex = ~(_cross(W[:, :3], W[:, 1:4], W[:, 2:]) <= 1e-12).any(
-            axis=(0, 2))
-        # the edges V[s] -> V[s + 1] at s = P - 1 and P, as _planar_ball
-        # computes them
-        start = np.moveaxis(W[:, 1:3], 0, -1)
-        d = np.moveaxis(W[:, 2:4], 0, -1) - start
-        normals = np.stack([d[..., 1], -d[..., 0]], axis=-1)
-        heights = np.einsum("...i,...i", normals, start)
-        return convex, (gap - 1) % self.ang.size, np.concatenate(
-            [normals, heights[..., None]], axis=-1).swapaxes(0, 1).reshape(
-                R, 2 * j, 3)
-
-    def _merged(self, P: np.ndarray, E: np.ndarray, c: np.ndarray):
-        """The vertices at places c (..., rows, m), cyclic, of the base
-        polygon with the rows E (rows, j, 2) at the ascending places P."""
-        n, j = self.ang.size, P.shape[1]
-        c = c % (n + j)
-        before = sum(P[:, t, None] < c for t in range(j))
-        # the flat index of each place's last direction before it (take is
-        # many times faster than fancy indexing here)
-        t = np.minimum(before, j - 1) + np.arange(0, P.size, j)[:, None]
-        return np.where((P.take(t) == c)[..., None], E.reshape(-1, 2).take(
-            t, axis=0), self.G[:, :2].take((c - before) % n, axis=0))
+        return self._best(rays, gauge, U, ytheta, known_ok, fresh_ok)
 
     @staticmethod
     def _best(rays, gauge, U, ytheta, shared, own) -> np.ndarray:
@@ -803,27 +708,6 @@ class _SweepGeometry:
                 own[..., c], vals[:, None, shared.shape[1] + c], -math.inf))
         # the origin, w = 0, is always admissible
         return np.maximum(best, -ytheta[:, None])
-
-
-def _unsplit_max(edges: np.ndarray, vals: np.ndarray, hit: np.ndarray):
-    """np.max over the short last axis of vals (rows, ..., c), -inf where
-    the edge is one its row's directions split (hit (rows, j)), in a loop
-    over that axis: the same bits, without a tiny loop per element."""
-    return functools.reduce(np.maximum, (np.where(functools.reduce(
-        np.logical_or, (edges[..., c] == h[:, None] for h in hit.T), False),
-        -math.inf, vals[..., c]) for c in range(vals.shape[-1])))
-
-
-def _planar_ball(ball: np.ndarray):
-    """(vertices, outward edge normals, edge heights) of the convex hull of
-    the (n, 2) rows of ball, vertices counterclockwise.  The ball holds the
-    origin in its interior, as every primal-norm ball does, so every height
-    is positive."""
-    P = list(map(tuple, ball.tolist()))
-    H = np.array([P[k] for k in _monotone_chain(P, range(len(P)))])
-    edges = np.roll(H, -1, axis=0) - H
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
-    return H, normals, np.einsum("ij,ij->i", normals, H)
 
 
 def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,

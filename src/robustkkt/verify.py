@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certify import CertifyError, search_kkt
+from .certify import CertifyError, multiplier_checks, search_kkt
 from .funcdsl import _on_grid
 from .robustfeas import (
     CELLS_LIMIT,
@@ -163,11 +163,7 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
     z = np.asarray(triple.z, dtype=float).reshape(-1)
     ystar = np.asarray(triple.ystar, dtype=float).reshape(-1)
     mu = np.asarray(triple.mu, dtype=float).reshape(-1)
-    checks: list[dict] = []
-    ok_y = spec.cone.contains(ystar) and float(np.max(np.abs(ystar))) > 1e-12
-    checks.append({"name": "ystar_in_Kplus_nonzero", "ok": bool(ok_y)})
-    ok_mu = bool(np.all(mu >= -1e-12))
-    checks.append({"name": "mu_nonnegative", "ok": ok_mu})
+    mult_ok, checks = multiplier_checks(spec, ystar, mu)
     if not spec.omega.contains(z):
         checks.append({"name": "z_in_omega", "ok": False})
         return DualFeasReport(False, checks)
@@ -199,7 +195,7 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
     parts.insert(0, combo)
     res = zero_in_sum(parts, N)
     checks.append({"name": "stationarity_inclusion", "ok": bool(res.sat)})
-    feas = bool(ok_y and ok_mu and comp_ok and res.sat)
+    feas = bool(mult_ok and comp_ok and res.sat)
     witness = res.witness_points(parts) if res.sat else None
     return DualFeasReport(feas, checks, witness)
 

@@ -10,10 +10,11 @@ the number of y* whose premise holds there and, for an INCONCLUSIVE
 sample, the first y* without a witness), and the (y* index, premise mask)
 pairs whose normalized margin it solved.
 
-``_normalized_margin`` and ``_planar_witness_margin`` are the planar margin
-as the sweep computed it before its geometry was built once per sweep: one
-monotone-chain hull per (y*, component) and one margin call per (y*, mask,
-component).  They are kept verbatim as the oracle of the batched margins.
+``_planar_witness_margin`` is the planar margin as the sweep computed it
+before its geometry was built once per sweep: one margin call per (y*,
+mask, component) over the monotone-chain hull ``_planar_ball`` of the
+witness ball.  It is kept verbatim as the oracle of the batched l1 and
+linf margins.
 
 ``direct_subdiff`` is the scalarization as it was before
 ``subdiff.Scalarization`` walked each objective once per sweep: it builds
@@ -26,15 +27,25 @@ plane before it refused dimensions other than 2.  They are kept verbatim
 as the HiGHS oracle of the planar margins (test_planar.py) and the margin
 of this loop off the plane.
 
-``SweepGeometry`` is the sweep's planar geometry as it merged a
-component's exact directions into the base polygon by sorting all of each
-row's vertices and rolling them, and reduced over short axes with numpy's
-reductions.  It is the oracle of the batched margins (test_sweep_oracle.py
-and the layer benchmark test_sweep_bench.py), which must be bit-equal to
-it, and follows their candidate rule: with the exact directions on, no
-base-polygon vertex is a candidate ray of a row outside the hull fallback.
-``full=True`` keeps the rule before that, every base vertex a candidate of
-every row, as the reference of the differential tests of the rule change.
+``SweepGeometry`` is the sweep's planar geometry as it was while its ball
+was the ``ball_facets``-gon (the l2 polygon holding each component's exact
+directions, merged in by sorting all of each row's vertices and rolling
+them; a row whose merge was not clearly convex took ``_planar_ball``, the
+monotone-chain hull of its points).  It is the polygon rule: in the l1 and
+linf norms the sweep's margins must be bit-equal to it, and in l2 they may
+only rise above it, by at most the polygon's inradius gap
+(test_sweep_oracle.py and the layer benchmark test_sweep_bench.py).  With
+the exact directions on, no base-polygon vertex is a candidate ray of a
+row outside the hull fallback; ``full=True`` keeps the rule before that,
+every base vertex a candidate of every row.
+
+``disk_margin`` and ``disk_margins`` are the l2 margins over the exact unit
+disk by brute force: 2^14 evenly spaced directions and the wedge's
+boundary rays, each local maximum among them refined between its
+neighbours.  As the sweep admits a ray by its cut test, <a, r> <= 1e-12
+|a| |r|, they bracket its margin between the disk's over the walls' own
+wedge and over that wider one; the sweep's l2 margins must lie within
+1e-12 of the bracket.
 
 ``weights`` is ``Scalarization._weights`` as it ran once per y*: the
 tree's constants folded and then every refusal of the call, the structure
@@ -59,15 +70,14 @@ from robustkkt.certify import (
     _CUT_TOL,
     CertifyError,
     _constraint_rows,
-    _planar_ball,
     _witness_cuts,
     ystar_grid,
 )
 from robustkkt.funcdsl import DEFAULT_KINK_TOL, Expr, _check_scenario, \
     const, eval_expr
 from robustkkt.lp import LPBuilder
-from robustkkt.setcalc import DUAL_NORM, Polytope, _cross, dual_ball, \
-    norm_grid, normal_cone
+from robustkkt.setcalc import DUAL_NORM, Polytope, _cross, \
+    _monotone_chain, dual_ball, norm_grid, normal_cone
 from robustkkt.subdiff import SubdiffResult, limiting_subdiff
 
 
@@ -123,6 +133,18 @@ def _witness_ball(U: np.ndarray, pball: Polytope,
     return ball
 
 
+def _planar_ball(ball: np.ndarray):
+    """(vertices, outward edge normals, edge heights) of the convex hull of
+    the (n, 2) rows of ball, vertices counterclockwise.  The ball holds the
+    origin in its interior, as every primal-norm ball does, so every height
+    is positive."""
+    P = list(map(tuple, ball.tolist()))
+    H = np.array([P[k] for k in _monotone_chain(P, range(len(P)))])
+    edges = np.roll(H, -1, axis=0) - H
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    return H, normals, np.einsum("ij,ij->i", normals, H)
+
+
 def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
                        cuts: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Max margin delta >= 0 with <u, w> + offset <= -delta for every row u
@@ -156,35 +178,6 @@ def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
     if not res.feasible:
         return None
     return -res.objective, res.values[np.asarray(w_ids)]
-
-
-def _normalized_margin(components, shapes: list, ytheta: float, cuts,
-                       pball: Polytope, l2_dirs: bool) -> float:
-    """Witness margin at ||x - xbar|| = 1: the least over the components of
-    the max margin delta >= 0 with <u, w> + ytheta <= -delta for every
-    vertex u of the component (the definition lets w depend on the
-    subgradient choice); -inf if some component has no nonnegative margin.
-
-    w ranges over the witness ball (_witness_ball), cut by <a, w> <= 0 for
-    the vertices a of the premise-holding constraint rows and by the normal
-    cone's generators, the rows of cuts.  shapes[k] caches component k's
-    ball: its _planar_ball in the plane, its vertices otherwise.
-    """
-    best = math.inf
-    for k, comp in enumerate(components):
-        if shapes[k] is None:
-            ball = _witness_ball(comp.vertices, pball, l2_dirs)
-            shapes[k] = _planar_ball(ball) if comp.dim == 2 else ball
-        if comp.dim == 2:
-            found = _planar_witness_margin(comp.vertices, ytheta, 1.0,
-                                           shapes[k], cuts)
-        else:
-            found = _lp_witness_margin(comp.vertices, ytheta, shapes[k],
-                                       cuts)
-        if found is None:
-            return -math.inf
-        best = min(best, found[0])
-    return best
 
 
 def _planar_witness_margin(U: np.ndarray, offset: float, nrm: float,
@@ -397,7 +390,8 @@ def weights(self, ys: list) -> tuple[tuple, list[float]]:
 
 
 class SweepGeometry:
-    """The planar witness margins of one sweep, for all y* at once.
+    """The planar witness margins of one sweep, for all y* at once, over
+    the polygon pball (with l2_dirs, and each component's exact directions).
 
     w ranges over the witness ball clipped to the wedge of a mask's walls
     <a, w> <= 0, and min_u -<u, w> is linear between the tie lines
@@ -571,3 +565,91 @@ class SweepGeometry:
         # the origin, w = 0, is always admissible
         return np.maximum(np.where(ok, vals[:, None], -math.inf).max(axis=2),
                           -ytheta[:, None])
+
+
+_STEP = 2 * np.pi / 2 ** 14
+_CIRCLE = np.arange(2 ** 14) * _STEP
+_CIRCLE_W = np.stack([np.cos(_CIRCLE), np.sin(_CIRCLE)])
+# the wedges the bracket of disk_margin is taken over: the walls' own, but
+# for rounding, and the one the sweep's cut test admits
+_WEDGES = (1e-15, _CUT_TOL)
+
+
+def disk_margin(U: np.ndarray, ytheta: float, cuts: np.ndarray):
+    """The bracket (lo, hi) of the sweep's l2 margin of one component with
+    vertices U: the max of -max_u <u, w> - ytheta over the unit disk's w
+    with <a, w> <= tol |a| |w| for the rows a of cuts, at tol 1e-15 (the
+    walls' wedge but for rounding) and at tol _CUT_TOL (the wider wedge
+    the sweep's cut test admits).
+
+    The objective is positively homogeneous but for -ytheta, so each
+    optimum is the origin's -ytheta or that of a unit direction.  The
+    directions tried are 2^14 evenly spaced angles and each wedge's
+    boundary rays, along the walls and turned off them by asin(tol); around
+    each local maximum among the admissible ones, an angle between its
+    neighbours is zoomed in on."""
+    norms = np.linalg.norm(cuts, axis=1)
+    live = norms > 0.0
+    a = cuts[live] / norms[live, None]
+    along = np.vstack([np.column_stack([-a[:, 1], a[:, 0]]),
+                       np.column_stack([a[:, 1], -a[:, 0]])])
+    turns = np.arcsin(np.array(_WEDGES) * (1.0 - 1e-6))
+    w = np.hstack([_CIRCLE_W, along.T, *(
+        (along * np.cos(c) + np.tile(a, (2, 1)) * np.sin(c)).T
+        for c in turns)])
+    t = np.arctan2(w[1], w[0]) % (2 * np.pi)
+    order = np.argsort(t, kind="stable")
+    t, w = t[order], w[:, order]
+    v = _value(U, ytheta, w)
+    slack = cuts @ w  # every w is a unit vector
+    brackets = [_peaks(t[ok], v[ok]) for ok in (
+        ~np.any(slack > tol * norms[:, None], axis=0) for tol in _WEDGES)]
+    # every bracket zoomed in on at once (33 angles, 9 times)
+    lo, hi = (np.concatenate(e) for e in zip(*brackets))
+    best = np.full(lo.size, -np.inf)
+    grid = np.linspace(0.0, 1.0, 33)
+    for _ in range(9):
+        s = lo[:, None] + (hi - lo)[:, None] * grid
+        v = _value(U, ytheta, np.stack([np.cos(s), np.sin(s)]))
+        j = np.argmax(v, axis=1)
+        best = np.maximum(best, np.take_along_axis(v, j[:, None], 1)[:, 0])
+        lo = np.take_along_axis(s, np.maximum(j - 1, 0)[:, None], 1)[:, 0]
+        hi = np.take_along_axis(s, np.minimum(j + 1, 32)[:, None], 1)[:, 0]
+    split = np.cumsum([b[0].size for b in brackets])[:-1]
+    return tuple(max(-ytheta, np.max(b, initial=-np.inf))
+                 for b in np.split(best, split))
+
+
+def _value(U, ytheta, w):
+    return -np.max(np.tensordot(U, w, 1), axis=0) - ytheta
+
+
+def _peaks(t, v):
+    """The brackets (lo, hi) around each local maximum of the values v at
+    the ascending admissible angles t, and around their maximum: its
+    admissible neighbours on either side, where they are next to it."""
+    lo, hi = np.roll(t, 1), np.roll(t, -1)
+    if t.size:
+        lo[0] -= 2 * np.pi
+        hi[-1] += 2 * np.pi
+    lo = np.where(t - lo < 1.5 * _STEP, lo, t)
+    hi = np.where(hi - t < 1.5 * _STEP, hi, t)
+    vlo = np.where(lo < t, np.roll(v, 1), -np.inf)
+    vhi = np.where(hi > t, np.roll(v, -1), -np.inf)
+    peak = (v > vlo) & (v >= vhi)
+    if t.size:
+        peak[np.argmax(v)] = True
+    return lo[peak], hi[peak]
+
+
+def disk_margins(comps: list, ytheta: np.ndarray, walls: list) -> tuple:
+    """(lo, hi), each (rows, masks): the bracket of the sweep's l2 margins
+    by disk_margin, the least over the components, -inf where one is
+    negative."""
+    out = np.empty((2, ytheta.size, len(walls)))
+    for r in range(ytheta.size):
+        for m, cuts in enumerate(walls):
+            least = np.min([disk_margin(U[r], ytheta[r], cuts)
+                            for U in comps], axis=0)
+            out[:, r, m] = np.where(least < 0.0, -np.inf, least)
+    return out[0], out[1]

@@ -4,11 +4,13 @@
 of such results; its layers block of traced pairs
 (``tests/data/layers_block.json``, LAYER_PAIRS pairs per workload) and
 its cold block of one-shot command timings (``tests/data/cold_block.json``)
-summarize their runs; its lines block counts two trees' module lines."""
+summarize their runs; its lines block counts two trees' module lines; and
+the change's tree is exported from the checkout as git lists its files."""
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -226,14 +228,43 @@ def test_layer_pairs_alternate(monkeypatch, tmp_path):
         return {"correct": True, "metrics": {}}
 
     monkeypatch.setattr(bench_pair, "run_once", fake)
-    out = bench_pair.layer_pairs(tmp_path, ["w1", "w2"], 5, 0.5)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    out = bench_pair.layer_pairs(parent, change, ["w1", "w2"], 5, 0.5)
     assert [[p["first"] for p in out[w]] for w in ("w1", "w2")] == [
         ["parent", "change", "parent"], ["change", "parent", "change"]]
     assert len(calls) == 2 * 2 * bench_pair.LAYER_PAIRS
     assert {c[2:] for c in calls} == {(5, 0.5, 1)}
     trees = [c[0] for c in calls if c[1] == "w1"]
-    assert trees == [tmp_path, bench_pair.ROOT, bench_pair.ROOT, tmp_path,
-                     tmp_path, bench_pair.ROOT]
+    assert trees == [parent, change, change, parent, parent, change]
+
+
+def test_export_change(monkeypatch, tmp_path):
+    """The change's tree is the checkout's files as git lists them:
+    tracked ones as they stand, untracked ones that are not ignored, and
+    neither deleted nor ignored ones."""
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    (repo / "src").mkdir(parents=True)
+    (repo / ".hypothesis").mkdir()
+    files = {".gitignore": ".hypothesis/\n*.out\n", "src/a.py": "a = 1\n",
+             "gone.py": "\n", "b.py": "b\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c",
+           "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", ".gitignore", "src/a.py", "gone.py"],
+                   check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "c"], check=True)
+    (repo / "src" / "a.py").write_text("a = 2\n")  # changed, uncommitted
+    (repo / "gone.py").unlink()
+    (repo / "run.out").write_text("ignored\n")
+    (repo / ".hypothesis" / "db").write_text("cache\n")
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+    bench_pair.export_change(dest)
+    got = {p.relative_to(dest).as_posix(): p.read_text()
+           for p in dest.rglob("*") if p.is_file()}
+    assert got == {".gitignore": files[".gitignore"], "src/a.py": "a = 2\n",
+                   "b.py": "b\n"}
 
 
 def test_lines_block(tmp_path):

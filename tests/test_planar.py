@@ -1,7 +1,7 @@
 """Differential tests of the LP-free planar paths against the LPs they
 replace: the monotone-chain hull reduction and the closed-form witness
-margin of the pseudo-convexity sweep; and of the sweep's witness polygons,
-built by insertion into one base polygon, against a hull of all points."""
+margin of the pseudo-convexity sweep; and of the sweep's witness ball, the
+norm ball, against the exact disk and the polygons it replaced."""
 
 import contextlib
 import io
@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sweep_oracle
 from genexpr import random_convex_expr, random_point, random_supported_expr
 from robustkkt import certify, lp, setcalc
 from robustkkt.cli import run_command
@@ -20,6 +21,8 @@ from robustkkt.setcalc import DUAL_NORM, Polytope, PolytopeSet, dual_ball, \
 from robustkkt.subdiff import limiting_subdiff
 from sweep_oracle import _lp_witness_margin, _witness_ball, \
     component_witness_margin
+from test_sweep_oracle import assert_in_disk_bracket, \
+    assert_near_the_polygon, polygon_rule
 
 
 def assert_same_reduction(V):
@@ -313,115 +316,115 @@ def test_bundled_sweeps_solve_no_lp(monkeypatch, argv):
 
 
 def _exact_dirs(U):
-    """The directions -u/|u| the l2 witness ball adds for the rows u of U."""
+    """The directions -u/|u| the l2 witness polygon added for the rows u of
+    U."""
     pball = dual_ball("l2", 2, 64)
     return _witness_ball(np.asarray(U, dtype=float), pball,
                          True)[pball.nverts:]
 
 
-def _geometry(norm):
-    return certify._SweepGeometry(dual_ball(DUAL_NORM[norm], 2, 64),
-                                  norm == "l2",
-                                  [np.zeros((0, 2))])
+NO_WALLS = [np.zeros((0, 2))]
 
 
-def _lexicographic(G):
-    """The polygon rows G (vertex, normal, height) as _planar_ball gives
-    them: counterclockwise from the lexicographically least vertex."""
-    s = int(np.lexsort((G[:, 1], G[:, 0]))[0])
-    G = np.roll(G, -s, axis=0)
-    return G[:, :2], G[:, 2:4], G[:, 4]
+def _margin(norm, U, ytheta=0.0):
+    """The sweep's margin of one component with vertices U, no walls."""
+    U = np.asarray(U, dtype=float).reshape(1, -1, 2)
+    return certify._SweepGeometry(norm, NO_WALLS).margins(
+        [U], np.array([ytheta]))[0, 0]
 
 
-def _edges(rows):
-    """Edge rows (normal, height) as a set, bit for bit."""
-    rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, 3)
-    return set(map(tuple, rows.view(np.int64).tolist()))
-
-
-def assert_same_polygon(geometry, extras):
-    """The base polygon with the directions inserted (_insert) is what
-    _planar_ball gives for the base polygon's points and those directions:
-    every direction a vertex, and the edges the base edges not split and
-    the ones _insert gives, bit for bit.  Returns whether it inserted."""
-    E = np.asarray(extras, dtype=float).reshape(1, -1, 2)
-    [convex], [hit], [new] = geometry._insert(E)
-    if not convex:  # the sweep then takes _planar_ball itself
-        return False
-    H, normals, heights = certify._planar_ball(
-        np.vstack([geometry.pball.vertices, E[0]]))
-    assert H.shape[0] == geometry.G.shape[0] + E.shape[1]
-    kept = np.delete(geometry.G[:, 2:], hit, axis=0)
-    assert _edges(np.vstack([kept, new])) == _edges(
-        np.column_stack([normals, heights]))
-    return True
+def assert_disk_margin(U, ytheta=0.0):
+    """The sweep's l2 margin within 1e-12 of the exact disk's (no walls,
+    so the oracle's bracket is one number); returns it."""
+    got = _margin("l2", U, ytheta)
+    U = np.asarray(U, dtype=float).reshape(1, -1, 2)
+    assert_in_disk_bracket(got, *sweep_oracle.disk_margins(
+        [U], np.array([ytheta]), NO_WALLS))
+    return got
 
 
 class TestSweepPolygon:
+    """The sweep's witness ball at the inputs where the polygon it replaced
+    (the 64-gon, with each component's exact directions merged in) needed
+    care: the README sweeps' components, directions on the 64-gon's
+    vertices, next to its diagonal vertex and below its lexicographic
+    start, and segments.  In l2 the margins are the exact disk's
+    (sweep_oracle.disk_margin); in l1 and linf the norm is the gauge of the
+    box polygon, bit for bit."""
+
     @pytest.mark.parametrize("argv", README_SWEEPS, ids=["type-I", "type-II"])
     def test_bundled_components(self, monkeypatch, argv):
-        """Every component the README sweeps meet, none by the fallback."""
+        """Every component slot the README sweeps stack, alone, near the
+        polygon rule."""
         seen = []
-        orig = certify._SweepGeometry._insert
+        orig = certify._SweepGeometry.margins
 
-        def spy(self, E):
-            seen.extend((self, row) for row in E.copy())
-            return orig(self, E)
+        def spy(self, comps, ytheta):
+            seen.extend((self, U, ytheta) for U in comps)
+            return orig(self, comps, ytheta)
 
-        monkeypatch.setattr(certify._SweepGeometry, "_insert", spy)
+        monkeypatch.setattr(certify._SweepGeometry, "margins", spy)
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(argv) == 0
         monkeypatch.undo()
-        assert len(seen) >= 700
-        for geometry, E in seen:
-            assert assert_same_polygon(geometry, E)
+        assert sum(U.shape[0] for _, U, _ in seen) >= 700
+        for geometry, U, ytheta in seen:
+            walls = [geometry.walls[own] for own in geometry.wall_owner]
+            assert_near_the_polygon(
+                geometry.margins([U], ytheta),
+                polygon_rule("l2", walls).margins([U], ytheta), ytheta)
 
-    @given(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=2))
+    @given(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=2),
+           st.floats(-1.0, 1.0))
     @settings(max_examples=300, deadline=None)
-    def test_hypothesis_directions(self, angles):
+    def test_hypothesis_directions(self, angles, ytheta):
         t = np.array(angles)
-        assert_same_polygon(_geometry("l2"),
-                            np.column_stack([np.cos(t), np.sin(t)]))
+        U = -np.column_stack([np.cos(t), np.sin(t)])
+        # coincident vertices have a zero tie ray, which scores 0/0
+        assume(len(set(map(tuple, U.tolist()))) == len(U))
+        assert_disk_margin(U, ytheta)
 
     @pytest.mark.parametrize("extras", [[0.0, -1.0], [-1.0, 0.0], [1.0, 0.0],
                                         [-1.0, -0.0]],
                              ids=["down", "left", "right", "left-negzero"])
     def test_polygon_vertices(self, extras):
-        assert not assert_same_polygon(_geometry("l2"), extras)
+        """Along an axis the margin of the unit u is exactly |u| = 1."""
+        assert assert_disk_margin(-np.array([extras])) == 1.0
 
     def test_neighbours_of_the_diagonal_vertex(self):
-        geometry = _geometry("l2")
-        V = geometry.pball.vertices
+        V = dual_ball("l2", 2, 64).vertices
         x, y = V[np.argmin(np.abs(np.arctan2(V[:, 1], V[:, 0]) - np.pi / 4))]
         for dx in (-np.inf, 0, np.inf):
             for dy in (-np.inf, 0, np.inf):
                 e = [np.nextafter(x, dx) if dx else x,
                      np.nextafter(y, dy) if dy else y]
-                assert_same_polygon(geometry, e)
+                assert_disk_margin(-np.array([e]))
 
     def test_below_the_lexicographic_start(self):
-        geometry = _geometry("l2")
         # (-1.0, -1e-10), lexicographically below (-1, 0)
         e = _exact_dirs([[1.0, 1e-10]])
         assert e.tolist() == [[-1.0, -1e-10]]
-        assert_same_polygon(geometry, e)
-        # far enough from (-1, 0) to be inserted, and still the least
-        assert assert_same_polygon(geometry, [-1.0, -1e-8])
+        assert_disk_margin(-e)
+        assert_disk_margin([[1.0, 1e-8]])
 
     def test_segment_component(self):
-        geometry = _geometry("l2")
         for U in ([[1.0, 0.3], [-0.2, 1.0]], [[0.5, 0.4], [0.5, -2.0]],
                   [[3.0, 0.2], [-1.0, 0.7]]):
-            extras = _exact_dirs(U)
-            assert extras.shape == (2, 2)
-            assert assert_same_polygon(geometry, extras)
+            for ytheta in (0.0, 0.25, -0.5):
+                assert_disk_margin(U, ytheta)
 
     @pytest.mark.parametrize("norm", ["l1", "linf"])
     def test_box_balls(self, norm):
-        geometry = _geometry(norm)
-        hull = certify._planar_ball(geometry.pball.vertices)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(_lexicographic(geometry.G), hull))
-        # unit directions lie outside the l1 ball and inside the linf one
-        for t in np.linspace(-3.0, 3.0, 13):
-            assert_same_polygon(geometry, [np.cos(t), np.sin(t)])
+        """The norm of each ray is max <r, n>/h over the box polygon's
+        edges, bit for bit, and so are the margins of the polygon rule."""
+        geometry = certify._SweepGeometry(norm, NO_WALLS)
+        _, normals, heights = sweep_oracle._planar_ball(dual_ball(
+            DUAL_NORM[norm], 2).vertices)
+        t = np.linspace(-3.0, 3.0, 13)
+        rays = np.column_stack([np.cos(t), np.sin(t)])
+        assert np.array_equal(geometry.gauge(rays), np.max(
+            (rays @ normals.T) / heights, axis=1))
+        U = -rays[:, None, :]
+        ytheta = np.linspace(-0.5, 0.5, 13)
+        assert np.array_equal(geometry.margins([U], ytheta), polygon_rule(
+            norm, NO_WALLS).margins([U], ytheta))

@@ -1,8 +1,8 @@
 """Differential tests of the pseudo-convexity sweep: ``pseudoconvex_test``,
 one array pass per y*, against the per-sample loop it replaced
-(sweep_oracle.py); its batched planar margins against the per-(y*, mask,
-component) margin they replaced; and a guard on the geometry work the sweep
-does."""
+(sweep_oracle.py); its batched planar margins against an oracle's margin
+per (y*, mask, component), the exact disk's in l2 and the polygon's in l1
+and linf; and a guard on the geometry work the sweep does."""
 
 import contextlib
 import io
@@ -18,7 +18,6 @@ from robustkkt import certify, cli, funcdsl, lp, setcalc, subdiff
 from robustkkt.certify import pseudoconvex_test
 from robustkkt.cli import load_problem, resolve_problem_path, run_command
 from robustkkt.funcdsl import DomainError
-from robustkkt.setcalc import Polytope
 from sweep_oracle import direct_subdiff, loop_pseudoconvex_test
 
 FIXTURES = ["example_2_2", "example_2_3", "example_3_2", "example_3_5"]
@@ -222,8 +221,8 @@ def _sweep_counts(monkeypatch, argv, names):
 
 
 def test_bundled_type_one_sweep_work(monkeypatch, spec22):
-    """On the README type I sweep: one hull, the base polygon, and no
-    fallback; one _witness_cuts per premise mask; the y* scalarized in one
+    """On the README type I sweep: one geometry; one _witness_cuts per
+    premise mask; the y* scalarized in one
     batch, refused once per structure key (one scenario check per kept
     objective), one vertex pass per structure group (the zero pattern, the
     unit constants and the coefficients' signs of the oracle's sets); one
@@ -295,8 +294,7 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     monkeypatch.setattr(cli, "load_problem", lambda path: spec22)
     for owner, name, key in [
             (certify, "_witness_cuts", "cuts"),
-            (certify, "_planar_ball", "hull"),
-            (certify, "_monotone_chain", "chain"),
+            (certify._SweepGeometry, "__init__", "geometry"),
             (certify._SweepGeometry, "margins", "batch"),
             (subdiff.Scalarization, "groups", "groups"),
             (subdiff, "_sums", "sums"),
@@ -309,7 +307,7 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_command(argv) == 0
     assert counts["cuts"] == len({mask for _, mask in keys})
-    assert counts["hull"] == counts["chain"] == 1
+    assert counts["geometry"] == 1
     assert counts["groups"] == 1 and counts["scalarize"] == 0
     # the y* with kappa > 0 (segments) clear every sample by the candidate
     assert len(vertex_groups) == len(groups) == 2 and counts["batch"] == 1
@@ -343,27 +341,33 @@ def _premises(spec, ptype, region=(-2, 2, -2, 2), grid=21, y_res=24):
     return ys, X, G
 
 
-def assert_same_margin(got, want):
-    """Within 4 ulps from 1e-9 up; below it (or -inf, no margin), both
-    sides fail the sweep's EPS_STRICT test alike."""
-    if min(got, want) < 1e-9:
-        assert max(got, want) < certify.EPS_STRICT, (got, want)
+def assert_same_margin(got, lo, hi, polygon):
+    """From 1e-9 up, within 4 ulps of the polygon's margin lo = hi, or
+    within 1e-12 of the disk's bracket [lo, hi]; below it (or -inf, no
+    margin), both sides fail the sweep's EPS_STRICT test alike."""
+    if min(got, lo) < 1e-9:
+        assert max(got, lo) < certify.EPS_STRICT, (got, lo, hi)
+    elif polygon:
+        assert abs(got - lo) <= 4 * np.spacing(max(got, lo)), (got, lo)
     else:
-        assert abs(got - want) <= 4 * np.spacing(max(got, want)), (got, want)
+        assert lo - 1e-12 <= got <= hi + 1e-12, (got, lo, hi)
 
 
 def assert_same_margins(monkeypatch, spec, xbar, ptype, **kw):
     """Every (y*, mask, component) of every batch the sweep stacks: the
     batched margin of each component slot, over all the batch's rows,
-    against the oracle's _planar_witness_margin; and each (y*, mask)
-    against its _normalized_margin.  Returns the number of margins."""
+    against the oracle's, within 1e-12 of the exact disk's bracket
+    (sweep_oracle.disk_margin) in l2, and within 4 ulps of
+    _planar_witness_margin over the ball's polygon in l1 and linf; and
+    each (y*, mask) against the least of those.  Returns the number of
+    margins."""
     built, calls = [], []
     init = certify._SweepGeometry.__init__
     margins = certify._SweepGeometry.margins
 
-    def spy_init(self, pball, l2_dirs, walls):
-        built.append((pball, l2_dirs, walls))
-        init(self, pball, l2_dirs, walls)
+    def spy_init(self, norm, walls):
+        built.append((norm, walls))
+        init(self, norm, walls)
 
     def spy_margins(self, comps, ytheta):
         calls.append((self, comps, ytheta))
@@ -375,27 +379,31 @@ def assert_same_margins(monkeypatch, spec, xbar, ptype, **kw):
     monkeypatch.undo()
     if not calls:
         return 0
-    (pball, l2_dirs, walls), = built
+    (norm, walls), = built
+    polygon = sweep_oracle._planar_ball(setcalc.dual_ball(
+        setcalc.DUAL_NORM[norm], 2).vertices)
     seen = 0
     for geometry, comps, ytheta in calls:
-        whole = margins(geometry, comps, ytheta)
+        # the least over the components of the bracket (or margin) of each
+        least = np.full((2, ytheta.size, len(walls)), math.inf)
         for U in comps:
             batched = margins(geometry, [U], ytheta)
             for r, row in enumerate(batched.tolist()):
-                polygon = certify._planar_ball(
-                    sweep_oracle._witness_ball(U[r], pball, l2_dirs))
                 for j, got in enumerate(row):
-                    found = sweep_oracle._planar_witness_margin(
-                        U[r], ytheta[r], 1.0, polygon, walls[j])
-                    assert_same_margin(got, -math.inf if found is None
-                                       else found[0])
+                    if norm == "l2":
+                        want = sweep_oracle.disk_margin(U[r], ytheta[r],
+                                                        walls[j])
+                    else:
+                        found = sweep_oracle._planar_witness_margin(
+                            U[r], ytheta[r], 1.0, polygon, walls[j])
+                        want = (-math.inf if found is None else found[0],) * 2
+                    want = [-math.inf if m < 0.0 else m for m in want]
+                    assert_same_margin(got, *want, norm != "l2")
+                    least[:, r, j] = np.minimum(least[:, r, j], want)
                     seen += 1
-        for r, row in enumerate(whole.tolist()):
-            components = [Polytope(U[r]) for U in comps]
-            for j, got in enumerate(row):
-                assert_same_margin(got, sweep_oracle._normalized_margin(
-                    components, [None] * len(components), ytheta[r],
-                    walls[j], pball, l2_dirs))
+        for got, lo, hi in zip(margins(geometry, comps, ytheta).ravel(),
+                               least[0].ravel(), least[1].ravel()):
+            assert_same_margin(got, lo, hi, norm != "l2")
     return seen
 
 

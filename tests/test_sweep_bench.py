@@ -6,11 +6,11 @@ the benchmark's pseudoconvex-sweep workload that grows with the y* grid:
   24), each of about 370 rows of single-vertex component slots;
 - ``Scalarization.groups`` on those problems' 576-row y* grid.
 
-It asserts nothing about speed, only that the margins are bit-equal to
-``sweep_oracle.SweepGeometry``, which scores the same candidate rays (with
-the l2 ball's exact directions, no base-polygon vertex outside the hull
-fallback), and that the groups cover every row as the per-row
-``sweep_oracle.weights`` keys them; a few fixed rounds keep it short.
+It asserts nothing about speed, only that the margins are near those of
+``sweep_oracle.SweepGeometry``, the polygon rule the sweep's norm ball
+replaced (``test_sweep_oracle.assert_near_the_polygon``), and that the
+groups cover every row as the per-row ``sweep_oracle.weights`` keys them;
+a few fixed rounds keep it short.
 pytest-benchmark prints the timings side by side, in the group
 ``sweep-margins``:
 
@@ -26,6 +26,7 @@ import sweep_oracle
 from robustkkt import certify
 from robustkkt.certify import pseudoconvex_test, ystar_grid
 from robustkkt.subdiff import Scalarization
+from test_sweep_oracle import assert_near_the_polygon, polygon_rule
 
 SWEEPS = {"2.2-I": ("spec22", "I"), "2.3-II": ("spec23", "II")}
 
@@ -58,10 +59,8 @@ def test_margins(benchmark, request, sweep):
         lambda: [g.margins(comps, yt) for g, comps, yt in calls], rounds=20,
         warmup_rounds=2)
     for m, (g, comps, yt) in zip(got, calls):
-        old = sweep_oracle.SweepGeometry(g.pball, g.l2_dirs, [
-            g.walls[own] for own in g.wall_owner])
-        assert np.array_equal(m.view(np.int64),
-                              old.margins(comps, yt).view(np.int64))
+        old = polygon_rule(g.norm, [g.walls[own] for own in g.wall_owner])
+        assert_near_the_polygon(m, old.margins(comps, yt), yt)
 
 
 @pytest.mark.benchmark(group="sweep-margins")

@@ -1,29 +1,22 @@
 """Differential tests of the sweep's planar geometry and its scalarized
 weights against the code they replaced, kept in sweep_oracle.py.
 
-``certify._SweepGeometry`` merges each row's exact directions into the base
-polygon at their places only, takes the edges into and out of each, and
-folds its short axes in loops; its margins must be bit-equal to
-``sweep_oracle.SweepGeometry``, which sorts all of each row's vertices and
-reduces with numpy, on every wall set the sweeps meet, with the exact
-directions on and off, and the merged polygons must have the same edges.
-Both score the same rays: with the exact directions, a row outside the
-hull fallback scores its exact directions, tie rays and wall rays, and no
-base-polygon vertex.  Component slots come from hypothesis with 1-4
-vertices, among them directions exactly on base angles, on either side of
-+-pi, several in one gap, and coincident or zero vertices, which take the
-hull fallback.
-
-The rule change that dropped the base vertices is checked three ways:
-against the oracle with ``full=True`` (every base vertex a candidate of
-every row), the same finite, -inf and NaN entries and each margin within
-4 ulps of max(1, |old|), for a base vertex wins only by its excess over
-the unit circle and BLAS rounds the batched 2-term products by the batch's
-width (bit for bit without the exact directions); against the HiGHS LP
-``sweep_oracle._lp_witness_margin`` over the ball with the exact
-directions, within 1e-9; and by the per-sample verdicts of every bundled
-problem's type I and II sweep over the README region at y-res 6, 12, 24
-and 48, which the full rule gives alike.
+``certify._SweepGeometry`` scores each candidate ray r at r/||r||, the
+boundary point of the unit ball of the problem's norm.  In the l1 and linf
+norms its margins must be bit-equal to ``sweep_oracle.SweepGeometry``, the
+polygon rule it replaced, whose gauges on those balls' edges are the same
+numbers.  In the l2 norm they must lie within 1e-12 of the exact-disk
+oracle's bracket ``sweep_oracle.disk_margins`` (the disk over the walls'
+wedge and over the wedge the cut test admits), and against the polygon
+rule (the ``ball_facets``-gon with each component's exact directions) they
+are never lower by more than 4 ulps of max(1, |old|) and never higher than
+the 64-gon's inradius gap allows (``assert_near_the_polygon``).
+Component slots come from hypothesis with 1-4 vertices, among them
+directions exactly on the 64-gon's angles, on either side of +-pi, several
+in one gap of it, and coincident or zero vertices.  The per-sample
+verdicts of every bundled problem and its l1 and linf copies, for type I
+and II sweeps over the README region at y-res 6, 12, 24 and 48, at the
+origin and at (0.3, -1.2), are those of the polygon rule.
 
 ``Scalarization`` folds the weights of a whole y* grid at once and runs a
 structure key's refusals once; per row it must agree with
@@ -35,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -44,29 +38,29 @@ from hypothesis import strategies as st
 import sweep_oracle
 from robustkkt import certify
 from robustkkt.certify import ystar_grid
-from robustkkt.cli import load_problem, run_command
+from robustkkt.cli import load_problem, resolve_problem_path, run_command
 from robustkkt.funcdsl import parse_expr
 from robustkkt.setcalc import DUAL_NORM, dual_ball
 from robustkkt.subdiff import Scalarization
 from test_sweep import VARIANTS, _variant
 
-BALLS = [("l2", 64, True), ("l2", 64, False), ("l2", 8, True),
-         ("l1", 64, False), ("linf", 64, True)]
+NORMS = ["l2", "l1", "linf"]
+WALL_SETS = ["none", "example_2_2", *VARIANTS]
 
 
 def _bits(a):
     """a's floats as int64, so that -0.0 counts; every NaN as one NaN (a
-    zero tie ray of coincident vertices has gauge 0/0, and the NaN's sign
-    follows the order numpy reduces in; no sweep's sets have them)."""
+    zero tie ray of coincident vertices has gauge 0 and scores 0/0, and
+    the NaN's sign follows the order numpy reduces in; no sweep's sets
+    have them)."""
     a = np.asarray(a, dtype=float)
     return np.where(np.isnan(a), np.nan, a).view(np.int64)
 
 
-def _polygon_edges(geometry, hit, new):
-    """A merged polygon's edges (normal, height) as a set, bit for bit: the
-    base edges its directions do not split, and the new ones."""
-    kept = np.delete(geometry.G[:, 2:], hit, axis=0)
-    return set(map(tuple, _bits(np.vstack([kept, new])).tolist()))
+def polygon_rule(norm, walls, full=False):
+    """The sweep's geometry as it was over the 64-gon ball of norm."""
+    return sweep_oracle.SweepGeometry(dual_ball(DUAL_NORM[norm], 2, 64),
+                                      norm == "l2", walls, full)
 
 
 def _sweep_walls(spec, region, **kw):
@@ -74,9 +68,9 @@ def _sweep_walls(spec, region, **kw):
     built = []
     init = certify._SweepGeometry.__init__
 
-    def spy(self, pball, l2_dirs, walls):
+    def spy(self, norm, walls):
         built.append(walls)
-        init(self, pball, l2_dirs, walls)
+        init(self, norm, walls)
 
     certify._SweepGeometry.__init__ = spy
     try:
@@ -100,38 +94,16 @@ def wall_sets(tmp_path_factory):
     return sets
 
 
-def assert_same_margins(ball, walls, comps, ytheta):
-    norm, facets, l2_dirs = ball
-    pball = dual_ball(DUAL_NORM[norm], 2, facets)
-    new = certify._SweepGeometry(pball, l2_dirs, walls)
-    old = sweep_oracle.SweepGeometry(pball, l2_dirs, walls)
-    with np.errstate(all="ignore"):
-        got, want = new.margins(comps, ytheta), old.margins(comps, ytheta)
-        if l2_dirs:  # the merged polygons themselves
-            for U in comps:
-                nu = np.linalg.norm(U, axis=2, keepdims=True)
-                E = -U / np.where(nu > 1e-15, nu, 1.0)
-                (c1, h1, n1), (c2, h2, n2) = new._insert(E), old._insert(E)
-                assert np.array_equal(c1, c2)
-                assert np.array_equal(np.sort(h1[c1]), np.sort(h2[c2]))
-                for r in np.flatnonzero(c1).tolist():
-                    assert _polygon_edges(new, h1[r], n1[r]) == \
-                        _polygon_edges(old, h2[r], n2[r])
-    assert got.shape == want.shape
-    assert np.array_equal(_bits(got), _bits(want)), (got, want)
-
-
 _COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
                    st.floats(-3, 3, allow_subnormal=False))
 
 
-def _vertex(ball):
-    """A vertex u: generic; -2^e times a base vertex, so that -u/|u| lies
-    exactly on a base angle; near the negative x axis, so that -u/|u| lies
-    on either side of +-pi; or a base vertex turned by a small angle, so
-    that several land in one gap."""
-    norm, facets, _ = ball
-    V = dual_ball(DUAL_NORM[norm], 2, facets).vertices
+def _vertex(norm):
+    """A vertex u: generic; -2^e times a vertex of the norm's 64-gon ball,
+    so that -u/|u| lies exactly on one of its angles; near the negative x
+    axis, so that -u/|u| lies on either side of +-pi; or a ball vertex
+    turned by a small angle, so that several land in one gap."""
+    V = dual_ball(DUAL_NORM[norm], 2, 64).vertices
     on_base = st.tuples(st.integers(0, len(V) - 1), st.integers(-2, 2)).map(
         lambda t: -V[t[0]] * 2.0 ** t[1])
     near_pi = st.tuples(st.sampled_from([1e-300, 1e-12, 1e-3, 0.0, -0.0]),
@@ -146,13 +118,13 @@ def _vertex(ball):
 
 
 @st.composite
-def _slots(draw, ball):
+def _slots(draw, norm):
     """Component slots (rows, k, 2) of one batch, with coincident and zero
     vertices among them, and their ytheta."""
     rows = draw(st.integers(1, 5))
     comps = []
     for k in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)):
-        U = np.array([[draw(_vertex(ball)) for _ in range(k)]
+        U = np.array([[draw(_vertex(norm)) for _ in range(k)]
                       for _ in range(rows)], dtype=float)
         if k > 1 and draw(st.booleans()):
             U[0, 1] = U[0, 0]  # coincident
@@ -166,12 +138,21 @@ def _slots(draw, ball):
     return comps, ytheta
 
 
+def assert_same_margins(norm, walls, comps, ytheta):
+    """Bit-equal to the polygon rule (the l1 and linf norms)."""
+    with np.errstate(all="ignore"):
+        got = certify._SweepGeometry(norm, walls).margins(comps, ytheta)
+        want = polygon_rule(norm, walls).margins(comps, ytheta)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want)), (got, want)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.data(), st.sampled_from(BALLS),
-       st.sampled_from(["none", "example_2_2", *VARIANTS]))
-def test_margins_bit_equal(wall_sets, data, ball, walls):
-    comps, ytheta = data.draw(_slots(ball))
-    assert_same_margins(ball, wall_sets[walls], comps, ytheta)
+@given(st.data(), st.sampled_from(["l1", "linf"]),
+       st.sampled_from(WALL_SETS))
+def test_margins_bit_equal(wall_sets, data, norm, walls):
+    comps, ytheta = data.draw(_slots(norm))
+    assert_same_margins(norm, wall_sets[walls], comps, ytheta)
 
 
 README_SWEEPS = [
@@ -185,25 +166,36 @@ README_SWEEPS = [
 ]
 
 
+def _norm_copy(tmp_path, name, norm):
+    """A copy of a bundled problem in another norm."""
+    text = resolve_problem_path(name).read_text()
+    assert "norm = l2" in text
+    path = tmp_path / f"{name}_{norm}.problem"
+    path.write_text(text.replace("norm = l2", f"norm = {norm}"))
+    return path
+
+
 @pytest.mark.parametrize("argv", README_SWEEPS,
                          ids=["2.2-I", "2.3-II", "3.2-I"])
-def test_margins_bit_equal_on_sweeps(monkeypatch, argv):
-    """Every batch a sweep stacks, against the oracle built alike."""
+def test_margins_bit_equal_on_sweeps(monkeypatch, tmp_path, argv):
+    """Every batch the README sweeps stack on their problems' l1 and linf
+    copies, against the polygon rule built alike."""
     seen = []
     margins = certify._SweepGeometry.margins
 
     def spy(self, comps, ytheta):
         got = margins(self, comps, ytheta)
-        old = sweep_oracle.SweepGeometry(self.pball, self.l2_dirs,
-                                         _walls(self))
+        old = polygon_rule(self.norm, _walls(self))
         assert np.array_equal(_bits(got), _bits(old.margins(comps, ytheta)))
-        seen.append(got.size)
+        seen.append((self.norm, got.size))
         return got
 
     monkeypatch.setattr(certify._SweepGeometry, "margins", spy)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert run_command(argv) in (0, 2)
-    assert sum(seen) >= 500
+    for norm in ("l1", "linf"):
+        copy = _norm_copy(tmp_path, argv[2], norm)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command([*argv[:2], str(copy), *argv[3:]]) in (0, 2)
+        assert sum(n for nm, n in seen if nm == norm) >= 100
 
 
 def _walls(geometry):
@@ -297,101 +289,149 @@ def test_groups_refuse_once_per_key(monkeypatch):
     assert calls == [False, True]
 
 
-@pytest.mark.parametrize("ball", BALLS)
-def test_known_rays(wall_sets, ball):
-    """The rays every row outside the hull fallback scores: each mask's
-    wall rays, after the base polygon's vertices unless the ball holds
-    the exact directions."""
-    norm, facets, l2_dirs = ball
-    pball = dual_ball(DUAL_NORM[norm], 2, facets)
+@pytest.mark.parametrize("norm", NORMS)
+def test_known_rays(wall_sets, norm):
+    """The rays every row scores, with their norms: each mask's wall rays,
+    after the ball's vertices by angle in the l1 and linf norms (the l2
+    ball has none)."""
     for walls in wall_sets.values():
-        geometry = certify._SweepGeometry(pball, l2_dirs, walls)
+        geometry = certify._SweepGeometry(norm, walls)
         live = np.vstack(walls)
         live = live[np.any(live != 0.0, axis=1)]
         perp = np.column_stack([-live[:, 1], live[:, 0]])
         want = np.vstack([perp, -perp])
-        if not l2_dirs:
-            want = np.vstack([geometry.G[:, :2], want])
-        assert np.array_equal(_bits(geometry.known[0]), _bits(want))
+        if norm != "l2":
+            want = np.vstack([polygon_rule(norm, walls).G[:, :2], want])
+        known, _, gauge = geometry.known
+        assert np.array_equal(_bits(known), _bits(want))
+        assert np.array_equal(gauge, [np.linalg.norm(r, ord={
+            "l1": 1, "l2": 2, "linf": np.inf}[norm]) for r in want])
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data(), st.sampled_from(BALLS),
-       st.sampled_from(["none", "example_2_2", *VARIANTS]))
-def test_margins_near_the_full_rule(wall_sets, data, ball, walls):
-    comps, ytheta = data.draw(_slots(ball))
-    norm, facets, l2_dirs = ball
-    pball = dual_ball(DUAL_NORM[norm], 2, facets)
+def assert_in_disk_bracket(got, lo, hi):
+    """Each margin within 1e-12 of its bracket [lo, hi] by
+    sweep_oracle.disk_margins; -inf (a negative margin) only where lo is
+    at most 1e-12."""
+    for g, a, b in zip(np.ravel(got).tolist(), np.ravel(lo).tolist(),
+                       np.ravel(hi).tolist()):
+        if g == -math.inf:
+            assert a <= 1e-12, (g, a, b)
+        else:
+            assert a - 1e-12 <= g <= b + 1e-12, (g, a, b)
+
+
+def assert_disk_margins(walls, comps, ytheta):
+    """The sweep's l2 margins against the exact-disk oracle; rows with
+    coincident vertices, whose zero tie rays score NaN, are skipped."""
     with np.errstate(all="ignore"):
-        got = certify._SweepGeometry(pball, l2_dirs, wall_sets[walls]).margins(
-            comps, ytheta)
-        old = sweep_oracle.SweepGeometry(pball, l2_dirs, wall_sets[walls],
-                                         full=True).margins(comps, ytheta)
-    if not l2_dirs:
-        assert np.array_equal(_bits(got), _bits(old))
-        return
-    fin = np.isfinite(old)
-    assert np.array_equal(np.where(fin, 0.0, got), np.where(fin, 0.0, old),
-                          equal_nan=True), (got, old)
-    assert np.all(np.abs(got[fin] - old[fin]) <= 4 * np.spacing(1.0)
-                  * np.maximum(1.0, np.abs(old[fin]))), (got, old)
-
-
-def _highs(U, ytheta, pball, cuts):
-    """The margin of one component as the HiGHS LP over the l2 ball with
-    its exact directions; -inf where no w has a nonnegative margin."""
-    found = sweep_oracle._lp_witness_margin(
-        U, ytheta, sweep_oracle._witness_ball(U, pball, True), cuts)
-    return -np.inf if found is None else found[0]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from(["none", "example_2_2", *VARIANTS]))
-def test_margins_match_highs(wall_sets, data, walls):
-    ball = ("l2", 64, True)
-    comps, ytheta = data.draw(_slots(ball))
-    pball = dual_ball("l2", 2, 64)
-    walls = wall_sets[walls]
-    with np.errstate(all="ignore"):
-        got = certify._SweepGeometry(pball, True, walls).margins(comps,
-                                                                 ytheta)
-    for r, row in enumerate(got.tolist()):
+        got = certify._SweepGeometry("l2", walls).margins(comps, ytheta)
+    for r, row in enumerate(got):
         if np.isnan(row).any():
             assert any(len({tuple(u) for u in U[r].tolist()}) < len(U[r])
                        for U in comps)
             continue
-        for cuts, margin in zip(walls, row):
-            want = min(_highs(U[r], ytheta[r], pball, cuts) for U in comps)
-            if min(margin, want) < 1e-9:
-                assert max(margin, want) < 1e-9, (margin, want)
-            else:
-                assert margin == pytest.approx(want, abs=1e-9)
+        assert_in_disk_bracket(row, *sweep_oracle.disk_margins(
+            [U[[r]] for U in comps], ytheta[[r]], walls))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(WALL_SETS))
+def test_margins_match_the_disk(wall_sets, data, walls):
+    comps, ytheta = data.draw(_slots("l2"))
+    assert_disk_margins(wall_sets[walls], comps, ytheta)
+
+
+def test_margin_of_a_slot_highs_missed():
+    """A slot where HiGHS, over the 64-gon with the exact directions, gave
+    0.8819212210223426, 4.3e-8 below the optimum at -u_3."""
+    U = np.array([[[1.0, -0.0], [0.55557023, -0.83146961],
+                   [0.88192174, -0.47139585]]])
+    none = [np.zeros((0, 2))]
+    got = certify._SweepGeometry("l2", none).margins([U], np.zeros(1))
+    assert_in_disk_bracket(got, *sweep_oracle.disk_margins(
+        [U], np.zeros(1), none))
+    assert abs(got[0, 0] - 0.88192126) < 1e-8
+
+
+# the 64-gon holds the disk of radius cos(pi/64)
+_GAP = 1.0 / math.cos(math.pi / 64) - 1.0
+
+
+def assert_near_the_polygon(got, old, ytheta):
+    """l2 margins got against the polygon rule's old, as the disk holds the
+    polygon and the polygon cos(pi/64) times the disk: the same NaN
+    entries; where both are finite, at least old - 4 ulps of
+    max(1, |old|) and at most old + _GAP (old + ytheta); and -inf (a
+    negative margin) on one side only against a margin the other side's
+    ball misses, at most _GAP ytheta above 0, or a zero one rounded the
+    other way, at most 4 ulps."""
+    assert np.array_equal(np.isnan(got), np.isnan(old))
+    yt = np.broadcast_to(ytheta[:, None], old.shape)
+    ulps = 4 * np.spacing(1.0) * np.maximum(1.0, np.abs(old))
+    both = np.isfinite(got) & np.isfinite(old)
+    rise = got[both] - old[both]
+    assert np.all(rise >= -ulps[both]), (got, old)
+    assert np.all(rise <= _GAP * (old[both] + yt[both]) + ulps[both]), (
+        got, old)
+    lost, won = np.isneginf(got) & np.isfinite(old), np.isneginf(old) & \
+        np.isfinite(got)
+    assert np.all(old[lost] <= ulps[lost]), (got, old)
+    assert np.all(got[won] <= _GAP * yt[won] + ulps[won]), (got, old)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(WALL_SETS))
+def test_margins_near_the_full_rule(wall_sets, data, walls):
+    """l2, near the polygon rule with every 64-gon vertex a candidate
+    (full) and without."""
+    comps, ytheta = data.draw(_slots("l2"))
+    with np.errstate(all="ignore"):
+        got = certify._SweepGeometry("l2", wall_sets[walls]).margins(
+            comps, ytheta)
+        for full in (True, False):
+            assert_near_the_polygon(got, polygon_rule(
+                "l2", wall_sets[walls], full).margins(comps, ytheta), ytheta)
 
 
 BUNDLED = ["example_2_2", "example_2_3", "example_3_2",
            "example_3_2_printedg2", "example_3_5"]
 
 
-def _verdicts(spec, ptype, y_resolution):
+def _verdicts(spec, xbar, ptype, y_resolution):
     try:
         return certify.pseudoconvex_test(
-            spec, np.zeros(2), ptype, [-2, 2, -2, 2],
+            spec, xbar, ptype, [-2, 2, -2, 2],
             y_resolution=y_resolution).verdicts.tolist()
     except Exception as exc:  # the class and message are what must match
         return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_verdicts_of_the_full_rule(monkeypatch, name):
-    spec = load_problem(name)
-    cases = [(ptype, y) for ptype in ("I", "II") for y in (6, 12, 24, 48)]
-    got = [_verdicts(spec, *case) for case in cases]
-    built = []
+def test_verdicts_of_the_full_rule(monkeypatch, tmp_path, name):
+    """Every sample's verdict, in the problem's l2 norm and its l1 and
+    linf copies, type I and II, y-res 6, 12, 24 and 48, at the origin and
+    at (0.3, -1.2), as the polygon rule gives it, and in l2 also with
+    every 64-gon vertex a candidate (full; in l1 and linf the two rules
+    are one)."""
+    specs = [load_problem(name)] + [
+        load_problem(_norm_copy(tmp_path, name, norm))
+        for norm in ("l1", "linf")]
+    cases = [(spec, np.array(xbar), ptype, y) for spec in specs
+             for xbar in ([0.0, 0.0], [0.3, -1.2])
+             for ptype in ("I", "II") for y in (6, 12, 24, 48)]
+    got = [_verdicts(*case) for case in cases]
+    assert any(isinstance(v, list) and "VERIFIED-COMMON-W" in v
+               for v in got)
+    for full in (False, True):
+        built = []
 
-    def full(pball, l2_dirs, walls):
-        built.append(l2_dirs)
-        return sweep_oracle.SweepGeometry(pball, l2_dirs, walls, full=True)
+        def polygon(norm, walls):
+            built.append(norm)
+            return polygon_rule(norm, walls, full)
 
-    monkeypatch.setattr(certify, "_SweepGeometry", full)
-    assert [_verdicts(spec, *case) for case in cases] == got
-    assert built and all(built)
+        monkeypatch.setattr(certify, "_SweepGeometry", polygon)
+        checked = [(case, v) for case, v in zip(cases, got)
+                   if not full or case[0].norm == "l2"]
+        assert [_verdicts(*case) for case, _ in checked] == [
+            v for _, v in checked]
+        assert set(built) == ({"l2"} if full else set(NORMS))

@@ -4,8 +4,11 @@
 
 REF is the parent commit: ``HEAD`` while the change is still uncommitted
 in the checkout, ``HEAD~1`` once it is committed.  Its files are exported
-by ``git archive`` into a temporary directory (under ``TMPDIR``), which is
-removed afterwards.
+by ``git archive`` into a temporary directory (under ``TMPDIR``), and the
+change's, the checkout's files that ``git ls-files --cached --others
+--exclude-standard`` lists, into a second one, so that neither side runs
+beside the caches and outputs (``.hypothesis/``, ``.benchmarks/``, ...)
+that the checkout gathers; both are removed afterwards.
 For each workload the script runs
 
     python3 verdictbench/run.py --workload W --seed N --seconds S --trace 0
@@ -64,6 +67,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import signal
 import statistics
 import subprocess
@@ -163,7 +167,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
     return run
 
 
-def layer_pairs(parent_tree: Path, workloads, seed: int,
+def layer_pairs(parent_tree: Path, change_tree: Path, workloads, seed: int,
                 seconds: float) -> dict:
     """Per workload, LAYER_PAIRS pairs: which tree ran first, and each
     side's parse_run result of one traced run."""
@@ -171,7 +175,7 @@ def layer_pairs(parent_tree: Path, workloads, seed: int,
     for w, workload in enumerate(workloads):
         out[workload] = []
         for i in range(LAYER_PAIRS):
-            order = (("parent", parent_tree), ("change", ROOT))
+            order = (("parent", parent_tree), ("change", change_tree))
             order = order if (w + i) % 2 == 0 else order[::-1]
             pair = {"first": order[0][0]}
             for side, tree in order:
@@ -233,14 +237,14 @@ def run_cold(tree: Path, argv: list[str] | None, cwd: str) -> list:
     return [seconds, hashlib.sha256(out.encode()).hexdigest()]
 
 
-def cold_pairs(parent_tree: Path) -> list[dict]:
+def cold_pairs(parent_tree: Path, change_tree: Path) -> list[dict]:
     """Each pair: which tree ran first, and per side each command's (and
     the floor's) run_cold result."""
     commands = {**golden_commands(), FLOOR: None}
     out = []
     with tempfile.TemporaryDirectory(prefix="bench-cold-") as tmp:
         for i in range(COLD_PAIRS):
-            order = (("parent", parent_tree), ("change", ROOT))
+            order = (("parent", parent_tree), ("change", change_tree))
             order = order if i % 2 == 0 else order[::-1]
             pair = {"first": order[0][0], "parent": {}, "change": {}}
             for name, argv in commands.items():
@@ -301,6 +305,16 @@ def git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def export_change(dest: Path) -> None:
+    """Copy the checkout's files into dest: those tracked (but not those
+    deleted) and those untracked but not ignored, as the change stands."""
+    for name in git("ls-files", "-z", "--cached", "--others",
+                    "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
@@ -333,18 +347,18 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
                        check=True)
-        record["lines"] = summarize_lines(parent_tree, ROOT)
-        # both trees start with their bytecode compiled, as an install
-        # does: PYTHONDONTWRITEBYTECODE=1 would leave only the checkout's
-        # old cache, and time its imports against the parent's compiles
-        for tree in (parent_tree, ROOT):
+        change_tree = Path(tmp) / "change"
+        export_change(change_tree)
+        record["lines"] = summarize_lines(parent_tree, change_tree)
+        # both trees start with their bytecode compiled, as an install does
+        for tree in (parent_tree, change_tree):
             subprocess.run([sys.executable, "-m", "compileall", "-q",
                             str(tree / "src")], check=True)
         for workload in args.workload or WORKLOADS:
             pairs = []
             for i in range(args.pairs):
                 seed = args.first_seed + i
-                order = (("parent", parent_tree), ("change", ROOT))
+                order = (("parent", parent_tree), ("change", change_tree))
                 order = order if i % 2 == 0 else order[::-1]
                 pair = {"seed": seed, "first": order[0][0]}
                 for side, tree in order:
@@ -360,9 +374,10 @@ def main(argv=None) -> int:
                 k: v for k, v in pairs[0]["change"]["environment"].items()
                 if k != "commit"})
         record["layers"] = summarize_layers(layer_pairs(
-            parent_tree, args.workload or WORKLOADS, args.first_seed,
-            spec["run_seconds"]), spec["per_layer"], args.first_seed)
-        record["cold"] = summarize_cold(cold_pairs(parent_tree))
+            parent_tree, change_tree, args.workload or WORKLOADS,
+            args.first_seed, spec["run_seconds"]), spec["per_layer"],
+            args.first_seed)
+        record["cold"] = summarize_cold(cold_pairs(parent_tree, change_tree))
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
