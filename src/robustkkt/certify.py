@@ -42,7 +42,7 @@ from .setcalc import (
     zero_in_sum,
 )
 from .subdiff import Scalarization, constraint_set, direct_subdiff, \
-    limiting_subdiff, objective_set
+    limiting_subdiff, objective_set, sup_rule
 
 COMPLEMENTARITY_TOL = 1e-8
 TIGHT_TOL = 1e-9  # a fuzzy merit branch this close to psi is tight
@@ -68,7 +68,7 @@ class CQReport(NamedTuple):
     provenance: dict[str, str]
 
 
-def check_cq(spec: ProblemSpec, xbar, use_fixtures: bool = False) -> CQReport:
+def check_cq(spec: ProblemSpec, xbar) -> CQReport:
     """Definition-style CQ: for every envelope-active index, zero must miss
     the sup-rule hull plus the normal cone."""
     acts = feasible_active_sets(spec, xbar)
@@ -79,7 +79,7 @@ def check_cq(spec: ProblemSpec, xbar, use_fixtures: bool = False) -> CQReport:
     prov: dict[str, str] = {}
     holds = True
     for i in acts.index_set:
-        S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
+        S, origin = constraint_set(spec, i, xbar, acts)
         prov[spec.constraints[i - 1].name] = origin
         res = zero_in_sum([S], N)
         ok = not res.sat
@@ -138,8 +138,7 @@ def multiplier_checks(spec: ProblemSpec, ystar: np.ndarray,
 
 
 def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
-              tol: float = KKT_TOL, mode: str = "hull",
-              use_fixtures: bool = False) -> KKTCheckReport:
+              tol: float = KKT_TOL, mode: str = "hull") -> KKTCheckReport:
     """Verify every membership and the residual of a certificate."""
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     p, n, d = spec.n_objectives, spec.n_constraints, spec.dim
@@ -159,14 +158,14 @@ def check_kkt(spec: ProblemSpec, xbar, cert: KKTCertificate,
 
     memb_ok = True
     for j in range(1, p + 1):
-        S, origin = objective_set(spec, j, xbar, mode, use_fixtures)
+        S, origin = objective_set(spec, j, xbar, mode)
         prov[spec.objective_names[j - 1]] = origin
         inside, res = S.contains(cert.u[j - 1])
         memb_ok = memb_ok and inside
         checks.append({"name": f"u_in_subdiff_{spec.objective_names[j-1]}",
                        "ok": bool(inside), "residual": res})
     for i in range(1, n + 1):
-        S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
+        S, origin = constraint_set(spec, i, xbar, acts)
         prov[spec.constraints[i - 1].name] = origin
         inside, res = S.contains(cert.v[i - 1])
         memb_ok = memb_ok and inside
@@ -202,7 +201,6 @@ class KKTSearchReport(NamedTuple):
 
 
 def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
-               use_fixtures: bool = False,
                tol: float = KKT_TOL) -> KKTSearchReport:
     """Search for a robust approximate KKT certificate at xbar, one
     zero_in_sum LP per choice of a component of each objective's set.
@@ -225,14 +223,14 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
 
     obj_sets = []
     for j in range(1, p + 1):
-        S, origin = objective_set(spec, j, xbar, mode, use_fixtures)
+        S, origin = objective_set(spec, j, xbar, mode)
         prov[spec.objective_names[j - 1]] = origin
         obj_sets.append(S)
     check_selections(obj_sets, CertifyError)
     sigma = np.asarray(spec.cone.pattern, dtype=float)
     parts = [scale(S, s) for S, s in zip(obj_sets, sigma)]
     for i in actives:
-        S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
+        S, origin = constraint_set(spec, i, xbar, acts)
         prov[spec.constraints[i - 1].name] = origin
         parts.append(S if S.ncomponents == 1 else PolytopeSet([hull(S)]))
     parts.append(PolytopeSet([dual_ball(spec.norm, d, spec.ball_facets)]))
@@ -266,7 +264,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
             vsel.append(points[g] / totals[g] if totals[g] > 1e-15
                         else parts[g].components[0].vertices[0].copy())
         else:
-            S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
+            S, origin = constraint_set(spec, i, xbar, acts)
             prov[spec.constraints[i - 1].name] = origin
             vsel.append(S.all_vertices()[0].copy())
         scen = acts.scenarios[i - 1]
@@ -275,7 +273,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
     bstar = points[-1] / radius if radius > 1e-15 else np.zeros(d)
     astar = res.cone_weights @ N
     cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
-    recheck = check_kkt(spec, xbar, cert, tol, mode, use_fixtures)
+    recheck = check_kkt(spec, xbar, cert, tol, mode)
     return KKTSearchReport(cert, recheck, tuple(actives), res.tried, prov)
 
 
@@ -352,7 +350,9 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     idx = list(acts.index_set)
     scen_used = {}
     for i in idx:
-        parts.append(constraint_set(spec, i, x_eta, acts)[0])
+        parts.append(sup_rule(spec.constraints[i - 1], x_eta,
+                              acts.scenarios[i - 1], "hull",
+                              spec.kink_tol).set)
         scen = acts.scenarios[i - 1]
         scen_used[i] = scen[0] if scen else 0.0
     parts.append(PolytopeSet([dual_ball(spec.norm, spec.dim,
@@ -458,6 +458,16 @@ def _constraint_rows(spec: ProblemSpec, xbar):
     return rows
 
 
+def _premise(ptype: str, G, norms):
+    """Where the scalarized premise holds, for premise values
+    G = <y*, F(x) - F(xbar)> + <y*, theta> ||x - xbar|| and norms
+    ||x - xbar||: G < 0 for type I, G <= 0 for type II, within 1e-12, at
+    x != xbar."""
+    held = G < -1e-12 if ptype == "I" else G <= 1e-12
+    held &= norms > 1e-12  # in place: held may be the sweep's (y*, x) array
+    return held
+
+
 def _checked_point(spec: ProblemSpec, xbar, ptype: str) -> np.ndarray:
     """xbar as a float vector, refused unless ptype is I or II and xbar
     lies in the ground set."""
@@ -510,14 +520,8 @@ def pseudoconvex_test(spec: ProblemSpec, xbar, ptype: str, region,
     G = ys @ (F - fbar[:, None])
     for lo in range(0, G.shape[0], _BLOCK):
         G[lo:lo + _BLOCK] += ytheta_all[lo:lo + _BLOCK, None] * norms
-    if ptype == "I":
-        # the premise is a strict inequality; EPS_STRICT is the margin used
-        # for strict inequalities throughout
-        active = G < -EPS_STRICT
-    else:
-        active = G <= 1e-12
+    active = _premise(ptype, G, norms)
     del G  # the blocks below read active, not G
-    active[:, norms <= 1e-12] = False
 
     con_rows = _constraint_rows(spec, xbar)
     T = len(con_rows)
@@ -617,10 +621,11 @@ class _SweepGeometry:
     lines <u_i - u_j, w> = 0, so the optimum is the origin or the boundary
     point of a ball vertex, wall ray or tie ray.  A norm is the gauge of
     its unit ball (Rockafellar, Convex Analysis, 1970, sec. 15): the ray
-    along r leaves the ball at r/||r||.  The l2 ball has no vertex, and
-    its candidates add the exact directions -u of the vertices u: between
-    neighbouring candidates the objective is one -<u_i, w>, which peaks on
-    that arc at an end or at -u_i/|u_i|, so the best is the disk's margin.
+    along r leaves the ball at r/||r||, and a zero ray scores the origin.
+    The l2 ball has no vertex, and its candidates add the exact directions
+    -u of the vertices u: between neighbouring candidates the objective is
+    one -<u_i, w>, which peaks on that arc at an end or at -u_i/|u_i|, so
+    the best is the disk's margin.
     """
 
     def __init__(self, norm: str, walls: list):
@@ -630,26 +635,23 @@ class _SweepGeometry:
         self.wall_norms = np.linalg.norm(self.walls, axis=1)
         owner = np.repeat(np.arange(len(walls)), [w.shape[0] for w in walls])
         self.wall_owner = owner == np.arange(len(walls))[:, None]
-        live = np.any(self.walls != 0.0, axis=1)
-        perp = np.column_stack([-self.walls[live, 1], self.walls[live, 0]])
-        perp = np.vstack([perp, -perp])  # the rays along each wall
-        # a mask sees its own wall rays, those that pass its cut test
-        pown = np.tile(owner[live], 2)
-        perp_ok = (pown == np.arange(len(walls))[:, None]) & self.cut_ok(
-            perp)[pown, np.arange(pown.size)]
-        # the rays of every row: the ball's vertices, by angle, and walls'
+        perp = np.column_stack([-self.walls[:, 1], self.walls[:, 0]])
+        # the rays of every row: the ball's vertices, and the rays along
+        # each wall, which only the mask that owns the wall sees
         base = dual_ball(DUAL_NORM[norm], 2).vertices if norm != "l2" \
             else np.zeros((0, 2))
-        base = base[np.argsort(np.arctan2(base[:, 1], base[:, 0]))]
-        known = np.vstack([base, perp])
-        self.known = (known, np.hstack([self.cut_ok(base), perp_ok]),
-                      self.gauge(known))
+        known = np.vstack([base, perp, -perp])
+        ok = self.cut_ok(known)
+        ok[:, len(base):] &= np.tile(self.wall_owner, 2)
+        # their boundary points, and (rays, 1, masks): which mask admits each
+        self.known = (known / self.gauge(known)[:, None], ok.T[:, None])
 
     def gauge(self, rays: np.ndarray) -> np.ndarray:
-        """||r|| of the rays r along the last axis, in l2 by np.hypot: the
-        square of a tiny tie ray underflows."""
+        """||r|| of the rays r along the last axis, 1 for r = 0, in l2 by
+        np.hypot: the square of a tiny tie ray underflows."""
         D = np.moveaxis(rays, -1, 0)
-        return np.hypot(*D) if self.norm == "l2" else norm_grid(self.norm, D)
+        g = np.hypot(*D) if self.norm == "l2" else norm_grid(self.norm, D)
+        return np.where(g > 0.0, g, 1.0)
 
     def cut_ok(self, rays: np.ndarray) -> np.ndarray:
         """(masks, rays): does <a, r> <= _CUT_TOL |a| |r| for every wall a."""
@@ -670,54 +672,40 @@ class _SweepGeometry:
         return best
 
     def _component(self, U: np.ndarray, ytheta: np.ndarray) -> np.ndarray:
-        """Each mask's best value over its rays, per row of one slot U."""
+        """(rows, masks): each mask's best value max -<u, w> - ytheta over
+        the rays it admits, per row of one slot U (rows, k, 2)."""
         R, k, _ = U.shape
         i, j = np.triu_indices(k, 1)
         t = U[:, i] - U[:, j]
         ties = np.stack([-t[..., 1], t[..., 0]], axis=2)
-        fresh = np.concatenate([ties, -ties], axis=1)
-        gauge = self.gauge(fresh)
-        if self.norm == "l2":  # the directions -u; a zero u's is the origin
-            fresh = np.concatenate([-U, fresh], axis=1)
-            nu = self.gauge(U)
-            gauge = np.concatenate([np.where(nu > 0.0, nu, 1.0), gauge], 1)
-        known, known_ok, known_gauge = self.known
-        rays = np.concatenate([np.broadcast_to(known, (R, *known.shape)),
-                               fresh], axis=1)
-        gauge = np.concatenate([np.broadcast_to(known_gauge, (
-            R, known_gauge.size)), gauge], axis=1)
-        fresh_ok = self.cut_ok(fresh.reshape(-1, 2)).reshape(
-            known_ok.shape[0], *fresh.shape[:2]).transpose(1, 0, 2)
-        return self._best(rays, gauge, U, ytheta, known_ok, fresh_ok)
-
-    @staticmethod
-    def _best(rays, gauge, U, ytheta, shared, own) -> np.ndarray:
-        """(rows, masks): the best margin over the rays each mask admits,
-        the first rays as shared (masks, rays) says, the others as own
-        (rows, masks, rays)."""
-        # the ray along r leaves the ball at r / gauge(r)
-        W = np.empty_like(rays)
-        for c in range(2):
-            np.divide(rays[..., c], gauge, out=W[..., c])
+        # each row's own rays: in l2 the directions -u, then the tie rays
+        fresh = np.concatenate(([-U] if self.norm == "l2" else [])
+                               + [ties, -ties], axis=1)
+        known, known_ok = self.known
+        W = np.concatenate([np.broadcast_to(known, (R, *known.shape)),
+                            fresh / self.gauge(fresh)[..., None]], axis=1)
+        # (rays, rows, masks): the shared rays as known_ok says, a row's own
+        # as its cut test does
+        ok = np.concatenate([np.broadcast_to(known_ok, (
+            len(known), R, known_ok.shape[2])), self.cut_ok(fresh.reshape(
+                -1, 2)).reshape(known_ok.shape[2], R, -1).transpose(2, 1, 0)])
         vals = -functools.reduce(np.maximum, np.moveaxis(
             W @ U.transpose(0, 2, 1), -1, 0)) - ytheta[:, None]
-        best = np.stack([vals[:, :shared.shape[1]].compress(ok, axis=1).max(
-            axis=1, initial=-math.inf) for ok in shared], axis=1)
-        for c in range(own.shape[2]):
-            best = np.maximum(best, np.where(
-                own[..., c], vals[:, None, shared.shape[1] + c], -math.inf))
+        best = np.max(np.broadcast_to(vals.T[..., None], ok.shape), axis=0,
+                      where=ok, initial=-math.inf)
         # the origin, w = 0, is always admissible
         return np.maximum(best, -ytheta[:, None])
 
 
 def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
-                            witness: dict, mode: str,
-                            use_fixtures: bool) -> PseudoReport:
-    """Exact check of a user-supplied failure witness tuple (x, y*, u), in
-    any dimension: does no admissible w have <u*, w> + r < 0?  Each u_j
-    must lie in objective j's set of the given mode, or its fixture."""
+                            witness: dict, mode: str) -> PseudoReport:
+    """Check of a user-supplied failure witness tuple (x, y*, u), in any
+    dimension: does no admissible w have <u*, w> + r < 0?  Each u_j must
+    lie in objective j's set of the given mode, or its fixture.  In the
+    plane the optimum comes from the sweep's geometry, over the norm ball;
+    elsewhere one LP over the primal ball's polytope decides it."""
     xbar = _checked_point(spec, xbar, ptype)
-    for con in spec.constraints if use_fixtures else ():
+    for con in spec.constraints:
         if spec.fixture_for(con.name, xbar) is not None:  # not read here
             raise CertifyError("the witness check of the constraints reads no"
                                " fixture, but fixtures are asked for and "
@@ -728,7 +716,7 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     if len(umat) != spec.n_objectives:
         raise CertifyError("witness must choose one subgradient per objective")
     for j, uj in enumerate(umat):
-        S, _ = objective_set(spec, j + 1, xbar, mode, use_fixtures)
+        S, _ = objective_set(spec, j + 1, xbar, mode)
         inside, res = S.contains(uj)
         if not inside:
             raise CertifyError(
@@ -740,12 +728,8 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     fbar = spec.fvec(xbar)
     margin = float(np.dot(yv, spec.fvec(x) - fbar)) + nrm * float(
         np.dot(yv, spec.theta))
-    if ptype == "I":
-        premise = margin < -1e-12
-    else:
-        premise = margin <= 1e-12 and nrm > 1e-12 and float(
-            np.max(np.abs(yv))) > 1e-12
-    if not premise:
+    if not (_premise(ptype, margin, nrm)
+            and float(np.max(np.abs(yv))) > 1e-12):
         return PseudoReport(np.array(["INCONCLUSIVE"]))
     ustar = np.zeros(spec.dim)
     for yj, uj in zip(yv, umat):
@@ -757,24 +741,28 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
                  <= base + 1e-12]
     cuts = _witness_cuts(spec.dim, rows_here, rows,
                          normal_cone(spec.omega, xbar))
-    pball = dual_ball(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
-    # minimize <u*, w> over all admissible w; failure iff optimum + r >= 0
-    lp = LPBuilder()
-    w_ids = lp.add_vars(spec.dim, free=True)
-    lam = lp.add_vars(pball.nverts)
-    for a in range(spec.dim):
-        row = {w_ids[a]: 1.0}
-        for t, vid in enumerate(lam):
-            row[vid] = -nrm * pball.vertices[t, a]
-        lp.add_eq(row, 0)
-    lp.add_ub({vid: 1.0 for vid in lam}, 1)
-    for cut in cuts:
-        lp.add_ub({w_ids[a]: cut[a] for a in range(spec.dim)
-                   if cut[a] != 0.0}, 0)
-    lp.set_objective({w_ids[a]: ustar[a] for a in range(spec.dim)})
-    res = lp.solve()
-    if not res.feasible:
-        raise CertifyError("admissible witness region empty")
-    best = res.objective + nrm * ytheta
+    # failure iff min <u*, w> + r >= 0 over all admissible w
+    if spec.dim == 2:
+        best = 0.0 - nrm * float(_SweepGeometry(spec.norm, [cuts])._component(
+            ustar[None, None], np.array([ytheta]))[0, 0])
+    else:
+        pball = dual_ball(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
+        lp = LPBuilder()
+        w_ids = lp.add_vars(spec.dim, free=True)
+        lam = lp.add_vars(pball.nverts)
+        for a in range(spec.dim):
+            row = {w_ids[a]: 1.0}
+            for t, vid in enumerate(lam):
+                row[vid] = -nrm * pball.vertices[t, a]
+            lp.add_eq(row, 0)
+        lp.add_ub({vid: 1.0 for vid in lam}, 1)
+        for cut in cuts:
+            lp.add_ub({w_ids[a]: cut[a] for a in range(spec.dim)
+                       if cut[a] != 0.0}, 0)
+        lp.set_objective({w_ids[a]: ustar[a] for a in range(spec.dim)})
+        res = lp.solve()
+        if not res.feasible:
+            raise CertifyError("admissible witness region empty")
+        best = res.objective + nrm * ytheta
     return PseudoReport(np.array(["WITNESSED-FAILURE" if best >= -1e-12
                                   else "INCONCLUSIVE"]), lp_optimum=best)

@@ -696,7 +696,10 @@ def run_command(argv) -> int:
         # resolved and read once: the hash and the parse see the same bytes
         path = resolve_problem_path(args.problem)
         data = path.read_bytes()
-        code, verdict, details = _dispatch(args, load_problem(data))
+        spec = load_problem(data)
+        if not args.fixtures:  # the library reads every fixture a spec holds
+            spec = dataclasses.replace(spec, fixtures=())
+        code, verdict, details = _dispatch(args, spec)
         timings = time.monotonic() - t0 if args.timings else None
         config = {"mode": args.mode, "fixtures": args.fixtures}
         emit_report(args.command, path, hashlib.sha256(data).hexdigest(),
@@ -740,7 +743,7 @@ def _sampled(checked: int, ok: bool, yes: str, no: str, details: dict):
 
 def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
     _read_points(args, spec)
-    verb, mode, use_fx = args.verb, args.mode, args.fixtures
+    verb, mode = args.verb, args.mode
 
     if verb == "feasible":
         x = args.at
@@ -768,13 +771,13 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
 
     if verb == "subdiff":
         name, x = args.target, args.at
-        if use_fx and args.scenario is not None:  # a fixture holds no v
+        if args.fixtures and args.scenario is not None:  # no v in a fixture
             raise LoadError("subdiff takes at most one of --scenario and "
                             "--fixtures")
         con = None if name in spec.objective_names else spec.constraint(name)
         if args.scenario is not None and not (con and con.expr.has_v):
             raise LoadError(f"--scenario fixes v, and {name} does not use v")
-        fx = spec.fixture_for(name, x) if use_fx else None
+        fx = spec.fixture_for(name, x)
         if fx is not None:
             return 0, "SET-COMPUTED", {"target": name, "set": fx,
                                        "provenance": "fixture"}
@@ -789,16 +792,16 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
         return 0, "SET-COMPUTED", details
 
     if verb == "cq":
-        rep = check_cq(spec, args.at, use_fixtures=use_fx)
+        rep = check_cq(spec, args.at)
         return _settled(rep.holds, "CQ-HOLDS", "CQ-FAILS", rep._asdict())
 
     if verb == "kkt check":
         cert = load_certificate(args.cert, spec)
-        rep = check_kkt(spec, args.at, cert, args.tol, mode, use_fx)
+        rep = check_kkt(spec, args.at, cert, args.tol, mode)
         return _settled(rep.valid, "VALID", "INVALID", rep._asdict())
 
     if verb == "kkt search":
-        rep = search_kkt(spec, args.at, mode, use_fx, tol=args.tol)
+        rep = search_kkt(spec, args.at, mode, tol=args.tol)
         if rep.certificate is not None:
             details = {"certificate": rep.certificate,
                        "recheck": rep.recheck,
@@ -826,10 +829,9 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
                                     "not of --witness")
             witness = _fields("witness",
                               json.loads(Path(args.witness).read_text()), spec)
-            rep = witnessed_failure_check(spec, x, args.type, witness, mode,
-                                          use_fx)
+            rep = witnessed_failure_check(spec, x, args.type, witness, mode)
         else:
-            if use_fx:
+            if args.fixtures:
                 raise LoadError("--fixtures is an option of --witness, not "
                                 "of the sweep")
             rep = pseudoconvex_test(spec, x, args.type, args.region, mode=mode,
@@ -850,7 +852,7 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
                         "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", rep._asdict())
 
     if verb == "duality strong":
-        rep = strong_duality_from(spec, args.at, mode, use_fx)
+        rep = strong_duality_from(spec, args.at, mode)
         details = {"triple": rep.triple, "feasibility": rep.feasibility}
         return _settled(rep.feasibility.feasible, "FEASIBLE", "INFEASIBLE",
                         details)
@@ -865,10 +867,9 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
                 raise LoadError("triples file must be a list")
             triples = [load_triple(doc, spec) for doc in docs]
         else:
-            triples = [strong_duality_from(spec, args.at, mode, use_fx).triple]
+            triples = [strong_duality_from(spec, args.at, mode).triple]
         samples = generate_feasible_samples(spec, args.region, args.samples)
-        rep = weak_duality_check(spec, samples, triples, args.kind, mode,
-                                 use_fx)
+        rep = weak_duality_check(spec, samples, triples, args.kind, mode)
         details = {"pairs_checked": rep.pairs_checked,
                    "violation": rep.violation}
         return _settled(rep.violation is None, "NO-VIOLATION", "VIOLATION",
@@ -877,7 +878,7 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
     # duality converse
     triple = load_triple(json.loads(Path(args.triple).read_text()), spec)
     rep = converse_duality_check(spec, triple, args.kind, args.region,
-                                 args.res, mode, use_fx)
+                                 args.res, mode)
     return _sampled(rep.feasible_checked, rep.no_counterexample,
                     "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE",
                     {"kind": args.kind, "efficiency": rep})

@@ -482,26 +482,25 @@ def direct_subdiff(ystar, fs, x, mode: str = "limiting",
 # Problem-level helpers (fixture-aware set selection)
 # ---------------------------------------------------------------------------
 
-def objective_set(spec: ProblemSpec, j: int, x, mode: str = "limiting",
-                  use_fixtures: bool = False) -> tuple[PolytopeSet, str]:
-    """Subdifferential set of objective j (1-based) with provenance."""
-    name = spec.objective_names[j - 1]
-    if use_fixtures:
-        fx = spec.fixture_for(name, x)
-        if fx is not None:
-            return fx, "fixture"
+def objective_set(spec: ProblemSpec, j: int, x,
+                  mode: str = "limiting") -> tuple[PolytopeSet, str]:
+    """Subdifferential set of objective j (1-based) with provenance: the
+    spec's fixture at x, if it has one."""
+    fx = spec.fixture_for(spec.objective_names[j - 1], x)
+    if fx is not None:
+        return fx, "fixture"
     res = limiting_subdiff(spec.objectives[j - 1], x, None, mode, spec.kink_tol)
     return res.set, "engine"
 
 
-def constraint_set(spec: ProblemSpec, i: int, x, acts: ActiveSets,
-                   use_fixtures: bool = False) -> tuple[PolytopeSet, str]:
+def constraint_set(spec: ProblemSpec, i: int, x,
+                   acts: ActiveSets) -> tuple[PolytopeSet, str]:
     """Sup-rule hull of constraint i (1-based) at x with provenance, over
-    the active scenarios of acts, the caller's compute_active_sets(spec, x)."""
+    the active scenarios of acts, the caller's compute_active_sets(spec, x);
+    the spec's fixture at x, if it has one."""
     con = spec.constraints[i - 1]
-    if use_fixtures:
-        fx = spec.fixture_for(con.name, x)
-        if fx is not None:
-            return fx, "fixture"
+    fx = spec.fixture_for(con.name, x)
+    if fx is not None:
+        return fx, "fixture"
     return sup_rule(con, x, acts.scenarios[i - 1], "hull",
                     spec.kink_tol).set, "engine"

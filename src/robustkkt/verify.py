@@ -151,8 +151,7 @@ class DualFeasReport(NamedTuple):
 
 
 def dual_feasible(spec: ProblemSpec, triple: DualTriple,
-                  mode: str = "limiting",
-                  use_fixtures: bool = False) -> DualFeasReport:
+                  mode: str = "limiting") -> DualFeasReport:
     """Membership of (z, y*, mu) in the Mond-Weir dual feasible set.
 
     The stationarity inclusion is decided by the zero-in-sum LP with the
@@ -168,14 +167,14 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
         checks.append({"name": "z_in_omega", "ok": False})
         return DualFeasReport(False, checks)
 
-    objectives = [scale(objective_set(spec, j, z, mode, use_fixtures)[0],
+    objectives = [scale(objective_set(spec, j, z, mode)[0],
                         float(ystar[j - 1]))
                   for j in range(1, spec.n_objectives + 1)]
     parts = []
     acts = compute_active_sets(spec, z)
     comp_ok = True
     for i in range(1, spec.n_constraints + 1):
-        S, _ = constraint_set(spec, i, z, acts, use_fixtures)
+        S, _ = constraint_set(spec, i, z, acts)
         parts.append(scale(S, float(mu[i - 1])))
         val = float(mu[i - 1]) * acts.phis[i - 1]
         ok = val >= -DUAL_TOL
@@ -207,8 +206,7 @@ class WeakDualityReport(NamedTuple):
 
 def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
                        triples: list[DualTriple], kind: str,
-                       mode: str = "limiting",
-                       use_fixtures: bool = False) -> WeakDualityReport:
+                       mode: str = "limiting") -> WeakDualityReport:
     """Non-domination of f(x) against f(z) - ||x - z|| theta over all pairs
     of robust-feasible samples x and dual-feasible triples.
 
@@ -222,7 +220,7 @@ def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
     if not np.all(feasibility_mask(spec, samples.T)):
         raise VerifyError("weak duality samples must be robust-feasible")
     for tr in triples:
-        if not dual_feasible(spec, tr, mode, use_fixtures).feasible:
+        if not dual_feasible(spec, tr, mode).feasible:
             raise VerifyError("weak duality requires dual-feasible triples")
     F = spec.fvec_grid(samples.T)
     pairs = 0
@@ -264,23 +262,23 @@ class StrongDualityReport(NamedTuple):
     feasibility: DualFeasReport
 
 
-def strong_duality_from(spec: ProblemSpec, xbar, mode: str = "limiting",
-                        use_fixtures: bool = False) -> StrongDualityReport:
+def strong_duality_from(spec: ProblemSpec, xbar,
+                        mode: str = "limiting") -> StrongDualityReport:
     """Assemble a dual-feasible triple at xbar from a found KKT certificate."""
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    rep = search_kkt(spec, xbar, mode=mode, use_fixtures=use_fixtures)
+    rep = search_kkt(spec, xbar, mode=mode)
     if rep.certificate is None:
         raise CertifyError("no KKT certificate found; strong duality "
                            "construction unavailable")
     cert = rep.certificate
     triple = DualTriple(xbar, cert.ystar.copy(), cert.mu.copy())
-    feas = dual_feasible(spec, triple, mode=mode, use_fixtures=use_fixtures)
+    feas = dual_feasible(spec, triple, mode=mode)
     return StrongDualityReport(triple, feas)
 
 
 def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,
-                           region, resolution: int, mode: str = "limiting",
-                           use_fixtures: bool = False) -> EfficiencyVerdict:
+                           region, resolution: int,
+                           mode: str = "limiting") -> EfficiencyVerdict:
     """Check the converse-duality conclusion at a primal-feasible dual point.
 
     Kind I (type-I pseudo convexity) implies weak quasi-efficiency of z,
@@ -291,7 +289,7 @@ def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,
     z = np.asarray(triple.z, dtype=float).reshape(-1)
     if feasible_active_sets(spec, z) is None:
         raise VerifyError("converse duality requires a robust-feasible z")
-    if not dual_feasible(spec, triple, mode, use_fixtures).feasible:
+    if not dual_feasible(spec, triple, mode).feasible:
         raise VerifyError("converse duality requires a dual-feasible triple")
     return classify_point(spec, z, "weak-quasi" if kind == "I" else "quasi",
                           region, resolution)

@@ -3,7 +3,8 @@ assembled them all: ``zero_in_sum``, ``search_kkt`` and ``fuzzy_kkt_demo``
 each building its own LP, and the two residual LPs each its own.  Kept
 verbatim as the oracle of ``tests/test_cert_oracle.py``, which asserts
 that the library gives the same verdicts, certificates, witnesses and
-residuals.
+residuals; only the fixture rule follows the library's: a set is the
+spec's fixture where it has one, and ``fuzzy_kkt_demo`` reads none.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from robustkkt.setcalc import (
     norm_grid,
     normal_cone,
 )
-from robustkkt.subdiff import constraint_set, direct_subdiff, objective_set
+from robustkkt.subdiff import constraint_set, direct_subdiff, \
+    objective_set, sup_rule
 
 
 def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:
@@ -98,7 +100,6 @@ def _add_stationarity_rows(lp: LPBuilder, groups,
 
 
 def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
-               use_fixtures: bool = False,
                tol: float = KKT_TOL) -> KKTSearchReport:
     """One-LP search for a robust approximate KKT certificate at xbar.
 
@@ -118,13 +119,13 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
 
     obj_sets = []
     for j in range(1, p + 1):
-        S, origin = objective_set(spec, j, xbar, mode, use_fixtures)
+        S, origin = objective_set(spec, j, xbar, mode)
         prov[spec.objective_names[j - 1]] = origin
         obj_sets.append(S)
     check_selections(obj_sets, CertifyError)
     con_sets = {}
     for i in actives:
-        S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
+        S, origin = constraint_set(spec, i, xbar, acts)
         prov[spec.constraints[i - 1].name] = origin
         con_sets[i] = S.components[0] if S.ncomponents == 1 else Polytope(
             S.all_vertices(), reduce=True)
@@ -186,7 +187,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
                 mu[i - 1] = m
                 vsel.append(w @ V / m if m > 1e-15 else V[0].copy())
             else:
-                S, origin = constraint_set(spec, i, xbar, acts, use_fixtures)
+                S, origin = constraint_set(spec, i, xbar, acts)
                 prov[spec.constraints[i - 1].name] = origin
                 vsel.append(S.all_vertices()[0].copy())
             scen = acts.scenarios[i - 1]
@@ -198,7 +199,7 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         if cone_ids:
             astar = res.values[np.asarray(cone_ids)] @ N
         cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
-        recheck = check_kkt(spec, xbar, cert, tol, mode, use_fixtures)
+        recheck = check_kkt(spec, xbar, cert, tol, mode)
         return KKTSearchReport(cert, recheck, tuple(actives), tried, prov)
     return KKTSearchReport(None, None, tuple(actives), tried, prov)
 
@@ -252,7 +253,8 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     con_polys = {}
     scen_used = {}
     for i in idx:
-        S, _ = constraint_set(spec, i, x_eta, acts)
+        S = sup_rule(spec.constraints[i - 1], x_eta, acts.scenarios[i - 1],
+                     "hull", spec.kink_tol).set  # no fixture is read
         con_polys[i] = S.components[0] if S.ncomponents == 1 else Polytope(
             S.all_vertices(), reduce=True)
         scen = acts.scenarios[i - 1]

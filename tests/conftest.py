@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,14 +20,25 @@ def spec23():
     return load_problem("example_2_3")
 
 
+def without_fixtures(spec):
+    """spec as the command line hands it to the library without
+    --fixtures: holding no fixture set, so every set is the engine's."""
+    return dataclasses.replace(spec, fixtures=())
+
+
 @pytest.fixture(scope="session")
-def spec32():
+def spec32_fixtures():
     return load_problem("example_3_2")
 
 
 @pytest.fixture(scope="session")
+def spec32(spec32_fixtures):
+    return without_fixtures(spec32_fixtures)
+
+
+@pytest.fixture(scope="session")
 def spec35():
-    return load_problem("example_3_5")
+    return without_fixtures(load_problem("example_3_5"))
 
 
 @pytest.fixture(scope="session")

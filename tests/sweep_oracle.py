@@ -34,7 +34,9 @@ them; a row whose merge was not clearly convex took ``_planar_ball``, the
 monotone-chain hull of its points).  It is the polygon rule: in the l1 and
 linf norms the sweep's margins must be bit-equal to it, and in l2 they may
 only rise above it, by at most the polygon's inradius gap
-(test_sweep_oracle.py and the layer benchmark test_sweep_bench.py).  With
+(test_sweep_oracle.py and the layer benchmark test_sweep_bench.py).  It
+scores the zero tie ray of coincident vertices 0/0, so a row with them is
+compared without them.  With
 the exact directions on, no base-polygon vertex is a candidate ray of a
 row outside the hull fallback; ``full=True`` keeps the rule before that,
 every base vertex a candidate of every row.
@@ -644,12 +646,12 @@ def _peaks(t, v):
 
 def disk_margins(comps: list, ytheta: np.ndarray, walls: list) -> tuple:
     """(lo, hi), each (rows, masks): the bracket of the sweep's l2 margins
-    by disk_margin, the least over the components, -inf where one is
-    negative."""
+    by disk_margin, the least over the components.  A negative one is
+    kept as it is (the sweep writes -inf there), so that a margin the
+    sweep rounds to just above 0 can be told from a clearly negative one."""
     out = np.empty((2, ytheta.size, len(walls)))
     for r in range(ytheta.size):
         for m, cuts in enumerate(walls):
-            least = np.min([disk_margin(U[r], ytheta[r], cuts)
-                            for U in comps], axis=0)
-            out[:, r, m] = np.where(least < 0.0, -np.inf, least)
+            out[:, r, m] = np.min([disk_margin(U[r], ytheta[r], cuts)
+                                   for U in comps], axis=0)
     return out[0], out[1]

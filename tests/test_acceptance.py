@@ -73,7 +73,7 @@ def test_criterion_1_example_2_2_subdifferentials(spec22, origin):
           ok and dt < 1.0, f"{dt:.2f}s")
 
 
-def test_criterion_2_example_3_2_pipeline(spec32, origin):
+def test_criterion_2_example_3_2_pipeline(spec32, spec32_fixtures, origin):
     t0 = time.monotonic()
     acts = compute_active_sets(spec32, origin)
     ok = abs(acts.phis[0] - 0.0) <= 1e-8
@@ -90,8 +90,7 @@ def test_criterion_2_example_3_2_pipeline(spec32, origin):
     ok = ok and srep.recheck.valid and srep.recheck.residual <= 1e-9
     cert = load_certificate(
         resolve_problem_path("example_3_2").with_suffix(".cert.json"), spec32)
-    rep = check_kkt(spec32, origin, cert, tol=1e-9, mode="hull",
-                    use_fixtures=True)
+    rep = check_kkt(spec32_fixtures, origin, cert, tol=1e-9, mode="hull")
     ok = ok and rep.valid
     dt = time.monotonic() - t0
     _crit("criterion 2: example 3.2 pipeline (phi, V, CQ, search, reference cert)",
@@ -182,8 +181,7 @@ def test_criterion_6_pseudo_convexity(spec22, spec23, origin):
         repI.verdicts.tolist()
     w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
          "u": [[0.0, -0.4], [0.0, 0.0], [0.0, 0.5]]}
-    repw = witnessed_failure_check(spec22, origin, "II", w, "limiting",
-                                   False)
+    repw = witnessed_failure_check(spec22, origin, "II", w, "limiting")
     okW = (repw.verdicts.tolist() == ["WITNESSED-FAILURE"]
            and abs(repw.lp_optimum) <= 1e-12)
     repII = pseudoconvex_test(spec23, origin, "II", region=(-2, 2, -2, 2),

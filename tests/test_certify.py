@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import sweep_oracle
 from robustkkt import certify
 from robustkkt.certify import (
     CertifyError,
@@ -19,6 +20,7 @@ from robustkkt.certify import (
 )
 from robustkkt.cli import load_certificate, resolve_problem_path
 from robustkkt.funcdsl import parse_expr
+from robustkkt.lp import LPBuilder
 from robustkkt.robustfeas import ProblemSpec, UncertainConstraint
 from robustkkt.setcalc import DUAL_NORM, ConeSpec, OmegaSpec, dual_ball, \
     norm_value
@@ -58,9 +60,10 @@ class TestCQ:
 
 
 class TestCheckKKT:
-    def test_reference_certificate_fixture_mode(self, spec32, cert32, origin):
-        rep = check_kkt(spec32, origin, cert32, tol=1e-9, mode="hull",
-                        use_fixtures=True)
+    def test_reference_certificate_fixture_mode(self, spec32_fixtures,
+                                                cert32, origin):
+        rep = check_kkt(spec32_fixtures, origin, cert32, tol=1e-9,
+                        mode="hull")
         assert rep.valid and rep.residual <= 1e-9
         assert any(v == "fixture" for v in rep.provenance.values())
 
@@ -84,12 +87,11 @@ class TestCheckKKT:
         rep = check_kkt(spec, np.array([0.3]), cert)
         assert not rep.valid and rep.residual > 0.5
 
-    def test_complementarity_gate(self, spec32, cert32, origin):
+    def test_complementarity_gate(self, spec32_fixtures, cert32, origin):
         broken = KKTCertificate(
             cert32.ystar, np.array([0.25, 0.25]), cert32.u, cert32.v,
             cert32.vbar, cert32.bstar, cert32.astar)
-        rep = check_kkt(spec32, origin, broken, mode="hull",
-                        use_fixtures=True)
+        rep = check_kkt(spec32_fixtures, origin, broken, mode="hull")
         names = {c["name"]: c["ok"] for c in rep.checks}
         assert not names["complementarity_g2"]  # mu2 * phi2 = -0.25
 
@@ -160,8 +162,7 @@ class TestPseudoConvex:
     def test_type_II_failure_witness_2_2(self, spec22, origin):
         w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
              "u": [[0.0, -0.4], [0.0, 0.0], [0.0, 0.5]]}
-        rep = witnessed_failure_check(spec22, origin, "II", w, "limiting",
-                                      False)
+        rep = witnessed_failure_check(spec22, origin, "II", w, "limiting")
         assert rep.verdicts.tolist() == ["WITNESSED-FAILURE"]
         assert abs(rep.lp_optimum) <= 1e-12
 
@@ -185,8 +186,7 @@ class TestPseudoConvex:
         w = {"x": [0.0, 1.0], "ystar": [0.0, 1.0, 0.0],
              "u": [[0.0, -0.4], [9.0, 0.0], [0.0, 0.5]]}
         with pytest.raises(CertifyError):
-            witnessed_failure_check(spec22, origin, "II", w, "limiting",
-                                    False)
+            witnessed_failure_check(spec22, origin, "II", w, "limiting")
 
     def test_ystar_grid_interior(self, spec22):
         ys = ystar_grid(spec22, 8)
@@ -259,14 +259,41 @@ def _highs_witness_optimum(spec, xbar, x, ystar, u, cuts):
     return res.fun + nrm * ystar * float(spec.theta[0])
 
 
+def _exact_witness_optimum(spec, xbar, x, ystar, u, cuts):
+    """The same optimum as the exact LP the plane's witness check solved
+    before it read the sweep's margin: over the polygon of
+    dual_ball(DUAL_NORM[norm], 2, ball_facets), by LPBuilder.solve."""
+    nrm = norm_value(spec.norm, x - xbar)
+    pball = dual_ball(DUAL_NORM[spec.norm], 2, spec.ball_facets)
+    lp = LPBuilder()
+    w_ids = lp.add_vars(2, free=True)
+    lam = lp.add_vars(pball.nverts)
+    for a in range(2):
+        row = {w_ids[a]: 1.0}
+        for t, vid in enumerate(lam):
+            row[vid] = -nrm * pball.vertices[t, a]
+        lp.add_eq(row, 0)
+    lp.add_ub({vid: 1.0 for vid in lam}, 1)
+    for cut in cuts:
+        lp.add_ub({w_ids[a]: cut[a] for a in range(2) if cut[a] != 0.0}, 0)
+    lp.set_objective({w_ids[a]: ystar * u[a] for a in range(2)})
+    res = lp.solve()
+    assert res.feasible
+    return res.objective + nrm * (ystar * float(spec.theta[0]))
+
+
 class TestWitnessCuts:
-    """The witness LP of witnessed_failure_check against HiGHS where the
-    normal cone cuts w: x-bar on a face or a corner of a box or of a
-    polygon, random witnesses under every norm."""
+    """The planar witness check where the normal cone cuts w: x-bar on a
+    face or a corner of a box or of a polygon, random witnesses under
+    every norm.  It solves no LP.  In l1 and linf its optimum is the
+    polygon LP's (within 1e-12 of the exact one, 1e-9 of HiGHS); in l2 it
+    is the exact disk's (within 1e-12 of sweep_oracle.disk_margin's
+    bracket), never above the inscribed 64-gon's exact LP but for
+    rounding."""
 
     @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
     @pytest.mark.parametrize("ground", sorted(_GROUND))
-    def test_lp_optimum_matches_highs(self, ground, norm):
+    def test_lp_optimum_matches_highs(self, monkeypatch, ground, norm):
         omega, (A, b), xbar = _GROUND[ground]
         xbar = np.array(xbar)
         # the active outward normals, the normal cone's generators
@@ -287,15 +314,33 @@ class TestWitnessCuts:
             x = xbar + rng.uniform(-1.0, 1.0, size=2)
             ystar = float(rng.uniform(0.2, 2.0))
             u = rng.uniform(-1.0, 1.0, size=2)
-            rep = certify.witnessed_failure_check(
-                spec, xbar, "II", {"x": x, "ystar": [ystar], "u": [u]},
-                "hull", False)
+            with monkeypatch.context() as m:
+                m.setattr(LPBuilder, "solve", _no_lp)
+                rep = certify.witnessed_failure_check(
+                    spec, xbar, "II", {"x": x, "ystar": [ystar], "u": [u]},
+                    "hull")
             want = _highs_witness_optimum(spec, xbar, x, ystar, u, cuts)
-            assert rep.lp_optimum == pytest.approx(want, abs=1e-9)
+            exact = _exact_witness_optimum(spec, xbar, x, ystar, u, cuts)
+            if norm == "l2":
+                nrm = norm_value(norm, x - xbar)
+                lo, hi = sweep_oracle.disk_margin(
+                    (ystar * u)[None], ystar * float(spec.theta[0]), cuts)
+                assert -nrm * hi - 1e-12 <= rep.lp_optimum <= -nrm * lo \
+                    + 1e-12
+                # within 4 ulps: the two sum nrm * ytheta in other orders
+                assert rep.lp_optimum <= exact + 4 * np.spacing(
+                    max(1.0, abs(exact)))
+            else:
+                assert rep.lp_optimum == pytest.approx(exact, abs=1e-12)
+                assert rep.lp_optimum == pytest.approx(want, abs=1e-9)
             uncut = _highs_witness_optimum(spec, xbar, x, ystar, u,
                                            np.zeros((0, 2)))
             cut_matters += want > uncut + 1e-6
         assert cut_matters >= 5
+
+
+def _no_lp(self):
+    raise AssertionError("an LP was solved")
 
 
 def _toy(objective="x1", constraints=(), theta=(0.0,)):

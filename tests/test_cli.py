@@ -52,10 +52,10 @@ class TestLoadProblem:
         assert spec22.constraints[0].lo == -1.0
         assert spec22.constraints[0].hi == -0.25
 
-    def test_fixture_sets_resolved(self, spec32):
-        fx = spec32.fixture_for("f3", [0, 0])
+    def test_fixture_sets_resolved(self, spec32_fixtures):
+        fx = spec32_fixtures.fixture_for("f3", [0, 0])
         assert fx is not None and fx.ncomponents == 2
-        assert spec32.fixture_for("f3", [1, 0]) is None
+        assert spec32_fixtures.fixture_for("f3", [1, 0]) is None
 
     def test_theta_outside_cone_rejected(self, tmp_path):
         bad = tmp_path / "bad.problem"
@@ -1390,7 +1390,15 @@ def _value(verb: str, flag: str, base: list[str]) -> tuple[list[str], object]:
     return [f"{flag}={text}"], cli._read(row, text)
 
 
+class _Loaded:
+    """The spec load_problem returned.  With --fixtures the library gets
+    that spec, fixtures and all; without, a copy that holds none."""
+    spec = None
+
+
 def _same(a, value) -> bool:
+    if isinstance(value, _Loaded):
+        return a is value.spec
     if isinstance(value, np.ndarray):
         return isinstance(a, np.ndarray) and a.shape == value.shape \
             and bool(np.all(a == value))
@@ -1453,6 +1461,11 @@ def test_listed_flag_is_read(capsys, monkeypatch, tmp_path, verb, flag):
         "[" + Path(TRIPLE).read_text() + "]")
     base = _base(verb, flag)
     argv, value = _listed_argv(verb, flag)
+    if flag == "--fixtures":  # read through the spec the library receives
+        value = _Loaded()
+        load = cli.load_problem
+        monkeypatch.setattr(cli, "load_problem", lambda data: setattr(
+            value, "spec", load(data)) or value.spec)
     _spy_calls(monkeypatch, value)
     try:
         seen = _report(capsys, argv)
@@ -1462,6 +1475,28 @@ def test_listed_flag_is_read(capsys, monkeypatch, tmp_path, verb, flag):
     monkeypatch.chdir(tmp_path)
     assert seen != _report(capsys, _without(base, APART.get((verb, flag),
                                                             ())))
+
+
+@pytest.mark.parametrize("verb", sorted(v for v, f in READS
+                                         if f == "--fixtures"))
+def test_no_fixture_reaches_the_library_unasked(capsys, monkeypatch,
+                                               tmp_path, verb):
+    """Without --fixtures, no library call receives the spec load_problem
+    returned, and every spec one receives holds no fixture set."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triples.json").write_text(
+        "[" + Path(TRIPLE).read_text() + "]")
+    loaded, specs = _Loaded(), []
+    load = cli.load_problem
+    monkeypatch.setattr(cli, "load_problem", lambda data: setattr(
+        loaded, "spec", load(data)) or loaded.spec)
+    _spy_calls(monkeypatch, loaded)
+    dispatch = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch", lambda args, spec: (
+        specs.append(spec) or dispatch(args, spec)))
+    _report(capsys, _without(_base(verb, "--fixtures"), ["--fixtures"]))
+    assert loaded.spec.fixtures or verb == "pseudoconvex"
+    assert [s.fixtures for s in specs] == [()]
 
 
 UNREAD = [(verb, flag) for verb in cli.COMMANDS for flag in FLAGS

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sweep_oracle
@@ -376,13 +376,17 @@ class TestSweepPolygon:
 
     @given(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=2),
            st.floats(-1.0, 1.0))
+    @example([0.0, 0.0], 0.0)
+    @example([2.0, 2.0], 0.25)
     @settings(max_examples=300, deadline=None)
     def test_hypothesis_directions(self, angles, ytheta):
         t = np.array(angles)
         U = -np.column_stack([np.cos(t), np.sin(t)])
-        # coincident vertices have a zero tie ray, which scores 0/0
-        assume(len(set(map(tuple, U.tolist()))) == len(U))
-        assert_disk_margin(U, ytheta)
+        got = assert_disk_margin(U, ytheta)
+        # coincident vertices have a zero tie ray, which scores the origin
+        if len(U) == 2 and np.array_equal(U[0], U[1]):
+            assert abs(got - _margin("l2", U[:1], ytheta)) <= 4 * np.spacing(
+                max(1.0, abs(got)))
 
     @pytest.mark.parametrize("extras", [[0.0, -1.0], [-1.0, 0.0], [1.0, 0.0],
                                         [-1.0, -0.0]],

@@ -49,6 +49,10 @@ KEPT = {
     "funcdsl._split_negative":
         "printing a sum with a negative term, for an error message or an "
         "atom key; no README command prints one",
+    "lp.LPBuilder.set_objective":
+        "objective LPs: the witness check off the plane, memberships for "
+        "d != 2, and a normal-cone residual where the ground set has a "
+        "face at the point; README's commands have none of these",
     "lp.LPBuilder._solve_float":
         "LPs over 160 columns or 80 rows, such as a witness check off the "
         "plane; no bundled problem has one",

@@ -55,12 +55,14 @@ class TestWorkedExampleSets:
         hl = limiting_subdiff(f2, origin, mode="hull")
         assert polytope_equal(_single(hl), Polytope([[-1, -3], [1, -3]]))
 
-    def test_f3_engine_derivation_flags_discrepancy(self, spec32, origin):
+    def test_f3_engine_derivation_flags_discrepancy(self, spec32_fixtures,
+                                                    origin):
         # the printed set has second components {-1, 1}; the kink of
         # abs(x2 - 1) is inactive at x2 = 0, so the engine derives {+1}
-        res = limiting_subdiff(spec32.objective("f3"), origin, mode="hull")
+        res = limiting_subdiff(spec32_fixtures.objective("f3"), origin,
+                               mode="hull")
         assert polytope_equal(_single(res), Polytope([[-0.5, 1], [0.5, 1]]))
-        printed = spec32.fixture_for("f3", origin)
+        printed = spec32_fixtures.fixture_for("f3", origin)
         assert printed is not None and printed.ncomponents == 2
 
     def test_smooth_point_gradient_singleton(self, spec32):

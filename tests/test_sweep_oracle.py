@@ -13,7 +13,10 @@ are never lower by more than 4 ulps of max(1, |old|) and never higher than
 the 64-gon's inradius gap allows (``assert_near_the_polygon``).
 Component slots come from hypothesis with 1-4 vertices, among them
 directions exactly on the 64-gon's angles, on either side of +-pi, several
-in one gap of it, and coincident or zero vertices.  The per-sample
+in one gap of it, and coincident or zero vertices.  A zero ray scores the
+origin, so a row with coincident vertices (a zero tie ray) has the margins
+of the same row with the duplicates taken out, within 4 ulps; the polygon
+rule scored that ray 0/0, so it is compared on the row without them.  The per-sample
 verdicts of every bundled problem and its l1 and linf copies, for type I
 and II sweeps over the README region at y-res 6, 12, 24 and 48, at the
 origin and at (0.3, -1.2), are those of the polygon rule.
@@ -49,18 +52,57 @@ WALL_SETS = ["none", "example_2_2", *VARIANTS]
 
 
 def _bits(a):
-    """a's floats as int64, so that -0.0 counts; every NaN as one NaN (a
-    zero tie ray of coincident vertices has gauge 0 and scores 0/0, and
-    the NaN's sign follows the order numpy reduces in; no sweep's sets
-    have them)."""
-    a = np.asarray(a, dtype=float)
-    return np.where(np.isnan(a), np.nan, a).view(np.int64)
+    """a's floats as int64, so that -0.0 counts."""
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 def polygon_rule(norm, walls, full=False):
     """The sweep's geometry as it was over the 64-gon ball of norm."""
     return sweep_oracle.SweepGeometry(dual_ball(DUAL_NORM[norm], 2, 64),
                                       norm == "l2", walls, full)
+
+
+def distinct(comps, r):
+    """Row r of each slot, (1, k, 2), with each vertex equal to an earlier
+    one taken out; None if no slot has such a vertex in row r."""
+    out = [U[[r]][:, [i for i in range(U.shape[1]) if not any(
+        np.array_equal(U[r, i], U[r, j]) for j in range(i))]] for U in comps]
+    return None if all(D.shape == (1, *U.shape[1:]) for D, U in zip(
+        out, comps)) else out
+
+
+def on_distinct_rows(rule, comps, ytheta):
+    """rule.margins, each row with coincident vertices taken without them
+    (the polygon rule scored their zero tie ray 0/0)."""
+    with np.errstate(all="ignore"):
+        out = rule.margins(comps, ytheta)
+        for r in range(ytheta.size):
+            alone = distinct(comps, r)
+            if alone is not None:
+                out[r] = rule.margins(alone, ytheta[[r]])[0]
+    return out
+
+
+def polygon_margins(norm, walls, comps, ytheta, full=False):
+    """The polygon rule's margins, on distinct rows."""
+    return on_distinct_rows(polygon_rule(norm, walls, full), comps, ytheta)
+
+
+def assert_coincident_rows(norm, walls, comps, ytheta, got):
+    """No margin is NaN, and each row with coincident vertices equals the
+    same row without them, within 4 ulps of max(1, |margin|): the products
+    <u, w> go through one matmul per slot, whose rounding may follow the
+    slot's vertex count."""
+    assert not np.isnan(got).any()
+    for r in range(ytheta.size):
+        alone = distinct(comps, r)
+        if alone is not None:
+            want = certify._SweepGeometry(norm, walls).margins(
+                alone, ytheta[[r]])[0]
+            scale = np.max(np.abs(want), where=np.isfinite(want),
+                           initial=1.0)
+            assert np.allclose(got[r], want, rtol=0.0,
+                               atol=4 * np.spacing(scale)), (r, want)
 
 
 def _sweep_walls(spec, region, **kw):
@@ -139,10 +181,13 @@ def _slots(draw, norm):
 
 
 def assert_same_margins(norm, walls, comps, ytheta):
-    """Bit-equal to the polygon rule (the l1 and linf norms)."""
-    with np.errstate(all="ignore"):
-        got = certify._SweepGeometry(norm, walls).margins(comps, ytheta)
-        want = polygon_rule(norm, walls).margins(comps, ytheta)
+    """Bit-equal to the polygon rule (the l1 and linf norms) on distinct
+    rows, and a row with coincident vertices as it is without them."""
+    geometry = certify._SweepGeometry(norm, walls)
+    assert_coincident_rows(norm, walls, comps, ytheta,
+                           geometry.margins(comps, ytheta))
+    got = on_distinct_rows(geometry, comps, ytheta)
+    want = polygon_margins(norm, walls, comps, ytheta)
     assert got.shape == want.shape
     assert np.array_equal(_bits(got), _bits(want)), (got, want)
 
@@ -291,27 +336,30 @@ def test_groups_refuse_once_per_key(monkeypatch):
 
 @pytest.mark.parametrize("norm", NORMS)
 def test_known_rays(wall_sets, norm):
-    """The rays every row scores, with their norms: each mask's wall rays,
-    after the ball's vertices by angle in the l1 and linf norms (the l2
-    ball has none)."""
+    """The rays every row scores, as their boundary points r/||r||: the
+    ball's vertices in the l1 and linf norms (the l2 ball has none), then
+    each mask's wall rays, which only that mask admits."""
     for walls in wall_sets.values():
         geometry = certify._SweepGeometry(norm, walls)
-        live = np.vstack(walls)
-        live = live[np.any(live != 0.0, axis=1)]
-        perp = np.column_stack([-live[:, 1], live[:, 0]])
+        W = np.vstack(walls)
+        perp = np.column_stack([-W[:, 1], W[:, 0]])
         want = np.vstack([perp, -perp])
         if norm != "l2":
-            want = np.vstack([polygon_rule(norm, walls).G[:, :2], want])
-        known, _, gauge = geometry.known
-        assert np.array_equal(_bits(known), _bits(want))
-        assert np.array_equal(gauge, [np.linalg.norm(r, ord={
-            "l1": 1, "l2": 2, "linf": np.inf}[norm]) for r in want])
+            want = np.vstack([dual_ball(DUAL_NORM[norm], 2).vertices, want])
+        norms = [np.linalg.norm(r, ord={"l1": 1, "l2": 2, "linf": np.inf}[
+            norm]) for r in want]
+        known, ok = geometry.known
+        assert np.array_equal(_bits(known), _bits(want / np.c_[norms]))
+        assert ok.shape == (len(want), 1, len(walls))
+        assert not np.any(ok[len(want) - 2 * len(W):, 0].T & ~np.tile(
+            geometry.wall_owner, 2))
 
 
 def assert_in_disk_bracket(got, lo, hi):
     """Each margin within 1e-12 of its bracket [lo, hi] by
     sweep_oracle.disk_margins; -inf (a negative margin) only where lo is
-    at most 1e-12."""
+    at most 1e-12, and a finite one, at least 0, where hi is at least
+    -1e-12."""
     for g, a, b in zip(np.ravel(got).tolist(), np.ravel(lo).tolist(),
                        np.ravel(hi).tolist()):
         if g == -math.inf:
@@ -321,15 +369,11 @@ def assert_in_disk_bracket(got, lo, hi):
 
 
 def assert_disk_margins(walls, comps, ytheta):
-    """The sweep's l2 margins against the exact-disk oracle; rows with
-    coincident vertices, whose zero tie rays score NaN, are skipped."""
-    with np.errstate(all="ignore"):
-        got = certify._SweepGeometry("l2", walls).margins(comps, ytheta)
+    """The sweep's l2 margins against the exact-disk oracle, and a row with
+    coincident vertices as it is without them."""
+    got = certify._SweepGeometry("l2", walls).margins(comps, ytheta)
+    assert_coincident_rows("l2", walls, comps, ytheta, got)
     for r, row in enumerate(got):
-        if np.isnan(row).any():
-            assert any(len({tuple(u) for u in U[r].tolist()}) < len(U[r])
-                       for U in comps)
-            continue
         assert_in_disk_bracket(row, *sweep_oracle.disk_margins(
             [U[[r]] for U in comps], ytheta[[r]], walls))
 
@@ -359,13 +403,13 @@ _GAP = 1.0 / math.cos(math.pi / 64) - 1.0
 
 def assert_near_the_polygon(got, old, ytheta):
     """l2 margins got against the polygon rule's old, as the disk holds the
-    polygon and the polygon cos(pi/64) times the disk: the same NaN
-    entries; where both are finite, at least old - 4 ulps of
+    polygon and the polygon cos(pi/64) times the disk: no NaN entry; where
+    both are finite, at least old - 4 ulps of
     max(1, |old|) and at most old + _GAP (old + ytheta); and -inf (a
     negative margin) on one side only against a margin the other side's
     ball misses, at most _GAP ytheta above 0, or a zero one rounded the
     other way, at most 4 ulps."""
-    assert np.array_equal(np.isnan(got), np.isnan(old))
+    assert not (np.isnan(got).any() or np.isnan(old).any())
     yt = np.broadcast_to(ytheta[:, None], old.shape)
     ulps = 4 * np.spacing(1.0) * np.maximum(1.0, np.abs(old))
     both = np.isfinite(got) & np.isfinite(old)
@@ -385,12 +429,11 @@ def test_margins_near_the_full_rule(wall_sets, data, walls):
     """l2, near the polygon rule with every 64-gon vertex a candidate
     (full) and without."""
     comps, ytheta = data.draw(_slots("l2"))
-    with np.errstate(all="ignore"):
-        got = certify._SweepGeometry("l2", wall_sets[walls]).margins(
-            comps, ytheta)
-        for full in (True, False):
-            assert_near_the_polygon(got, polygon_rule(
-                "l2", wall_sets[walls], full).margins(comps, ytheta), ytheta)
+    got = certify._SweepGeometry("l2", wall_sets[walls]).margins(
+        comps, ytheta)
+    for full in (True, False):
+        assert_near_the_polygon(got, polygon_margins(
+            "l2", wall_sets[walls], comps, ytheta, full), ytheta)
 
 
 BUNDLED = ["example_2_2", "example_2_3", "example_3_2",
