@@ -30,6 +30,7 @@ from .setcalc import (
     DUAL_NORM,
     MEMBERSHIP_TOL,
     STATIONARITY,
+    Polytope,
     PolytopeSet,
     check_selections,
     dual_ball,
@@ -41,8 +42,8 @@ from .setcalc import (
     scale,
     zero_in_sum,
 )
-from .subdiff import Scalarization, constraint_set, direct_subdiff, \
-    limiting_subdiff, objective_set, sup_rule
+from .subdiff import Scalarization, constraint_set, limiting_subdiff, \
+    objective_set, sup_rule
 
 COMPLEMENTARITY_TOL = 1e-8
 TIGHT_TOL = 1e-9  # a fuzzy merit branch this close to psi is tight
@@ -344,9 +345,12 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     # parts: the branch weights lam_f and lam_g, as points {0} that add
     # only their totals, the scalarized set, the active constraints'
     # sup-rule hulls (one component each, as no fixture is read), the ball
+    [(_, comps)] = Scalarization(spec.objectives, x_eta, mode,
+                                 spec.kink_tol).groups(ystar[None])
+    if isinstance(comps, Exception):
+        raise comps
     zero = PolytopeSet.singleton(np.zeros(spec.dim))
-    parts = [zero, zero, direct_subdiff(ystar, spec.objectives, x_eta, mode,
-                                        spec.kink_tol).set]
+    parts = [zero, zero, PolytopeSet([Polytope(V[0]) for V in comps])]
     idx = list(acts.index_set)
     scen_used = {}
     for i in idx:

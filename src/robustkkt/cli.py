@@ -48,7 +48,7 @@ from .setcalc import NORMS, ConeSpec, OmegaSpec, Polytope, PolytopeSet, \
     SetCalcError
 from .subdiff import limiting_subdiff, sup_rule
 from .verify import DualTriple, classify_point, converse_duality_check, \
-    generate_feasible_samples, strong_duality_from, weak_duality_check
+    dual_feasible, strong_duality_from, weak_duality_check
 
 REPORT_VERSION = 1
 
@@ -852,10 +852,10 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
                         "NO-COUNTEREXAMPLE", "COUNTEREXAMPLE", rep._asdict())
 
     if verb == "duality strong":
-        rep = strong_duality_from(spec, args.at, mode)
-        details = {"triple": rep.triple, "feasibility": rep.feasibility}
-        return _settled(rep.feasibility.feasible, "FEASIBLE", "INFEASIBLE",
-                        details)
+        triple = strong_duality_from(spec, args.at, mode)
+        feas = dual_feasible(spec, triple, mode)
+        return _settled(feas.feasible, "FEASIBLE", "INFEASIBLE",
+                        {"triple": triple, "feasibility": feas})
 
     if verb == "duality weak":
         if (args.at is None) == (args.triples is None):
@@ -867,13 +867,11 @@ def _dispatch(args, spec: ProblemSpec) -> tuple[int, str, dict]:
                 raise LoadError("triples file must be a list")
             triples = [load_triple(doc, spec) for doc in docs]
         else:
-            triples = [strong_duality_from(spec, args.at, mode).triple]
-        samples = generate_feasible_samples(spec, args.region, args.samples)
-        rep = weak_duality_check(spec, samples, triples, args.kind, mode)
-        details = {"pairs_checked": rep.pairs_checked,
-                   "violation": rep.violation}
-        return _settled(rep.violation is None, "NO-VIOLATION", "VIOLATION",
-                        details)
+            triples = [strong_duality_from(spec, args.at, mode)]
+        rep = weak_duality_check(spec, args.region, args.samples, triples,
+                                 args.kind, mode)
+        return _sampled(rep.pairs_checked, rep.violation is None,
+                        "NO-VIOLATION", "VIOLATION", rep._asdict())
 
     # duality converse
     triple = load_triple(json.loads(Path(args.triple).read_text()), spec)

@@ -225,8 +225,8 @@ def active_scenarios_interval(fn, scan, lo: float, hi: float,
                               n: int) -> tuple[float, list[float]]:
     """The envelope maximum and the scenarios within SCENARIO_TOL of it.
 
-    One scan of n grid points gives the maximum: the best of the grid's
-    best value, its golden-section refinement and the two endpoints.  Grid
+    One scan of n grid points gives the maximum: the grid's best value,
+    or its golden-section refinement where that is greater.  Grid
     candidates are clustered and each cluster refined by golden section;
     a flat plateau over the whole interval is reported by its endpoints.
     When the refinement beats every grid value by more than SCENARIO_TOL,
@@ -242,12 +242,10 @@ def active_scenarios_interval(fn, scan, lo: float, hi: float,
         """golden_max on [grid[a], grid[b]], once per bracket."""
         return golden_max(fn, float(grid[a]), float(grid[b]))
 
-    k = int(np.argmax(vals))
+    k = int(np.argmax(vals))  # the first NaN or the first maximum
     xm, fm = refine(max(k - 1, 0), min(k + 1, n - 1))
-    candidates = [(vals[k], float(grid[k])), (fm, xm),
-                  (vals[0], float(grid[0])), (vals[-1], float(grid[-1]))]
-    best = max(candidates, key=lambda t: t[0])
-    phi, argmax = float(best[0]), float(best[1])
+    phi, argmax = ((float(fm), xm) if fm > vals[k]
+                   else (float(vals[k]), float(grid[k])))
     step = (hi - lo) / (n - 1)
     # runs of scenarios within SCENARIO_TOL, as (first, last) index pairs
     edges = np.flatnonzero(np.diff(vals >= phi - SCENARIO_TOL,

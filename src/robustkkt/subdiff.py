@@ -151,7 +151,7 @@ def _sums(g0: np.ndarray, kap: dict, atoms: dict[str, _Atom], pattern,
                 if c and atom.fault is not None:
                     raise atom.fault.with_traceback(None)
                 new, flags = _step(comps, atom, c and k[rows], c)
-            except Exception as exc:  # what a call raises for this row
+            except Exception as exc:  # what the walk raises for this row
                 comps = exc
                 break
             if flags:  # those rows go on alone from this step
@@ -315,8 +315,7 @@ class Scalarization:
     objective walked once for every y*.
 
     ``groups`` gives the sets of a whole (M, p) array of y*, one array pass
-    per structure group; a call gives the SubdiffResult of one y*, as the
-    batch of one plus its rules and exactness.  Both give what
+    per structure group, and one y* as the batch of one: what
     limiting_subdiff gives on the tree add(mul(const(y_1), f_1), ...), bit
     for bit and with the same exceptions, without building that tree (see
     the module docstring).
@@ -327,26 +326,20 @@ class Scalarization:
         self.xl = np.asarray(x, dtype=float).reshape(-1).tolist()
         self.mode, self.kink_tol = mode, kink_tol
         self.zero = np.zeros(len(self.xl))
-        # an objective with v is walked at v = NaN: a call refuses it
-        # before it reads the walk
+        # an objective with v is walked at v = NaN: _weights refuses it
+        # before its walk is read
         self.objectives = [_Objective(f, self.xl, math.nan if f.has_v
                                       else None, kink_tol, self.zero)
                            for f in fs]
 
-    def __call__(self, ystar) -> SubdiffResult:
-        key, cps = self._weights(
-            np.asarray(ystar, dtype=float).reshape(-1).tolist())
-        g0, kap, atoms = self._terms(key, np.array([cps]))
-        return _one(g0[0], {q: float(a[0]) for q, a in kap.items()}, atoms,
-                    self.mode)
-
     def groups(self, Y) -> list[tuple[np.ndarray, list | Exception]]:
         """The sets of the rows y* of Y (M, p) by group: (rows of Y,
         components), the components one vertex array (rows, k, d) per
-        component slot; or (rows of Y, the exception a call raises for
-        them).  The rows of a group share one zero pattern of the weights,
-        one set of weights whose constant comes to 1, one sign of each
-        atom's coefficient and the shapes of their components."""
+        component slot; or (rows of Y, the exception limiting_subdiff
+        raises on their tree).  The rows of a group share one zero pattern
+        of the weights, one set of weights whose constant comes to 1, one
+        sign of each atom's coefficient and the shapes of their
+        components."""
         out, keys = self._keys(np.asarray(Y, dtype=float))
         for key, (rows, C) in keys.items():
             out.extend((rows[sub], comps) for sub, comps in _sets(
@@ -354,7 +347,7 @@ class Scalarization:
         return out
 
     def _keys(self, Y: np.ndarray):
-        """The rows of Y whose weights a call refuses, with the exception,
+        """The rows of Y whose weights the tree refuses, with the exception,
         and the others by structure key in order of first row: each key's
         rows and constants (rows, terms marked 2).  Where every objective
         is plain, the rows of finite weights fold in one array pass; the
@@ -365,7 +358,7 @@ class Scalarization:
         for r in np.flatnonzero(~fast).tolist():
             try:
                 key, cps = self._weights(Y[r].tolist(), refuse=False)
-            except Exception as exc:  # what a call for this y* raises
+            except Exception as exc:  # what the tree of this y* raises
                 refused.append((np.array([r]), exc))
                 continue
             keys.setdefault(key, []).append((r, cps))
@@ -391,7 +384,7 @@ class Scalarization:
             for sub in np.split(rows, rows.size) if each else [rows]:
                 try:
                     self._weights(Y[sub[0]].tolist())
-                except Exception as exc:  # what a call for these y* raises
+                except Exception as exc:  # what the trees of these y* raise
                     refused.append((sub, exc))
                     keys.pop(key, None)
         return refused, keys
@@ -449,7 +442,7 @@ class Scalarization:
         """g0 (R, d), each atom's coefficient (R,) and the merged atoms, for
         R weight rows of one structure whose constants marked 2 are the
         columns of C: the walk's product and sum rules above the
-        objectives, run on columns (R, 1) where a call runs on floats."""
+        objectives, run on columns (R, 1) where the walk runs on floats."""
         states, nonzero = key
         cols = iter(C.T[:, :, None])
         rest, atoms = [], {}
@@ -470,12 +463,6 @@ class Scalarization:
         return (np.broadcast_to(g, (R, self.zero.size)),
                 {q: np.broadcast_to(kap.get(q, 0.0), (R, 1))[:, 0]
                  for q in atoms}, atoms)
-
-
-def direct_subdiff(ystar, fs, x, mode: str = "limiting",
-                   kink_tol: float = DEFAULT_KINK_TOL) -> SubdiffResult:
-    """Subdifferential of <y*, f> at x (one call of a Scalarization)."""
-    return Scalarization(fs, x, mode, kink_tol)(ystar)
 
 
 # ---------------------------------------------------------------------------

@@ -204,21 +204,20 @@ class WeakDualityReport(NamedTuple):
     violation: dict | None = None  # None: no violation found
 
 
-def weak_duality_check(spec: ProblemSpec, samples: np.ndarray,
+def weak_duality_check(spec: ProblemSpec, region, count: int,
                        triples: list[DualTriple], kind: str,
                        mode: str = "limiting") -> WeakDualityReport:
     """Non-domination of f(x) against f(z) - ||x - z|| theta over all pairs
-    of robust-feasible samples x and dual-feasible triples.
+    of count robust-feasible samples x of region (generate_feasible_samples)
+    and dual-feasible triples.
 
     Kind I uses the weak relation (no violation means f(x) never lands in
     -int K); kind II uses the strict relation via -K \\ {0}.
     """
+    samples = generate_feasible_samples(spec, region, count)
     if kind not in ("I", "II"):
         raise VerifyError("kind must be 'I' or 'II'")
     memb_region = "minus-int-K" if kind == "I" else "minus-K-minus-0"
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if not np.all(feasibility_mask(spec, samples.T)):
-        raise VerifyError("weak duality samples must be robust-feasible")
     for tr in triples:
         if not dual_feasible(spec, tr, mode).feasible:
             raise VerifyError("weak duality requires dual-feasible triples")
@@ -248,32 +247,21 @@ def generate_feasible_samples(spec: ProblemSpec, region,
     for _ in range(200):
         X = lo[:, None] + (hi - lo)[:, None] * rng.random((spec.dim,
                                                            4 * count))
-        mask = feasibility_mask(spec, X)
-        good = X[:, mask]
-        for t in range(good.shape[1]):
-            out.append(good[:, t])
-            if len(out) >= count:
-                return np.array(out)
+        out.extend(X[:, feasibility_mask(spec, X)].T)
+        if len(out) >= count:
+            return np.array(out[:count])
     raise VerifyError("could not sample enough feasible points in region")
 
 
-class StrongDualityReport(NamedTuple):
-    triple: DualTriple
-    feasibility: DualFeasReport
-
-
 def strong_duality_from(spec: ProblemSpec, xbar,
-                        mode: str = "limiting") -> StrongDualityReport:
-    """Assemble a dual-feasible triple at xbar from a found KKT certificate."""
+                        mode: str = "limiting") -> DualTriple:
+    """The dual point (xbar, y*, mu) of a KKT certificate found at xbar."""
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    rep = search_kkt(spec, xbar, mode=mode)
-    if rep.certificate is None:
+    cert = search_kkt(spec, xbar, mode=mode).certificate
+    if cert is None:
         raise CertifyError("no KKT certificate found; strong duality "
                            "construction unavailable")
-    cert = rep.certificate
-    triple = DualTriple(xbar, cert.ystar.copy(), cert.mu.copy())
-    feas = dual_feasible(spec, triple, mode=mode)
-    return StrongDualityReport(triple, feas)
+    return DualTriple(xbar, cert.ystar.copy(), cert.mu.copy())
 
 
 def converse_duality_check(spec: ProblemSpec, triple: DualTriple, kind: str,

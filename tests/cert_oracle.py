@@ -4,7 +4,8 @@ each building its own LP, and the two residual LPs each its own.  Kept
 verbatim as the oracle of ``tests/test_cert_oracle.py``, which asserts
 that the library gives the same verdicts, certificates, witnesses and
 residuals; only the fixture rule follows the library's: a set is the
-spec's fixture where it has one, and ``fuzzy_kkt_demo`` reads none.
+spec's fixture where it has one, and ``fuzzy_kkt_demo`` reads none.  Its
+scalarized set is the tree reference's, ``sweep_oracle.direct_subdiff``.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from robustkkt.setcalc import (
     norm_grid,
     normal_cone,
 )
-from robustkkt.subdiff import constraint_set, direct_subdiff, \
-    objective_set, sup_rule
+from robustkkt.subdiff import constraint_set, objective_set, sup_rule
+
+from sweep_oracle import direct_subdiff
 
 
 def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:

@@ -1,10 +1,12 @@
 """Helpers of the test suites that the program itself does not use: a
 listing of the active kinks of an expression, a comparison of two
-polytopes' vertex arrays, the gradient at a smooth point, and a stub
-that stands in for a command's work."""
+polytopes' vertex arrays, the gradient at a smooth point, a stub that
+stands in for a command's work, and a counter of a function's calls."""
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,3 +71,19 @@ class Reached(BaseException):
 
 def _reach(*args, **kwargs):
     raise Reached
+
+
+def count_calls(monkeypatch, counts: Counter, key: str, fn) -> None:
+    """Count each call of fn in counts[key]: fn is wrapped wherever a
+    robustkkt module binds it, so calls through a name imported into
+    another module count too (and a call counts once, as the wrapper
+    calls fn itself)."""
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "robustkkt" or name.startswith("robustkkt."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)

@@ -23,7 +23,7 @@ from robustkkt.cli import (
     run_command,
 )
 from robustkkt.funcdsl import MAX_NESTING
-from robustkkt.subdiff import direct_subdiff
+from robustkkt.subdiff import Scalarization
 
 from helpers import Reached, _reach
 from test_inputs import BASE, CERT, TRIPLE, WORD_CASES, WORD_IDS, verbs, \
@@ -325,15 +325,22 @@ fixture = f1 @ 0,0 : {(0,2)}
         (["duality", "converse", "--problem", "example_3_5", "--triple",
           "TRIPLE", "--kind", "I", "--region", "-3,3,-4,1", "--res", "0"],
          ["efficiency", "feasible_checked"]),
-    ], ids=["pseudoconvex", "efficiency", "duality-converse"])
+        (["duality", "weak", "--problem", "example_3_5", "--triples",
+          "NO_TRIPLES", "--kind", "I", "--region", "-3,3,-4,1"],
+         ["pairs_checked"]),
+    ], ids=["pseudoconvex", "efficiency", "duality-converse", "duality-weak"])
     def test_zero_samples_are_inconclusive(self, capsys, tmp_path, argv,
                                            counted):
         """A verdict over no checked sample affirms nothing: it was
-        VERIFIED or NO-COUNTEREXAMPLE with exit 0."""
+        VERIFIED, NO-COUNTEREXAMPLE or (over an empty list of triples)
+        NO-VIOLATION with exit 0."""
         triple = tmp_path / "t.json"
         triple.write_text(json.dumps(
             {"z": [0, 0], "ystar": [0, 0, "1/33"], "mu": ["32/33", 0]}))
-        argv = [str(triple) if a == "TRIPLE" else a for a in argv]
+        empty = tmp_path / "none.json"
+        empty.write_text("[]")
+        argv = [{"TRIPLE": str(triple), "NO_TRIPLES": str(empty)}.get(a, a)
+                for a in argv]
         code, doc = run_json(capsys, argv)
         assert code == 2 and doc["verdict"] == "INCONCLUSIVE"
         value = doc["details"]
@@ -614,10 +621,11 @@ g1 = "{g1}" with v in [-1, 1]
     def test_internal_value_error_exits_four(self, capsys, monkeypatch):
         # a ValueError raised by the program, not by refused input, is an
         # internal fault (D2): here the weight-count mismatch
-        def short_weights(ystar, fs, *args):
-            return direct_subdiff(ystar[:-1], fs, *args)
+        class ShortWeights(Scalarization):
+            def groups(self, Y):
+                return super().groups(Y[:, :-1])
 
-        monkeypatch.setattr(certify, "direct_subdiff", short_weights)
+        monkeypatch.setattr(certify, "Scalarization", ShortWeights)
         code, doc = run_json(capsys, ["fuzzy", "--problem", "example_3_2",
                                       "--at", "0,0", "--ystar", "1,1,1",
                                       "--eta", "0.1"])
@@ -1119,7 +1127,7 @@ LIMITED = [
     ("y_res", "pseudoconvex_test", ["pseudoconvex", "--problem",
                                     "example_2_2", "--at", "0,0", "--type",
                                     "I", "--region", "-2,2,-2,2", "--y-res"]),
-    ("samples", "generate_feasible_samples", [
+    ("samples", "weak_duality_check", [
         "duality", "weak", "--problem", "example_3_5", "--at", "0,0",
         "--region", "-3,3,-4,1", "--samples"]),
     ("grid_n", "fuzzy_kkt_demo", ["fuzzy", "--problem", "example_3_2",
@@ -1295,8 +1303,9 @@ class TestSizeLimits:
 
         spec = load_problem("example_3_2")
         ystar = np.array([0.3535, 0.0, 0.3535])
-        assert direct_subdiff(ystar, spec.objectives, np.zeros(2),
-                              "limiting").set.ncomponents == 2
+        [(_, comps)] = Scalarization(spec.objectives, np.zeros(2)).groups(
+            ystar[None])
+        assert len(comps) == 2
         assert certify.fuzzy_kkt_demo(spec, np.zeros(2), ystar,
                                       0.1).witness is not None
         monkeypatch.setattr(setcalc, "SELECTIONS_LIMIT", 1)

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 ARGV = {name: COMMANDS[name] for name in (
     "subdiff", "cq", "kkt_search", "kkt_check", "fuzzy", "pseudoconvex_I",
-    "pseudoconvex_II", "duality_strong")}
+    "pseudoconvex_II", "duality_strong", "duality_weak")}
 # the sweep that verdictbench's pseudoconvex-sweep workload runs
 ARGV["pseudoconvex_II_region"] = [
     "pseudoconvex", "--problem", "example_2_3", "--at", "0,0", "--type",
@@ -35,6 +35,7 @@ MISSES = {
     "pseudoconvex_I": 14,
     "pseudoconvex_II": 10,
     "duality_strong": 8,
+    "duality_weak": 18,
     "pseudoconvex_II_region": 17,
 }
 

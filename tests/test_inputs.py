@@ -55,7 +55,7 @@ BASE = {
                    "classify_point"),
     "duality weak": (["duality", "weak", "--problem", "example_3_5", "--at",
                       "0,0", "--region", "-3,3,-4,1"],
-                     "generate_feasible_samples"),
+                     "weak_duality_check"),
     "duality strong": (["duality", "strong", "--problem", "example_3_5",
                         "--at", "0,0"], "strong_duality_from"),
     "duality converse": (["duality", "converse", "--problem", "example_3_5",

@@ -152,12 +152,12 @@ class TestFeasibility:
 
 # Scenario scans (robustfeas._scan calls) per README command: one per
 # uncertain constraint and point of each verdict function.  kkt search
-# adds its recheck by check_kkt, duality strong its dual_feasible,
-# duality weak the dual_feasible of its triple and converse duality the
+# adds its recheck by check_kkt, strong and weak duality the one
+# dual_feasible of the triple found, and converse duality the
 # dual_feasible and classify_point at z.  Grid commands scan none.
 SCANS = {"feasible": 2, "cq": 2, "kkt_check": 2, "fuzzy": 2,
          "pseudoconvex_I": 2, "pseudoconvex_II": 2, "efficiency": 2,
-         "kkt_search": 4, "duality_strong": 6, "duality_weak": 8,
+         "kkt_search": 4, "duality_strong": 6, "duality_weak": 6,
          "duality_converse": 6, "raster": 0, "subdiff": 0}
 
 

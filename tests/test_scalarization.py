@@ -1,12 +1,12 @@
-"""Differential tests of the scalarization: ``subdiff.direct_subdiff``, one
-``Scalarization`` call that walks each objective once, and
-``Scalarization.groups``, the sets of a whole array of y* by structure
-group, against the tree add(mul(const(y_1), f_1), ...) that neither builds
-(``sweep_oracle.direct_subdiff``).
+"""Differential tests of the scalarization: ``Scalarization.groups``, the
+sets of a whole array of y* by structure group, each objective walked
+once, on one y* (the batch of one that ``fuzzy`` reads) and on many
+(the sweep's), against the tree add(mul(const(y_1), f_1), ...) that it
+does not build (``sweep_oracle.direct_subdiff``).
 
 Sets must be bit-equal, vertices compared as int64 views so that -0.0 and
-NaN count, with equal rules, exactness and mode; where the oracle raises,
-the scalarization raises the same exception class with the same message.
+NaN count; where the oracle raises, the scalarization gives the same
+exception class with the same message.
 The cases reach every way mul and add canonicalize the tree: zero weights,
 product objectives whose constant folds with the weight, a weight times
 constant of exactly 1 in front of a sum (flattened into the outer sum),
@@ -29,7 +29,7 @@ from genexpr import random_convex_expr, random_point, random_supported_expr
 from robustkkt.certify import ystar_grid
 from robustkkt.funcdsl import DomainError, Expr, UnsupportedStructureError, \
     add, const, mul, parse_expr
-from robustkkt.subdiff import Scalarization, direct_subdiff
+from robustkkt.subdiff import Scalarization
 from test_walker import _TREES, _bits
 
 FIXTURES = ["example_2_2", "example_2_3", "example_3_2", "example_3_5"]
@@ -49,14 +49,20 @@ def _outcome(fn):
 
 
 def assert_same(ystar, fs, x, mode="limiting", kink_tol=1e-9, scal=None):
-    """The scalarization (scal, or one built for this call) and the oracle
-    agree; returns the oracle's outcome."""
+    """The set of the one y* ystar by the scalarization (scal, or one
+    built for this call) and the oracle's agree; returns the oracle's
+    outcome."""
     with np.errstate(all="ignore"):  # 1/u^2 may overflow, in both
         want = _outcome(lambda: sweep_oracle.direct_subdiff(
             ystar, fs, x, mode, kink_tol))
-        got = _outcome(lambda: (scal or Scalarization(fs, x, mode, kink_tol))(
-            ystar))
-    assert got == want, ([str(f) for f in fs], list(ystar), list(x), mode)
+        [(rows, comps)] = (scal or Scalarization(fs, x, mode, kink_tol)
+                           ).groups(np.array([ystar], dtype=float))
+    got = (("raised", type(comps), str(comps))
+           if isinstance(comps, Exception)
+           else ("value", [(V[0].shape, _bits(V[0])) for V in comps]))
+    assert rows.tolist() == [0]
+    assert got == (want[:3] if want[0] == "raised" else ("value", want[4])), (
+        [str(f) for f in fs], list(ystar), list(x), mode)
     return want
 
 
@@ -87,8 +93,9 @@ def test_bundled_problems_over_the_ystar_grid(name):
 
 
 def test_one_scalarization_serves_every_ystar(spec22):
-    """Calls share no state: each call equals a fresh oracle call, also
-    after calls that merged the same atoms with other coefficients."""
+    """Batches share no state: each batch of one equals a fresh oracle
+    call, also after batches that merged the same atoms with other
+    coefficients."""
     x = np.zeros(2)
     scal = Scalarization(spec22.objectives, x)
     ys = list(ystar_grid(spec22, 24)) + [np.array([1.0, 0, 0]),
@@ -256,14 +263,6 @@ def test_hypothesis_unit_terms(terms, x):
         fs.append(Expr("prod", children=(Expr("const", value=1 / q), tree)))
         ys.append(w)
     assert_same(ys, fs, x)
-
-
-def test_direct_subdiff_is_one_call():
-    fs = _parse(["abs(x1) + x2", "max(x1, x2)"])
-    x = np.zeros(2)
-    got = direct_subdiff([0.3, 0.7], fs, x, "hull")
-    want = Scalarization(fs, x, "hull")([0.3, 0.7])
-    assert _outcome(lambda: got) == _outcome(lambda: want)
 
 
 def assert_same_groups(fs, x, Y, mode="limiting", kink_tol=1e-9):

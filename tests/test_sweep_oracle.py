@@ -311,9 +311,10 @@ def test_groups_match_weights(case, mode):
         # the same key and constants, bit for bit
         assert got[r][:2] == w[:2], r
         assert np.array_equal(_bits(got[r][2]), _bits(w[2])), r
-        # and what a call gives: its set, or an atom's fault
+        # and what the tree gives: its set, or an atom's fault
         with np.errstate(all="ignore"):
-            call = _outcome(lambda: (scal(Y[r]),))
+            call = _outcome(lambda: (sweep_oracle.direct_subdiff(
+                Y[r], fs, np.zeros(2), mode),))
         assert grouped[r] == (call if call[0] == "raised" else "value"), r
     # every row of the rough case names its constant when refused
     assert ("value" in {w[0] for w in want}) == (

@@ -13,7 +13,6 @@ from robustkkt.verify import (
     classify_point,
     converse_duality_check,
     dual_feasible,
-    generate_feasible_samples,
     strong_duality_from,
     weak_duality_check,
 )
@@ -101,8 +100,8 @@ class TestClassify:
 class TestDualFeasible:
     def test_strong_duality_triples(self, spec32, spec35, origin):
         for spec in (spec32, spec35):
-            rep = strong_duality_from(spec, origin)
-            assert rep.feasibility.feasible
+            triple = strong_duality_from(spec, origin)
+            assert dual_feasible(spec, triple).feasible
 
     def test_stationary_unconstrained(self):
         spec = _parabola_problem()
@@ -114,10 +113,10 @@ class TestDualFeasible:
         # unconstrained smooth problem at its stationary point, theta = 0:
         # the constructed triple is (xbar, e_1, ())
         spec = _parabola_problem()
-        rep = strong_duality_from(spec, np.zeros(1))
-        assert rep.feasibility.feasible
-        assert np.allclose(rep.triple.ystar, [1.0])
-        assert rep.triple.mu.size == 0
+        triple = strong_duality_from(spec, np.zeros(1))
+        assert dual_feasible(spec, triple).feasible
+        assert np.allclose(triple.ystar, [1.0])
+        assert triple.mu.size == 0
 
     def test_no_cancellation_infeasible(self, spec35):
         # scalarized gradient (4.1, 0.41) against ball radius 0.15
@@ -136,41 +135,34 @@ class TestDualFeasible:
 
 class TestWeakDuality:
     def test_no_violation_3_5_kind_I(self, spec35, origin):
-        rep = strong_duality_from(spec35, origin)
-        samples = generate_feasible_samples(spec35, (-3, 3, -4, 1), 200)
-        out = weak_duality_check(spec35, samples, [rep.triple], "I")
+        triple = strong_duality_from(spec35, origin)
+        out = weak_duality_check(spec35, (-3, 3, -4, 1), 200, [triple], "I")
         assert out.violation is None and out.pairs_checked == 200
 
     def test_no_violation_2_3_kind_II(self, spec23, origin):
-        rep = strong_duality_from(spec23, origin)
-        samples = generate_feasible_samples(spec23, (-3, 3, -4, 1), 200)
-        out = weak_duality_check(spec23, samples, [rep.triple], "II")
+        triple = strong_duality_from(spec23, origin)
+        out = weak_duality_check(spec23, (-3, 3, -4, 1), 200, [triple], "II")
         assert out.violation is None
 
     def test_reflexive_theta_zero(self):
         spec = _parabola_problem()
         triple = DualTriple(np.zeros(1), np.array([1.0]), np.zeros(0))
-        out = weak_duality_check(spec, np.array([[0.0]]), [triple], "I")
+        # the region [0, 0] has the one sample x = z
+        out = weak_duality_check(spec, (0, 0), 1, [triple], "I")
         assert out.violation is None  # f(x) not< f(x) by irreflexivity
-
-    def test_infeasible_sample_rejected(self, spec35, origin):
-        rep = strong_duality_from(spec35, origin)
-        with pytest.raises(VerifyError):
-            weak_duality_check(spec35, np.array([[2.0, 2.0]]), [rep.triple],
-                               "I")
 
 
 class TestConverseDuality:
     def test_kind_I_3_5(self, spec35, origin):
-        rep = strong_duality_from(spec35, origin)
-        out = converse_duality_check(spec35, rep.triple, "I",
+        triple = strong_duality_from(spec35, origin)
+        out = converse_duality_check(spec35, triple, "I",
                                      (-3, 3, -4, 1), 101)
         assert out.no_counterexample
         assert out.kind == "weak-quasi"
 
     def test_kind_II_2_3(self, spec23, origin):
-        rep = strong_duality_from(spec23, origin)
-        out = converse_duality_check(spec23, rep.triple, "II",
+        triple = strong_duality_from(spec23, origin)
+        out = converse_duality_check(spec23, triple, "II",
                                      (-3, 3, -4, 1), 101)
         assert out.no_counterexample and out.kind == "quasi"
 

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sweep_oracle
 import walker_oracle
 from genexpr import _affine, random_convex_expr, random_point, \
     random_supported_expr
@@ -45,8 +46,7 @@ from robustkkt.funcdsl import (
     parse_expr,
 )
 from robustkkt.robustfeas import scenario_envelope
-from robustkkt.subdiff import Scalarization, direct_subdiff, \
-    limiting_subdiff, sup_rule
+from robustkkt.subdiff import Scalarization, limiting_subdiff, sup_rule
 from test_scalar_fn import _node
 
 
@@ -75,6 +75,14 @@ def _expected(outcome):
 def _set_key(res):
     return (res.mode, res.exactness, res.rules,
             [(c.vertices.shape, _bits(c.vertices)) for c in res.set.components])
+
+
+def _row_key(groups, r: int):
+    """_set_key's components of row r of Scalarization.groups' output."""
+    for rows, comps in groups:
+        if r in rows.tolist():
+            i = rows.tolist().index(r)
+            return [(V[i].shape, _bits(V[i])) for V in comps]
 
 
 def assert_same(e: Expr, x, v=None):
@@ -342,14 +350,13 @@ def test_deep_tree_walks_without_recursion():
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
         got = limiting_subdiff(e, [0.5])
-        scal = Scalarization([e], [0.5])
-        one = scal([0.5])
-        groups = scal.groups(np.array([[0.5], [1.0]]))
+        groups = Scalarization([e], [0.5]).groups(np.array([[0.5], [1.0]]))
     finally:
         sys.setrecursionlimit(limit)
     assert _set_key(got) == _set_key(
         walker_oracle.point_walk_subdiff(e, [0.5]))
-    assert _set_key(one) == _set_key(direct_subdiff([0.5], [e], [0.5]))
+    assert _row_key(groups, 0) == _set_key(
+        sweep_oracle.direct_subdiff([0.5], [e], [0.5]))[3]
     assert sorted(rows.tolist() for rows, _ in groups) == [[0], [1]]
     assert all(type(comps) is list for _, comps in groups)
 
@@ -368,13 +375,13 @@ def test_nested_selections_walk_within_300_frames(level):
     sys.setrecursionlimit(len(inspect.stack()) + 300)
     try:
         got = limiting_subdiff(e, [0.5])
-        one = Scalarization([e], [0.5])([0.5])
         groups = Scalarization([e], [0.5]).groups(np.array([[0.5], [1.0]]))
     finally:
         sys.setrecursionlimit(limit)
     assert _set_key(got) == _set_key(
         walker_oracle.point_walk_subdiff(e, [0.5]))
-    assert _set_key(one) == _set_key(direct_subdiff([0.5], [e], [0.5]))
+    assert _row_key(groups, 0) == _set_key(
+        sweep_oracle.direct_subdiff([0.5], [e], [0.5]))[3]
     assert sorted(rows.tolist() for rows, _ in groups) == [[0], [1]]
 
 
@@ -444,6 +451,6 @@ def test_bundled_exactness_labels(name):
         _, actives = scenario_envelope(con, x, spec.vgrid)
         labels += [sup_rule(con, x, actives, mode, spec.kink_tol).exactness
                    for mode in ("limiting", "hull")]
-    labels += [direct_subdiff(y, spec.objectives, x).exactness
+    labels += [sweep_oracle.direct_subdiff(y, spec.objectives, x).exactness
                for y in ystar_grid(spec, 3)]
     assert "".join(t[0] for t in labels) == EXACTNESS[name]
