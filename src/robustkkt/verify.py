@@ -1,21 +1,23 @@
 """Brute-force efficiency classification and Mond-Weir duality checks.
 
 Classification rasters the feasible region and tests the defining cone
-relation at every feasible sample; a NO-COUNTEREXAMPLE verdict is always
+relation one objective at a time, each on the feasible samples that the
+earlier ones left in play; a NO-COUNTEREXAMPLE verdict is always
 resolution-qualified, never a proof.  Duality checks reuse the certificate
 machinery: dual feasibility is the same zero-membership LP evaluated at
-the dual point, and weak/converse duality reduce to cone comparisons over
-sampled feasible points.
+the dual point, and weak/converse duality test the same cone relation
+over sampled feasible points.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .certify import CertifyError, multiplier_checks, search_kkt
-from .funcdsl import _on_grid
+from .funcdsl import _on_grid, eval_on_grid
 from .robustfeas import (
     CELLS_LIMIT,
     ProblemSpec,
@@ -25,7 +27,6 @@ from .robustfeas import (
     raster,
 )
 from .setcalc import (
-    ConeSpec,
     PolytopeSet,
     check_selections,
     dual_ball,
@@ -48,18 +49,42 @@ class VerifyError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Cone membership
+# Cone relation
 # ---------------------------------------------------------------------------
 
-def _membership_mask(D: np.ndarray, cone: ConeSpec,
-                     region: str) -> np.ndarray:
-    """Membership of the columns of D (shape (p, N)) in -int K (region
-    "minus-int-K") or in -K \\ {0} (region "minus-K-minus-0")."""
-    s = np.asarray(cone.pattern, dtype=float)[:, None]
-    if region == "minus-int-K":
-        return np.all(s * D < -ZERO_TOL, axis=0)
-    Dz = np.where(np.abs(D) <= ZERO_TOL, 0.0, D)
-    return np.all(s * Dz <= 0.0, axis=0) & np.any(Dz != 0.0, axis=0)
+def _first_violation(spec: ProblemSpec, xbar: np.ndarray, quasi: bool,
+                     strict: bool, cells: np.ndarray, coords, F0=None):
+    """The first of the ascending cells at which
+    F(x) - F(xbar) + theta c(x) lies in -int K (strict) or in -K \\ {0},
+    with c(x) = ||x - xbar|| if quasi and 1 otherwise, as (x, relation),
+    or None.  coords(cells) gives the cells' (d, n) coordinates, and F0,
+    if given, the first objective at all the cells.  The relation is
+    built and tested one objective at a time, at the cells still in play.
+    """
+    if not cells.size:
+        return None
+    fbar, seen, nonzero = spec.fvec(xbar), [], False
+    for j, s in enumerate(spec.cone.pattern):
+        X = coords(cells) if j or quasi or F0 is None else None
+        F = F0 if F0 is not None and not j else \
+            eval_on_grid(spec.objectives[j], X)
+        D = F - fbar[j] + spec.theta[j] * (
+            norm_grid(spec.norm, X - xbar[:, None]) if quasi else 1.0)
+        if strict:
+            keep = s * D < -ZERO_TOL
+        else:
+            zero = np.abs(D) <= ZERO_TOL
+            keep = zero | (s * D <= 0.0)
+            nonzero = (nonzero | ~zero)[keep]
+        seen.append((cells, D))
+        cells = cells[keep]
+        if not cells.size:
+            return None
+    hits = cells if strict else cells[nonzero]
+    if not hits.size:
+        return None
+    return coords(hits[:1])[:, 0], np.array(
+        [D[np.searchsorted(c, hits[0])] for c, D in seen])
 
 
 # ---------------------------------------------------------------------------
@@ -76,38 +101,31 @@ class EfficiencyVerdict(NamedTuple):
     feasible_checked: int
 
 
-def _kind_params(kind: str) -> tuple[bool, str]:
-    if kind == "efficient":
-        return False, "minus-K-minus-0"
-    if kind == "weak":
-        return False, "minus-int-K"
-    if kind == "quasi":
-        return True, "minus-K-minus-0"
-    if kind == "weak-quasi":
-        return True, "minus-int-K"
-    raise VerifyError(f"unknown efficiency kind {kind!r}")
-
-
 def classify_point(spec: ProblemSpec, xbar, kind: str, region,
                    resolution: int = 401) -> EfficiencyVerdict:
     """Scan feasible samples for a violation of the chosen solution notion.
 
-    In dimension 2 samples form a raster over ``region``; other dimensions
-    draw ``resolution`` uniform samples from the region box (seeded).
+    In dimension 2 samples form a raster over ``region``, scanned in
+    row-major order as the raster's CSV, with the first objective read on
+    its open mesh; other dimensions draw ``resolution`` uniform samples
+    from the region box (seeded).
     """
-    quasi, memb_region = _kind_params(kind)
+    if kind not in KINDS:
+        raise VerifyError(f"unknown efficiency kind {kind!r}")
+    quasi, strict = "quasi" in kind, kind.startswith("weak")
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     if feasible_active_sets(spec, xbar) is None:
         raise VerifyError("classification point must be robust-feasible")
     if spec.dim == 2:
         r = raster(spec, region, resolution)
+        cells = np.flatnonzero(r.feasible)  # row-major, as the raster's CSV
         mesh = np.meshgrid(r.x1, r.x2, indexing="ij", sparse=True)
+        F0 = np.broadcast_to(_on_grid(spec.objectives[0], mesh),
+                             r.feasible.shape)[r.feasible]
 
-        def feasible(values):  # row-major, as the raster's CSV
-            return np.broadcast_to(values, r.feasible.shape)[r.feasible]
-
-        Xf = np.array([feasible(x) for x in mesh])
-        F = np.array([feasible(_on_grid(f, mesh)) for f in spec.objectives])
+        def coords(t):
+            i1, i2 = np.divmod(t, r.x2.size)
+            return np.vstack([r.x1[i1], r.x2[i2]])
     else:
         if resolution > CELLS_LIMIT:
             raise VerifyError(
@@ -117,21 +135,11 @@ def classify_point(spec: ProblemSpec, xbar, kind: str, region,
         rng = np.random.default_rng(spec.seed)
         X = (lo[:, None] + (hi - lo)[:, None]
              * rng.random((spec.dim, resolution)))
-        Xf = X[:, feasibility_mask(spec, X)]
-        F = spec.fvec_grid(Xf)
-    if Xf.shape[1] == 0:
-        return EfficiencyVerdict(kind, True, None, None, tuple(region),
-                                 resolution, 0)
-    D = F - spec.fvec(xbar)[:, None]
-    D += spec.theta[:, None] * (norm_grid(spec.norm, Xf - xbar[:, None])
-                                if quasi else 1.0)
-    bad = _membership_mask(D, spec.cone, memb_region)
-    if not np.any(bad):
-        return EfficiencyVerdict(kind, True, None, None, tuple(region),
-                                 resolution, int(Xf.shape[1]))
-    t = int(np.argmax(bad))  # first violation in deterministic scan order
-    return EfficiencyVerdict(kind, False, Xf[:, t].copy(), D[:, t].copy(),
-                             tuple(region), resolution, int(Xf.shape[1]))
+        cells, F0 = np.flatnonzero(feasibility_mask(spec, X)), None
+        coords = partial(np.take, X, axis=1)
+    hit = _first_violation(spec, xbar, quasi, strict, cells, coords, F0)
+    return EfficiencyVerdict(kind, hit is None, *(hit or (None, None)),
+                             tuple(region), resolution, int(cells.size))
 
 
 # ---------------------------------------------------------------------------
@@ -208,38 +216,34 @@ def weak_duality_check(spec: ProblemSpec, region, count: int,
                        triples: list[DualTriple], kind: str,
                        mode: str = "limiting") -> WeakDualityReport:
     """Non-domination of f(x) against f(z) - ||x - z|| theta over all pairs
-    of count robust-feasible samples x of region (generate_feasible_samples)
-    and dual-feasible triples.
+    of the robust-feasible samples x of region (generate_feasible_samples,
+    at most count) and dual-feasible triples.
 
     Kind I uses the weak relation (no violation means f(x) never lands in
     -int K); kind II uses the strict relation via -K \\ {0}.
     """
-    samples = generate_feasible_samples(spec, region, count)
     if kind not in ("I", "II"):
         raise VerifyError("kind must be 'I' or 'II'")
-    memb_region = "minus-int-K" if kind == "I" else "minus-K-minus-0"
     for tr in triples:
         if not dual_feasible(spec, tr, mode).feasible:
             raise VerifyError("weak duality requires dual-feasible triples")
-    F = spec.fvec_grid(samples.T)
-    pairs = 0
-    for tr in triples:
-        fz = spec.fvec(tr.z)
-        dist = norm_grid(spec.norm, samples.T - tr.z[:, None])
-        D = F - fz[:, None] + np.outer(spec.theta, dist)
-        bad = _membership_mask(D, spec.cone, memb_region)
-        pairs += samples.shape[0]
-        if np.any(bad):
-            t = int(np.argmax(bad))
-            return WeakDualityReport(pairs, {
-                "x": samples[t], "triple": tr, "relation_value": D[:, t]})
-    return WeakDualityReport(pairs)
+    if not triples:  # no pair to check: draw no sample
+        return WeakDualityReport(0)
+    samples = generate_feasible_samples(spec, region, count)
+    cells = np.arange(len(samples))
+    for k, tr in enumerate(triples, 1):
+        hit = _first_violation(spec, tr.z, True, kind == "I", cells,
+                               lambda t: samples[t].T)
+        if hit:
+            return WeakDualityReport(k * len(samples), {
+                "x": hit[0], "triple": tr, "relation_value": hit[1]})
+    return WeakDualityReport(len(triples) * len(samples))
 
 
 def generate_feasible_samples(spec: ProblemSpec, region,
                               count: int) -> np.ndarray:
     """Deterministic rejection sampling of robust-feasible points, seeded
-    by the problem's seed."""
+    by the problem's seed: count of them, or as many as 200 batches find."""
     rng = np.random.default_rng(spec.seed)
     lo = np.asarray(region[0::2], dtype=float)
     hi = np.asarray(region[1::2], dtype=float)
@@ -249,8 +253,8 @@ def generate_feasible_samples(spec: ProblemSpec, region,
                                                            4 * count))
         out.extend(X[:, feasibility_mask(spec, X)].T)
         if len(out) >= count:
-            return np.array(out[:count])
-    raise VerifyError("could not sample enough feasible points in region")
+            break
+    return np.array(out[:count]).reshape(-1, spec.dim)
 
 
 def strong_duality_from(spec: ProblemSpec, xbar,

@@ -12,9 +12,12 @@ only the cells its hull bound leaves in play (``Psi.candidate_keys``).
 stood before it read the objectives on the raster's open mesh: it
 evaluates them on the dense columns of the feasible cells (its d != 2
 samples are masked by ``robustfeas.feasibility_mask``, as this module's
-mask is the full scan).  ``to_csv`` is ``Raster.to_csv`` as it stood
-before it joined slices of runs of equal flags: it picks each cell's tail
-by ``np.where`` over object arrays.
+mask is the full scan), and it builds the whole (p, N) relation matrix and
+tests it by ``_membership_mask`` before it keeps one column.
+``weak_violation`` is that full-matrix relation as ``weak_duality_check``
+tested it for one triple over all its samples.  ``to_csv`` is
+``Raster.to_csv`` as it stood before it joined slices of runs of equal
+flags: it picks each cell's tail by ``np.where`` over object arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from robustkkt.funcdsl import (
 from robustkkt.robustfeas import _CAP, _U, CELLS_LIMIT, Psi, ProblemSpec, \
     Raster, UncertainConstraint, feasible_active_sets, raster
 from robustkkt.setcalc import norm_grid, upper_hull
-from robustkkt.verify import EfficiencyVerdict, VerifyError, \
-    _membership_mask
+from robustkkt.verify import ZERO_TOL, EfficiencyVerdict, VerifyError
 
 
 def eval_on_grid(e: Expr, X: np.ndarray, v=None) -> np.ndarray:
@@ -176,6 +178,33 @@ def _branch_bound(terms, feature, X, vals, grid):
     n_ops = len(terms) + max(len(w) + len(r) for w, r in terms)
     return c + (ak[j] * h + bk[j]), np.where(
         cap <= _CAP, _U * ((4 * n_ops + 8) * cap + 4 * slack), np.inf)
+
+
+def _membership_mask(D: np.ndarray, cone, region: str) -> np.ndarray:
+    """Membership of the columns of D (shape (p, N)) in -int K (region
+    "minus-int-K") or in -K \\ {0} (region "minus-K-minus-0")."""
+    s = np.asarray(cone.pattern, dtype=float)[:, None]
+    if region == "minus-int-K":
+        return np.all(s * D < -ZERO_TOL, axis=0)
+    Dz = np.where(np.abs(D) <= ZERO_TOL, 0.0, D)
+    return np.all(s * Dz <= 0.0, axis=0) & np.any(Dz != 0.0, axis=0)
+
+
+def weak_violation(spec: ProblemSpec, samples: np.ndarray, z: np.ndarray,
+                   kind: str):
+    """The first sample x (a row of samples) at which f(x) - f(z) +
+    ||x - z|| theta lies in -int K (kind I) or -K \\ {0} (kind II), as
+    (x, relation), or None."""
+    memb_region = "minus-int-K" if kind == "I" else "minus-K-minus-0"
+    F = spec.fvec_grid(samples.T)
+    fz = spec.fvec(z)
+    dist = norm_grid(spec.norm, samples.T - z[:, None])
+    D = F - fz[:, None] + np.outer(spec.theta, dist)
+    bad = _membership_mask(D, spec.cone, memb_region)
+    if np.any(bad):
+        t = int(np.argmax(bad))
+        return samples[t], D[:, t]
+    return None
 
 
 def _kind_params(kind: str) -> tuple[bool, str]:

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robustkkt import certify, cli, robustfeas
+from robustkkt import certify, cli, robustfeas, verify
 from robustkkt.certify import ystar_grid, ystar_grid_size
 from robustkkt.cli import (
     LoadError,
@@ -25,7 +26,7 @@ from robustkkt.cli import (
 from robustkkt.funcdsl import MAX_NESTING
 from robustkkt.subdiff import Scalarization
 
-from helpers import Reached, _reach
+from helpers import Reached, _reach, count_calls
 from test_inputs import BASE, CERT, TRIPLE, WORD_CASES, WORD_IDS, verbs, \
     word_argv
 
@@ -347,6 +348,34 @@ fixture = f1 @ 0,0 : {(0,2)}
         for key in counted:
             value = value[key]
         assert value == 0
+
+    @pytest.mark.parametrize("region, found, verdict", [
+        ("50,51,50,51", 0, "INCONCLUSIVE"), ("-1,1,-0.1,10", 9,
+                                             "NO-VIOLATION")])
+    def test_weak_duality_checks_the_samples_it_finds(self, capsys, region,
+                                                      found, verdict):
+        """200 batches of 40 draws find no feasible point in the first
+        region and 9 in the second; both exited 3, "could not sample
+        enough feasible points in region"."""
+        code, doc = run_json(capsys, [
+            "duality", "weak", "--problem", "example_3_5", "--at", "0,0",
+            "--region", region, "--samples", "10"])
+        assert (code, doc["verdict"]) == ({0: 2}.get(found, 0), verdict)
+        assert doc["details"] == {"pairs_checked": found, "violation": None}
+
+    def test_no_triple_draws_no_sample(self, capsys, tmp_path, monkeypatch):
+        """An empty --triples list drew every sample before it checked no
+        pair."""
+        empty = tmp_path / "none.json"
+        empty.write_text("[]")
+        drawn = Counter()
+        count_calls(monkeypatch, drawn, "samples",
+                    verify.generate_feasible_samples)
+        code, doc = run_json(capsys, [
+            "duality", "weak", "--problem", "example_3_5", "--triples",
+            str(empty), "--region", "50,51,50,51", "--samples", "10"])
+        assert (code, doc["verdict"]) == (2, "INCONCLUSIVE")
+        assert drawn["samples"] == 0
 
     @pytest.mark.parametrize("action, flag", [
         ("converse", "--mode"), ("converse", "--fixtures"),

@@ -7,9 +7,11 @@ rasters, each beside the code it replaced (``tests/grid_oracle.py``):
   sweeps and on the dense (2, N) grid of the same cells that it replaced;
 - ``raster-csv``: ``Raster.to_csv`` of example 3.5's raster of (-3, 3) x
   (-4, 1), joining runs of equal flags, and the ``np.where`` writer;
-- ``classify-tail``: ``classify_point`` of kind weak-quasi at the origin
-  on examples 3.2 and 3.5, with the objectives read on the open mesh, and
-  the sweep that evaluated them on the dense feasible columns.
+- ``classify-tail``: ``classify_point`` of all four kinds in turn at the
+  origin on examples 3.2 and 3.5 (``open-mesh``: the cone relation tested
+  one objective at a time on the cells still in play, the first
+  objective read on the open mesh), and the sweep that built the whole
+  relation matrix on the dense feasible columns (``dense``).
 
 They assert nothing about speed, only that both sides give the same mask,
 bytes or verdict bits; a few fixed rounds keep them short.
@@ -26,9 +28,8 @@ import pytest
 import grid_oracle
 from robustkkt.cli import load_problem
 from robustkkt.robustfeas import feasibility_mask, raster
-from robustkkt.verify import classify_point
-from test_mesh_verdicts import assert_same_verdict
-from test_open_mesh import SWEEPS
+from robustkkt.verify import KINDS, classify_point
+from test_open_mesh import SWEEPS, assert_same_verdict
 
 
 @pytest.mark.benchmark(group="raster-mask")
@@ -60,6 +61,7 @@ def test_classify_tail(benchmark, name, grid):
     sweep = {"open-mesh": classify_point,
              "dense": grid_oracle.classify_point}[grid]
     benchmark.pedantic(
-        lambda: sweep(spec, np.zeros(2), "weak-quasi", region, 401),
-        rounds=10, warmup_rounds=2)
-    assert_same_verdict(spec, np.zeros(2), "weak-quasi", region, 401)
+        lambda: [sweep(spec, np.zeros(2), kind, region, 401)
+                 for kind in KINDS], rounds=10, warmup_rounds=2)
+    for kind in KINDS:
+        assert_same_verdict(spec, np.zeros(2), kind, region, 401)

@@ -1,13 +1,16 @@
 """Differential tests of the raster verdicts against the code they replaced,
 kept verbatim in ``tests/grid_oracle.py``.
 
-- ``classify_point`` reads each objective on the raster's open mesh and
-  gathers it at the feasible cells in row-major order; the oracle
-  evaluates it on their dense columns.  Verdict, count, first
-  counterexample and violation are compared as int64 views, for the four
-  kinds on the benchmark's sweep problems, on planted objectives (``1/x1``
-  on a raster with x1 = 0 on a grid line, ``x1*x2``, a constant) and on
-  the d != 2 path, which keeps the dense evaluation.
+- ``classify_point`` tests the cone relation one objective at a time on
+  the feasible cells still in play, the first objective read on the
+  raster's open mesh and the others on the dense columns of the cells
+  left; the oracle builds the whole relation matrix on the dense columns
+  of every feasible cell (``test_open_mesh.assert_same_verdict``).
+  Verdict, count, first counterexample and violation are compared as
+  int64 views, for the four kinds on the benchmark's sweep problems at
+  resolutions 401 and 40, on planted objectives (``1/x1`` on a raster
+  with x1 = 0 on a grid line, ``x1*x2``, a constant) and on the d != 2
+  path.
 - ``Raster.to_csv`` joins slices of runs of equal flags; the oracle picks
   each cell's tail by ``np.where``.  The bytes are compared on random
   masks, on 1 x 1, n x 0 and 0 x n rasters, on all-true and all-false
@@ -26,22 +29,9 @@ import grid_oracle
 from robustkkt.cli import load_problem
 from robustkkt.funcdsl import parse_expr
 from robustkkt.robustfeas import Raster, raster
-from robustkkt.verify import KINDS, classify_point
+from robustkkt.verify import KINDS
 from test_grid_scan import _spec
-from test_open_mesh import SWEEPS, bits
-
-
-def assert_same_verdict(spec, xbar, kind, region, resolution):
-    got = classify_point(spec, xbar, kind, region, resolution)
-    want = grid_oracle.classify_point(spec, xbar, kind, region, resolution)
-    assert (got.no_counterexample, got.feasible_checked) == \
-        (want.no_counterexample, want.feasible_checked)
-    for a, b in ((got.counterexample, want.counterexample),
-                 (got.violation, want.violation)):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert bits(lambda: a) == bits(lambda: b)
-    return got
+from test_open_mesh import SWEEPS, assert_same_verdict
 
 
 def _planted(texts):

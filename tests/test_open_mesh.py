@@ -14,9 +14,9 @@ that -0.0 and NaN count.
 - The hull bound, whose scenario side is cached per constraint, gives the
   bits of the bound that rebuilt it on every call (``grid_oracle``), on a
   cache miss and on a hit, on the mesh and on dense columns.
-- ``classify_point`` gives the verdict, count and first counterexample of
-  the dense sweep it replaced, for the four kinds on the three bundled
-  problems of the benchmark's sweeps.
+- ``classify_point`` gives the verdict, count, first counterexample and
+  violation of the dense sweep it replaced (``grid_oracle``), for the four
+  kinds on the three bundled problems of the benchmark's sweeps.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from robustkkt.cli import load_problem
 from robustkkt.funcdsl import DomainError, _on_grid, eval_on_grid, \
     parse_expr
 from robustkkt.robustfeas import UncertainConstraint, feasibility_mask
-from robustkkt.setcalc import OmegaSpec, norm_grid
-from robustkkt.verify import KINDS, _kind_params, _membership_mask, \
-    classify_point
+from robustkkt.setcalc import OmegaSpec
+from robustkkt.verify import KINDS, classify_point
 from test_grid_scan import FEATURES, NOT_SEPARABLE, OFFSETS, SEPARABLE, \
     TWO_FEATURES, _spec
 from test_scalar_fn import _COORD, _TREES
@@ -306,39 +305,27 @@ SWEEPS = {"example_3_2": ((-5, 1, -5, 5), [(0.0, 0.0), (-1.0, 3.0)]),
           "example_2_3": ((-3, 3, -4, 1), [(0.0, 0.0), (2.0, -3.0)])}
 
 
-def dense_classify(spec, xbar, kind, region, resolution):
-    """classify_point's d = 2 sweep as it stood on the dense (2, N) grid:
-    (checked, first counterexample, its violation) or (checked, None,
-    None)."""
-    quasi, memb_region = _kind_params(kind)
-    a1, b1, a2, b2 = [float(t) for t in region]
-    g1, g2 = np.meshgrid(np.linspace(a1, b1, resolution),
-                         np.linspace(a2, b2, resolution), indexing="ij")
-    X = np.vstack([g1.ravel(), g2.ravel()])
-    Xf = X[:, feasibility_mask(spec, X)]
-    F = spec.fvec_grid(Xf)
-    c = norm_grid(spec.norm, Xf - xbar[:, None]) if quasi else \
-        np.ones(Xf.shape[1])
-    D = F - spec.fvec(xbar)[:, None] + np.outer(spec.theta, c)
-    bad = _membership_mask(D, spec.cone, memb_region)
-    if not bad.any():
-        return Xf.shape[1], None, None
-    t = int(np.argmax(bad))
-    return Xf.shape[1], Xf[:, t], D[:, t]
+def assert_same_verdict(spec, xbar, kind, region, resolution):
+    """classify_point gives grid_oracle's verdict, count, first
+    counterexample and violation, the last two compared as int64 views."""
+    got = classify_point(spec, xbar, kind, region, resolution)
+    want = grid_oracle.classify_point(spec, xbar, kind, region, resolution)
+    assert (got.no_counterexample, got.feasible_checked) == \
+        (want.no_counterexample, want.feasible_checked)
+    for a, b in ((got.counterexample, want.counterexample),
+                 (got.violation, want.violation)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert bits(lambda: a) == bits(lambda: b)
+    return got
 
 
 class TestClassifyPoint:
     @pytest.mark.parametrize("name,kind",
                              list(itertools.product(SWEEPS, KINDS)))
     def test_same_verdict_as_the_dense_sweep(self, name, kind):
+        # resolution 37 puts x1 = 0 on a grid line of each region; the
+        # README's 401 and an even 40 are test_mesh_verdicts' sweeps
         spec, (region, points) = load_problem(name), SWEEPS[name]
-        for xbar, resolution in itertools.product(points, (401, 37)):
-            xbar = np.array(xbar)
-            got = classify_point(spec, xbar, kind, region, resolution)
-            checked, x, d = dense_classify(spec, xbar, kind, region,
-                                           resolution)
-            assert got.feasible_checked == checked
-            assert got.no_counterexample == (x is None)
-            if x is not None:
-                assert bits(lambda: got.counterexample) == bits(lambda: x)
-                assert bits(lambda: got.violation) == bits(lambda: d)
+        for xbar in points:
+            assert_same_verdict(spec, np.array(xbar), kind, region, 37)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from robustkkt.setcalc import ConeSpec, OmegaSpec
 from robustkkt.verify import (
     DualTriple,
     VerifyError,
-    _membership_mask,
+    _first_violation,
     classify_point,
     converse_duality_check,
     dual_feasible,
@@ -22,9 +24,17 @@ K_POS3 = ConeSpec(pattern=(1, 1, 1))
 
 
 def member(y, cone, region):
-    """_membership_mask on the one column y."""
-    return bool(_membership_mask(np.array([y], dtype=float).T, cone,
-                                 region)[0])
+    """Whether the one column y lies in -int K (region "minus-int-K") or
+    in -K \\ {0} (region "minus-K-minus-0"), by _first_violation on the
+    relation F(x) = x at xbar = 0, theta = 0 and the one cell x = y."""
+    p = len(y)
+    spec = SimpleNamespace(
+        cone=cone, theta=np.zeros(p), fvec=lambda x: np.zeros(p),
+        objectives=[parse_expr(f"x{j}", p) for j in range(1, p + 1)])
+    return _first_violation(spec, np.zeros(p), False,
+                            region == "minus-int-K", np.array([0]),
+                            lambda t: np.array(y, dtype=float)[:, None]) \
+        is not None
 
 
 class TestConeMembership:
