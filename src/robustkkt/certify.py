@@ -35,6 +35,7 @@ from .setcalc import (
     check_selections,
     dual_ball,
     hull,
+    minkowski_sum,
     norm_grid,
     norm_value,
     normal_cone,
@@ -209,8 +210,8 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
     K is a sign orthant, so the substitution y*_j = sigma_j s_j makes the
     whole inclusion linear in vertex weights whose group totals are the
     multipliers: the parts are the sigma_j-scaled objective sets, the
-    active constraint sets and the dual ball, whose total is <y*, theta>.
-    The 1-norm normalization sum(s) + sum(mu) = 1 plus
+    active constraint sets and the dual ball's summands, each of total
+    <y*, theta>.  The 1-norm normalization sum(s) + sum(mu) = 1 plus
     sum(s) >= EPS_YSTAR_MIN pins the scale and forbids y* = 0.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -234,15 +235,16 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         S, origin = constraint_set(spec, i, xbar, acts)
         prov[spec.constraints[i - 1].name] = origin
         parts.append(S if S.ncomponents == 1 else PolytopeSet([hull(S)]))
-    parts.append(PolytopeSet([dual_ball(spec.norm, d, spec.ball_facets)]))
+    first = len(parts)  # the ball's summands follow
+    parts.extend(dual_ball(spec.norm, d, spec.ball_facets))
     N = normal_cone(spec.omega, xbar)
 
-    # ball total equals <y*, theta> = sum_j sigma_j theta_j s_j
-    ball_row = {len(parts) - 1: 1.0}
-    ball_row.update((j, -sigma[j] * spec.theta[j]) for j in range(p))
+    # each summand's total equals <y*, theta> = sum_j sigma_j theta_j s_j
+    radius_terms = {j: -sigma[j] * spec.theta[j] for j in range(p)}
     res = zero_in_sum(parts, N, [
-        STATIONARITY, (ball_row, 0),
-        (dict.fromkeys(range(len(parts) - 1), 1.0), 1)],
+        STATIONARITY,
+        *(({g: 1.0, **radius_terms}, 0) for g in range(first, len(parts))),
+        (dict.fromkeys(range(first), 1.0), 1)],
         floor=(dict.fromkeys(range(p), 1.0), EPS_YSTAR_MIN))
     if not res.sat:
         return KKTSearchReport(None, None, tuple(actives), res.tried, prov)
@@ -271,7 +273,8 @@ def search_kkt(spec: ProblemSpec, xbar, mode: str = "limiting",
         scen = acts.scenarios[i - 1]
         vbar.append(scen[0] if scen else 0.0)
     radius = totals[-1]
-    bstar = points[-1] / radius if radius > 1e-15 else np.zeros(d)
+    bstar = (functools.reduce(np.add, points[first:]) / radius
+             if radius > 1e-15 else np.zeros(d))
     astar = res.cone_weights @ N
     cert = KKTCertificate(ystar, mu, u, vsel, vbar, bstar, astar)
     recheck = check_kkt(spec, xbar, cert, tol, mode)
@@ -359,16 +362,16 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
                               spec.kink_tol).set)
         scen = acts.scenarios[i - 1]
         scen_used[i] = scen[0] if scen else 0.0
-    parts.append(PolytopeSet([dual_ball(spec.norm, spec.dim,
-                                        spec.ball_facets)]))
+    first = len(parts)  # the ball's summands follow
+    parts.extend(dual_ball(spec.norm, spec.dim, spec.ball_facets))
     N = normal_cone(spec.omega, x_eta)
     ytheta = float(np.dot(ystar, spec.theta))
-    # lam_f = t_f, lam_g = sum(t_con), t_ball = <y*, theta>/eta,
-    # lam_f + lam_g = 1, and a branch that is not tight has weight 0
+    # lam_f = t_f, lam_g = sum(t_con), each ball summand's t = <y*, theta>
+    # / eta, lam_f + lam_g = 1, and a branch that is not tight has weight 0
     rows = [({0: -1.0, 2: 1.0}, 0),
-            ({1: -1.0, **dict.fromkeys(range(3, len(parts) - 1), 1.0)}, 0),
-            ({len(parts) - 1: 1.0}, ytheta / eta), STATIONARITY,
-            ({0: 1.0, 1: 1.0}, 1)]
+            ({1: -1.0, **dict.fromkeys(range(3, first), 1.0)}, 0),
+            *(({g: 1.0}, ytheta / eta) for g in range(first, len(parts))),
+            STATIONARITY, ({0: 1.0, 1: 1.0}, 1)]
     if not tight1:
         rows.append(({0: 1.0}, 0))
     if not tight2 or not idx:
@@ -376,7 +379,8 @@ def fuzzy_kkt_demo(spec: ProblemSpec, xbar, ystar, eta: float,
     res = zero_in_sum(parts, N, rows)
     if not res.sat:
         return FuzzyReport(None, "inclusion LP unsatisfiable at x_eta")
-    lam1, a2, _, *con_totals = (float(np.sum(w)) for w in res.weights[:-1])
+    lam1, a2, _, *con_totals = (float(np.sum(w)) for w in
+                                res.weights[:first])
     mu_bar = np.zeros(spec.n_constraints)
     if a2 > 1e-15:
         for i, t in zip(idx, con_totals):
@@ -642,8 +646,8 @@ class _SweepGeometry:
         perp = np.column_stack([-self.walls[:, 1], self.walls[:, 0]])
         # the rays of every row: the ball's vertices, and the rays along
         # each wall, which only the mask that owns the wall sees
-        base = dual_ball(DUAL_NORM[norm], 2).vertices if norm != "l2" \
-            else np.zeros((0, 2))
+        base = np.zeros((0, 2)) if norm == "l2" else functools.reduce(
+            minkowski_sum, dual_ball(DUAL_NORM[norm], 2)).all_vertices()
         known = np.vstack([base, perp, -perp])
         ok = self.cut_ok(known)
         ok[:, len(base):] &= np.tile(self.wall_owner, 2)
@@ -707,7 +711,7 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
     dimension: does no admissible w have <u*, w> + r < 0?  Each u_j must
     lie in objective j's set of the given mode, or its fixture.  In the
     plane the optimum comes from the sweep's geometry, over the norm ball;
-    elsewhere one LP over the primal ball's polytope decides it."""
+    elsewhere one LP over the primal ball's summands decides it."""
     xbar = _checked_point(spec, xbar, ptype)
     for con in spec.constraints:
         if spec.fixture_for(con.name, xbar) is not None:  # not read here
@@ -750,16 +754,21 @@ def witnessed_failure_check(spec: ProblemSpec, xbar, ptype: str,
         best = 0.0 - nrm * float(_SweepGeometry(spec.norm, [cuts])._component(
             ustar[None, None], np.array([ytheta]))[0, 0])
     else:
-        pball = dual_ball(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
         lp = LPBuilder()
         w_ids = lp.add_vars(spec.dim, free=True)
-        lam = lp.add_vars(pball.nverts)
+        # w = nrm * the sum of one point per summand of the primal ball,
+        # each in the hull of its vertices and the origin, which it holds
+        lams = [(lp.add_vars(len(V)), V) for V in map(
+            PolytopeSet.all_vertices, dual_ball(DUAL_NORM[spec.norm],
+                                                spec.dim, spec.ball_facets))]
         for a in range(spec.dim):
             row = {w_ids[a]: 1.0}
-            for t, vid in enumerate(lam):
-                row[vid] = -nrm * pball.vertices[t, a]
+            for lam, V in lams:
+                for t, vid in enumerate(lam):
+                    row[vid] = -nrm * V[t, a]
             lp.add_eq(row, 0)
-        lp.add_ub({vid: 1.0 for vid in lam}, 1)
+        for lam, _ in lams:
+            lp.add_ub(dict.fromkeys(lam, 1.0), 1)
         for cut in cuts:
             lp.add_ub({w_ids[a]: cut[a] for a in range(spec.dim)
                        if cut[a] != 0.0}, 0)

@@ -1,18 +1,13 @@
 """Linear programming layer.
 
 All the set questions in this package (is zero in a sum of polytopes, is a
-point inside a hull, does a witness direction exist) reduce to small LPs.
-Two engines are provided:
-
-* an exact Bland-rule simplex in fraction-free integer arithmetic, so
-  feasibility verdicts on the small equality-form certificate LPs carry no
-  floating point doubt (binary floats convert to integer ratios
-  losslessly), and
-* scipy's HiGHS for the larger systems, with feasibility tolerance 1e-9.
-
-Both solve one standard form, min c.x subject to A x = b, x >= 0, which
-``LPBuilder`` builds once: a free variable is the difference of two
-columns, and each ``<=`` row gets a slack column.
+point inside a hull, does a witness direction exist) reduce to small LPs,
+which one engine solves: an exact Bland-rule simplex in fraction-free
+integer arithmetic, so feasibility verdicts carry no floating point doubt
+(binary floats convert to integer ratios losslessly).  It solves the
+standard form min c.x subject to A x = b, x >= 0, which ``LPBuilder``
+builds once: a free variable is the difference of two columns, and each
+``<=`` row gets a slack column.
 
 The exact simplex scales each row ``[A_i | b_i]`` by s_i, the lcm of the
 denominators of its nonzero entries, which gives the integer start
@@ -41,8 +36,8 @@ takes the same pivots.  A row of plain integers keeps s_i = 1, so the
 2^55 of the l2 ball's coordinates stays in the rows that hold them and
 out of the integers every pivot multiplies.
 
-``LPBuilder.solve`` takes the exact engine for systems of at most 160
-columns and 80 rows, HiGHS above.
+The LPs stay small because their sets do: the largest ball, the l1
+norm's dual box, enters as its d edge segments (``setcalc.dual_ball``).
 """
 
 from __future__ import annotations
@@ -54,10 +49,6 @@ from typing import NamedTuple
 import numpy as np
 
 _MAX_PIVOTS = 20000
-_EXACT_COL_LIMIT = 160
-_EXACT_ROW_LIMIT = 80
-FLOAT_FEAS_TOL = 1e-9
-_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 class LPError(Exception):
@@ -213,7 +204,7 @@ class LPResult(NamedTuple):
     status: str                       # optimal | infeasible | unbounded
     values: np.ndarray | None = None  # per declared variable
     objective: float | None = None
-    engine: str = "exact"
+    engine: str = "exact"  # the one engine; layer traces name spans by it
 
     @property
     def feasible(self) -> bool:
@@ -254,15 +245,12 @@ class LPBuilder:
     # -- solving ----------------------------------------------------------
 
     def solve(self) -> LPResult:
-        ncols = self.n + sum(self.free) + len(self.ubs)
-        nrows = len(self.eqs) + len(self.ubs)
-        if ncols <= _EXACT_COL_LIMIT and nrows <= _EXACT_ROW_LIMIT:
-            return self._solve_exact()
-        return self._solve_float()
+        A, b, c, cols = self._standard_form()
+        return _result(*simplex_standard(A, b, c), cols)
 
     def _standard_form(self):
-        """(A, b, c, cols): min c.x subject to A x = b, x >= 0, the one form
-        both engines solve.  Variable i is column cols[i][0], less column
+        """(A, b, c, cols): min c.x subject to A x = b, x >= 0, the form
+        the simplex solves.  Variable i is column cols[i][0], less column
         cols[i][1] where it is free (else None); each ``<=`` row adds a
         slack column after them all."""
         cols, base = [], 0
@@ -286,30 +274,12 @@ class LPBuilder:
         b = [_rational(rhs) for _, rhs in self.eqs + self.ubs]
         return A, b, expand(self.obj), cols
 
-    def _solve_exact(self) -> LPResult:
-        A, b, c, cols = self._standard_form()
-        return _result(*simplex_standard(A, b, c), cols, "exact")
 
-    def _solve_float(self) -> LPResult:
-        from scipy.optimize import linprog
-
-        A, b, c, cols = self._standard_form()
-        res = linprog(np.array(c, dtype=float),
-                      A_eq=np.array(A, dtype=float).reshape(len(A), len(c)),
-                      b_eq=np.array(b, dtype=float), bounds=(0, None),
-                      method="highs",
-                      options={"primal_feasibility_tolerance": FLOAT_FEAS_TOL})
-        if res.status not in _HIGHS_STATUS:
-            raise LPError(f"HiGHS failed: {res.message}")
-        return _result(_HIGHS_STATUS[res.status], res.x, res.fun, cols,
-                       "float")
-
-
-def _result(status: str, x, objective, cols, engine: str) -> LPResult:
-    """An engine's answer over the standard form's columns x as the
+def _result(status: str, x, objective, cols) -> LPResult:
+    """The simplex's answer over the standard form's columns x as the
     declared variables' values."""
     if status != "optimal":
-        return LPResult(status, engine=engine)
+        return LPResult(status)
     values = np.array([float(x[p] if q is None else x[p] - x[q])
                        for p, q in cols])
-    return LPResult(status, values, float(objective), engine)
+    return LPResult(status, values, float(objective))

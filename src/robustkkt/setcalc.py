@@ -456,40 +456,46 @@ def norm_grid(norm: str, D: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def dual_ball(norm: str, d: int, m: int = 64) -> Polytope:
-    """Unit ball of the dual norm as a polytope, built once per process
-    for each (norm, d, m) and shared.
+def dual_ball(norm: str, d: int, m: int = 64) -> tuple[PolytopeSet, ...]:
+    """Unit ball of the dual norm as the tuple of its Minkowski summands,
+    each one polytope, built once per process for each (norm, d, m) and
+    shared.
 
-    l1 and linf primal norms give exact boxes/cross-polytopes.  The l2 dual
-    ball is approximated by an inscribed polytope, so certificates found
-    with it stay valid.
+    The l1 norm's dual ball, the box [-1, 1]^d, is the sum of its d edge
+    segments conv{e_i, -e_i} (a zonotope; Ziegler, Lectures on Polytopes,
+    1995), 2d vertices where its corners are 2^d.  Every other ball is
+    one summand: linf's exact cross-polytope, and an inscribed polytope
+    for l2, so certificates found with it stay valid.  An LP takes a ball
+    of radius t as one part per summand, each of total t.
     """
     if d < 1:
         raise SetCalcError("dimension must be >= 1")
-    if norm == "l1":
-        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
-        return Polytope(corners)
+    if norm == "l1":  # segment i is ±e_i, with no -0.0 off axis i
+        segments = np.zeros((d, 2, d))
+        segments[np.arange(d), :, np.arange(d)] = (-1.0, 1.0)
+        return tuple(PolytopeSet([Polytope(s)]) for s in segments)
     if norm == "linf":
-        return Polytope(np.vstack([np.eye(d), -np.eye(d)]))
-    if norm != "l2":
+        V = np.vstack([np.eye(d), -np.eye(d)])
+    elif norm != "l2":
         raise SetCalcError(f"unsupported norm {norm!r}")
-    if d == 1:
-        return Polytope([[-1.0], [1.0]])
-    if d == 2:
+    elif d == 1:
+        V = [[-1.0], [1.0]]
+    elif d == 2:
         if m < 8:
             raise SetCalcError("l2 ball needs at least 8 facets")
-        return Polytope(_regular_polygon(m))
-    if d == 3:
+        V = _regular_polygon(m)
+    elif d == 3:
         dirs = []
         for pattern in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
             for perm in set(itertools.permutations(pattern)):
                 base = np.asarray(perm, dtype=float)
                 base /= np.linalg.norm(base)
                 for signs in itertools.product((-1.0, 1.0), repeat=3):
-                    vec = base * np.asarray(signs)
-                    dirs.append(vec)
-        return Polytope(np.array(dirs))
-    raise SetCalcError("l2 dual ball unsupported above dimension 3")
+                    dirs.append(base * np.asarray(signs))
+        V = np.array(dirs)
+    else:
+        raise SetCalcError("l2 dual ball unsupported above dimension 3")
+    return (PolytopeSet([Polytope(V)]),)
 
 
 def _regular_polygon(m: int) -> np.ndarray:

@@ -163,9 +163,10 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
     """Membership of (z, y*, mu) in the Mond-Weir dual feasible set.
 
     The stationarity inclusion is decided by the zero-in-sum LP with the
-    weighted per-objective sets, mu-scaled sup-rule hulls, the scaled dual
-    ball and the normal cone at z; the signed complementarity requires
-    mu_i * g_i(z, v_i) >= -DUAL_TOL at the active scenarios.
+    weighted per-objective sets, mu-scaled sup-rule hulls, the dual ball's
+    summands scaled by <y*, theta> and the normal cone at z; the signed
+    complementarity requires mu_i * g_i(z, v_i) >= -DUAL_TOL at the active
+    scenarios.
     """
     z = np.asarray(triple.z, dtype=float).reshape(-1)
     ystar = np.asarray(triple.ystar, dtype=float).reshape(-1)
@@ -190,8 +191,8 @@ def dual_feasible(spec: ProblemSpec, triple: DualTriple,
         checks.append({"name": f"mu_g_sign_{spec.constraints[i-1].name}",
                        "ok": bool(ok), "value": val})
     radius = float(np.dot(ystar, spec.theta))
-    ball = PolytopeSet([dual_ball(spec.norm, spec.dim, spec.ball_facets)])
-    parts.append(scale(ball, radius))
+    parts.extend(scale(b, radius)
+                 for b in dual_ball(spec.norm, spec.dim, spec.ball_facets))
     N = normal_cone(spec.omega, z)
     # The sum of the objectives' unions has the product of their component
     # counts, the count zero_in_sum refuses; refuse it before it is built.

@@ -6,12 +6,18 @@ that the library gives the same verdicts, certificates, witnesses and
 residuals; only the fixture rule follows the library's: a set is the
 spec's fixture where it has one, and ``fuzzy_kkt_demo`` reads none.  Its
 scalarized set is the tree reference's, ``sweep_oracle.direct_subdiff``.
+
+``dual_ball`` is the ball as one polytope, as these LPs took it before
+``setcalc.dual_ball`` gave the l1 norm's box as its d edge segments: the
+box by its 2^d corners.  Kept verbatim as the reference of the summands
+(test_cert_oracle.py).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,14 +46,51 @@ from robustkkt.setcalc import (
     PolytopeSet,
     SetCalcError,
     ZeroInSumResult,
+    _regular_polygon,
     check_selections,
-    dual_ball,
     norm_grid,
     normal_cone,
 )
 from robustkkt.subdiff import constraint_set, objective_set, sup_rule
 
 from sweep_oracle import direct_subdiff
+
+
+@lru_cache(maxsize=16)
+def dual_ball(norm: str, d: int, m: int = 64) -> Polytope:
+    """Unit ball of the dual norm as a polytope, built once per process
+    for each (norm, d, m) and shared.
+
+    l1 and linf primal norms give exact boxes/cross-polytopes.  The l2 dual
+    ball is approximated by an inscribed polytope, so certificates found
+    with it stay valid.
+    """
+    if d < 1:
+        raise SetCalcError("dimension must be >= 1")
+    if norm == "l1":
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        return Polytope(corners)
+    if norm == "linf":
+        return Polytope(np.vstack([np.eye(d), -np.eye(d)]))
+    if norm != "l2":
+        raise SetCalcError(f"unsupported norm {norm!r}")
+    if d == 1:
+        return Polytope([[-1.0], [1.0]])
+    if d == 2:
+        if m < 8:
+            raise SetCalcError("l2 ball needs at least 8 facets")
+        return Polytope(_regular_polygon(m))
+    if d == 3:
+        dirs = []
+        for pattern in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
+            for perm in set(itertools.permutations(pattern)):
+                base = np.asarray(perm, dtype=float)
+                base /= np.linalg.norm(base)
+                for signs in itertools.product((-1.0, 1.0), repeat=3):
+                    vec = base * np.asarray(signs)
+                    dirs.append(vec)
+        return Polytope(np.array(dirs))
+    raise SetCalcError("l2 dual ball unsupported above dimension 3")
 
 
 def zero_in_sum(parts: list[PolytopeSet], cone: np.ndarray) -> ZeroInSumResult:

@@ -1,10 +1,12 @@
 """Helpers of the test suites that the program itself does not use: a
 listing of the active kinks of an expression, a comparison of two
-polytopes' vertex arrays, the gradient at a smooth point, a stub that
-stands in for a command's work, and a counter of a function's calls."""
+polytopes' vertex arrays, a dual ball as one polytope, the gradient at a
+smooth point, a stub that stands in for a command's work, and a counter
+of a function's calls."""
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustkkt.funcdsl import Expr, _check_scenario, _floats, format_expr
-from robustkkt.setcalc import VERTEX_TOL, Polytope
+from robustkkt.setcalc import VERTEX_TOL, Polytope, dual_ball, \
+    minkowski_sum
 from robustkkt.subdiff import limiting_subdiff
 
 
@@ -55,6 +58,12 @@ def polytope_equal(a: Polytope, b: Polytope, tol: float = VERTEX_TOL) -> bool:
     if a.nverts != b.nverts or a.dim != b.dim:
         return False
     return bool(np.max(np.abs(a.vertices - b.vertices)) <= tol)
+
+
+def ball_polytope(norm: str, d: int, m: int = 64) -> Polytope:
+    """dual_ball(norm, d, m) as one polytope, the sum of its summands: the
+    summand itself where there is one, the box's 2^d corners in l1."""
+    return functools.reduce(minkowski_sum, dual_ball(norm, d, m)).components[0]
 
 
 def gradient(e: Expr, x) -> np.ndarray:

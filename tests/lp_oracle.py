@@ -1,16 +1,44 @@
-"""The exact simplex as it stood before it became fraction-free: Bland's
-rule over ``Fraction`` entries, with a full-tableau row update per pivot.
-Kept as the oracle of ``tests/test_lp.py``, which asserts that
-``robustkkt.lp.simplex_standard`` returns the same result after the same
-pivots; the pivot is a module function, with the same arithmetic as the
-closure it was, so that the test can record its calls.
+"""Two reference LP engines.
+
+``simplex_standard`` is the exact simplex as it stood before it became
+fraction-free: Bland's rule over ``Fraction`` entries, with a
+full-tableau row update per pivot.  Kept as the oracle of
+``tests/test_lp.py``, which asserts that ``robustkkt.lp.simplex_standard``
+returns the same result after the same pivots; the pivot is a module
+function, with the same arithmetic as the closure it was, so that the
+test can record its calls.
+
+``highs`` solves an ``LPBuilder``'s standard form by scipy's HiGHS, with
+feasibility tolerance 1e-9: the float engine the library used for LPs
+over 160 columns or 80 rows, kept as an independent oracle of the exact
+one (test_lp.py) and of the witness margins off the plane
+(sweep_oracle.py).  scipy is a test dependency only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from robustkkt.lp import _MAX_PIVOTS, LPError
+import numpy as np
+
+from robustkkt.lp import _MAX_PIVOTS, LPError, LPResult, _result
+
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def highs(builder) -> LPResult:
+    """The builder's LP solved by HiGHS, its values and objective floats."""
+    from scipy.optimize import linprog
+
+    A, b, c, cols = builder._standard_form()
+    res = linprog(np.array(c, dtype=float),
+                  A_eq=np.array(A, dtype=float).reshape(len(A), len(c)),
+                  b_eq=np.array(b, dtype=float), bounds=(0, None),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9})
+    if res.status not in _HIGHS_STATUS:
+        raise LPError(f"HiGHS failed: {res.message}")
+    return _result(_HIGHS_STATUS[res.status], res.x, res.fun, cols)
 
 
 def _pivot(rows, rhs, basis, r, col, m):

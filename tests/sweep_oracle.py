@@ -22,10 +22,10 @@ the tree add(mul(const(y_1), f_1), ...) for every y* and walks it.  It is
 kept verbatim as the oracle of test_scalarization.py.
 
 ``_witness_ball`` and ``_lp_witness_margin`` are the witness ball of one
-component and its margin as one HiGHS LP, which the sweep used off the
-plane before it refused dimensions other than 2.  They are kept verbatim
-as the HiGHS oracle of the planar margins (test_planar.py) and the margin
-of this loop off the plane.
+component and its margin as one HiGHS LP (``lp_oracle.highs``), which the
+sweep used off the plane before it refused dimensions other than 2.  They
+are kept as the HiGHS oracle of the planar margins (test_planar.py) and
+the margin of this loop off the plane.
 
 ``SweepGeometry`` is the sweep's planar geometry as it was while its ball
 was the ``ball_facets``-gon (the l2 polygon holding each component's exact
@@ -68,6 +68,8 @@ from fractions import Fraction
 import numpy as np
 
 import walker_oracle
+from helpers import ball_polytope
+from lp_oracle import highs
 from robustkkt.certify import (
     _CUT_TOL,
     CertifyError,
@@ -79,7 +81,7 @@ from robustkkt.funcdsl import DEFAULT_KINK_TOL, Expr, _check_scenario, \
     const, eval_expr
 from robustkkt.lp import LPBuilder
 from robustkkt.setcalc import DUAL_NORM, Polytope, _cross, \
-    _monotone_chain, dual_ball, norm_grid, normal_cone
+    _monotone_chain, norm_grid, normal_cone
 from robustkkt.subdiff import SubdiffResult, limiting_subdiff
 
 
@@ -176,7 +178,7 @@ def _lp_witness_margin(U: np.ndarray, offset: float, ball: np.ndarray,
         if row:
             lp.add_ub(row, 0)
     lp.set_objective({delta: -1.0})  # maximize delta
-    res = lp._solve_float()
+    res = highs(lp)
     if not res.feasible:
         return None
     return -res.objective, res.values[np.asarray(w_ids)]
@@ -279,7 +281,7 @@ def loop_pseudoconvex_test(spec, xbar, ptype, samples=None, region=None,
     for g in N:
         cone_ok &= g @ D <= 1e-12
 
-    pball = dual_ball(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
+    pball = ball_polytope(DUAL_NORM[spec.norm], spec.dim, spec.ball_facets)
     ytheta_all = ys @ spec.theta
     l2_dirs = spec.norm == "l2"
     scal_cache = {}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sweep_oracle
+from helpers import ball_polytope
 from robustkkt import certify
 from robustkkt.certify import (
     CertifyError,
@@ -22,8 +23,7 @@ from robustkkt.cli import load_certificate, resolve_problem_path
 from robustkkt.funcdsl import parse_expr
 from robustkkt.lp import LPBuilder
 from robustkkt.robustfeas import ProblemSpec, UncertainConstraint
-from robustkkt.setcalc import DUAL_NORM, ConeSpec, OmegaSpec, dual_ball, \
-    norm_value
+from robustkkt.setcalc import DUAL_NORM, ConeSpec, OmegaSpec, norm_value
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +246,7 @@ def _highs_witness_optimum(spec, xbar, x, ystar, u, cuts):
     from scipy.optimize import linprog
 
     nrm = norm_value(spec.norm, x - xbar)
-    B = dual_ball(DUAL_NORM[spec.norm], 2, spec.ball_facets).vertices
+    B = ball_polytope(DUAL_NORM[spec.norm], 2, spec.ball_facets).vertices
     m = B.shape[0]
     A_ub = np.vstack([np.r_[0.0, 0.0, np.ones(m)],
                       np.hstack([cuts, np.zeros((len(cuts), m))])])
@@ -262,9 +262,9 @@ def _highs_witness_optimum(spec, xbar, x, ystar, u, cuts):
 def _exact_witness_optimum(spec, xbar, x, ystar, u, cuts):
     """The same optimum as the exact LP the plane's witness check solved
     before it read the sweep's margin: over the polygon of
-    dual_ball(DUAL_NORM[norm], 2, ball_facets), by LPBuilder.solve."""
+    ball_polytope(DUAL_NORM[norm], 2, ball_facets), by LPBuilder.solve."""
     nrm = norm_value(spec.norm, x - xbar)
-    pball = dual_ball(DUAL_NORM[spec.norm], 2, spec.ball_facets)
+    pball = ball_polytope(DUAL_NORM[spec.norm], 2, spec.ball_facets)
     lp = LPBuilder()
     w_ids = lp.add_vars(2, free=True)
     lam = lp.add_vars(pball.nverts)

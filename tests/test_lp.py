@@ -61,7 +61,7 @@ class TestLPBuilder:
         lp = LPBuilder()
         w = lp.add_var(free=True)
         lp.add_eq({w: 2.0}, -3.0)
-        res = lp._solve_exact()
+        res = lp.solve()
         assert res.feasible and res.values[w] == pytest.approx(-1.5)
 
     def test_inequalities_and_objective(self):
@@ -71,8 +71,7 @@ class TestLPBuilder:
         lp.add_ub({x: 1.0, y: 1.0}, 4.0)
         lp.add_ub({x: 1.0, y: 3.0}, 6.0)
         lp.set_objective({x: -1.0, y: -2.0})
-        for solve in (lp._solve_exact, lp._solve_float):
-            res = solve()
+        for res in (lp.solve(), lp_oracle.highs(lp)):
             assert res.feasible
             assert res.objective == pytest.approx(-5.0, abs=1e-9)
 
@@ -81,13 +80,13 @@ class TestLPBuilder:
         x = lp.add_var()
         lp.add_eq({x: 1.0}, 1.0)
         lp.add_eq({x: 1.0}, 2.0)
-        for solve in (lp._solve_exact, lp._solve_float):
-            assert not solve().feasible
+        assert not lp.solve().feasible
+        assert not lp_oracle.highs(lp).feasible
 
     def test_engines_agree_on_random_feasibility(self):
         """Nonnegative and free variables, equality and <= rows and an
-        objective: both engines solve the one standard form, to the same
-        status and optimum."""
+        objective: LPBuilder.solve and the HiGHS reference solve the one
+        standard form, to the same status and optimum."""
         rng = np.random.default_rng(11)
         statuses = []
         for _ in range(60):
@@ -105,9 +104,9 @@ class TestLPBuilder:
             lp.add_ub({w: 1.0}, 2.0)
             lp.add_ub({w: -1.0}, 2.0)
             lp.set_objective(dict(enumerate(rng.uniform(-1, 1, size=5))))
-            r1 = lp._solve_exact()
-            r2 = lp._solve_float()
-            assert (r1.engine, r2.engine) == ("exact", "float")
+            r1 = lp.solve()
+            r2 = lp_oracle.highs(lp)
+            assert r1.engine == "exact"
             assert r1.status == r2.status
             if r1.feasible:
                 assert r2.objective == pytest.approx(r1.objective, abs=1e-9)
@@ -121,8 +120,7 @@ class TestLPBuilder:
         lp.add_var()
         lp.add_var(free=True)
         lp.set_objective(objective)
-        for solve in (lp._solve_exact, lp._solve_float):
-            res = solve()
+        for res in (lp.solve(), lp_oracle.highs(lp)):
             assert res.status == status
             if res.feasible:
                 assert res.objective == 0 and res.values.tolist() == [0, 0]
@@ -272,7 +270,8 @@ def ball_lp(rng):
     of columns to 1, the ball's first; the columns after the last group
     are free of them, as a normal cone's are."""
     m, n = int(rng.integers(8, 17)), int(rng.integers(40, 101))
-    ball = dual_ball("l2", 2, 32).vertices * float(rng.uniform(0.1, 2))
+    ball = dual_ball("l2", 2, 32)[0].all_vertices() * float(
+        rng.uniform(0.1, 2))
     k = len(ball)
     A = [ball[:, r].tolist()
          + [ENTRIES[int(t)] for t in rng.integers(len(ENTRIES), size=n - k)]
@@ -352,7 +351,7 @@ class TestEngineEdges:
         for row, rhs in zip(A, b):
             builder.add_eq(dict(zip(ids, row)), rhs)
         builder.set_objective(dict(zip(ids, c)))
-        res = builder._solve_exact()
+        res = builder.solve()
         assert res.values.tolist() == [float(v) for v in x]
         assert res.objective == float(obj)
 
@@ -364,7 +363,7 @@ class TestEngineEdges:
         x = builder.add_var()
         builder.add_eq({x: bad}, 1.0)
         with pytest.raises(error):
-            builder._solve_exact()
+            builder.solve()
 
 
 class TestNoFractionPivots:

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import sweep_oracle
 from genexpr import random_convex_expr, random_point, random_supported_expr
+from helpers import ball_polytope
 from robustkkt import certify, lp, setcalc
 from robustkkt.cli import run_command
-from robustkkt.setcalc import DUAL_NORM, Polytope, PolytopeSet, dual_ball, \
+from robustkkt.setcalc import DUAL_NORM, Polytope, PolytopeSet, \
     minkowski_sum
 from robustkkt.subdiff import limiting_subdiff
 from sweep_oracle import _lp_witness_margin, _witness_ball, \
@@ -213,7 +214,7 @@ class TestPlanarMembership:
 
 def _random_margin_case(rng, norm):
     comp = Polytope(rng.normal(size=(int(rng.integers(1, 6)), 2)))
-    pball = dual_ball(DUAL_NORM[norm], 2, 64)
+    pball = ball_polytope(DUAL_NORM[norm], 2, 64)
     T = int(rng.integers(0, 3))
     # rows of _constraint_rows: (constraint, scenario, base, vertex rows)
     con_rows = [(t + 1, None, 0.0,
@@ -276,7 +277,7 @@ class TestPlanarMargin:
         comp = Polytope([[1.0, 0.0]])
         # the line through (1, 0) in the normal cone, as the pair g, -g
         N = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        pball = dual_ball(DUAL_NORM["linf"], 2, 64)
+        pball = ball_polytope(DUAL_NORM["linf"], 2, 64)
         delta, w = component_witness_margin(
             comp, 1.0, 0.0, [], {}, N, pball)
         # w = (0, t): <u, w> = 0 whatever t, so the margin is 0
@@ -285,7 +286,7 @@ class TestPlanarMargin:
 
     def test_no_nonnegative_margin(self):
         comp = Polytope([[1.0, 0.0], [-1.0, 0.0]])
-        pball = dual_ball("l2", 2, 64)
+        pball = ball_polytope("l2", 2, 64)
         # min_u -<u, w> <= 0 everywhere, and the offset makes it negative
         assert component_witness_margin(
             comp, 1.0, 0.5, [], {}, np.zeros((0, 2)), pball) is None
@@ -318,7 +319,7 @@ def test_bundled_sweeps_solve_no_lp(monkeypatch, argv):
 def _exact_dirs(U):
     """The directions -u/|u| the l2 witness polygon added for the rows u of
     U."""
-    pball = dual_ball("l2", 2, 64)
+    pball = ball_polytope("l2", 2, 64)
     return _witness_ball(np.asarray(U, dtype=float), pball,
                          True)[pball.nverts:]
 
@@ -396,7 +397,7 @@ class TestSweepPolygon:
         assert assert_disk_margin(-np.array([extras])) == 1.0
 
     def test_neighbours_of_the_diagonal_vertex(self):
-        V = dual_ball("l2", 2, 64).vertices
+        V = ball_polytope("l2", 2, 64).vertices
         x, y = V[np.argmin(np.abs(np.arctan2(V[:, 1], V[:, 0]) - np.pi / 4))]
         for dx in (-np.inf, 0, np.inf):
             for dy in (-np.inf, 0, np.inf):
@@ -422,7 +423,7 @@ class TestSweepPolygon:
         """The norm of each ray is max <r, n>/h over the box polygon's
         edges, bit for bit, and so are the margins of the polygon rule."""
         geometry = certify._SweepGeometry(norm, NO_WALLS)
-        _, normals, heights = sweep_oracle._planar_ball(dual_ball(
+        _, normals, heights = sweep_oracle._planar_ball(ball_polytope(
             DUAL_NORM[norm], 2).vertices)
         t = np.linspace(-3.0, 3.0, 13)
         rays = np.column_stack([np.cos(t), np.sin(t)])

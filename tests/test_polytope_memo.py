@@ -18,23 +18,31 @@ NORMS = [("l2", 2, 64), ("l2", 2, 400), ("l2", 1, 64), ("l2", 3, 64),
          ("l1", 3, 64), ("linf", 2, 64)]
 
 
+def vertex_bytes(summands):
+    return [b.all_vertices().tobytes() for b in summands]
+
+
 @pytest.mark.parametrize("norm, d, m", NORMS)
 def test_dual_ball_is_built_once_and_read_only(norm, d, m):
+    """Every summand is one shared, read-only polytope; the l1 box has one
+    per coordinate, every other ball one."""
     ball = dual_ball(norm, d, m)
     assert dual_ball(norm, d, m) is ball
-    assert not ball.vertices.flags.writeable
-    with pytest.raises(ValueError):
-        ball.vertices[0, 0] = 2.0
+    assert len(ball) == (d if norm == "l1" else 1)
+    for (summand,) in (b.components for b in ball):
+        assert not summand.vertices.flags.writeable
+        with pytest.raises(ValueError):
+            summand.vertices[0, 0] = 2.0
     fresh = dual_ball.__wrapped__(norm, d, m)
     assert fresh is not ball
-    assert fresh.vertices.tobytes() == ball.vertices.tobytes()
+    assert vertex_bytes(fresh) == vertex_bytes(ball)
 
 
 def test_primal_ball_shares_the_dual_ball():
     assert dual_ball(DUAL_NORM["l2"], 2, 64) is dual_ball("l2", 2, 64)
     # the l1 ball is exact, whatever the facet count
-    assert dual_ball(DUAL_NORM["l1"], 2, 64).vertices.tobytes() == \
-        dual_ball(DUAL_NORM["l1"], 2, 8).vertices.tobytes()
+    assert vertex_bytes(dual_ball(DUAL_NORM["l1"], 2, 64)) == \
+        vertex_bytes(dual_ball(DUAL_NORM["l1"], 2, 8))
 
 
 def test_bad_ball_is_refused_every_time():

@@ -53,9 +53,6 @@ KEPT = {
         "objective LPs: the witness check off the plane, memberships for "
         "d != 2, and a normal-cone residual where the ground set has a "
         "face at the point; README's commands have none of these",
-    "lp.LPBuilder._solve_float":
-        "LPs over 160 columns or 80 rows, such as a witness check off the "
-        "plane; no bundled problem has one",
     "robustfeas.ProblemSpec.constraint":
         "subdiff --target naming a constraint",
     "robustfeas.envelope_grid":

@@ -1,4 +1,6 @@
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from robustkkt.setcalc import (
     zero_in_sum,
 )
 
-from helpers import polytope_equal
+from helpers import ball_polytope, polytope_equal
 from test_verify import member
 
 
@@ -193,28 +195,38 @@ def _grid_oracle_min(parts, step=1e-3):
 
 class TestDualBall:
     def test_linf_primal_gives_cross_polytope(self):
-        b = dual_ball("linf", 2)
+        b = ball_polytope("linf", 2)
         assert sorted(b.vertices.tolist()) == [[-1, 0], [0, -1], [0, 1], [1, 0]]
 
     def test_l2_polygon_unit_norm(self):
-        b = dual_ball("l2", 2, 64)
+        b = ball_polytope("l2", 2, 64)
         norms = np.linalg.norm(b.vertices, axis=1)
         assert b.nverts == 64
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
     def test_l2_contains_south_pole_exactly(self):
-        b = dual_ball("l2", 2, 64)
+        b = ball_polytope("l2", 2, 64)
         assert any(np.array_equal(v, [0.0, -1.0]) for v in b.vertices)
 
     def test_negation_symmetry_even_m(self):
         for m in (10, 12, 64):
-            b = dual_ball("l2", 2, m)
+            b = ball_polytope("l2", 2, m)
             vs = {tuple(v) for v in b.vertices}
             assert all((-x, -y) in vs for x, y in vs)
 
     def test_l1_primal_gives_box(self):
-        b = dual_ball("l1", 3)
-        assert b.nverts == 8
+        """The box as its 3 edge segments, [-e_i, e_i], whose sum has the
+        box's 8 corners."""
+        segments = dual_ball("l1", 3)
+        assert [b.all_vertices().tolist() for b in segments] == [
+            [[-1, 0, 0], [1, 0, 0]], [[0, -1, 0], [0, 1, 0]],
+            [[0, 0, -1], [0, 0, 1]]]
+        # the sign bit is set on the three -1 entries alone: no -0.0
+        assert np.signbit(np.vstack([b.all_vertices() for b in segments])
+                          ).sum() == 3
+        corners = ball_polytope("l1", 3).vertices
+        assert corners.tolist() == [list(c) for c in itertools.product(
+            (-1.0, 1.0), repeat=3)]
 
     def test_unsupported(self):
         with pytest.raises(SetCalcError):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sweep_oracle
+from helpers import ball_polytope
 from robustkkt import certify, cli, funcdsl, lp, setcalc, subdiff
 from robustkkt.certify import pseudoconvex_test
 from robustkkt.cli import load_problem, resolve_problem_path, run_command
@@ -379,7 +380,7 @@ def assert_same_margins(monkeypatch, spec, xbar, ptype, **kw):
     if not calls:
         return 0
     (norm, walls), = built
-    polygon = sweep_oracle._planar_ball(setcalc.dual_ball(
+    polygon = sweep_oracle._planar_ball(ball_polytope(
         setcalc.DUAL_NORM[norm], 2).vertices)
     seen = 0
     for geometry, comps, ytheta in calls:

@@ -39,11 +39,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sweep_oracle
+from helpers import ball_polytope
 from robustkkt import certify
 from robustkkt.certify import ystar_grid
 from robustkkt.cli import load_problem, resolve_problem_path, run_command
 from robustkkt.funcdsl import parse_expr
-from robustkkt.setcalc import DUAL_NORM, dual_ball
+from robustkkt.setcalc import DUAL_NORM
 from robustkkt.subdiff import Scalarization
 from test_sweep import VARIANTS, _variant
 
@@ -58,7 +59,7 @@ def _bits(a):
 
 def polygon_rule(norm, walls, full=False):
     """The sweep's geometry as it was over the 64-gon ball of norm."""
-    return sweep_oracle.SweepGeometry(dual_ball(DUAL_NORM[norm], 2, 64),
+    return sweep_oracle.SweepGeometry(ball_polytope(DUAL_NORM[norm], 2, 64),
                                       norm == "l2", walls, full)
 
 
@@ -145,7 +146,7 @@ def _vertex(norm):
     so that -u/|u| lies exactly on one of its angles; near the negative x
     axis, so that -u/|u| lies on either side of +-pi; or a ball vertex
     turned by a small angle, so that several land in one gap."""
-    V = dual_ball(DUAL_NORM[norm], 2, 64).vertices
+    V = ball_polytope(DUAL_NORM[norm], 2, 64).vertices
     on_base = st.tuples(st.integers(0, len(V) - 1), st.integers(-2, 2)).map(
         lambda t: -V[t[0]] * 2.0 ** t[1])
     near_pi = st.tuples(st.sampled_from([1e-300, 1e-12, 1e-3, 0.0, -0.0]),
@@ -346,7 +347,8 @@ def test_known_rays(wall_sets, norm):
         perp = np.column_stack([-W[:, 1], W[:, 0]])
         want = np.vstack([perp, -perp])
         if norm != "l2":
-            want = np.vstack([dual_ball(DUAL_NORM[norm], 2).vertices, want])
+            want = np.vstack([ball_polytope(DUAL_NORM[norm], 2).vertices,
+                              want])
         norms = [np.linalg.norm(r, ord={"l1": 1, "l2": 2, "linf": np.inf}[
             norm]) for r in want]
         known, ok = geometry.known
